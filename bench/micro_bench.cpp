@@ -18,7 +18,6 @@
 #include "linalg/lu.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
-#include "orch/distributed.hpp"
 #include "orch/scheduler.hpp"
 #include "orch/wire.hpp"
 #include "pvt/corners.hpp"
@@ -533,7 +532,7 @@ void runSchedulerBench(benchmark::State& state, bool sharedCache,
       spec.budget = 48;
       sc.jobs.push_back(std::move(spec));
     }
-    orch::DistributedScheduler scheduler(std::move(sc));
+    orch::Scheduler scheduler(std::move(sc));
     benchmark::DoNotOptimize(scheduler.run());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

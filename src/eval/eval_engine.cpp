@@ -97,39 +97,17 @@ void EvalEngine::attachSharedCache(std::shared_ptr<SharedEvalCache> shared,
   unpublished_.clear();
 }
 
-std::size_t EvalEngine::publishShared() {
-  if (shared_ == nullptr) return 0;
-  std::size_t published = 0;
-  for (const EvalKey& key : unpublished_) {
-    if (const core::EvalResult* r = cache_.find(key)) {
-      shared_->insert(sharedScope_, key, *r);
-      ++published;
-    }
-  }
-  unpublished_.clear();
-  return published;
-}
-
-std::vector<std::pair<EvalKey, core::EvalResult>>
-EvalEngine::drainPublishJournal() {
-  std::vector<std::pair<EvalKey, core::EvalResult>> out;
+std::vector<PublishEntry> EvalEngine::drainPublishJournal() {
+  std::vector<PublishEntry> out;
   if (shared_ == nullptr) return out;
   out.reserve(unpublished_.size());
-  // Mirror publishShared() exactly: only keys still present in the local
-  // memo ship (an entry could in principle have been evicted), in journal
-  // order, so the coordinator-side inserts reproduce publishShared()'s
-  // insert sequence and count bitwise.
+  // Only keys still present in the local memo ship (an entry could in
+  // principle have been evicted), in journal order.
   for (const EvalKey& key : unpublished_) {
-    if (const core::EvalResult* r = cache_.find(key)) out.emplace_back(key, *r);
+    if (const core::EvalResult* r = cache_.find(key)) out.push_back({key, *r});
   }
   unpublished_.clear();
   return out;
-}
-
-void EvalEngine::setBackend(std::shared_ptr<const EvalBackend> backend) {
-  if (backend == nullptr)
-    throw std::invalid_argument("EvalEngine::setBackend: null backend");
-  backend_ = std::move(backend);
 }
 
 void EvalEngine::saveState(io::SectionWriter& w) const {

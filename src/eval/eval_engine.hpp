@@ -140,6 +140,12 @@ struct FailureRecord {
   std::size_t attempts = 0;                          ///< attempts consumed
 };
 
+/// One (key, result) pair of an engine's shared-cache publish journal.
+struct PublishEntry {
+  EvalKey key;
+  core::EvalResult result;
+};
+
 /// Whether an EvalResult meets every spec — used for ledger bookkeeping.
 using MeetsSpecFn = std::function<bool(const core::EvalResult&)>;
 
@@ -233,15 +239,6 @@ class EvalEngine {
   /// Distinct (point, corner) results memoized so far.
   std::size_t cacheSize() const { return cache_.size(); }
   const EvalBackend& backend() const { return *backend_; }
-  /// Owning handle to the backend (decorators wrap it; see setBackend).
-  std::shared_ptr<const EvalBackend> backendPtr() const { return backend_; }
-  /// Swap the backend for a decorator that is bitwise-equivalent by contract
-  /// — the distributed chunk-offload shim wraps backendPtr() and routes
-  /// batches to idle workers, falling back to the wrapped backend locally.
-  /// The caller owns the equivalence claim; a decorator that changed results
-  /// would break every determinism guarantee downstream. Throws
-  /// std::invalid_argument on null.
-  void setBackend(std::shared_ptr<const EvalBackend> backend);
   const std::vector<sim::PvtCorner>& corners() const { return corners_; }
   const EvalEngineConfig& config() const { return config_; }
 
@@ -256,9 +253,10 @@ class EvalEngine {
   /// memo miss the engine probes the shared cache; a shared hit costs zero
   /// EDA blocks and is tallied in EvalStats::sharedHits (the ledger block is
   /// flagged `cached`). Freshly simulated results are journaled and only
-  /// enter the shared cache on publishShared() — the orch::Scheduler calls
-  /// it at round barriers, in job order, which is what makes per-job shared
-  /// hit/miss accounting independent of scheduler thread count.
+  /// enter the shared cache when the owner drains the journal
+  /// (drainPublishJournal) and inserts the entries — the orch::Scheduler
+  /// does so at round barriers, in job order, which is what makes per-job
+  /// shared hit/miss accounting independent of thread and worker counts.
   /// Must be called before the first request, on an engine with cacheEvals
   /// on (the local memo backs the journal); throws std::logic_error
   /// otherwise.
@@ -266,16 +264,11 @@ class EvalEngine {
                          std::string_view scope);
   /// Whether a shared cache is attached.
   bool hasSharedCache() const { return shared_ != nullptr; }
-  /// Flush results simulated since the last publish into the shared cache
-  /// (no-op without one attached); returns the number of entries published.
-  std::size_t publishShared();
-  /// Distributed sibling of publishShared(): return the (key, result) pairs
-  /// publishShared() would insert — same filtering, same order — clearing
-  /// the journal without touching the attached cache. The coordinator of a
-  /// multi-process run ships these to the master cache and applies them at
-  /// the round barrier in job-index order, which is what keeps worker-count
-  /// N bitwise identical to the in-process path.
-  std::vector<std::pair<EvalKey, core::EvalResult>> drainPublishJournal();
+  /// Return the results simulated since the last drain, in journal order,
+  /// and clear the journal; the attached cache is not touched. Only keys
+  /// still in the local memo ship, and failed results never enter the memo,
+  /// so nothing poisoned is ever published. Empty without a shared cache.
+  std::vector<PublishEntry> drainPublishJournal();
 
   /// Serialize the engine's durable state — memo contents, ledger timeline,
   /// stats counters — into a checkpoint section. Cache entries are emitted
@@ -300,7 +293,8 @@ class EvalEngine {
   /// Optional cross-job cache; nullptr for the common single-search case.
   std::shared_ptr<SharedEvalCache> shared_;
   std::size_t sharedScope_ = 0;
-  /// Keys simulated since the last publishShared() (empty without shared_).
+  /// Keys simulated since the last drainPublishJournal() (empty without
+  /// shared_).
   std::vector<EvalKey> unpublished_;
 
   /// Snap `sizes` onto the grid into snapScratch_ and fill

@@ -11,18 +11,18 @@ namespace trdse::eval {
 FaultInjector::FaultInjector(std::shared_ptr<const EvalBackend> inner,
                              std::shared_ptr<const sim::FaultPlan> plan,
                              std::string_view scope)
-    : inner_(std::move(inner)),
+    : wrapped_(std::move(inner)),
       plan_(std::move(plan)),
       scopeHash_(sim::hashScope(scope)) {
-  if (!inner_)
+  if (!wrapped_)
     throw std::invalid_argument("FaultInjector: inner backend is null");
   if (!plan_) throw std::invalid_argument("FaultInjector: fault plan is null");
-  label_ = "faulty:" + std::string(inner_->name());
+  label_ = "faulty:" + std::string(wrapped_->name());
 }
 
 core::EvalResult FaultInjector::evaluate(const linalg::Vector& sizes,
                                          const sim::PvtCorner& corner) const {
-  return inner_->evaluate(sizes, corner);
+  return wrapped_->evaluate(sizes, corner);
 }
 
 namespace {
@@ -75,7 +75,7 @@ core::EvalResult FaultInjector::evaluate(const linalg::Vector& sizes,
       scopeHash_, contextIndices(context), context.cornerIndex, context.attempt);
   switch (cls) {
     case sim::FaultClass::kNone:
-      return inner_->evaluate(sizes, corner, context);
+      return wrapped_->evaluate(sizes, corner, context);
     case sim::FaultClass::kTimeout:
       return makeTimeoutResult(*plan_);
     case sim::FaultClass::kNonConvergence: {
@@ -85,12 +85,12 @@ core::EvalResult FaultInjector::evaluate(const linalg::Vector& sizes,
       return r;
     }
     case sim::FaultClass::kNonFinite: {
-      core::EvalResult r = inner_->evaluate(sizes, corner, context);
+      core::EvalResult r = wrapped_->evaluate(sizes, corner, context);
       corruptNonFinite(scopeHash_, context, r);
       return r;
     }
   }
-  return inner_->evaluate(sizes, corner, context);
+  return wrapped_->evaluate(sizes, corner, context);
 }
 
 void FaultInjector::evaluateBatch(const linalg::Vector* const* sizes,
@@ -125,8 +125,8 @@ void FaultInjector::evaluateBatch(const linalg::Vector* const* sizes,
   }
   std::vector<core::EvalResult> fwdResults(fwd.size());
   if (!fwd.empty())
-    inner_->evaluateBatch(fwdSizes.data(), fwdCorners.data(),
-                          fwdContexts.data(), fwdResults.data(), fwd.size());
+    wrapped_->evaluateBatch(fwdSizes.data(), fwdCorners.data(),
+                            fwdContexts.data(), fwdResults.data(), fwd.size());
   std::size_t cursor = 0;
   for (std::size_t i = 0; i < count; ++i) {
     switch (cls[i]) {

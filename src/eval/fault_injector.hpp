@@ -56,7 +56,7 @@ class FaultInjector final : public EvalBackend {
   /// the same (scope, indices, corner, attempt) tuple as the scalar path —
   /// a fault scheduled for a request lands in the same slot whether the
   /// engine dispatches scalar requests or corner-batches.
-  std::size_t batchWidth() const override { return inner_->batchWidth(); }
+  std::size_t batchWidth() const override { return wrapped_->batchWidth(); }
 
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners,
@@ -64,7 +64,7 @@ class FaultInjector final : public EvalBackend {
                      std::size_t count) const override;
 
  private:
-  std::shared_ptr<const EvalBackend> inner_;
+  std::shared_ptr<const EvalBackend> wrapped_;
   std::shared_ptr<const sim::FaultPlan> plan_;
   std::uint64_t scopeHash_ = 0;
   std::string label_;

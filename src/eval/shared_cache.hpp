@@ -14,10 +14,11 @@
 //
 // Determinism contract (docs/ORCHESTRATION.md): the cache itself is a plain
 // concurrent map — *when* an entry becomes visible is up to the caller. The
-// orch::Scheduler only inserts at round barriers (EvalEngine::publishShared,
-// in job order), so lookups during a round see a state that depends on the
-// round number alone, never on thread interleaving; per-job hit/miss
-// accounting is then bitwise identical for any scheduler thread count.
+// orch::Scheduler only inserts at round barriers (the entries each engine's
+// EvalEngine::drainPublishJournal returned, in job order), so lookups during
+// a round see a state that depends on the round number alone, never on
+// thread interleaving; per-job hit/miss accounting is then bitwise identical
+// for any scheduler thread or worker count.
 // Backends are pure, so a served entry is bitwise identical to re-simulating.
 #pragma once
 

@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
-#include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
@@ -14,152 +13,16 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.hpp"
-#include "io/state_io.hpp"
-#include "orch/journal.hpp"
 
 namespace trdse::orch {
 
 namespace {
 
 using wire::WireError;
-
-// ---- Chunk payload codec -------------------------------------------------
-//
-// An offloaded eval-batch chunk: one sizing, `count` lanes of (corner,
-// request identity). The identity tuple travels so the executor's fault
-// decorator sees exactly what the local path would have — offload on/off is
-// bitwise invisible.
-
-struct ChunkPayload {
-  std::size_t jobIndex = 0;
-  linalg::Vector sizes;
-  std::vector<sim::PvtCorner> corners;
-  std::vector<std::vector<std::size_t>> indices;  // per lane (may be empty)
-  std::vector<std::size_t> cornerIndex;
-  std::vector<std::size_t> attempt;
-
-  std::size_t count() const { return corners.size(); }
-};
-
-void writeChunk(io::SectionWriter& w, std::size_t jobIndex,
-                const linalg::Vector& sizes, const sim::PvtCorner* corners,
-                const eval::EvalContext* contexts, std::size_t count) {
-  w.u64(jobIndex);
-  w.vec(sizes);
-  w.u64(count);
-  static const std::vector<std::size_t> kNoIndices;
-  for (std::size_t i = 0; i < count; ++i) {
-    w.u8(static_cast<std::uint8_t>(corners[i].corner));
-    w.f64(corners[i].vdd);
-    w.f64(corners[i].tempC);
-    w.u64(contexts[i].cornerIndex);
-    w.indexVec(contexts[i].indices != nullptr ? *contexts[i].indices
-                                              : kNoIndices);
-    w.u64(contexts[i].attempt);
-  }
-}
-
-void writeChunk(io::SectionWriter& w, const ChunkPayload& p) {
-  w.u64(p.jobIndex);
-  w.vec(p.sizes);
-  w.u64(p.count());
-  for (std::size_t i = 0; i < p.count(); ++i) {
-    w.u8(static_cast<std::uint8_t>(p.corners[i].corner));
-    w.f64(p.corners[i].vdd);
-    w.f64(p.corners[i].tempC);
-    w.u64(p.cornerIndex[i]);
-    w.indexVec(p.indices[i]);
-    w.u64(p.attempt[i]);
-  }
-}
-
-ChunkPayload readChunk(io::SectionReader& r) {
-  ChunkPayload p;
-  p.jobIndex = r.u64();
-  p.sizes = r.vec();
-  const std::uint64_t n = r.u64();
-  p.corners.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    sim::PvtCorner c;
-    const std::uint8_t pc = r.u8();
-    if (pc > static_cast<std::uint8_t>(sim::ProcessCorner::kSF))
-      r.fail("unknown process corner " + std::to_string(pc));
-    c.corner = static_cast<sim::ProcessCorner>(pc);
-    c.vdd = r.f64();
-    c.tempC = r.f64();
-    p.corners.push_back(c);
-    p.cornerIndex.push_back(r.u64());
-    p.indices.push_back(r.indexVec());
-    p.attempt.push_back(r.u64());
-  }
-  return p;
-}
-
-// ---- Chunk-offload backend decorator -------------------------------------
-
-/// Wraps an owned job's (fault-injected) backend inside a worker process.
-/// Corner-batches first try the offload hook — ship the chunk to an idle
-/// peer via the coordinator — and fall back to the wrapped backend when no
-/// peer is free. The executor runs the byte-identical inherited backend on
-/// the same (sizes, corner, identity) inputs, so both paths produce the same
-/// bits (the EvalEngine::setBackend equivalence contract). Scalar calls
-/// never offload: a one-lane round trip could never pay for its frames.
-class ChunkOffloadBackend final : public eval::EvalBackend {
- public:
-  using OffloadFn = std::function<bool(
-      std::size_t jobIndex, const linalg::Vector& sizes,
-      const sim::PvtCorner* corners, const eval::EvalContext* contexts,
-      core::EvalResult* results, std::size_t count)>;
-
-  ChunkOffloadBackend(std::shared_ptr<const eval::EvalBackend> inner,
-                      std::size_t jobIndex, OffloadFn offload)
-      : inner_(std::move(inner)),
-        jobIndex_(jobIndex),
-        offload_(std::move(offload)) {}
-
-  std::string_view name() const override { return inner_->name(); }
-
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    return inner_->evaluate(sizes, corner);
-  }
-
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner,
-                            const eval::EvalContext& context) const override {
-    return inner_->evaluate(sizes, corner, context);
-  }
-
-  std::size_t batchWidth() const override { return inner_->batchWidth(); }
-
-  void evaluateBatch(const linalg::Vector* const* sizes,
-                     const sim::PvtCorner* corners,
-                     const eval::EvalContext* contexts,
-                     core::EvalResult* results,
-                     std::size_t count) const override {
-    // The chunk wire format carries one sizing per chunk, so only
-    // homogeneous chunks offload. The engine hands every slot of a
-    // single-request batch the same pointer; packed mixed-sizing chunks
-    // (different pointers) simply run locally.
-    bool homogeneous = count >= 2;
-    for (std::size_t i = 1; homogeneous && i < count; ++i)
-      homogeneous = sizes[i] == sizes[0];
-    if (homogeneous &&
-        offload_(jobIndex_, *sizes[0], corners, contexts, results, count))
-      return;
-    inner_->evaluateBatch(sizes, corners, contexts, results, count);
-  }
-
- private:
-  std::shared_ptr<const eval::EvalBackend> inner_;
-  std::size_t jobIndex_;
-  OffloadFn offload_;
-};
 
 // ---- Worker process ------------------------------------------------------
 
@@ -168,8 +31,7 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
 /// master cache image (now its read mirror). Exits via _Exit only — the
 /// child must never run the parent's atexit/static-destructor state.
 [[noreturn]] void workerMain(std::size_t workerIndex, wire::FrameChannel ch,
-                             const Scenario& scenario,
-                             std::vector<BuiltJob>& jobs,
+                             std::size_t threads, std::vector<BuiltJob>& jobs,
                              const std::shared_ptr<eval::SharedEvalCache>& mirror,
                              const std::vector<std::size_t>& owned) {
   const std::string src = "worker " + std::to_string(workerIndex);
@@ -187,68 +49,9 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
       }
     }
 
-    // Every worker inherited every job's backend, so any worker can execute
-    // any job's chunk. Capture the inner (fault-injected) backends *before*
-    // wrapping our own jobs in the offload decorator.
-    std::vector<std::shared_ptr<const eval::EvalBackend>> execBackends;
-    execBackends.reserve(jobs.size());
-    for (BuiltJob& job : jobs)
-      execBackends.push_back(job.strategy->engine().backendPtr());
-
-    std::mutex offloadMu;  // one offload in flight per worker
-    if (scenario.offloadChunks) {
-      for (const std::size_t i : owned) {
-        eval::EvalEngine& eng = jobs[i].strategy->engine();
-        ChunkOffloadBackend::OffloadFn offload =
-            [&ch, &offloadMu, &src, workerIndex](
-                std::size_t jobIndex, const linalg::Vector& sizes,
-                const sim::PvtCorner* corners,
-                const eval::EvalContext* contexts, core::EvalResult* results,
-                std::size_t count) -> bool {
-          std::unique_lock<std::mutex> lk(offloadMu, std::try_to_lock);
-          if (!lk.owns_lock()) return false;  // a sibling thread is offloading
-          try {
-            io::CheckpointWriter req = wire::makeMessage(wire::kMsgChunkRequest);
-            writeChunk(req.section("chunk"), jobIndex, sizes, corners,
-                       contexts, count);
-            ch.send(req);
-            const io::CheckpointReader reply =
-                ch.recv(src + " (chunk reply)");
-            if (reply.kind() != wire::kMsgChunkReply)
-              throw WireError(src + ": expected chunk reply, got \"" +
-                              reply.kind() + "\"");
-            io::SectionReader cr = reply.section("chunk");
-            const bool granted = cr.boolean();
-            if (!granted) {
-              cr.expectEnd();
-              return false;  // no idle peer — compute locally
-            }
-            const std::uint64_t m = cr.u64();
-            if (m != count)
-              cr.fail("chunk reply carries " + std::to_string(m) +
-                      " results for a " + std::to_string(count) +
-                      "-lane request");
-            for (std::size_t k = 0; k < count; ++k)
-              results[k] = io::readEvalResult(cr);
-            cr.expectEnd();
-            return true;
-          } catch (const std::exception& e) {
-            // A broken offload round trip means the channel state is
-            // unknowable — die loudly; the coordinator respawns us and
-            // re-dispatches the round.
-            std::fprintf(stderr, "trdse worker %zu: offload failed: %s\n",
-                         workerIndex, e.what());
-            std::_Exit(1);
-          }
-        };
-        eng.setBackend(std::make_shared<ChunkOffloadBackend>(
-            eng.backendPtr(), i, std::move(offload)));
-      }
-    }
-
-    common::ThreadPool pool(scenario.threads);
-    std::vector<std::size_t> grantJobs, grantTargets;
-    std::vector<std::string> stepErrors(jobs.size());
+    common::ThreadPool pool(threads);
+    std::vector<std::size_t> grantJobs;
+    std::vector<wire::JobRoundReport> reports;
 
     for (;;) {
       const io::CheckpointReader msg = ch.recv(src);
@@ -262,58 +65,30 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
         const bool die = r.boolean();
         const std::uint64_t n = r.u64();
         grantJobs.clear();
-        grantTargets.clear();
         for (std::uint64_t k = 0; k < n; ++k) {
-          grantJobs.push_back(r.u64());
-          grantTargets.push_back(r.u64());
+          const std::size_t i = r.u64();
+          jobs.at(i).granted = r.u64();
+          grantJobs.push_back(i);
         }
         r.expectEnd();
         // Deterministic kill hook (--debug-kill-worker): emulate a SIGKILL
         // at the most adversarial instant — round received, nothing stepped.
         if (die) std::_Exit(137);
 
+        // The post-step blob is what a respawned worker restores from.
+        reports.assign(grantJobs.size(), {});
         pool.parallelFor(grantJobs.size(), [&](std::size_t k) {
-          BuiltJob& job = jobs.at(grantJobs[k]);
-          job.granted = grantTargets[k];
-          stepErrors[grantJobs[k]].clear();
-          try {
-            job.strategy->step(job.granted);
-          } catch (const std::exception& e) {
-            stepErrors[grantJobs[k]] =
-                e.what()[0] != '\0' ? e.what() : "unknown error";
-          } catch (...) {
-            stepErrors[grantJobs[k]] = "non-standard exception";
-          }
+          BuiltJob& job = jobs[grantJobs[k]];
+          reports[k] = stepJob(job, grantJobs[k],
+                               job.strategy->supportsCheckpoint());
         });
 
         io::CheckpointWriter out = wire::makeMessage(wire::kMsgRoundResult);
         out.section("round").u64(round);
         io::SectionWriter& js = out.section("jobs");
-        js.u64(grantJobs.size());
-        for (std::size_t k = 0; k < grantJobs.size(); ++k) {
-          const std::size_t i = grantJobs[k];
-          BuiltJob& job = jobs[i];
-          wire::JobRoundReport rep;
-          rep.jobIndex = i;
-          rep.stepError = stepErrors[i];
-          rep.finished = job.strategy->finished();
-          rep.iterations = job.strategy->outcome().iterations;
-          rep.stats = job.strategy->engine().stats();
-          rep.firstFailure = job.strategy->engine().firstFailure();
-          if (rep.stepError.empty()) {
-            // A job whose step threw keeps its journal unpublished — exactly
-            // the in-process barrier's skip (it quarantines and never steps
-            // again, so those entries never surface there either).
-            auto pubs = job.strategy->engine().drainPublishJournal();
-            rep.publishes.reserve(pubs.size());
-            for (auto& [key, res] : pubs)
-              rep.publishes.push_back({std::move(key), std::move(res)});
-          }
-          if (job.strategy->supportsCheckpoint())
-            rep.strategyBlob = job.strategy->saveCheckpointBlob();
+        js.u64(reports.size());
+        for (const wire::JobRoundReport& rep : reports)
           wire::writeJobRoundReport(js, rep);
-        }
-        io::SectionWriter& ds = out.section("deltas");
         std::vector<wire::ShardDelta> deltas;
         if (mirror != nullptr) {
           for (std::size_t s = 0; s < baseline.size(); ++s) {
@@ -324,7 +99,7 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
             baseline[s] = {c.hits, c.misses};
           }
         }
-        wire::writeShardDeltas(ds, deltas);
+        wire::writeShardDeltas(out.section("deltas"), deltas);
         ch.send(out);
         continue;
       }
@@ -369,37 +144,8 @@ class ChunkOffloadBackend final : public eval::EvalBackend {
         io::CheckpointWriter out = wire::makeMessage(wire::kMsgHarvestResult);
         io::SectionWriter& js = out.section("jobs");
         js.u64(owned.size());
-        for (const std::size_t i : owned) {
-          wire::JobHarvest h;
-          h.jobIndex = i;
-          h.outcome = jobs[i].strategy->outcome();
-          h.engineLedger = jobs[i].strategy->engine().ledger();
-          h.engineStats = jobs[i].strategy->engine().stats();
-          wire::writeJobHarvest(js, h);
-        }
-        ch.send(out);
-        continue;
-      }
-
-      if (kind == wire::kMsgChunkExec) {
-        io::SectionReader r = msg.section("chunk");
-        ChunkPayload p = readChunk(r);
-        r.expectEnd();
-        const std::size_t count = p.count();
-        std::vector<eval::EvalContext> ctxs(count);
-        std::vector<const linalg::Vector*> sz(count, &p.sizes);
-        std::vector<core::EvalResult> results(count);
-        for (std::size_t k = 0; k < count; ++k)
-          ctxs[k] = {&p.indices[k], p.cornerIndex[k], p.attempt[k]};
-        execBackends.at(p.jobIndex)
-            ->evaluateBatch(sz.data(), p.corners.data(), ctxs.data(),
-                            results.data(), count);
-        io::CheckpointWriter out = wire::makeMessage(wire::kMsgChunkReply);
-        io::SectionWriter& cw = out.section("chunk");
-        cw.boolean(true);
-        cw.u64(count);
-        for (const core::EvalResult& res : results)
-          io::writeEvalResult(cw, res);
+        for (const std::size_t i : owned)
+          wire::writeJobHarvest(js, harvestJob(jobs[i], i));
         ch.send(out);
         continue;
       }
@@ -443,19 +189,9 @@ void reap(pid_t pid, int graceMs) {
 
 // ---- Coordinator ---------------------------------------------------------
 
-DistributedScheduler::DistributedScheduler(Scenario scenario) {
-  if (scenario.workers == 0) {
-    inner_ = std::make_unique<Scheduler>(std::move(scenario));
-    return;
-  }
-  JobSet set = buildJobs(std::move(scenario));
-  scenario_ = std::move(set.scenario);
-  shared_ = std::move(set.shared);
-  jobs_ = std::move(set.jobs);
-
-  // Workers fork lazily at the first run(); an engine-internal thread pool
-  // would not survive the fork (the child inherits the pool's bookkeeping
-  // but none of its threads — parallelFor would wait forever).
+WorkerPool::WorkerPool(const Scenario& scenario, std::vector<BuiltJob>& jobs,
+                       std::shared_ptr<eval::SharedEvalCache> shared)
+    : scenario_(scenario), jobs_(jobs), shared_(std::move(shared)) {
   for (const BuiltJob& job : jobs_)
     if (job.strategy->engine().config().threads != 1)
       throw std::invalid_argument(
@@ -465,43 +201,31 @@ DistributedScheduler::DistributedScheduler(Scenario scenario) {
           "scenario-level threads knob instead");
 
   const std::size_t n = std::min(scenario_.workers, jobs_.size());
-  workers_.resize(n);
-  reports_.resize(n);
+  slots_.resize(n);
+  attribution_.resize(n);
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    workers_[i % n].owned.push_back(i);
-    reports_[i % n].jobs.push_back(jobs_[i].spec.name);
+    slots_[i % n].owned.push_back(i);
+    attribution_[i % n].jobs.push_back(jobs_[i].spec.name);
   }
-  lastBlobs_.resize(jobs_.size());
-  finished_.assign(jobs_.size(), 0);
-  iterations_.assign(jobs_.size(), 0);
-  roundReports_.resize(jobs_.size());
   haveReport_.assign(jobs_.size(), 0);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    finished_[i] = jobs_[i].strategy->finished() ? 1 : 0;
-    iterations_[i] = jobs_[i].strategy->outcome().iterations;
-  }
+  lastBlobs_.resize(jobs_.size());
 }
 
-DistributedScheduler::~DistributedScheduler() {
-  if (inner_ != nullptr) return;
+WorkerPool::~WorkerPool() {
   try {
-    shutdownWorkers();
+    shutdown();
   } catch (...) {
-    // Destructors stay silent; shutdownWorkers escalates to SIGKILL itself.
+    // Destructors stay silent; shutdown escalates to SIGKILL itself.
   }
 }
 
-std::size_t DistributedScheduler::workerOf(std::size_t jobIndex) const {
-  return jobIndex % workers_.size();
+void WorkerPool::start() {
+  if (forked_) return;
+  for (std::size_t w = 0; w < slots_.size(); ++w) spawnWorker(w);
+  forked_ = true;
 }
 
-void DistributedScheduler::debugKillWorker(std::size_t worker,
-                                           std::size_t round) {
-  if (inner_ != nullptr) return;  // no workers to kill in-process
-  debugKills_.emplace_back(worker, round);
-}
-
-void DistributedScheduler::spawnWorker(std::size_t w) {
+void WorkerPool::spawnWorker(std::size_t w) {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
     throw WireError(std::string("socketpair: ") + std::strerror(errno));
@@ -518,26 +242,19 @@ void DistributedScheduler::spawnWorker(std::size_t w) {
 #if defined(__linux__) && defined(PR_SET_PDEATHSIG)
     ::prctl(PR_SET_PDEATHSIG, SIGKILL);  // die with the coordinator
 #endif
-    for (WorkerSlot& other : workers_) other.ch.close();
-    workerMain(w, wire::FrameChannel(fds[1]), scenario_, jobs_, shared_,
-               workers_[w].owned);
+    for (Slot& other : slots_) other.ch.close();
+    workerMain(w, wire::FrameChannel(fds[1]), scenario_.threads, jobs_,
+               shared_, slots_[w].owned);
   }
   ::close(fds[1]);
-  WorkerSlot& slot = workers_[w];
+  Slot& slot = slots_[w];
   slot.pid = pid;
   slot.ch = wire::FrameChannel(fds[0]);
   slot.stepping = false;
-  slot.chunkBusy = false;
 }
 
-void DistributedScheduler::forkWorkers() {
-  for (std::size_t w = 0; w < workers_.size(); ++w) spawnWorker(w);
-  forked_ = true;
-}
-
-void DistributedScheduler::respawnWorker(std::size_t w,
-                                         const std::string& why) {
-  WorkerSlot& slot = workers_[w];
+void WorkerPool::respawnWorker(std::size_t w, const std::string& why) {
+  Slot& slot = slots_[w];
   if (++slot.consecutiveDeaths > 3)
     throw WireError("worker " + std::to_string(w) + " died " +
                     std::to_string(slot.consecutiveDeaths) +
@@ -546,7 +263,7 @@ void DistributedScheduler::respawnWorker(std::size_t w,
   // Recovery replays from the last barrier's checkpoint blobs; a job that
   // has stepped but cannot checkpoint has no replayable state.
   for (const std::size_t i : slot.owned)
-    if (jobs_[i].result.rounds > 0 && lastBlobs_[i].empty())
+    if (jobs_[i].result.rounds > 0 && !jobs_[i].strategy->supportsCheckpoint())
       throw WireError(
           "worker " + std::to_string(w) + " " + why + " with job \"" +
           jobs_[i].spec.name +
@@ -559,11 +276,6 @@ void DistributedScheduler::respawnWorker(std::size_t w,
     slot.pid = -1;
   }
   slot.ch.close();
-  // Orphan any chunk this worker's death strands: a peer executing on its
-  // behalf reports to a requester that no longer exists.
-  for (WorkerSlot& other : workers_)
-    if (other.chunkBusy && other.chunkRequester == w)
-      other.chunkRequester = static_cast<std::size_t>(-1);
 
   const bool wasStepping = slot.stepping;
   events_.push_back("round " + std::to_string(round_) + ": worker " +
@@ -575,8 +287,9 @@ void DistributedScheduler::respawnWorker(std::size_t w,
   spawnWorker(w);
   try {
     // The fresh fork already holds the master's current cache image and the
-    // coordinator-side (never-stepped) strategies; ship the blobs of every
-    // owned job that has progressed to bring it to the last barrier.
+    // coordinator-side (never-stepped, or just resumed) strategies; ship
+    // the blobs of every owned job that has stepped since, to bring it to
+    // the last barrier.
     io::CheckpointWriter msg = wire::makeMessage(wire::kMsgRestore);
     io::SectionWriter& js = msg.section("jobs");
     std::size_t count = 0;
@@ -600,8 +313,8 @@ void DistributedScheduler::respawnWorker(std::size_t w,
   }
 }
 
-void DistributedScheduler::dispatchRound(std::size_t w) {
-  WorkerSlot& slot = workers_[w];
+void WorkerPool::dispatchRound(std::size_t w) {
+  Slot& slot = slots_[w];
   io::CheckpointWriter msg = wire::makeMessage(wire::kMsgRunRound);
   io::SectionWriter& r = msg.section("round");
   r.u64(round_);
@@ -613,13 +326,13 @@ void DistributedScheduler::dispatchRound(std::size_t w) {
       break;
     }
   r.boolean(die);
-  std::vector<std::pair<std::size_t, std::size_t>> mine;
-  for (const auto& [i, granted] : grants_)
-    if (workerOf(i) == w) mine.emplace_back(i, granted);
+  std::vector<std::size_t> mine;
+  for (const std::size_t i : granted_)
+    if (workerOf(i) == w) mine.push_back(i);
   r.u64(mine.size());
-  for (const auto& [i, granted] : mine) {
+  for (const std::size_t i : mine) {
     r.u64(i);
-    r.u64(granted);
+    r.u64(jobs_[i].granted);
   }
   slot.stepping = true;
   if (scenario_.workerTimeoutSeconds > 0.0)
@@ -636,65 +349,43 @@ void DistributedScheduler::dispatchRound(std::size_t w) {
   }
 }
 
-void DistributedScheduler::handleChunkRequest(std::size_t from,
-                                              io::CheckpointReader msg) {
-  io::SectionReader r = msg.section("chunk");
-  ChunkPayload p = readChunk(r);
-  r.expectEnd();
-
-  std::size_t exec = workers_.size();
-  for (std::size_t w = 0; w < workers_.size(); ++w)
-    if (w != from && workers_[w].pid >= 0 && !workers_[w].stepping &&
-        !workers_[w].chunkBusy) {
-      exec = w;
-      break;
-    }
-  if (exec < workers_.size()) {
-    io::CheckpointWriter fwd = wire::makeMessage(wire::kMsgChunkExec);
-    writeChunk(fwd.section("chunk"), p);
-    try {
-      workers_[exec].ch.send(fwd);
-      workers_[exec].chunkBusy = true;
-      workers_[exec].chunkRequester = from;
-      return;
-    } catch (const WireError&) {
-      respawnWorker(exec, "died while idle (chunk dispatch)");
-      // fall through to a denial — the requester computes locally
-    }
-  }
-  io::CheckpointWriter deny = wire::makeMessage(wire::kMsgChunkReply);
-  deny.section("chunk").boolean(false);
-  try {
-    workers_[from].ch.send(deny);
-  } catch (const WireError& e) {
-    respawnWorker(from, std::string("died awaiting a chunk reply (") +
-                            e.what() + ")");
-  }
+void WorkerPool::step(std::size_t round,
+                      const std::vector<std::size_t>& granted,
+                      std::vector<wire::JobRoundReport>& reports) {
+  round_ = round;
+  granted_ = granted;
+  for (const std::size_t i : granted) haveReport_[i] = 0;
+  for (std::size_t w = 0; w < slots_.size(); ++w)
+    if (std::any_of(granted.begin(), granted.end(),
+                    [&](std::size_t i) { return workerOf(i) == w; }))
+      dispatchRound(w);
+  collectRoundResults(reports);
+  for (const std::size_t i : granted)
+    if (!haveReport_[i])
+      throw WireError("round " + std::to_string(round_) +
+                      ": no report for job \"" + jobs_[i].spec.name + "\"");
 }
 
-void DistributedScheduler::collectRoundResults() {
+void WorkerPool::collectRoundResults(
+    std::vector<wire::JobRoundReport>& reports) {
   std::vector<pollfd> fds;
   std::vector<std::size_t> idx;
   for (;;) {
     fds.clear();
     idx.clear();
-    bool anyStepping = false;
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      const WorkerSlot& slot = workers_[w];
-      if (!slot.stepping && !slot.chunkBusy) continue;
-      anyStepping = anyStepping || slot.stepping;
-      fds.push_back({slot.ch.fd(), POLLIN, 0});
+    for (std::size_t w = 0; w < slots_.size(); ++w) {
+      if (!slots_[w].stepping) continue;
+      fds.push_back({slots_[w].ch.fd(), POLLIN, 0});
       idx.push_back(w);
     }
-    if (!anyStepping) return;
+    if (fds.empty()) return;
 
     int timeoutMs = -1;
     const auto now = std::chrono::steady_clock::now();
     if (scenario_.workerTimeoutSeconds > 0.0) {
       for (const std::size_t w : idx) {
-        if (!workers_[w].stepping) continue;
         const auto remain = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                workers_[w].deadline - now)
+                                slots_[w].deadline - now)
                                 .count();
         const int ms = remain < 0 ? 0 : static_cast<int>(remain) + 1;
         if (timeoutMs < 0 || ms < timeoutMs) timeoutMs = ms;
@@ -709,8 +400,8 @@ void DistributedScheduler::collectRoundResults() {
     if (rc == 0) {
       // Deadline sweep: kill and re-dispatch every stepping worker past it.
       const auto late = std::chrono::steady_clock::now();
-      for (std::size_t w = 0; w < workers_.size(); ++w)
-        if (workers_[w].stepping && late >= workers_[w].deadline) {
+      for (std::size_t w = 0; w < slots_.size(); ++w)
+        if (slots_[w].stepping && late >= slots_[w].deadline) {
           respawnWorker(w, "stalled past worker_timeout");
           break;  // slots changed; rebuild the poll set
         }
@@ -722,76 +413,45 @@ void DistributedScheduler::collectRoundResults() {
       const std::size_t w = idx[k];
       try {
         io::CheckpointReader msg =
-            workers_[w].ch.recv("worker " + std::to_string(w));
-        const std::string kind = msg.kind();
-        if (kind == wire::kMsgRoundResult) {
-          io::SectionReader rr = msg.section("round");
-          const std::uint64_t round = rr.u64();
-          rr.expectEnd();
-          if (round != round_)
-            throw WireError("worker " + std::to_string(w) +
-                            " reported round " + std::to_string(round) +
-                            " during round " + std::to_string(round_));
-          io::SectionReader js = msg.section("jobs");
-          const std::uint64_t n = js.u64();
-          for (std::uint64_t j = 0; j < n; ++j) {
-            wire::JobRoundReport rep = wire::readJobRoundReport(js);
-            if (rep.jobIndex >= jobs_.size() || workerOf(rep.jobIndex) != w)
-              throw WireError("worker " + std::to_string(w) +
-                              " reported job index " +
-                              std::to_string(rep.jobIndex) +
-                              " it does not own");
-            const std::size_t ji = rep.jobIndex;
-            roundReports_[ji] = std::move(rep);
-            haveReport_[ji] = 1;
-          }
-          js.expectEnd();
-          io::SectionReader ds = msg.section("deltas");
-          const std::vector<wire::ShardDelta> deltas =
-              wire::readShardDeltas(ds);
-          ds.expectEnd();
-          // Merging on receipt is safe: sums commute, and a killed worker's
-          // partial round is never received, so each probe merges once.
-          for (const wire::ShardDelta& d : deltas) {
-            if (shared_ != nullptr) shared_->addProbes(d.shard, d.hits, d.misses);
-            reports_[w].sharedHits += d.hits;
-            reports_[w].sharedMisses += d.misses;
-          }
-          workers_[w].stepping = false;
-          workers_[w].consecutiveDeaths = 0;
-        } else if (kind == wire::kMsgChunkRequest) {
-          handleChunkRequest(w, std::move(msg));
-        } else if (kind == wire::kMsgChunkReply) {
-          // An executor finished a chunk: relay to the requester (or drop it
-          // if the requester died and was respawned meanwhile).
-          const std::size_t requester = workers_[w].chunkRequester;
-          workers_[w].chunkBusy = false;
-          if (requester < workers_.size()) {
-            io::SectionReader cr = msg.section("chunk");
-            io::CheckpointWriter fwd = wire::makeMessage(wire::kMsgChunkReply);
-            io::SectionWriter& cw = fwd.section("chunk");
-            const bool granted = cr.boolean();
-            cw.boolean(granted);
-            if (granted) {
-              const std::uint64_t m = cr.u64();
-              cw.u64(m);
-              for (std::uint64_t j = 0; j < m; ++j)
-                io::writeEvalResult(cw, io::readEvalResult(cr));
-            }
-            cr.expectEnd();
-            try {
-              workers_[requester].ch.send(fwd);
-            } catch (const WireError& e) {
-              respawnWorker(requester,
-                            std::string("died awaiting a chunk reply (") +
-                                e.what() + ")");
-            }
-          }
-        } else {
+            slots_[w].ch.recv("worker " + std::to_string(w));
+        if (msg.kind() != wire::kMsgRoundResult)
           throw WireError("worker " + std::to_string(w) +
-                          ": unexpected message kind \"" + kind +
+                          ": unexpected message kind \"" + msg.kind() +
                           "\" during a round");
+        io::SectionReader rr = msg.section("round");
+        const std::uint64_t round = rr.u64();
+        rr.expectEnd();
+        if (round != round_)
+          throw WireError("worker " + std::to_string(w) + " reported round " +
+                          std::to_string(round) + " during round " +
+                          std::to_string(round_));
+        io::SectionReader js = msg.section("jobs");
+        const std::uint64_t n = js.u64();
+        for (std::uint64_t j = 0; j < n; ++j) {
+          wire::JobRoundReport rep = wire::readJobRoundReport(js);
+          if (rep.jobIndex >= jobs_.size() || workerOf(rep.jobIndex) != w)
+            throw WireError("worker " + std::to_string(w) +
+                            " reported job index " +
+                            std::to_string(rep.jobIndex) + " it does not own");
+          const std::size_t ji = rep.jobIndex;
+          if (!rep.strategyBlob.empty())
+            lastBlobs_[ji] = std::move(rep.strategyBlob);
+          reports[ji] = std::move(rep);
+          haveReport_[ji] = 1;
         }
+        js.expectEnd();
+        io::SectionReader ds = msg.section("deltas");
+        const std::vector<wire::ShardDelta> deltas = wire::readShardDeltas(ds);
+        ds.expectEnd();
+        // Merging on receipt is safe: sums commute, and a killed worker's
+        // partial round is never received, so each probe merges once.
+        for (const wire::ShardDelta& d : deltas) {
+          if (shared_ != nullptr) shared_->addProbes(d.shard, d.hits, d.misses);
+          attribution_[w].sharedHits += d.hits;
+          attribution_[w].sharedMisses += d.misses;
+        }
+        slots_[w].stepping = false;
+        slots_[w].consecutiveDeaths = 0;
       } catch (const WireError& e) {
         respawnWorker(w, std::string("died mid-round (") + e.what() + ")");
       } catch (const io::CheckpointError& e) {
@@ -803,35 +463,31 @@ void DistributedScheduler::collectRoundResults() {
   }
 }
 
-void DistributedScheduler::broadcastBarrier(
-    const std::vector<std::size_t>& checkpointJobs) {
+void WorkerPool::barrier(const std::vector<std::size_t>& stepped,
+                         const std::vector<wire::JobRoundReport>& reports,
+                         const std::vector<std::size_t>& checkpointJobs) {
+  std::vector<std::size_t> publishing;
+  for (const std::size_t i : stepped)
+    if (reports[i].stepError.empty() && !reports[i].publishes.empty())
+      publishing.push_back(i);
   io::CheckpointWriter msg = wire::makeMessage(wire::kMsgBarrier);
   msg.section("round").u64(round_);
   io::SectionWriter& pb = msg.section("publishes");
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < jobs_.size(); ++i)
-    if (haveReport_[i] && roundReports_[i].stepError.empty() &&
-        !roundReports_[i].publishes.empty())
-      ++count;
-  pb.u64(count);
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    if (!haveReport_[i] || !roundReports_[i].stepError.empty() ||
-        roundReports_[i].publishes.empty())
-      continue;
+  pb.u64(publishing.size());
+  for (const std::size_t i : publishing) {
     pb.u64(i);
-    wire::writePublishes(pb, roundReports_[i].publishes);
+    wire::writePublishes(pb, reports[i].publishes);
   }
   msg.section("checkpoints").indexVec(checkpointJobs);
 
-  // Every worker gets the barrier (mirror sync keeps idle workers valid as
-  // chunk executors). A worker that dies here is respawned — its fresh fork
-  // image already contains this barrier's master inserts — and the barrier
-  // is re-sent so instructed periodic checkpoints still get written
-  // (mirror re-inserts are idempotent).
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+  // Every worker gets the barrier (mirror sync). A worker that dies here is
+  // respawned — its fresh fork image already contains this barrier's master
+  // inserts — and the barrier is re-sent so instructed periodic checkpoints
+  // still get written (mirror re-inserts are idempotent).
+  for (std::size_t w = 0; w < slots_.size(); ++w) {
     for (;;) {
       try {
-        workers_[w].ch.send(msg);
+        slots_[w].ch.send(msg);
         break;
       } catch (const WireError& e) {
         respawnWorker(w, std::string("died at the barrier (") + e.what() +
@@ -841,181 +497,39 @@ void DistributedScheduler::broadcastBarrier(
   }
 }
 
-void DistributedScheduler::writeJournalFile() const {
-  JournalState state;
-  state.round = round_;
-  state.jobs.reserve(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const BuiltJob& job = jobs_[i];
-    JournalJobState js;
-    js.granted = job.granted;
-    js.rounds = job.result.rounds;
-    js.published = job.result.published;
-    js.checkpoints = job.result.checkpoints;
-    js.quarantined = job.result.quarantined;
-    js.quarantineReason = job.result.quarantineReason;
-    js.strategyBlob = lastBlobs_[i];
-    state.jobs.push_back(std::move(js));
-  }
-  writeJournal(scenario_.journalPath, scenario_, state, shared_.get(),
-               events_);
+const std::string& WorkerPool::strategyBlob(std::size_t i) {
+  // A job that has not stepped on a worker is exactly the coordinator's
+  // image (construction or resume state), which is what a fork starts from.
+  if (lastBlobs_[i].empty())
+    lastBlobs_[i] = jobs_[i].strategy->saveCheckpointBlob();
+  return lastBlobs_[i];
 }
 
-std::vector<JobResult> DistributedScheduler::run(std::size_t maxRounds) {
-  if (inner_ != nullptr) return inner_->run(maxRounds);
-  if (completed_)
-    throw std::logic_error(
-        "DistributedScheduler::run: a scheduler runs exactly once");
-  started_ = true;
-  if (!forked_) forkWorkers();
-
-  const bool journaling = !scenario_.journalPath.empty();
-  std::vector<std::size_t> runnable;
-  runnable.reserve(jobs_.size());
-  std::vector<std::size_t> beforeIters(jobs_.size(), 0);
-  std::size_t roundsThisCall = 0;
-
-  while (maxRounds == 0 || roundsThisCall < maxRounds) {
-    runnable.clear();
-    for (std::size_t i = 0; i < jobs_.size(); ++i)
-      if (!jobs_[i].result.quarantined && !finished_[i]) runnable.push_back(i);
-    if (runnable.empty()) {
-      completed_ = true;
-      break;
-    }
-    ++round_;
-    ++roundsThisCall;
-
-    // Grants use the Scheduler's exact round-robin formula, computed here —
-    // worker timing can never bend a budget sequence.
-    grants_.clear();
-    for (const std::size_t i : runnable) {
-      beforeIters[i] = iterations_[i];
-      haveReport_[i] = 0;
-      jobs_[i].granted =
-          std::min(jobs_[i].spec.budget, jobs_[i].granted + scenario_.slice);
-      grants_.emplace_back(i, jobs_[i].granted);
-    }
-    for (std::size_t w = 0; w < workers_.size(); ++w) {
-      bool has = false;
-      for (const auto& [i, granted] : grants_)
-        if (workerOf(i) == w) {
-          has = true;
-          break;
-        }
-      if (has) dispatchRound(w);
-    }
-    collectRoundResults();
-
-    // ---- Round barrier, every pass in job-index order (the in-process
-    // Scheduler's exact sequence: progress, publish, quarantine, checkpoint
-    // cadence, stall guard, journal). ----
-    for (const std::size_t i : runnable) {
-      if (!haveReport_[i])
-        throw WireError("round " + std::to_string(round_) +
-                        ": no report for job \"" + jobs_[i].spec.name + "\"");
-      const wire::JobRoundReport& rep = roundReports_[i];
-      ++jobs_[i].result.rounds;
-      iterations_[i] = rep.iterations;
-      finished_[i] = rep.finished ? 1 : 0;
-      if (!rep.strategyBlob.empty()) lastBlobs_[i] = rep.strategyBlob;
-    }
-    for (const std::size_t i : runnable) {
-      const wire::JobRoundReport& rep = roundReports_[i];
-      if (!rep.stepError.empty()) continue;
-      if (shared_ != nullptr) {
-        const std::size_t scope = shared_->scopeId(jobs_[i].scope);
-        for (const wire::PublishEntry& e : rep.publishes)
-          shared_->insert(scope, e.key, e.result);
-      }
-      jobs_[i].result.published += rep.publishes.size();
-    }
-    for (const std::size_t i : runnable) {
-      BuiltJob& job = jobs_[i];
-      const wire::JobRoundReport& rep = roundReports_[i];
-      if (!rep.stepError.empty()) {
-        job.result.quarantined = true;
-        job.result.quarantineReason = "step threw: " + rep.stepError;
-        continue;
-      }
-      if (rep.stats.failures > job.spec.maxFailures) {
-        job.result.quarantined = true;
-        job.result.quarantineReason =
-            quarantineReasonFor(job.spec, rep.stats, rep.firstFailure);
-      }
-    }
-    std::vector<std::size_t> checkpointJobs;
-    for (const std::size_t i : runnable) {
-      BuiltJob& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.spec.checkpointEvery != 0 &&
-          job.result.rounds % job.spec.checkpointEvery == 0) {
-        checkpointJobs.push_back(i);
-        ++job.result.checkpoints;
-      }
-    }
-    for (const std::size_t i : runnable) {
-      const BuiltJob& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.granted >= job.spec.budget && !finished_[i] &&
-          iterations_[i] == beforeIters[i])
-        throw std::logic_error("Scheduler: job \"" + job.spec.name +
-                               "\" makes no progress (strategy \"" +
-                               job.spec.strategy +
-                               "\" violates the step() contract)");
-    }
-    broadcastBarrier(checkpointJobs);
-    if (journaling && round_ % scenario_.journalEvery == 0) writeJournalFile();
-  }
-
-  if (!completed_) {
-    completed_ = true;
-    for (std::size_t i = 0; i < jobs_.size(); ++i)
-      if (!jobs_[i].result.quarantined && !finished_[i]) {
-        completed_ = false;
-        break;
-      }
-  }
-  if (journaling && completed_ && round_ % scenario_.journalEvery != 0)
-    writeJournalFile();
-
-  std::vector<JobResult> results = harvestDistributed();
-  if (completed_) shutdownWorkers();
-  return results;
-}
-
-std::vector<JobResult> DistributedScheduler::harvestDistributed() {
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
+std::vector<wire::JobHarvest> WorkerPool::harvest() {
+  std::vector<wire::JobHarvest> out(jobs_.size());
+  for (std::size_t w = 0; w < slots_.size(); ++w) {
     for (;;) {
       try {
-        workers_[w].ch.send(wire::makeMessage(wire::kMsgHarvest));
+        slots_[w].ch.send(wire::makeMessage(wire::kMsgHarvest));
         const io::CheckpointReader msg =
-            workers_[w].ch.recv("worker " + std::to_string(w) + " (harvest)");
+            slots_[w].ch.recv("worker " + std::to_string(w) + " (harvest)");
         if (msg.kind() != wire::kMsgHarvestResult)
           throw WireError("worker " + std::to_string(w) +
                           ": expected harvest result, got \"" + msg.kind() +
                           "\"");
         io::SectionReader js = msg.section("jobs");
         const std::uint64_t n = js.u64();
-        if (n != workers_[w].owned.size())
+        if (n != slots_[w].owned.size())
           js.fail("harvest covers " + std::to_string(n) + " jobs, worker " +
                   std::to_string(w) + " owns " +
-                  std::to_string(workers_[w].owned.size()));
+                  std::to_string(slots_[w].owned.size()));
         for (std::uint64_t k = 0; k < n; ++k) {
           wire::JobHarvest h = wire::readJobHarvest(js);
           if (h.jobIndex >= jobs_.size() || workerOf(h.jobIndex) != w)
             throw WireError("worker " + std::to_string(w) +
                             " harvested job index " +
                             std::to_string(h.jobIndex) + " it does not own");
-          BuiltJob& job = jobs_[h.jobIndex];
-          job.result.outcome = std::move(h.outcome);
-          job.result.failures = h.engineStats.failures;
-          if (job.result.quarantined) {
-            // Same override as Scheduler::harvest: a quarantined strategy's
-            // cached outcome may predate the harvest.
-            job.result.outcome.ledger = std::move(h.engineLedger);
-            job.result.outcome.evalStats = h.engineStats;
-          }
+          out[h.jobIndex] = std::move(h);
         }
         js.expectEnd();
         break;
@@ -1024,14 +538,11 @@ std::vector<JobResult> DistributedScheduler::harvestDistributed() {
       }
     }
   }
-  std::vector<JobResult> results;
-  results.reserve(jobs_.size());
-  for (const BuiltJob& job : jobs_) results.push_back(job.result);
-  return results;
+  return out;
 }
 
-void DistributedScheduler::shutdownWorkers() {
-  for (WorkerSlot& slot : workers_) {
+void WorkerPool::shutdown() {
+  for (Slot& slot : slots_) {
     if (slot.pid < 0) continue;
     try {
       slot.ch.send(wire::makeMessage(wire::kMsgShutdown));
@@ -1042,48 +553,6 @@ void DistributedScheduler::shutdownWorkers() {
     reap(slot.pid, 2000);
     slot.pid = -1;
   }
-}
-
-void DistributedScheduler::resume(const std::string& journalPath) {
-  if (inner_ != nullptr) {
-    inner_->resume(journalPath);
-    return;
-  }
-  if (started_)
-    throw std::logic_error(
-        "DistributedScheduler::resume: must be called before the first run()");
-  started_ = true;
-  const JournalState state = readJournal(journalPath, scenario_, shared_.get());
-  round_ = state.round;
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    BuiltJob& job = jobs_[i];
-    const JournalJobState& js = state.jobs[i];
-    job.granted = js.granted;
-    job.result.rounds = js.rounds;
-    job.result.published = js.published;
-    job.result.checkpoints = js.checkpoints;
-    job.result.quarantined = js.quarantined;
-    job.result.quarantineReason = js.quarantineReason;
-    job.strategy->restoreCheckpointBlob(
-        js.strategyBlob, journalPath + "[job " + job.spec.name + "]");
-    // Workers fork from this restored image at the first run(); the blob
-    // also seeds the respawn-recovery state.
-    lastBlobs_[i] = js.strategyBlob;
-    finished_[i] = job.strategy->finished() ? 1 : 0;
-    iterations_[i] = job.strategy->outcome().iterations;
-  }
-}
-
-bool DistributedScheduler::completed() const {
-  return inner_ != nullptr ? inner_->completed() : completed_;
-}
-
-const Scenario& DistributedScheduler::scenario() const {
-  return inner_ != nullptr ? inner_->scenario() : scenario_;
-}
-
-const eval::SharedEvalCache* DistributedScheduler::sharedCache() const {
-  return inner_ != nullptr ? inner_->sharedCache() : shared_.get();
 }
 
 }  // namespace trdse::orch

@@ -1,53 +1,48 @@
-// Multi-process distributed orchestration — coordinator/worker scheduling
-// over the checkpoint wire format.
+// Process transport of the orch::Scheduler — forked workers over the
+// checkpoint wire format.
 //
-// The DistributedScheduler is the orch::Scheduler's process-parallel sibling
-// for fleet-scale scenario sweeps (ROADMAP north-star; DNN-Opt and AutoCkt
-// both lean on parallel simulator farms for their sample throughput). It
-// forks `Scenario::workers` worker processes over socketpairs and shards
-// whole jobs across them by index; within a round, workers can additionally
-// offload eval-batch chunks to idle peers (`offload_chunks`). Workers run
-// the existing EvalEngine/Strategy machinery unchanged; every request,
-// result, ledger delta, and cache publish crosses the wire as a typed frame
-// of the io checkpoint container (orch/wire.hpp).
+// With Scenario::workers > 0 the Scheduler (orch/scheduler.hpp) steps each
+// round's granted jobs through a WorkerPool instead of its in-process thread
+// pool (DNN-Opt and AutoCkt both lean on parallel simulator farms for their
+// sample throughput). The pool forks `workers` worker processes over
+// socketpairs at the first run() and shards whole jobs across them by index
+// (job i -> worker i % workers). Workers run the existing EvalEngine/Strategy
+// machinery unchanged — each round they run orch::stepJob, the same round
+// body as the thread transport — and every grant, round report, cache
+// publish, and harvest crosses the wire as a typed frame of the io
+// checkpoint container (orch/wire.hpp). The pool only moves reports: grants,
+// the round barrier, the journal, and the harvest override stay in the
+// Scheduler.
 //
-// Determinism contract — the same bar orch_test holds thread counts to:
-// outcomes, ledgers (cached/failed flags included), per-job stats, and
-// shared-cache counters are **bitwise identical for any worker count,
-// including 0** (0 = delegate to the in-process Scheduler). The proof
-// obligations, discharged at round barriers in job-index order:
-//   * Grant sequences are computed coordinator-side with the Scheduler's
-//     exact formula — never from worker timing.
+// Determinism contract — outcomes, ledgers (cached/failed flags included),
+// per-job stats, and shared-cache counters are **bitwise identical to the
+// thread transport for any worker count**:
 //   * Workers step with a *mirror* of the shared cache (the fork-time
 //     copy-on-write image of the master, re-synced at every barrier), so a
 //     lookup during round R sees exactly the entries published through
 //     round R-1 — the same state the in-process engines see.
-//   * Freshly simulated results ship as publish lists
-//     (EvalEngine::drainPublishJournal) and the coordinator inserts them
-//     into the master cache at the barrier, in job-index order — the same
-//     inserts publishShared() would perform.
+//   * Round reports carry each job's drained publish journal; the Scheduler
+//     inserts them into the master cache at the barrier in job-index order,
+//     and barrier() ships the same lists to every mirror.
 //   * Mirror-probe hit/miss tallies ship as per-shard deltas and fold into
 //     the master's counters (SharedEvalCache::addProbes); shard assignment
 //     is a pure key hash and sums commute, so totals match bitwise.
-//   * Quarantine decisions, checkpoint cadence, the stall guard, and the
-//     write-ahead journal all run coordinator-side from reported
-//     deterministic state, with the Scheduler's exact reason strings.
 //
-// Fault tolerance (PR 6 integration): a worker that dies (or stalls past
-// `worker_timeout`) is SIGKILLed, reaped, re-forked, restored from the
-// per-job checkpoint blobs of the last barrier, and its in-flight round is
-// re-dispatched — deterministically, because the round's inputs are a pure
-// function of barrier state. The event lands in the journal's "events"
-// section and on stderr via events(). SIGKILL of the coordinator *or* a
-// worker followed by --resume therefore reproduces the uninterrupted run's
-// stdout byte-for-byte. Jobs whose strategy cannot checkpoint still run
-// distributed, but a worker death with such a job in flight is a hard
-// WireError (nothing to restore from) — the CI smoke pairs them with
-// workers whose death is never induced.
+// Fault tolerance: a worker that dies (or stalls past `worker_timeout`) is
+// SIGKILLed, reaped, re-forked, restored from the per-job checkpoint blobs
+// of the last barrier, and its in-flight round is re-dispatched —
+// deterministically, because the round's inputs are a pure function of
+// barrier state. The event lands in the journal's "events" section and on
+// stderr via events(). SIGKILL of the coordinator *or* a worker followed by
+// --resume therefore reproduces the uninterrupted run's stdout byte-for-byte.
+// Jobs whose strategy cannot checkpoint still run on workers, but a worker
+// death with such a job in flight is a hard WireError (nothing to restore
+// from) — the CI smoke pairs them with workers whose death is never induced.
 #pragma once
 
+#include <sys/types.h>
+
 #include <chrono>
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -58,120 +53,92 @@
 
 namespace trdse::orch {
 
-/// Coordinator of a multi-process run (see file header). With
-/// `Scenario::workers == 0` it delegates to the in-process Scheduler, so
-/// callers can treat the worker count as a pure throughput knob.
-class DistributedScheduler {
+/// The scheduler's name from before it had a single round loop; the worker
+/// count is just Scenario::workers.
+using DistributedScheduler = Scheduler;
+
+/// The process transport (see file header). Owned by the Scheduler, whose
+/// scenario, jobs, and master cache it references.
+class WorkerPool {
  public:
-  /// Build every job up front via orch::buildJobs (workers inherit the
-  /// constructed jobs at fork). Throws std::invalid_argument on scenario
-  /// errors, including engine thread pools that cannot survive a fork
-  /// (opt.eval_threads != 1 with workers > 0).
-  explicit DistributedScheduler(Scenario scenario);
+  /// Shard jobs round-robin over min(workers, jobs) worker slots; forks
+  /// nothing. Throws std::invalid_argument on per-engine eval thread pools
+  /// (opt.eval_threads != 1): the child would inherit the pool's bookkeeping
+  /// but none of its threads.
+  WorkerPool(const Scenario& scenario, std::vector<BuiltJob>& jobs,
+             std::shared_ptr<eval::SharedEvalCache> shared);
+  ~WorkerPool();
+  WorkerPool(const WorkerPool&) = delete;
+  WorkerPool& operator=(const WorkerPool&) = delete;
 
-  ~DistributedScheduler();
-  DistributedScheduler(const DistributedScheduler&) = delete;
-  DistributedScheduler& operator=(const DistributedScheduler&) = delete;
+  /// Fork the workers unless they run already. The Scheduler calls this at
+  /// every run(); after a resume they fork from the restored image.
+  void start();
+  /// Step round `round`: each job in `granted` (target in jobs[i].granted)
+  /// on its owner, filling reports[i]. Dead or stalled workers are
+  /// respawned and their round re-dispatched; throws wire::WireError when
+  /// that is impossible.
+  void step(std::size_t round, const std::vector<std::size_t>& granted,
+            std::vector<wire::JobRoundReport>& reports);
+  /// Barrier: ship the publishes of the clean reports among `stepped` to
+  /// every mirror, and have the owners write the periodic checkpoints of
+  /// `checkpointJobs`.
+  void barrier(const std::vector<std::size_t>& stepped,
+               const std::vector<wire::JobRoundReport>& reports,
+               const std::vector<std::size_t>& checkpointJobs);
+  /// Live outcome and engine accounting of every job, by job index.
+  std::vector<wire::JobHarvest> harvest();
+  /// Job `i`'s checkpoint blob as of its last reported round; the
+  /// coordinator's image (what a fork starts from) until it has stepped.
+  const std::string& strategyBlob(std::size_t i);
+  /// Stop every worker (idempotent; escalates to SIGKILL).
+  void shutdown();
 
-  /// Run every job to completion (or `maxRounds` scheduling rounds) and
-  /// return one row per job, in job order — the Scheduler contract, bitwise.
-  /// Workers are forked lazily on the first call and shut down when the run
-  /// completes. Throws wire::WireError when a worker death cannot be
-  /// recovered (non-checkpointable strategy in flight, respawn loop).
-  std::vector<JobResult> run(std::size_t maxRounds = 0);
-
-  /// Restore a journaled run (Scheduler::resume contract). Must precede the
-  /// first run() — strategies are restored coordinator-side and the workers
-  /// fork from the restored image. Journals are interchangeable with the
-  /// in-process Scheduler's (worker knobs are not fingerprinted).
-  void resume(const std::string& journalPath);
-
-  /// Whether every job has completed or been quarantined.
-  bool completed() const;
-
-  /// The scenario as scheduled (derived seeds filled in).
-  const Scenario& scenario() const;
-  /// The master cross-job cache (nullptr when disabled).
-  const eval::SharedEvalCache* sharedCache() const;
-
-  /// Deterministic per-worker attribution for reports: owned jobs and the
-  /// merged mirror-probe tallies. Empty when workers == 0 (in-process path).
-  /// Worker restarts are deliberately *not* here — they depend on wall-clock
-  /// faults — but in events().
-  struct WorkerReport {
-    std::vector<std::string> jobs;  ///< owned job names, job-index order
-    std::size_t sharedHits = 0;     ///< mirror-probe hits merged so far
-    std::size_t sharedMisses = 0;   ///< mirror-probe misses merged so far
-  };
-  const std::vector<WorkerReport>& workerReports() const { return reports_; }
-
-  /// Worker-failure log (death/stall + re-dispatch records) — informational,
-  /// journaled under "events", never part of deterministic stdout.
+  /// See Scheduler::debugKillWorker.
+  void debugKill(std::size_t worker, std::size_t round) {
+    debugKills_.emplace_back(worker, round);
+  }
+  const std::vector<WorkerReport>& attribution() const { return attribution_; }
   const std::vector<std::string>& events() const { return events_; }
 
-  /// Test hook (also surfaced as trdse run --debug-kill-worker): worker
-  /// `worker` _exit()s upon *receiving* the run-round frame of global round
-  /// `round` (1-based) — a deterministic stand-in for SIGKILL mid-round.
-  /// Fires once; the respawned worker does not inherit it. Must be set
-  /// before the first run().
-  void debugKillWorker(std::size_t worker, std::size_t round);
-
  private:
-  struct WorkerSlot {
+  struct Slot {
     pid_t pid = -1;
     wire::FrameChannel ch;
-    std::vector<std::size_t> owned;  ///< job indices, ascending
-    bool stepping = false;   ///< round dispatched, result pending
-    bool chunkBusy = false;  ///< executing an offloaded chunk
-    /// Requester worker index of the chunk this worker is executing (valid
-    /// while chunkBusy; SIZE_MAX = requester died, drop the reply).
-    std::size_t chunkRequester = 0;
+    std::vector<std::size_t> owned;     ///< job indices, ascending
+    bool stepping = false;              ///< round dispatched, result pending
     std::size_t consecutiveDeaths = 0;  ///< respawns since last good round
     /// Stall deadline of the in-flight round (worker_timeout > 0 only).
     std::chrono::steady_clock::time_point deadline{};
   };
 
-  std::size_t workerOf(std::size_t jobIndex) const;
-  void forkWorkers();
+  std::size_t workerOf(std::size_t jobIndex) const {
+    return jobIndex % slots_.size();
+  }
   void spawnWorker(std::size_t w);
   /// Kill/reap `w` (if alive), re-fork it, restore its jobs from the last
   /// barrier blobs, and re-dispatch its round if one was in flight.
   void respawnWorker(std::size_t w, const std::string& why);
   void dispatchRound(std::size_t w);
-  void collectRoundResults();
-  void handleChunkRequest(std::size_t from, io::CheckpointReader msg);
-  void broadcastBarrier(const std::vector<std::size_t>& checkpointJobs);
-  void writeJournalFile() const;
-  std::vector<JobResult> harvestDistributed();
-  void shutdownWorkers();
+  void collectRoundResults(std::vector<wire::JobRoundReport>& reports);
 
-  Scenario scenario_;
+  const Scenario& scenario_;
+  std::vector<BuiltJob>& jobs_;
   std::shared_ptr<eval::SharedEvalCache> shared_;
-  std::vector<BuiltJob> jobs_;
-  std::size_t round_ = 0;
-  bool started_ = false;
-  bool completed_ = false;
-  bool forked_ = false;
-
-  std::vector<WorkerSlot> workers_;
-  std::vector<WorkerReport> reports_;
+  std::vector<Slot> slots_;
+  std::vector<WorkerReport> attribution_;
   std::vector<std::string> events_;
-  /// Per-job strategy blob as of the last barrier the job stepped in (empty
-  /// until first report; always empty for non-checkpointable strategies).
+  bool forked_ = false;
+  std::size_t round_ = 0;  ///< round being (or last) stepped
+  /// This round's granted jobs (dispatch and re-dispatch read it).
+  std::vector<std::size_t> granted_;
+  std::vector<char> haveReport_;  ///< per job: this round's report arrived
+  /// Per-job strategy blob as of the last round the job stepped in (empty
+  /// until its first report; always empty for non-checkpointable
+  /// strategies).
   std::vector<std::string> lastBlobs_;
-  /// Coordinator view of per-job progress, updated from round reports.
-  std::vector<char> finished_;
-  std::vector<std::size_t> iterations_;
-  /// This round's grants (jobIndex -> granted target), valid while stepping.
-  std::vector<std::pair<std::size_t, std::size_t>> grants_;
-  /// This round's reports, indexed by job (valid at the barrier).
-  std::vector<wire::JobRoundReport> roundReports_;
-  std::vector<char> haveReport_;
-  /// Pending (worker, round) debug kills (see debugKillWorker).
+  /// Pending (worker, round) debug kills (see debugKill).
   std::vector<std::pair<std::size_t, std::size_t>> debugKills_;
-
-  /// workers == 0: the in-process delegate (everything above stays unused).
-  std::unique_ptr<Scheduler> inner_;
 };
 
 }  // namespace trdse::orch

@@ -105,16 +105,4 @@ JobSet buildJobs(Scenario scenario,
   return set;
 }
 
-std::string quarantineReasonFor(const JobSpec& spec,
-                                const eval::EvalStats& stats,
-                                const eval::FailureRecord& first) {
-  return std::to_string(stats.failures) +
-         " evaluation failure(s) exceed max_failures=" +
-         std::to_string(spec.maxFailures) + "; first: request #" +
-         std::to_string(first.request) + " on corner " +
-         std::to_string(first.cornerIndex) + " failed after " +
-         std::to_string(first.attempts) + " attempt(s) (" +
-         std::string(sim::faultClassName(first.cls)) + ")";
-}
-
 }  // namespace trdse::orch

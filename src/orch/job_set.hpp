@@ -1,16 +1,14 @@
-// Shared job-construction pass of the in-process and distributed schedulers.
+// Job construction of the orch::Scheduler: how a Scenario becomes live jobs
+// — derived seeds, resolved cache scopes, strategy construction, engine
+// wiring (retry policy, fault plan, shared cache attachment), and every
+// validation error message.
 //
-// orch::Scheduler and orch::DistributedScheduler must agree *exactly* on how
-// a Scenario becomes live jobs — derived seeds, resolved cache scopes,
-// strategy construction, engine wiring (retry policy, fault plan, shared
-// cache attachment), and every validation error message — because the
-// distributed determinism contract is "bitwise identical to workers = 0".
-// Both build through this one function instead of keeping two copies in
-// sync. The distributed coordinator additionally relies on buildJobs()
-// running entirely in the parent before any fork: workers inherit the fully
-// constructed jobs (strategies, engines, fault plans, problem closures) by
-// copy-on-write, so nothing about a problem or strategy ever needs to cross
-// the wire.
+// The process transport (orch/distributed.hpp) relies on buildJobs()
+// running entirely in the coordinator before any fork: workers inherit the
+// fully constructed jobs (strategies, engines, fault plans, problem
+// closures) by copy-on-write, so nothing about a problem or strategy ever
+// needs to cross the wire, and a job is the same object under either
+// transport.
 #pragma once
 
 #include <memory>
@@ -71,12 +69,5 @@ struct JobSet {
 /// external cache owns its geometry).
 JobSet buildJobs(Scenario scenario,
                  std::shared_ptr<eval::SharedEvalCache> externalCache = nullptr);
-
-/// The deterministic quarantine reason for a job whose engine exceeded its
-/// max_failures allowance — one string builder shared by both schedulers so
-/// reports match bitwise across worker counts.
-std::string quarantineReasonFor(const JobSpec& spec,
-                                const eval::EvalStats& stats,
-                                const eval::FailureRecord& first);
 
 }  // namespace trdse::orch

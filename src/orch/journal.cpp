@@ -11,11 +11,11 @@ namespace {
 
 /// Fingerprint field order — writeFingerprint and checkFingerprint must
 /// mirror each other exactly; docs/ROBUSTNESS.md documents the layout.
-/// `threads`, `workers`, `worker_timeout`, and `offload_chunks` are
-/// deliberately absent: per-job outcomes are invariant to all of them, so
-/// resuming under a different thread/process count is legal (and a useful
-/// determinism test — the crash-recovery CI smoke resumes a --workers run
-/// from a single-process journal and vice versa).
+/// `threads`, `workers`, and `worker_timeout` are deliberately absent:
+/// per-job outcomes are invariant to all of them, so resuming under a
+/// different thread/process count is legal (and a useful determinism test —
+/// the crash-recovery CI smoke resumes a --workers run from a single-process
+/// journal and vice versa).
 void writeFingerprint(io::SectionWriter& w, const Scenario& sc) {
   w.str(sc.name);
   w.u64(sc.slice);
@@ -136,9 +136,9 @@ void writeJournal(const std::string& path, const Scenario& scenario,
   io::SectionWriter& jobs = w.section("jobs");
   jobs.u64(state.jobs.size());
   for (const JournalJobState& j : state.jobs) jobs.str(j.strategyBlob);
-  // Informational only — worker deaths / re-dispatches of a distributed run.
-  // Readers skip it, so a journal written by the DistributedScheduler remains
-  // resumable by the plain Scheduler and vice versa.
+  // Informational only — worker deaths / re-dispatches under the process
+  // transport. Readers skip it, so a journal written with workers resumes
+  // in-process and vice versa.
   if (!events.empty()) {
     io::SectionWriter& ev = w.section("events");
     ev.u64(events.size());

@@ -11,7 +11,8 @@
 //   [progress]      the round counter and per-job grant/round/publish/
 //                   checkpoint tallies plus quarantine flags and reasons;
 //   [shared_cache]  the full SharedEvalCache contents and per-shard
-//                   counters (present iff the scenario shares results);
+//                   counters (present iff the scenario shares results and
+//                   Scenario::journalCache is on);
 //   [jobs]          one embedded strategy checkpoint blob per job.
 //
 // io::CheckpointWriter::writeFile is atomic (temp + rename + fsync), so a
@@ -51,11 +52,11 @@ struct JournalState {
 };
 
 /// Atomically write the journal for `scenario` (seeds already resolved) to
-/// `path`. `shared` may be null (scenario without a shared cache). `events`
-/// is an optional informational log (the DistributedScheduler records worker
-/// deaths and re-dispatches here); when non-empty it lands in an "events"
-/// section that readers ignore for state purposes — journals with and
-/// without it restore identically.
+/// `path`. `shared` may be null (scenario without a shared cache, or
+/// Scenario::journalCache off). `events` is an optional informational log
+/// (worker deaths and re-dispatches of the process transport); when
+/// non-empty it lands in an "events" section that readers ignore for state
+/// purposes — journals with and without it restore identically.
 void writeJournal(const std::string& path, const Scenario& scenario,
                   const JournalState& state,
                   const eval::SharedEvalCache* shared,

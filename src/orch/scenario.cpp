@@ -103,7 +103,6 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
         if (sc.workerTimeoutSeconds < 0.0)
           fail(source, lineNo, "worker_timeout must be >= 0");
       }
-      else if (key == "offload_chunks") sc.offloadChunks = parseBool(source, lineNo, key, value);
       else if (key == "slice") sc.slice = parseU64(source, lineNo, key, value);
       else if (key == "shared_cache") sc.sharedCache = parseBool(source, lineNo, key, value);
       else if (key == "shards") sc.cacheShards = parseU64(source, lineNo, key, value);
@@ -144,9 +143,9 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
       } else
         fail(source, lineNo,
              "unknown scenario key \"" + key +
-                 "\" (known: name, threads, workers, worker_timeout, "
-                 "offload_chunks, slice, shared_cache, shards, "
-                 "base_seed, fault_seed, fault_timeout, fault_nonconv, "
+                 "\" (known: name, threads, workers, worker_timeout, slice, "
+                 "shared_cache, shards, base_seed, fault_seed, "
+                 "fault_timeout, fault_nonconv, "
                  "fault_nonfinite, fault_timeout_stall, retry_attempts, "
                  "retry_backoff, retry_backoff_cap, retry_timeout, journal, "
                  "journal_every)");

@@ -78,11 +78,10 @@ struct Scenario {
   /// Scheduler worker threads: 1 = serial (inline), 0 = hardware
   /// concurrency. Per-job outcomes are identical for any value.
   std::size_t threads = 1;
-  /// Worker *processes* forked by the DistributedScheduler: 0 = run
-  /// in-process (the plain Scheduler path). Jobs shard across workers by
-  /// index; like `threads`, per-job outcomes, ledgers, and shared-cache
-  /// counters are bitwise identical for any value (docs/ORCHESTRATION.md,
-  /// "Distributed protocol").
+  /// Worker *processes* the Scheduler forks to step rounds: 0 = step jobs
+  /// on the in-process thread pool. Jobs shard across workers by index; like
+  /// `threads`, per-job outcomes, ledgers, and shared-cache counters are
+  /// bitwise identical for any value (docs/ORCHESTRATION.md, "Transports").
   std::size_t workers = 0;
   /// Wall-clock seconds the coordinator waits for a worker's round before
   /// declaring it stalled, killing and re-dispatching it (0 = wait forever).
@@ -90,11 +89,6 @@ struct Scenario {
   /// because re-dispatch replays the identical round, but *when* a stall
   /// fires is not part of the contract.
   double workerTimeoutSeconds = 0.0;
-  /// Offload eval-batch chunks from busy workers to idle ones within a
-  /// round (the intra-round sharding axis; off by default). Results are
-  /// bitwise identical either way — backends are pure — so this is purely a
-  /// latency knob for expensive backends.
-  bool offloadChunks = false;
   /// EDA blocks granted to every unfinished job per scheduling round (the
   /// fairness quantum).
   std::size_t slice = 16;

@@ -3,23 +3,34 @@
 // The ROADMAP north-star is a production system serving many sizing
 // workloads at once (DNN-Opt and AutoCkt both frame sizing as exactly this
 // multi-strategy, multi-task batch workload). The Scheduler multiplexes N
-// JobSpecs over a shared common::ThreadPool in *rounds*: every round, each
-// unfinished job is granted `slice` more EDA blocks of its own budget and
-// stepped concurrently (strategies are resumable, see opt/strategy.hpp);
-// jobs on the same circuit share simulation results through one
-// eval::SharedEvalCache.
+// JobSpecs in *rounds*: every round, each unfinished job is granted `slice`
+// more EDA blocks of its own budget and stepped (strategies are resumable,
+// see opt/strategy.hpp); jobs on the same circuit share simulation results
+// through one eval::SharedEvalCache.
 //
-// Determinism contract (asserted in tests/orch_test.cpp, documented in
-// docs/ORCHESTRATION.md):
+// One round loop, two transports. Scenario::workers only selects how a
+// round's granted jobs are stepped:
+//   * workers = 0 — the thread transport: jobs step concurrently on a
+//     common::ThreadPool of `threads` threads inside this process;
+//   * workers > 0 — the process transport (orch/distributed.hpp): jobs step
+//     in forked worker processes, `threads` threads each.
+// Either way each stepped job yields one wire::JobRoundReport (stepJob), and
+// the round barrier — progress, master-cache publish, quarantine, checkpoint
+// cadence, stall guard, journal, round hook — reads only those reports. The
+// barrier, the grants, resume and the harvest therefore exist once, here.
+//
+// Determinism contract (asserted in tests/orch_test.cpp and
+// tests/orch_dist_test.cpp, documented in docs/ORCHESTRATION.md):
 //   * Fair slicing is round-robin by job index with a fixed quantum, so the
 //     budget-grant sequence of every job is a function of the scenario
-//     alone — never of thread scheduling.
-//   * Jobs only *read* the shared cache while a round runs; results
-//     simulated during a round are journaled per engine and published at
-//     the round barrier, in job-index order (EvalEngine::publishShared).
-//     A lookup therefore sees exactly the entries published by earlier
-//     rounds, and every per-job outcome, ledger, and hit/miss counter is
-//     bitwise identical for any `threads` value.
+//     alone — never of thread or worker scheduling.
+//   * Jobs only *read* the shared cache while a round runs (workers read a
+//     mirror re-synced at every barrier); results simulated during a round
+//     are journaled per engine, drained into the report, and inserted into
+//     the master cache at the barrier, in job-index order. A lookup
+//     therefore sees exactly the entries published by earlier rounds, and
+//     every per-job outcome, ledger, and hit/miss counter is bitwise
+//     identical for any `threads` and `workers` value.
 //   * Per-job RNG streams are independent: explicit seeds are honored and
 //     absent seeds derive from (baseSeed, job index) via common::perTaskSeed.
 //
@@ -28,10 +39,10 @@
 // is *quarantined* at the round barrier — excluded from further rounds with
 // a deterministic reason recorded in its JobResult — while every other job
 // runs to completion. Quarantine decisions are made in job order from
-// deterministic engine state, so they are bitwise identical for any thread
+// report state, so they are bitwise identical for any thread or worker
 // count. With Scenario::journalPath set, the scheduler also write-ahead
 // journals the whole run at round barriers (orch/journal.hpp), making a
-// SIGKILL'd run resumable to byte-identical results.
+// SIGKILL'd run resumable to byte-identical results under either transport.
 #pragma once
 
 #include <functional>
@@ -43,6 +54,7 @@
 #include "opt/strategy.hpp"
 #include "orch/job_set.hpp"
 #include "orch/scenario.hpp"
+#include "orch/wire.hpp"
 
 namespace trdse::orch {
 
@@ -66,13 +78,37 @@ struct RoundObservation {
   std::vector<JobProgress> jobs;
 };
 
+/// Deterministic per-worker attribution of the process transport: owned
+/// jobs and the merged mirror-probe tallies. Worker restarts are
+/// deliberately *not* here — they depend on wall-clock faults — but in
+/// Scheduler::events().
+struct WorkerReport {
+  std::vector<std::string> jobs;  ///< owned job names, job-index order
+  std::size_t sharedHits = 0;     ///< mirror-probe hits merged so far
+  std::size_t sharedMisses = 0;   ///< mirror-probe misses merged so far
+};
+
+class WorkerPool;  // the process transport (orch/distributed.hpp)
+
+/// Step `job` to its current grant and report what the barrier reads: step
+/// error, progress, engine accounting, and the drained publish journal
+/// (left undrained when step() threw). `withBlob` adds the post-step
+/// checkpoint blob. The one round body of both transports; a throwing
+/// step() is captured in the report, never rethrown.
+wire::JobRoundReport stepJob(BuiltJob& job, std::size_t index, bool withBlob);
+
+/// Live outcome and engine accounting of `job` (what a harvest reads).
+wire::JobHarvest harvestJob(const BuiltJob& job, std::size_t index);
+
 /// Round-based fair-slicing orchestrator over resumable strategies.
 class Scheduler {
  public:
   /// Build every job's problem (circuits::Registry or JobSpec::makeProblem)
   /// and strategy up front; throws std::invalid_argument on unknown
-  /// circuit/strategy names, bad options, or a checkpoint cadence on a
-  /// strategy that cannot checkpoint.
+  /// circuit/strategy names, bad options, a checkpoint cadence on a
+  /// strategy that cannot checkpoint, or (workers > 0) engine thread pools
+  /// that cannot survive a fork (opt.eval_threads != 1). Forks nothing:
+  /// worker processes start at the first run().
   explicit Scheduler(Scenario scenario);
 
   /// Same, but attach every job to `externalCache` instead of constructing a
@@ -90,16 +126,20 @@ class Scheduler {
   /// how many scheduling rounds this call advances (0 = until done) — the
   /// crash-recovery tests use it to pause a run at a journaled barrier.
   /// Calling again after a bounded call continues the run; calling after the
-  /// run completed throws std::logic_error.
+  /// run completed throws std::logic_error. Worker processes fork on the
+  /// first call and shut down when the run completes; an unrecoverable
+  /// worker death (non-checkpointable strategy in flight, respawn loop)
+  /// throws wire::WireError.
   std::vector<JobResult> run(std::size_t maxRounds = 0);
 
   /// Restore a run journaled by a previous process (Scenario::journalPath;
   /// see orch/journal.hpp): validates the journal's scenario fingerprint,
   /// restores every job's strategy, progress, and quarantine state plus the
-  /// shared cache, so the next run() continues bitwise where the journal was
-  /// written. Must be called before the first run() of this scheduler;
-  /// throws std::logic_error otherwise, io::CheckpointError on a corrupt or
-  /// mismatched journal.
+  /// shared cache (when Scenario::journalCache), so the next run() continues
+  /// bitwise where the journal was written — under either transport, since
+  /// worker knobs are not fingerprinted. Must be called before the first
+  /// run() of this scheduler; throws std::logic_error otherwise,
+  /// io::CheckpointError on a corrupt or mismatched journal.
   void resume(const std::string& journalPath);
 
   /// Turn on write-ahead journaling after construction (serve daemon: the
@@ -111,8 +151,9 @@ class Scheduler {
 
   /// Install a hook invoked at every round barrier, after the round's
   /// publish/quarantine/journal transitions are final. The hook runs on the
-  /// scheduler's calling thread from deterministic job-order state, so
-  /// whatever it observes is bitwise identical for any thread count.
+  /// scheduler's calling thread from the round's reports in job order, so
+  /// whatever it observes is bitwise identical for any thread or worker
+  /// count.
   void setRoundHook(std::function<void(const RoundObservation&)> hook) {
     roundHook_ = std::move(hook);
   }
@@ -122,29 +163,50 @@ class Scheduler {
 
   /// The scenario as scheduled (derived seeds filled in).
   const Scenario& scenario() const { return scenario_; }
-  /// The cross-job cache (nullptr when the scenario disables it).
+  /// The master cross-job cache (nullptr when the scenario disables it).
   const eval::SharedEvalCache* sharedCache() const { return shared_.get(); }
-  /// Strategy of job `i` (post-run inspection; engines stay alive with the
-  /// scheduler).
+  /// Strategy of job `i`. In-process this is the live strategy (post-run
+  /// inspection; engines stay alive with the scheduler); with workers it is
+  /// the coordinator's copy, which never steps.
   const opt::Strategy& strategy(std::size_t i) const { return *jobs_[i].strategy; }
 
- private:
-  /// Jobs are constructed by orch::buildJobs — the pass shared with
-  /// DistributedScheduler so both agree bitwise on seeds, scopes, engine
-  /// wiring, and validation errors.
-  using Job = BuiltJob;
+  /// Per-worker attribution for reports (empty when workers == 0).
+  const std::vector<WorkerReport>& workerReports() const;
 
+  /// Worker-failure log (death/stall + re-dispatch records) — informational,
+  /// journaled under "events", never part of deterministic stdout. Always
+  /// empty in-process.
+  const std::vector<std::string>& events() const;
+
+  /// Test hook (also surfaced as trdse run --debug-kill-worker): worker
+  /// `worker` _exit()s upon *receiving* the run-round frame of global round
+  /// `round` (1-based) — a deterministic stand-in for SIGKILL mid-round.
+  /// Fires once; the respawned worker does not inherit it. Must be set
+  /// before the first run(); a no-op in-process.
+  void debugKillWorker(std::size_t worker, std::size_t round);
+
+ private:
   /// Quarantine `job` with a deterministic reason (idempotent guard in the
   /// caller); the job leaves the runnable set from the next round on.
-  static void quarantine(Job& job, std::string reason);
+  static void quarantine(BuiltJob& job, std::string reason);
+  /// Seed job `i`'s report from the coordinator's strategy (construction
+  /// and resume), so the runnable set and stall guard read reports only.
+  void seedReport(std::size_t i);
   /// Write the journal file (Scenario::journalPath must be set).
-  void writeJournalFile() const;
-  /// One JobResult row per job from current strategy/engine state.
+  void writeJournalFile();
+  /// One JobResult row per job from the transport's live state.
   std::vector<JobResult> harvest();
 
   Scenario scenario_;
   std::shared_ptr<eval::SharedEvalCache> shared_;
-  std::vector<Job> jobs_;
+  /// Jobs are constructed by orch::buildJobs; with workers the coordinator
+  /// keeps them unstepped and the forked workers inherit them.
+  std::vector<BuiltJob> jobs_;
+  /// The process transport (nullptr = the in-process thread transport).
+  std::unique_ptr<WorkerPool> workers_;
+  /// Each job's latest report, by job index: this round's for the jobs just
+  /// stepped, otherwise the last one (seeded before the first round).
+  std::vector<wire::JobRoundReport> reports_;
   std::function<void(const RoundObservation&)> roundHook_;
   std::size_t round_ = 0;    ///< scheduling rounds completed so far
   bool started_ = false;     ///< a run() or resume() happened

@@ -34,11 +34,10 @@ std::uint64_t getU64(const unsigned char* p) {
 bool knownMessageKind(std::string_view kind) {
   static constexpr std::string_view kKnown[] = {
       kMsgRunRound,  kMsgRoundResult, kMsgBarrier,       kMsgRestore,
-      kMsgRestoreAck, kMsgHarvest,    kMsgHarvestResult, kMsgChunkRequest,
-      kMsgChunkExec, kMsgChunkReply,  kMsgShutdown,      kMsgSubmit,
-      kMsgAccepted,  kMsgRejected,    kMsgStatus,        kMsgStatusReply,
-      kMsgStream,    kMsgProgress,    kMsgResult,        kMsgCancel,
-      kMsgServeShutdown, kMsgOk,
+      kMsgRestoreAck, kMsgHarvest,    kMsgHarvestResult, kMsgShutdown,
+      kMsgSubmit,    kMsgAccepted,    kMsgRejected,      kMsgStatus,
+      kMsgStatusReply, kMsgStream,    kMsgProgress,      kMsgResult,
+      kMsgCancel,    kMsgServeShutdown, kMsgOk,
   };
   for (const std::string_view k : kKnown)
     if (k == kind) return true;
@@ -302,6 +301,8 @@ void writeJobRoundReport(io::SectionWriter& w, const JobRoundReport& rep) {
   w.str(rep.stepError);
   w.boolean(rep.finished);
   w.u64(rep.iterations);
+  w.boolean(rep.solved);
+  w.f64(rep.bestValue);
   writeEvalStats(w, rep.stats);
   writeFailureRecord(w, rep.firstFailure);
   writePublishes(w, rep.publishes);
@@ -314,6 +315,8 @@ JobRoundReport readJobRoundReport(io::SectionReader& r) {
   rep.stepError = r.str();
   rep.finished = r.boolean();
   rep.iterations = r.u64();
+  rep.solved = r.boolean();
+  rep.bestValue = r.f64();
   rep.stats = readEvalStats(r);
   rep.firstFailure = readFailureRecord(r);
   rep.publishes = readPublishes(r);

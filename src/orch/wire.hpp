@@ -49,7 +49,10 @@ class WireError : public std::runtime_error {
 ///   1 — PR 8 coordinator/worker message set.
 ///   2 — PR 9 serve/* message kinds (sizing-as-a-service daemon). Payloads of
 ///       version-1 messages are unchanged, so a v2 peer speaks to a v1 one.
-inline constexpr std::uint32_t kWireVersion = 2;
+///   3 — JobRoundReport carries `solved` and `bestValue` (the round hook is
+///       built from reports under either transport); the wire/chunk-* kinds
+///       of the retired cross-worker eval-batch relay are gone.
+inline constexpr std::uint32_t kWireVersion = 3;
 
 /// Largest frame body accepted — shared by the transport (a corrupted length
 /// prefix must fail the channel, not drive a multi-gigabyte allocation) and
@@ -66,9 +69,6 @@ inline constexpr char kMsgRestore[] = "wire/restore";
 inline constexpr char kMsgRestoreAck[] = "wire/restore-ack";
 inline constexpr char kMsgHarvest[] = "wire/harvest";
 inline constexpr char kMsgHarvestResult[] = "wire/harvest-result";
-inline constexpr char kMsgChunkRequest[] = "wire/chunk-request";
-inline constexpr char kMsgChunkExec[] = "wire/chunk-exec";
-inline constexpr char kMsgChunkReply[] = "wire/chunk-reply";
 inline constexpr char kMsgShutdown[] = "wire/shutdown";
 
 // Message kinds of the sizing service (serve::Daemon <-> serve::Client;
@@ -167,22 +167,24 @@ class FrameChannel {
 // io::CheckpointError on malformed fields.
 
 /// One (key, result) pair of a round's shared-cache publish list.
-struct PublishEntry {
-  eval::EvalKey key;
-  core::EvalResult result;
-};
+using PublishEntry = eval::PublishEntry;
 
-/// Per-job report carried by a round-result message.
+/// What one job's round produced — everything the scheduler's barrier reads.
+/// Both transports produce it (orch::stepJob); the process transport also
+/// ships it as part of a round-result message.
 struct JobRoundReport {
   std::size_t jobIndex = 0;
   std::string stepError;  ///< empty = step() returned; else the what() text
   bool finished = false;  ///< Strategy::finished() after the step
   std::size_t iterations = 0;  ///< outcome().iterations after the step
+  bool solved = false;         ///< outcome().solved after the step
+  double bestValue = 0.0;      ///< outcome().bestValue after the step
   eval::EvalStats stats;
   eval::FailureRecord firstFailure;
   std::vector<PublishEntry> publishes;
-  /// Post-step checkpoint blob (empty when the strategy cannot checkpoint —
-  /// such a job is not recoverable across a worker death).
+  /// Post-step checkpoint blob — worker processes only, where it is what a
+  /// respawned worker restores from (empty when the strategy cannot
+  /// checkpoint: such a job is not recoverable across a worker death).
   std::string strategyBlob;
 };
 

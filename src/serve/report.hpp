@@ -31,8 +31,8 @@ struct ShardLine {
   std::size_t inserts = 0;
 };
 
-/// Everything the summary renders. Fill from a Scheduler/DistributedScheduler
-/// (trdse run) or from a completed daemon submission (serve::Daemon).
+/// Everything the summary renders. Fill from a Scheduler (trdse run) or from
+/// a completed daemon submission (serve::Daemon).
 struct ReportInput {
   std::string scenarioName;
   std::size_t jobCount = 0;

@@ -468,9 +468,15 @@ TEST(SharedCachePoison, EngineNeverPublishesPoisonedResults) {
   engine.evalOne(0, {0.875, 0.5}, pvt::BlockKind::kSearch);  // clean
   EXPECT_EQ(engine.stats().failures, 1u);
 
-  // Only the clean result crosses the publish barrier: a NaN that a backend
-  // leaked in one job can never become another job's shared "truth".
-  EXPECT_EQ(engine.publishShared(), 1u);
+  // Only the clean result crosses the publish barrier (drain, then insert —
+  // the scheduler's barrier step): a NaN that a backend leaked in one job
+  // can never become another job's shared "truth".
+  const std::vector<PublishEntry> entries = engine.drainPublishJournal();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_TRUE(entries[0].result.ok);
+  EXPECT_EQ(entries[0].result.failure, sim::FaultClass::kNone);
+  const std::size_t scope = shared->scopeId("fault_grid");
+  for (const PublishEntry& e : entries) shared->insert(scope, e.key, e.result);
   EXPECT_EQ(shared->size(), 1u);
 }
 

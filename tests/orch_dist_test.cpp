@@ -243,37 +243,47 @@ TEST(DistributedScheduler, FaultQuarantineMatchesInProcessBitwise) {
   }
 }
 
-TEST(DistributedScheduler, ChunkOffloadIsBitwiseInvisible) {
-  // Jobs with very different budgets: rs_short finishes early, so its worker
-  // goes idle while rs_long keeps stepping — the window in which offloaded
-  // chunks are actually granted (whether any given batch offloads or
-  // computes locally is a timing race by design; the assertion is that the
-  // choice can never show in any outcome, ledger, or counter).
-  const auto scenario = [] {
-    ensureTinyGridRegistered();
-    return parseScenarioText(
-        "name = dist_offload\n"
-        "slice = 12\n"
-        "base_seed = 5\n"
-        "[job]\nname = rs_long\ncircuit = two_stage_opamp\n"
-        "strategy = random_search\nseed = 31\nbudget = 60\n"
-        "[job]\nname = rs_short\ncircuit = two_stage_opamp\n"
-        "strategy = random_search\nseed = 32\nbudget = 12\n",
-        "inline");
-  };
-
-  std::vector<JobResult> off;
-  {
-    Scenario sc = scenario();
-    sc.workers = 2;
+TEST(DistributedScheduler, RoundHookObservationsMatchAcrossTransports) {
+  // The round hook is built from round reports under both transports, so a
+  // daemon-style observer sees the same sequence however rounds are stepped.
+  const auto observe = [](std::size_t threads, std::size_t workers) {
+    Scenario sc = mixedScenario();
+    sc.threads = threads;
+    sc.workers = workers;
     DistributedScheduler sched(std::move(sc));
-    off = sched.run();
+    std::vector<RoundObservation> seen;
+    sched.setRoundHook(
+        [&seen](const RoundObservation& obs) { seen.push_back(obs); });
+    sched.run();
+    return seen;
+  };
+  const std::vector<RoundObservation> baseline = observe(1, 0);
+  ASSERT_GT(baseline.size(), 1u);
+  EXPECT_EQ(baseline.front().jobs.size(), 4u);
+  for (const auto& [threads, workers] :
+       {std::pair<std::size_t, std::size_t>{2, 0}, {1, 2}, {2, 2}}) {
+    const std::vector<RoundObservation> seen = observe(threads, workers);
+    ASSERT_EQ(seen.size(), baseline.size())
+        << "threads=" << threads << " workers=" << workers;
+    for (std::size_t r = 0; r < seen.size(); ++r) {
+      EXPECT_EQ(seen[r].round, baseline[r].round);
+      ASSERT_EQ(seen[r].jobs.size(), baseline[r].jobs.size());
+      for (std::size_t j = 0; j < seen[r].jobs.size(); ++j) {
+        const RoundObservation::JobProgress& a = seen[r].jobs[j];
+        const RoundObservation::JobProgress& b = baseline[r].jobs[j];
+        EXPECT_EQ(a.index, b.index);
+        EXPECT_EQ(a.granted, b.granted);
+        EXPECT_EQ(a.iterations, b.iterations);
+        EXPECT_EQ(a.finished, b.finished);
+        EXPECT_EQ(a.quarantined, b.quarantined);
+        EXPECT_EQ(a.solved, b.solved);
+        EXPECT_EQ(a.sharedHits, b.sharedHits);
+        EXPECT_EQ(a.simulated, b.simulated);
+        EXPECT_EQ(a.bestValue, b.bestValue)
+            << "round " << seen[r].round << " job " << a.index;
+      }
+    }
   }
-  Scenario sc = scenario();
-  sc.workers = 2;
-  sc.offloadChunks = true;
-  DistributedScheduler sched(std::move(sc));
-  expectSameResults(sched.run(), off);
 }
 
 // ---- Fault tolerance: worker death, coordinator death --------------------
@@ -369,6 +379,43 @@ TEST(DistributedScheduler, CoordinatorDeathResumesBitwise) {
   std::remove(wholeJournal.c_str());
 }
 
+TEST(DistributedScheduler, JournalCacheOffHoldsUnderWorkers) {
+  // The serve-daemon setup under workers: an external cache that outlives
+  // the scenario, persisted elsewhere, so the journal must not embed it.
+  const std::string journal = testing::TempDir() + "dist_nocache.tdck";
+  std::vector<JobResult> expected;
+  {
+    DistributedScheduler sched(faultyCheckpointableScenario());
+    expected = sched.run();
+  }
+  const auto scenario = [&journal] {
+    Scenario sc = faultyCheckpointableScenario();
+    sc.workers = 2;
+    sc.journalPath = journal;
+    sc.journalCache = false;
+    return sc;
+  };
+  const auto cache = std::make_shared<eval::SharedEvalCache>(16);
+  {
+    DistributedScheduler first(scenario(), cache);
+    first.run(2);
+    EXPECT_FALSE(first.completed());
+    EXPECT_EQ(first.workerReports().size(), 2u);  // the process transport ran
+    const io::CheckpointReader reader = io::CheckpointReader::fromFile(journal);
+    EXPECT_FALSE(reader.hasSection("shared_cache"));
+    EXPECT_TRUE(reader.hasSection("jobs"));
+  }
+  // Resuming on the same cache object — which kept rounds 1-2's publishes —
+  // reproduces the uninterrupted run.
+  {
+    DistributedScheduler second(scenario(), cache);
+    second.resume(journal);
+    expectSameResults(second.run(), expected);
+    EXPECT_TRUE(second.completed());
+  }
+  std::remove(journal.c_str());
+}
+
 TEST(DistributedScheduler, ContractErrorsAreLoud) {
   // Engine-internal thread pools cannot survive a fork: the child inherits
   // the pool's bookkeeping but none of its threads.
@@ -398,19 +445,16 @@ TEST(Scenario, ParsesWorkerKnobs) {
   const Scenario sc = parseScenarioText(
       "workers = 3\n"
       "worker_timeout = 2.5\n"
-      "offload_chunks = on\n"
       "[job]\ncircuit = ldo\nstrategy = random_search\nbudget = 10\n",
       "inline");
   EXPECT_EQ(sc.workers, 3u);
   EXPECT_EQ(sc.workerTimeoutSeconds, 2.5);
-  EXPECT_TRUE(sc.offloadChunks);
-  // Defaults: single-process, no stall deadline, no chunk offload.
+  // Defaults: single-process, no stall deadline.
   const Scenario defaults = parseScenarioText(
       "[job]\ncircuit = ldo\nstrategy = random_search\nbudget = 10\n",
       "inline");
   EXPECT_EQ(defaults.workers, 0u);
   EXPECT_EQ(defaults.workerTimeoutSeconds, 0.0);
-  EXPECT_FALSE(defaults.offloadChunks);
 }
 
 TEST(Scenario, RejectsMalformedWorkerKnobsWithFileAndLine) {
@@ -425,8 +469,6 @@ TEST(Scenario, RejectsMalformedWorkerKnobsWithFileAndLine) {
   EXPECT_THROW(parseScenarioText("workers = 2\nworkers = 4\n" + tail, "x"),
                std::invalid_argument);  // duplicate key, no last-wins
   EXPECT_THROW(parseScenarioText("worker_timeout = -0.5\n" + tail, "x"),
-               std::invalid_argument);
-  EXPECT_THROW(parseScenarioText("offload_chunks = maybe\n" + tail, "x"),
                std::invalid_argument);
   EXPECT_THROW(parseScenarioText("[job]\ncircuit = c\nstrategy = s\n"
                                  "budget = 1\nworkers = 2\n",

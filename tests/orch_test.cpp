@@ -209,6 +209,17 @@ TEST(SharedEvalCache, SpreadsEntriesAcrossShards) {
 
 // ---- EvalEngine + shared cache ------------------------------------------
 
+/// The scheduler barrier's publish step for one engine: drain its journal
+/// and insert the entries under `scope`. Returns the entries published.
+std::size_t publish(eval::EvalEngine& engine, eval::SharedEvalCache& shared,
+                    const std::string& scope) {
+  const std::vector<eval::PublishEntry> entries = engine.drainPublishJournal();
+  const std::size_t id = shared.scopeId(scope);
+  for (const eval::PublishEntry& e : entries)
+    shared.insert(id, e.key, e.result);
+  return entries.size();
+}
+
 TEST(EngineSharedCache, HitsOnlyAfterPublishAndOnlySameScope) {
   const core::SizingProblem problem = tinyGridProblem();
   auto shared = std::make_shared<eval::SharedEvalCache>(4);
@@ -229,12 +240,12 @@ TEST(EngineSharedCache, HitsOnlyAfterPublishAndOnlySameScope) {
   EXPECT_EQ(b.stats().simulated, 1u);
   EXPECT_EQ(b.stats().sharedHits, 0u);
 
-  EXPECT_EQ(a.publishShared(), 1u);
-  EXPECT_EQ(a.publishShared(), 0u);  // journal drained
+  EXPECT_EQ(publish(a, *shared, "tiny_grid"), 1u);
+  EXPECT_EQ(publish(a, *shared, "tiny_grid"), 0u);  // journal drained
 
   const linalg::Vector y = problem.space.snap({0.75, 0.25});
   a.evalOne(0, y, pvt::BlockKind::kSearch);
-  EXPECT_EQ(a.publishShared(), 1u);
+  EXPECT_EQ(publish(a, *shared, "tiny_grid"), 1u);
 
   // Published now: B serves y from the shared cache at zero EDA cost, and
   // the ledger block is flagged cached.

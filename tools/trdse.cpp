@@ -7,21 +7,18 @@
 //   trdse status --socket ... [ID]      submission table of a daemon
 //   trdse list                          known circuits and strategies
 //
-// `trdse run` is the old trdse_cli batch driver: everything on stdout is
-// deterministic — a function of the scenario file alone, identical for any
-// --threads or --workers value and across SIGKILL + resume — so CI diffs a
-// run against a committed expected summary. `trdse submit` streams the same
-// bytes for the same scenario from a fresh daemon (serve/report.hpp is the
-// single renderer behind both), with progress notes on stderr only.
+// `trdse run` is the batch runner: everything on stdout is deterministic — a
+// function of the scenario file alone, identical for any --threads or
+// --workers value (apart from the `# worker` attribution lines) and across
+// SIGKILL + resume — so CI diffs a run against a committed expected summary.
+// `trdse submit` streams the same bytes for the same scenario from a fresh
+// daemon (serve/report.hpp is the single renderer behind both), with
+// progress notes on stderr only.
 //
-// Legacy spellings (`trdse <scenario-file> [flags]`, `trdse --list`) still
-// work and print a deprecation note on stderr; stdout stays byte-identical
-// to the subcommand form, so scripted pipelines keep diffing clean while
-// they migrate.
-//
-// Exit codes (run/resume/submit): 0 all jobs completed; 1 error; 2 usage;
-// 4 completed but at least one job quarantined (`# quarantined` line on
-// stdout) — CI distinguishes "degraded but deterministic" from hard failure.
+// Exit codes (run/resume/submit): 0 all jobs completed; 1 error; 2 usage
+// (including an unknown subcommand); 4 completed but at least one job
+// quarantined (`# quarantined` line on stdout) — CI distinguishes "degraded
+// but deterministic" from hard failure.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -35,7 +32,7 @@
 #include "circuits/registry.hpp"
 #include "common/parse_util.hpp"
 #include "opt/strategy.hpp"
-#include "orch/distributed.hpp"
+#include "orch/scheduler.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/report.hpp"
@@ -50,8 +47,7 @@ int usage() {
       stderr,
       "usage: trdse run <scenario-file> [--threads N] [--workers N] "
       "[--slice N]\n"
-      "                 [--offload-chunks] [--no-shared-cache] "
-      "[--journal PATH] [--resume]\n"
+      "                 [--no-shared-cache] [--journal PATH] [--resume]\n"
       "       trdse resume <scenario-file> [same flags; implies --resume]\n"
       "       trdse serve --socket PATH --state-dir DIR [--cache-shards N]\n"
       "                 [--cache-budget-bytes N] [--max-submission-bytes N]\n"
@@ -92,7 +88,7 @@ int cmdRun(ArgCursor args, bool resume) {
   std::string path;
   bool haveThreads = false, haveWorkers = false, haveSlice = false;
   std::uint64_t threads = 0, workers = 0, slice = 0;
-  bool noSharedCache = false, offloadChunks = false;
+  bool noSharedCache = false;
   std::string journalPath;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> debugKills;
   try {
@@ -100,8 +96,6 @@ int cmdRun(ArgCursor args, bool resume) {
     while (!args.done()) {
       if (args.flag("--no-shared-cache")) {
         noSharedCache = true;
-      } else if (args.flag("--offload-chunks")) {
-        offloadChunks = true;
       } else if (args.flag("--resume")) {
         resume = true;
       } else if (args.option("--journal", journalPath)) {
@@ -144,7 +138,6 @@ int cmdRun(ArgCursor args, bool resume) {
     if (haveWorkers) scenario.workers = workers;
     if (haveSlice) scenario.slice = slice;  // 0 rejected by the Scheduler
     if (noSharedCache) scenario.sharedCache = false;
-    if (offloadChunks) scenario.offloadChunks = true;
     if (!journalPath.empty()) scenario.journalPath = journalPath;
     if (resume && scenario.journalPath.empty()) {
       std::fprintf(stderr,
@@ -159,9 +152,9 @@ int cmdRun(ArgCursor args, bool resume) {
     // Enabled before the scheduler exists so forked workers inherit it.
     trdse::sim::setSimProfiling(true);
 
-    // Worker count 0 delegates to the in-process Scheduler, so this is the
-    // only construction path — --workers is a pure throughput knob.
-    trdse::orch::DistributedScheduler scheduler(std::move(scenario));
+    // --workers only picks the transport that steps each round, so it is a
+    // pure throughput knob.
+    trdse::orch::Scheduler scheduler(std::move(scenario));
     for (const auto& [w, r] : debugKills) scheduler.debugKillWorker(w, r);
     // A missing journal under --resume is a cold start, not an error: the
     // process may have been killed before the first barrier ever wrote one.
@@ -186,7 +179,7 @@ int cmdRun(ArgCursor args, bool resume) {
         report.shards.push_back({c.entries, c.hits, c.misses, c.inserts});
       }
     }
-    // Worker attribution (distributed runs only). Stdout carries only the
+    // Worker attribution (runs with workers only). Stdout carries only the
     // job->worker mapping, which is a pure function of the scenario (jobs
     // shard round-robin by index) — byte-identical across SIGKILL +
     // --resume. The merged probe tallies go to stderr: they count probes
@@ -206,8 +199,8 @@ int cmdRun(ArgCursor args, bool resume) {
     // Simulator phase attribution, summed over the job engines' EvalStats.
     // Stderr comment lines only: stdout is golden-diffed and wall time is
     // outside the determinism contract. Harvests from forked workers do not
-    // carry the phase fields (they are never on the wire), so distributed
-    // runs attribute only coordinator-resident jobs.
+    // carry the phase fields (they are never on the wire), so runs with
+    // workers report zeros here.
     {
       std::uint64_t dev = 0, stamp = 0, factor = 0, solve = 0;
       for (const trdse::orch::JobResult& jr : results) {
@@ -398,17 +391,6 @@ int main(int argc, char** argv) {
     usage();
     return 0;
   }
-  // Legacy trdse_cli spellings: `trdse --list` and `trdse <scenario> [flags]`.
-  // Deprecation notes go to stderr only — stdout must stay byte-identical to
-  // the subcommand form so scripted diffs keep passing mid-migration.
-  if (cmd == "--list") {
-    std::fprintf(stderr,
-                 "trdse: note: `--list` is deprecated; use `trdse list`\n");
-    return cmdList();
-  }
-  std::fprintf(stderr,
-               "trdse: note: the flag-style invocation is deprecated; use "
-               "`trdse run %s ...` (see docs/SERVICE.md)\n",
-               cmd.c_str());
-  return cmdRun(ArgCursor(argc, argv, 1), false);
+  std::fprintf(stderr, "trdse: unknown command \"%s\"\n", cmd.c_str());
+  return usage();
 }
