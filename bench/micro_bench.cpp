@@ -13,6 +13,7 @@
 #include "circuits/ldo.hpp"
 #include "circuits/registry.hpp"
 #include "circuits/two_stage_opamp.hpp"
+#include "core/local_explorer.hpp"
 #include "core/surrogate.hpp"
 #include "eval/eval_engine.hpp"
 #include "linalg/lu.hpp"
@@ -164,19 +165,19 @@ BENCHMARK(BM_DcOpBatch);
 void BM_SurrogateEpoch(benchmark::State& state) {
   std::mt19937_64 rng(2);
   std::uniform_real_distribution<double> d(-1.0, 1.0);
-  std::vector<linalg::Vector> xs;
-  std::vector<linalg::Vector> ys;
-  for (int i = 0; i < 64; ++i) {
-    xs.push_back({d(rng), d(rng), d(rng), d(rng), d(rng), d(rng), d(rng), d(rng),
-                  d(rng)});
-    ys.push_back({d(rng), d(rng), d(rng), d(rng)});
+  linalg::Matrix xs(64, 9);
+  linalg::Matrix ys(64, 4);
+  for (std::size_t r = 0; r < xs.rows(); ++r) {
+    for (std::size_t c = 0; c < xs.cols(); ++c) xs(r, c) = d(rng);
+    for (std::size_t c = 0; c < ys.cols(); ++c) ys(r, c) = d(rng);
   }
   nn::MlpConfig cfg;
   cfg.layerSizes = {9, 48, 48, 4};
   nn::Mlp net(cfg, 3);
   nn::AdamOptimizer opt(3e-3);
+  nn::TrainWorkspace ws;
   for (auto _ : state)
-    benchmark::DoNotOptimize(nn::trainEpochMse(net, opt, xs, ys, 16, rng));
+    benchmark::DoNotOptimize(nn::trainEpochMse(net, opt, xs, ys, 16, rng, ws));
 }
 BENCHMARK(BM_SurrogateEpoch);
 
@@ -244,6 +245,23 @@ void BM_SurrogateScoreBatch(benchmark::State& state) {
                           kPlanBatch);
 }
 BENCHMARK(BM_SurrogateScoreBatch);
+
+// The other half of a planning step: drawing the 800 trust-region
+// candidates and snapping each onto the opamp's grid (seven of its nine
+// variables are log-scale) as unit-space rows, ready for predictBatch.
+void BM_PlanCandidates(benchmark::State& state) {
+  const auto space = circuits::TwoStageOpamp::designSpace(sim::bsim45Card());
+  const linalg::Vector center(space.dim(), 0.5);
+  std::mt19937_64 rng(17);
+  linalg::Matrix block;
+  for (auto _ : state) {
+    core::drawCandidates(space, center, 0.08, kPlanBatch, rng, block);
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kPlanBatch);
+}
+BENCHMARK(BM_PlanCandidates);
 
 void BM_GemmBatch800(benchmark::State& state) {
   std::mt19937_64 rng(13);

@@ -28,6 +28,7 @@ DEFAULT_HOT = [
     "BM_IcoEvalTransientBatched",
     "BM_PvtCornerSweepPooled",
     "BM_SurrogateScoreBatch",
+    "BM_SurrogateEpoch",
     "BM_PpoUpdateBatched",
 ]
 

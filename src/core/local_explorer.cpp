@@ -6,6 +6,22 @@
 
 namespace trdse::core {
 
+void drawCandidates(const DesignSpace& space, const linalg::Vector& centerUnit,
+                    double radius, std::size_t count, std::mt19937_64& rng,
+                    linalg::Matrix& out) {
+  std::uniform_real_distribution<double> unif(-1.0, 1.0);
+  const std::size_t dim = space.dim();
+  out.resize(count, dim);
+  for (std::size_t s = 0; s < count; ++s) {
+    double* row = out.row(s);
+    for (std::size_t d = 0; d < dim; ++d)
+      row[d] = std::clamp(centerUnit[d] + radius * unif(rng), 0.0, 1.0);
+    // Score on the *snapped* candidate so the planned point is the
+    // simulated point.
+    space.snapUnit(row, row);
+  }
+}
+
 LocalExplorer::LocalExplorer(DesignSpace space, ValueFunction value,
                              EvalFn evaluate, LocalExplorerConfig config)
     : space_(std::move(space)),
@@ -44,11 +60,11 @@ void LocalExplorer::planCandidates(const linalg::Vector& centerUnit,
                                    double& bestModelValue) {
   bestUnit.clear();
   bestModelValue = -std::numeric_limits<double>::infinity();
-  std::uniform_real_distribution<double> unif(-1.0, 1.0);
   const std::size_t dim = space_.dim();
 
   if (!config_.batchedPlanning) {
     // Per-sample reference path (kept for equivalence tests / benchmarks).
+    std::uniform_real_distribution<double> unif(-1.0, 1.0);
     for (std::size_t s = 0; s < config_.mcSamples; ++s) {
       linalg::Vector u(dim);
       for (std::size_t d = 0; d < dim; ++d) {
@@ -68,25 +84,14 @@ void LocalExplorer::planCandidates(const linalg::Vector& centerUnit,
     return;
   }
 
-  // Batched path: generate the candidate block with the identical RNG draw
-  // order, score every row in one batched surrogate pass, then rank with the
-  // same strict-> selection — candidate choice matches the loop above.
-  candBuf_.resize(config_.mcSamples, dim);
-  linalg::Vector u(dim);
-  for (std::size_t s = 0; s < config_.mcSamples; ++s) {
-    for (std::size_t d = 0; d < dim; ++d) {
-      u[d] = std::clamp(centerUnit[d] + radius * unif(rng_), 0.0, 1.0);
-    }
-    const linalg::Vector snapped = space_.fromUnitSnapped(u);
-    const linalg::Vector su = space_.toUnit(snapped);
-    std::copy(su.begin(), su.end(), candBuf_.row(s));
-  }
+  // Batched path: the identical draw order, every row scored in one batched
+  // surrogate pass, then the same strict-> selection — the candidate choice
+  // matches the loop above.
+  drawCandidates(space_, centerUnit, radius, config_.mcSamples, rng_, candBuf_);
   surrogate_.predictBatch(candBuf_, predBuf_);
   std::size_t bestIdx = config_.mcSamples;
   for (std::size_t s = 0; s < config_.mcSamples; ++s) {
-    const double* pr = predBuf_.row(s);
-    rowScratch_.assign(pr, pr + predBuf_.cols());
-    const double v = value_.plannerScore(rowScratch_);
+    const double v = value_.plannerScore(predBuf_.row(s));
     if (v > bestModelValue) {
       bestModelValue = v;
       bestIdx = s;

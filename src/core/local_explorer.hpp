@@ -71,6 +71,16 @@ struct LocalExplorerConfig {
 /// LocalExplorerConfig::cacheEvals.
 using EvalFn = std::function<EvalResult(const linalg::Vector& sizes)>;
 
+/// Algorithm 1 line 10's candidate block, shared by LocalExplorer and
+/// PvtSearch: `count` uniform draws in the infinity-norm ball of `radius`
+/// around `centerUnit`, clamped to the unit cube, snapped onto the grid and
+/// written back in unit coordinates as the rows of `out` (resized). Draws
+/// are candidate-major, dimension-minor — the per-sample planner's order —
+/// so the rng stream is the same whichever planner path runs.
+void drawCandidates(const DesignSpace& space, const linalg::Vector& centerUnit,
+                    double radius, std::size_t count, std::mt19937_64& rng,
+                    linalg::Matrix& out);
+
 /// Step-by-step telemetry of one search run (Fig. 3's raw material).
 struct SearchTrace {
   std::vector<double> bestValueHistory;  ///< best-so-far after each simulation
@@ -149,7 +159,6 @@ class LocalExplorer {
   // Planning scratch, reused across TRM steps (capacity persists).
   linalg::Matrix candBuf_;   ///< mcSamples × dim candidate block
   linalg::Matrix predBuf_;   ///< mcSamples × measDim batched predictions
-  linalg::Vector rowScratch_;
 };
 
 }  // namespace trdse::core

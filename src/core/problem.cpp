@@ -7,10 +7,13 @@
 namespace trdse::core {
 
 DesignSpace::DesignSpace(std::vector<ParamDef> params) : params_(std::move(params)) {
-  for ([[maybe_unused]] const auto& p : params_) {
+  logBounds_.reserve(params_.size());
+  for (const auto& p : params_) {
     assert(p.steps >= 1);
     assert(p.hi >= p.lo);
     assert(!p.logScale || p.lo > 0.0);
+    logBounds_.push_back(p.logScale ? LogBounds{std::log10(p.lo), std::log10(p.hi)}
+                                    : LogBounds{});
   }
 }
 
@@ -19,18 +22,22 @@ double DesignSpace::gridValue(std::size_t dim, std::size_t idx) const {
   assert(idx < p.steps);
   if (p.steps == 1) return p.lo;
   const double t = static_cast<double>(idx) / static_cast<double>(p.steps - 1);
-  if (p.logScale)
-    return std::pow(10.0, std::log10(p.lo) + t * (std::log10(p.hi) - std::log10(p.lo)));
+  if (p.logScale) {
+    const LogBounds& l = logBounds_[dim];
+    return std::pow(10.0, l.lo + t * (l.hi - l.lo));
+  }
   return p.lo + t * (p.hi - p.lo);
 }
 
 std::size_t DesignSpace::nearestIndex(std::size_t dim, double value) const {
   const ParamDef& p = params_[dim];
-  if (p.steps == 1) return 0;
+  // A degenerate range has one distinct grid value (and t below would be 0/0).
+  if (p.steps == 1 || p.hi == p.lo) return 0;
   double t;
   if (p.logScale) {
+    const LogBounds& l = logBounds_[dim];
     const double v = std::clamp(value, p.lo, p.hi);
-    t = (std::log10(v) - std::log10(p.lo)) / (std::log10(p.hi) - std::log10(p.lo));
+    t = (std::log10(v) - l.lo) / (l.hi - l.lo);
   } else {
     t = (std::clamp(value, p.lo, p.hi) - p.lo) / (p.hi - p.lo);
   }
@@ -55,41 +62,53 @@ linalg::Vector DesignSpace::randomPoint(std::mt19937_64& rng) const {
   return out;
 }
 
+double DesignSpace::valueToUnit(std::size_t dim, double x) const {
+  const ParamDef& p = params_[dim];
+  if (p.hi == p.lo) return 0.0;
+  if (p.logScale) {
+    const LogBounds& l = logBounds_[dim];
+    return (std::log10(std::clamp(x, p.lo, p.hi)) - l.lo) / (l.hi - l.lo);
+  }
+  return (std::clamp(x, p.lo, p.hi) - p.lo) / (p.hi - p.lo);
+}
+
+double DesignSpace::unitToValue(std::size_t dim, double u) const {
+  const ParamDef& p = params_[dim];
+  const double t = std::clamp(u, 0.0, 1.0);
+  if (p.logScale) {
+    const LogBounds& l = logBounds_[dim];
+    return std::pow(10.0, l.lo + t * (l.hi - l.lo));
+  }
+  return p.lo + t * (p.hi - p.lo);
+}
+
 linalg::Vector DesignSpace::toUnit(const linalg::Vector& x) const {
   assert(x.size() == dim());
   linalg::Vector u(dim());
-  for (std::size_t i = 0; i < dim(); ++i) {
-    const ParamDef& p = params_[i];
-    if (p.hi == p.lo) {
-      u[i] = 0.0;
-    } else if (p.logScale) {
-      u[i] = (std::log10(std::clamp(x[i], p.lo, p.hi)) - std::log10(p.lo)) /
-             (std::log10(p.hi) - std::log10(p.lo));
-    } else {
-      u[i] = (std::clamp(x[i], p.lo, p.hi) - p.lo) / (p.hi - p.lo);
-    }
-  }
+  for (std::size_t i = 0; i < dim(); ++i) u[i] = valueToUnit(i, x[i]);
   return u;
 }
 
 linalg::Vector DesignSpace::fromUnit(const linalg::Vector& u) const {
   assert(u.size() == dim());
   linalg::Vector x(dim());
-  for (std::size_t i = 0; i < dim(); ++i) {
-    const ParamDef& p = params_[i];
-    const double t = std::clamp(u[i], 0.0, 1.0);
-    if (p.logScale) {
-      x[i] = std::pow(10.0,
-                      std::log10(p.lo) + t * (std::log10(p.hi) - std::log10(p.lo)));
-    } else {
-      x[i] = p.lo + t * (p.hi - p.lo);
-    }
-  }
+  for (std::size_t i = 0; i < dim(); ++i) x[i] = unitToValue(i, u[i]);
   return x;
 }
 
 linalg::Vector DesignSpace::fromUnitSnapped(const linalg::Vector& u) const {
   return snap(fromUnit(u));
+}
+
+void DesignSpace::snapUnit(const double* u, double* out) const {
+  for (std::size_t i = 0; i < dim(); ++i) {
+    // toUnit sends a degenerate range to 0 whatever the snapped value.
+    if (params_[i].hi == params_[i].lo) {
+      out[i] = 0.0;
+      continue;
+    }
+    out[i] = valueToUnit(i, gridValue(i, nearestIndex(i, unitToValue(i, u[i]))));
+  }
 }
 
 double DesignSpace::sizeLog10() const {

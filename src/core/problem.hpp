@@ -62,6 +62,10 @@ class DesignSpace {
   linalg::Vector fromUnit(const linalg::Vector& u) const;
   /// fromUnit + snap, with unit coordinates clamped into [0,1].
   linalg::Vector fromUnitSnapped(const linalg::Vector& u) const;
+  /// toUnit(fromUnitSnapped(u)) for one point of dim() coordinates, written
+  /// straight into `out` (which may alias `u`) without temporaries — the
+  /// planner's per-candidate snap. Bitwise identical to the composition.
+  void snapUnit(const double* u, double* out) const;
 
   /// log10 of the number of grid combinations ("design space size 10^14").
   double sizeLog10() const;
@@ -72,7 +76,20 @@ class DesignSpace {
   linalg::Vector fromIndices(const std::vector<std::size_t>& idx) const;
 
  private:
+  /// log10 of a log-scale variable's bounds, computed once at construction
+  /// (zero for linear variables, which never read them).
+  struct LogBounds {
+    double lo = 0.0;
+    double hi = 0.0;
+  };
+
+  /// fromUnit of one coordinate (clamped into [0,1]).
+  double unitToValue(std::size_t dim, double u) const;
+  /// toUnit of one coordinate.
+  double valueToUnit(std::size_t dim, double x) const;
+
   std::vector<ParamDef> params_;
+  std::vector<LogBounds> logBounds_;
 };
 
 /// Direction of a spec constraint: measurement >= limit or <= limit.

@@ -268,29 +268,18 @@ void PvtSearch::stepTrm() {
   // batched pass; per-candidate scores then reduce by min across corners.
   const double radius = tr_.radius();
   const std::size_t mcSamples = config_.explorer.mcSamples;
-  std::uniform_real_distribution<double> unif(-1.0, 1.0);
   linalg::Vector bestUnit;
   double bestModelValue = -std::numeric_limits<double>::infinity();
   if (config_.explorer.batchedPlanning) {
-    candBuf_.resize(mcSamples, dim);
-    linalg::Vector u(dim);
-    for (std::size_t s = 0; s < mcSamples; ++s) {
-      for (std::size_t d = 0; d < dim; ++d)
-        u[d] = std::clamp(center_.unit[d] + radius * unif(rng_), 0.0, 1.0);
-      const linalg::Vector snapped = problem_.space.fromUnitSnapped(u);
-      const linalg::Vector su = problem_.space.toUnit(snapped);
-      std::copy(su.begin(), su.end(), candBuf_.row(s));
-    }
+    drawCandidates(problem_.space, center_.unit, radius, mcSamples, rng_,
+                   candBuf_);
     poolScores_.assign(mcSamples, std::numeric_limits<double>::infinity());
     for (auto& cs : active_) {
       if (!cs.surrogate) continue;
       cs.surrogate->predictBatch(candBuf_, predBuf_);
-      for (std::size_t s = 0; s < mcSamples; ++s) {
-        const double* pr = predBuf_.row(s);
-        rowScratch_.assign(pr, pr + predBuf_.cols());
+      for (std::size_t s = 0; s < mcSamples; ++s)
         poolScores_[s] =
-            std::min(poolScores_[s], value_.plannerScore(rowScratch_));
-      }
+            std::min(poolScores_[s], value_.plannerScore(predBuf_.row(s)));
     }
     std::size_t bestIdx = mcSamples;
     for (std::size_t s = 0; s < mcSamples; ++s) {
@@ -305,6 +294,7 @@ void PvtSearch::stepTrm() {
       bestUnit.assign(cr, cr + dim);
     }
   } else {
+    std::uniform_real_distribution<double> unif(-1.0, 1.0);
     for (std::size_t s = 0; s < mcSamples; ++s) {
       linalg::Vector u(dim);
       for (std::size_t d = 0; d < dim; ++d)

@@ -209,7 +209,6 @@ class PvtSearch {
   // Planning/evaluation scratch, reused across TRM steps.
   linalg::Matrix candBuf_;
   linalg::Matrix predBuf_;
-  linalg::Vector rowScratch_;
   std::vector<double> poolScores_;
   std::vector<std::size_t> cornerIdxScratch_;
 };

@@ -46,17 +46,13 @@ double SpiceSurrogate::train(std::mt19937_64& rng) {
   // cube, and centring/scaling it keeps the tanh layers in their active range.
   inScaler_.fit(inputs_);
   outScaler_.fit(targetsRaw_);
-  std::vector<linalg::Vector> xs;
-  std::vector<linalg::Vector> targets;
-  xs.reserve(inputs_.size());
-  targets.reserve(targetsRaw_.size());
-  for (const auto& x : inputs_) xs.push_back(inScaler_.transform(x));
-  for (const auto& t : targetsRaw_) targets.push_back(outScaler_.transform(t));
+  inScaler_.transform(inputs_, trainX_);
+  outScaler_.transform(targetsRaw_, trainY_);
 
   double lastLoss = 0.0;
   for (std::size_t e = 0; e < config_.epochsPerUpdate; ++e) {
-    const nn::TrainStats s =
-        nn::trainEpochMse(net_, opt_, xs, targets, config_.batchSize, rng);
+    const nn::TrainStats s = nn::trainEpochMse(
+        net_, opt_, trainX_, trainY_, config_.batchSize, rng, trainWs_);
     lastLoss = s.meanLoss;
   }
   return lastLoss;

@@ -51,8 +51,9 @@ class SpiceSurrogate {
   /// Number of stored training pairs.
   std::size_t sampleCount() const { return inputs_.size(); }
 
-  /// Refit the output standardizer and run `epochsPerUpdate` of mini-batch
-  /// MSE — the θ ← θ − α ∂J/∂θ line of Algorithm 1. Returns mean loss.
+  /// Refit both standardizers, standardize the samples once into persistent
+  /// matrices, and run `epochsPerUpdate` of mini-batch MSE — the
+  /// θ ← θ − α ∂J/∂θ line of Algorithm 1. Returns mean loss.
   double train(std::mt19937_64& rng);
 
   /// Predict raw (de-standardized) measurements at a unit-space point.
@@ -108,6 +109,12 @@ class SpiceSurrogate {
   nn::Standardizer outScaler_;
   std::vector<linalg::Vector> inputs_;
   std::vector<linalg::Vector> targetsRaw_;
+
+  // Training scratch, reused across train() calls: the standardized samples
+  // (one row each) and the epoch workspace.
+  linalg::Matrix trainX_;
+  linalg::Matrix trainY_;
+  nn::TrainWorkspace trainWs_;
 
   // Scratch for predictBatch (mutable: logically const inference).
   mutable nn::Mlp::BatchWorkspace batchWs_;

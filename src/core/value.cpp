@@ -66,6 +66,10 @@ std::vector<double> ValueFunction::perSpecScores(
 }
 
 double ValueFunction::plannerScore(const linalg::Vector& measurements) const {
+  return plannerScore(measurements.data());
+}
+
+double ValueFunction::plannerScore(const double* measurements) const {
   double v = 0.0;
   double bonus = 0.0;
   for (const auto& b : bound_) {

@@ -51,6 +51,9 @@ class ValueFunction {
   /// the paper's optional "second-stage value function" (IV-D); the bonus is
   /// small enough never to outweigh a constraint violation.
   double plannerScore(const linalg::Vector& measurements) const;
+  /// plannerScore of a measurement row read in place (e.g. one row of a
+  /// batched prediction matrix).
+  double plannerScore(const double* measurements) const;
 
   /// Weight of the margin bonus in plannerScore (0 disables the second-stage
   /// tie-break; exposed for the value-engineering ablation bench).

@@ -307,23 +307,61 @@ void matMulTransBBiasInto(const MatrixT<T>& a, const MatrixT<T>& b,
   detail::matMulBiasInto(a, packBuf, c, bias.data());
 }
 
-/// C += A^T * B, accumulated row-of-A by row-of-A (ascending), so it matches
-/// a sequence of per-sample rank-1 updates bit for bit. This is the weight-
-/// gradient shape: gradW += gradOut^T · inputs.
+namespace detail {
+
+/// One kIT × kJT register tile of C += A^T · B at (i0, j0): loaded once,
+/// accumulated over every row of A and B, stored once.
+template <typename T, std::size_t kIT, std::size_t kJT>
+inline void gemmAtBTile(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
+                        std::size_t i0, std::size_t j0) {
+  T acc[kIT][kJT];
+  for (std::size_t ii = 0; ii < kIT; ++ii) {
+    const T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
+    for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] = cr[jj];
+  }
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    const T* TRDSE_RESTRICT ar = a.row(r) + i0;
+    const T* TRDSE_RESTRICT br = b.row(r) + j0;
+    for (std::size_t ii = 0; ii < kIT; ++ii) {
+      const T coeff = ar[ii];
+      if (coeff == T{}) continue;
+      for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] += coeff * br[jj];
+    }
+  }
+  for (std::size_t ii = 0; ii < kIT; ++ii) {
+    T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
+    for (std::size_t jj = 0; jj < kJT; ++jj) cr[jj] = acc[ii][jj];
+  }
+}
+
+/// Rows [i0, i0 + kIT) of C += A^T · B: column tiles of 8, then 4, then 1.
+template <typename T, std::size_t kIT>
+inline void gemmAtBRows(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
+                        std::size_t i0) {
+  const std::size_t n = b.cols();
+  std::size_t j0 = 0;
+  for (; j0 + 8 <= n; j0 += 8) gemmAtBTile<T, kIT, 8>(a, b, c, i0, j0);
+  for (; j0 + 4 <= n; j0 += 4) gemmAtBTile<T, kIT, 4>(a, b, c, i0, j0);
+  for (; j0 < n; ++j0) gemmAtBTile<T, kIT, 1>(a, b, c, i0, j0);
+}
+
+}  // namespace detail
+
+/// C += A^T * B — the weight-gradient shape: gradW += gradOut^T · inputs.
+///
+/// Register-tiled over C: a 2-row × 8-column tile (then narrower remainders)
+/// is accumulated across all rows of A and B before being stored once,
+/// instead of read-modify-writing C once per row. Per element, products are
+/// still added one at a time in ascending row order, and a zero A(r, i) still
+/// skips row r for row i of C, so the result matches a sequence of
+/// per-sample rank-1 updates bit for bit.
 template <typename T>
 void gemmAtBAccum(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
   assert(a.rows() == b.rows());
   assert(c.rows() == a.cols() && c.cols() == b.cols());
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const T* TRDSE_RESTRICT ar = a.row(r);
-    const T* TRDSE_RESTRICT br = b.row(r);
-    for (std::size_t i = 0; i < a.cols(); ++i) {
-      const T coeff = ar[i];
-      if (coeff == T{}) continue;
-      T* TRDSE_RESTRICT ci = c.row(i);
-      for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += coeff * br[j];
-    }
-  }
+  std::size_t i0 = 0;
+  for (; i0 + 2 <= a.cols(); i0 += 2) detail::gemmAtBRows<T, 2>(a, b, c, i0);
+  for (; i0 < a.cols(); ++i0) detail::gemmAtBRows<T, 1>(a, b, c, i0);
 }
 
 /// Every row of `m` += v (the batched bias add).

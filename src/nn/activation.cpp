@@ -1,5 +1,6 @@
 #include "nn/activation.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <cmath>
@@ -93,16 +94,18 @@ void applyActivation(Activation a, linalg::Matrix& x) {
 }
 
 void applyActivationGrad(Activation a, const double* pre, const double* post,
-                         double* grad, std::size_t n) {
+                         const double* gradIn, double* gradOut, std::size_t n) {
   switch (a) {
     case Activation::kIdentity:
+      if (gradOut != gradIn) std::copy(gradIn, gradIn + n, gradOut);
       return;
     case Activation::kRelu:
       for (std::size_t i = 0; i < n; ++i)
-        if (pre[i] <= 0.0) grad[i] = 0.0;
+        gradOut[i] = pre[i] <= 0.0 ? 0.0 : gradIn[i];
       return;
     case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) grad[i] *= 1.0 - post[i] * post[i];
+      for (std::size_t i = 0; i < n; ++i)
+        gradOut[i] = gradIn[i] * (1.0 - post[i] * post[i]);
       return;
   }
 }
@@ -110,13 +113,18 @@ void applyActivationGrad(Activation a, const double* pre, const double* post,
 void applyActivationGrad(Activation a, const linalg::Vector& pre,
                          const linalg::Vector& post, linalg::Vector& grad) {
   assert(pre.size() == grad.size() && post.size() == grad.size());
-  applyActivationGrad(a, pre.data(), post.data(), grad.data(), grad.size());
+  applyActivationGrad(a, pre.data(), post.data(), grad.data(), grad.data(),
+                      grad.size());
 }
 
 void applyActivationGrad(Activation a, const linalg::Matrix& pre,
-                         const linalg::Matrix& post, linalg::Matrix& grad) {
-  assert(pre.size() == grad.size() && post.size() == grad.size());
-  applyActivationGrad(a, pre.data(), post.data(), grad.data(), grad.size());
+                         const linalg::Matrix& post, const linalg::Matrix& gradIn,
+                         linalg::Matrix& gradOut) {
+  assert(pre.size() == gradIn.size() && post.size() == gradIn.size());
+  assert(&gradOut != &gradIn);
+  gradOut.resize(gradIn.rows(), gradIn.cols());
+  applyActivationGrad(a, pre.data(), post.data(), gradIn.data(), gradOut.data(),
+                      gradIn.size());
 }
 
 }  // namespace trdse::nn

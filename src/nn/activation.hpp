@@ -24,18 +24,21 @@ void applyActivation(Activation a, linalg::Vector& x);
 /// Whole-matrix activation (batch × dim, applied element-wise).
 void applyActivation(Activation a, linalg::Matrix& x);
 
-/// grad[i] *= act'(pre[i]) over raw spans; `post` is the activation output
-/// (tanh derivative is cheapest from `post`).
+/// gradOut[i] = gradIn[i] * act'(pre[i]) over raw spans; `post` is the
+/// activation output (tanh derivative is cheapest from `post`). `gradOut`
+/// may alias `gradIn` (the in-place per-sample update).
 void applyActivationGrad(Activation a, const double* pre, const double* post,
-                         double* grad, std::size_t n);
+                         const double* gradIn, double* gradOut, std::size_t n);
 
-/// grad[i] *= act'(pre[i]) where `pre` is the pre-activation input and `post`
-/// the activation output (tanh derivative is cheapest from `post`).
+/// grad[i] *= act'(pre[i]) in place, where `pre` is the pre-activation input
+/// and `post` the activation output.
 void applyActivationGrad(Activation a, const linalg::Vector& pre,
                          const linalg::Vector& post, linalg::Vector& grad);
 
-/// Whole-matrix activation gradient (batch × dim, element-wise).
+/// Whole-matrix activation gradient (batch × dim, element-wise), written
+/// straight from `gradIn` into `gradOut` (resized; reuses capacity).
 void applyActivationGrad(Activation a, const linalg::Matrix& pre,
-                         const linalg::Matrix& post, linalg::Matrix& grad);
+                         const linalg::Matrix& post, const linalg::Matrix& gradIn,
+                         linalg::Matrix& gradOut);
 
 }  // namespace trdse::nn

@@ -80,8 +80,9 @@ void DenseLayer::predictBatch(const linalg::Matrix& x, linalg::Matrix& out,
 const linalg::Matrix& DenseLayer::backwardBatch(const linalg::Matrix& gradOut) {
   assert(gradOut.cols() == outDim());
   assert(gradOut.rows() == lastInputB_.rows() && "forwardBatch must precede");
-  gradOutB_ = gradOut;
-  applyActivationGrad(act_, lastPreB_, lastOutB_, gradOutB_);
+  // The activation gradient lands straight in the workspace: one pass over
+  // gradOut instead of a copy followed by an in-place scale.
+  applyActivationGrad(act_, lastPreB_, lastOutB_, gradOut, gradOutB_);
   // dW += G^T X and db += column sums of G, both accumulated sample-ascending
   // so gradients match the per-sample backward() exactly.
   gemmAtBAccum(gradOutB_, lastInputB_, gradW_);

@@ -50,46 +50,44 @@ double mseLossGradBatch(const linalg::Matrix& pred, const linalg::Matrix& target
   return lossSum;
 }
 
-TrainStats trainEpochMse(Mlp& net, Optimizer& opt,
-                         const std::vector<linalg::Vector>& inputs,
-                         const std::vector<linalg::Vector>& targets,
-                         std::size_t batchSize, std::mt19937_64& rng) {
-  assert(inputs.size() == targets.size());
-  TrainStats stats;
-  if (inputs.empty()) return stats;
-  batchSize = std::max<std::size_t>(1, batchSize);
-
-  std::vector<std::size_t> order(inputs.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::shuffle(order.begin(), order.end(), rng);
-
-  // Gather each shuffled mini-batch into matrices and run true batched
-  // forward/backward GEMM passes. Buffer capacity persists across batches.
+TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
+                         const linalg::Matrix& targets, std::size_t batchSize,
+                         std::mt19937_64& rng, TrainWorkspace& ws) {
+  assert(inputs.rows() == targets.rows());
   const std::size_t inDim = net.inputDim();
   const std::size_t outDim = net.outputDim();
-  linalg::Matrix bx;
-  linalg::Matrix by;
-  linalg::Matrix grad;
+  assert(inputs.cols() == inDim && targets.cols() == outDim);
+  TrainStats stats;
+  const std::size_t n = inputs.rows();
+  if (n == 0) return stats;
+  batchSize = std::max<std::size_t>(1, batchSize);
 
+  // A fresh identity permutation of the same length, shuffled with the same
+  // rng, every epoch: the draw stream depends on nothing else.
+  ws.order.resize(n);
+  std::iota(ws.order.begin(), ws.order.end(), 0);
+  std::shuffle(ws.order.begin(), ws.order.end(), rng);
+
+  // Gather each shuffled mini-batch into matrices and run true batched
+  // forward/backward GEMM passes. Buffer capacity persists across calls.
+  net.zeroGrad();
   double lossSum = 0.0;
   std::size_t seen = 0;
-  for (std::size_t start = 0; start < order.size(); start += batchSize) {
-    const std::size_t end = std::min(order.size(), start + batchSize);
+  for (std::size_t start = 0; start < n; start += batchSize) {
+    const std::size_t end = std::min(n, start + batchSize);
     const std::size_t b = end - start;
     const double invB = 1.0 / static_cast<double>(b);
-    bx.resize(b, inDim);
-    by.resize(b, outDim);
+    ws.batchX.resize(b, inDim);
+    ws.batchY.resize(b, outDim);
     for (std::size_t k = start; k < end; ++k) {
-      const auto& x = inputs[order[k]];
-      const auto& y = targets[order[k]];
-      assert(x.size() == inDim && y.size() == outDim);
-      std::copy(x.begin(), x.end(), bx.row(k - start));
-      std::copy(y.begin(), y.end(), by.row(k - start));
+      const std::size_t src = ws.order[k];
+      std::copy(inputs.row(src), inputs.row(src) + inDim, ws.batchX.row(k - start));
+      std::copy(targets.row(src), targets.row(src) + outDim,
+                ws.batchY.row(k - start));
     }
-    net.zeroGrad();
-    const linalg::Matrix& pred = net.forwardBatch(bx);
-    lossSum += mseLossGradBatch(pred, by, invB, grad);
-    net.backwardBatch(grad);
+    const linalg::Matrix& pred = net.forwardBatch(ws.batchX);
+    lossSum += mseLossGradBatch(pred, ws.batchY, invB, ws.grad);
+    net.backwardBatch(ws.grad);
     opt.step(net);
     seen += b;
     ++stats.batches;

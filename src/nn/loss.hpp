@@ -29,12 +29,25 @@ struct TrainStats {
   std::size_t batches = 0;   ///< optimizer steps taken
 };
 
-/// One epoch of shuffled mini-batch MSE training. Gradients are averaged over
-/// each batch before the optimizer step. Returns mean per-sample loss.
-TrainStats trainEpochMse(Mlp& net, Optimizer& opt,
-                         const std::vector<linalg::Vector>& inputs,
-                         const std::vector<linalg::Vector>& targets,
-                         std::size_t batchSize, std::mt19937_64& rng);
+/// Caller-owned scratch for trainEpochMse — the shuffle order, the gathered
+/// mini-batch and its loss gradient — so repeated epochs do not allocate
+/// (the Mlp::BatchWorkspace pattern).
+struct TrainWorkspace {
+  std::vector<std::size_t> order;
+  linalg::Matrix batchX;
+  linalg::Matrix batchY;
+  linalg::Matrix grad;
+};
+
+/// One epoch of shuffled mini-batch MSE training over row-paired sample
+/// matrices (row i of `inputs` is one input, row i of `targets` its target).
+/// Gradients are averaged over each batch before the optimizer step; stale
+/// gradients the caller left in `net` are cleared once on entry, after which
+/// each optimizer step zeroes the gradients it consumes. Returns mean
+/// per-sample loss.
+TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
+                         const linalg::Matrix& targets, std::size_t batchSize,
+                         std::mt19937_64& rng, TrainWorkspace& ws);
 
 /// Mean MSE over a dataset without touching gradients.
 double evaluateMse(const Mlp& net, const std::vector<linalg::Vector>& inputs,

@@ -129,21 +129,6 @@ linalg::Vector Mlp::getGradients() const {
   return flat;
 }
 
-void Mlp::setGradients(const linalg::Vector& flat) {
-  assert(flat.size() == parameterCount());
-  std::size_t off = 0;
-  for (auto& layer : layers_) {
-    auto& gw = layer.gradWeights();
-    std::copy(flat.begin() + static_cast<long>(off),
-              flat.begin() + static_cast<long>(off + gw.size()), gw.data());
-    off += gw.size();
-    std::copy(flat.begin() + static_cast<long>(off),
-              flat.begin() + static_cast<long>(off + layer.gradBias().size()),
-              layer.gradBias().begin());
-    off += layer.gradBias().size();
-  }
-}
-
 void Mlp::addToParameters(const linalg::Vector& direction, double alpha) {
   assert(direction.size() == parameterCount());
   std::size_t off = 0;
@@ -158,14 +143,21 @@ void Mlp::addToParameters(const linalg::Vector& direction, double alpha) {
 }
 
 double clipGradNorm(Mlp& net, double maxNorm) {
-  linalg::Vector g = net.getGradients();
+  // Sum of squares over each layer's own gradient storage, in the flat order
+  // of getGradients() (layer by layer, weights then bias).
   double norm = 0.0;
-  for (double v : g) norm += v * v;
+  for (const auto& layer : net.layers()) {
+    const linalg::Matrix& gw = layer.gradWeights();
+    for (std::size_t i = 0; i < gw.size(); ++i) norm += gw.data()[i] * gw.data()[i];
+    for (double v : layer.gradBias()) norm += v * v;
+  }
   norm = std::sqrt(norm);
   if (norm > maxNorm && norm > 0.0) {
     const double scale = maxNorm / norm;
-    for (double& v : g) v *= scale;
-    net.setGradients(g);
+    for (auto& layer : net.layers()) {
+      layer.gradWeights() *= scale;
+      for (double& v : layer.gradBias()) v *= scale;
+    }
   }
   return norm;
 }

@@ -86,8 +86,6 @@ class Mlp {
   void setParameters(const linalg::Vector& flat);
   /// Accumulated gradients as one flat vector (same layout as parameters).
   linalg::Vector getGradients() const;
-  /// Overwrite accumulated gradients from a flat vector (used by TRPO).
-  void setGradients(const linalg::Vector& flat);
   /// In-place params += alpha * direction (flat space).
   void addToParameters(const linalg::Vector& direction, double alpha);
 
@@ -101,8 +99,8 @@ class Mlp {
   std::vector<DenseLayer> layers_;
 };
 
-/// Average L2 gradient-norm clipping over the flat gradient; returns the
-/// pre-clip norm (RL trainers log it).
+/// Average L2 gradient-norm clipping over the flat gradient, scaled in place
+/// in each layer's storage; returns the pre-clip norm (RL trainers log it).
 double clipGradNorm(Mlp& net, double maxNorm);
 
 }  // namespace trdse::nn

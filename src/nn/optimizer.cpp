@@ -4,21 +4,29 @@
 
 namespace trdse::nn {
 
-SgdOptimizer::SgdOptimizer(double lr, double momentum)
-    : lr_(lr), momentum_(momentum) {}
+namespace {
 
-void SgdOptimizer::step(Mlp& net) {
-  linalg::Vector g = net.getGradients();
-  if (momentum_ > 0.0) {
-    if (velocity_.size() != g.size()) velocity_.assign(g.size(), 0.0);
-    for (std::size_t i = 0; i < g.size(); ++i) {
-      velocity_[i] = momentum_ * velocity_[i] + g[i];
-      g[i] = velocity_[i];
-    }
+/// One Adam update over a contiguous parameter block `w` whose moments start
+/// at `m`/`v`. The consumed gradient `g` is zeroed in the same pass. Every
+/// per-element expression is the one the flat-vector update used, so the
+/// parameter stream is unchanged bit for bit.
+void adamBlock(double* TRDSE_RESTRICT w, double* TRDSE_RESTRICT g,
+               double* TRDSE_RESTRICT m, double* TRDSE_RESTRICT v,
+               std::size_t n, double beta1, double beta2, double bc1,
+               double bc2, double eps, double alpha) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double gi = g[i];
+    m[i] = beta1 * m[i] + (1.0 - beta1) * gi;
+    v[i] = beta2 * v[i] + (1.0 - beta2) * gi * gi;
+    const double mHat = m[i] / bc1;
+    const double vHat = v[i] / bc2;
+    const double update = mHat / (std::sqrt(vHat) + eps);
+    w[i] += alpha * update;
+    g[i] = 0.0;
   }
-  net.addToParameters(g, -lr_);
-  net.zeroGrad();
 }
+
+}  // namespace
 
 AdamOptimizer::AdamOptimizer(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
@@ -30,25 +38,28 @@ void AdamOptimizer::reset() {
 }
 
 void AdamOptimizer::step(Mlp& net) {
-  const linalg::Vector g = net.getGradients();
-  if (m_.size() != g.size()) {
-    m_.assign(g.size(), 0.0);
-    v_.assign(g.size(), 0.0);
+  const std::size_t n = net.parameterCount();
+  if (m_.size() != n) {
+    m_.assign(n, 0.0);
+    v_.assign(n, 0.0);
     t_ = 0;
   }
   ++t_;
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
-  linalg::Vector update(g.size());
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * g[i];
-    v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * g[i] * g[i];
-    const double mHat = m_[i] / bc1;
-    const double vHat = v_[i] / bc2;
-    update[i] = mHat / (std::sqrt(vHat) + eps_);
+  // Moments keep the flat layout (layer by layer, weights then bias), so
+  // checkpoints written before and after this walk are interchangeable.
+  std::size_t off = 0;
+  for (auto& layer : net.layers()) {
+    linalg::Matrix& w = layer.weights();
+    adamBlock(w.data(), layer.gradWeights().data(), m_.data() + off,
+              v_.data() + off, w.size(), beta1_, beta2_, bc1, bc2, eps_, -lr_);
+    off += w.size();
+    linalg::Vector& b = layer.bias();
+    adamBlock(b.data(), layer.gradBias().data(), m_.data() + off,
+              v_.data() + off, b.size(), beta1_, beta2_, bc1, bc2, eps_, -lr_);
+    off += b.size();
   }
-  net.addToParameters(update, -lr_);
-  net.zeroGrad();
 }
 
 }  // namespace trdse::nn

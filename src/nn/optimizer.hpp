@@ -22,24 +22,10 @@ class Optimizer {
   virtual void setLearningRate(double lr) = 0;
 };
 
-/// Plain SGD with optional classical momentum.
-class SgdOptimizer final : public Optimizer {
- public:
-  /// Configure step size and momentum coefficient (0 = vanilla SGD).
-  explicit SgdOptimizer(double lr, double momentum = 0.0);
-  void step(Mlp& net) override;
-  void reset() override { velocity_.clear(); }
-  double learningRate() const override { return lr_; }
-  void setLearningRate(double lr) override { lr_ = lr; }
-
- private:
-  double lr_;
-  double momentum_;
-  linalg::Vector velocity_;
-};
-
 /// Adam (Kingma & Ba) — the default for both the surrogate f_NN and the RL
-/// baselines' actor/critic networks.
+/// baselines' actor/critic networks. A step updates each layer's weights and
+/// bias straight from that layer's gradient storage and zeroes it in the
+/// same pass; nothing is copied or allocated after the first step.
 class AdamOptimizer final : public Optimizer {
  public:
   /// Configure step size and moment decay rates.

@@ -99,6 +99,17 @@ void Standardizer::transform(const linalg::Matrix& x, linalg::Matrix& out) const
   }
 }
 
+void Standardizer::transform(const std::vector<linalg::Vector>& samples,
+                             linalg::Matrix& out) const {
+  out.resize(samples.size(), mean_.size());
+  for (std::size_t r = 0; r < samples.size(); ++r) {
+    const linalg::Vector& x = samples[r];
+    assert(x.size() == mean_.size());
+    double* zr = out.row(r);
+    for (std::size_t i = 0; i < x.size(); ++i) zr[i] = (x[i] - mean_[i]) / std_[i];
+  }
+}
+
 void Standardizer::inverse(const linalg::Matrix& z, linalg::Matrix& out) const {
   assert(z.cols() == mean_.size());
   out.resize(z.rows(), z.cols());

@@ -63,6 +63,9 @@ class Standardizer {
   /// overloads applied per row.
   void transform(const linalg::Matrix& x, linalg::Matrix& out) const;
   void inverse(const linalg::Matrix& z, linalg::Matrix& out) const;
+  /// z-score a sample list into the rows of `out` (resized; reuses capacity).
+  void transform(const std::vector<linalg::Vector>& samples,
+                 linalg::Matrix& out) const;
 
   /// Fitted per-dimension means.
   const linalg::Vector& mean() const { return mean_; }

@@ -2,11 +2,14 @@
 // the blocked GEMM kernels, the batched layer/network APIs, batched surrogate
 // scoring, batched trust-region planning, and the thread-parallel PVT
 // evaluation pipeline. The batched code is designed to be *bitwise* identical
-// to the per-sample path; the tolerances here (1e-12) are an upper bound.
+// to the per-sample path: the training path (forward/backward, gradients,
+// optimizer steps) is checked with exact equality; the remaining tolerances
+// (1e-12) are an upper bound.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <set>
@@ -32,6 +35,14 @@ Matrix randomMatrix(std::size_t r, std::size_t c, std::mt19937_64& rng) {
   std::uniform_real_distribution<double> d(-2.0, 2.0);
   Matrix m(r, c);
   for (std::size_t i = 0; i < m.size(); ++i) m.data()[i] = d(rng);
+  return m;
+}
+
+/// Row-stack a sample list into the matrix form trainEpochMse takes.
+Matrix rowsOf(const std::vector<Vector>& samples) {
+  Matrix m(samples.size(), samples.front().size());
+  for (std::size_t r = 0; r < samples.size(); ++r)
+    std::copy(samples[r].begin(), samples[r].end(), m.row(r));
   return m;
 }
 
@@ -91,18 +102,37 @@ TEST(Gemm, MatMulIntoReusesBuffersAcrossShapes) {
   }
 }
 
+/// The weight-gradient kernel against per-sample rank-1 updates (skipping
+/// zero coefficients, as DenseLayer::backward does). Shapes hit the 2-row
+/// and 8/4/1-column tiles and their remainders; a row whose coefficients are
+/// all zero carries infinities that only the skip keeps out of C (a NaN is
+/// never near). The tolerance is because this test-local loop may contract
+/// multiply-adds differently from the kernel under some build flags; the
+/// bitwise contract with DenseLayer::backward is checked by the MlpBatch
+/// tests below, which compare two library paths.
 TEST(Gemm, GemmAtBAccumMatchesRankOneUpdates) {
   std::mt19937_64 rng(4);
-  const Matrix g = randomMatrix(17, 6, rng);  // batch x out
-  const Matrix x = randomMatrix(17, 9, rng);  // batch x in
-  Matrix acc(6, 9, 0.5);                      // nonzero start: += semantics
-  Matrix ref = acc;
-  linalg::gemmAtBAccum(g, x, acc);
-  for (std::size_t b = 0; b < g.rows(); ++b)
-    for (std::size_t r = 0; r < 6; ++r)
-      for (std::size_t c = 0; c < 9; ++c) ref(r, c) += g(b, r) * x(b, c);
-  for (std::size_t i = 0; i < acc.size(); ++i)
-    EXPECT_NEAR(acc.data()[i], ref.data()[i], 1e-12);
+  const std::size_t shapes[][3] = {{17, 6, 9}, {13, 48, 9}, {16, 5, 13}, {1, 1, 1}};
+  for (const auto& s : shapes) {
+    Matrix g = randomMatrix(s[0], s[1], rng);  // batch x out
+    Matrix x = randomMatrix(s[0], s[2], rng);  // batch x in
+    for (std::size_t i = 0; i < g.size(); i += 5) g.data()[i] = 0.0;
+    const std::size_t dead = s[0] / 2;
+    for (std::size_t c = 0; c < s[1]; ++c) g(dead, c) = 0.0;
+    x(dead, 0) = std::numeric_limits<double>::infinity();
+    x(dead, s[2] - 1) = -std::numeric_limits<double>::infinity();
+    Matrix acc = randomMatrix(s[1], s[2], rng);  // nonzero start: += semantics
+    Matrix ref = acc;
+    linalg::gemmAtBAccum(g, x, acc);
+    for (std::size_t b = 0; b < g.rows(); ++b)
+      for (std::size_t r = 0; r < s[1]; ++r) {
+        if (g(b, r) == 0.0) continue;
+        for (std::size_t c = 0; c < s[2]; ++c) ref(r, c) += g(b, r) * x(b, c);
+      }
+    for (std::size_t i = 0; i < acc.size(); ++i)
+      EXPECT_NEAR(acc.data()[i], ref.data()[i], 1e-12)
+          << "shape " << s[0] << "x" << s[1] << "x" << s[2] << " at " << i;
+  }
 }
 
 TEST(Gemm, RowwiseHelpers) {
@@ -156,17 +186,13 @@ TEST(MlpBatch, PredictBatchMatchesPredict) {
   }
 }
 
-TEST(MlpBatch, ForwardBackwardBatchMatchesPerSampleGradients) {
-  std::mt19937_64 rng(13);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  nn::MlpConfig cfg;
-  cfg.layerSizes = {4, 16, 3};
-  const std::size_t batch = 10;
-  Matrix x(batch, 4);
-  Matrix g(batch, 3);
-  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = d(rng);
-  for (std::size_t i = 0; i < g.size(); ++i) g.data()[i] = d(rng);
-
+/// One batched forward/backward against the per-sample path on the same
+/// rows: outputs, dL/dX and accumulated gradients must agree bit for bit.
+void expectBatchMatchesPerSample(const nn::MlpConfig& cfg, const Matrix& x,
+                                 const Matrix& g) {
+  const std::size_t batch = x.rows();
+  const std::size_t in = cfg.layerSizes.front();
+  const std::size_t out = cfg.layerSizes.back();
   nn::Mlp a(cfg, 21);
   nn::Mlp b(cfg, 21);
 
@@ -175,25 +201,58 @@ TEST(MlpBatch, ForwardBackwardBatchMatchesPerSampleGradients) {
   const Matrix& dxB = a.backwardBatch(g);
 
   b.zeroGrad();
-  Matrix outS(batch, 3);
-  Matrix dxS(batch, 4);
+  Matrix outS(batch, out);
+  Matrix dxS(batch, in);
   for (std::size_t r = 0; r < batch; ++r) {
-    const Vector xi(x.row(r), x.row(r) + 4);
-    const Vector gi(g.row(r), g.row(r) + 3);
+    const Vector xi(x.row(r), x.row(r) + in);
+    const Vector gi(g.row(r), g.row(r) + out);
     const Vector oi = b.forward(xi);
     const Vector di = b.backward(gi);
     std::copy(oi.begin(), oi.end(), outS.row(r));
     std::copy(di.begin(), di.end(), dxS.row(r));
   }
 
+  ASSERT_EQ(outB.size(), outS.size());
   for (std::size_t i = 0; i < outB.size(); ++i)
-    EXPECT_NEAR(outB.data()[i], outS.data()[i], 1e-12);
+    EXPECT_EQ(outB.data()[i], outS.data()[i]) << "output " << i;
+  ASSERT_EQ(dxB.size(), dxS.size());
   for (std::size_t i = 0; i < dxB.size(); ++i)
-    EXPECT_NEAR(dxB.data()[i], dxS.data()[i], 1e-12);
+    EXPECT_EQ(dxB.data()[i], dxS.data()[i]) << "dX " << i;
   const Vector ga = a.getGradients();
   const Vector gb = b.getGradients();
   ASSERT_EQ(ga.size(), gb.size());
-  for (std::size_t i = 0; i < ga.size(); ++i) EXPECT_NEAR(ga[i], gb[i], 1e-12);
+  for (std::size_t i = 0; i < ga.size(); ++i)
+    EXPECT_EQ(ga[i], gb[i]) << "gradient " << i;
+}
+
+TEST(MlpBatch, ForwardBackwardBatchMatchesPerSampleGradients) {
+  std::mt19937_64 rng(13);
+  nn::MlpConfig cfg;
+  cfg.layerSizes = {4, 16, 3};
+  expectBatchMatchesPerSample(cfg, randomMatrix(10, 4, rng),
+                              randomMatrix(10, 3, rng));
+}
+
+/// The surrogate's shape: input width 9 (one 8-wide weight-gradient tile plus
+/// a remainder column), an odd row count, and zeros in the upstream gradient
+/// (the zero-coefficient skip), for each hidden activation — relu's zero
+/// derivative reaches the skip from inside the network too.
+TEST(MlpBatch, BackwardBatchMatchesPerSampleOnSurrogateShape) {
+  const nn::Activation hiddens[] = {nn::Activation::kTanh,
+                                    nn::Activation::kRelu,
+                                    nn::Activation::kIdentity};
+  for (const auto hidden : hiddens) {
+    std::mt19937_64 rng(17);
+    nn::MlpConfig cfg;
+    cfg.layerSizes = {9, 48, 48, 4};
+    cfg.hidden = hidden;
+    const Matrix x = randomMatrix(13, 9, rng);
+    Matrix g = randomMatrix(13, 4, rng);
+    for (std::size_t r = 0; r < g.rows(); r += 3) g(r, r % 4) = 0.0;
+    for (std::size_t c = 0; c < g.cols(); ++c) g(5, c) = 0.0;  // a whole row
+    SCOPED_TRACE(toString(hidden));
+    expectBatchMatchesPerSample(cfg, x, g);
+  }
 }
 
 /// The per-sample trainer the batched trainEpochMse replaced, kept here as
@@ -247,16 +306,120 @@ TEST(MlpBatch, BatchedTrainingMatchesPerSampleTraining) {
   nn::AdamOptimizer optB(3e-3);
   std::mt19937_64 rngA(77);
   std::mt19937_64 rngB(77);
+  const Matrix xm = rowsOf(xs);
+  const Matrix ym = rowsOf(ys);
+  nn::TrainWorkspace ws;
   for (int e = 0; e < 5; ++e) {
-    const auto sa = nn::trainEpochMse(netA, optA, xs, ys, 16, rngA);
+    const auto sa = nn::trainEpochMse(netA, optA, xm, ym, 16, rngA, ws);
     const auto sb = refTrainEpochMse(netB, optB, xs, ys, 16, rngB);
     ASSERT_EQ(sa.batches, sb.batches);
+    // Not bitwise: the batched trainer adds each batch's summed row losses
+    // to the epoch total, the per-sample trainer adds every row directly.
     EXPECT_NEAR(sa.meanLoss, sb.meanLoss, 1e-12);
   }
   const Vector pa = netA.getParameters();
   const Vector pb = netB.getParameters();
   ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_NEAR(pa[i], pb[i], 1e-12);
+  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]) << i;
+  EXPECT_EQ(optA.firstMoments(), optB.firstMoments());
+  EXPECT_EQ(optA.secondMoments(), optB.secondMoments());
+}
+
+/// The flat-vector Adam step the in-place AdamOptimizer replaced, kept as
+/// the reference: copy the gradients out, build an update vector, add it
+/// back through addToParameters, zero the gradients.
+struct FlatAdam {
+  double lr = 3e-3;
+  double beta1 = 0.9;
+  double beta2 = 0.999;
+  double eps = 1e-8;
+  long t = 0;
+  Vector m;
+  Vector v;
+
+  void step(nn::Mlp& net) {
+    const Vector g = net.getGradients();
+    if (m.size() != g.size()) {
+      m.assign(g.size(), 0.0);
+      v.assign(g.size(), 0.0);
+      t = 0;
+    }
+    ++t;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+    Vector update(g.size());
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+      v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+      const double mHat = m[i] / bc1;
+      const double vHat = v[i] / bc2;
+      update[i] = mHat / (std::sqrt(vHat) + eps);
+    }
+    net.addToParameters(update, -lr);
+    net.zeroGrad();
+  }
+};
+
+/// Accumulate one batch of MSE-shaped gradients into `net`.
+void accumulateGradients(nn::Mlp& net, const Matrix& x, const Matrix& g) {
+  net.forwardBatch(x);
+  net.backwardBatch(g);
+}
+
+/// Steps both optimizers on identical networks and gradients and checks the
+/// parameters, moments and cleared gradients bit for bit after every step.
+void expectAdamMatchesFlat(nn::AdamOptimizer& opt, FlatAdam& ref, nn::Mlp& a,
+                           nn::Mlp& b, std::mt19937_64& rng, int steps) {
+  for (int s = 0; s < steps; ++s) {
+    const Matrix x = randomMatrix(7, a.inputDim(), rng);
+    const Matrix g = randomMatrix(7, a.outputDim(), rng);
+    accumulateGradients(a, x, g);
+    accumulateGradients(b, x, g);
+    opt.step(a);
+    ref.step(b);
+    ASSERT_EQ(opt.stepCount(), ref.t);
+    EXPECT_EQ(a.getParameters(), b.getParameters()) << "step " << s;
+    EXPECT_EQ(opt.firstMoments(), ref.m) << "step " << s;
+    EXPECT_EQ(opt.secondMoments(), ref.v) << "step " << s;
+    for (double gi : a.getGradients()) ASSERT_EQ(gi, 0.0);
+  }
+}
+
+TEST(AdamInPlace, MatchesFlatVectorAdamFromFreshState) {
+  nn::MlpConfig cfg;
+  cfg.layerSizes = {9, 48, 48, 4};
+  nn::Mlp a(cfg, 3);
+  nn::Mlp b(cfg, 3);
+  nn::AdamOptimizer opt(3e-3);
+  FlatAdam ref;
+  std::mt19937_64 rng(41);
+  expectAdamMatchesFlat(opt, ref, a, b, rng, 6);
+}
+
+TEST(AdamInPlace, MatchesFlatVectorAdamFromRestoredMoments) {
+  nn::MlpConfig cfg;
+  cfg.layerSizes = {5, 12, 3};
+  nn::Mlp warm(cfg, 8);
+  nn::AdamOptimizer warmOpt(3e-3);
+  std::mt19937_64 rng(43);
+  for (int s = 0; s < 4; ++s) {
+    const Matrix x = randomMatrix(6, 5, rng);
+    const Matrix g = randomMatrix(6, 3, rng);
+    accumulateGradients(warm, x, g);
+    warmOpt.step(warm);
+  }
+  // Resume both optimizers from the checkpointed (t, m, v) on copies of the
+  // trained network — the path restoreState takes after a checkpoint load.
+  nn::Mlp a = warm;
+  nn::Mlp b = warm;
+  nn::AdamOptimizer opt(3e-3);
+  opt.restoreState(warmOpt.stepCount(), warmOpt.firstMoments(),
+                   warmOpt.secondMoments());
+  FlatAdam ref;
+  ref.t = warmOpt.stepCount();
+  ref.m = warmOpt.firstMoments();
+  ref.v = warmOpt.secondMoments();
+  expectAdamMatchesFlat(opt, ref, a, b, rng, 5);
 }
 
 TEST(ScalerBatch, MatrixTransformsMatchVectorTransforms) {

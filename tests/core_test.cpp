@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
+#include "circuits/registry.hpp"
 #include "core/local_dataset.hpp"
 #include "core/local_explorer.hpp"
 #include "core/problem.hpp"
@@ -70,6 +72,39 @@ TEST(DesignSpace, IndicesRoundTrip) {
     const auto idx = space.indicesOf(x);
     const auto back = space.fromIndices(idx);
     for (std::size_t d = 0; d < 2; ++d) EXPECT_NEAR(back[d], x[d], 1e-9);
+  }
+}
+
+/// snapUnit is the planner's fused form of toUnit(fromUnitSnapped(u)): the
+/// two must agree bit for bit on every registry circuit (mostly log-scale
+/// grids) and on degenerate grids, including inputs outside the unit cube.
+TEST(DesignSpace, SnapUnitMatchesCompositionBitwise) {
+  std::vector<DesignSpace> spaces;
+  const auto& registry = circuits::Registry::global();
+  for (const std::string& name : registry.names())
+    spaces.push_back(registry.makeProblem(name).space);
+  spaces.push_back(DesignSpace({{"one_lin", 0.5, 2.0, 1, false},
+                                {"one_log", 1e-6, 1e-3, 1, true},
+                                {"flat_lin", 3.0, 3.0, 17, false},
+                                {"flat_log", 2e-6, 2e-6, 17, true},
+                                {"flat_one_log", 5e-9, 5e-9, 1, true},
+                                {"lin", -1.0, 4.0, 33, false},
+                                {"log", 1e-9, 1e-6, 65, true}}));
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> d(-0.5, 1.5);
+  for (const DesignSpace& space : spaces) {
+    linalg::Vector u(space.dim());
+    linalg::Vector fused(space.dim());
+    for (int k = 0; k < 10000; ++k) {
+      for (double& x : u) x = d(rng);
+      space.snapUnit(u.data(), fused.data());
+      const linalg::Vector ref = space.toUnit(space.fromUnitSnapped(u));
+      ASSERT_EQ(std::memcmp(fused.data(), ref.data(), sizeof(double) * ref.size()), 0)
+          << "draw " << k << " of a " << space.dim() << "-d space";
+    }
+    // In place, as the planner calls it.
+    space.snapUnit(u.data(), u.data());
+    EXPECT_EQ(std::memcmp(u.data(), fused.data(), sizeof(double) * u.size()), 0);
   }
 }
 
