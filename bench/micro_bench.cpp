@@ -282,14 +282,15 @@ BENCHMARK(BM_GemmBatch800);
 // ---- Thread-parallel corner sweep: the PVT sign-off hot path ----
 //
 // One sizing evaluated on all 9 PVT corners through the EvalEngine. Serial
-// is the scalar reference dispatch (threads=1, batchedSim off); Pooled fans
-// the misses across hardware threads and lets each worker's corner chunk
-// fuse in the lane-blocked backend (batchedSim on). Both modes produce
-// bitwise-identical results (tests/sim_batch_test.cpp), so the ratio is pure
-// dispatch speedup; CI gates Serial/Pooled >= 1.5x via scripts/bench.sh.
+// is the scalar reference dispatch (threads=1 over a width-1 CallbackBackend
+// without the fused callback); Pooled fans the misses across hardware
+// threads and lets each worker's corner chunk fuse in the lane-blocked
+// backend. Both modes produce bitwise-identical results
+// (tests/sim_batch_test.cpp), so the ratio is pure dispatch speedup; CI
+// gates Serial/Pooled >= 1.8x on scripts/bench.sh output.
 
 void runCornerSweep(benchmark::State& state, std::size_t threads,
-                    bool batchedSim) {
+                    bool fused) {
   static const core::SizingProblem prob = [] {
     std::vector<sim::PvtCorner> cs;
     for (auto pc : {sim::ProcessCorner::kTT, sim::ProcessCorner::kSS,
@@ -305,8 +306,12 @@ void runCornerSweep(benchmark::State& state, std::size_t threads,
   for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
   // Cache off so every iteration pays for all 9 simulations; ledger off so
   // the timed loop does not grow a block list across iterations.
-  eval::EvalEngine engine(prob, {/*cacheEvals=*/false, threads,
-                                 /*recordLedger=*/false, batchedSim});
+  eval::EvalEngine engine(
+      std::make_shared<eval::CallbackBackend>(
+          prob.evaluate, "sweep",
+          fused ? prob.evaluateBatch : core::CornerBatchEvalFn{}),
+      prob.space, prob.corners, eval::MeetsSpecFn{},
+      {/*cacheEvals=*/false, threads, /*recordLedger=*/false});
   for (auto _ : state) {
     auto r = engine.evalBatch(cornerIdx, x, pvt::BlockKind::kSearch);
     benchmark::DoNotOptimize(r.data());
@@ -316,12 +321,12 @@ void runCornerSweep(benchmark::State& state, std::size_t threads,
 }
 
 void BM_PvtCornerSweepSerial(benchmark::State& state) {
-  runCornerSweep(state, /*threads=*/1, /*batchedSim=*/false);
+  runCornerSweep(state, /*threads=*/1, /*fused=*/false);
 }
 BENCHMARK(BM_PvtCornerSweepSerial);
 
 void BM_PvtCornerSweepPooled(benchmark::State& state) {
-  runCornerSweep(state, /*threads=*/0, /*batchedSim=*/true);
+  runCornerSweep(state, /*threads=*/0, /*fused=*/true);
 }
 BENCHMARK(BM_PvtCornerSweepPooled);
 
@@ -376,11 +381,9 @@ BENCHMARK(BM_PvtRepeatedSweepCached);
 //
 // A synthetic rollout shaped like the two-stage-opamp sizing environment
 // (9 heads, obsDim 9 + 2*4) runs through the full PPO epoch schedule and a
-// full TRPO natural-gradient update, per-sample vs batched. Parameters and
-// optimizer/RNG state are re-seeded every iteration so both variants of a
-// pair traverse the same update trajectory (the per-sample/batched parity
-// itself is asserted bitwise in tests/rl_batch_test.cpp); the ratio of each
-// pair is the pure update-math speedup of the batched engine.
+// full TRPO natural-gradient update. Parameters and optimizer/RNG state are
+// re-seeded every iteration so every iteration traverses the same update
+// trajectory.
 
 constexpr std::size_t kRlHeads = 9;
 constexpr std::size_t kRlObsDim = kRlHeads + 2 * 4;
@@ -412,7 +415,7 @@ rl::FlatRollout makeSyntheticRollout(std::size_t n, std::uint64_t seed) {
   return f;
 }
 
-void runPpoUpdateBench(benchmark::State& state, bool batched) {
+void BM_PpoUpdateBatched(benchmark::State& state) {
   rl::PpoConfig cfg;
   cfg.hidden = kRlHidden;
   const rl::FlatRollout data = makeSyntheticRollout(cfg.horizon, 41);
@@ -428,30 +431,16 @@ void runPpoUpdateBench(benchmark::State& state, bool batched) {
     nn::AdamOptimizer policyOpt(cfg.learningRate);
     nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
     std::mt19937_64 rng(55);
-    if (batched) {
-      rl::ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
-                           rng);
-    } else {
-      rl::ppoUpdatePerSample(policy, critic, policyOpt, criticOpt, data, cfg,
-                             rng);
-    }
+    rl::ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg, rng);
     benchmark::DoNotOptimize(policy.getParameters().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(cfg.epochs * data.size()));
 }
 
-void BM_PpoUpdatePerSample(benchmark::State& state) {
-  runPpoUpdateBench(state, false);
-}
-BENCHMARK(BM_PpoUpdatePerSample);
-
-void BM_PpoUpdateBatched(benchmark::State& state) {
-  runPpoUpdateBench(state, true);
-}
 BENCHMARK(BM_PpoUpdateBatched);
 
-void runTrpoUpdateBench(benchmark::State& state, bool batched) {
+void BM_TrpoUpdateBatched(benchmark::State& state) {
   rl::TrpoConfig cfg;
   cfg.hidden = kRlHidden;
   const rl::FlatRollout data = makeSyntheticRollout(cfg.horizon, 61);
@@ -466,20 +455,12 @@ void runTrpoUpdateBench(benchmark::State& state, bool batched) {
     critic.setParameters(phi0);
     nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
     benchmark::DoNotOptimize(
-        rl::trpoUpdate(policy, critic, criticOpt, data, cfg, batched));
+        rl::trpoUpdate(policy, critic, criticOpt, data, cfg));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(data.size()));
 }
 
-void BM_TrpoUpdatePerSample(benchmark::State& state) {
-  runTrpoUpdateBench(state, false);
-}
-BENCHMARK(BM_TrpoUpdatePerSample);
-
-void BM_TrpoUpdateBatched(benchmark::State& state) {
-  runTrpoUpdateBench(state, true);
-}
 BENCHMARK(BM_TrpoUpdateBatched);
 
 // ---- Scheduler throughput: 8 concurrent jobs, shared vs. private cache

@@ -104,8 +104,6 @@ print(f"wrote {out_path} ({len(result)} benchmarks)")
 # graded on (see docs/BENCHMARKS.md).
 pairs = [
     ("surrogate MC scoring", "BM_SurrogateScorePerSample", "BM_SurrogateScoreBatch"),
-    ("PPO update epochs", "BM_PpoUpdatePerSample", "BM_PpoUpdateBatched"),
-    ("TRPO update", "BM_TrpoUpdatePerSample", "BM_TrpoUpdateBatched"),
     ("PVT corner sweep", "BM_PvtCornerSweepSerial", "BM_PvtCornerSweepPooled"),
     ("DC operating point (lane batch)", "BM_DcOpScalar", "BM_DcOpBatch"),
     ("ICO transient (lane batch)", "BM_IcoEvalTransient", "BM_IcoEvalTransientBatched"),

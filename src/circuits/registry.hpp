@@ -5,9 +5,10 @@
 // of hand-wiring the circuit class, design space, value function, and
 // evaluation lambda at every call site.
 //
-// The registry is the feed for eval::CircuitBackend (the non-callback
-// EvalBackend) and is extensible: user code can add() its own entries and
-// construct them through the same declarative path.
+// A registry problem carries both the scalar evaluator and the fused
+// corner-batch one, so EvalEngine(problem) gets a lane-batched
+// CallbackBackend from it. The registry is extensible: user code can add()
+// its own entries and construct them through the same declarative path.
 #pragma once
 
 #include <functional>

@@ -60,33 +60,8 @@ void LocalExplorer::planCandidates(const linalg::Vector& centerUnit,
                                    double& bestModelValue) {
   bestUnit.clear();
   bestModelValue = -std::numeric_limits<double>::infinity();
-  const std::size_t dim = space_.dim();
-
-  if (!config_.batchedPlanning) {
-    // Per-sample reference path (kept for equivalence tests / benchmarks).
-    std::uniform_real_distribution<double> unif(-1.0, 1.0);
-    for (std::size_t s = 0; s < config_.mcSamples; ++s) {
-      linalg::Vector u(dim);
-      for (std::size_t d = 0; d < dim; ++d) {
-        u[d] = std::clamp(centerUnit[d] + radius * unif(rng_), 0.0, 1.0);
-      }
-      // Score on the *snapped* candidate so the planned point is the
-      // simulated point.
-      const linalg::Vector snapped = space_.fromUnitSnapped(u);
-      const linalg::Vector su = space_.toUnit(snapped);
-      const linalg::Vector pred = surrogate_.predict(su);
-      const double v = value_.plannerScore(pred);
-      if (v > bestModelValue) {
-        bestModelValue = v;
-        bestUnit = su;
-      }
-    }
-    return;
-  }
-
-  // Batched path: the identical draw order, every row scored in one batched
-  // surrogate pass, then the same strict-> selection — the candidate choice
-  // matches the loop above.
+  // Every row is scored in one batched surrogate pass, then a strict->
+  // selection keeps the first best candidate.
   drawCandidates(space_, centerUnit, radius, config_.mcSamples, rng_, candBuf_);
   surrogate_.predictBatch(candBuf_, predBuf_);
   std::size_t bestIdx = config_.mcSamples;
@@ -99,7 +74,7 @@ void LocalExplorer::planCandidates(const linalg::Vector& centerUnit,
   }
   if (bestIdx < config_.mcSamples) {
     const double* cr = candBuf_.row(bestIdx);
-    bestUnit.assign(cr, cr + dim);
+    bestUnit.assign(cr, cr + space_.dim());
   }
 }
 

@@ -39,11 +39,6 @@ struct LocalExplorerConfig {
   /// re-enter training whenever the region slides over them.
   double localityFactor = 3.0;
   std::size_t minLocalSamples = 12;  ///< fall back to nearest-K when sparse
-  /// Score all mcSamples trust-region candidates in one batched surrogate
-  /// pass (one GEMM per layer) instead of per-sample predict calls. Candidate
-  /// generation and selection are bitwise-equivalent to the per-sample loop;
-  /// the flag exists for the equivalence tests and A/B benchmarks.
-  bool batchedPlanning = true;
   /// Memoize evaluations on snapped grid indices through the eval engine:
   /// re-simulating an already-visited grid point costs zero EDA blocks. The
   /// seeded SearchOutcome (iterations included — the budget is charged per
@@ -75,8 +70,8 @@ using EvalFn = std::function<EvalResult(const linalg::Vector& sizes)>;
 /// PvtSearch: `count` uniform draws in the infinity-norm ball of `radius`
 /// around `centerUnit`, clamped to the unit cube, snapped onto the grid and
 /// written back in unit coordinates as the rows of `out` (resized). Draws
-/// are candidate-major, dimension-minor — the per-sample planner's order —
-/// so the rng stream is the same whichever planner path runs.
+/// are candidate-major, dimension-minor. Row s equals the per-sample draw
+/// `toUnit(fromUnitSnapped(clamp(center + radius * unif)))` bitwise.
 void drawCandidates(const DesignSpace& space, const linalg::Vector& centerUnit,
                     double radius, std::size_t count, std::mt19937_64& rng,
                     linalg::Matrix& out);
@@ -140,9 +135,8 @@ class LocalExplorer {
   void trainLocal(const linalg::Vector& centerUnit, double radius);
 
   /// Algorithm 1 line 10: sample mcSamples candidates in the trust region,
-  /// score them on the surrogate (batched or per-sample per config), return
-  /// the best unit-space point and its model score. `bestUnit` stays empty
-  /// when nothing scored.
+  /// score them in one batched surrogate pass, return the best unit-space
+  /// point and its model score. `bestUnit` stays empty when nothing scored.
   void planCandidates(const linalg::Vector& centerUnit, double radius,
                       linalg::Vector& bestUnit, double& bestModelValue);
 

@@ -129,7 +129,7 @@ using CornerEvalFn =
 /// per-sizing tails. The contract is bitwise equivalence — slot i must hold
 /// exactly what the scalar CornerEvalFn returns for (*sizes[i], corners[i])
 /// — so the engine may route requests through either path (see
-/// EvalEngineConfig::batchedSim) without changing any outcome.
+/// eval::CallbackBackend) without changing any outcome.
 /// Implementations handle arbitrary `count` by chunking into their native
 /// lane width internally (sim::kSimLanes for the registry circuits).
 using CornerBatchEvalFn =

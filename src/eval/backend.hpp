@@ -4,8 +4,8 @@
 // An EvalBackend is a pure, thread-safe function of (sizes, corner); the
 // EvalEngine schedules batched requests onto it, memoizes results, and owns
 // the EDA-block accounting. CallbackBackend preserves the existing designer
-// contract (any CornerEvalFn); CircuitBackend (circuit_backend.hpp) is fed
-// declaratively by circuits::Registry.
+// contract (any CornerEvalFn, plus the optional fused CornerBatchEvalFn that
+// circuits::Registry problems ship).
 #pragma once
 
 #include <cstddef>
@@ -37,38 +37,19 @@ struct EvalContext {
 /// thread-safe, since the engine fans batches out across a worker pool.
 /// (Fault decorators are deterministic in (sizes, corner, context) instead,
 /// which keeps every fault scenario bitwise reproducible too.)
+///
+/// The engine submits its cache misses in chunks of at most batchWidth()
+/// operating points, one evaluateBatch call per chunk and retry round. A
+/// backend that can fuse several (sizing, corner) points into one simulator
+/// pass (the lane-blocked engines in sim/op_batch.hpp) advertises a width
+/// above 1. Slot i of a call must not depend on the other slots, so the
+/// chunk shape changes no search outcome, ledger, or statistic.
 class EvalBackend {
  public:
   virtual ~EvalBackend() = default;
 
   /// Stable label for reports and per-backend timing statistics.
   virtual std::string_view name() const = 0;
-
-  /// Evaluate one sizing under one PVT condition (one EDA block).
-  virtual core::EvalResult evaluate(const linalg::Vector& sizes,
-                                    const sim::PvtCorner& corner) const = 0;
-
-  /// Context-aware entry point the EvalEngine calls. The default forwards to
-  /// the plain overload; only decorators that need the request identity
-  /// (fault injection) override it.
-  virtual core::EvalResult evaluate(const linalg::Vector& sizes,
-                                    const sim::PvtCorner& corner,
-                                    const EvalContext& context) const {
-    (void)context;
-    return evaluate(sizes, corner);
-  }
-
-  // ---- Corner-batch capability -------------------------------------------
-  //
-  // A backend that can fuse several (sizing, corner) operating points into
-  // one simulator pass (the lane-blocked engines in sim/op_batch.hpp)
-  // advertises a batchWidth() > 1; the EvalEngine then submits its cache
-  // misses as corner-batches of at most that width instead of one request
-  // per backend call. The contract is strict bitwise equivalence: slot i of
-  // evaluateBatch must equal evaluate(sizes, corners[i], contexts[i]) bit
-  // for bit, so routing through either path changes no search outcome,
-  // ledger, or statistic. Plain backends inherit the defaults and behave
-  // exactly as before.
 
   /// Operating points one evaluateBatch call can fuse (1 = scalar backend).
   virtual std::size_t batchWidth() const { return 1; }
@@ -77,16 +58,12 @@ class EvalBackend {
   /// results land in `results[0..count)`. Slot i's sizing is `*sizes[i]` —
   /// slots may mix sizings, which lets the engine pack lanes across
   /// requests. `contexts[i]` carries request i's identity (for fault
-  /// decorators). The default loops over the scalar context-aware entry
-  /// point, so overriding batchWidth() alone is never observable.
+  /// decorators).
   virtual void evaluateBatch(const linalg::Vector* const* sizes,
                              const sim::PvtCorner* corners,
                              const EvalContext* contexts,
                              core::EvalResult* results,
-                             std::size_t count) const {
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = evaluate(*sizes[i], corners[i], contexts[i]);
-  }
+                             std::size_t count) const = 0;
 };
 
 /// Wraps any CornerEvalFn — the adapter that keeps the existing designer
@@ -108,23 +85,23 @@ class CallbackBackend final : public EvalBackend {
 
   std::string_view name() const override { return label_; }
 
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    return fn_(sizes, corner);
-  }
-
   std::size_t batchWidth() const override { return batchFn_ ? width_ : 1; }
 
+  /// Runs the fused callback when there is one and `count > 1`; otherwise
+  /// runs the scalar callback per slot. A one-slot fused pass would still
+  /// pay for every idle lane, while the scalar callback yields the same bits
+  /// at one point's cost.
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners,
                      const EvalContext* contexts, core::EvalResult* results,
                      std::size_t count) const override {
-    if (batchFn_) {
-      (void)contexts;  // callbacks carry no request identity
+    (void)contexts;  // callbacks carry no request identity
+    if (batchFn_ && count > 1) {
       batchFn_(sizes, corners, results, count);
-    } else {
-      EvalBackend::evaluateBatch(sizes, corners, contexts, results, count);
+      return;
     }
+    for (std::size_t i = 0; i < count; ++i)
+      results[i] = fn_(*sizes[i], corners[i]);
   }
 
  private:

@@ -1,6 +1,7 @@
 #include "eval/eval_engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -207,64 +208,13 @@ void EvalEngine::restoreState(io::SectionReader& r) {
   unpublished_.clear();
 }
 
-core::EvalResult EvalEngine::runWithRetry(const MissRef& ref,
-                                          MissTrace& trace) const {
-  const RetryPolicy& retry = config_.retry;
-  const std::size_t maxAttempts = std::max<std::size_t>(1, retry.maxAttempts);
-  trace = MissTrace{};
-  sim::FaultClass last = sim::FaultClass::kNone;
-  for (std::size_t attempt = 0; attempt < maxAttempts; ++attempt) {
-    EvalContext ctx;
-    ctx.indices = ref.indices;
-    ctx.cornerIndex = ref.cornerIndex;
-    ctx.attempt = attempt;
-    const auto t0 = std::chrono::steady_clock::now();
-    core::EvalResult r =
-        backend_->evaluate(*ref.sizes, corners_[ref.cornerIndex], ctx);
-    const double elapsed = secondsSince(t0);
-    trace.seconds += elapsed;
-    // Classify the attempt: the backend's own verdict first, then the
-    // wall-clock deadline, then the finiteness guard. The guard runs even
-    // without any injector — a real backend emitting NaN must be treated as
-    // a fault, not memoized and spread through shared caches.
-    sim::FaultClass cls = r.failure;
-    if (cls == sim::FaultClass::kNone && retry.timeoutSeconds > 0.0 &&
-        elapsed > retry.timeoutSeconds)
-      cls = sim::FaultClass::kTimeout;
-    if (cls == sim::FaultClass::kNone && r.ok && !allFinite(r.measurements))
-      cls = sim::FaultClass::kNonFinite;
-    if (cls == sim::FaultClass::kNone) {
-      trace.retries = static_cast<std::uint32_t>(attempt);
-      return r;
-    }
-    last = cls;
-    if (attempt + 1 < maxAttempts) {
-      // Charge deterministic backoff for the retry about to happen. Units
-      // are ledger bookkeeping, not sleeps: the cost model stays bitwise
-      // reproducible and tests stay fast.
-      const std::size_t unit =
-          std::min(retry.backoffBase << attempt, retry.backoffCap);
-      trace.backoff += static_cast<std::uint32_t>(unit);
-    }
-  }
-  trace.retries = static_cast<std::uint32_t>(maxAttempts - 1);
-  core::EvalResult failed;
-  failed.ok = false;
-  failed.failure = last;
-  return failed;
-}
-
-void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
+void EvalEngine::runBatchWithRetry(core::EvalResult* results,
                                    std::size_t begin, std::size_t count) {
   const RetryPolicy& retry = config_.retry;
   const std::size_t maxAttempts = std::max<std::size_t>(1, retry.maxAttempts);
   // Lanes still awaiting a clean result, as offsets into the chunk.
   std::vector<std::size_t> active(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    active[i] = i;
-    missTrace_[begin + i] = MissTrace{};
-  }
-  std::vector<sim::FaultClass> last(count, sim::FaultClass::kNone);
+  for (std::size_t i = 0; i < count; ++i) active[i] = i;
   std::vector<const linalg::Vector*> sizes;
   std::vector<sim::PvtCorner> corners;
   std::vector<EvalContext> contexts;
@@ -289,15 +239,14 @@ void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
     backend_->evaluateBatch(sizes.data(), corners.data(), contexts.data(),
                             attemptResults.data(), active.size());
     const double elapsed = secondsSince(t0);
-    // Wall time is charged once per backend call (stats_.backendSeconds sums
-    // traces); it is measurement-only, so the lane attribution is free to
-    // differ from the scalar path's.
     missTrace_[begin].seconds += elapsed;
-    // Classify each lane exactly as runWithRetry would have (result fault,
-    // wall-clock deadline, finiteness guard); the deadline uses the batch
-    // call's elapsed time, which — like every wall-clock classification — is
-    // outside the determinism contract.
-    std::vector<std::size_t> still;
+    // Classify each lane: the backend's own verdict first, then the
+    // wall-clock deadline (the call's elapsed time, outside the determinism
+    // contract like every wall-clock classification), then the finiteness
+    // guard. The guard runs even without any injector — a real backend
+    // emitting NaN must be treated as a fault, not memoized and spread
+    // through shared caches.
+    std::size_t kept = 0;  // faulted lanes compact to the front of `active`
     for (std::size_t p = 0; p < active.size(); ++p) {
       const std::size_t lane = active[p];
       core::EvalResult& r = attemptResults[p];
@@ -308,59 +257,38 @@ void EvalEngine::runBatchWithRetry(std::vector<core::EvalResult>& results,
       if (cls == sim::FaultClass::kNone && r.ok && !allFinite(r.measurements))
         cls = sim::FaultClass::kNonFinite;
       MissTrace& trace = missTrace_[begin + lane];
+      core::EvalResult& out = results[missRefs_[begin + lane].slot];
       if (cls == sim::FaultClass::kNone) {
         trace.retries = static_cast<std::uint32_t>(attempt);
-        results[missRefs_[begin + lane].slot] = std::move(r);
-        continue;
-      }
-      last[lane] = cls;
-      if (attempt + 1 < maxAttempts) {
-        const std::size_t unit =
-            std::min(retry.backoffBase << attempt, retry.backoffCap);
-        trace.backoff += static_cast<std::uint32_t>(unit);
-        still.push_back(lane);
+        out = std::move(r);
+      } else if (attempt + 1 < maxAttempts) {
+        // Charge deterministic backoff for the retry about to happen. Units
+        // are ledger bookkeeping, not sleeps: the cost model stays bitwise
+        // reproducible and tests stay fast.
+        trace.backoff += static_cast<std::uint32_t>(
+            std::min(retry.backoffBase << attempt, retry.backoffCap));
+        active[kept++] = lane;
       } else {
-        trace.retries = static_cast<std::uint32_t>(maxAttempts - 1);
+        trace.retries = static_cast<std::uint32_t>(attempt);
         core::EvalResult failed;
         failed.ok = false;
-        failed.failure = last[lane];
-        results[missRefs_[begin + lane].slot] = std::move(failed);
+        failed.failure = cls;
+        out = std::move(failed);
       }
     }
-    active.swap(still);
+    active.resize(kept);
   }
 }
 
-void EvalEngine::dispatchMisses(std::vector<core::EvalResult>& results) {
-  missTrace_.assign(missRefs_.size(), MissTrace{});
+void EvalEngine::dispatchMisses(core::EvalResult* results) {
   const std::size_t nMiss = missRefs_.size();
-  const std::size_t width =
-      config_.batchedSim ? backend_->batchWidth() : std::size_t{1};
-  if (width > 1) {
-    // Chunk the miss queue into full lanes. A trailing chunk of exactly one
-    // lane would pay for a whole wide simulator pass (width - 1 idle lanes)
-    // to produce one result; the scalar path produces the identical bits —
-    // that is the batch contract — at one lane's cost, so route it there.
-    // Chunk boundaries still depend only on the miss count and the width,
-    // and every path is bitwise per-slot identical, so the outcome is the
-    // same for any thread count and any dispatch shape.
-    const std::size_t batched = (nMiss % width == 1) ? nMiss - 1 : nMiss;
-    const std::size_t chunks = (batched + width - 1) / width;
-    const std::size_t tasks = chunks + (nMiss - batched);
-    pool_.parallelFor(tasks, [&](std::size_t t) {
-      if (t < chunks) {
-        const std::size_t begin = t * width;
-        runBatchWithRetry(results, begin, std::min(width, batched - begin));
-      } else {
-        const std::size_t m = batched + (t - chunks);
-        results[missRefs_[m].slot] = runWithRetry(missRefs_[m], missTrace_[m]);
-      }
-    });
-  } else {
-    pool_.parallelFor(nMiss, [&](std::size_t m) {
-      results[missRefs_[m].slot] = runWithRetry(missRefs_[m], missTrace_[m]);
-    });
-  }
+  missTrace_.assign(nMiss, MissTrace{});
+  const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
+  const std::size_t chunks = (nMiss + width - 1) / width;
+  pool_.parallelFor(chunks, [&](std::size_t t) {
+    const std::size_t begin = t * width;
+    runBatchWithRetry(results, begin, std::min(width, nMiss - begin));
+  });
   for (const MissTrace& t : missTrace_) stats_.backendSeconds += t.seconds;
   harvestSimPhases();
 }
@@ -408,128 +336,39 @@ void EvalEngine::accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,
   }
 }
 
-void EvalEngine::prepareKey(const linalg::Vector& sizes) {
+void EvalEngine::evalRequests(const linalg::Vector* points, std::size_t np,
+                              const std::size_t* cornerIdx, std::size_t nc,
+                              pvt::BlockKind kind,
+                              core::EvalResult* results) {
+  const std::size_t n = np * nc;
+  if (n == 0) return;
+
+  // Snap every point once up front, so the simulated point always matches
+  // the cache key (callers may pass raw or snapped values). The snapped
+  // sizings and index lists stay put for the whole call because queued miss
+  // lanes point into them.
   const std::size_t dim = space_.dim();
-  assert(sizes.size() == dim);
-  snapScratch_.resize(dim);
-  keyScratch_.indices.resize(dim);
-  for (std::size_t d = 0; d < dim; ++d) {
-    const std::size_t idx = space_.nearestIndex(d, sizes[d]);
-    keyScratch_.indices[d] = idx;
-    snapScratch_[d] = space_.gridValue(d, idx);
+  snaps_.resize(np);
+  keys_.resize(np);
+  for (std::size_t p = 0; p < np; ++p) {
+    assert(points[p].size() == dim);
+    snaps_[p].resize(dim);
+    keys_[p].indices.resize(dim);
+    for (std::size_t d = 0; d < dim; ++d) {
+      const std::size_t idx = space_.nearestIndex(d, points[p][d]);
+      keys_[p].indices[d] = idx;
+      snaps_[p][d] = space_.gridValue(d, idx);
+    }
   }
-}
 
-std::vector<core::EvalResult> EvalEngine::evalBatch(
-    const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
-    pvt::BlockKind kind) {
-  const std::size_t n = cornerIdx.size();
-  std::vector<core::EvalResult> results(n);
-  if (n == 0) return results;
-  // Snap here so the simulated point always matches the cache key, whatever
-  // the caller passed.
-  prepareKey(sizes);
-
-  // ---- Probe the memos (and collapse in-batch duplicates) serially.
+  // ---- Probe the memos (and collapse in-call duplicates) serially,
+  // point-major.
   missRefs_.clear();
   hitFlags_.assign(n, 0);
   sharedFlags_.assign(n, 0);
   dupOf_.assign(n, kNone);
-  if (config_.cacheEvals) {
-    for (std::size_t i = 0; i < n; ++i) {
-      keyScratch_.cornerIndex = cornerIdx[i];
-      if (const core::EvalResult* hit = cache_.find(keyScratch_)) {
-        results[i] = *hit;
-        hitFlags_[i] = 1;
-        continue;
-      }
-      // Local miss: the cross-job cache may already hold the result. Copy a
-      // shared hit into the local memo, so a repeat of the key inside this
-      // batch (or later) becomes a plain local hit.
-      if (shared_ != nullptr &&
-          shared_->find(sharedScope_, keyScratch_, results[i])) {
-        cache_.insert({keyScratch_.indices, cornerIdx[i]}, results[i]);
-        hitFlags_[i] = 1;
-        sharedFlags_[i] = 1;
-        continue;
-      }
-      // A duplicate key within the batch can only repeat an earlier *miss*
-      // (had the key been cached, both requests would have hit).
-      for (const MissRef& m : missRefs_) {
-        if (m.cornerIndex == cornerIdx[i]) {
-          dupOf_[i] = m.slot;
-          break;
-        }
-      }
-      if (dupOf_[i] == kNone)
-        missRefs_.push_back(
-            {i, &snapScratch_, &keyScratch_.indices, cornerIdx[i]});
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i)
-      missRefs_.push_back(
-          {i, &snapScratch_, &keyScratch_.indices, cornerIdx[i]});
-  }
-
-  // ---- Fan the real simulations out; results land in per-request slots.
-  // With a batch-capable backend, misses go down in consecutive chunks of
-  // the backend's lane width (one fused simulator pass per chunk, chunks in
-  // parallel, a lone trailing lane scalar); otherwise each miss runs its own
-  // scalar retry loop. Chunk boundaries depend only on the miss list and the
-  // width, and every path is bitwise per-slot identical, so the outcome is
-  // the same for any thread count and either dispatch mode.
-  dispatchMisses(results);
-
-  // ---- Merge and account after the join, in request order: cache inserts,
-  // ledger blocks, and counters are then identical for any thread count.
-  std::size_t cursor = 0;  // missRefs_ slots ascend with i
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool isMiss =
-        cursor < missRefs_.size() && missRefs_[cursor].slot == i;
-    const MissTrace trace = isMiss ? missTrace_[cursor++] : MissTrace{};
-    if (dupOf_[i] != kNone) results[i] = results[dupOf_[i]];
-    const bool failed = results[i].failure != sim::FaultClass::kNone;
-    // A failed request is never "cached": poison enters no memo, and a
-    // duplicate of a failed miss shares its failure, not a cache hit.
-    const bool cached =
-        !failed && (hitFlags_[i] != 0 || dupOf_[i] != kNone);
-    if (config_.cacheEvals && isMiss && !failed) {
-      cache_.insert({keyScratch_.indices, cornerIdx[i]}, results[i]);
-      if (shared_ != nullptr)
-        unpublished_.push_back({keyScratch_.indices, cornerIdx[i]});
-    }
-    accountRequest(cornerIdx[i], kind, results[i], cached,
-                   sharedFlags_[i] != 0, isMiss, trace);
-  }
-  return results;
-}
-
-std::vector<core::EvalResult> EvalEngine::evalPacked(
-    const std::vector<linalg::Vector>& points,
-    const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind) {
-  const std::size_t np = points.size();
-  const std::size_t nc = cornerIdx.size();
-  std::vector<core::EvalResult> results(np * nc);
-  if (results.empty()) return results;
-
-  // Snap every point once up front; the snapped sizings and index lists live
-  // for the whole call because queued miss lanes point into them.
-  packSnaps_.resize(np);
-  packKeys_.resize(np);
   for (std::size_t p = 0; p < np; ++p) {
-    prepareKey(points[p]);
-    packSnaps_[p] = snapScratch_;
-    packKeys_[p].indices = keyScratch_.indices;
-  }
-
-  // ---- Probe the memos serially, point-major — the same request order the
-  // equivalent sequence of evalBatch calls would account in.
-  missRefs_.clear();
-  hitFlags_.assign(results.size(), 0);
-  sharedFlags_.assign(results.size(), 0);
-  dupOf_.assign(results.size(), kNone);
-  for (std::size_t p = 0; p < np; ++p) {
-    EvalKey& key = packKeys_[p];
+    EvalKey& key = keys_[p];
     for (std::size_t c = 0; c < nc; ++c) {
       const std::size_t slot = p * nc + c;
       if (config_.cacheEvals) {
@@ -539,6 +378,9 @@ std::vector<core::EvalResult> EvalEngine::evalPacked(
           hitFlags_[slot] = 1;
           continue;
         }
+        // Local miss: the cross-job cache may already hold the result. Copy
+        // a shared hit into the local memo, so a repeat of the key inside
+        // this call (or later) becomes a plain local hit.
         if (shared_ != nullptr &&
             shared_->find(sharedScope_, key, results[slot])) {
           cache_.insert({key.indices, cornerIdx[c]}, results[slot]);
@@ -546,8 +388,9 @@ std::vector<core::EvalResult> EvalEngine::evalPacked(
           sharedFlags_[slot] = 1;
           continue;
         }
-        // In-call duplicate: same snapped grid cell and corner as an earlier
-        // queued miss (points from different raw sizings can snap together).
+        // A duplicate key can only repeat an earlier *miss* (had the key
+        // been cached, both requests would have hit). Points from different
+        // raw sizings can snap to the same grid cell.
         for (const MissRef& m : missRefs_) {
           if (m.cornerIndex == cornerIdx[c] && *m.indices == key.indices) {
             dupOf_[slot] = m.slot;
@@ -556,72 +399,62 @@ std::vector<core::EvalResult> EvalEngine::evalPacked(
         }
         if (dupOf_[slot] != kNone) continue;
       }
-      missRefs_.push_back(
-          {slot, &packSnaps_[p], &packKeys_[p].indices, cornerIdx[c]});
+      missRefs_.push_back({slot, &snaps_[p], &key.indices, cornerIdx[c]});
     }
   }
 
-  // ---- One fused dispatch over every queued miss: lanes pack densely
-  // across points, so per-point ragged tails stop wasting simulator lanes.
-  dispatchMisses(results);
+  // ---- Fan the real simulations out; results land in per-request slots.
+  if (!missRefs_.empty()) dispatchMisses(results);
 
-  // ---- Merge and account in flat slot order (= point-major request order).
-  std::size_t cursor = 0;
-  for (std::size_t slot = 0; slot < results.size(); ++slot) {
+  // ---- Merge and account after the join, in request order: cache inserts,
+  // ledger blocks, and counters are then identical for any thread count.
+  std::size_t cursor = 0;  // missRefs_ slots ascend with the request slot
+  for (std::size_t slot = 0; slot < n; ++slot) {
     const bool isMiss =
         cursor < missRefs_.size() && missRefs_[cursor].slot == slot;
     const MissTrace trace = isMiss ? missTrace_[cursor++] : MissTrace{};
     const std::size_t corner = cornerIdx[slot % nc];
     if (dupOf_[slot] != kNone) results[slot] = results[dupOf_[slot]];
     const bool failed = results[slot].failure != sim::FaultClass::kNone;
+    // A failed request is never "cached": poison enters no memo, and a
+    // duplicate of a failed miss shares its failure, not a cache hit.
     const bool cached =
         !failed && (hitFlags_[slot] != 0 || dupOf_[slot] != kNone);
     if (config_.cacheEvals && isMiss && !failed) {
-      cache_.insert({packKeys_[slot / nc].indices, corner}, results[slot]);
-      if (shared_ != nullptr)
-        unpublished_.push_back({packKeys_[slot / nc].indices, corner});
+      const std::vector<std::size_t>& indices = keys_[slot / nc].indices;
+      cache_.insert({indices, corner}, results[slot]);
+      if (shared_ != nullptr) unpublished_.push_back({indices, corner});
     }
     accountRequest(corner, kind, results[slot], cached,
                    sharedFlags_[slot] != 0, isMiss, trace);
   }
+  assert(stats_.requests == stats_.simulated + stats_.cacheHits +
+                                stats_.sharedHits + stats_.failures);
+}
+
+std::vector<core::EvalResult> EvalEngine::evalBatch(
+    const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
+    pvt::BlockKind kind) {
+  std::vector<core::EvalResult> results(cornerIdx.size());
+  evalRequests(&sizes, 1, cornerIdx.data(), cornerIdx.size(), kind,
+               results.data());
+  return results;
+}
+
+std::vector<core::EvalResult> EvalEngine::evalPacked(
+    const std::vector<linalg::Vector>& points,
+    const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind) {
+  std::vector<core::EvalResult> results(points.size() * cornerIdx.size());
+  evalRequests(points.data(), points.size(), cornerIdx.data(),
+               cornerIdx.size(), kind, results.data());
   return results;
 }
 
 core::EvalResult EvalEngine::evalOne(std::size_t cornerIdx,
                                      const linalg::Vector& sizes,
                                      pvt::BlockKind kind) {
-  prepareKey(sizes);
-  keyScratch_.cornerIndex = cornerIdx;
-  if (config_.cacheEvals) {
-    if (const core::EvalResult* hit = cache_.find(keyScratch_)) {
-      const core::EvalResult result = *hit;
-      accountRequest(cornerIdx, kind, result, /*cached=*/true,
-                     /*shared=*/false, /*isMiss=*/false, MissTrace{});
-      return result;
-    }
-    if (shared_ != nullptr) {
-      core::EvalResult hit;
-      if (shared_->find(sharedScope_, keyScratch_, hit)) {
-        cache_.insert({keyScratch_.indices, cornerIdx}, hit);
-        accountRequest(cornerIdx, kind, hit, /*cached=*/true,
-                       /*shared=*/true, /*isMiss=*/false, MissTrace{});
-        return hit;
-      }
-    }
-  }
-  MissTrace trace;
-  const MissRef ref{0, &snapScratch_, &keyScratch_.indices, cornerIdx};
-  core::EvalResult result = runWithRetry(ref, trace);
-  stats_.backendSeconds += trace.seconds;
-  harvestSimPhases();
-  const bool failed = result.failure != sim::FaultClass::kNone;
-  if (config_.cacheEvals && !failed) {
-    cache_.insert({keyScratch_.indices, cornerIdx}, result);
-    if (shared_ != nullptr)
-      unpublished_.push_back({keyScratch_.indices, cornerIdx});
-  }
-  accountRequest(cornerIdx, kind, result, /*cached=*/false, /*shared=*/false,
-                 /*isMiss=*/true, trace);
+  core::EvalResult result;
+  evalRequests(&sizes, 1, &cornerIdx, 1, kind, &result);
   return result;
 }
 

@@ -81,14 +81,6 @@ struct EvalEngineConfig {
   /// SizingEnv — turn this off so the ledger does not grow unbounded;
   /// EvalStats counters are kept either way.
   bool recordLedger = true;
-  /// Submit cache misses as corner-batches to backends whose batchWidth()
-  /// exceeds 1 (the lane-blocked simulator, sim/op_batch.hpp). Because the
-  /// batch contract is bitwise per-slot equivalence with the scalar path,
-  /// results, ledgers, and stats are identical either way — the knob only
-  /// changes how fast misses simulate. Off = one backend call per miss (the
-  /// pre-batching behavior, and the scalar reference the differential tests
-  /// compare against).
-  bool batchedSim = true;
   /// Retry/timeout handling for faulted attempts.
   RetryPolicy retry{};
 };
@@ -205,10 +197,10 @@ class EvalEngine {
       const std::vector<linalg::Vector>& points,
       const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind);
 
-  /// Single-request path (the LocalExplorer / SizingEnv per-step hot path):
-  /// same semantics as a one-element evalBatch, but evaluates inline on the
-  /// calling thread and reuses member scratch, so a steady-state cache hit
-  /// performs no allocation beyond the returned result.
+  /// Single request (the LocalExplorer / SizingEnv per-step hot path): a
+  /// one-element evalBatch that returns its result directly. Request
+  /// scratch is reused across calls, so a steady-state cache hit performs
+  /// no allocation beyond the returned result.
   core::EvalResult evalOne(std::size_t cornerIdx, const linalg::Vector& sizes,
                            pvt::BlockKind kind);
 
@@ -297,11 +289,7 @@ class EvalEngine {
   /// shared_).
   std::vector<EvalKey> unpublished_;
 
-  /// Snap `sizes` onto the grid into snapScratch_ and fill
-  /// keyScratch_.indices with the grid indices (no allocation steady-state).
-  void prepareKey(const linalg::Vector& sizes);
-
-  /// Per-miss retry bookkeeping filled by runWithRetry.
+  /// Per-miss retry bookkeeping filled by runBatchWithRetry.
   struct MissTrace {
     std::uint32_t retries = 0;  ///< extra attempts beyond the first
     std::uint32_t backoff = 0;  ///< backoff units charged for those retries
@@ -309,9 +297,8 @@ class EvalEngine {
   };
 
   /// One queued simulation: where its result lands (flat slot) and the full
-  /// request identity. `sizes`/`indices` point into per-call storage
-  /// (snapScratch_/keyScratch_ or packSnaps_/packKeys_) that stays frozen
-  /// through the parallel section.
+  /// request identity. `sizes`/`indices` point into snaps_/keys_, which stay
+  /// frozen through the parallel section.
   struct MissRef {
     std::size_t slot = 0;  ///< index into the flat result array
     const linalg::Vector* sizes = nullptr;
@@ -319,55 +306,56 @@ class EvalEngine {
     std::size_t cornerIndex = 0;
   };
 
-  /// Run one queued miss through the retry loop: classify each attempt
-  /// (result fault, deadline, finiteness), retry transient faults with
-  /// deterministic backoff, and return either a clean result or a typed
-  /// failed one after exhaustion. Thread-safe: reads only state that is
-  /// frozen during a batch's parallel section (the per-call sizing/index
-  /// storage, config, backend) and writes only through `trace`.
-  core::EvalResult runWithRetry(const MissRef& ref, MissTrace& trace) const;
+  /// The one request body behind evalBatch, evalOne and evalPacked. Snaps
+  /// the `np` sizings at `points`, probes the memos and collapses duplicate
+  /// (snapped point, corner) keys serially in point-major order, dispatches
+  /// the misses, then merges and accounts in the same order. Slot
+  /// p * nc + c of `results` (np * nc entries, caller-allocated) is point p
+  /// on corner cornerIdx[c].
+  void evalRequests(const linalg::Vector* points, std::size_t np,
+                    const std::size_t* cornerIdx, std::size_t nc,
+                    pvt::BlockKind kind, core::EvalResult* results);
 
-  /// Corner-batch counterpart of runWithRetry: drive the miss chunk
-  /// missRefs_[begin .. begin+count) through a lockstep retry loop — one
-  /// backend evaluateBatch call per attempt round over the lanes still
-  /// faulted — writing results and missTrace_ entries for each lane.
-  /// Per-lane classification, retry counts, and backoff charges are exactly
-  /// what runWithRetry produces for that lane alone (the fault identity
-  /// tuple (indices, corner, attempt) is per lane, so a decorator's schedule
-  /// cannot tell the paths apart); backend wall time, which is
-  /// measurement-only, is charged once per backend call to the chunk's first
-  /// lane. Thread-safe under the same rules as runWithRetry; chunks write
-  /// disjoint result/trace slots.
-  void runBatchWithRetry(std::vector<core::EvalResult>& results,
-                         std::size_t begin, std::size_t count);
+  /// Drive the miss chunk missRefs_[begin .. begin+count) through a
+  /// lockstep retry loop — one backend evaluateBatch call per attempt round
+  /// over the lanes still faulted — writing results and missTrace_ entries
+  /// for each lane. Each attempt is classified by the result's own fault,
+  /// the wall-clock deadline, and a finiteness guard; transient faults retry
+  /// with deterministic backoff, and exhaustion yields a typed failed
+  /// result. The fault identity tuple (indices, corner, attempt) is per
+  /// lane, so a decorator's schedule cannot see the chunk shape; backend
+  /// wall time, which is measurement-only, is charged once per backend call
+  /// to the chunk's first lane. Thread-safe: reads only state that is frozen
+  /// during the parallel section, and chunks write disjoint result/trace
+  /// slots.
+  void runBatchWithRetry(core::EvalResult* results, std::size_t begin,
+                         std::size_t count);
 
-  /// Fan the queued misses (missRefs_) out across the pool: full chunks of
-  /// the backend's batch width, except that a trailing chunk of exactly one
-  /// lane runs the scalar path (identical bits at one lane's cost instead of
-  /// a whole idle-lane batch). Fills missTrace_, charges backendSeconds, and
-  /// samples the simulator phase counters.
-  void dispatchMisses(std::vector<core::EvalResult>& results);
+  /// Fan the queued misses (missRefs_) out across the pool in consecutive
+  /// chunks of the backend's batch width. Chunk boundaries depend only on
+  /// the miss count and the width, so the outcome is the same for any
+  /// thread count. Fills missTrace_, charges backendSeconds, and samples the
+  /// simulator phase counters.
+  void dispatchMisses(core::EvalResult* results);
 
   /// Fold the process-wide sim phase counters' growth since the last sample
   /// into stats_ (all-zero no-op unless sim profiling is on).
   void harvestSimPhases();
 
-  /// Per-request accounting shared by evalBatch's merge loop and evalOne:
-  /// updates stats, firstFailure_, and (when enabled) the ledger.
+  /// One request's accounting in evalRequests' merge loop: updates stats,
+  /// firstFailure_, and (when enabled) the ledger.
   void accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,
                       const core::EvalResult& result, bool cached, bool shared,
                       bool isMiss, const MissTrace& trace);
 
   // Request scratch, reused across calls.
-  linalg::Vector snapScratch_;          ///< snapped sizing (fed to backends)
-  EvalKey keyScratch_;                  ///< probe key (indices reused)
-  std::vector<MissRef> missRefs_;       ///< queued simulations, slot order
-  std::vector<MissTrace> missTrace_;    ///< per-miss retry/timing bookkeeping
-  std::vector<char> hitFlags_;          ///< request served from the memo
-  std::vector<char> sharedFlags_;       ///< ... specifically the shared cache
-  std::vector<std::size_t> dupOf_;      ///< in-batch duplicate -> first miss
-  std::vector<linalg::Vector> packSnaps_;  ///< evalPacked per-point sizings
-  std::vector<EvalKey> packKeys_;          ///< evalPacked per-point indices
+  std::vector<linalg::Vector> snaps_;  ///< snapped sizings (fed to backends)
+  std::vector<EvalKey> keys_;          ///< per-point probe keys
+  std::vector<MissRef> missRefs_;      ///< queued simulations, slot order
+  std::vector<MissTrace> missTrace_;   ///< per-miss retry/timing bookkeeping
+  std::vector<char> hitFlags_;         ///< request served from the memo
+  std::vector<char> sharedFlags_;      ///< ... specifically the shared cache
+  std::vector<std::size_t> dupOf_;     ///< in-call duplicate -> first miss
   sim::SimPhaseTotals phaseBase_;  ///< phase counters at the last harvest
 };
 

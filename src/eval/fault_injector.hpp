@@ -1,6 +1,6 @@
 // Fault-injecting EvalBackend decorator.
 //
-// Wraps any backend and consults a sim::FaultPlan on every context-aware
+// Wraps any backend and consults a sim::FaultPlan for every slot of every
 // call: when the plan schedules a fault for (scope, indices, corner,
 // attempt), the injector synthesizes that failure instead of (or on top of)
 // the inner result. Because the plan is a pure hash of the identity tuple,
@@ -42,20 +42,10 @@ class FaultInjector final : public EvalBackend {
 
   std::string_view name() const override { return label_; }
 
-  /// Keyless calls bypass injection: without the identity tuple a fault draw
-  /// could not be deterministic, and the engine always supplies the context.
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override;
-
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner,
-                            const EvalContext& context) const override;
-
   /// The decorator is transparent to batching: the inner backend's width is
-  /// the batch width, and the batch override draws each lane's fault from
-  /// the same (scope, indices, corner, attempt) tuple as the scalar path —
-  /// a fault scheduled for a request lands in the same slot whether the
-  /// engine dispatches scalar requests or corner-batches.
+  /// the batch width, and each slot's fault is drawn from that slot's own
+  /// (scope, indices, corner, attempt) tuple, so a fault scheduled for a
+  /// request lands in the same slot whatever the chunk shape.
   std::size_t batchWidth() const override { return wrapped_->batchWidth(); }
 
   void evaluateBatch(const linalg::Vector* const* sizes,

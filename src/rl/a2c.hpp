@@ -2,9 +2,7 @@
 // Synchronous variant with n-step GAE advantages, entropy regularization and
 // gradient-norm clipping, as in Stable-Baselines' A2C. Rollouts come from a
 // ParallelRolloutCollector (N environments, deterministic env-order merge);
-// the gradient step runs either as one batched forward/backward pass per
-// network or as the legacy per-sample loop (`batchedTraining`), with both
-// paths producing bitwise-identical updates.
+// the gradient step is one batched forward/backward pass per network.
 #pragma once
 
 #include "core/problem.hpp"
@@ -25,9 +23,6 @@ struct A2cConfig {
   double entropyCoeff = 0.01;       ///< entropy-bonus weight
   double maxGradNorm = 0.5;         ///< L2 gradient clip threshold
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Batched update math (bitwise identical to the per-sample path; see
-  /// tests/rl_batch_test.cpp). Off = legacy per-sample forward/backward.
-  bool batchedTraining = true;
   /// Parallel rollout environments (1 reproduces the pre-collector serial
   /// trainer bitwise).
   std::size_t numEnvs = 1;
@@ -63,14 +58,10 @@ struct RlTrainOutcome {
 RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg,
                         std::size_t maxSimulations);
 
-/// One synchronous A2C gradient step over a flattened rollout — the legacy
-/// per-sample reference path (exposed for parity tests and benchmarks).
-void a2cUpdatePerSample(nn::Mlp& policy, nn::Mlp& critic,
-                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
-                        const FlatRollout& data, const A2cConfig& cfg);
-
-/// Batched equivalent of a2cUpdatePerSample: one forwardBatch/backwardBatch
-/// pass per network. Bitwise identical to the per-sample path.
+/// One synchronous A2C gradient step over a flattened rollout: one
+/// forwardBatch/backwardBatch pass per network. Bitwise identical to the
+/// per-sample forward/backward loop (tests/rl_batch_test.cpp keeps it as
+/// the reference).
 void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
                       nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
                       const FlatRollout& data, const A2cConfig& cfg);

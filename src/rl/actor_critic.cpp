@@ -207,52 +207,6 @@ void jointKlGradRowsFromTables(const linalg::Matrix& softmaxOld,
     out.data()[i] = softmaxNew.data()[i] - softmaxOld.data()[i];
 }
 
-linalg::Vector jointLogProbRows(
-    const linalg::Matrix& logits,
-    const std::vector<std::vector<std::size_t>>& actions,
-    std::size_t actionsPerHead) {
-  linalg::Matrix lp;
-  nn::logSoftmaxSegments(logits, actionsPerHead, lp);
-  linalg::Vector out;
-  jointLogProbRowsFromTable(lp, actions, actionsPerHead, out);
-  return out;
-}
-
-void jointLogProbGradRows(const linalg::Matrix& logits,
-                          const std::vector<std::vector<std::size_t>>& actions,
-                          std::size_t actionsPerHead, linalg::Matrix& out) {
-  linalg::Matrix p;
-  nn::softmaxSegments(logits, actionsPerHead, p);
-  jointLogProbGradRowsFromTable(p, actions, actionsPerHead, out);
-}
-
-void jointEntropyGradRows(const linalg::Matrix& logits,
-                          std::size_t actionsPerHead, linalg::Matrix& out) {
-  linalg::Matrix lp;
-  nn::logSoftmaxSegments(logits, actionsPerHead, lp);
-  jointEntropyGradRowsFromTable(lp, actionsPerHead, out);
-}
-
-double sumJointKlRows(const linalg::Matrix& oldLogits,
-                      const linalg::Matrix& newLogits,
-                      std::size_t actionsPerHead) {
-  linalg::Matrix lp;
-  linalg::Matrix lq;
-  nn::logSoftmaxSegments(oldLogits, actionsPerHead, lp);
-  nn::logSoftmaxSegments(newLogits, actionsPerHead, lq);
-  return sumJointKlRowsFromTables(lp, lq, actionsPerHead);
-}
-
-void jointKlGradRows(const linalg::Matrix& oldLogits,
-                     const linalg::Matrix& newLogits,
-                     std::size_t actionsPerHead, linalg::Matrix& out) {
-  linalg::Matrix pOld;
-  linalg::Matrix pNew;
-  nn::softmaxSegments(oldLogits, actionsPerHead, pOld);
-  nn::softmaxSegments(newLogits, actionsPerHead, pNew);
-  jointKlGradRowsFromTables(pOld, pNew, out);
-}
-
 nn::Mlp makePolicyNet(std::size_t obsDim, std::size_t heads,
                       std::size_t actionsPerHead, std::size_t hidden,
                       std::uint64_t seed) {

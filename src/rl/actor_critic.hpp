@@ -62,64 +62,38 @@ linalg::Vector jointKlGrad(const linalg::Vector& oldLogits,
 // ---- Batched (rollout-matrix) variants ----
 //
 // Row r of a logits matrix holds the head-major logits of sample r (the
-// layout Mlp::forwardBatch produces for the policy net). Every function
-// reproduces its per-sample counterpart above bitwise, row by row, on top of
-// the segment kernels in nn/distribution. Outputs are resized by the callee.
+// layout Mlp::forwardBatch produces for the policy net). These helpers work
+// on its precomputed per-head probability tables (`nn::softmaxSegments` /
+// `nn::logSoftmaxSegments` of that matrix), so the batched trainers evaluate
+// each table once per pass and share it across helpers. Every function
+// reproduces its per-sample counterpart above bitwise, row by row. Outputs
+// are resized by the callee.
 
-/// Per-row joint log-prob of `actions[r]` under logits row r.
-linalg::Vector jointLogProbRows(
-    const linalg::Matrix& logits,
-    const std::vector<std::vector<std::size_t>>& actions,
-    std::size_t actionsPerHead);
-
-/// Per-row d(joint log-prob)/d(logits) into `out` (same shape as `logits`).
-void jointLogProbGradRows(const linalg::Matrix& logits,
-                          const std::vector<std::vector<std::size_t>>& actions,
-                          std::size_t actionsPerHead, linalg::Matrix& out);
-
-/// Per-row d(joint entropy)/d(logits) into `out`.
-void jointEntropyGradRows(const linalg::Matrix& logits,
-                          std::size_t actionsPerHead, linalg::Matrix& out);
-
-/// Sum over rows (ascending) of the joint KL(old || new) between logit rows.
-double sumJointKlRows(const linalg::Matrix& oldLogits,
-                      const linalg::Matrix& newLogits,
-                      std::size_t actionsPerHead);
-
-/// Per-row d(joint KL)/d(new logits) into `out`.
-void jointKlGradRows(const linalg::Matrix& oldLogits,
-                     const linalg::Matrix& newLogits,
-                     std::size_t actionsPerHead, linalg::Matrix& out);
-
-// Table-based variants: operate on precomputed per-head probability tables
-// (`nn::softmaxSegments` / `nn::logSoftmaxSegments` of the same logits
-// matrix), letting the batched trainers evaluate each table once per pass
-// and share it across helpers instead of re-deriving it per call. Values
-// stay bitwise identical to the logits-based functions above.
-
-/// jointLogProbRows from a log-softmax table, written into `out` (resized).
+/// Per-row joint log-prob of `actions[r]` from a log-softmax table.
 void jointLogProbRowsFromTable(
     const linalg::Matrix& logSoftmaxTable,
     const std::vector<std::vector<std::size_t>>& actions,
     std::size_t actionsPerHead, linalg::Vector& out);
 
-/// jointLogProbGradRows from a softmax table.
+/// Per-row d(joint log-prob)/d(logits) from a softmax table.
 void jointLogProbGradRowsFromTable(
     const linalg::Matrix& softmaxTable,
     const std::vector<std::vector<std::size_t>>& actions,
     std::size_t actionsPerHead, linalg::Matrix& out);
 
-/// jointEntropyGradRows from a log-softmax table.
+/// Per-row d(joint entropy)/d(logits) from a log-softmax table.
 void jointEntropyGradRowsFromTable(const linalg::Matrix& logSoftmaxTable,
                                    std::size_t actionsPerHead,
                                    linalg::Matrix& out);
 
-/// sumJointKlRows from the two log-softmax tables.
+/// Sum over rows (ascending) of the joint KL(old || new), from the two
+/// log-softmax tables.
 double sumJointKlRowsFromTables(const linalg::Matrix& logSoftmaxOld,
                                 const linalg::Matrix& logSoftmaxNew,
                                 std::size_t actionsPerHead);
 
-/// jointKlGradRows from the two softmax tables (out = softmaxNew - softmaxOld).
+/// Per-row d(joint KL)/d(new logits) from the two softmax tables
+/// (out = softmaxNew - softmaxOld).
 void jointKlGradRowsFromTables(const linalg::Matrix& softmaxOld,
                                const linalg::Matrix& softmaxNew,
                                linalg::Matrix& out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,72 +14,6 @@ namespace trdse::rl {
 namespace {
 
 constexpr std::size_t kApH = SizingEnv::kActionsPerHead;
-
-linalg::Vector obsRow(const FlatRollout& data, std::size_t i) {
-  const double* r = data.observations.row(i);
-  return linalg::Vector(r, r + data.observations.cols());
-}
-
-// ---- Per-sample (legacy reference) rollout-wide passes ----
-
-/// Mean gradient of the surrogate L = E[ratio * A] at theta_old (ratio = 1).
-linalg::Vector surrogateGradPerSample(nn::Mlp& policy, const FlatRollout& data) {
-  policy.zeroGrad();
-  const double invN = 1.0 / static_cast<double>(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const linalg::Vector logits = policy.forward(obsRow(data, i));
-    linalg::Vector g = jointLogProbGrad(logits, data.actions[i], kApH);
-    // exp(newLp - oldLp) == 1 at theta_old; gradient of ratio*A is A*dlogpi.
-    for (double& gv : g) gv *= data.advantages[i] * invN;
-    policy.backward(g);
-  }
-  return policy.getGradients();
-}
-
-/// Mean gradient of KL(old || current) over the rollout states.
-linalg::Vector klGradPerSample(nn::Mlp& policy, const FlatRollout& data,
-                               const std::vector<linalg::Vector>& oldLogits) {
-  policy.zeroGrad();
-  const double invN = 1.0 / static_cast<double>(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const linalg::Vector logits = policy.forward(obsRow(data, i));
-    linalg::Vector g = jointKlGrad(oldLogits[i], logits, kApH);
-    for (double& gv : g) gv *= invN;
-    policy.backward(g);
-  }
-  return policy.getGradients();
-}
-
-double meanKlPerSample(const nn::Mlp& policy, const FlatRollout& data,
-                       const std::vector<linalg::Vector>& oldLogits) {
-  double kl = 0.0;
-  for (std::size_t i = 0; i < data.size(); ++i)
-    kl += jointKl(oldLogits[i], policy.predict(obsRow(data, i)), kApH);
-  return kl / static_cast<double>(data.size());
-}
-
-double surrogateValuePerSample(const nn::Mlp& policy, const FlatRollout& data) {
-  double s = 0.0;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const double lp =
-        jointLogProb(policy.predict(obsRow(data, i)), data.actions[i], kApH);
-    s += std::exp(lp - data.logProbs[i]) * data.advantages[i];
-  }
-  return s / static_cast<double>(data.size());
-}
-
-void criticEpochPerSample(nn::Mlp& critic, nn::Optimizer& criticOpt,
-                          const FlatRollout& data) {
-  critic.zeroGrad();
-  const double invN = 1.0 / static_cast<double>(data.size());
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    const linalg::Vector vp = critic.forward(obsRow(data, i));
-    critic.backward({2.0 * (vp[0] - data.returns[i]) * invN});
-  }
-  criticOpt.step(critic);
-}
-
-// ---- Batched rollout-wide passes (bitwise identical to the above) ----
 
 /// Scratch for the batched TRPO passes. The softmax / log-softmax tables of
 /// the (fixed) old policy are evaluated once per update and reused by every
@@ -126,8 +59,8 @@ linalg::Vector klGradBatched(nn::Mlp& policy, const FlatRollout& data,
 }
 
 /// Mean KL against the old policy and surrogate value in one batched
-/// forward pass (the per-sample path derives both from the same policy, so
-/// sharing the pass is bitwise-safe).
+/// forward pass (both derive from the same policy, so sharing the pass is
+/// bitwise-safe).
 std::pair<double, double> klAndSurrogateBatched(const nn::Mlp& policy,
                                                 const FlatRollout& data,
                                                 TrpoBatchScratch& s) {
@@ -158,31 +91,23 @@ void criticEpochBatched(nn::Mlp& critic, nn::Optimizer& criticOpt,
 }  // namespace
 
 bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
-                const FlatRollout& data, const TrpoConfig& cfg, bool batched) {
+                const FlatRollout& data, const TrpoConfig& cfg) {
   if (data.size() == 0) return false;
 
-  // Snapshot old policy logits for KL and ratios.
-  std::vector<linalg::Vector> oldLogitsPS;
+  // Snapshot the old policy's distribution tables for KL and ratios.
   TrpoBatchScratch scratch;
-  if (batched) {
-    const linalg::Matrix oldLogits = policy.predictBatch(data.observations);
-    nn::softmaxSegments(oldLogits, kApH, scratch.oldSm);
-    nn::logSoftmaxSegments(oldLogits, kApH, scratch.oldLsm);
-  } else {
-    oldLogitsPS.reserve(data.size());
-    for (std::size_t i = 0; i < data.size(); ++i)
-      oldLogitsPS.push_back(policy.predict(obsRow(data, i)));
-  }
+  const linalg::Matrix oldLogits = policy.predictBatch(data.observations);
+  nn::softmaxSegments(oldLogits, kApH, scratch.oldSm);
+  nn::logSoftmaxSegments(oldLogits, kApH, scratch.oldLsm);
 
-  const linalg::Vector g = batched ? surrogateGradBatched(policy, data, scratch)
-                                   : surrogateGradPerSample(policy, data);
+  const linalg::Vector g = surrogateGradBatched(policy, data, scratch);
   const double gNorm = linalg::norm2(g);
   if (gNorm < 1e-10) return false;
 
   // Fisher-vector product via finite difference of the KL gradient around
-  // theta_old (where grad KL == 0). With `batched` set, each product is one
-  // forwardBatch/backwardBatch pass over the whole rollout instead of N
-  // per-sample round trips — the CG solve is where TRPO's update time lives.
+  // theta_old (where grad KL == 0). Each product is one
+  // forwardBatch/backwardBatch pass over the whole rollout — the CG solve is
+  // where TRPO's update time lives.
   const linalg::Vector theta0 = policy.getParameters();
   auto fvp = [&](const linalg::Vector& v) {
     constexpr double kEps = 1e-5;
@@ -190,8 +115,7 @@ bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
     if (vNorm < 1e-12) return linalg::scaled(v, cfg.cgDamping);
     policy.setParameters(theta0);
     policy.addToParameters(v, kEps / vNorm);
-    linalg::Vector gk = batched ? klGradBatched(policy, data, scratch)
-                                : klGradPerSample(policy, data, oldLogitsPS);
+    linalg::Vector gk = klGradBatched(policy, data, scratch);
     policy.setParameters(theta0);
     for (double& x : gk) x *= vNorm / kEps;
     linalg::axpy(cfg.cgDamping, v, gk);
@@ -219,22 +143,13 @@ bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
   const double stepScale = std::sqrt(2.0 * cfg.maxKl / xFx);
 
   // Backtracking line search on the true surrogate + KL constraint.
-  const double surrogate0 =
-      batched ? klAndSurrogateBatched(policy, data, scratch).second
-              : surrogateValuePerSample(policy, data);
+  const double surrogate0 = klAndSurrogateBatched(policy, data, scratch).second;
   double frac = 1.0;
   bool accepted = false;
   for (std::size_t ls = 0; ls < cfg.lineSearchSteps; ++ls, frac *= 0.5) {
     policy.setParameters(theta0);
     policy.addToParameters(x, stepScale * frac);
-    double kl;
-    double surr;
-    if (batched) {
-      std::tie(kl, surr) = klAndSurrogateBatched(policy, data, scratch);
-    } else {
-      kl = meanKlPerSample(policy, data, oldLogitsPS);
-      surr = surrogateValuePerSample(policy, data);
-    }
+    const auto [kl, surr] = klAndSurrogateBatched(policy, data, scratch);
     if (kl <= cfg.maxKl * 1.5 && surr > surrogate0) {
       accepted = true;
       break;
@@ -243,13 +158,8 @@ bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
   if (!accepted) policy.setParameters(theta0);
 
   // Critic regression on the GAE returns.
-  for (std::size_t e = 0; e < cfg.valueEpochs; ++e) {
-    if (batched) {
-      criticEpochBatched(critic, criticOpt, data);
-    } else {
-      criticEpochPerSample(critic, criticOpt, data);
-    }
-  }
+  for (std::size_t e = 0; e < cfg.valueEpochs; ++e)
+    criticEpochBatched(critic, criticOpt, data);
   return accepted;
 }
 
@@ -275,13 +185,15 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
   std::size_t updates = 0;
   std::ostringstream hyper;
   hyper.precision(17);
+  // " batched=1" is a constant: checkpoints written when the update path
+  // was configurable carry it, and their fingerprints must keep matching.
   hyper << "trpo horizon=" << cfg.horizon << " gamma=" << cfg.gamma
         << " gae=" << cfg.gaeLambda << " maxKl=" << cfg.maxKl
         << " damping=" << cfg.cgDamping << " cgIters=" << cfg.cgIterations
         << " lineSearch=" << cfg.lineSearchSteps
         << " vlr=" << cfg.valueLearningRate
         << " valueEpochs=" << cfg.valueEpochs << " hidden=" << cfg.hidden
-        << " batched=" << cfg.batchedTraining;
+        << " batched=1";
   TrainerState snapshot;
   snapshot.algo = "trpo";
   snapshot.fingerprint =
@@ -306,7 +218,7 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
 
     const FlatRollout data =
         flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda);
-    trpoUpdate(policy, critic, criticOpt, data, cfg, cfg.batchedTraining);
+    trpoUpdate(policy, critic, criticOpt, data, cfg);
     ++updates;
     if (cfg.checkpointEvery != 0 && !cfg.checkpointPath.empty() &&
         updates % cfg.checkpointEvery == 0)

@@ -8,8 +8,7 @@
 // line search enforcing the KL constraint and surrogate improvement. Every
 // rollout-wide pass (surrogate gradient, KL gradient inside the CG
 // Fisher-vector product, mean KL, surrogate value, critic regression) runs
-// either as one batched GEMM pass or as the legacy per-sample loop
-// (`batchedTraining`), with both paths bitwise identical.
+// as one batched GEMM pass.
 #pragma once
 
 #include "core/problem.hpp"
@@ -32,8 +31,6 @@ struct TrpoConfig {
   double valueLearningRate = 1e-3;  ///< critic Adam step size
   std::size_t valueEpochs = 5;      ///< critic regression epochs per rollout
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Batched rollout-wide passes (bitwise identical to per-sample).
-  bool batchedTraining = true;
   /// Parallel rollout environments (1 reproduces the pre-collector serial
   /// trainer bitwise).
   std::size_t numEnvs = 1;
@@ -63,13 +60,12 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
 
 /// One full TRPO update (natural-gradient policy step via CG on
 /// Fisher-vector products + backtracking line search, then critic
-/// regression) over a flattened rollout. `batched` selects the batched or
-/// the legacy per-sample math — the two produce bitwise-identical parameter
-/// traces. Returns whether the line search accepted a policy step (the
-/// update is skipped entirely when the surrogate gradient or the CG
-/// curvature degenerates, matching the serial trainer). Exposed for parity
-/// tests and benchmarks.
+/// regression) over a flattened rollout. Returns whether the line search
+/// accepted a policy step (the update is skipped entirely when the surrogate
+/// gradient or the CG curvature degenerates, matching the serial trainer).
+/// Bitwise identical to the per-sample passes (tests/rl_batch_test.cpp
+/// keeps them as the reference). Exposed for parity tests and benchmarks.
 bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
-                const FlatRollout& data, const TrpoConfig& cfg, bool batched);
+                const FlatRollout& data, const TrpoConfig& cfg);
 
 }  // namespace trdse::rl

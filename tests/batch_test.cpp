@@ -7,6 +7,7 @@
 // (1e-12) are an upper bound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -472,53 +473,36 @@ TEST(SurrogateBatch, PredictBatchMatchesPredictAfterTraining) {
   }
 }
 
-core::SizingProblem sphereCsp(double radius) {
-  core::SizingProblem p;
-  p.name = "sphere";
-  p.space = core::DesignSpace({{"x", 0.0, 1.0, 101, false},
-                               {"y", 0.0, 1.0, 101, false},
-                               {"z", 0.0, 1.0, 101, false}});
-  p.measurementNames = {"closeness"};
-  p.specs = {{"closeness", core::SpecKind::kAtLeast, 1.0 - radius}};
-  p.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0}};
-  p.evaluate = [](const Vector& v, const sim::PvtCorner&) {
-    core::EvalResult r;
-    r.ok = true;
-    const double dx = v[0] - 0.62;
-    const double dy = v[1] - 0.34;
-    const double dz = v[2] - 0.58;
-    r.measurements = {1.0 - std::sqrt(dx * dx + dy * dy + dz * dz)};
-    return r;
-  };
-  return p;
-}
+/// Both planners draw their trust-region candidates through drawCandidates.
+/// Row for row it must equal the per-sample draw — clamp into the unit cube,
+/// then toUnit(fromUnitSnapped(u)) — bitwise, including on log-scale axes,
+/// and it must leave the rng exactly where the per-sample loop would.
+TEST(PlannerBatch, DrawCandidatesMatchesPerSampleDraws) {
+  const core::DesignSpace space({{"w", 1e-7, 1e-4, 64, true},
+                                 {"l", 4.5e-8, 1e-6, 24, true},
+                                 {"c", 1e-13, 5e-12, 40, true},
+                                 {"v", 0.1, 0.9, 17, false}});
+  const Vector center = {0.95, 0.03, 0.5, 0.61};
+  const double radius = 0.2;  // reaches past both cube faces: clamp matters
+  const std::size_t count = 500;
 
-/// The tentpole equivalence guarantee: batched planning must reproduce the
-/// per-sample explorer's seeded SearchOutcome exactly — same solution, same
-/// iteration count, same trace.
-TEST(LocalExplorerBatch, BatchedPlanningReproducesPerSampleOutcome) {
-  const auto prob = sphereCsp(0.04);
-  const core::ValueFunction value(prob.measurementNames, prob.specs);
-  auto eval = [&](const Vector& x) { return prob.evaluate(x, prob.corners[0]); };
+  std::mt19937_64 rngBatch(41);
+  std::mt19937_64 rngRef(41);
+  Matrix cand;
+  core::drawCandidates(space, center, radius, count, rngBatch, cand);
+  ASSERT_EQ(cand.rows(), count);
+  ASSERT_EQ(cand.cols(), space.dim());
 
-  core::SearchOutcome outcomes[2];
-  for (int batched = 0; batched < 2; ++batched) {
-    core::LocalExplorerConfig cfg;
-    cfg.seed = 29;
-    cfg.batchedPlanning = batched == 1;
-    core::LocalExplorer agent(prob.space, value, eval, cfg);
-    outcomes[batched] = agent.run(1500);
+  std::uniform_real_distribution<double> unif(-1.0, 1.0);
+  for (std::size_t s = 0; s < count; ++s) {
+    Vector u(space.dim());
+    for (std::size_t d = 0; d < space.dim(); ++d)
+      u[d] = std::clamp(center[d] + radius * unif(rngRef), 0.0, 1.0);
+    const Vector ref = space.toUnit(space.fromUnitSnapped(u));
+    for (std::size_t d = 0; d < space.dim(); ++d)
+      ASSERT_EQ(cand(s, d), ref[d]) << "row " << s << " dim " << d;
   }
-  const auto& legacy = outcomes[0];
-  const auto& fast = outcomes[1];
-  EXPECT_EQ(fast.solved, legacy.solved);
-  EXPECT_EQ(fast.iterations, legacy.iterations);
-  EXPECT_EQ(fast.bestValue, legacy.bestValue);
-  EXPECT_EQ(fast.sizes, legacy.sizes);
-  EXPECT_EQ(fast.trace.bestValueHistory, legacy.trace.bestValueHistory);
-  EXPECT_EQ(fast.trace.radiusHistory, legacy.trace.radiusHistory);
-  EXPECT_EQ(fast.trace.acceptedSteps, legacy.trace.acceptedSteps);
-  EXPECT_EQ(fast.trace.rejectedSteps, legacy.trace.rejectedSteps);
+  EXPECT_EQ(rngBatch, rngRef);
 }
 
 core::SizingProblem multiCornerCsp() {
@@ -541,23 +525,6 @@ core::SizingProblem multiCornerCsp() {
     return r;
   };
   return p;
-}
-
-TEST(PvtSearchBatch, BatchedPlanningReproducesPerSampleOutcome) {
-  const auto prob = multiCornerCsp();
-  core::PvtSearchOutcome outcomes[2];
-  for (int batched = 0; batched < 2; ++batched) {
-    core::PvtSearchConfig cfg;
-    cfg.seed = 21;
-    cfg.explorer = core::autoSchedule(prob, cfg.seed);
-    cfg.explorer.batchedPlanning = batched == 1;
-    core::PvtSearch search(prob, cfg);
-    outcomes[batched] = search.run(6000);
-  }
-  EXPECT_EQ(outcomes[1].solved, outcomes[0].solved);
-  EXPECT_EQ(outcomes[1].totalSims, outcomes[0].totalSims);
-  EXPECT_EQ(outcomes[1].sizes, outcomes[0].sizes);
-  EXPECT_EQ(outcomes[1].cornersActivated, outcomes[0].cornersActivated);
 }
 
 // ---------- thread pool ----------

@@ -3,8 +3,8 @@
 // uninterrupted run — same SearchOutcome, same ledger — for PvtSearch,
 // SizingSession and the RL trainers, for any evalThreads and with the eval
 // cache on or off. Plus the container's error paths (corrupt / truncated /
-// version-mismatch / wrong-kind files) and the nn/serialize round-trip edge
-// cases the format builds on.
+// version-mismatch / wrong-kind files) and the edge cases of the network,
+// optimizer and scaler encodings the format builds on.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "core/sizing_api.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
-#include "nn/serialize.hpp"
 #include "rl/a2c.hpp"
 #include "rl/checkpoint.hpp"
 #include "rl/trpo.hpp"
@@ -211,9 +210,38 @@ TEST(CheckpointFormat, MissingFileAndMissingSectionThrow) {
   EXPECT_THROW(r.section("absent"), io::CheckpointError);
 }
 
-// ---------- nn/serialize edge cases feeding the format ----------
+// ---------- network / optimizer / scaler encodings ----------
 
-TEST(NnSerialize, AdamMomentsMidTrainingRoundTrip) {
+/// Encode one section with `write` and return the container holding it.
+template <class Write>
+io::CheckpointReader encodeSection(Write write) {
+  io::CheckpointWriter w("t");
+  write(w.section("s"));
+  return io::CheckpointReader("mem", w.finish());
+}
+
+TEST(StateIo, ReadMlpRejectsNonFiniteWeights) {
+  nn::Mlp net(nn::MlpConfig{{2, 4, 1}}, /*seed=*/3);
+  {
+    const io::CheckpointReader r =
+        encodeSection([&](io::SectionWriter& w) { io::writeMlp(w, net); });
+    io::SectionReader sr = r.section("s");
+    EXPECT_EQ(io::readMlp(sr).getParameters(), net.getParameters());
+    sr.expectEnd();
+  }
+  Vector params = net.getParameters();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    params[2] = bad;
+    net.setParameters(params);
+    const io::CheckpointReader r =
+        encodeSection([&](io::SectionWriter& w) { io::writeMlp(w, net); });
+    io::SectionReader sr = r.section("s");
+    EXPECT_THROW(io::readMlp(sr), io::CheckpointError) << bad;
+  }
+}
+
+TEST(StateIo, AdamMidTrainingRoundTripContinuesUpdateStream) {
   nn::Mlp net(nn::MlpConfig{{3, 8, 2}}, /*seed=*/5);
   nn::AdamOptimizer opt(1e-3);
   // A few real steps so t > 0 and both moment vectors are non-trivial.
@@ -224,10 +252,12 @@ TEST(NnSerialize, AdamMomentsMidTrainingRoundTrip) {
     net.backward({unif(rng), unif(rng)});
     opt.step(net);
   }
-  std::stringstream ss;
-  nn::saveAdamState(opt, ss);
+  const io::CheckpointReader r =
+      encodeSection([&](io::SectionWriter& w) { io::writeAdam(w, opt); });
   nn::AdamOptimizer restored(1e-3);
-  ASSERT_TRUE(nn::loadAdamState(ss, restored));
+  io::SectionReader sr = r.section("s");
+  io::readAdam(sr, restored, net.parameterCount());
+  sr.expectEnd();
   EXPECT_EQ(restored.stepCount(), opt.stepCount());
   EXPECT_EQ(restored.firstMoments(), opt.firstMoments());    // bitwise
   EXPECT_EQ(restored.secondMoments(), opt.secondMoments());  // bitwise
@@ -243,45 +273,58 @@ TEST(NnSerialize, AdamMomentsMidTrainingRoundTrip) {
   EXPECT_EQ(net.getParameters(), netB.getParameters());
 }
 
-TEST(NnSerialize, LoadAdamRejectsGarbage) {
-  std::stringstream ss("not an adam blob");
-  nn::AdamOptimizer opt(1e-3);
-  EXPECT_FALSE(nn::loadAdamState(ss, opt));
-}
-
-TEST(NnSerialize, ZeroVarianceScalerColumnsRoundTrip) {
+TEST(StateIo, ZeroVarianceStandardizerColumnsRoundTrip) {
   nn::Standardizer s;
   // Column 1 is constant: std becomes degenerate and must survive exactly.
   s.fit({{1.0, 5.0}, {3.0, 5.0}, {2.0, 5.0}});
-  std::stringstream ss;
-  nn::saveStandardizer(s, ss);
-  const auto restored = nn::loadStandardizer(ss);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->mean(), s.mean());
-  EXPECT_EQ(restored->std(), s.std());
+  const io::CheckpointReader r = encodeSection(
+      [&](io::SectionWriter& w) { io::writeStandardizer(w, s); });
+  nn::Standardizer restored;
+  io::SectionReader sr = r.section("s");
+  io::readStandardizer(sr, restored);
+  sr.expectEnd();
+  EXPECT_EQ(restored.mean(), s.mean());
+  EXPECT_EQ(restored.std(), s.std());
   // Transform parity on the degenerate column, bitwise.
-  EXPECT_EQ(restored->transform({2.5, 5.0}), s.transform({2.5, 5.0}));
+  EXPECT_EQ(restored.transform({2.5, 5.0}), s.transform({2.5, 5.0}));
 }
 
-TEST(NnSerialize, LoadMlpRejectsNonFiniteWeights) {
-  nn::Mlp net(nn::MlpConfig{{2, 4, 1}}, /*seed=*/3);
-  {
-    std::stringstream ok;
-    nn::saveMlp(net, ok);
-    ASSERT_TRUE(nn::loadMlp(ok).has_value());
+TEST(StateIo, MalformedPayloadsAreRejected) {
+  {  // Truncated: one byte where a network's layer list should be.
+    const io::CheckpointReader r =
+        encodeSection([](io::SectionWriter& w) { w.u8(7); });
+    io::SectionReader sr = r.section("s");
+    EXPECT_THROW(io::readMlp(sr), io::CheckpointError);
   }
-  linalg::Vector params = net.getParameters();
-  params[2] = std::numeric_limits<double>::quiet_NaN();
-  net.setParameters(params);
-  std::stringstream bad;
-  nn::saveMlp(net, bad);
-  EXPECT_FALSE(nn::loadMlp(bad).has_value());
-
-  params[2] = std::numeric_limits<double>::infinity();
-  net.setParameters(params);
-  std::stringstream worse;
-  nn::saveMlp(net, worse);
-  EXPECT_FALSE(nn::loadMlp(worse).has_value());
+  {  // A one-layer network.
+    const io::CheckpointReader r = encodeSection([](io::SectionWriter& w) {
+      w.indexVec({3});
+      w.u8(0);
+      w.u8(0);
+      w.vec({});
+    });
+    io::SectionReader sr = r.section("s");
+    EXPECT_THROW(io::readMlp(sr), io::CheckpointError);
+  }
+  {  // Adam moment vectors of different lengths.
+    const io::CheckpointReader r = encodeSection([](io::SectionWriter& w) {
+      w.i64(2);
+      w.vec({0.1, 0.2});
+      w.vec({0.3});
+    });
+    nn::AdamOptimizer opt(1e-3);
+    io::SectionReader sr = r.section("s");
+    EXPECT_THROW(io::readAdam(sr, opt), io::CheckpointError);
+  }
+  {  // Standardizer mean and std of different lengths.
+    const io::CheckpointReader r = encodeSection([](io::SectionWriter& w) {
+      w.vec({1.0, 2.0});
+      w.vec({1.0});
+    });
+    nn::Standardizer st;
+    io::SectionReader sr = r.section("s");
+    EXPECT_THROW(io::readStandardizer(sr, st), io::CheckpointError);
+  }
 }
 
 TEST(StateIo, EmptyAndLoadedSurrogateRoundTrip) {

@@ -15,7 +15,6 @@
 #include "core/local_explorer.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
-#include "eval/circuit_backend.hpp"
 #include "eval/eval_cache.hpp"
 #include "eval/eval_engine.hpp"
 #include "rl/sizing_env.hpp"
@@ -393,17 +392,14 @@ TEST(Registry, RejectsDuplicateEntries) {
   EXPECT_THROW(reg.add({"a", "bsim22", "", nullptr}), std::invalid_argument);
 }
 
-TEST(CircuitBackend, EvaluatesARegistryCircuitThroughTheEngine) {
-  const auto backend = std::make_shared<eval::CircuitBackend>("ico");
-  EXPECT_EQ(backend->name(), "circuit:ico_n5");
-  const core::SizingProblem& prob = backend->problem();
-  const core::ValueFunction value(prob.measurementNames, prob.specs);
-  eval::EvalEngine engine(
-      backend, prob.space, prob.corners,
-      [value](const core::EvalResult& r) {
-        return r.ok && value.satisfied(r.measurements);
-      },
-      {true, 1});
+TEST(Registry, CircuitEvaluatesThroughTheEngine) {
+  const core::SizingProblem prob =
+      circuits::Registry::global().makeProblem("ico");
+  eval::EvalEngine engine(prob, {true, 1});
+  EXPECT_EQ(engine.backend().name(), "problem:ico_n5");
+  // Registry problems ship the fused corner-batch evaluator.
+  EXPECT_EQ(engine.backend().batchWidth(),
+            static_cast<std::size_t>(sim::kSimLanes));
   const Vector human = circuits::Ico::humanReferenceSizing();
   const auto r = engine.evalOne(0, prob.space.snap(human),
                                 pvt::BlockKind::kSearch);
@@ -413,6 +409,67 @@ TEST(CircuitBackend, EvaluatesARegistryCircuitThroughTheEngine) {
   engine.evalOne(0, prob.space.snap(human), pvt::BlockKind::kVerify);
   EXPECT_EQ(engine.stats().simulated, 1u);
   EXPECT_EQ(engine.stats().cacheHits, 1u);
+}
+
+// ---------- CallbackBackend ----------
+
+TEST(CallbackBackend, OneSlotRunsScalarCallbackWiderRunsFused) {
+  std::size_t scalarCalls = 0;
+  std::vector<std::size_t> fusedCounts;
+  const auto model = [](const Vector& v, const sim::PvtCorner& c) {
+    core::EvalResult r;
+    r.ok = true;
+    r.measurements = {v[0] + c.tempC};
+    return r;
+  };
+  const core::CornerEvalFn scalar = [&](const Vector& v,
+                                        const sim::PvtCorner& c) {
+    ++scalarCalls;
+    return model(v, c);
+  };
+  const eval::CallbackBackend backend(
+      scalar, "probe",
+      [&](const Vector* const* sizes, const sim::PvtCorner* corners,
+          core::EvalResult* results, std::size_t count) {
+        fusedCounts.push_back(count);
+        for (std::size_t i = 0; i < count; ++i)
+          results[i] = model(*sizes[i], corners[i]);
+      });
+  EXPECT_EQ(backend.batchWidth(), static_cast<std::size_t>(sim::kSimLanes));
+
+  const Vector x = {0.25};
+  const std::vector<const Vector*> sizes(3, &x);
+  const std::vector<sim::PvtCorner> corners = {
+      {sim::ProcessCorner::kTT, 1.0, 27.0},
+      {sim::ProcessCorner::kSS, 1.0, 125.0},
+      {sim::ProcessCorner::kFF, 1.0, -40.0}};
+  const std::vector<eval::EvalContext> contexts(3);
+  std::vector<core::EvalResult> out(3);
+  const auto expectModel = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(out[i].measurements, model(x, corners[i]).measurements);
+  };
+
+  backend.evaluateBatch(sizes.data(), corners.data(), contexts.data(),
+                        out.data(), 1);
+  EXPECT_EQ(scalarCalls, 1u);
+  EXPECT_TRUE(fusedCounts.empty());
+  expectModel(1);
+
+  backend.evaluateBatch(sizes.data(), corners.data(), contexts.data(),
+                        out.data(), 3);
+  EXPECT_EQ(scalarCalls, 1u);
+  EXPECT_EQ(fusedCounts, std::vector<std::size_t>{3});
+  expectModel(3);
+
+  // Without a fused callback the backend is width 1 and every slot runs
+  // the scalar callback.
+  const eval::CallbackBackend scalarOnly(scalar, "scalar");
+  EXPECT_EQ(scalarOnly.batchWidth(), 1u);
+  scalarOnly.evaluateBatch(sizes.data(), corners.data(), contexts.data(),
+                           out.data(), 3);
+  EXPECT_EQ(scalarCalls, 4u);
+  expectModel(3);
 }
 
 }  // namespace

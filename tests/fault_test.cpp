@@ -46,21 +46,34 @@ core::SizingProblem faultGridProblem() {
   return p;
 }
 
-/// Backend that counts invocations (checks which fault classes skip the
+/// Backend that counts evaluated slots (checks which fault classes skip the
 /// inner simulator entirely).
 class CountingBackend final : public EvalBackend {
  public:
   std::string_view name() const override { return "counting"; }
-  core::EvalResult evaluate(const linalg::Vector&,
-                            const sim::PvtCorner&) const override {
-    ++calls;
-    core::EvalResult r;
-    r.ok = true;
-    r.measurements = {1.0, 2.0};
-    return r;
+  void evaluateBatch(const linalg::Vector* const*, const sim::PvtCorner*,
+                     const EvalContext*, core::EvalResult* results,
+                     std::size_t count) const override {
+    calls += count;
+    for (std::size_t i = 0; i < count; ++i) {
+      results[i] = core::EvalResult{};
+      results[i].ok = true;
+      results[i].measurements = {1.0, 2.0};
+    }
   }
   mutable std::atomic<std::size_t> calls{0};
 };
+
+/// One-slot call through a backend's only evaluation entry point.
+core::EvalResult evaluateOne(const EvalBackend& backend,
+                             const linalg::Vector& sizes,
+                             const sim::PvtCorner& corner,
+                             const EvalContext& context) {
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  backend.evaluateBatch(&slot, &corner, &context, &r, 1);
+  return r;
+}
 
 sim::FaultPlanConfig planConfig(std::uint64_t seed, double timeout,
                                 double nonconv, double nonfinite) {
@@ -133,7 +146,7 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
                       std::make_shared<const sim::FaultPlan>(
                           planConfig(1, 1.0, 0.0, 0.0)),
                       "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner, ctx);
+    const core::EvalResult r = evaluateOne(inj, sizes, corner, ctx);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.failure, sim::FaultClass::kTimeout);
     EXPECT_EQ(inner->calls, 0u);
@@ -144,7 +157,7 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
                       std::make_shared<const sim::FaultPlan>(
                           planConfig(1, 0.0, 1.0, 0.0)),
                       "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner, ctx);
+    const core::EvalResult r = evaluateOne(inj, sizes, corner, ctx);
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.failure, sim::FaultClass::kNonConvergence);
     EXPECT_EQ(inner->calls, 0u);
@@ -156,7 +169,7 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
                       std::make_shared<const sim::FaultPlan>(
                           planConfig(1, 0.0, 0.0, 1.0)),
                       "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner, ctx);
+    const core::EvalResult r = evaluateOne(inj, sizes, corner, ctx);
     EXPECT_EQ(inner->calls, 1u);
     EXPECT_TRUE(r.ok);
     EXPECT_EQ(r.failure, sim::FaultClass::kNone);
@@ -164,17 +177,6 @@ TEST(FaultInjector, SynthesizesEachClassDeterministically) {
     for (std::size_t i = 0; i < r.measurements.size(); ++i)
       sawNaN = sawNaN || std::isnan(r.measurements[i]);
     EXPECT_TRUE(sawNaN);
-  }
-  {  // Keyless calls bypass injection entirely.
-    auto inner = std::make_shared<CountingBackend>();
-    FaultInjector inj(inner,
-                      std::make_shared<const sim::FaultPlan>(
-                          planConfig(1, 1.0, 0.0, 0.0)),
-                      "amp");
-    const core::EvalResult r = inj.evaluate(sizes, corner);
-    EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.failure, sim::FaultClass::kNone);
-    EXPECT_EQ(inner->calls, 1u);
   }
   // Null arguments fail loudly.
   auto inner = std::make_shared<CountingBackend>();
@@ -322,8 +324,8 @@ TEST(EvalEngineFaults, BatchSurfacesFailuresInTheirSlots) {
 }
 
 /// faultGridProblem plus a corner-batch evaluator (slot i = scalar evaluate
-/// of corner i), so the engine's batchedSim dispatch — and the
-/// FaultInjector's evaluateBatch override — actually engage.
+/// of corner i), so its engine's backend is 4 lanes wide and the
+/// FaultInjector forwards multi-lane chunks.
 core::SizingProblem faultGridBatchProblem() {
   core::SizingProblem p = faultGridProblem();
   const core::CornerEvalFn scalar = p.evaluate;
@@ -338,21 +340,22 @@ core::SizingProblem faultGridBatchProblem() {
 
 TEST(EvalEngineFaults, BatchedDispatchDrawsIdenticalFaultSlots) {
   // The fault identity tuple is (scope, snapped indices, corner, attempt) —
-  // nothing about dispatch shape. So with the same plan, a batched engine
-  // must fault on exactly the same (sizing, corner, attempt) slots as the
-  // scalar engine: same per-slot results, same ledger rows (retries and
-  // backoff included), same fault counters, for any thread count.
+  // nothing about dispatch shape. So with the same plan, an engine over a
+  // width-4 backend must fault on exactly the same (sizing, corner, attempt)
+  // slots as one over a width-1 backend: same per-slot results, same ledger
+  // rows (retries and backoff included), same fault counters, for any
+  // thread count.
   const core::SizingProblem problem = faultGridBatchProblem();
+  const core::SizingProblem scalarProblem = faultGridProblem();
   const std::vector<std::size_t> allCorners = {0, 1, 2};
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    EvalEngineConfig scalarCfg{/*cacheEvals=*/false, threads,
-                               /*recordLedger=*/true, /*batchedSim=*/false};
-    EvalEngineConfig batchCfg{/*cacheEvals=*/false, threads,
-                              /*recordLedger=*/true, /*batchedSim=*/true};
-    scalarCfg.retry.maxAttempts = 3;
-    batchCfg.retry.maxAttempts = 3;
-    EvalEngine scalarEngine(problem, scalarCfg);
-    EvalEngine batchEngine(problem, batchCfg);
+    EvalEngineConfig cfg{/*cacheEvals=*/false, threads,
+                         /*recordLedger=*/true};
+    cfg.retry.maxAttempts = 3;
+    EvalEngine scalarEngine(scalarProblem, cfg);
+    EvalEngine batchEngine(problem, cfg);
+    ASSERT_EQ(scalarEngine.backend().batchWidth(), 1u);
+    ASSERT_EQ(batchEngine.backend().batchWidth(), 4u);
     const auto plan = std::make_shared<const sim::FaultPlan>(
         planConfig(101, 0.15, 0.25, 0.15));
     scalarEngine.injectFaults(plan, problem.name);

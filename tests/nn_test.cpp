@@ -2,14 +2,12 @@
 
 #include <cmath>
 #include <random>
-#include <sstream>
 
 #include "nn/distribution.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/scaler.hpp"
-#include "nn/serialize.hpp"
 
 namespace trdse::nn {
 namespace {
@@ -225,47 +223,6 @@ TEST(Scaler, DegenerateDimension) {
   const linalg::Vector z = s.transform({5.0, 1.5});
   EXPECT_NEAR(z[0], 0.0, 1e-12);  // centred, unscaled
   EXPECT_FALSE(std::isnan(z[1]));
-}
-
-TEST(Serialize, MlpRoundTrip) {
-  Mlp net(smallConfig(), 77);
-  std::stringstream ss;
-  saveMlp(net, ss);
-  const auto loaded = loadMlp(ss);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->getParameters(), net.getParameters());
-  EXPECT_EQ(loaded->config().layerSizes, net.config().layerSizes);
-  // Same predictions.
-  const linalg::Vector x = {0.1, -0.2, 0.3};
-  const linalg::Vector a = net.predict(x);
-  const linalg::Vector b = loaded->predict(x);
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
-}
-
-TEST(Serialize, RejectsGarbage) {
-  std::stringstream ss;
-  ss << "not a model";
-  EXPECT_FALSE(loadMlp(ss).has_value());
-}
-
-TEST(Serialize, StandardizerRoundTrip) {
-  Standardizer s;
-  s.fit({{1.0, -5.0}, {2.0, 5.0}});
-  std::stringstream ss;
-  saveStandardizer(s, ss);
-  const auto loaded = loadStandardizer(ss);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->mean(), s.mean());
-  EXPECT_EQ(loaded->std(), s.std());
-}
-
-TEST(Serialize, FileRoundTrip) {
-  Mlp net(smallConfig(), 5);
-  const std::string path = ::testing::TempDir() + "/mlp_roundtrip.bin";
-  ASSERT_TRUE(saveMlpToFile(net, path));
-  const auto loaded = loadMlpFromFile(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->getParameters(), net.getParameters());
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Parity and determinism tests for the batched multi-env RL training engine:
 // the segment softmax kernels, the row-batched joint log-prob/entropy/KL
-// helpers, per-sample vs batched A2C/PPO/TRPO updates (asserted *bitwise*
-// with EXPECT_EQ, not within a tolerance), end-to-end trainer parity, and
-// thread-count invariance of parallel rollout collection.
+// helpers, the batched A2C/PPO/TRPO updates against test-local per-sample
+// references (asserted *bitwise* with EXPECT_EQ, not within a tolerance),
+// and thread-count invariance of parallel rollout collection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <random>
 
 #include "nn/distribution.hpp"
@@ -66,12 +68,19 @@ TEST(ActorCriticBatch, JointRowOpsMatchScalarBitwise) {
     for (auto& v : a) v = act(rng);
   }
 
-  const Vector lps = jointLogProbRows(logits, actions, kApH);
+  // The tables the trainers build once per pass and share across helpers.
+  Matrix sm, lsm, oldSm, oldLsm;
+  nn::softmaxSegments(logits, kApH, sm);
+  nn::logSoftmaxSegments(logits, kApH, lsm);
+  nn::softmaxSegments(oldLogits, kApH, oldSm);
+  nn::logSoftmaxSegments(oldLogits, kApH, oldLsm);
+  Vector lps;
   Matrix lpg, entg, klg;
-  jointLogProbGradRows(logits, actions, kApH, lpg);
-  jointEntropyGradRows(logits, kApH, entg);
-  jointKlGradRows(oldLogits, logits, kApH, klg);
-  const double klSum = sumJointKlRows(oldLogits, logits, kApH);
+  jointLogProbRowsFromTable(lsm, actions, kApH, lps);
+  jointLogProbGradRowsFromTable(sm, actions, kApH, lpg);
+  jointEntropyGradRowsFromTable(lsm, kApH, entg);
+  jointKlGradRowsFromTables(oldSm, sm, klg);
+  const double klSum = sumJointKlRowsFromTables(oldLsm, lsm, kApH);
 
   double refKlSum = 0.0;
   for (std::size_t r = 0; r < n; ++r) {
@@ -91,7 +100,221 @@ TEST(ActorCriticBatch, JointRowOpsMatchScalarBitwise) {
   EXPECT_EQ(klSum, refKlSum);
 }
 
-// ---------- update parity: per-sample vs batched, bitwise ----------
+// ---------- update parity: batched vs per-sample references, bitwise ----------
+//
+// The trainers run only the batched updates. The loops below are their
+// references: one Mlp::forward/backward per rollout row on top of the
+// per-sample joint* helpers, in the association order the batched kernels
+// must reproduce.
+
+/// One synchronous A2C gradient step, sample by sample.
+void a2cUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
+                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                        const FlatRollout& data, const A2cConfig& cfg) {
+  const std::size_t n = data.size();
+  if (n == 0) return;
+  const std::size_t obsDim = data.observations.cols();
+  policy.zeroGrad();
+  critic.zeroGrad();
+  const double invN = 1.0 / static_cast<double>(n);
+  Vector obs(obsDim);
+  for (std::size_t i = 0; i < n; ++i) {
+    obs.assign(data.observations.row(i), data.observations.row(i) + obsDim);
+    // Policy: maximize A*logpi + beta*H  ->  descend on its negation.
+    const Vector logits = policy.forward(obs);
+    Vector g = jointLogProbGrad(logits, data.actions[i], kApH);
+    const Vector eg = jointEntropyGrad(logits, kApH);
+    for (std::size_t k = 0; k < g.size(); ++k)
+      g[k] = -(data.advantages[i] * g[k] + cfg.entropyCoeff * eg[k]) * invN;
+    policy.backward(g);
+
+    // Critic: MSE to the GAE return.
+    const Vector vp = critic.forward(obs);
+    critic.backward({2.0 * (vp[0] - data.returns[i]) * invN});
+  }
+  nn::clipGradNorm(policy, cfg.maxGradNorm);
+  nn::clipGradNorm(critic, cfg.maxGradNorm);
+  policyOpt.step(policy);
+  criticOpt.step(critic);
+}
+
+/// All PPO epochs/mini-batches for one rollout, sample by sample; `rng`
+/// drives the mini-batch shuffles.
+void ppoUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
+                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                        const FlatRollout& data, const PpoConfig& cfg,
+                        std::mt19937_64& rng) {
+  const std::size_t n = data.size();
+  if (n == 0) return;
+  const std::size_t obsDim = data.observations.cols();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  Vector obs(obsDim);
+  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    std::shuffle(order.begin(), order.end(), rng);
+    for (std::size_t start = 0; start < order.size(); start += cfg.minibatch) {
+      const std::size_t end = std::min(order.size(), start + cfg.minibatch);
+      const double invB = 1.0 / static_cast<double>(end - start);
+      policy.zeroGrad();
+      critic.zeroGrad();
+      for (std::size_t k = start; k < end; ++k) {
+        const std::size_t i = order[k];
+        obs.assign(data.observations.row(i),
+                   data.observations.row(i) + obsDim);
+        const double advantage = data.advantages[i];
+
+        const Vector logits = policy.forward(obs);
+        const double newLp = jointLogProb(logits, data.actions[i], kApH);
+        const double ratio = std::exp(newLp - data.logProbs[i]);
+        // Clipped surrogate: gradient flows only when unclipped term is
+        // the active minimum.
+        const bool clipped =
+            (advantage > 0.0 && ratio > 1.0 + cfg.clipRatio) ||
+            (advantage < 0.0 && ratio < 1.0 - cfg.clipRatio);
+        Vector g(logits.size(), 0.0);
+        if (!clipped) {
+          g = jointLogProbGrad(logits, data.actions[i], kApH);
+          for (double& gv : g) gv *= ratio * advantage;
+        }
+        const Vector eg = jointEntropyGrad(logits, kApH);
+        for (std::size_t j = 0; j < g.size(); ++j)
+          g[j] = -(g[j] + cfg.entropyCoeff * eg[j]) * invB;
+        policy.backward(g);
+
+        const Vector vp = critic.forward(obs);
+        critic.backward({2.0 * (vp[0] - data.returns[i]) * invB});
+      }
+      nn::clipGradNorm(policy, cfg.maxGradNorm);
+      nn::clipGradNorm(critic, cfg.maxGradNorm);
+      policyOpt.step(policy);
+      criticOpt.step(critic);
+    }
+  }
+}
+
+Vector obsRow(const FlatRollout& data, std::size_t i) {
+  const double* r = data.observations.row(i);
+  return Vector(r, r + data.observations.cols());
+}
+
+/// Mean gradient of the TRPO surrogate E[ratio * A] at theta_old.
+Vector trpoSurrogateGradReference(nn::Mlp& policy, const FlatRollout& data) {
+  policy.zeroGrad();
+  const double invN = 1.0 / static_cast<double>(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const Vector logits = policy.forward(obsRow(data, i));
+    Vector g = jointLogProbGrad(logits, data.actions[i], kApH);
+    // exp(newLp - oldLp) == 1 at theta_old; gradient of ratio*A is A*dlogpi.
+    for (double& gv : g) gv *= data.advantages[i] * invN;
+    policy.backward(g);
+  }
+  return policy.getGradients();
+}
+
+/// Mean gradient of KL(old || current) over the rollout states.
+Vector trpoKlGradReference(nn::Mlp& policy, const FlatRollout& data,
+                           const std::vector<Vector>& oldLogits) {
+  policy.zeroGrad();
+  const double invN = 1.0 / static_cast<double>(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const Vector logits = policy.forward(obsRow(data, i));
+    Vector g = jointKlGrad(oldLogits[i], logits, kApH);
+    for (double& gv : g) gv *= invN;
+    policy.backward(g);
+  }
+  return policy.getGradients();
+}
+
+double trpoMeanKlReference(const nn::Mlp& policy, const FlatRollout& data,
+                           const std::vector<Vector>& oldLogits) {
+  double kl = 0.0;
+  for (std::size_t i = 0; i < data.size(); ++i)
+    kl += jointKl(oldLogits[i], policy.predict(obsRow(data, i)), kApH);
+  return kl / static_cast<double>(data.size());
+}
+
+double trpoSurrogateReference(const nn::Mlp& policy, const FlatRollout& data) {
+  double s = 0.0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const double lp =
+        jointLogProb(policy.predict(obsRow(data, i)), data.actions[i], kApH);
+    s += std::exp(lp - data.logProbs[i]) * data.advantages[i];
+  }
+  return s / static_cast<double>(data.size());
+}
+
+/// One full TRPO update with every rollout-wide pass run sample by sample:
+/// the same CG solve, line search and critic regression as trpoUpdate.
+bool trpoUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
+                         nn::Optimizer& criticOpt, const FlatRollout& data,
+                         const TrpoConfig& cfg) {
+  if (data.size() == 0) return false;
+  std::vector<Vector> oldLogits;
+  for (std::size_t i = 0; i < data.size(); ++i)
+    oldLogits.push_back(policy.predict(obsRow(data, i)));
+
+  const Vector g = trpoSurrogateGradReference(policy, data);
+  if (linalg::norm2(g) < 1e-10) return false;
+
+  const Vector theta0 = policy.getParameters();
+  auto fvp = [&](const Vector& v) {
+    constexpr double kEps = 1e-5;
+    const double vNorm = linalg::norm2(v);
+    if (vNorm < 1e-12) return linalg::scaled(v, cfg.cgDamping);
+    policy.setParameters(theta0);
+    policy.addToParameters(v, kEps / vNorm);
+    Vector gk = trpoKlGradReference(policy, data, oldLogits);
+    policy.setParameters(theta0);
+    for (double& x : gk) x *= vNorm / kEps;
+    linalg::axpy(cfg.cgDamping, v, gk);
+    return gk;
+  };
+
+  Vector x(g.size(), 0.0);
+  Vector r = g;
+  Vector p = g;
+  double rsOld = linalg::dot(r, r);
+  for (std::size_t it = 0; it < cfg.cgIterations && rsOld > 1e-12; ++it) {
+    const Vector fp = fvp(p);
+    const double alpha = rsOld / std::max(1e-12, linalg::dot(p, fp));
+    linalg::axpy(alpha, p, x);
+    linalg::axpy(-alpha, fp, r);
+    const double rsNew = linalg::dot(r, r);
+    const double beta = rsNew / rsOld;
+    for (std::size_t i = 0; i < p.size(); ++i) p[i] = r[i] + beta * p[i];
+    rsOld = rsNew;
+  }
+
+  const double xFx = linalg::dot(x, fvp(x));
+  if (xFx <= 1e-12) return false;
+  const double stepScale = std::sqrt(2.0 * cfg.maxKl / xFx);
+
+  const double surrogate0 = trpoSurrogateReference(policy, data);
+  double frac = 1.0;
+  bool accepted = false;
+  for (std::size_t ls = 0; ls < cfg.lineSearchSteps; ++ls, frac *= 0.5) {
+    policy.setParameters(theta0);
+    policy.addToParameters(x, stepScale * frac);
+    const double kl = trpoMeanKlReference(policy, data, oldLogits);
+    const double surr = trpoSurrogateReference(policy, data);
+    if (kl <= cfg.maxKl * 1.5 && surr > surrogate0) {
+      accepted = true;
+      break;
+    }
+  }
+  if (!accepted) policy.setParameters(theta0);
+
+  for (std::size_t e = 0; e < cfg.valueEpochs; ++e) {
+    critic.zeroGrad();
+    const double invN = 1.0 / static_cast<double>(data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const Vector vp = critic.forward(obsRow(data, i));
+      critic.backward({2.0 * (vp[0] - data.returns[i]) * invN});
+    }
+    criticOpt.step(critic);
+  }
+  return accepted;
+}
 
 /// Synthetic flattened rollout with the statistics the updates expect
 /// (normalized advantages, behavior log-probs near the policy's own).
@@ -144,7 +367,7 @@ TEST(RlUpdateParity, A2cBatchedMatchesPerSampleBitwise) {
   nn::AdamOptimizer coA(cfg.valueLearningRate), coB(cfg.valueLearningRate);
 
   for (int step = 0; step < 4; ++step) {
-    a2cUpdatePerSample(policyA, criticA, poA, coA, data, cfg);
+    a2cUpdateReference(policyA, criticA, poA, coA, data, cfg);
     a2cUpdateBatched(policyB, criticB, poB, coB, data, cfg);
   }
   expectParamsBitwiseEqual(policyA, policyB);
@@ -171,7 +394,7 @@ TEST(RlUpdateParity, PpoBatchedMatchesPerSampleBitwise) {
   std::mt19937_64 rngB(55);
 
   for (int round = 0; round < 2; ++round) {
-    ppoUpdatePerSample(policyA, criticA, poA, coA, data, cfg, rngA);
+    ppoUpdateReference(policyA, criticA, poA, coA, data, cfg, rngA);
     ppoUpdateBatched(policyB, criticB, poB, coB, data, cfg, rngB);
   }
   EXPECT_EQ(rngA, rngB);  // both paths consumed the shuffle stream equally
@@ -193,15 +416,13 @@ TEST(RlUpdateParity, TrpoBatchedMatchesPerSampleBitwise) {
   nn::AdamOptimizer coA(cfg.valueLearningRate), coB(cfg.valueLearningRate);
 
   for (int round = 0; round < 2; ++round) {
-    const bool accA = trpoUpdate(policyA, criticA, coA, data, cfg, false);
-    const bool accB = trpoUpdate(policyB, criticB, coB, data, cfg, true);
+    const bool accA = trpoUpdateReference(policyA, criticA, coA, data, cfg);
+    const bool accB = trpoUpdate(policyB, criticB, coB, data, cfg);
     EXPECT_EQ(accA, accB);
   }
   expectParamsBitwiseEqual(policyA, policyB);
   expectParamsBitwiseEqual(criticA, criticB);
 }
-
-// ---------- end-to-end trainer parity ----------
 
 /// 1-D toy problem: feasible band around x = 0.8.
 core::SizingProblem bandProblem() {
@@ -225,36 +446,6 @@ void expectOutcomesEqual(const RlTrainOutcome& a, const RlTrainOutcome& b) {
   EXPECT_EQ(a.totalSimulations, b.totalSimulations);
   EXPECT_EQ(a.simulationsToSolve, b.simulationsToSolve);
   EXPECT_EQ(a.bestEpisodeReturn, b.bestEpisodeReturn);
-}
-
-TEST(TrainerParity, SeededRunsAreIdenticalAcrossUpdatePaths) {
-  const auto prob = bandProblem();
-  {
-    A2cConfig a, b;
-    a.seed = b.seed = 3;
-    a.env.episodeLength = b.env.episodeLength = 20;
-    a.batchedTraining = false;
-    b.batchedTraining = true;
-    expectOutcomesEqual(trainA2c(prob, a, 500), trainA2c(prob, b, 500));
-  }
-  {
-    PpoConfig a, b;
-    a.seed = b.seed = 3;
-    a.horizon = b.horizon = 48;
-    a.env.episodeLength = b.env.episodeLength = 20;
-    a.batchedTraining = false;
-    b.batchedTraining = true;
-    expectOutcomesEqual(trainPpo(prob, a, 500), trainPpo(prob, b, 500));
-  }
-  {
-    TrpoConfig a, b;
-    a.seed = b.seed = 3;
-    a.horizon = b.horizon = 48;
-    a.env.episodeLength = b.env.episodeLength = 20;
-    a.batchedTraining = false;
-    b.batchedTraining = true;
-    expectOutcomesEqual(trainTrpo(prob, a, 500), trainTrpo(prob, b, 500));
-  }
 }
 
 // ---------- parallel rollout collection ----------

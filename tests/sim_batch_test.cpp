@@ -1,5 +1,6 @@
 // Differential + property harness locking the scalar<->batched simulator
-// equivalence (sim/op_batch.hpp and the EvalEngine batchedSim dispatch).
+// equivalence (sim/op_batch.hpp, and the EvalEngine's lane-batched dispatch
+// against a width-1 scalar backend).
 //
 // Every numeric comparison here is on the *bit pattern* of the doubles, not
 // an epsilon: the batched backend's contract is that lane l reproduces the
@@ -419,12 +420,21 @@ std::vector<linalg::Vector> probeSizings(const core::DesignSpace& space,
   return out;
 }
 
+/// The problem without its fused corner-batch evaluator: its engine's
+/// CallbackBackend is 1 lane wide, so every miss runs the scalar evaluator —
+/// the reference the lane-batched dispatch is compared against.
+core::SizingProblem scalarOnly(core::SizingProblem p) {
+  p.evaluateBatch = {};
+  return p;
+}
+
 TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
   // The acceptance bar of the batched backend: for every registry circuit,
   // every corner of the nine-corner sign-off set, and every thread count,
-  // the engine with batchedSim on returns byte-identical results, ledger,
-  // and stats (minus wall-clock) to the scalar engine. Caching is off so
-  // every request actually exercises the backend dispatch under test.
+  // the engine over the lane-batched backend returns byte-identical
+  // results, ledger, and stats (minus wall-clock) to the engine over the
+  // width-1 scalar backend. Caching is off so every request actually
+  // exercises the backend dispatch under test.
   const auto& reg = circuits::Registry::global();
   for (const auto& name : reg.names()) {
     const auto nominal = reg.makeProblem(name);
@@ -437,12 +447,10 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
     const auto sizings = probeSizings(problem.space, 2);
 
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      EvalEngineConfig scalarCfg{/*cacheEvals=*/false, threads,
-                                 /*recordLedger=*/true, /*batchedSim=*/false};
-      EvalEngineConfig batchCfg{/*cacheEvals=*/false, threads,
-                                /*recordLedger=*/true, /*batchedSim=*/true};
-      EvalEngine scalarEngine(problem, scalarCfg);
-      EvalEngine batchEngine(problem, batchCfg);
+      const EvalEngineConfig cfg{/*cacheEvals=*/false, threads,
+                                 /*recordLedger=*/true};
+      EvalEngine scalarEngine(scalarOnly(problem), cfg);
+      EvalEngine batchEngine(problem, cfg);
       for (const auto& v : sizings) {
         const auto rs = scalarEngine.evalBatch(cornerIdx, v,
                                                pvt::BlockKind::kSearch);
@@ -499,10 +507,8 @@ TEST(EvalEngineBatch, OddBatchSizesAndRepeatsStayBitwiseIdentical) {
   for (const std::size_t n : {1u, 3u, 5u, 9u}) {
     std::vector<std::size_t> cornerIdx(n);
     for (std::size_t i = 0; i < n; ++i) cornerIdx[i] = i % 9;
-    EvalEngine scalarEngine(
-        problem, EvalEngineConfig{true, 1, true, /*batchedSim=*/false});
-    EvalEngine batchEngine(
-        problem, EvalEngineConfig{true, 1, true, /*batchedSim=*/true});
+    EvalEngine scalarEngine(scalarOnly(problem), EvalEngineConfig{true, 1});
+    EvalEngine batchEngine(problem, EvalEngineConfig{true, 1});
     const auto rs =
         scalarEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
     const auto rb =
@@ -616,7 +622,7 @@ TEST(EvalEnginePacked, PackedSweepMatchesPerRequestBatches) {
 
   for (const std::size_t threads : {1u, 2u, 4u}) {
     const EvalEngineConfig cfg{/*cacheEvals=*/true, threads,
-                               /*recordLedger=*/true, /*batchedSim=*/true};
+                               /*recordLedger=*/true};
     EvalEngine packed(problem, cfg);
     EvalEngine sequential(problem, cfg);
 
@@ -662,50 +668,25 @@ TEST(EvalEnginePacked, PackedSweepMatchesPerRequestBatches) {
   }
 }
 
-/// Deterministic synthetic backend that records how the engine shaped its
-/// dispatch: every evaluateBatch chunk size in call order, plus the number
-/// of scalar calls. Results are a pure function of (sizes[0], corner) so
-/// the batched and scalar paths are trivially bitwise identical.
-class ChunkRecordingBackend final : public EvalBackend {
- public:
-  std::string_view name() const override { return "chunk-recording"; }
-
-  core::EvalResult evaluate(const linalg::Vector& sizes,
-                            const sim::PvtCorner& corner) const override {
-    ++scalarCalls;
-    return make(sizes, corner);
-  }
-
-  std::size_t batchWidth() const override { return 4; }
-
-  void evaluateBatch(const linalg::Vector* const* sizes,
-                     const sim::PvtCorner* corners, const EvalContext*,
-                     core::EvalResult* results,
-                     std::size_t count) const override {
-    chunkSizes.push_back(count);
-    for (std::size_t i = 0; i < count; ++i)
-      results[i] = make(*sizes[i], corners[i]);
-  }
-
-  static core::EvalResult make(const linalg::Vector& sizes,
-                               const sim::PvtCorner& corner) {
-    core::EvalResult r;
-    r.ok = true;
-    r.measurements = linalg::Vector(1);
-    r.measurements[0] = sizes[0] + 1e3 * corner.vdd + corner.tempC;
-    return r;
-  }
-
-  mutable std::size_t scalarCalls = 0;
-  mutable std::vector<std::size_t> chunkSizes;
-};
+/// Deterministic synthetic model whose result is a pure function of
+/// (sizes[0], corner), so the fused and scalar callbacks are trivially
+/// bitwise identical.
+core::EvalResult chunkModel(const linalg::Vector& sizes,
+                            const sim::PvtCorner& corner) {
+  core::EvalResult r;
+  r.ok = true;
+  r.measurements = linalg::Vector(1);
+  r.measurements[0] = sizes[0] + 1e3 * corner.vdd + corner.tempC;
+  return r;
+}
 
 TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
-  // The tail rule: a trailing chunk of exactly one miss runs through the
-  // scalar path (same bits by the batch contract, one lane's cost instead
-  // of a whole batch); tails of 2..width-1 stay batched. Verified against
-  // the recorded dispatch shape for every remainder class of width 4, with
-  // results identical to a batched-off engine.
+  // The engine cuts its misses into consecutive chunks of the backend's
+  // width, and CallbackBackend runs a one-slot chunk through the scalar
+  // callback (same bits by the batch contract, one lane's cost instead of a
+  // whole batch); tails of 2..width-1 stay fused. Verified against the
+  // recorded dispatch shape for every remainder class of width 4, with
+  // results identical to an engine over the scalar callback alone.
   const auto problem = circuits::Registry::global().makeProblem(
       "two_stage_opamp", pvt::nineCornerSet(1.1));
   struct Case {
@@ -721,15 +702,28 @@ TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
       {9, {4, 4}, 1},    // two chunks + scalar tail
   };
   for (const Case& c : cases) {
-    auto backend = std::make_shared<ChunkRecordingBackend>();
-    auto scalarBackend = std::make_shared<ChunkRecordingBackend>();
+    std::size_t scalarCalls = 0;
+    std::vector<std::size_t> chunkSizes;
+    const auto backend = std::make_shared<CallbackBackend>(
+        [&](const linalg::Vector& sizes, const sim::PvtCorner& corner) {
+          ++scalarCalls;
+          return chunkModel(sizes, corner);
+        },
+        "chunk-recording",
+        [&](const linalg::Vector* const* sizes, const sim::PvtCorner* corners,
+            core::EvalResult* results, std::size_t count) {
+          chunkSizes.push_back(count);
+          for (std::size_t i = 0; i < count; ++i)
+            results[i] = chunkModel(*sizes[i], corners[i]);
+        },
+        /*batchWidth=*/4);
     // threads=1 keeps chunk completion in submission order so the recorded
     // shape is deterministic; cache off so every request is a miss.
     EvalEngine engine(backend, problem.space, problem.corners, {},
-                      EvalEngineConfig{false, 1, true, /*batchedSim=*/true});
-    EvalEngine scalarEngine(
-        scalarBackend, problem.space, problem.corners, {},
-        EvalEngineConfig{false, 1, true, /*batchedSim=*/false});
+                      EvalEngineConfig{false, 1});
+    EvalEngine scalarEngine(std::make_shared<CallbackBackend>(chunkModel),
+                            problem.space, problem.corners, {},
+                            EvalEngineConfig{false, 1});
     std::vector<std::size_t> cornerIdx(c.requests);
     for (std::size_t i = 0; i < c.requests; ++i) cornerIdx[i] = i % 9;
     const auto sizing = probeSizings(problem.space, 1)[0];
@@ -738,9 +732,9 @@ TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
     const auto want =
         scalarEngine.evalBatch(cornerIdx, sizing, pvt::BlockKind::kSearch);
 
-    EXPECT_EQ(backend->chunkSizes, c.wantChunks)
+    EXPECT_EQ(chunkSizes, c.wantChunks)
         << c.requests << " requests: unexpected batch chunking";
-    EXPECT_EQ(backend->scalarCalls, c.wantScalar)
+    EXPECT_EQ(scalarCalls, c.wantScalar)
         << c.requests << " requests: unexpected scalar-call count";
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
