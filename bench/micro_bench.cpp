@@ -176,8 +176,12 @@ void BM_SurrogateEpoch(benchmark::State& state) {
   nn::Mlp net(cfg, 3);
   nn::AdamOptimizer opt(3e-3);
   nn::TrainWorkspace ws;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(nn::trainEpochMse(net, opt, xs, ys, 16, rng, ws));
+  std::vector<std::size_t> order(xs.rows());
+  for (auto _ : state) {
+    nn::drawEpochOrder(rng, order);
+    benchmark::DoNotOptimize(
+        nn::trainEpochMse(net, opt, xs, ys, 16, order, ws));
+  }
 }
 BENCHMARK(BM_SurrogateEpoch);
 
@@ -237,8 +241,9 @@ void BM_SurrogateScoreBatch(benchmark::State& state) {
   const core::SpiceSurrogate sur = makeTrainedSurrogate(rng);
   const linalg::Matrix block = makeCandidateBlock(rng);
   linalg::Matrix preds;
+  core::SpiceSurrogate::PredictWorkspace ws;
   for (auto _ : state) {
-    sur.predictBatch(block, preds);
+    sur.predictBatch(block, preds, ws);
     benchmark::DoNotOptimize(preds.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -248,15 +253,18 @@ BENCHMARK(BM_SurrogateScoreBatch);
 
 // The other half of a planning step: drawing the 800 trust-region
 // candidates and snapping each onto the opamp's grid (seven of its nine
-// variables are log-scale) as unit-space rows, ready for predictBatch.
+// variables are log-scale) as unit-space rows, ready for predictBatch — a
+// plan with no surrogate to score on, inline.
 void BM_PlanCandidates(benchmark::State& state) {
   const auto space = circuits::TwoStageOpamp::designSpace(sim::bsim45Card());
+  const core::ValueFunction value({}, {});
   const linalg::Vector center(space.dim(), 0.5);
   std::mt19937_64 rng(17);
-  linalg::Matrix block;
+  core::CandidatePlanner planner;
   for (auto _ : state) {
-    core::drawCandidates(space, center, 0.08, kPlanBatch, rng, block);
-    benchmark::DoNotOptimize(block.data());
+    benchmark::DoNotOptimize(planner.plan(space, value, {}, center, 0.08,
+                                          kPlanBatch, rng, nullptr));
+    benchmark::DoNotOptimize(planner.candidates().data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kPlanBatch);

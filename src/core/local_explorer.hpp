@@ -14,6 +14,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <span>
 
 #include "core/local_dataset.hpp"
 #include "core/problem.hpp"
@@ -21,6 +22,10 @@
 #include "core/trust_region.hpp"
 #include "core/value.hpp"
 #include "eval/eval_engine.hpp"
+
+namespace trdse::common {
+class ThreadPool;
+}  // namespace trdse::common
 
 namespace trdse::core {
 
@@ -66,15 +71,51 @@ struct LocalExplorerConfig {
 /// LocalExplorerConfig::cacheEvals.
 using EvalFn = std::function<EvalResult(const linalg::Vector& sizes)>;
 
-/// Algorithm 1 line 10's candidate block, shared by LocalExplorer and
-/// PvtSearch: `count` uniform draws in the infinity-norm ball of `radius`
-/// around `centerUnit`, clamped to the unit cube, snapped onto the grid and
-/// written back in unit coordinates as the rows of `out` (resized). Draws
-/// are candidate-major, dimension-minor. Row s equals the per-sample draw
-/// `toUnit(fromUnitSnapped(clamp(center + radius * unif)))` bitwise.
-void drawCandidates(const DesignSpace& space, const linalg::Vector& centerUnit,
-                    double radius, std::size_t count, std::mt19937_64& rng,
-                    linalg::Matrix& out);
+/// Algorithm 1 line 10, the one planner behind LocalExplorer and PvtSearch:
+/// Monte Carlo candidates in the trust region, scored on one or more
+/// surrogates, keeping the candidate whose lowest planner score across them
+/// is highest (the paper's "lowest expected value" rule for a PVT pool).
+///
+/// A plan draws its uniforms serially from the caller's rng, then snaps and
+/// scores the block in row chunks — concurrently when given a pool. Chunks
+/// start at multiples of linalg::kGemmRowTile and each has its own scratch,
+/// per-candidate scores reduce by min in surrogate order, and the pick is a
+/// serial first-best scan, so the result is bitwise the same for any pool.
+class CandidatePlanner {
+ public:
+  /// Draw `count` candidates uniformly in the infinity-norm ball of `radius`
+  /// around `centerUnit` (candidate-major, dimension-minor), clamp each to
+  /// the unit cube and snap it onto the grid, so the planned point is the
+  /// simulated point: row s equals the per-sample draw
+  /// `toUnit(fromUnitSnapped(clamp(center + radius * unif)))` bitwise. Score
+  /// row s as the min over `surrogates` of value.plannerScore(prediction)
+  /// (+inf with no surrogates). Returns the first row with the highest
+  /// finite score, or `count` when none scored. `pool` (may be null: inline)
+  /// runs the chunks; on a pool of N threads the block splits into N chunks.
+  std::size_t plan(const DesignSpace& space, const ValueFunction& value,
+                   std::span<const SpiceSurrogate* const> surrogates,
+                   const linalg::Vector& centerUnit, double radius,
+                   std::size_t count, std::mt19937_64& rng,
+                   common::ThreadPool* pool);
+
+  /// The last plan's snapped candidates, one unit-space row each.
+  const linalg::Matrix& candidates() const { return cand_; }
+  /// The last plan's per-candidate scores (min over the surrogates).
+  const std::vector<double>& scores() const { return scores_; }
+
+ private:
+  /// One row chunk's scratch: its candidates, their predictions, and the
+  /// surrogate workspace — never shared between concurrent chunks.
+  struct Chunk {
+    linalg::Matrix x;
+    linalg::Matrix pred;
+    SpiceSurrogate::PredictWorkspace ws;
+  };
+
+  linalg::Matrix cand_;
+  std::vector<double> scores_;
+  std::vector<Chunk> chunks_;
+};
 
 /// Step-by-step telemetry of one search run (Fig. 3's raw material).
 struct SearchTrace {
@@ -134,12 +175,6 @@ class LocalExplorer {
   /// Load the samples near `centerUnit` into the surrogate and train.
   void trainLocal(const linalg::Vector& centerUnit, double radius);
 
-  /// Algorithm 1 line 10: sample mcSamples candidates in the trust region,
-  /// score them in one batched surrogate pass, return the best unit-space
-  /// point and its model score. `bestUnit` stays empty when nothing scored.
-  void planCandidates(const linalg::Vector& centerUnit, double radius,
-                      linalg::Vector& bestUnit, double& bestModelValue);
-
   DesignSpace space_;
   ValueFunction value_;
   LocalExplorerConfig config_;
@@ -150,9 +185,7 @@ class LocalExplorer {
   std::mt19937_64 rng_;
   LocalDataset data_;  ///< all successful samples (unit space + measurements)
 
-  // Planning scratch, reused across TRM steps (capacity persists).
-  linalg::Matrix candBuf_;   ///< mcSamples × dim candidate block
-  linalg::Matrix predBuf_;   ///< mcSamples × measDim batched predictions
+  CandidatePlanner planner_;  ///< line 10; scratch reused across TRM steps
 };
 
 }  // namespace trdse::core

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 #include "pvt/corners.hpp"
@@ -249,9 +250,14 @@ void PvtSearch::stepInitSample() {
 }
 
 void PvtSearch::stepTrm() {
-  const std::size_t dim = problem_.space.dim();
+  // Fan out on the pool this step runs on (a scheduler round's threads), or
+  // inline when there is none. Every rng draw stays on this thread, in pool
+  // order; only pure per-corner and per-row work runs concurrently.
+  common::ThreadPool* const pool = common::ThreadPool::current();
 
-  // Train every active surrogate on its own *local* trajectory (D_L).
+  // Train every active surrogate on its own *local* trajectory (D_L): draw
+  // each corner's epoch shuffles in pool order, then fit them concurrently.
+  fitting_.clear();
   for (auto& cs : active_) {
     if (!cs.surrogate || cs.data.empty()) continue;
     LocalDataset::Selection sel = cs.data.selectLocal(
@@ -259,43 +265,29 @@ void PvtSearch::stepTrm() {
         config_.explorer.minLocalSamples);
     if (sel.inputs.empty()) continue;
     cs.surrogate->setData(std::move(sel.inputs), std::move(sel.targets));
-    cs.surrogate->train(rng_);
+    cs.surrogate->drawShuffles(rng_);
+    fitting_.push_back(cs.surrogate.get());
   }
+  common::parallelForOn(pool, fitting_.size(),
+                        [&](std::size_t k) { fitting_[k]->fit(); });
 
   // Plan: maximize the minimum predicted value across the pool. The
   // candidate block is drawn once and every active corner's surrogate scores
-  // it in one batched pass; per-candidate scores then reduce by min across
-  // corners.
-  const double radius = tr_.radius();
+  // it; per-candidate scores then reduce by min across corners.
+  scoring_.clear();
+  for (const auto& cs : active_)
+    if (cs.surrogate) scoring_.push_back(cs.surrogate.get());
   const std::size_t mcSamples = config_.explorer.mcSamples;
-  linalg::Vector bestUnit;
-  double bestModelValue = -std::numeric_limits<double>::infinity();
-  drawCandidates(problem_.space, center_.unit, radius, mcSamples, rng_,
-                 candBuf_);
-  poolScores_.assign(mcSamples, std::numeric_limits<double>::infinity());
-  for (auto& cs : active_) {
-    if (!cs.surrogate) continue;
-    cs.surrogate->predictBatch(candBuf_, predBuf_);
-    for (std::size_t s = 0; s < mcSamples; ++s)
-      poolScores_[s] =
-          std::min(poolScores_[s], value_.plannerScore(predBuf_.row(s)));
-  }
-  std::size_t bestIdx = mcSamples;
-  for (std::size_t s = 0; s < mcSamples; ++s) {
-    const double v = poolScores_[s];
-    if (v < std::numeric_limits<double>::infinity() && v > bestModelValue) {
-      bestModelValue = v;
-      bestIdx = s;
-    }
-  }
-  if (bestIdx < mcSamples) {
-    const double* cr = candBuf_.row(bestIdx);
-    bestUnit.assign(cr, cr + dim);
-  }
-  if (bestUnit.empty()) {
+  const std::size_t best =
+      planner_.plan(problem_.space, value_, scoring_, center_.unit,
+                    tr_.radius(), mcSamples, rng_, pool);
+  if (best == mcSamples) {
     phase_ = Phase::kEpisodeStart;
     return;
   }
+  const double bestModelValue = planner_.scores()[best];
+  const double* bestRow = planner_.candidates().row(best);
+  const linalg::Vector bestUnit(bestRow, bestRow + problem_.space.dim());
 
   double predictedCenter = std::numeric_limits<double>::infinity();
   for (auto& cs : active_) {

@@ -44,13 +44,16 @@ struct PvtSearchConfig {
   PvtStrategy strategy = PvtStrategy::kProgressiveHardest;  ///< pool policy
   LocalExplorerConfig explorer;  ///< per-corner surrogate/TRM settings
   std::uint64_t seed = 1;        ///< seed for corner choice and exploration
-  /// Worker threads for corner evaluation: the same sizing is simulated on
-  /// every active (and, during sign-off, every inactive) corner, and those
-  /// simulations are independent, so they fan out across the eval engine's
-  /// thread pool. Results are merged in corner order, so the outcome is
-  /// identical for any thread count — but the evaluation callback must be
-  /// thread-safe (every circuits:: evaluator is; it builds its own testbench
-  /// per call). 1 = serial (inline, the default), 0 = hardware concurrency.
+  /// Threads for corner evaluation, the caller included: the same sizing is
+  /// simulated on every active (and, during sign-off, every inactive)
+  /// corner, and those simulations are independent, so they fan out across
+  /// the eval engine's thread pool. Results are merged in corner order, so
+  /// the outcome is identical for any thread count — but the evaluation
+  /// callback must be thread-safe (every circuits:: evaluator is; it builds
+  /// its own testbench per call). 1 = serial (inline, the default), 0 =
+  /// hardware concurrency. (A TRM step's surrogate fits and candidate scoring
+  /// fan out on the pool the search is stepped on, if any — see
+  /// common::ThreadPool::current() — not on this one.)
   std::size_t evalThreads = 1;
   /// Memoize evaluations on (snapped grid indices, corner id) in the eval
   /// engine. Cache hits cost zero EDA blocks (tallied separately in the
@@ -206,10 +209,10 @@ class PvtSearch {
   std::optional<std::size_t> measDim_;
   PvtSearchOutcome result_;        ///< outcome accumulated so far
 
-  // Planning/evaluation scratch, reused across TRM steps.
-  linalg::Matrix candBuf_;
-  linalg::Matrix predBuf_;
-  std::vector<double> poolScores_;
+  // Training/planning/evaluation scratch, reused across TRM steps.
+  std::vector<SpiceSurrogate*> fitting_;        ///< surrogates this step fits
+  std::vector<const SpiceSurrogate*> scoring_;  ///< surrogates that plan
+  CandidatePlanner planner_;
   std::vector<std::size_t> cornerIdxScratch_;
 };
 

@@ -1,6 +1,8 @@
 #include "core/surrogate.hpp"
 
 #include <algorithm>
+#include <span>
+#include <stdexcept>
 
 namespace trdse::core {
 
@@ -41,7 +43,23 @@ void SpiceSurrogate::setData(std::vector<linalg::Vector> unitXs,
 }
 
 double SpiceSurrogate::train(std::mt19937_64& rng) {
-  if (inputs_.empty()) return 0.0;
+  drawShuffles(rng);
+  return fit();
+}
+
+void SpiceSurrogate::drawShuffles(std::mt19937_64& rng) {
+  const std::size_t n = inputs_.size();
+  orders_.resize(config_.epochsPerUpdate * n);
+  for (std::size_t e = 0; e < config_.epochsPerUpdate; ++e)
+    nn::drawEpochOrder(rng, std::span(orders_).subspan(e * n, n));
+}
+
+double SpiceSurrogate::fit() {
+  const std::size_t n = inputs_.size();
+  if (n == 0) return 0.0;
+  if (orders_.size() != config_.epochsPerUpdate * n)
+    throw std::logic_error(
+        "SpiceSurrogate::fit: no shuffles drawn for the current samples");
   // Standardize both sides: the local region can be a tiny slab of the unit
   // cube, and centring/scaling it keeps the tanh layers in their active range.
   inScaler_.fit(inputs_);
@@ -52,9 +70,11 @@ double SpiceSurrogate::train(std::mt19937_64& rng) {
   double lastLoss = 0.0;
   for (std::size_t e = 0; e < config_.epochsPerUpdate; ++e) {
     const nn::TrainStats s = nn::trainEpochMse(
-        net_, opt_, trainX_, trainY_, config_.batchSize, rng, trainWs_);
+        net_, opt_, trainX_, trainY_, config_.batchSize,
+        std::span<const std::size_t>(orders_).subspan(e * n, n), trainWs_);
     lastLoss = s.meanLoss;
   }
+  orders_.clear();  // consumed: the next fit needs fresh draws
   return lastLoss;
 }
 
@@ -67,19 +87,20 @@ linalg::Vector SpiceSurrogate::predict(const linalg::Vector& unitX) const {
 }
 
 void SpiceSurrogate::predictBatch(const linalg::Matrix& unitX,
-                                  linalg::Matrix& out) const {
+                                  linalg::Matrix& out,
+                                  PredictWorkspace& ws) const {
   assert(unitX.cols() == net_.inputDim());
   const linalg::Matrix* x = &unitX;
   if (inScaler_.fitted()) {
-    inScaler_.transform(unitX, batchScaled_);
-    x = &batchScaled_;
+    inScaler_.transform(unitX, ws.scaled);
+    x = &ws.scaled;
   }
   if (!outScaler_.fitted()) {
-    net_.predictBatch(*x, out, batchWs_);
+    net_.predictBatch(*x, out, ws.net);
     return;
   }
-  net_.predictBatch(*x, batchZ_, batchWs_);
-  outScaler_.inverse(batchZ_, out);
+  net_.predictBatch(*x, ws.z, ws.net);
+  outScaler_.inverse(ws.z, out);
 }
 
 void SpiceSurrogate::reinitialize(std::uint64_t seed) {

@@ -51,19 +51,38 @@ class SpiceSurrogate {
   /// Number of stored training pairs.
   std::size_t sampleCount() const { return inputs_.size(); }
 
-  /// Refit both standardizers, standardize the samples once into persistent
-  /// matrices, and run `epochsPerUpdate` of mini-batch MSE — the
-  /// θ ← θ − α ∂J/∂θ line of Algorithm 1. Returns mean loss.
+  /// One training update — the θ ← θ − α ∂J/∂θ line of Algorithm 1 — as
+  /// drawShuffles(rng) followed by fit(). Returns mean loss.
   double train(std::mt19937_64& rng);
+
+  /// The update's rng draws: one shuffle of the current samples per epoch
+  /// (`epochsPerUpdate` orders), consumed by the next fit(). Draws nothing
+  /// when there are no samples.
+  void drawShuffles(std::mt19937_64& rng);
+
+  /// The update's pure part: refit both standardizers, standardize the
+  /// samples once into persistent matrices, and run `epochsPerUpdate` epochs
+  /// of mini-batch MSE over the orders drawShuffles() drew (and consumes
+  /// them). Touches only this surrogate, so fits of different surrogates may
+  /// run concurrently. Returns mean loss of the last epoch.
+  double fit();
 
   /// Predict raw (de-standardized) measurements at a unit-space point.
   linalg::Vector predict(const linalg::Vector& unitX) const;
 
+  /// Caller-owned scratch for predictBatch: one per concurrent caller.
+  struct PredictWorkspace {
+    nn::Mlp::BatchWorkspace net;
+    linalg::Matrix scaled;
+    linalg::Matrix z;
+  };
+
   /// Batched predict: row r of `unitX` is one unit-space point, row r of
   /// `out` its raw measurements — bitwise identical to predict() row by row,
-  /// but one GEMM per layer for the whole block. Uses internal scratch
-  /// buffers (reused across calls), so it is not thread-safe per instance.
-  void predictBatch(const linalg::Matrix& unitX, linalg::Matrix& out) const;
+  /// but one GEMM per layer for the whole block. Steady-state calls on the
+  /// same workspace do not allocate.
+  void predictBatch(const linalg::Matrix& unitX, linalg::Matrix& out,
+                    PredictWorkspace& ws) const;
 
   /// Reinitialize weights (restart / porting-baseline behaviour).
   void reinitialize(std::uint64_t seed);
@@ -110,16 +129,13 @@ class SpiceSurrogate {
   std::vector<linalg::Vector> inputs_;
   std::vector<linalg::Vector> targetsRaw_;
 
-  // Training scratch, reused across train() calls: the standardized samples
-  // (one row each) and the epoch workspace.
+  // Training scratch, reused across updates: the drawn epoch orders
+  // (`epochsPerUpdate` permutations of the samples, back to back), the
+  // standardized samples (one row each) and the epoch workspace.
+  std::vector<std::size_t> orders_;
   linalg::Matrix trainX_;
   linalg::Matrix trainY_;
   nn::TrainWorkspace trainWs_;
-
-  // Scratch for predictBatch (mutable: logically const inference).
-  mutable nn::Mlp::BatchWorkspace batchWs_;
-  mutable linalg::Matrix batchScaled_;
-  mutable linalg::Matrix batchZ_;
 };
 
 }  // namespace trdse::core

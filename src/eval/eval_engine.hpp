@@ -73,8 +73,8 @@ struct EvalEngineConfig {
   /// Memoize results on (snapped grid indices, corner id). Cache hits cost
   /// zero EDA blocks; seeded search outcomes are bitwise identical on/off.
   bool cacheEvals = true;
-  /// Worker threads for fanning a batch's real simulations out:
-  /// 1 = inline/serial (default), 0 = hardware concurrency.
+  /// Threads for fanning a batch's real simulations out, the caller
+  /// included: 1 = inline/serial (default), 0 = hardware concurrency.
   std::size_t threads = 1;
   /// Record one EdaBlock per logical request (and evaluate meetsSpec for
   /// it). Long-running consumers that never render a timeline — the RL

@@ -172,6 +172,13 @@ std::vector<T> matTVec(const MatrixT<T>& a, const std::vector<T>& x) {
 /// still added in ascending-k order one at a time — the association order of
 /// matVec — keeping batched inference bitwise identical to the per-sample
 /// path. Remainder rows/columns fall back to plain ascending-k dots.
+///
+/// Rows of C are computed in pairs and the odd last row takes the remainder
+/// path, so which code computes a row depends on its position. In a row
+/// block that starts at a multiple of kGemmRowTile every row takes the same
+/// path as inside the whole matrix — the rule row-chunked callers split by.
+inline constexpr std::size_t kGemmRowTile = 2;
+
 namespace detail {
 
 /// Shared micro-kernel body: C = A·B (+ optional row-broadcast bias when
@@ -181,7 +188,7 @@ template <typename T, std::size_t kJT>
 inline void gemmTileColumns(const MatrixT<T>& a, const MatrixT<T>& b,
                             MatrixT<T>& c, const T* bias, std::size_t i0,
                             std::size_t& j0, std::size_t jEnd) {
-  constexpr std::size_t kIT = 2;
+  constexpr std::size_t kIT = kGemmRowTile;
   const std::size_t depth = a.cols();
   for (; j0 + kJT <= jEnd; j0 += kJT) {
     T acc[kIT][kJT] = {};
@@ -215,7 +222,7 @@ void matMulBiasInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
   const std::size_t depth = a.cols();
   const std::size_t n = b.cols();
   c.resize(m, n);
-  constexpr std::size_t kIT = 2;
+  constexpr std::size_t kIT = kGemmRowTile;
   std::size_t i0 = 0;
   for (; i0 + kIT <= m; i0 += kIT) {
     std::size_t j0 = 0;

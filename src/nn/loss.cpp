@@ -50,10 +50,17 @@ double mseLossGradBatch(const linalg::Matrix& pred, const linalg::Matrix& target
   return lossSum;
 }
 
+void drawEpochOrder(std::mt19937_64& rng, std::span<std::size_t> order) {
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), rng);
+}
+
 TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
                          const linalg::Matrix& targets, std::size_t batchSize,
-                         std::mt19937_64& rng, TrainWorkspace& ws) {
+                         std::span<const std::size_t> order,
+                         TrainWorkspace& ws) {
   assert(inputs.rows() == targets.rows());
+  assert(order.size() == inputs.rows());
   const std::size_t inDim = net.inputDim();
   const std::size_t outDim = net.outputDim();
   assert(inputs.cols() == inDim && targets.cols() == outDim);
@@ -61,12 +68,6 @@ TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
   const std::size_t n = inputs.rows();
   if (n == 0) return stats;
   batchSize = std::max<std::size_t>(1, batchSize);
-
-  // A fresh identity permutation of the same length, shuffled with the same
-  // rng, every epoch: the draw stream depends on nothing else.
-  ws.order.resize(n);
-  std::iota(ws.order.begin(), ws.order.end(), 0);
-  std::shuffle(ws.order.begin(), ws.order.end(), rng);
 
   // Gather each shuffled mini-batch into matrices and run true batched
   // forward/backward GEMM passes. Buffer capacity persists across calls.
@@ -80,7 +81,7 @@ TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
     ws.batchX.resize(b, inDim);
     ws.batchY.resize(b, outDim);
     for (std::size_t k = start; k < end; ++k) {
-      const std::size_t src = ws.order[k];
+      const std::size_t src = order[k];
       std::copy(inputs.row(src), inputs.row(src) + inDim, ws.batchX.row(k - start));
       std::copy(targets.row(src), targets.row(src) + outDim,
                 ws.batchY.row(k - start));

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <random>
+#include <span>
 #include <vector>
 
 #include "nn/mlp.hpp"
@@ -29,25 +30,32 @@ struct TrainStats {
   std::size_t batches = 0;   ///< optimizer steps taken
 };
 
-/// Caller-owned scratch for trainEpochMse — the shuffle order, the gathered
-/// mini-batch and its loss gradient — so repeated epochs do not allocate
-/// (the Mlp::BatchWorkspace pattern).
+/// Caller-owned scratch for trainEpochMse — the gathered mini-batch and its
+/// loss gradient — so repeated epochs do not allocate (the
+/// Mlp::BatchWorkspace pattern).
 struct TrainWorkspace {
-  std::vector<std::size_t> order;
   linalg::Matrix batchX;
   linalg::Matrix batchY;
   linalg::Matrix grad;
 };
 
-/// One epoch of shuffled mini-batch MSE training over row-paired sample
-/// matrices (row i of `inputs` is one input, row i of `targets` its target).
+/// An epoch's visiting order: the identity permutation of `order.size()`
+/// samples, shuffled with `rng`. These are an epoch's only random draws, and
+/// they depend on nothing but the sample count, so callers can draw every
+/// epoch's order up front and train later, on any thread.
+void drawEpochOrder(std::mt19937_64& rng, std::span<std::size_t> order);
+
+/// One epoch of mini-batch MSE training over row-paired sample matrices (row
+/// i of `inputs` is one input, row i of `targets` its target), visiting the
+/// rows in `order` (a permutation of the row indices, see drawEpochOrder).
 /// Gradients are averaged over each batch before the optimizer step; stale
 /// gradients the caller left in `net` are cleared once on entry, after which
-/// each optimizer step zeroes the gradients it consumes. Returns mean
-/// per-sample loss.
+/// each optimizer step zeroes the gradients it consumes. Draws no random
+/// numbers. Returns mean per-sample loss.
 TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
                          const linalg::Matrix& targets, std::size_t batchSize,
-                         std::mt19937_64& rng, TrainWorkspace& ws);
+                         std::span<const std::size_t> order,
+                         TrainWorkspace& ws);
 
 /// Mean MSE over a dataset without touching gradients.
 double evaluateMse(const Mlp& net, const std::vector<linalg::Vector>& inputs,

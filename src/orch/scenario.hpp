@@ -75,7 +75,9 @@ struct JobSpec {
 /// A parsed scenario: scheduling knobs + the job list.
 struct Scenario {
   std::string name = "scenario";
-  /// Scheduler worker threads: 1 = serial (inline), 0 = hardware
+  /// Scheduler threads, the round's calling thread included: at most this
+  /// many jobs — or pieces of one job's step, when a strategy fans out on
+  /// the round's pool — run at once. 1 = serial (inline), 0 = hardware
   /// concurrency. Per-job outcomes are identical for any value.
   std::size_t threads = 1;
   /// Worker *processes* the Scheduler forks to step rounds: 0 = step jobs

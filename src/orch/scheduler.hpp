@@ -11,9 +11,14 @@
 // One round loop, two transports. Scenario::workers only selects how a
 // round's granted jobs are stepped:
 //   * workers = 0 — the thread transport: jobs step concurrently on a
-//     common::ThreadPool of `threads` threads inside this process;
+//     common::ThreadPool of `threads` threads (the calling thread included)
+//     inside this process;
 //   * workers > 0 — the process transport (orch/distributed.hpp): jobs step
 //     in forked worker processes, `threads` threads each.
+// Either way a job steps inside a task of that pool, so a strategy can fan
+// its own step out over the round's idle threads (common::ThreadPool::
+// current()) — PvtSearch fits its corner surrogates and scores candidate
+// chunks that way — without oversubscribing the `threads` budget.
 // Either way each stepped job yields one wire::JobRoundReport (stepJob), and
 // the round barrier — progress, master-cache publish, quarantine, checkpoint
 // cadence, stall guard, journal, round hook — reads only those reports. The

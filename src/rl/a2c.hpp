@@ -26,9 +26,10 @@ struct A2cConfig {
   /// Parallel rollout environments (1 reproduces the pre-collector serial
   /// trainer bitwise).
   std::size_t numEnvs = 1;
-  /// Worker threads for rollout collection: 1 = inline, 0 = hardware
-  /// concurrency. Trajectories are thread-count invariant, but with more
-  /// than one worker the problem's evaluate callback must be thread-safe.
+  /// Threads for rollout collection, the caller included: 1 = inline, 0 =
+  /// hardware concurrency. Trajectories are thread-count invariant, but
+  /// with more than one thread the problem's evaluate callback must be
+  /// thread-safe.
   std::size_t rolloutThreads = 1;
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling

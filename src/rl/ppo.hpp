@@ -33,9 +33,10 @@ struct PpoConfig {
   /// that trainer drew mini-batch shuffles from the action-sampling RNG,
   /// whereas shuffles now use their own stream (seed + 53).
   std::size_t numEnvs = 1;
-  /// Worker threads for rollout collection: 1 = inline, 0 = hardware
-  /// concurrency. Trajectories are thread-count invariant, but with more
-  /// than one worker the problem's evaluate callback must be thread-safe.
+  /// Threads for rollout collection, the caller included: 1 = inline, 0 =
+  /// hardware concurrency. Trajectories are thread-count invariant, but
+  /// with more than one thread the problem's evaluate callback must be
+  /// thread-safe.
   std::size_t rolloutThreads = 1;
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling

@@ -46,8 +46,8 @@ struct CollectStats {
 class ParallelRolloutCollector {
  public:
   /// @param numEnvs  number of independent environments (>= 1).
-  /// @param threads  worker threads for collection: 1 runs inline (serial),
-  ///                 0 uses the hardware concurrency.
+  /// @param threads  threads for collection, the caller included: 1 runs
+  ///                 inline (serial), 0 uses the hardware concurrency.
   /// @param seed     base seed; environment 0 uses it verbatim (legacy
   ///                 stream), environment e > 0 uses perTaskSeed(seed, e).
   /// @param rngSalt  offset applied to `seed` for the policy-sampling RNG

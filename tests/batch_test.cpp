@@ -9,18 +9,28 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "common/thread_pool.hpp"
 #include "core/local_explorer.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "core/surrogate.hpp"
+#include "io/checkpoint.hpp"
+#include "io/state_io.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
@@ -310,8 +320,10 @@ TEST(MlpBatch, BatchedTrainingMatchesPerSampleTraining) {
   const Matrix xm = rowsOf(xs);
   const Matrix ym = rowsOf(ys);
   nn::TrainWorkspace ws;
+  std::vector<std::size_t> order(xs.size());
   for (int e = 0; e < 5; ++e) {
-    const auto sa = nn::trainEpochMse(netA, optA, xm, ym, 16, rngA, ws);
+    nn::drawEpochOrder(rngA, order);
+    const auto sa = nn::trainEpochMse(netA, optA, xm, ym, 16, order, ws);
     const auto sb = refTrainEpochMse(netB, optB, xs, ys, 16, rngB);
     ASSERT_EQ(sa.batches, sb.batches);
     // Not bitwise: the batched trainer adds each batch's summed row losses
@@ -463,7 +475,8 @@ TEST(SurrogateBatch, PredictBatchMatchesPredictAfterTraining) {
   Matrix block(batch, 4);
   for (std::size_t i = 0; i < block.size(); ++i) block.data()[i] = d(rng);
   Matrix preds;
-  sur.predictBatch(block, preds);
+  core::SpiceSurrogate::PredictWorkspace ws;
+  sur.predictBatch(block, preds, ws);
   ASSERT_EQ(preds.rows(), batch);
   ASSERT_EQ(preds.cols(), 3u);
   for (std::size_t r = 0; r < batch; ++r) {
@@ -473,25 +486,70 @@ TEST(SurrogateBatch, PredictBatchMatchesPredictAfterTraining) {
   }
 }
 
-/// Both planners draw their trust-region candidates through drawCandidates.
-/// Row for row it must equal the per-sample draw — clamp into the unit cube,
-/// then toUnit(fromUnitSnapped(u)) — bitwise, including on log-scale axes,
-/// and it must leave the rng exactly where the per-sample loop would.
+/// drawShuffles() then fit() is train() split at its last rng draw: the
+/// same weights, Adam moments, loss and rng position afterwards.
+TEST(SurrogateBatch, DrawShufflesThenFitEqualsTrain) {
+  core::SurrogateConfig cfg;
+  cfg.hiddenWidth = 16;
+  cfg.epochsPerUpdate = 7;
+  core::SpiceSurrogate a(3, 2, cfg, 29);
+  core::SpiceSurrogate b(3, 2, cfg, 29);
+  std::mt19937_64 dataRng(5);
+  std::uniform_real_distribution<double> d(0.0, 1.0);
+  for (int i = 0; i < 37; ++i) {  // 37 % 16 != 0: a ragged last batch
+    const Vector x = {d(dataRng), d(dataRng), d(dataRng)};
+    a.addSample(x, {x[0] * x[1], x[2] - x[0]});
+    b.addSample(x, {x[0] * x[1], x[2] - x[0]});
+  }
+  std::mt19937_64 rngA(61);
+  std::mt19937_64 rngB(61);
+  for (int update = 0; update < 3; ++update) {
+    const double lossA = a.train(rngA);
+    b.drawShuffles(rngB);
+    EXPECT_EQ(rngA, rngB) << "update " << update;
+    const double lossB = b.fit();
+    EXPECT_EQ(lossA, lossB) << "update " << update;
+  }
+  EXPECT_EQ(rngA, rngB);
+  EXPECT_EQ(a.network().getParameters(), b.network().getParameters());
+  EXPECT_EQ(a.optimizer().stepCount(), b.optimizer().stepCount());
+  EXPECT_EQ(a.optimizer().firstMoments(), b.optimizer().firstMoments());
+  EXPECT_EQ(a.optimizer().secondMoments(), b.optimizer().secondMoments());
+  // The drawn orders are consumed: a second fit needs fresh draws.
+  EXPECT_THROW(b.fit(), std::logic_error);
+}
+
+core::DesignSpace plannerSpace() {
+  return core::DesignSpace({{"w", 1e-7, 1e-4, 64, true},
+                            {"l", 4.5e-8, 1e-6, 24, true},
+                            {"c", 1e-13, 5e-12, 40, true},
+                            {"v", 0.1, 0.9, 17, false}});
+}
+
+/// Both planners draw their trust-region candidates through
+/// CandidatePlanner. Row for row its block must equal the per-sample draw —
+/// clamp into the unit cube, then toUnit(fromUnitSnapped(u)) — bitwise,
+/// including on log-scale axes, and it must leave the rng exactly where the
+/// per-sample loop would; with nothing to score on, nothing is picked.
 TEST(PlannerBatch, DrawCandidatesMatchesPerSampleDraws) {
-  const core::DesignSpace space({{"w", 1e-7, 1e-4, 64, true},
-                                 {"l", 4.5e-8, 1e-6, 24, true},
-                                 {"c", 1e-13, 5e-12, 40, true},
-                                 {"v", 0.1, 0.9, 17, false}});
+  const core::DesignSpace space = plannerSpace();
+  const core::ValueFunction value({}, {});
   const Vector center = {0.95, 0.03, 0.5, 0.61};
   const double radius = 0.2;  // reaches past both cube faces: clamp matters
   const std::size_t count = 500;
 
   std::mt19937_64 rngBatch(41);
   std::mt19937_64 rngRef(41);
-  Matrix cand;
-  core::drawCandidates(space, center, radius, count, rngBatch, cand);
+  common::ThreadPool pool(4);  // snapping runs in row chunks
+  core::CandidatePlanner planner;
+  EXPECT_EQ(planner.plan(space, value, {}, center, radius, count, rngBatch,
+                         &pool),
+            count);
+  const Matrix& cand = planner.candidates();
   ASSERT_EQ(cand.rows(), count);
   ASSERT_EQ(cand.cols(), space.dim());
+  for (const double v : planner.scores())
+    EXPECT_EQ(v, std::numeric_limits<double>::infinity());
 
   std::uniform_real_distribution<double> unif(-1.0, 1.0);
   for (std::size_t s = 0; s < count; ++s) {
@@ -503,6 +561,88 @@ TEST(PlannerBatch, DrawCandidatesMatchesPerSampleDraws) {
       ASSERT_EQ(cand(s, d), ref[d]) << "row " << s << " dim " << d;
   }
   EXPECT_EQ(rngBatch, rngRef);
+}
+
+/// Chunked planning — row chunks on a pool, each on its own workspace — must
+/// equal the inline whole-block plan bitwise: candidates, every per-row
+/// score, the pick, and the rng position. Odd block sizes put the last row in
+/// the GEMM tile's remainder path; on 4 threads 7 rows split into one-tile
+/// chunks.
+TEST(PlannerBatch, ChunkedScoringMatchesWholeBlock) {
+  const core::DesignSpace space = plannerSpace();
+  const core::ValueFunction value(
+      {"a", "b", "c"}, {{"a", core::SpecKind::kAtLeast, 0.4},
+                        {"b", core::SpecKind::kAtMost, 0.2},
+                        {"c", core::SpecKind::kAtLeast, -0.1}});
+  core::SurrogateConfig cfg;
+  cfg.hiddenWidth = 20;
+  cfg.epochsPerUpdate = 5;
+  std::vector<core::SpiceSurrogate> surrogates;
+  std::mt19937_64 rng(23);
+  std::uniform_real_distribution<double> d(0.0, 1.0);
+  for (std::uint64_t k = 0; k < 3; ++k) {  // one surrogate per corner
+    surrogates.emplace_back(space.dim(), 3, cfg, 50 + k);
+    const double shift = 0.1 * static_cast<double>(k);
+    for (int i = 0; i < 30; ++i) {
+      const Vector x = {d(rng), d(rng), d(rng), d(rng)};
+      surrogates.back().addSample(
+          x, {x[0] - shift, x[1] * x[2], std::sin(x[3]) - shift});
+    }
+    surrogates.back().train(rng);
+  }
+  std::vector<const core::SpiceSurrogate*> scoring;
+  for (const auto& sur : surrogates) scoring.push_back(&sur);
+
+  const Vector center = {0.4, 0.55, 0.5, 0.3};
+  for (const std::size_t count :
+       {std::size_t{7}, std::size_t{800}, std::size_t{801}}) {
+    std::mt19937_64 rngWhole(97);
+    core::CandidatePlanner whole;
+    const std::size_t pick = whole.plan(space, value, scoring, center, 0.15,
+                                        count, rngWhole, nullptr);
+    ASSERT_LT(pick, count);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{3},
+                                      std::size_t{4}}) {
+      common::ThreadPool pool(threads);
+      std::mt19937_64 rngChunked(97);
+      core::CandidatePlanner chunked;
+      std::size_t chunkedPick = 0;
+      // Called from inside a task, as a job's step is.
+      pool.parallelFor(1, [&](std::size_t) {
+        chunkedPick = chunked.plan(space, value, scoring, center, 0.15, count,
+                                   rngChunked, common::ThreadPool::current());
+      });
+      EXPECT_EQ(chunkedPick, pick) << count << " rows, " << threads;
+      EXPECT_EQ(rngChunked, rngWhole);
+      ASSERT_EQ(chunked.scores().size(), count);
+      for (std::size_t s = 0; s < count; ++s)
+        ASSERT_EQ(chunked.scores()[s], whole.scores()[s])
+            << count << " rows, " << threads << " threads, row " << s;
+      const Matrix& a = chunked.candidates();
+      const Matrix& b = whole.candidates();
+      ASSERT_EQ(a.rows(), b.rows());
+      for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_EQ(a.data()[i], b.data()[i]) << count << " rows, " << threads;
+    }
+
+    // The pick is the first best min-over-surrogates score, computed per
+    // sample.
+    double best = -std::numeric_limits<double>::infinity();
+    std::size_t refPick = count;
+    for (std::size_t s = 0; s < count; ++s) {
+      const Matrix& c = whole.candidates();
+      const Vector x(c.row(s), c.row(s) + space.dim());
+      double v = std::numeric_limits<double>::infinity();
+      for (const auto& sur : surrogates)
+        v = std::min(v, value.plannerScore(sur.predict(x)));
+      EXPECT_NEAR(whole.scores()[s], v, 1e-12);
+      if (v > best) {
+        best = v;
+        refPick = s;
+      }
+    }
+    EXPECT_EQ(pick, refPick);
+  }
 }
 
 core::SizingProblem multiCornerCsp() {
@@ -531,7 +671,7 @@ core::SizingProblem multiCornerCsp() {
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   common::ThreadPool pool(4);
-  EXPECT_EQ(pool.workerCount(), 4u);
+  EXPECT_EQ(pool.workerCount(), 3u);  // the calling thread is the fourth
   std::vector<std::atomic<int>> hits(257);
   pool.parallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -555,6 +695,133 @@ TEST(ThreadPool, PropagatesTaskExceptions) {
       std::runtime_error);
 }
 
+/// Runs `body`, and ends the test binary with a failure (instead of hanging
+/// the suite until the ctest timeout) when it has not returned within
+/// `limit`: a deadlocked pool cannot be recovered in-process.
+void failFastUnlessDoneWithin(std::chrono::seconds limit,
+                              const std::function<void()>& body) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (!cv.wait_for(lock, limit, [&] { return done; })) {
+      std::fprintf(stderr, "%s: did not finish within %lld s (deadlock)\n",
+                   ::testing::UnitTest::GetInstance()->current_test_info()->name(),
+                   static_cast<long long>(limit.count()));
+      std::_Exit(1);
+    }
+  });
+  const auto finish = [&] {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      done = true;
+    }
+    cv.notify_one();
+    watchdog.join();
+  };
+  try {
+    body();
+  } catch (...) {
+    finish();
+    throw;
+  }
+  finish();
+}
+
+/// Every task of a pool whose threads are all busy fans out again: the
+/// nested calls must complete (the caller works through its own items and
+/// never waits for a busy worker to pick up a helper job).
+TEST(ThreadPool, NestedParallelForInABusyPoolCompletes) {
+  common::ThreadPool pool(4);
+  std::atomic<std::size_t> sum{0};
+  failFastUnlessDoneWithin(std::chrono::seconds(20), [&] {
+    pool.parallelFor(8, [&](std::size_t i) {
+      pool.parallelFor(16, [&](std::size_t j) {
+        pool.parallelFor(2, [&](std::size_t k) { sum += i * 100 + j + k; });
+      });
+    });
+  });
+  // Σ_i Σ_j Σ_k (100 i + j + k) over 8 × 16 × 2 items.
+  EXPECT_EQ(sum.load(), 2u * 16u * 2800u + 8u * 2u * 120u + 8u * 16u);
+}
+
+TEST(ThreadPool, CurrentNamesThePoolOfTheRunningTask) {
+  EXPECT_EQ(common::ThreadPool::current(), nullptr);
+  common::ThreadPool outer(3);
+  common::ThreadPool inner(2);
+  std::vector<common::ThreadPool*> seen(6, nullptr);
+  std::vector<common::ThreadPool*> seenNested(6, nullptr);
+  std::vector<common::ThreadPool*> afterNested(6, nullptr);
+  outer.parallelFor(6, [&](std::size_t i) {
+    seen[i] = common::ThreadPool::current();
+    inner.parallelFor(2, [&](std::size_t k) {
+      if (k == 0) seenNested[i] = common::ThreadPool::current();
+    });
+    afterNested[i] = common::ThreadPool::current();
+  });
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(seen[i], &outer) << i;  // on the caller and on the workers
+    EXPECT_EQ(seenNested[i], &inner) << i;
+    EXPECT_EQ(afterNested[i], &outer) << i;  // restored after a nested call
+  }
+  EXPECT_EQ(common::ThreadPool::current(), nullptr);  // restored afterwards
+
+  common::ThreadPool inlinePool(1);
+  common::ThreadPool* inlineSeen = nullptr;
+  inlinePool.parallelFor(1, [&](std::size_t) {
+    inlineSeen = common::ThreadPool::current();
+  });
+  EXPECT_EQ(inlineSeen, &inlinePool);
+  EXPECT_EQ(common::ThreadPool::current(), nullptr);
+
+  // Restored on the exception path too.
+  EXPECT_THROW(outer.parallelFor(
+                   1, [](std::size_t) { throw std::runtime_error("x"); }),
+               std::runtime_error);
+  EXPECT_EQ(common::ThreadPool::current(), nullptr);
+}
+
+TEST(ThreadPool, NeverRunsMoreTasksThanItsSizeNestedCallsIncluded) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    common::ThreadPool pool(threads);
+    std::atomic<std::size_t> running{0};
+    std::atomic<std::size_t> peak{0};
+    const auto work = [&] {
+      const std::size_t now = ++running;
+      std::size_t p = peak.load();
+      while (now > p && !peak.compare_exchange_weak(p, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      --running;
+    };
+    pool.parallelFor(6, [&](std::size_t) {
+      pool.parallelFor(5, [&](std::size_t) { work(); });
+      work();
+    });
+    EXPECT_LE(peak.load(), threads);
+    EXPECT_GE(peak.load(), 1u);
+  }
+}
+
+TEST(ThreadPool, NestedExceptionSurfacesAtTheNestedCall) {
+  common::ThreadPool pool(4);
+  std::vector<int> caught(4, 0);
+  std::atomic<int> ran{0};
+  pool.parallelFor(4, [&](std::size_t i) {
+    try {
+      pool.parallelFor(6, [&](std::size_t j) {
+        ++ran;
+        if (j == 3) throw std::runtime_error("nested");
+      });
+    } catch (const std::runtime_error&) {
+      caught[i] = 1;
+    }
+  });
+  EXPECT_EQ(caught, std::vector<int>(4, 1));
+  EXPECT_EQ(ran.load(), 24);  // every item of every nested call still ran
+}
+
 TEST(ThreadPool, PerTaskSeedsAreStableAndDistinct) {
   std::set<std::uint64_t> seeds;
   for (std::uint64_t i = 0; i < 1000; ++i) {
@@ -566,30 +833,107 @@ TEST(ThreadPool, PerTaskSeedsAreStableAndDistinct) {
   EXPECT_NE(common::perTaskSeed(42, 0), common::perTaskSeed(43, 0));
 }
 
+/// The checkpoint blob of a search with its one wall-clock field — the
+/// engine's backendSeconds, measurement rather than state — taken out; every
+/// other byte is compared.
+std::string blobWithoutWallClock(const std::string& blob) {
+  const io::CheckpointReader r("mem", blob);
+  std::string out;
+  for (const char* name : {"fingerprint", "rng", "search", "corners"}) {
+    io::SectionReader s = r.section(name);
+    out += s.raw(s.remaining());
+  }
+  io::SectionReader probe = r.section("engine");
+  const std::size_t total = probe.remaining();
+  const std::uint64_t memo = probe.u64();
+  for (std::uint64_t i = 0; i < memo; ++i) {
+    (void)probe.indexVec();
+    (void)probe.u64();
+    (void)io::readEvalResult(probe);
+  }
+  pvt::EdaLedger ledger;
+  io::readLedger(probe, ledger);
+  for (int i = 0; i < 4; ++i) (void)probe.u64();  // requests..sharedHits
+  const std::size_t head = total - probe.remaining();
+  io::SectionReader engine = r.section("engine");
+  out += engine.raw(head);
+  (void)engine.f64();  // backendSeconds
+  out += engine.raw(engine.remaining());
+  return out;
+}
+
 /// The parallel corner-evaluation pipeline must give identical results for
-/// any thread count (results are merged in corner order after the join).
+/// any thread count (results are merged in corner order after the join),
+/// and so must a search stepped inside a pool task, whose TRM steps fit the
+/// corner surrogates concurrently and score candidates in row chunks.
 TEST(PvtSearchParallel, ThreadCountDoesNotChangeOutcome) {
-  const auto prob = multiCornerCsp();
-  core::PvtSearchOutcome serial;
-  core::PvtSearchOutcome pooled;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  auto prob = multiCornerCsp();
+  // Out of reach at the hot corner (its best is 0.98): the search spends its
+  // whole budget in TRM steps on all three corners.
+  prob.specs = {{"closeness", core::SpecKind::kAtLeast, 0.99}};
+  struct Run {
+    core::PvtSearchOutcome outcome;
+    std::string blob;
+  };
+  const auto run = [&](std::size_t evalThreads, common::ThreadPool* stepPool) {
     core::PvtSearchConfig cfg;
     cfg.strategy = core::PvtStrategy::kBruteForce;  // 3 corners active: real fan-out
     cfg.seed = 33;
     cfg.explorer = core::autoSchedule(prob, cfg.seed);
-    cfg.evalThreads = threads;
+    cfg.evalThreads = evalThreads;
     core::PvtSearch search(prob, cfg);
-    (threads == 1 ? serial : pooled) = search.run(5000);
-  }
-  EXPECT_EQ(pooled.solved, serial.solved);
-  EXPECT_EQ(pooled.totalSims, serial.totalSims);
-  EXPECT_EQ(pooled.sizes, serial.sizes);
-  EXPECT_EQ(pooled.ledger.totalBlocks(), serial.ledger.totalBlocks());
-  ASSERT_EQ(pooled.cornerEvals.size(), serial.cornerEvals.size());
-  for (std::size_t i = 0; i < pooled.cornerEvals.size(); ++i) {
-    EXPECT_EQ(pooled.cornerEvals[i].ok, serial.cornerEvals[i].ok);
-    EXPECT_EQ(pooled.cornerEvals[i].measurements,
-              serial.cornerEvals[i].measurements);
+    Run r;
+    if (stepPool == nullptr) {
+      r.outcome = search.run(300);
+    } else {
+      stepPool->parallelFor(1, [&](std::size_t) {
+        EXPECT_EQ(common::ThreadPool::current(), stepPool);
+        r.outcome = search.run(300);
+      });
+    }
+    io::CheckpointWriter w("pvt-search");
+    search.save(w);
+    r.blob = w.finish();
+    return r;
+  };
+  const Run serial = run(1, nullptr);
+  const Run pooledEval = run(4, nullptr);
+  common::ThreadPool stepPool(4);
+  const Run pooledStep = run(1, &stepPool);
+  // Well past the 3 x 10 init samples: about 90 three-corner TRM steps.
+  EXPECT_FALSE(serial.outcome.solved);
+  EXPECT_GE(serial.outcome.totalSims, 300u);
+
+  for (const Run* other : {&pooledEval, &pooledStep}) {
+    const core::PvtSearchOutcome& a = other->outcome;
+    const core::PvtSearchOutcome& b = serial.outcome;
+    EXPECT_EQ(a.solved, b.solved);
+    EXPECT_EQ(a.totalSims, b.totalSims);
+    EXPECT_EQ(a.sizes, b.sizes);
+    EXPECT_EQ(a.cornersActivated, b.cornersActivated);
+    ASSERT_EQ(a.cornerEvals.size(), b.cornerEvals.size());
+    for (std::size_t i = 0; i < a.cornerEvals.size(); ++i) {
+      EXPECT_EQ(a.cornerEvals[i].ok, b.cornerEvals[i].ok);
+      EXPECT_EQ(a.cornerEvals[i].measurements, b.cornerEvals[i].measurements);
+    }
+    ASSERT_EQ(a.ledger.totalBlocks(), b.ledger.totalBlocks());
+    for (std::size_t i = 0; i < a.ledger.blocks().size(); ++i) {
+      const pvt::EdaBlock& x = a.ledger.blocks()[i];
+      const pvt::EdaBlock& y = b.ledger.blocks()[i];
+      EXPECT_EQ(x.cornerIndex, y.cornerIndex) << i;
+      EXPECT_EQ(x.kind, y.kind) << i;
+      EXPECT_EQ(x.meetsSpec, y.meetsSpec) << i;
+      EXPECT_EQ(x.cached, y.cached) << i;
+      EXPECT_EQ(x.failed, y.failed) << i;
+    }
+    EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
+    EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
+    EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
+    EXPECT_EQ(a.evalStats.sharedHits, b.evalStats.sharedHits);
+    EXPECT_EQ(a.evalStats.attempts, b.evalStats.attempts);
+    EXPECT_EQ(a.evalStats.failures, b.evalStats.failures);
+    EXPECT_TRUE(blobWithoutWallClock(other->blob) ==
+                blobWithoutWallClock(serial.blob));
   }
 }
 

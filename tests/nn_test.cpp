@@ -108,9 +108,12 @@ TEST(Training, LearnsLinearMap) {
   const linalg::Matrix x = rowsOf(xs);
   const linalg::Matrix y = rowsOf(ys);
   TrainWorkspace ws;
+  std::vector<std::size_t> order(xs.size());
   double loss = 0.0;
-  for (int e = 0; e < 200; ++e)
-    loss = trainEpochMse(net, opt, x, y, 16, rng, ws).meanLoss;
+  for (int e = 0; e < 200; ++e) {
+    drawEpochOrder(rng, order);
+    loss = trainEpochMse(net, opt, x, y, 16, order, ws).meanLoss;
+  }
   EXPECT_LT(loss, 1e-3);
   EXPECT_LT(evaluateMse(net, xs, ys), 1e-3);
 }
@@ -132,9 +135,12 @@ TEST(Training, LearnsNonlinearFunction) {
   const linalg::Matrix x = rowsOf(xs);
   const linalg::Matrix y = rowsOf(ys);
   TrainWorkspace ws;
+  std::vector<std::size_t> order(xs.size());
   double loss = 1.0;
-  for (int e = 0; e < 400; ++e)
-    loss = trainEpochMse(net, opt, x, y, 32, rng, ws).meanLoss;
+  for (int e = 0; e < 400; ++e) {
+    drawEpochOrder(rng, order);
+    loss = trainEpochMse(net, opt, x, y, 32, order, ws).meanLoss;
+  }
   EXPECT_LT(loss, 5e-3);
 }
 

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -58,6 +59,47 @@ void ensureTinyGridRegistered() {
            core::SizingProblem p = tinyGridProblem(0.05);  // infeasible
            if (!corners.empty()) p.corners = std::move(corners);
            return p;
+         }});
+    return true;
+  }();
+  (void)once;
+}
+
+/// Three-corner synthetic CSP on a fine grid: each corner moves the optimum,
+/// so every corner's surrogate learns a different map. Under the brute-force
+/// pool every TRM step of a job fits three surrogates and scores one
+/// candidate block on all of them.
+core::SizingProblem triCornerProblem() {
+  core::SizingProblem p;
+  p.name = "tri_corner";
+  p.space = core::DesignSpace({{"x", 0.0, 1.0, 61, false},
+                               {"y", 0.0, 1.0, 61, false},
+                               {"z", 0.0, 1.0, 61, false}});
+  p.measurementNames = {"closeness"};
+  p.specs = {{"closeness", core::SpecKind::kAtLeast, 0.985}};
+  p.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0},
+               {sim::ProcessCorner::kSS, 0.9, 125.0},
+               {sim::ProcessCorner::kFF, 1.1, -40.0}};
+  p.evaluate = [](const linalg::Vector& v, const sim::PvtCorner& c) {
+    core::EvalResult r;
+    r.ok = true;
+    const double dx = v[0] - 0.3 - 0.001 * c.tempC;
+    const double dy = v[1] - 0.7 * c.vdd;
+    const double dz = v[2] - 0.5;
+    r.measurements = {1.0 - std::sqrt(dx * dx + dy * dy + dz * dz)};
+    return r;
+  };
+  return p;
+}
+
+void ensureTriCornerRegistered() {
+  static const bool once = [] {
+    circuits::Registry::global().add(
+        {"tri_corner", "bsim45", "three-corner synthetic CSP (orch_dist tests)",
+         // Always its own three corners (the registry fills in a one-corner
+         // default when a job names none).
+         [](const sim::ProcessCard&, std::vector<sim::PvtCorner>) {
+           return triCornerProblem();
          }});
     return true;
   }();
@@ -217,6 +259,58 @@ TEST(DistributedScheduler, MatrixOfWorkersAndThreadsIsBitwiseIdentical) {
       EXPECT_EQ(hits, baseTotals.hits);
       EXPECT_EQ(misses, baseTotals.misses);
       EXPECT_TRUE(sched.events().empty());  // no faults injected
+    }
+  }
+}
+
+/// Multi-corner pvt_search jobs fan each TRM step out over the round's idle
+/// threads — concurrent per-corner surrogate fits, row-chunked scoring (an
+/// odd mc_samples puts a row in the GEMM tile's remainder path) — in-process
+/// and inside each worker process. Rows must not move with either count.
+TEST(DistributedScheduler, MultiCornerPvtSearchMatrixIsBitwiseIdentical) {
+  ensureTriCornerRegistered();
+  const auto scenario = [] {
+    return parseScenarioText(
+        "name = tri_corner_matrix\n"
+        "slice = 10\n"
+        "base_seed = 3\n"
+        "[job]\nname = pvt_a\ncircuit = tri_corner\nstrategy = pvt_search\n"
+        "seed = 17\nbudget = 90\nopt.pool = brute_force\n"
+        "opt.init_samples = 6\nopt.mc_samples = 201\n"
+        "[job]\nname = pvt_b\ncircuit = tri_corner\nstrategy = pvt_search\n"
+        "seed = 29\nbudget = 90\nopt.pool = brute_force\n"
+        "opt.init_samples = 6\nopt.mc_samples = 201\n"
+        "[job]\nname = rs\ncircuit = tri_corner\nstrategy = random_search\n"
+        "seed = 5\nbudget = 40\n",
+        "inline");
+  };
+  std::vector<JobResult> baseline;
+  {
+    Scheduler sched(scenario());
+    baseline = sched.run();
+  }
+  ASSERT_EQ(baseline.size(), 3u);
+  for (std::size_t j = 0; j < 2; ++j) {
+    // Past the init samples into TRM steps, every step on three corners.
+    EXPECT_GT(baseline[j].outcome.iterations, 3u * 6u) << baseline[j].name;
+    std::set<std::size_t> corners;
+    for (const pvt::EdaBlock& b : baseline[j].outcome.ledger.blocks())
+      corners.insert(b.cornerIndex);
+    EXPECT_EQ(corners.size(), 3u) << baseline[j].name;
+  }
+
+  for (const std::size_t workers : {0u, 2u}) {
+    for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+      if (workers == 0 && threads == 1) continue;  // the baseline
+      Scenario sc = scenario();
+      sc.workers = workers;
+      sc.threads = threads;
+      Scheduler sched(std::move(sc));
+      const std::vector<JobResult> results = sched.run();
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " threads=" + std::to_string(threads));
+      EXPECT_TRUE(sched.completed());
+      expectSameResults(results, baseline);
     }
   }
 }
