@@ -177,11 +177,42 @@ void SharedEvalCache::saveState(io::SectionWriter& w) const {
     w.u64(k.key.cornerIndex);
     io::writeEvalResult(w, *v);
   }
+  writeCounterTriples(w);
+}
+
+void SharedEvalCache::saveCounters(io::SectionWriter& w) const {
+  w.u64(shards_.size());
+  writeCounterTriples(w);
+}
+
+void SharedEvalCache::restoreCounters(io::SectionReader& r) {
+  const std::uint64_t shardCount = r.u64();
+  if (shardCount != shards_.size())
+    r.fail("shared cache counters cover " + std::to_string(shardCount) +
+           " shards but this cache has " + std::to_string(shards_.size()));
+  readCounterTriples(r);
+}
+
+void SharedEvalCache::writeCounterTriples(io::SectionWriter& w) const {
   for (const Shard& s : shards_) {
     const std::lock_guard<std::mutex> lock(s.mu);
     w.u64(s.hits);
     w.u64(s.misses);
     w.u64(s.inserts);
+  }
+}
+
+void SharedEvalCache::readCounterTriples(io::SectionReader& r) {
+  // Read every triple before installing any, so a short section leaves the
+  // counters as they were.
+  std::vector<std::uint64_t> values(3 * shards_.size());
+  for (std::uint64_t& v : values) v = r.u64();
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    Shard& s = shards_[i];
+    const std::lock_guard<std::mutex> lock(s.mu);
+    s.hits = values[3 * i];
+    s.misses = values[3 * i + 1];
+    s.inserts = values[3 * i + 2];
   }
 }
 
@@ -223,12 +254,7 @@ void SharedEvalCache::restoreState(io::SectionReader& r) {
     // per-shard counters below already include these entries' inserts.
     shard.map.insert_or_assign(std::move(sk), std::move(result));
   }
-  for (Shard& s : shards_) {
-    const std::lock_guard<std::mutex> lock(s.mu);
-    s.hits = r.u64();
-    s.misses = r.u64();
-    s.inserts = r.u64();
-  }
+  readCounterTriples(r);
   {
     const std::lock_guard<std::mutex> lock(scopeMu_);
     scopes_ = std::move(scopes);

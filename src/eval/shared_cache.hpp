@@ -123,6 +123,15 @@ class SharedEvalCache {
   /// shard telemetry continues the uninterrupted run's bitwise.
   void restoreState(io::SectionReader& r);
 
+  /// Serialize the per-shard hit/miss/insert counters alone (shard count
+  /// first) — the serve daemon's state log records them at every barrier
+  /// without re-encoding the entries.
+  void saveCounters(io::SectionWriter& w) const;
+  /// Overwrite the per-shard counters with ones written by saveCounters;
+  /// entries are untouched. Throws io::CheckpointError on a shard-count
+  /// mismatch or a short section, before changing anything.
+  void restoreCounters(io::SectionReader& r);
+
  private:
   /// Scope-qualified key (the map key of every shard).
   struct ScopedKey {
@@ -152,6 +161,12 @@ class SharedEvalCache {
   Shard& shardOf(const ScopedKey& k) {
     return shards_[ScopedKeyHash{}(k) & (shards_.size() - 1)];
   }
+
+  /// Per-shard (hits, misses, inserts) triples, shard order — the tail of
+  /// saveState's layout and the body of saveCounters'.
+  void writeCounterTriples(io::SectionWriter& w) const;
+  /// Read what writeCounterTriples wrote, then install it.
+  void readCounterTriples(io::SectionReader& r);
 
   /// vector sized once at construction; Shard is neither movable nor copyable
   /// (mutex member), which is fine because the vector never grows.

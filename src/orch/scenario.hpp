@@ -108,10 +108,10 @@ struct Scenario {
   /// Journal every N scheduler rounds (the final state is always journaled).
   std::size_t journalEvery = 1;
   /// Whether the journal embeds the shared cache. The serve daemon turns
-  /// this off: its cache outlives any one submission and is persisted once
-  /// per barrier in the daemon's own serve-cache file, so embedding a full
-  /// copy in every job journal would only amplify writes (and a resume would
-  /// clobber entries other submissions added since). Programmatic knob —
+  /// this off: its cache outlives any one submission and each barrier's
+  /// publishes are persisted in the daemon's own state log, so embedding a
+  /// full copy in every job journal would only amplify writes (and a resume
+  /// would clobber entries other submissions added since). Programmatic knob —
   /// not a scenario-file key and, like `threads`, excluded from the journal
   /// fingerprint; a journal written either way restores under either
   /// setting of the *other* fields, but this flag must match between write

@@ -228,7 +228,9 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
 
     // ---- Round barrier: every pass reads the reports, in job-index order.
     // Publish: results simulated this round become visible to *later*
-    // rounds only — the shared-cache determinism contract.
+    // rounds only — the shared-cache determinism contract. The observation
+    // (built only for a hook) records the inserts as they happen.
+    RoundObservation obs;
     for (const std::size_t i : runnable) {
       const wire::JobRoundReport& rep = reports_[i];
       ++jobs_[i].result.rounds;
@@ -237,6 +239,8 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
         const std::size_t scope = shared_->scopeId(jobs_[i].scope);
         for (const wire::PublishEntry& e : rep.publishes)
           shared_->insert(scope, e.key, e.result);
+        if (roundHook_)
+          obs.publishes.push_back({jobs_[i].scope, rep.publishes});
       }
       jobs_[i].result.published += rep.publishes.size();
     }
@@ -300,7 +304,6 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
     // (the daemon persisting its cache, streaming progress) sees a state the
     // journal can already reproduce.
     if (roundHook_) {
-      RoundObservation obs;
       obs.round = round_;
       obs.jobs.reserve(runnable.size());
       for (const std::size_t i : runnable) {

@@ -81,6 +81,16 @@ struct RoundObservation {
   };
   /// Jobs that were runnable this round, in job-index order.
   std::vector<JobProgress> jobs;
+  /// One job's share of the barrier's master-cache publishes.
+  struct Publish {
+    std::string scope;                        ///< the job's cache scope
+    std::vector<wire::PublishEntry> entries;  ///< in insertion order
+  };
+  /// What the barrier inserted into the master cache, in job-index order
+  /// (jobs that published nothing are absent; empty when the scenario
+  /// disables the shared cache). The serve daemon logs these so a restart
+  /// replays exactly the inserts this barrier made.
+  std::vector<Publish> publishes;
 };
 
 /// Deterministic per-worker attribution of the process transport: owned

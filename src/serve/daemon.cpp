@@ -24,8 +24,6 @@ namespace wire = trdse::orch::wire;
 
 namespace {
 
-constexpr char kManifestKind[] = "serve-manifest";
-
 bool fileExists(const std::string& path) {
   return std::ifstream(path).good();
 }
@@ -48,15 +46,8 @@ std::string Daemon::journalPathFor(std::uint64_t id) const {
   return config_.stateDir + "/job-" + std::to_string(id) + ".journal";
 }
 
-std::string Daemon::cacheFilePath() const {
-  return config_.stateDir + "/shared.cache";
-}
-
-std::string Daemon::manifestPath() const {
-  return config_.stateDir + "/daemon.manifest";
-}
-
-Daemon::Daemon(DaemonConfig config) : config_(std::move(config)) {
+Daemon::Daemon(DaemonConfig config)
+    : config_(std::move(config)), log_(config_.stateDir) {
   if (config_.socketPath.empty())
     throw std::invalid_argument("serve::Daemon: socketPath must be set");
   if (config_.stateDir.empty())
@@ -112,8 +103,8 @@ void Daemon::buildScheduler(Submission& sub) {
   orch::Scenario sc = orch::parseScenarioText(sub.scenarioText, sub.source);
   // Service policy: submissions run in-process (worker processes are the
   // *daemon's* deployment axis, not the client's), journals are daemon-owned
-  // files, and the journal never embeds the global cache — the serve-cache
-  // file persists it once per barrier for all submissions together.
+  // files, and the journal never embeds the global cache — the state log
+  // records each barrier's publishes for all submissions together.
   sc.workers = 0;
   sc.journalPath.clear();
   sc.journalCache = false;
@@ -171,8 +162,7 @@ void Daemon::handleFrame(Connection& conn, io::CheckpointReader& frame) {
   } else if (kind == wire::kMsgCancel) {
     handleCancel(conn, frame);
   } else if (kind == wire::kMsgServeShutdown) {
-    shutdownRequested_ = true;
-    persistManifest();
+    shutdownRequested_ = true;  // every transition is already durable
     sendOk(conn);
   } else {
     reject(conn, "serve daemon: unexpected message kind " + kind);
@@ -195,14 +185,13 @@ void Daemon::handleSubmit(Connection& conn, io::CheckpointReader& frame) {
   sub->source = req.source;
   sub->scenarioText = req.scenarioText;
   sub->wantJournal = req.wantJournal;
-  sub->id = nextId_;
+  sub->id = meta_.nextId;
   try {
     buildScheduler(*sub);
   } catch (const std::invalid_argument& e) {
     reject(conn, e.what());
     return;
   }
-  ++nextId_;
   // Report baseline: counters the submission starts from. On a fresh daemon
   // these are all zero and the rendered deltas equal a standalone run's
   // absolute counters — the submit-vs-run byte-identity contract.
@@ -211,10 +200,21 @@ void Daemon::handleSubmit(Connection& conn, io::CheckpointReader& frame) {
     for (std::size_t s = 0; s < cache_->shardCount(); ++s)
       sub->baseline.push_back(cache_->shardStats(s));
   }
-  for (const std::string& scope : sub->scopes) touchScope(lru_, scope);
+  // The submission — its id spent, its scopes touched — becomes visible
+  // only once its admission record is durable; a failed write is answered
+  // as what it is and leaves no trace.
+  DaemonMeta next = meta_;
+  ++next.nextId;
+  for (const std::string& scope : sub->scopes) touchScope(next.lru, scope);
+  try {
+    log_.append({}, *cache_, next, *sub);
+  } catch (const io::CheckpointError& e) {
+    reject(conn, std::string("submission not admitted: ") + e.what());
+    return;
+  }
+  meta_ = std::move(next);
   Submission& ref = *sub;
   submissions_.push_back(std::move(sub));
-  persistManifest();  // admission survives a crash from here on
   io::CheckpointWriter msg = wire::makeMessage(wire::kMsgAccepted);
   io::SectionWriter& out = msg.section("body");
   out.u64(ref.id);
@@ -285,10 +285,19 @@ void Daemon::handleCancel(Connection& conn, io::CheckpointReader& frame) {
                          static_cast<std::uint8_t>(sub->state)));
     return;
   }
+  // Same rule as admission: the cancel takes effect once it is durable.
+  SubmissionEntry cancelled = *sub;
+  cancelled.state = Submission::State::kCancelled;
+  try {
+    log_.append({}, *cache_, meta_, cancelled);
+  } catch (const io::CheckpointError& e) {
+    reject(conn, "submission " + std::to_string(id) +
+                     " not cancelled: " + e.what());
+    return;
+  }
   sub->state = Submission::State::kCancelled;
   sub->sched.reset();
   if (sub->journaled) std::remove(journalPathFor(sub->id).c_str());
-  persistManifest();
   sendOk(conn);
   notifyTerminal(*sub);
 }
@@ -401,11 +410,11 @@ Daemon::Submission* Daemon::pickNext() {
   // per rotation, whatever each tenant's queue depth is.
   std::size_t pick = 0;
   const auto it =
-      std::find(tenants.begin(), tenants.end(), lastServedTenant_);
+      std::find(tenants.begin(), tenants.end(), meta_.lastServedTenant);
   if (it != tenants.end())
     pick = (static_cast<std::size_t>(it - tenants.begin()) + 1) %
            tenants.size();
-  lastServedTenant_ = tenants[pick];
+  meta_.lastServedTenant = tenants[pick];
   for (const auto& sub : submissions_)
     if (active(*sub) && sub->tenant == tenants[pick]) return sub.get();
   return nullptr;  // unreachable: the tenant list came from active subs
@@ -431,18 +440,16 @@ void Daemon::advance(Submission& sub) {
     return;
   }
   // Barrier persistence, in dependency order: the scheduler already wrote
-  // the journal inside run(); now the cache (whose entries the journal's
-  // accounting assumes), then the manifest. A SIGKILL between writes leaves
-  // an older-but-consistent tail file; "journal ahead of cache" costs at
-  // most the interrupted round's publishes (values are unaffected —
-  // backends are pure).
-  for (const std::string& scope : sub.scopes) touchScope(lru_, scope);
+  // the journal inside run(); now the record of the round's publishes and
+  // the submission's entry. A SIGKILL before the record is durable leaves
+  // the journal one round ahead, which costs at most that round's publishes
+  // (values are unaffected — backends are pure).
+  for (const std::string& scope : sub.scopes) touchScope(meta_.lru, scope);
   if (sub.sched->completed()) {
     finish(sub, std::move(rows));
     return;
   }
-  persistCache();
-  persistManifest();
+  persist(sub);
   notifyProgress(sub);
 }
 
@@ -479,7 +486,6 @@ void Daemon::finish(Submission& sub, std::vector<orch::JobResult> rows) {
   sub.state = Submission::State::kCompleted;
   sub.sched.reset();
   sub.haveObs = false;
-  if (sub.journaled) std::remove(journalPathFor(sub.id).c_str());
   // Budget pass at the completion barrier only — a deterministic point, and
   // the only one where a whole scope's usefulness can change. Scopes of
   // still-active submissions are pinned.
@@ -490,11 +496,22 @@ void Daemon::finish(Submission& sub, std::vector<orch::JobResult> rows) {
       for (const std::string& scope : other->scopes)
         pinned.push_back(scope);
   const std::vector<std::string> evicted =
-      enforceBudget(*cache_, lru_, config_.cacheBudgetBytes, pinned);
+      enforceBudget(*cache_, meta_.lru, config_.cacheBudgetBytes, pinned);
   for (const std::string& scope : evicted)
-    lru_.erase(std::remove(lru_.begin(), lru_.end(), scope), lru_.end());
-  persistCache();
-  persistManifest();
+    meta_.lru.erase(std::remove(meta_.lru.begin(), meta_.lru.end(), scope),
+                    meta_.lru.end());
+  // An eviction is folded into a new base (which holds this round's
+  // publishes and the completed entry too), so replay never re-inserts an
+  // evicted scope's entries; otherwise the completion is one record.
+  if (evicted.empty()) {
+    persist(sub);
+  } else {
+    writeBase();
+    sub.lastObs = {};
+  }
+  // Only now that the terminal state is durable: a kill before this line
+  // resumes the journal, which completes at once.
+  if (sub.journaled) std::remove(journalPathFor(sub.id).c_str());
   notifyTerminal(sub);
 }
 
@@ -503,8 +520,8 @@ void Daemon::fail(Submission& sub, const std::string& error) {
   sub.error = error;
   sub.sched.reset();
   sub.haveObs = false;
+  persist(sub);
   if (sub.journaled) std::remove(journalPathFor(sub.id).c_str());
-  persistManifest();
   notifyTerminal(sub);
 }
 
@@ -565,6 +582,9 @@ bool Daemon::tick(int pollTimeoutMs) {
       didWork = true;
     }
   }
+  // Fold a log that outgrew its base here, between requests and rounds: a
+  // failed fold is the service loop's error, never a request's answer.
+  if (log_.outgrewBase()) writeBase();
   return didWork;
 }
 
@@ -581,122 +601,50 @@ std::vector<JobStatus> Daemon::statusRows() const {
 
 // ---- Persistence ---------------------------------------------------------
 
-void Daemon::persistCache() const {
-  saveCacheFile(cacheFilePath(), *cache_, lru_);
+void Daemon::persist(Submission& sub) {
+  log_.append(std::exchange(sub.lastObs.publishes, {}), *cache_, meta_, sub);
 }
 
-void Daemon::persistManifest() const {
-  io::CheckpointWriter w(kManifestKind);
-  io::SectionWriter& meta = w.section("meta");
-  meta.u64(nextId_);
-  meta.str(lastServedTenant_);
-  io::SectionWriter& jobs = w.section("jobs");
-  jobs.u64(submissions_.size());
-  for (const auto& sub : submissions_) {
-    jobs.u64(sub->id);
-    jobs.str(sub->tenant);
-    jobs.str(sub->source);
-    jobs.str(sub->scenarioText);
-    jobs.boolean(sub->wantJournal);
-    jobs.u8(static_cast<std::uint8_t>(sub->state));
-    jobs.boolean(sub->journaled);
-    jobs.boolean(sub->usesGlobalCache);
-    jobs.str(sub->scenarioName);
-    jobs.u64(sub->jobsTotal);
-    jobs.u64(sub->roundsCompleted);
-    jobs.u64(sub->baseline.size());
-    for (const auto& b : sub->baseline) {
-      jobs.u64(b.hits);
-      jobs.u64(b.misses);
-      jobs.u64(b.inserts);
-      jobs.u64(b.entries);
-    }
-    jobs.u64(sub->scopes.size());
-    for (const std::string& scope : sub->scopes) jobs.str(scope);
-    jobs.str(sub->report);
-    jobs.boolean(sub->quarantined);
-    jobs.u64(sub->rows.size());
-    for (const orch::JobResult& row : sub->rows)
-      wire::writeJobResult(jobs, row);
-    jobs.str(sub->error);
-  }
-  w.writeFile(manifestPath());
+void Daemon::writeBase() {
+  std::vector<const SubmissionEntry*> jobs;
+  jobs.reserve(submissions_.size());
+  for (const auto& sub : submissions_) jobs.push_back(sub.get());
+  log_.writeBase(*cache_, meta_, jobs);
 }
 
 void Daemon::recover() {
-  loadCacheFile(cacheFilePath(), *cache_, lru_);
-  if (!fileExists(manifestPath())) return;
-  io::CheckpointReader reader = io::CheckpointReader::fromFile(manifestPath());
-  reader.expectKind(kManifestKind);
-  io::SectionReader meta = reader.section("meta");
-  nextId_ = meta.u64();
-  lastServedTenant_ = meta.str();
-  io::SectionReader jobs = reader.section("jobs");
-  const std::uint64_t count = jobs.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto sub = std::make_unique<Submission>();
-    sub->id = jobs.u64();
-    sub->tenant = jobs.str();
-    sub->source = jobs.str();
-    sub->scenarioText = jobs.str();
-    sub->wantJournal = jobs.boolean();
-    const std::uint8_t state = jobs.u8();
-    if (state > 4)
-      jobs.fail("submission " + std::to_string(sub->id) +
-                " carries unknown state " + std::to_string(state));
-    sub->state = static_cast<Submission::State>(state);
-    sub->journaled = jobs.boolean();
-    sub->usesGlobalCache = jobs.boolean();
-    sub->scenarioName = jobs.str();
-    sub->jobsTotal = jobs.u64();
-    sub->roundsCompleted = jobs.u64();
-    const std::uint64_t shards = jobs.u64();
-    sub->baseline.reserve(shards);
-    for (std::uint64_t s = 0; s < shards; ++s) {
-      eval::SharedEvalCache::ShardCounters c;
-      c.hits = jobs.u64();
-      c.misses = jobs.u64();
-      c.inserts = jobs.u64();
-      c.entries = jobs.u64();
-      sub->baseline.push_back(c);
-    }
-    const std::uint64_t scopes = jobs.u64();
-    sub->scopes.reserve(scopes);
-    for (std::uint64_t s = 0; s < scopes; ++s)
-      sub->scopes.push_back(jobs.str());
-    sub->report = jobs.str();
-    sub->quarantined = jobs.boolean();
-    const std::uint64_t rows = jobs.u64();
-    sub->rows.reserve(rows);
-    for (std::uint64_t r = 0; r < rows; ++r)
-      sub->rows.push_back(wire::readJobResult(jobs));
-    sub->error = jobs.str();
-
+  RecoveredState st = log_.recover(*cache_);
+  meta_ = std::move(st.meta);
+  for (SubmissionEntry& entry : st.jobs) {
+    auto sub = std::make_unique<Submission>(std::move(entry));
     if (sub->state == Submission::State::kQueued ||
         sub->state == Submission::State::kRunning) {
       // Rebuild the live run from the persisted text — the same path
       // admission took, so the journal grant and scopes re-derive
-      // identically. Journaled in-flight submissions resume from their
-      // journal (bitwise, docs/SERVICE.md); unjournaled ones restart from
-      // scratch — that is exactly the "not crash-resumable" deal their
-      // strategies signed.
+      // identically. A journal on disk holds the submission's last barrier
+      // (its last record's, or one round past it): it resumes from there
+      // (bitwise, docs/SERVICE.md). Without one it restarts from scratch —
+      // for unjournaled submissions that is exactly the "not
+      // crash-resumable" deal their strategies signed.
       try {
         buildScheduler(*sub);
-        if (sub->state == Submission::State::kRunning && sub->journaled &&
-            fileExists(journalPathFor(sub->id))) {
+        if (sub->journaled && fileExists(journalPathFor(sub->id)))
           sub->resumePending = true;
-        } else {
+        else
           sub->roundsCompleted = 0;
-        }
         sub->state = Submission::State::kQueued;
       } catch (const std::exception& e) {
         sub->state = Submission::State::kFailed;
         sub->error = std::string("recovery failed: ") + e.what();
         sub->sched.reset();
       }
+    } else if (sub->journaled) {
+      // A kill between a terminal record and the journal's removal.
+      std::remove(journalPathFor(sub->id).c_str());
     }
     submissions_.push_back(std::move(sub));
   }
+  if (st.fold) writeBase();
 }
 
 }  // namespace trdse::serve

@@ -18,21 +18,26 @@
 //    snapshot — so a submission against a *fresh* daemon renders byte-
 //    identical to `trdse run` of the same file.
 //
-//  * Durability. All service state lives in three kinds of files under
-//    DaemonConfig::stateDir, each written atomically at deterministic
-//    points: per-submission write-ahead journals (orch/journal, at every
-//    round barrier, for submissions whose strategies can checkpoint), the
-//    `serve-cache` container (serve/cache_store, after every advanced
-//    round), and the `serve-manifest` container (submission registry).
-//    Order matters: journal first (inside the scheduler's barrier), cache
-//    second, manifest last — a SIGKILL between any two writes loses at most
-//    the tail write, never consistency, and a journaled submission resumes
-//    bitwise after a restart (mid-round kills lose only the unfinished
-//    round's work).
+//  * Durability. All service state lives under DaemonConfig::stateDir:
+//    per-submission write-ahead journals (orch/journal, written inside the
+//    scheduler's round barrier, for submissions whose strategies can
+//    checkpoint) and the daemon's state log (serve/state_log): a base
+//    snapshot plus an append-only log. Every transition — admission, round
+//    barrier, completion, failure, cancel — appends one record of what it
+//    changed (the round's publishes, the cache counters, the LRU and meta,
+//    the submission's manifest entry) and fdatasyncs it before the next
+//    round runs or the client is answered. Order matters: journal first
+//    (inside the barrier), record second, and a finished submission's
+//    journal is removed only once its terminal record is durable. A SIGKILL
+//    at any instant loses at most the record being appended, never
+//    consistency: a journaled submission resumes bitwise after a restart
+//    (mid-round kills lose only the unfinished round's work), and a torn
+//    log tail is truncated on recovery.
 //
 //  * Bounded growth. The cache is evicted by whole least-recently-used
 //    scopes against DaemonConfig::cacheBudgetBytes at completion barriers,
-//    never touching scopes of in-flight submissions.
+//    never touching scopes of in-flight submissions; each eviction folds
+//    the log into a new base, and so does a log grown past the base.
 //
 // The daemon is single-threaded by design: scheduler rounds already carry
 // the intra-round parallelism (Scenario::threads), and serializing
@@ -43,13 +48,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/shared_cache.hpp"
 #include "orch/scheduler.hpp"
 #include "orch/wire.hpp"
-#include "serve/cache_store.hpp"
 #include "serve/client.hpp"
+#include "serve/state_log.hpp"
 
 namespace trdse::serve {
 
@@ -57,7 +63,7 @@ namespace trdse::serve {
 struct DaemonConfig {
   /// Unix-domain socket to listen on; a stale file is unlinked at bind.
   std::string socketPath;
-  /// Directory for the cache/manifest/journal files (created if absent).
+  /// Directory for the state log and journal files (created if absent).
   std::string stateDir;
   /// Stripes of the global SharedEvalCache. Must match the persisted cache
   /// across restarts (restore rejects a geometry change) — and must match a
@@ -80,9 +86,9 @@ struct DaemonConfig {
 /// equivalent of SIGKILL, which the recovery tests lean on).
 class Daemon {
  public:
-  /// Bind + listen + recover (cache file, manifest, in-flight journals).
+  /// Bind + listen + recover (state base + log, in-flight journals).
   /// Throws wire::WireError on socket failures, io::CheckpointError on
-  /// corrupt state files.
+  /// unreadable state files.
   explicit Daemon(DaemonConfig config);
   ~Daemon();
 
@@ -92,8 +98,10 @@ class Daemon {
   /// One service iteration: poll for connections/frames (up to
   /// `pollTimeoutMs` when idle), dispatch every readable request, then
   /// advance the fair-share pick of the active submissions by one scheduler
-  /// round and persist. Returns whether anything happened (a frame handled
-  /// or a round run) — callers can back off when false.
+  /// round and persist, and fold the state log if it outgrew its base.
+  /// Returns whether anything happened (a frame handled or a round run) —
+  /// callers can back off when false. Throws io::CheckpointError when a
+  /// round's record or a fold cannot be written.
   bool tick(int pollTimeoutMs = 0);
 
   /// tick() until a serve/shutdown request arrives (blocking poll while
@@ -111,40 +119,17 @@ class Daemon {
   const DaemonConfig& config() const { return config_; }
 
  private:
-  /// One admitted scenario and its lifecycle state.
-  struct Submission {
-    std::uint64_t id = 0;
-    std::string tenant;
-    std::string source;        ///< parse-error label from the client
-    std::string scenarioText;  ///< verbatim submitted text (rebuilds runs)
-    bool wantJournal = true;
-    enum class State : std::uint8_t {
-      kQueued = 0,
-      kRunning = 1,
-      kCompleted = 2,
-      kFailed = 3,
-      kCancelled = 4,
-    };
-    State state = State::kQueued;
-    bool journaled = false;     ///< write-ahead journal granted
-    bool usesGlobalCache = false;
-    std::string scenarioName;
-    std::size_t jobsTotal = 0;
-    std::size_t roundsCompleted = 0;
-    /// Global-cache per-shard counters at admission — the report baseline.
-    std::vector<eval::SharedEvalCache::ShardCounters> baseline;
-    /// Cache scopes its jobs use (LRU touches, eviction pinning).
-    std::vector<std::string> scopes;
+  /// One admitted scenario: its durable manifest entry plus live state.
+  struct Submission : SubmissionEntry {
+    explicit Submission(SubmissionEntry entry = {})
+        : SubmissionEntry(std::move(entry)) {}
     // Live state (queued/running only).
     std::unique_ptr<orch::Scheduler> sched;
     bool resumePending = false;  ///< recovered journal awaits resume()
+    /// The last barrier's observation; its publishes wait here until the
+    /// barrier's record takes them.
     orch::RoundObservation lastObs;
     bool haveObs = false;
-    // Terminal state.
-    std::string report;       ///< rendered summary (completed)
-    bool quarantined = false;
-    std::vector<orch::JobResult> rows;
-    std::string error;        ///< failure reason (failed)
   };
 
   struct Connection {
@@ -153,8 +138,6 @@ class Daemon {
   };
 
   std::string journalPathFor(std::uint64_t id) const;
-  std::string cacheFilePath() const;
-  std::string manifestPath() const;
 
   /// Parse + force service policy (workers=0, daemon-owned journal,
   /// journalCache off) + build the scheduler attached to the global cache.
@@ -180,7 +163,7 @@ class Daemon {
   FinalResult finalResultFor(const Submission& sub) const;
 
   /// Two-level fair pick: tenants in first-admission order rotate round-
-  /// robin (continuing after lastServedTenant_); within a tenant,
+  /// robin (continuing after meta_.lastServedTenant); within a tenant,
   /// submissions run in admission order. Returns nullptr when idle.
   Submission* pickNext();
   /// Advance `sub` one scheduler round; on completion render its report,
@@ -189,18 +172,22 @@ class Daemon {
   void finish(Submission& sub, std::vector<orch::JobResult> rows);
   void fail(Submission& sub, const std::string& error);
 
-  void persistCache() const;
-  void persistManifest() const;
+  /// Append `sub`'s record, taking the publishes its last barrier left in
+  /// lastObs. A failure here is fatal to the service loop (the in-memory
+  /// state is already ahead of the disk); recovery resumes from the last
+  /// durable record.
+  void persist(Submission& sub);
+  /// Fold the full state into a new base (StateLog::writeBase).
+  void writeBase();
   void recover();
 
   DaemonConfig config_;
   int listenFd_ = -1;
   std::shared_ptr<eval::SharedEvalCache> cache_;
-  ScopeLru lru_;
+  StateLog log_;
+  DaemonMeta meta_;
   std::vector<std::unique_ptr<Submission>> submissions_;
   std::vector<Connection> connections_;
-  std::uint64_t nextId_ = 1;
-  std::string lastServedTenant_;
   bool shutdownRequested_ = false;
 };
 

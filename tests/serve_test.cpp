@@ -18,24 +18,37 @@
 //  * admission — malformed text, oversized submissions, and unknown ids are
 //    typed serve/rejected answers, not transport faults, and a
 //    non-checkpointable scenario downgrades to journaled=false instead of
-//    being refused.
+//    being refused; an admission whose record cannot be written is rejected
+//    naming the I/O error and never becomes a submission;
+//  * the state log — a torn or corrupt final record (cut at every byte,
+//    flipped at every byte) recovers the previous barrier's state and is
+//    truncated away, a stale-generation log left by a crash mid-fold is
+//    ignored, a parent-format state dir is read as the first base, eviction
+//    survives a restart, and a warm round appends the same bytes however
+//    large the rest of the cache is.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "circuits/registry.hpp"
+#include "io/checkpoint.hpp"
 #include "orch/scenario.hpp"
 #include "orch/scheduler.hpp"
 #include "orch/wire.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/report.hpp"
+#include "serve/state_log.hpp"
 
 namespace trdse::serve {
 namespace {
@@ -177,6 +190,66 @@ std::string freshDir(const std::string& tag) {
   const std::string dir = ::testing::TempDir() + "serve_" + tag;
   std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str());
   return dir;
+}
+
+std::string readFile(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
+}
+
+void writeFile(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint64_t fileSize(const std::string& path) {
+  std::error_code ec;
+  const auto n = std::filesystem::file_size(path, ec);
+  return ec ? 0 : static_cast<std::uint64_t>(n);
+}
+
+/// Start offsets of the `[u64 length][container]` records of a state log.
+std::vector<std::size_t> recordOffsets(const std::string& log) {
+  std::vector<std::size_t> offsets;
+  for (std::size_t pos = 0; pos + 8 <= log.size();) {
+    std::uint64_t len = 0;
+    for (int i = 0; i < 8; ++i)
+      len |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(log[pos + i]))
+             << (8 * i);
+    offsets.push_back(pos);
+    pos += 8 + len;
+  }
+  return offsets;
+}
+
+/// Recover `stateDir` into a fresh cache and encode everything recovered —
+/// cache contents and counters, meta, LRU, manifest entries — as one string.
+std::string recoveredDigest(const std::string& stateDir) {
+  eval::SharedEvalCache cache(4);
+  StateLog log(stateDir);
+  const RecoveredState st = log.recover(cache);
+  io::SectionWriter w;
+  cache.saveState(w);
+  w.u64(st.meta.nextId);
+  w.str(st.meta.lastServedTenant);
+  w.u64(st.meta.lru.size());
+  for (const std::string& scope : st.meta.lru) w.str(scope);
+  w.u64(st.jobs.size());
+  for (const SubmissionEntry& e : st.jobs) writeSubmissionEntry(w, e);
+  return w.bytes();
+}
+
+/// Poll until submission `id` has run `rounds` rounds.
+void waitForRounds(Client& client, std::uint64_t id, std::size_t rounds) {
+  for (;;) {
+    const std::vector<JobStatus> rows = client.status(id);
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_TRUE(rows[0].state == "queued" || rows[0].state == "running")
+        << rows[0].state << " " << rows[0].error;
+    if (rows[0].rounds >= rounds) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 TEST(ServeTest, SubmitMatchesRunBitwise) {
@@ -442,6 +515,478 @@ TEST(ServeTest, CacheBudgetEvictsCompletedScopes) {
   const FinalResult second = client.stream(client.submit(req));
   for (const auto& row : second.rows)
     EXPECT_GT(row.outcome.evalStats.simulated, 0u) << row.name;
+}
+
+TEST(ServeTest, EvictionSurvivesRestart) {
+  ensureTinyGridRegistered();
+  const std::string text = checkpointableScenario("evict_restart", 811);
+  const std::string dir = freshDir("evict_restart");
+  DaemonConfig cfg = makeConfig(dir);
+  cfg.cacheBudgetBytes = 1;
+
+  auto harness = std::make_unique<DaemonHarness>(cfg);
+  harness->start();
+  {
+    Client client = Client::connect(cfg.socketPath);
+    SubmitRequest req;
+    req.scenarioText = text;
+    EXPECT_FALSE(client.stream(client.submit(req)).quarantined);
+  }
+  harness->kill();
+
+  // The eviction was folded into a base, so replay cannot bring the
+  // evicted scope's publishes back.
+  harness = std::make_unique<DaemonHarness>(cfg);
+  EXPECT_EQ(harness->daemon().cache().size(), 0u);
+  harness->start();
+  Client client = Client::connect(cfg.socketPath);
+  SubmitRequest req;
+  req.scenarioText = text;
+  const FinalResult second = client.stream(client.submit(req));
+  for (const auto& row : second.rows)
+    EXPECT_GT(row.outcome.evalStats.simulated, 0u) << row.name;
+}
+
+TEST(ServeTest, AdmissionWriteFailureIsRejectedNotQueued) {
+  ensureTinyGridRegistered();
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = freshDir("admit_fail");
+  const DaemonConfig cfg = makeConfig(dir);
+  std::filesystem::create_directories(cfg.stateDir);
+  const std::string logPath = cfg.stateDir + "/" + kStateLogFile;
+  std::filesystem::create_symlink("/dev/full", logPath);
+
+  auto harness = std::make_unique<DaemonHarness>(cfg);
+  harness->start();
+  {
+    Client client = Client::connect(cfg.socketPath);
+    SubmitRequest req;
+    req.scenarioText = checkpointableScenario("admit_fail", 901);
+    try {
+      client.submit(req);
+      FAIL() << "a submission whose admission record failed was accepted";
+    } catch (const ServeError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("not admitted"), std::string::npos) << what;
+      EXPECT_NE(what.find(logPath), std::string::npos) << what;
+      EXPECT_EQ(what.find("malformed"), std::string::npos) << what;
+    }
+    // Never queued, and the daemon keeps serving.
+    EXPECT_TRUE(client.status().empty());
+  }
+  harness->kill();
+
+  // With a writable log the same daemon state admits it as submission 1.
+  std::filesystem::remove(logPath);
+  harness = std::make_unique<DaemonHarness>(cfg);
+  harness->start();
+  Client client = Client::connect(cfg.socketPath);
+  SubmitRequest req;
+  req.scenarioText = checkpointableScenario("admit_fail", 901);
+  EXPECT_EQ(client.submit(req), 1u);
+}
+
+TEST(ServeTest, TornOrCorruptLogTailRecoversPreviousBarrier) {
+  ensureTinyGridRegistered();
+  const std::string text = checkpointableScenario("torn", 1001);
+  const std::string dir = freshDir("torn");
+  const DaemonConfig cfg = makeConfig(dir);
+
+  // Cold run to completion, then a long second submission cancelled after a
+  // round: the cancel record, small and publish-free, ends the log.
+  auto harness = std::make_unique<DaemonHarness>(cfg);
+  harness->start();
+  {
+    Client client = Client::connect(cfg.socketPath);
+    SubmitRequest cold;
+    cold.scenarioText = text;
+    client.stream(client.submit(cold));
+    SubmitRequest longRun;
+    longRun.scenarioText = checkpointableScenario("torn_long", 1011, 640);
+    const std::uint64_t id = client.submit(longRun);
+    waitForRounds(client, id, 1);
+    client.cancel(id);
+  }
+  harness->kill();
+
+  const std::string logPath = cfg.stateDir + "/" + kStateLogFile;
+  const std::string log = readFile(logPath);
+  const std::vector<std::size_t> offsets = recordOffsets(log);
+  ASSERT_GE(offsets.size(), 3u);
+  const std::size_t last = offsets.back();
+  ASSERT_LT(last, log.size());
+
+  // A throwaway state dir holding only a (damaged) copy of the log.
+  const std::string fuzzState = dir + "/fuzz_state";
+  std::filesystem::create_directories(fuzzState);
+  const std::string fuzzLog = fuzzState + "/" + kStateLogFile;
+  writeFile(fuzzLog, log.substr(0, last));
+  const std::string previous = recoveredDigest(fuzzState);
+  writeFile(fuzzLog, log);
+  ASSERT_NE(recoveredDigest(fuzzState), previous)
+      << "the final record changed nothing; the fuzz would prove nothing";
+
+  // Every cut inside the final record, and every flipped byte of it,
+  // recovers the previous barrier's state and truncates the bad tail.
+  for (std::size_t cut = last + 1; cut < log.size(); ++cut) {
+    writeFile(fuzzLog, log.substr(0, cut));
+    ASSERT_EQ(recoveredDigest(fuzzState), previous) << "cut at " << cut;
+    ASSERT_EQ(fileSize(fuzzLog), last) << "cut at " << cut;
+  }
+  for (std::size_t at = last; at < log.size(); ++at) {
+    std::string damaged = log;
+    damaged[at] = static_cast<char>(damaged[at] ^ 0x5a);
+    writeFile(fuzzLog, damaged);
+    ASSERT_EQ(recoveredDigest(fuzzState), previous) << "flip at " << at;
+    ASSERT_EQ(fileSize(fuzzLog), last) << "flip at " << at;
+  }
+
+  // End to end on two damaged copies: the daemon restarts into the previous
+  // barrier, answers a warm resubmission with zero simulations, appends,
+  // and restarts cleanly again.
+  const std::size_t mid = last + (log.size() - last) / 2;
+  for (const bool flip : {false, true}) {
+    std::string damaged = log;
+    if (flip)
+      damaged[mid] = static_cast<char>(damaged[mid] ^ 0x01);
+    else
+      damaged.resize(mid);
+    writeFile(logPath, damaged);
+    harness = std::make_unique<DaemonHarness>(cfg);
+    {
+      const std::vector<JobStatus> rows = harness->daemon().statusRows();
+      ASSERT_EQ(rows.size(), 2u);
+      EXPECT_EQ(rows[0].state, "completed");
+      EXPECT_EQ(rows[1].state, "queued");  // the cancel was lost with the tail
+    }
+    harness->start();
+    {
+      Client client = Client::connect(cfg.socketPath);
+      SubmitRequest warm;
+      warm.tenant = "warm";  // rotates with the requeued long run
+      warm.scenarioText = text;
+      const FinalResult res = client.stream(client.submit(warm));
+      for (const auto& row : res.rows) {
+        EXPECT_EQ(row.outcome.evalStats.simulated, 0u) << row.name;
+        EXPECT_GT(row.outcome.evalStats.sharedHits, 0u) << row.name;
+      }
+      client.cancel(2);
+    }
+    harness->kill();
+    harness = std::make_unique<DaemonHarness>(cfg);
+    const std::vector<JobStatus> rows = harness->daemon().statusRows();
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[0].state, "completed");
+    EXPECT_EQ(rows[1].state, "cancelled");
+    EXPECT_EQ(rows[2].state, "completed");
+    harness.reset();
+    // Back to the undamaged history (folded into a base by now) for the
+    // next variant.
+    std::filesystem::remove(cfg.stateDir + "/" + kStateBaseFile);
+  }
+}
+
+TEST(ServeTest, StaleGenerationLogIsIgnored) {
+  ensureTinyGridRegistered();
+  const std::string dir = freshDir("stale_gen");
+  const DaemonConfig cfg = makeConfig(dir);
+  const std::string logPath = cfg.stateDir + "/" + kStateLogFile;
+  const auto runOne = [&](const std::string& text) {
+    DaemonHarness harness(cfg);
+    harness.start();
+    Client client = Client::connect(cfg.socketPath);
+    SubmitRequest req;
+    req.scenarioText = text;
+    client.stream(client.submit(req));
+    harness.kill();
+  };
+
+  // Generation 0: one submission, logged; keep a copy of that log.
+  runOne(checkpointableScenario("stale_a", 1201));
+  const std::string staleLog = readFile(logPath);
+  ASSERT_FALSE(staleLog.empty());
+  // The restart folds it into base generation 1; a second submission logs
+  // on top, and the next restart folds both into generation 2.
+  runOne(checkpointableScenario("stale_b", 1211));
+  std::vector<JobStatus> before;
+  eval::SharedEvalCache::ShardCounters totals;
+  {
+    Daemon daemon(cfg);
+    before = daemon.statusRows();
+    totals = daemon.cache().totals();
+  }
+  ASSERT_EQ(before.size(), 2u);
+  EXPECT_EQ(fileSize(logPath), 0u);
+
+  // A crash between a base's rename and the log's reset leaves the old
+  // generation's records next to the newer base: they must not replay.
+  writeFile(logPath, staleLog);
+  DaemonHarness harness(cfg);
+  const std::vector<JobStatus> after = harness.daemon().statusRows();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].id, before[i].id);
+    EXPECT_EQ(after[i].state, before[i].state);
+    EXPECT_EQ(after[i].rounds, before[i].rounds);
+  }
+  const auto now = harness.daemon().cache().totals();
+  EXPECT_EQ(now.entries, totals.entries);
+  EXPECT_EQ(now.hits, totals.hits);
+  EXPECT_EQ(now.misses, totals.misses);
+  EXPECT_EQ(now.inserts, totals.inserts);
+  harness.start();
+  Client client = Client::connect(cfg.socketPath);
+  SubmitRequest req;
+  req.scenarioText = checkpointableScenario("stale_c", 1221);
+  EXPECT_EQ(client.submit(req), 3u) << "the stale log's meta was replayed";
+}
+
+TEST(ServeTest, ParentFormatStateDirAnswersWarmResubmission) {
+  ensureTinyGridRegistered();
+  const std::string text = checkpointableScenario("legacy", 1301);
+  const std::string dir = freshDir("legacy");
+  const DaemonConfig cfg = makeConfig(dir);
+  std::filesystem::create_directories(cfg.stateDir);
+
+  // What a daemon before the state log left behind: a `serve-cache` file
+  // (cache + LRU) and a `serve-manifest` file (meta + jobs) holding one
+  // completed submission.
+  auto warmed = std::make_shared<eval::SharedEvalCache>(cfg.cacheShards);
+  const std::vector<orch::JobResult> cold =
+      orch::Scheduler(orch::parseScenarioText(text, "legacy"), warmed).run();
+  {
+    io::CheckpointWriter w("serve-cache");
+    warmed->saveState(w.section("cache"));
+    io::SectionWriter& lru = w.section("lru");
+    lru.u64(1);
+    lru.str("tiny_grid");
+    w.writeFile(cfg.stateDir + "/shared.cache");
+  }
+  {
+    io::CheckpointWriter w("serve-manifest");
+    io::SectionWriter& meta = w.section("meta");
+    meta.u64(2);         // next id
+    meta.str("default");  // last served tenant
+    io::SectionWriter& jobs = w.section("jobs");
+    jobs.u64(1);
+    jobs.u64(1);                // id
+    jobs.str("default");        // tenant
+    jobs.str("legacy.scenario");  // source
+    jobs.str(text);             // scenario text
+    jobs.boolean(true);         // wantJournal
+    jobs.u8(2);                 // completed
+    jobs.boolean(true);         // journaled
+    jobs.boolean(true);         // usesGlobalCache
+    jobs.str("legacy");         // scenario name
+    jobs.u64(2);                // jobs
+    jobs.u64(8);                // rounds
+    jobs.u64(0);                // baseline shards
+    jobs.u64(1);                // scopes
+    jobs.str("tiny_grid");
+    jobs.str("legacy report\n");  // report
+    jobs.boolean(false);        // quarantined
+    jobs.u64(0);                // rows
+    jobs.str("");               // error
+    w.writeFile(cfg.stateDir + "/daemon.manifest");
+  }
+
+  auto harness = std::make_unique<DaemonHarness>(cfg);
+  harness->start();
+  {
+    Client client = Client::connect(cfg.socketPath);
+    const std::vector<JobStatus> rows = client.status();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].state, "completed");
+    EXPECT_EQ(rows[0].scenario, "legacy");
+    EXPECT_EQ(client.stream(1).report, "legacy report\n");
+    SubmitRequest req;
+    req.scenarioText = text;
+    const std::uint64_t id = client.submit(req);
+    EXPECT_EQ(id, 2u);
+    const FinalResult warm = client.stream(id);
+    ASSERT_EQ(warm.rows.size(), cold.size());
+    for (std::size_t i = 0; i < warm.rows.size(); ++i) {
+      EXPECT_EQ(warm.rows[i].outcome.evalStats.simulated, 0u)
+          << warm.rows[i].name;
+      EXPECT_EQ(warm.rows[i].outcome.bestValue, cold[i].outcome.bestValue);
+    }
+  }
+  harness->kill();
+  // Read once: the pair was folded into a base and is gone.
+  EXPECT_FALSE(std::filesystem::exists(cfg.stateDir + "/shared.cache"));
+  EXPECT_FALSE(std::filesystem::exists(cfg.stateDir + "/daemon.manifest"));
+  EXPECT_TRUE(std::filesystem::exists(cfg.stateDir + "/" + kStateBaseFile));
+  Daemon restarted(cfg);
+  EXPECT_EQ(restarted.statusRows().size(), 2u);
+}
+
+TEST(ServeTest, WarmRoundAppendsIndependentOfCacheSize) {
+  ensureTinyGridRegistered();
+  const std::string text = checkpointableScenario("bytes", 1401);
+  // Bytes the warm resubmission appends to the log, with `filler` entries
+  // of an unrelated scope already in the cache.
+  const auto warmBytes = [&](std::size_t filler) -> std::uint64_t {
+    const std::string dir = freshDir("bytes_" + std::to_string(filler));
+    const DaemonConfig cfg = makeConfig(dir);
+    std::filesystem::create_directories(cfg.stateDir);
+    {
+      eval::SharedEvalCache fill(cfg.cacheShards);
+      const std::size_t scope = fill.scopeId("filler");
+      for (std::size_t i = 0; i < filler; ++i) {
+        core::EvalResult r;
+        r.ok = true;
+        r.measurements = {double(i), 1.0, 2.0, 3.0};
+        fill.insert(scope, eval::EvalKey{{i, i % 7, i % 5}, 0}, r);
+      }
+      io::CheckpointWriter w("serve-cache");
+      fill.saveState(w.section("cache"));
+      io::SectionWriter& lru = w.section("lru");
+      lru.u64(1);
+      lru.str("filler");
+      w.writeFile(cfg.stateDir + "/shared.cache");
+    }
+    DaemonHarness harness(cfg);
+    harness.start();
+    Client client = Client::connect(cfg.socketPath);
+    SubmitRequest req;
+    req.scenarioText = text;
+    client.stream(client.submit(req));
+    const std::string logPath = cfg.stateDir + "/" + kStateLogFile;
+    const std::uint64_t before = fileSize(logPath);
+    const FinalResult warm = client.stream(client.submit(req));
+    for (const auto& row : warm.rows)
+      EXPECT_EQ(row.outcome.evalStats.simulated, 0u) << row.name;
+    EXPECT_EQ(harness.daemon().cache().entriesInScope(0), filler);
+    return fileSize(logPath) - before;
+  };
+  const std::uint64_t small = warmBytes(500);
+  const std::uint64_t large = warmBytes(2000);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small, large);
+}
+
+TEST(ServeTest, RestartRemovesJournalOfTerminalSubmission) {
+  ensureTinyGridRegistered();
+  const std::string dir = freshDir("stray_journal");
+  const DaemonConfig cfg = makeConfig(dir);
+  auto harness = std::make_unique<DaemonHarness>(cfg);
+  harness->start();
+  std::uint64_t id = 0;
+  {
+    Client client = Client::connect(cfg.socketPath);
+    SubmitRequest req;
+    req.scenarioText = checkpointableScenario("stray", 1501);
+    bool journaled = false;
+    id = client.submit(req, &journaled);
+    ASSERT_TRUE(journaled);
+    client.stream(id);
+  }
+  harness->kill();
+  // A kill between the terminal record and the journal's removal leaves the
+  // journal behind; the restart finishes the job.
+  const std::string journal =
+      cfg.stateDir + "/job-" + std::to_string(id) + ".journal";
+  ASSERT_FALSE(std::filesystem::exists(journal));
+  writeFile(journal, "left by a kill");
+  Daemon restarted(cfg);
+  EXPECT_FALSE(std::filesystem::exists(journal));
+  ASSERT_EQ(restarted.statusRows().size(), 1u);
+  EXPECT_EQ(restarted.statusRows()[0].state, "completed");
+}
+
+TEST(StateLogTest, ReplayKeepsScopeIdsAndShardPlacement) {
+  const std::string dir = freshDir("scope_ids") + "/state";
+  std::filesystem::create_directories(dir);
+  // A scope registered at admission but not yet published, then another
+  // scope's publishes: shard placement hashes the scope id, so replay must
+  // register both in the original order, not in first-publish order.
+  eval::SharedEvalCache cache(4);
+  cache.scopeId("admitted_first");
+  const std::size_t scope = cache.scopeId("published_first");
+  orch::RoundObservation::Publish pub;
+  pub.scope = "published_first";
+  for (std::size_t i = 0; i < 32; ++i) {
+    orch::wire::PublishEntry e;
+    e.key = {{i, i + 1}, 0};
+    e.result.ok = true;
+    e.result.measurements = {double(i)};
+    cache.insert(scope, e.key, e.result);
+    pub.entries.push_back(e);
+  }
+  core::EvalResult out;
+  cache.find(scope, pub.entries[3].key, out);
+  {
+    StateLog log(dir);
+    eval::SharedEvalCache fresh(4);
+    log.recover(fresh);
+    SubmissionEntry entry;
+    entry.id = 1;
+    log.append({pub}, cache, DaemonMeta{}, entry);
+  }
+  eval::SharedEvalCache replayed(4);
+  StateLog log(dir);
+  const RecoveredState st = log.recover(replayed);
+  EXPECT_TRUE(st.fold);
+  ASSERT_EQ(st.jobs.size(), 1u);
+  EXPECT_EQ(replayed.scopeNames(), cache.scopeNames());
+  io::SectionWriter want, got;
+  cache.saveState(want);
+  replayed.saveState(got);
+  EXPECT_EQ(got.bytes(), want.bytes());
+  for (std::size_t s = 0; s < cache.shardCount(); ++s) {
+    EXPECT_EQ(replayed.shardStats(s).entries, cache.shardStats(s).entries);
+    EXPECT_EQ(replayed.shardStats(s).hits, cache.shardStats(s).hits);
+    EXPECT_EQ(replayed.shardStats(s).inserts, cache.shardStats(s).inserts);
+  }
+}
+
+TEST(StateLogTest, LogOutgrowingTheBaseFoldsIntoANewGeneration) {
+  const std::string dir = freshDir("outgrow") + "/state";
+  std::filesystem::create_directories(dir);
+  const std::string logPath = dir + "/" + kStateLogFile;
+  eval::SharedEvalCache cache(4);
+  const std::size_t scope = cache.scopeId("bulk");
+  StateLog log(dir);
+  {
+    eval::SharedEvalCache fresh(4);
+    log.recover(fresh);
+  }
+  SubmissionEntry entry;
+  entry.id = 1;
+  entry.state = SubmissionEntry::State::kRunning;
+  // Barrier records of 512 publishes each until the log passes the floor.
+  std::size_t next = 0;
+  while (!log.outgrewBase()) {
+    ASSERT_LT(next, 200000u) << "the log never outgrew its floor";
+    orch::RoundObservation::Publish pub;
+    pub.scope = "bulk";
+    for (int i = 0; i < 512; ++i, ++next) {
+      orch::wire::PublishEntry e;
+      e.key = {{next, next % 3}, 0};
+      e.result.ok = true;
+      e.result.measurements.assign(8, double(next));
+      cache.insert(scope, e.key, e.result);
+      pub.entries.push_back(std::move(e));
+    }
+    log.append({pub}, cache, DaemonMeta{}, entry);
+  }
+  EXPECT_GT(fileSize(logPath), 4u << 20);
+  log.writeBase(cache, DaemonMeta{}, {&entry});
+  EXPECT_EQ(fileSize(logPath), 0u);
+  EXPECT_FALSE(log.outgrewBase());
+  // One record on top of the new base; recovery replays it, not the folded
+  // ones.
+  entry.state = SubmissionEntry::State::kCompleted;
+  log.append({}, cache, DaemonMeta{}, entry);
+  eval::SharedEvalCache replayed(4);
+  StateLog again(dir);
+  const RecoveredState st = again.recover(replayed);
+  ASSERT_EQ(st.jobs.size(), 1u);
+  EXPECT_EQ(st.jobs[0].state, SubmissionEntry::State::kCompleted);
+  io::SectionWriter want, got;
+  cache.saveState(want);
+  replayed.saveState(got);
+  EXPECT_EQ(got.bytes(), want.bytes());
 }
 
 }  // namespace
