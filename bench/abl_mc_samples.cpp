@@ -3,7 +3,7 @@
 // TRM step are actually needed).
 #include "bench/bench_util.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
@@ -12,7 +12,6 @@ int main() {
   const circuits::TwoStageOpamp amp(card);
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, card.nominalVdd, 27.0};
   const core::SizingProblem problem = amp.makeProblem({tt}, amp.defaultSpecs());
-  const core::ValueFunction value(problem.measurementNames, problem.specs);
 
   bench::printTableHeader("Ablation: Monte Carlo planning samples m",
                           "paper Section IV-B / Eq. 5");
@@ -23,15 +22,12 @@ int main() {
     row.name = "m = " + std::to_string(m);
     row.runs = runs;
     for (std::size_t r = 0; r < runs; ++r) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 7100 + r;
-      cfg.mcSamples = m;
-      core::LocalExplorer agent(
-          problem.space, value,
-          [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-      const auto out = agent.run(cap);
+      cfg.explorer.mcSamples = m;
+      const auto out = core::PvtSearch(problem, cfg).run(cap);
       row.successes += out.solved;
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
     }
     bench::printRow(row);
   }

@@ -3,7 +3,7 @@
 // and width).
 #include "bench/bench_util.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
@@ -12,7 +12,6 @@ int main() {
   const circuits::TwoStageOpamp amp(card);
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, card.nominalVdd, 27.0};
   const core::SizingProblem problem = amp.makeProblem({tt}, amp.defaultSpecs());
-  const core::ValueFunction value(problem.measurementNames, problem.specs);
 
   bench::printTableHeader("Ablation: surrogate depth x width",
                           "paper Section IV-B / Eq. 3");
@@ -28,16 +27,13 @@ int main() {
     row.name = std::to_string(v.layers) + " hidden x " + std::to_string(v.width);
     row.runs = runs;
     for (std::size_t r = 0; r < runs; ++r) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 7200 + r;
-      cfg.surrogate.hiddenLayers = v.layers;
-      cfg.surrogate.hiddenWidth = v.width;
-      core::LocalExplorer agent(
-          problem.space, value,
-          [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-      const auto out = agent.run(cap);
+      cfg.explorer.surrogate.hiddenLayers = v.layers;
+      cfg.explorer.surrogate.hiddenWidth = v.width;
+      const auto out = core::PvtSearch(problem, cfg).run(cap);
       row.successes += out.solved;
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
     }
     bench::printRow(row);
   }

@@ -2,7 +2,7 @@
 // a stagnating local search abandon its region and resample globally?
 #include "bench/bench_util.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
@@ -11,7 +11,6 @@ int main() {
   const circuits::TwoStageOpamp amp(card);
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, card.nominalVdd, 27.0};
   const core::SizingProblem problem = amp.makeProblem({tt}, amp.defaultSpecs());
-  const core::ValueFunction value(problem.measurementNames, problem.specs);
 
   bench::printTableHeader("Ablation: restart / escape criterion",
                           "paper Algorithm 1 line 15");
@@ -23,15 +22,12 @@ int main() {
                                : "stagnation patience = " + std::to_string(patience);
     row.runs = runs;
     for (std::size_t r = 0; r < runs; ++r) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 7400 + r;
-      cfg.stagnationPatience = patience;
-      core::LocalExplorer agent(
-          problem.space, value,
-          [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-      const auto out = agent.run(cap);
+      cfg.explorer.stagnationPatience = patience;
+      const auto out = core::PvtSearch(problem, cfg).run(cap);
       row.successes += out.solved;
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
     }
     bench::printRow(row);
   }

@@ -2,7 +2,7 @@
 // value versus the optional second-stage margin bonus used during planning.
 #include "bench/bench_util.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
@@ -21,16 +21,12 @@ int main() {
     row.name = "margin bonus = " + std::to_string(bonus);
     row.runs = runs;
     for (std::size_t r = 0; r < runs; ++r) {
-      core::ValueFunction value(problem.measurementNames, problem.specs);
-      value.setMarginBonus(bonus);
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 7300 + r;
-      core::LocalExplorer agent(
-          problem.space, value,
-          [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-      const auto out = agent.run(cap);
+      cfg.explorer.marginBonus = bonus;
+      const auto out = core::PvtSearch(problem, cfg).run(cap);
       row.successes += out.solved;
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
     }
     bench::printRow(row);
   }

@@ -31,7 +31,7 @@ int main() {
     core::PvtSearchConfig cfg;
     cfg.strategy = strategy;
     cfg.seed = 9;
-    cfg.explorer = core::autoSchedule(problem, cfg.seed);
+    cfg.explorer = core::autoSchedule(problem);
     core::PvtSearch search(problem, cfg);
     const auto out = search.run(bench::budgetOr(10000));
     std::printf("\n-- %s: solved=%d, %zu EDA blocks (%zu search / %zu verify), "

@@ -13,7 +13,7 @@
 #include "circuits/ldo.hpp"
 #include "circuits/registry.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/planner.hpp"
 #include "core/surrogate.hpp"
 #include "eval/eval_engine.hpp"
 #include "linalg/lu.hpp"
@@ -207,7 +207,8 @@ core::SpiceSurrogate makeTrainedSurrogate(std::mt19937_64& rng) {
     linalg::Vector y = {x[0] + x[1], x[2] - x[3], x[4] * x[5], x[6]};
     sur.addSample(x, y);
   }
-  sur.train(rng);  // fit both scalers so the full transform chain is timed
+  sur.drawShuffles(rng);
+  sur.fit();  // fit both scalers so the full transform chain is timed
   return sur;
 }
 

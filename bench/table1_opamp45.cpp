@@ -13,7 +13,7 @@
 // episodes); here a run that fails within the cap reports the cap.
 #include "bench/bench_util.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 #include "opt/random_search.hpp"
 #include "opt/tree_bayes_opt.hpp"
 #include "rl/a2c.hpp"
@@ -27,7 +27,6 @@ int main() {
   const circuits::TwoStageOpamp amp(card);
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, card.nominalVdd, 27.0};
   const core::SizingProblem problem = amp.makeProblem({tt}, amp.defaultSpecs());
-  const core::ValueFunction value(problem.measurementNames, problem.specs);
   const std::size_t cap = bench::budgetOr(10000);
 
   bench::printTableHeader("Table I: 45nm two-stage opamp, single PVT",
@@ -108,14 +107,11 @@ int main() {
     row.name = "Our method (trust-region model-based)";
     row.runs = bench::scaled(20);
     for (std::size_t r = 0; r < row.runs; ++r) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 600 + r;
-      core::LocalExplorer agent(
-          problem.space, value,
-          [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-      const auto out = agent.run(cap);
+      const auto out = core::PvtSearch(problem, cfg).run(cap);
       row.successes += out.solved;
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
     }
     bench::printRow(row);
   }

@@ -9,38 +9,33 @@
 // (distinct process distributions) — start sharing alone wins.
 #include "bench/bench_util.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
 int main() {
   const circuits::TwoStageOpamp amp45(sim::bsim45Card());
-  const auto space45 = circuits::TwoStageOpamp::designSpace(sim::bsim45Card());
   const sim::PvtCorner tt45{sim::ProcessCorner::kTT,
                             sim::bsim45Card().nominalVdd, 27.0};
-  const core::ValueFunction value45(circuits::TwoStageOpamp::measurementNames(),
-                                    amp45.defaultSpecs());
+  const core::SizingProblem prob45 =
+      amp45.makeProblem({tt45}, amp45.defaultSpecs());
 
   // One donor search on 45nm provides the shared weights + starting point.
-  core::LocalExplorerConfig donorCfg;
+  core::PvtSearchConfig donorCfg;
   donorCfg.seed = 42;
-  core::LocalExplorer donor(
-      space45, value45,
-      [&](const linalg::Vector& x) { return amp45.evaluate(x, tt45); },
-      donorCfg);
+  core::PvtSearch donor(prob45, donorCfg);
   const auto donorOut = donor.run(bench::budgetOr(10000));
   if (!donorOut.solved) {
     std::printf("table2: donor search failed; aborting\n");
     return 1;
   }
-  std::printf("45nm donor solved in %zu iterations\n", donorOut.iterations);
+  std::printf("45nm donor solved in %zu iterations\n", donorOut.totalSims);
 
   const circuits::TwoStageOpamp amp22(sim::bsim22Card());
-  const auto space22 = circuits::TwoStageOpamp::designSpace(sim::bsim22Card());
   const sim::PvtCorner tt22{sim::ProcessCorner::kTT,
                             sim::bsim22Card().nominalVdd, 27.0};
-  const core::ValueFunction value22(circuits::TwoStageOpamp::measurementNames(),
-                                    amp22.defaultSpecs());
+  const core::SizingProblem prob22 =
+      amp22.makeProblem({tt22}, amp22.defaultSpecs());
 
   bench::printTableHeader("Table II: process porting 45nm -> 22nm",
                           "paper Table II");
@@ -60,16 +55,14 @@ int main() {
     row.name = s.name;
     row.runs = runs;
     for (std::size_t r = 0; r < runs; ++r) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 1000 + r;
-      if (s.shareStart) cfg.startingPoint = donorOut.sizes;
-      if (s.shareWeights) cfg.warmStartWeights = &donor.surrogate().network();
-      core::LocalExplorer agent(
-          space22, value22,
-          [&](const linalg::Vector& x) { return amp22.evaluate(x, tt22); }, cfg);
-      const auto out = agent.run(bench::budgetOr(10000));
+      if (s.shareStart) cfg.explorer.startingPoint = donorOut.sizes;
+      if (s.shareWeights)
+        cfg.explorer.warmStartWeights = &donor.surrogate(0)->network();
+      const auto out = core::PvtSearch(prob22, cfg).run(bench::budgetOr(10000));
       row.successes += out.solved;
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
     }
     bench::printRow(row);
   }

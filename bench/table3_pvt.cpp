@@ -53,7 +53,7 @@ int main() {
       // trajectory (and the totalSims reported below) is bitwise identical
       // with the cache on; turning it off only pins blocks == simulations.
       cfg.cacheEvals = false;
-      cfg.explorer = core::autoSchedule(problem, cfg.seed);
+      cfg.explorer = core::autoSchedule(problem);
       core::PvtSearch search(problem, cfg);
       const auto out = search.run(cap);
       row.successes += out.solved;

@@ -77,7 +77,7 @@ int main() {
     core::PvtSearchConfig cfg;
     cfg.seed = 5;
     cfg.strategy = core::PvtStrategy::kProgressiveHardest;
-    cfg.explorer = core::autoSchedule(problem, cfg.seed);
+    cfg.explorer = core::autoSchedule(problem);
     core::PvtSearch search(problem, cfg);
     const auto out = search.run(bench::budgetOr(20000));
     double worstGain = 1e18;

@@ -10,7 +10,7 @@
 // so in ~4.5x fewer simulations than the global BO.
 #include "bench/bench_util.hpp"
 #include "circuits/ico.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 #include "opt/tree_bayes_opt.hpp"
 
 using namespace trdse;
@@ -69,17 +69,14 @@ int main() {
     double f = 0.0;
     std::size_t solvedRuns = 0;
     for (std::size_t r = 0; r < row.runs; ++r) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = 80 + r;
-      core::LocalExplorer agent(
-          problem.space, value,
-          [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-      const auto out = agent.run(bench::budgetOr(2000));
-      row.iterations.push_back(static_cast<double>(out.iterations));
+      const auto out = core::PvtSearch(problem, cfg).run(bench::budgetOr(2000));
+      row.iterations.push_back(static_cast<double>(out.totalSims));
       if (out.solved) {
         ++solvedRuns;
-        pn += out.eval.measurements[circuits::Ico::kPnoiseDbc];
-        f += out.eval.measurements[circuits::Ico::kFreqGhz];
+        pn += out.cornerEvals[0].measurements[circuits::Ico::kPnoiseDbc];
+        f += out.cornerEvals[0].measurements[circuits::Ico::kFreqGhz];
       }
     }
     const auto s = linalg::summarize(row.iterations);

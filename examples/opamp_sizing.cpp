@@ -10,7 +10,7 @@
 #include <cstdlib>
 
 #include "circuits/registry.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   const core::SizingProblem problem =
       circuits::Registry::global().makeProblem("two_stage_opamp");
-  const sim::PvtCorner tt = problem.corners.front();
 
   std::printf("%s | design space 10^%.1f | specs:\n", problem.name.c_str(),
               problem.space.sizeLog10());
@@ -29,24 +28,20 @@ int main(int argc, char** argv) {
     std::printf("  %s %s %g\n", s.measurement.c_str(),
                 s.kind == core::SpecKind::kAtLeast ? ">=" : "<=", s.limit);
 
-  core::ValueFunction value(problem.measurementNames, problem.specs);
-  core::LocalExplorerConfig cfg;
+  core::PvtSearchConfig cfg;
   cfg.seed = seed;
-  core::LocalExplorer agent(
-      problem.space, value,
-      [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-
-  const core::SearchOutcome out = agent.run(budget);
-  std::printf("solved: %s in %zu SPICE requests (%zu simulated, %zu cache "
-              "hits; %zu restarts, %zu accepted / %zu rejected TRM steps)\n",
-              out.solved ? "yes" : "no", out.iterations,
-              out.evalStats.simulated, out.evalStats.cacheHits,
-              out.trace.restarts, out.trace.acceptedSteps,
-              out.trace.rejectedSteps);
+  const core::PvtSearchOutcome out = core::PvtSearch(problem, cfg).run(budget);
+  // The EDA-block ledger partitions every request: simulated, served from
+  // the memo, or failed.
+  std::printf("solved: %s in %zu SPICE requests (ledger: %zu simulated, %zu "
+              "cache hits, %zu failed)\n",
+              out.solved ? "yes" : "no", out.totalSims,
+              out.ledger.simulatedBlocks(), out.ledger.cachedBlocks(),
+              out.ledger.failedBlocks());
   if (out.solved) {
     for (std::size_t i = 0; i < problem.measurementNames.size(); ++i)
       std::printf("  %-10s = %.4g\n", problem.measurementNames[i].c_str(),
-                  out.eval.measurements[i]);
+                  out.cornerEvals[0].measurements[i]);
     for (std::size_t i = 0; i < out.sizes.size(); ++i)
       std::printf("  %-6s = %.4g\n", problem.space.param(i).name.c_str(),
                   out.sizes[i]);

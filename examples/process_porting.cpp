@@ -18,7 +18,7 @@
 #include <string>
 
 #include "circuits/registry.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 
@@ -31,23 +31,19 @@ bool runDonor(std::uint64_t seed, const std::string& path) {
   const auto& registry = circuits::Registry::global();
   const core::SizingProblem prob45 =
       registry.makeProblem("two_stage_opamp", {}, "bsim45");
-  const sim::PvtCorner tt45 = prob45.corners.front();
-  const core::ValueFunction value45(prob45.measurementNames, prob45.specs);
-  core::LocalExplorerConfig cfg45;
+  core::PvtSearchConfig cfg45;
   cfg45.seed = seed;
-  core::LocalExplorer donor(
-      prob45.space, value45,
-      [&](const linalg::Vector& x) { return prob45.evaluate(x, tt45); }, cfg45);
-  const core::SearchOutcome out45 = donor.run(10000);
+  core::PvtSearch donor(prob45, cfg45);
+  const core::PvtSearchOutcome out45 = donor.run(10000);
   std::printf("45nm donor: solved=%d iterations=%zu simulated=%zu\n",
-              int(out45.solved), out45.iterations, out45.evalStats.simulated);
+              int(out45.solved), out45.totalSims, out45.evalStats.simulated);
   if (!out45.solved) return false;
 
   io::CheckpointWriter w("porting-donor");
   io::SectionWriter& meta = w.section("meta");
   meta.str("two_stage_opamp");
   meta.str("bsim45");
-  io::writeMlp(w.section("surrogate-net"), donor.surrogate().network());
+  io::writeMlp(w.section("surrogate-net"), donor.surrogate(0)->network());
   w.section("best-sizes").vec(out45.sizes);
   w.writeFile(path);
   std::printf("45nm donor: agent saved to %s\n", path.c_str());
@@ -85,8 +81,6 @@ int main(int argc, char** argv) {
     const auto& registry = circuits::Registry::global();
     const core::SizingProblem prob22 =
         registry.makeProblem("two_stage_opamp", {}, "bsim22");
-    const sim::PvtCorner tt22 = prob22.corners.front();
-    const core::ValueFunction value22(prob22.measurementNames, prob22.specs);
 
     struct Strategy {
       const char* name;
@@ -101,17 +95,14 @@ int main(int argc, char** argv) {
     std::size_t coldSimulated = 0;
     std::size_t warmSimulated = 0;
     for (const auto& s : strategies) {
-      core::LocalExplorerConfig cfg;
+      core::PvtSearchConfig cfg;
       cfg.seed = seed + 100;
-      if (s.shareStart) cfg.startingPoint = donorSizes;
-      if (s.shareWeights) cfg.warmStartWeights = &donorNet;
-      core::LocalExplorer agent(
-          prob22.space, value22,
-          [&](const linalg::Vector& x) { return prob22.evaluate(x, tt22); },
-          cfg);
-      const core::SearchOutcome out = agent.run(10000);
+      if (s.shareStart) cfg.explorer.startingPoint = donorSizes;
+      if (s.shareWeights) cfg.explorer.warmStartWeights = &donorNet;
+      const core::PvtSearchOutcome out =
+          core::PvtSearch(prob22, cfg).run(10000);
       std::printf("22nm %-42s: solved=%d iterations=%zu simulated=%zu\n",
-                  s.name, int(out.solved), out.iterations,
+                  s.name, int(out.solved), out.totalSims,
                   out.evalStats.simulated);
       if (!s.shareWeights && !s.shareStart) coldSimulated = out.evalStats.simulated;
       if (s.shareWeights && s.shareStart) warmSimulated = out.evalStats.simulated;

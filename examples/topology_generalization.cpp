@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "circuits/registry.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 
 using namespace trdse;
 
@@ -19,22 +19,17 @@ namespace {
 void runOne(const char* circuitName, std::uint64_t seed) {
   const core::SizingProblem problem =
       circuits::Registry::global().makeProblem(circuitName);
-  const sim::PvtCorner tt = problem.corners.front();
-  const core::ValueFunction value(problem.measurementNames, problem.specs);
-  core::LocalExplorerConfig cfg;
+  core::PvtSearchConfig cfg;
   cfg.seed = seed;
-  core::LocalExplorer agent(
-      problem.space, value,
-      [&](const linalg::Vector& x) { return problem.evaluate(x, tt); }, cfg);
-  const auto out = agent.run(10000);
+  const auto out = core::PvtSearch(problem, cfg).run(10000);
   std::printf("%-22s dim=%zu space=10^%.1f  solved=%d in %zu sims\n",
               circuitName, problem.space.dim(), problem.space.sizeLog10(),
-              int(out.solved), out.iterations);
+              int(out.solved), out.totalSims);
   if (out.solved) {
     std::printf("  ");
     for (std::size_t i = 0; i < problem.measurementNames.size(); ++i)
       std::printf(" %s=%.4g", problem.measurementNames[i].c_str(),
-                  out.eval.measurements[i]);
+                  out.cornerEvals[0].measurements[i]);
     std::printf("\n");
   }
 }

@@ -15,7 +15,7 @@
 #include "circuits/registry.hpp"
 #include "circuits/two_stage_opamp.hpp"
 #include "common/thread_pool.hpp"
-#include "core/local_explorer.hpp"
+#include "core/pvt_search.hpp"
 #include "sim/dc.hpp"
 #include "sim/mismatch.hpp"
 
@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
       circuits::Registry::global().makeProblem("two_stage_opamp");
   const sim::ProcessCard& card = sim::bsim45Card();
   const circuits::TwoStageOpamp amp(card);
-  const core::DesignSpace& space = scenario.space;
   const sim::PvtCorner tt = scenario.corners.front();
   const auto& specs = scenario.specs;
   const core::ValueFunction specCheck(scenario.measurementNames, specs);
@@ -107,25 +106,27 @@ int main(int argc, char** argv) {
   // All measurements in this example — sizing and MC alike — go through the
   // offset-nulled testbench, so the search optimizes exactly what the Monte
   // Carlo later judges (searching on the raw testbench and verifying on the
-  // nulled one would conflate systematic-offset drift with mismatch).
-  auto evalNulled = [&](const linalg::Vector& x) {
-    auto tb = amp.buildTestbench(x, tt);
+  // nulled one would conflate systematic-offset drift with mismatch). The
+  // fused batch evaluator measures the raw testbench, so it is dropped.
+  core::SizingProblem nulled = scenario;
+  nulled.evaluate = [&amp](const linalg::Vector& x, const sim::PvtCorner& c) {
+    auto tb = amp.buildTestbench(x, c);
     core::EvalResult r;
     if (!nullOffsetAndMeasure(tb, r)) return core::EvalResult{};
     return r;
   };
+  nulled.evaluateBatch = {};
 
   // 1) Plain CSP solution: lands exactly on the spec boundary.
-  core::LocalExplorerConfig cfg;
+  core::PvtSearchConfig cfg;
   cfg.seed = seed;
-  core::LocalExplorer agent(space, specCheck, evalNulled, cfg);
-  const auto boundary = agent.run(10000);
+  const auto boundary = core::PvtSearch(nulled, cfg).run(10000);
   if (!boundary.solved) {
     std::printf("search failed\n");
     return 1;
   }
   std::printf("boundary design found in %zu sims (%zu simulated, %zu cached)\n",
-              boundary.iterations, boundary.evalStats.simulated,
+              boundary.totalSims, boundary.evalStats.simulated,
               boundary.evalStats.cacheHits);
 
   // 2) Margin-hardened solution: re-run against tightened specs.
@@ -136,16 +137,15 @@ int main(int argc, char** argv) {
     else
       s.limit *= 0.9;
   }
-  const core::ValueFunction hardenedValue(scenario.measurementNames, hardened);
-  core::LocalExplorerConfig cfg2;
-  cfg2.seed = seed + 1;
-  core::LocalExplorer agent2(space, hardenedValue, evalNulled, cfg2);
-  const auto margin = agent2.run(10000);
+  core::SizingProblem hardenedProblem = nulled;
+  hardenedProblem.specs = hardened;
+  cfg.seed = seed + 1;
+  const auto margin = core::PvtSearch(hardenedProblem, cfg).run(10000);
   if (!margin.solved) {
     std::printf("hardened search failed within budget; increase it\n");
     return 1;
   }
-  std::printf("hardened design found in %zu sims\n", margin.iterations);
+  std::printf("hardened design found in %zu sims\n", margin.totalSims);
 
   // 3) MC yield of both, judged against the *original* specs. Samples run
   // thread-parallel with per-sample RNG streams (thread-count invariant).

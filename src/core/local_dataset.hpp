@@ -1,7 +1,7 @@
 // Trajectory storage with local-region selection (the paper's compact
 // circuit space D_L): surrogates train only on samples near the current
 // trust-region center, with a nearest-K fallback when the region is sparse.
-// Shared by the single-condition LocalExplorer and the multi-corner PvtSearch.
+// PvtSearch keeps one per active corner.
 #pragma once
 
 #include <cstddef>

@@ -37,16 +37,11 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
       config_(std::move(config)),
       // note: value_ must be built from the member, not the moved-from param
       value_(problem_.measurementNames, problem_.specs),
-      // Caching is on only when both the search-level and the embedded
-      // explorer-level flag allow it, so an explorerOverride with
-      // cacheEvals=false (the paper-accounting reproduction path) is honored
-      // here too.
       engine_(problem_,
-              eval::EvalEngineConfig{
-                  config_.cacheEvals && config_.explorer.cacheEvals,
-                  config_.evalThreads}),
+              eval::EvalEngineConfig{config_.cacheEvals, config_.evalThreads}),
       rng_(config_.seed),
       tr_(config_.explorer.trustRegion) {
+  value_.setMarginBonus(config_.explorer.marginBonus);
   // Misconfigured periodic checkpointing must fail up front: silently
   // running without snapshots is exactly the data loss the knob prevents.
   if (config_.autoCheckpointEvery != 0 && config_.autoCheckpointPath.empty())
@@ -68,12 +63,34 @@ std::vector<EvalResult> PvtSearch::evalCorners(
 
 double PvtSearch::poolValue(const std::vector<EvalResult>& evals) const {
   // min over corners of the plannerScore — the paper's "lowest expected
-  // value" candidate rule, with the same margin tie-break the single-corner
-  // explorer plans with.
+  // value" candidate rule, with the same margin tie-break the planner uses.
   double v = std::numeric_limits<double>::infinity();
   for (const auto& e : evals)
     v = std::min(v, e.ok ? value_.plannerScore(e.measurements) : kFailedValue);
   return evals.empty() ? kFailedValue : v;
+}
+
+void PvtSearch::considerBest(const linalg::Vector& sizes,
+                             const std::vector<EvalResult>& evals) {
+  const EvalResult* worst = nullptr;
+  double worstValue = 0.0;
+  for (const EvalResult& e : evals) {
+    const double v = value_.valueOf(e);
+    if (worst == nullptr || v < worstValue) {
+      worst = &e;
+      worstValue = v;
+    }
+  }
+  if (worst == nullptr || worstValue <= result_.bestValue) return;
+  result_.sizes = sizes;
+  result_.bestValue = worstValue;
+  result_.bestEval = *worst;
+}
+
+const SpiceSurrogate* PvtSearch::surrogate(std::size_t corner) const {
+  for (const auto& cs : active_)
+    if (cs.index == corner) return cs.surrogate.get();
+  return nullptr;
 }
 
 void PvtSearch::activate(std::size_t idx) {
@@ -93,6 +110,9 @@ void PvtSearch::ensureSurrogates(std::size_t measDim) {
       cs.surrogate = std::make_unique<SpiceSurrogate>(
           dim, measDim, config_.explorer.surrogate,
           config_.seed + 101 * (cs.index + 1));
+      // A donor network of another shape is skipped, not adopted.
+      if (config_.explorer.warmStartWeights != nullptr)
+        cs.surrogate->adoptWeights(*config_.explorer.warmStartWeights);
     }
   }
 }
@@ -178,6 +198,9 @@ bool PvtSearch::verifyAndExpand(const Point& p) {
       worstIdx = c;
     }
   }
+  // A solving point's Value is 0, above every unsolved point's, so the best
+  // point becomes the solution.
+  considerBest(p.sizes, finals);
   if (worstIdx == nCorners) {
     result_.solved = true;
     result_.sizes = p.sizes;
@@ -186,6 +209,12 @@ bool PvtSearch::verifyAndExpand(const Point& p) {
   }
   activate(worstIdx);
   if (measDim_.has_value()) ensureSurrogates(*measDim_);
+  return false;
+}
+
+bool PvtSearch::signOff(const Point& p) {
+  if (poolSatisfied(p)) return verifyAndExpand(p);
+  considerBest(p.sizes, p.evals);
   return false;
 }
 
@@ -233,13 +262,13 @@ void PvtSearch::stepInitSample() {
     phase_ = Phase::kTrmStep;
     return;
   }
-  Point p = evaluatePoint(problem_.space.randomPoint(rng_));
+  // Porting: the very first sample is the donor's optimum (no rng draw).
+  const std::optional<linalg::Vector>& start = config_.explorer.startingPoint;
+  Point p = evaluatePoint(initK_ == 0 && result_.totalSims == 0 && start
+                              ? *start
+                              : problem_.space.randomPoint(rng_));
   ++initK_;
-  if (poolSatisfied(p) && verifyAndExpand(p)) {
-    phase_ = Phase::kDone;
-    return;
-  }
-  if (result_.solved) {
+  if (signOff(p)) {
     phase_ = Phase::kDone;
     return;
   }
@@ -298,11 +327,7 @@ void PvtSearch::stepTrm() {
   const double predictedDelta = bestModelValue - predictedCenter;
 
   Point trial = evaluatePoint(problem_.space.fromUnit(bestUnit));
-  if (poolSatisfied(trial) && verifyAndExpand(trial)) {
-    phase_ = Phase::kDone;
-    return;
-  }
-  if (result_.solved) {
+  if (signOff(trial)) {
     phase_ = Phase::kDone;
     return;
   }
@@ -374,7 +399,7 @@ std::vector<std::pair<std::string, std::string>> fingerprintOf(
   }
   fp.emplace_back("strategy", std::string(toString(config.strategy)));
   fp.emplace_back("seed", std::to_string(config.seed));
-  const LocalExplorerConfig& e = config.explorer;
+  const ExplorerConfig& e = config.explorer;
   fp.emplace_back("initSamples", std::to_string(e.initSamples));
   fp.emplace_back("mcSamples", std::to_string(e.mcSamples));
   fp.emplace_back("restartAfter", std::to_string(e.restartAfter));
@@ -384,8 +409,7 @@ std::vector<std::pair<std::string, std::string>> fingerprintOf(
   // A constant entry: checkpoints and journals written when planning was
   // still configurable carry it, and must keep matching so they resume.
   fp.emplace_back("batchedPlanning", "1");
-  fp.emplace_back("cacheEvals",
-                  (config.cacheEvals && e.cacheEvals) ? "1" : "0");
+  fp.emplace_back("cacheEvals", config.cacheEvals ? "1" : "0");
   const TrustRegionConfig& t = e.trustRegion;
   fp.emplace_back("trustRegion", num(t.initRadius) + ":" + num(t.minRadius) +
                                      ":" + num(t.maxRadius) + ":" +
@@ -396,6 +420,24 @@ std::vector<std::pair<std::string, std::string>> fingerprintOf(
                                    num(s.learningRate) + ":" +
                                    std::to_string(s.epochsPerUpdate) + ":" +
                                    std::to_string(s.batchSize));
+  // Entries that exist only when set off their default, so checkpoints and
+  // journals written before they existed keep matching.
+  if (e.marginBonus != ExplorerConfig{}.marginBonus)
+    fp.emplace_back("marginBonus", num(e.marginBonus));
+  if (e.startingPoint.has_value()) {
+    std::string v;
+    for (const double x : *e.startingPoint)
+      v += (v.empty() ? "" : ",") + num(x);
+    fp.emplace_back("startingPoint", v);
+  }
+  if (e.warmStartWeights != nullptr) {
+    const linalg::Vector w = e.warmStartWeights->getParameters();
+    fp.emplace_back("warmStartWeights",
+                    std::to_string(w.size()) + ":" +
+                        std::to_string(io::fnv1a64(
+                            reinterpret_cast<const char*>(w.data()),
+                            w.size() * sizeof(double))));
+  }
   return fp;
 }
 
@@ -453,6 +495,10 @@ void PvtSearch::save(io::CheckpointWriter& w) const {
   }
 
   engine_.saveState(w.section("engine"));
+
+  io::SectionWriter& bw = w.section("best");
+  bw.f64(result_.bestValue);
+  io::writeEvalResult(bw, result_.bestEval);
 }
 
 void PvtSearch::saveCheckpoint(const std::string& path) const {
@@ -483,6 +529,7 @@ void PvtSearch::restore(const io::CheckpointReader& r) {
     active_.clear();
     rng_.seed(config_.seed);
     value_ = ValueFunction(problem_.measurementNames, problem_.specs);
+    value_.setMarginBonus(config_.explorer.marginBonus);
     engine_.resetAccounting();
     engine_.clearCache();
     throw;
@@ -587,6 +634,17 @@ void PvtSearch::restoreSections(const io::CheckpointReader& r) {
   io::SectionReader er = r.section("engine");
   engine_.restoreState(er);
   er.expectEnd();
+
+  // Checkpoints written before the best point was tracked lack the section;
+  // their solved outcome still names its best point.
+  if (r.hasSection("best")) {
+    io::SectionReader br = r.section("best");
+    result_.bestValue = br.f64();
+    result_.bestEval = io::readEvalResult(br);
+    br.expectEnd();
+  } else if (result_.solved) {
+    considerBest(result_.sizes, result_.cornerEvals);
+  }
 }
 
 void PvtSearch::restoreCheckpoint(const std::string& path) {

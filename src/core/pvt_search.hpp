@@ -1,4 +1,14 @@
-// Progressive PVT exploration (paper Section IV-E, Fig. 3, Table III).
+// The paper's Algorithm 1 with progressive PVT exploration (Section IV-E,
+// Fig. 3, Table III). A single-corner problem is its one-corner case — the
+// search behind Tables I, II and V.
+//
+// Search loop: Monte Carlo sample the global space, dive into the best
+// region, then alternate {train surrogates on the local trajectory} ->
+// {Monte Carlo plan inside the trust region on the surrogates} -> {SPICE the
+// chosen trial} -> {TRM accept/reject + radius update}, restarting from a
+// fresh global sample when the local region is exhausted (line 15's escape
+// criterion). Every SPICE invocation — initial samples included — counts one
+// iteration against the budget, matching the paper's Table I accounting.
 //
 // Rather than verifying every corner on every iteration (brute force), the
 // search focuses on a small *active pool* of conditions — initially one,
@@ -14,7 +24,8 @@
 #include <optional>
 #include <random>
 
-#include "core/local_explorer.hpp"
+#include "core/local_dataset.hpp"
+#include "core/planner.hpp"
 #include "core/problem.hpp"
 #include "core/surrogate.hpp"
 #include "core/trust_region.hpp"
@@ -39,10 +50,40 @@ enum class PvtStrategy : std::uint8_t {
 /// Human-readable strategy name (bench/report labels).
 std::string_view toString(PvtStrategy s);
 
+/// Hyper-parameters of Algorithm 1, shared by every corner of the pool.
+struct ExplorerConfig {
+  std::size_t initSamples = 12;   ///< N of Algorithm 1 line 2
+  std::size_t mcSamples = 800;    ///< m of line 10
+  std::size_t restartAfter = 70;  ///< Criterion of line 15 (steps since restart)
+  /// Early escape: restart when the center has not improved for this many
+  /// consecutive TRM steps (a cheaper-to-trigger version of the Criterion —
+  /// dead local optima are abandoned before the hard cap).
+  std::size_t stagnationPatience = 18;
+  /// Surrogate training is restricted to samples within
+  /// localityFactor * radius (infinity-norm) of the current center — the
+  /// paper's "compact circuit space D_L"; all collected samples are kept and
+  /// re-enter training whenever the region slides over them.
+  double localityFactor = 3.0;
+  std::size_t minLocalSamples = 12;  ///< fall back to nearest-K when sparse
+  TrustRegionConfig trustRegion;  ///< radius schedule (paper IV-C)
+  SurrogateConfig surrogate;      ///< f_NN architecture and training
+  /// Weight of the planner's margin bonus (ValueFunction::plannerScore; 0
+  /// disables the paper's optional second-stage value, IV-D).
+  double marginBonus = 0.02;
+  /// When set, the search's first init sample is this point (snapped; it
+  /// draws no rng) — the process-porting "starting point sharing" strategy
+  /// (Table II).
+  std::optional<linalg::Vector> startingPoint;
+  /// When set, every corner surrogate starts from these weights when it is
+  /// built instead of its random init — the porting "weight sharing"
+  /// strategy (Table II). Not owned: must outlive the search.
+  const nn::Mlp* warmStartWeights = nullptr;
+};
+
 /// Parameters of the progressive PVT search.
 struct PvtSearchConfig {
   PvtStrategy strategy = PvtStrategy::kProgressiveHardest;  ///< pool policy
-  LocalExplorerConfig explorer;  ///< per-corner surrogate/TRM settings
+  ExplorerConfig explorer;       ///< per-corner surrogate/TRM settings
   std::uint64_t seed = 1;        ///< seed for corner choice and exploration
   /// Threads for corner evaluation, the caller included: the same sizing is
   /// simulated on every active (and, during sign-off, every inactive)
@@ -59,8 +100,10 @@ struct PvtSearchConfig {
   /// engine. Cache hits cost zero EDA blocks (tallied separately in the
   /// ledger/stats); the seeded search trajectory — solved flag, sizes,
   /// totalSims, corner evals, ledger block sequence — is bitwise identical
-  /// with the cache on or off. Effective only when
-  /// `explorer.cacheEvals` is also set (either flag disables caching).
+  /// with the cache on or off, provided the evaluation callback is a pure
+  /// function of the snapped sizes (every circuits:: evaluator is). Turn it
+  /// off for impure or stateful callbacks (e.g. per-call noise injection),
+  /// which must see every request.
   bool cacheEvals = true;
   /// Auto-checkpoint cadence: every `autoCheckpointEvery` completed TRM
   /// steps the full search state is written to `autoCheckpointPath`
@@ -79,20 +122,25 @@ struct PvtSearchOutcome {
   /// count here (the budget is charged identically) but consume no EDA time
   /// — see evalStats.simulated for the real block count.
   std::size_t totalSims = 0;
-  linalg::Vector sizes;       ///< final (or best) sizing
-  std::vector<EvalResult> cornerEvals;  ///< final per-corner measurements
+  /// The solving sizing — or, while unsolved, the best point so far: the one
+  /// with the highest worst-corner Value over the corners it was simulated
+  /// on (empty until some point simulates cleanly on all of them).
+  linalg::Vector sizes;
+  double bestValue = kFailedValue;  ///< worst-corner Value of `sizes`
+  EvalResult bestEval;              ///< its worst corner's evaluation
+  std::vector<EvalResult> cornerEvals;  ///< sign-off measurements (solved)
   std::size_t cornersActivated = 0;     ///< pool size at termination
   pvt::EdaLedger ledger;                ///< per-block accounting (Table III)
   eval::EvalStats evalStats;            ///< cache hit/miss + backend timing
 };
 
-/// Progressive multi-corner trust-region search (paper IV-E).
+/// Algorithm 1 over a progressive corner pool (paper IV-E).
 ///
 /// The search is a resumable state machine: run() advances it until the
 /// cumulative logical budget `maxSims` is reached (budget checks sit exactly
 /// where the original single-pass loop had them), so a run paused by a
 /// smaller budget — or killed and restored from a checkpoint — continues to
-/// the same SearchOutcome, ledger and stats, bit for bit, as an
+/// the same outcome, ledger and stats, bit for bit, as an
 /// uninterrupted run. saveCheckpoint()/restoreCheckpoint() persist the full
 /// state: per-corner surrogates (weights + Adam moments + scalers),
 /// trajectories, trust-region radius, RNG stream, eval-engine memo and
@@ -115,6 +163,10 @@ class PvtSearch {
 
   /// The configuration this search runs under.
   const PvtSearchConfig& config() const { return config_; }
+
+  /// Corner `corner`'s surrogate (for porting: save its weights), or null
+  /// while that corner is inactive or has not been built yet.
+  const SpiceSurrogate* surrogate(std::size_t corner) const;
 
   /// Snapshot the full search state into a versioned checkpoint file.
   /// Throws io::CheckpointError when the file cannot be written.
@@ -163,12 +215,18 @@ class PvtSearch {
   /// min over active corners of Value(eval) for an already-evaluated point.
   double poolValue(const std::vector<EvalResult>& evals) const;
 
+  /// Keep `sizes` as the outcome's best point when its worst-corner Value
+  /// over `evals` (its results; ties keep the first) beats the best so far.
+  void considerBest(const linalg::Vector& sizes,
+                    const std::vector<EvalResult>& evals);
+
   /// Seed the active pool per the configured strategy (one rng_ draw for the
   /// random strategy) and reset per-run engine accounting.
   void initialize();
   /// Add corner `idx` to the active pool (idempotent).
   void activate(std::size_t idx);
-  /// Build surrogates for active corners that lack one (measDim_ known).
+  /// Build surrogates for active corners that lack one (measDim_ known),
+  /// warm-started from `explorer.warmStartWeights` when set.
   void ensureSurrogates(std::size_t measDim);
   /// SPICE a raw point on the whole active pool + bookkeeping.
   Point evaluatePoint(const linalg::Vector& rawSizes);
@@ -177,6 +235,10 @@ class PvtSearch {
   /// Verify inactive corners; true when all pass (search solved), otherwise
   /// activates the failing corner with the lowest value.
   bool verifyAndExpand(const Point& p);
+  /// After `p` is simulated on the pool: verify the other corners when the
+  /// pool is satisfied (true when that solves the search), and keep the best
+  /// point over every corner `p` was simulated on.
+  bool signOff(const Point& p);
 
   /// Advance one state-machine step (at most one budget-checked unit of
   /// work — one init sample or one full TRM iteration; the budget check

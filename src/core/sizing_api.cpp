@@ -5,10 +5,8 @@
 
 namespace trdse::core {
 
-LocalExplorerConfig autoSchedule(const SizingProblem& problem,
-                                 std::uint64_t seed) {
-  LocalExplorerConfig c;
-  c.seed = seed;
+ExplorerConfig autoSchedule(const SizingProblem& problem) {
+  ExplorerConfig c;
   const std::size_t d = problem.space.dim();
   // More dimensions -> more initial coverage and more planning samples.
   c.initSamples = std::clamp<std::size_t>(d + 3, 10, 40);
@@ -37,7 +35,7 @@ PvtSearch& SizingSession::ensureSearch() {
     cfg.autoCheckpointPath = options_.checkpointPath;
     cfg.explorer = options_.explorerOverride.has_value()
                        ? *options_.explorerOverride
-                       : autoSchedule(problem_, options_.seed);
+                       : autoSchedule(problem_);
     search_ = std::make_unique<PvtSearch>(problem_, cfg);
   }
   return *search_;
@@ -73,11 +71,8 @@ SessionReport SizingSession::run() {
      << "  simulations: " << report.simulations << "\n";
   // EDA-block economics: the logical budget above vs what actually hit the
   // simulator. With caching off, hits are 0 and the two counts coincide
-  // (the paper's Table III accounting). The printed state is the effective
-  // one — an explorerOverride with cacheEvals=false disables caching even
-  // when the session-level flag is on.
-  const bool cacheOn =
-      options_.cacheEvals && search.config().explorer.cacheEvals;
+  // (the paper's Table III accounting).
+  const bool cacheOn = search.config().cacheEvals;
   os << "eda blocks: " << report.evalStats.simulated << " simulated, "
      << report.evalStats.cacheHits << " cache hits ("
      << static_cast<int>(report.evalStats.hitRate() * 100.0 + 0.5)

@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "core/local_explorer.hpp"
 #include "core/pvt_search.hpp"
 #include "core/problem.hpp"
 
@@ -30,13 +29,13 @@ struct SessionOptions {
   std::size_t evalThreads = 1;
   /// Auto-checkpoint: every `checkpointEvery` completed TRM steps the full
   /// session state is written to `checkpointPath` (0 = off). A session
-  /// killed mid-run resumes from the snapshot bitwise — same SearchOutcome,
-  /// same ledger — via resume() (see docs/CHECKPOINTS.md).
+  /// killed mid-run resumes from the snapshot bitwise — same report, same
+  /// ledger — via resume() (see docs/CHECKPOINTS.md).
   std::size_t checkpointEvery = 0;
   /// Destination of the periodic snapshots (and of save()).
   std::string checkpointPath;
   /// Override the auto-scheduled hyper-parameters when set.
-  std::optional<LocalExplorerConfig> explorerOverride;
+  std::optional<ExplorerConfig> explorerOverride;
 };
 
 /// Result of one sizing session.
@@ -55,7 +54,7 @@ struct SessionReport {
 
 /// Derive explorer hyper-parameters from the problem shape — the paper's
 /// "automatic script" that constructs components "dynamically on the fly".
-LocalExplorerConfig autoSchedule(const SizingProblem& problem, std::uint64_t seed);
+ExplorerConfig autoSchedule(const SizingProblem& problem);
 
 /// One-call designer entry point: auto-schedule, search, report.
 ///

@@ -42,11 +42,6 @@ void SpiceSurrogate::setData(std::vector<linalg::Vector> unitXs,
   targetsRaw_ = std::move(measurements);
 }
 
-double SpiceSurrogate::train(std::mt19937_64& rng) {
-  drawShuffles(rng);
-  return fit();
-}
-
 void SpiceSurrogate::drawShuffles(std::mt19937_64& rng) {
   const std::size_t n = inputs_.size();
   orders_.resize(config_.epochsPerUpdate * n);
@@ -106,11 +101,6 @@ void SpiceSurrogate::predictBatch(const linalg::Matrix& unitX,
 void SpiceSurrogate::reinitialize(std::uint64_t seed) {
   net_.reinitialize(seed);
   opt_.reset();
-}
-
-void SpiceSurrogate::clearSamples() {
-  inputs_.clear();
-  targetsRaw_.clear();
 }
 
 bool SpiceSurrogate::adoptWeights(const nn::Mlp& other) {

@@ -24,7 +24,7 @@ struct SurrogateConfig {
   std::size_t hiddenWidth = 48;  ///< neurons per hidden layer
   std::size_t hiddenLayers = 2;  ///< "3 layers" in the paper = 2 hidden + output
   double learningRate = 3e-3;    ///< Adam step size
-  std::size_t epochsPerUpdate = 40;  ///< epochs per train() call
+  std::size_t epochsPerUpdate = 40;  ///< epochs per update (fit() call)
   std::size_t batchSize = 16;        ///< mini-batch size
 };
 
@@ -43,7 +43,7 @@ class SpiceSurrogate {
   /// Add one (unit-space sizes, raw measurements) pair to the trajectory.
   void addSample(const linalg::Vector& unitX, const linalg::Vector& measurements);
 
-  /// Replace the training set wholesale — used by the explorer to restrict
+  /// Replace the training set wholesale — used by the search to restrict
   /// training to the samples inside the current local region D_L.
   void setData(std::vector<linalg::Vector> unitXs,
                std::vector<linalg::Vector> measurements);
@@ -51,13 +51,10 @@ class SpiceSurrogate {
   /// Number of stored training pairs.
   std::size_t sampleCount() const { return inputs_.size(); }
 
-  /// One training update — the θ ← θ − α ∂J/∂θ line of Algorithm 1 — as
-  /// drawShuffles(rng) followed by fit(). Returns mean loss.
-  double train(std::mt19937_64& rng);
-
-  /// The update's rng draws: one shuffle of the current samples per epoch
-  /// (`epochsPerUpdate` orders), consumed by the next fit(). Draws nothing
-  /// when there are no samples.
+  /// One training update — the θ ← θ − α ∂J/∂θ line of Algorithm 1 — is
+  /// drawShuffles(rng) followed by fit(). This is its rng part: one shuffle
+  /// of the current samples per epoch (`epochsPerUpdate` orders), consumed by
+  /// the next fit(). Draws nothing when there are no samples.
   void drawShuffles(std::mt19937_64& rng);
 
   /// The update's pure part: refit both standardizers, standardize the
@@ -86,8 +83,6 @@ class SpiceSurrogate {
 
   /// Reinitialize weights (restart / porting-baseline behaviour).
   void reinitialize(std::uint64_t seed);
-  /// Drop the collected trajectory.
-  void clearSamples();
 
   /// Underlying network (read-only; porting saves its weights).
   const nn::Mlp& network() const { return net_; }

@@ -66,8 +66,8 @@ class EvalBackend {
                              std::size_t count) const = 0;
 };
 
-/// Wraps any CornerEvalFn — the adapter that keeps the existing designer
-/// contract (SizingProblem::evaluate, LocalExplorer's EvalFn) working
+/// Wraps any CornerEvalFn — the adapter that keeps the designer contract
+/// (SizingProblem::evaluate and its optional evaluateBatch) working
 /// unchanged behind the engine.
 class CallbackBackend final : public EvalBackend {
  public:

@@ -1,9 +1,9 @@
 // The unified evaluation engine — Spice(X) as a batched, schedulable,
 // memoizing service.
 //
-// Every consumer of circuit evaluations (PvtSearch, LocalExplorer, the RL
-// SizingEnv, sessions, examples) routes its (sizing, corner) requests through
-// one engine per search, which:
+// Every consumer of circuit evaluations (PvtSearch, the baseline strategies,
+// the RL SizingEnv, sessions, examples) routes its (sizing, corner) requests
+// through one engine per search, which:
 //   - dedups and memoizes requests through an EvalCache keyed on (snapped
 //     grid indices, corner id) — re-simulating an already-paid-for point
 //     costs zero EDA blocks;
@@ -197,7 +197,7 @@ class EvalEngine {
       const std::vector<linalg::Vector>& points,
       const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind);
 
-  /// Single request (the LocalExplorer / SizingEnv per-step hot path): a
+  /// Single request (the RandomSearch / SizingEnv per-step hot path): a
   /// one-element evalBatch that returns its result directly. Request
   /// scratch is reused across calls, so a steady-state cache hit performs
   /// no allocation beyond the returned result.

@@ -19,17 +19,6 @@ double meanOf(const std::vector<double>& y, const std::vector<std::size_t>& idx,
   return s / static_cast<double>(end - begin);
 }
 
-double sseOf(const std::vector<double>& y, const std::vector<std::size_t>& idx,
-             std::size_t begin, std::size_t end) {
-  const double m = meanOf(y, idx, begin, end);
-  double s = 0.0;
-  for (std::size_t i = begin; i < end; ++i) {
-    const double d = y[idx[i]] - m;
-    s += d * d;
-  }
-  return s;
-}
-
 }  // namespace
 
 std::size_t ExtraTreesRegressor::buildNode(
@@ -133,7 +122,6 @@ void ExtraTreesRegressor::fit(const std::vector<linalg::Vector>& x,
     std::iota(indices.begin(), indices.end(), 0);
     buildNode(tree, x, y, indices, 0, indices.size(), 0, rng);
   }
-  (void)sseOf;  // silence unused in release
 }
 
 double ExtraTreesRegressor::predictTree(const Tree& tree,

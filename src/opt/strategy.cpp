@@ -81,15 +81,13 @@ core::PvtStrategy parsePoolPolicy(const std::string& key,
 // ---- TRM-DRL behind the Strategy contract -------------------------------
 
 /// Thin adapter: core::PvtSearch already is a budget-cumulative resumable
-/// state machine, so the wrapper only maps its outcome onto the common
-/// schema (and derives bestValue from the final corner evaluations).
+/// state machine that tracks its best point, so the wrapper only maps its
+/// outcome onto the common schema.
 class PvtSearchStrategy final : public Strategy {
  public:
   PvtSearchStrategy(core::SizingProblem problem, core::PvtSearchConfig config,
                     std::size_t budget)
-      : value_(problem.measurementNames, problem.specs),
-        search_(std::move(problem), config),
-        budget_(budget) {}
+      : search_(std::move(problem), config), budget_(budget) {}
 
   std::string_view name() const override { return "pvt_search"; }
   std::size_t budget() const override { return budget_; }
@@ -101,19 +99,10 @@ class PvtSearchStrategy final : public Strategy {
     result_.sizes = std::move(out.sizes);
     result_.ledger = std::move(out.ledger);  // run() already snapshotted it
     result_.evalStats = out.evalStats;
-    if (!out.cornerEvals.empty()) {
-      // Worst corner across the final sign-off sweep — the cross-strategy
-      // comparison scalar (0 exactly when solved).
-      double worst = 0.0;
-      linalg::Vector worstMeas;
-      for (const core::EvalResult& e : out.cornerEvals) {
-        const double v = value_.valueOf(e);
-        if (worstMeas.empty() || v < worst) worstMeas = e.measurements;
-        worst = std::min(worst, v);
-      }
-      result_.bestValue = worst;
-      result_.bestMeasurements = std::move(worstMeas);
-    }
+    // Worst corner of the best point — the cross-strategy comparison scalar
+    // (0 exactly when solved).
+    result_.bestValue = out.bestValue;
+    result_.bestMeasurements = std::move(out.bestEval.measurements);
     return result_;
   }
 
@@ -143,7 +132,6 @@ class PvtSearchStrategy final : public Strategy {
   }
 
  private:
-  core::ValueFunction value_;
   core::PvtSearch search_;
   std::size_t budget_ = 0;
   StrategyOutcome result_;

@@ -25,7 +25,7 @@
 #include <thread>
 
 #include "common/thread_pool.hpp"
-#include "core/local_explorer.hpp"
+#include "core/planner.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "core/surrogate.hpp"
@@ -469,7 +469,8 @@ TEST(SurrogateBatch, PredictBatchMatchesPredictAfterTraining) {
     const Vector x = {d(rng), d(rng), d(rng), d(rng)};
     sur.addSample(x, {x[0] + x[1], x[2] * 2.0 - x[3], std::sin(x[0])});
   }
-  sur.train(rng);  // fits both scalers: the full transform chain is exercised
+  sur.drawShuffles(rng);
+  sur.fit();  // fits both scalers: the full transform chain is exercised
 
   const std::size_t batch = 50;
   Matrix block(batch, 4);
@@ -486,9 +487,11 @@ TEST(SurrogateBatch, PredictBatchMatchesPredictAfterTraining) {
   }
 }
 
-/// drawShuffles() then fit() is train() split at its last rng draw: the
-/// same weights, Adam moments, loss and rng position afterwards.
-TEST(SurrogateBatch, DrawShufflesThenFitEqualsTrain) {
+/// An update is drawShuffles() then fit(), and every rng draw happens in
+/// drawShuffles(): two surrogates given the same samples and the same draws
+/// end each update with the same weights, Adam moments, loss and rng
+/// position, even when one fits only after the other has drawn again.
+TEST(SurrogateBatch, FitIsAPureFunctionOfTheDrawnShuffles) {
   core::SurrogateConfig cfg;
   cfg.hiddenWidth = 16;
   cfg.epochsPerUpdate = 7;
@@ -504,7 +507,8 @@ TEST(SurrogateBatch, DrawShufflesThenFitEqualsTrain) {
   std::mt19937_64 rngA(61);
   std::mt19937_64 rngB(61);
   for (int update = 0; update < 3; ++update) {
-    const double lossA = a.train(rngA);
+    a.drawShuffles(rngA);
+    const double lossA = a.fit();
     b.drawShuffles(rngB);
     EXPECT_EQ(rngA, rngB) << "update " << update;
     const double lossB = b.fit();
@@ -588,7 +592,8 @@ TEST(PlannerBatch, ChunkedScoringMatchesWholeBlock) {
       surrogates.back().addSample(
           x, {x[0] - shift, x[1] * x[2], std::sin(x[3]) - shift});
     }
-    surrogates.back().train(rng);
+    surrogates.back().drawShuffles(rng);
+    surrogates.back().fit();
   }
   std::vector<const core::SpiceSurrogate*> scoring;
   for (const auto& sur : surrogates) scoring.push_back(&sur);
@@ -879,7 +884,7 @@ TEST(PvtSearchParallel, ThreadCountDoesNotChangeOutcome) {
     core::PvtSearchConfig cfg;
     cfg.strategy = core::PvtStrategy::kBruteForce;  // 3 corners active: real fan-out
     cfg.seed = 33;
-    cfg.explorer = core::autoSchedule(prob, cfg.seed);
+    cfg.explorer = core::autoSchedule(prob);
     cfg.evalThreads = evalThreads;
     core::PvtSearch search(prob, cfg);
     Run r;

@@ -1,6 +1,6 @@
 // Tests for the src/io checkpoint subsystem (ISSUE 4 determinism contract):
 // a run checkpointed at step k and resumed must be bitwise identical to the
-// uninterrupted run — same SearchOutcome, same ledger — for PvtSearch,
+// uninterrupted run — same outcome, same ledger — for PvtSearch,
 // SizingSession and the RL trainers, for any evalThreads and with the eval
 // cache on or off. Plus the container's error paths (corrupt / truncated /
 // version-mismatch / wrong-kind files) and the edge cases of the network,
@@ -94,6 +94,8 @@ void expectOutcomeEq(const core::PvtSearchOutcome& a,
   EXPECT_EQ(a.solved, b.solved);
   EXPECT_EQ(a.totalSims, b.totalSims);
   EXPECT_EQ(a.sizes, b.sizes);  // bitwise
+  EXPECT_EQ(a.bestValue, b.bestValue);
+  expectEvalsEq({a.bestEval}, {b.bestEval});
   expectEvalsEq(a.cornerEvals, b.cornerEvals);
   EXPECT_EQ(a.cornersActivated, b.cornersActivated);
   expectLedgerEq(a.ledger, b.ledger);
@@ -349,7 +351,8 @@ TEST(StateIo, EmptyAndLoadedSurrogateRoundTrip) {
     const double x = 0.1 * i;
     fresh.addSample({x, 1.0 - x}, {std::sin(x)});
   }
-  fresh.train(rng);
+  fresh.drawShuffles(rng);
+  fresh.fit();
   io::CheckpointWriter w("t");
   io::writeSurrogate(w.section("s"), fresh);
   const io::CheckpointReader r("mem", w.finish());
@@ -363,7 +366,9 @@ TEST(StateIo, EmptyAndLoadedSurrogateRoundTrip) {
   // And trains on identically from the restored Adam/scaler state.
   std::mt19937_64 rngA(29);
   std::mt19937_64 rngB(29);
-  EXPECT_EQ(fresh.train(rngA), target.train(rngB));
+  fresh.drawShuffles(rngA);
+  target.drawShuffles(rngB);
+  EXPECT_EQ(fresh.fit(), target.fit());
   EXPECT_EQ(target.network().getParameters(),
             fresh.network().getParameters());
 }
@@ -393,16 +398,25 @@ TEST(StateIo, RngStreamRoundTripContinuesExactly) {
 
 // ---------- PvtSearch: resume-at-step-k == uninterrupted ----------
 
-class PvtResume : public ::testing::TestWithParam<std::tuple<bool, std::size_t>> {};
+/// The Table II porting hooks for hillProblem(): a starting point away from
+/// the optimum and a donor network of the default surrogate shape.
+void setPortingHooks(core::ExplorerConfig& e, const nn::Mlp& donor) {
+  e.startingPoint = Vector{0.2, 0.8, 0.3, 0.3};
+  e.warmStartWeights = &donor;
+}
+
+class PvtResume
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t, bool>> {};
 
 TEST_P(PvtResume, BitwiseEqualToUninterruptedRun) {
-  const auto [cacheOn, threads] = GetParam();
+  const auto [cacheOn, threads, hooks] = GetParam();
   const auto prob = hillProblem();
   core::PvtSearchConfig cfg;
   cfg.seed = 3;
   cfg.cacheEvals = cacheOn;
-  cfg.explorer.cacheEvals = cacheOn;
   cfg.evalThreads = threads;
+  const core::SpiceSurrogate donor(4, 1, cfg.explorer.surrogate, 5);
+  if (hooks) setPortingHooks(cfg.explorer, donor.network());
   const std::size_t kBudget = 2000;
 
   core::PvtSearch uninterrupted(prob, cfg);
@@ -430,13 +444,15 @@ TEST_P(PvtResume, BitwiseEqualToUninterruptedRun) {
 
 INSTANTIATE_TEST_SUITE_P(
     CacheAndThreads, PvtResume,
-    ::testing::Values(std::make_tuple(true, std::size_t{1}),
-                      std::make_tuple(false, std::size_t{1}),
-                      std::make_tuple(true, std::size_t{2}),
-                      std::make_tuple(false, std::size_t{3})),
+    ::testing::Values(std::make_tuple(true, std::size_t{1}, false),
+                      std::make_tuple(false, std::size_t{1}, false),
+                      std::make_tuple(true, std::size_t{2}, false),
+                      std::make_tuple(false, std::size_t{3}, false),
+                      std::make_tuple(true, std::size_t{2}, true)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) ? "cache" : "nocache") +
-             "_threads" + std::to_string(std::get<1>(info.param));
+             "_threads" + std::to_string(std::get<1>(info.param)) +
+             (std::get<2>(info.param) ? "_porting" : "");
     });
 
 TEST(PvtCheckpoint, RestoreRejectsMismatchedConfiguration) {
@@ -470,6 +486,51 @@ TEST(PvtCheckpoint, RestoreRejectsMismatchedConfiguration) {
   } catch (const io::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("corner:1"), std::string::npos);
   }
+}
+
+/// The porting hooks and the margin bonus join the fingerprint only when set,
+/// so a snapshot saved with any of them is rejected by a search without it —
+/// and the other way round.
+TEST(PvtCheckpoint, RestoreRejectsMismatchedPortingHooks) {
+  const auto prob = hillProblem();
+  core::PvtSearchConfig plain;
+  plain.seed = 3;
+  const core::SpiceSurrogate donor(4, 1, plain.explorer.surrogate, 5);
+  core::PvtSearchConfig withStart = plain;
+  withStart.explorer.startingPoint = Vector{0.2, 0.8, 0.3, 0.3};
+  core::PvtSearchConfig withWeights = plain;
+  withWeights.explorer.warmStartWeights = &donor.network();
+  core::PvtSearchConfig withBonus = plain;
+  withBonus.explorer.marginBonus = 0.1;
+  const core::PvtSearchConfig* configs[] = {&plain, &withStart, &withWeights,
+                                            &withBonus};
+  std::vector<std::string> blobs;
+  for (const core::PvtSearchConfig* cfg : configs) {
+    core::PvtSearch search(prob, *cfg);
+    (void)search.run(60);
+    io::CheckpointWriter w("pvt-search");
+    search.save(w);
+    blobs.push_back(w.finish());
+  }
+  for (std::size_t saved = 0; saved < blobs.size(); ++saved) {
+    for (std::size_t into = 0; into < blobs.size(); ++into) {
+      core::PvtSearch search(prob, *configs[into]);
+      const io::CheckpointReader r("mem", blobs[saved]);
+      if (saved == into) {
+        EXPECT_NO_THROW(search.restore(r)) << saved;
+      } else {
+        EXPECT_THROW(search.restore(r), io::CheckpointError)
+            << "saved " << saved << " restored into " << into;
+      }
+    }
+  }
+  // A donor network with other weights is a different configuration too.
+  const core::SpiceSurrogate otherDonor(4, 1, plain.explorer.surrogate, 6);
+  core::PvtSearchConfig otherWeights = plain;
+  otherWeights.explorer.warmStartWeights = &otherDonor.network();
+  core::PvtSearch search(prob, otherWeights);
+  EXPECT_THROW(search.restore(io::CheckpointReader("mem", blobs[2])),
+               io::CheckpointError);
 }
 
 TEST(PvtCheckpoint, FreshSnapshotBeforeFirstRunIsRestorable) {

@@ -2,17 +2,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 
 #include "circuits/registry.hpp"
 #include "core/local_dataset.hpp"
-#include "core/local_explorer.hpp"
 #include "core/problem.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "core/surrogate.hpp"
 #include "core/trust_region.hpp"
 #include "core/value.hpp"
+#include "io/checkpoint.hpp"
 
 namespace trdse::core {
 namespace {
@@ -291,7 +292,8 @@ TEST(Surrogate, LearnsQuadraticLocally) {
     ys.push_back({100.0 * (a - 0.5) * (a - 0.5) + 40.0 * b});
   }
   s.setData(xs, ys);
-  s.train(rng);
+  s.drawShuffles(rng);
+  s.fit();
   double err = 0.0;
   for (int i = 0; i < 20; ++i) {
     err += std::abs(s.predict(xs[i])[0] - ys[i][0]);
@@ -317,7 +319,7 @@ TEST(Surrogate, AutoConfigureScalesWithProblem) {
   EXPECT_LE(large.hiddenWidth, 128u);
 }
 
-// ---------- LocalExplorer on synthetic CSPs ----------
+// ---------- One-corner PvtSearch (Algorithm 1) on synthetic CSPs ----------
 
 SizingProblem sphereCsp(double radius) {
   SizingProblem p;
@@ -340,91 +342,119 @@ SizingProblem sphereCsp(double radius) {
   return p;
 }
 
-TEST(LocalExplorer, SolvesSphereCsp) {
+PvtSearchConfig seeded(std::uint64_t seed) {
+  PvtSearchConfig cfg;
+  cfg.seed = seed;
+  return cfg;
+}
+
+TEST(PvtSearchOneCorner, SolvesSphereCsp) {
   const auto prob = sphereCsp(0.05);
-  const ValueFunction value(prob.measurementNames, prob.specs);
-  LocalExplorerConfig cfg;
-  cfg.seed = 9;
-  LocalExplorer agent(
-      prob.space, value,
-      [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
-      cfg);
-  const auto out = agent.run(3000);
+  const auto out = PvtSearch(prob, seeded(9)).run(3000);
   EXPECT_TRUE(out.solved);
-  EXPECT_LT(out.iterations, 1500u);
-  // Iteration accounting: history length equals simulations used.
-  EXPECT_EQ(out.trace.bestValueHistory.size(), out.iterations);
+  EXPECT_LT(out.totalSims, 1500u);
+  // Iteration accounting: one ledger block per simulation used.
+  EXPECT_EQ(out.ledger.totalBlocks(), out.totalSims);
 }
 
-TEST(LocalExplorer, BestValueHistoryMonotone) {
-  const auto prob = sphereCsp(0.02);
-  const ValueFunction value(prob.measurementNames, prob.specs);
-  LocalExplorerConfig cfg;
-  cfg.seed = 10;
-  LocalExplorer agent(
-      prob.space, value,
-      [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
-      cfg);
-  const auto out = agent.run(400);
-  for (std::size_t i = 1; i < out.trace.bestValueHistory.size(); ++i)
-    EXPECT_GE(out.trace.bestValueHistory[i], out.trace.bestValueHistory[i - 1]);
-}
-
-TEST(LocalExplorer, RespectsBudget) {
+TEST(PvtSearchOneCorner, RespectsBudget) {
   const auto prob = sphereCsp(-0.01);  // limit 1.01 > max measurement: unsolvable
-  const ValueFunction value(prob.measurementNames, prob.specs);
-  LocalExplorerConfig cfg;
-  cfg.seed = 11;
-  LocalExplorer agent(
-      prob.space, value,
-      [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
-      cfg);
-  const auto out = agent.run(200);
+  const auto out = PvtSearch(prob, seeded(11)).run(200);
   EXPECT_FALSE(out.solved);
-  EXPECT_EQ(out.iterations, 200u);
+  EXPECT_EQ(out.totalSims, 200u);
 }
 
-TEST(LocalExplorer, StartingPointShortensSearch) {
-  const auto prob = sphereCsp(0.04);
+/// An unsolved search still reports its best point: the highest Value seen,
+/// on the grid, with that point's measurements — and a search paused at step
+/// k and restored from a checkpoint reports the same one, bit for bit.
+TEST(PvtSearchOneCorner, ReportsBestPointWhenUnsolved) {
+  const auto prob = sphereCsp(-0.01);
   const ValueFunction value(prob.measurementNames, prob.specs);
+  const auto full = PvtSearch(prob, seeded(11)).run(200);
+  ASSERT_FALSE(full.solved);
+  EXPECT_GT(full.bestValue, kFailedValue);
+  ASSERT_EQ(full.sizes.size(), prob.space.dim());
+  EXPECT_EQ(prob.space.snap(full.sizes), full.sizes);
+  ASSERT_TRUE(full.bestEval.ok);
+  EXPECT_EQ(value.valueOf(full.bestEval), full.bestValue);
+  EXPECT_EQ(full.bestEval.measurements,
+            prob.evaluate(full.sizes, prob.corners[0]).measurements);
+
+  for (const std::size_t k : {std::size_t{5}, std::size_t{97}}) {
+    PvtSearch first(prob, seeded(11));
+    const auto partial = first.run(k);
+    ASSERT_GT(partial.bestValue, kFailedValue);
+    io::CheckpointWriter w("pvt-search");
+    first.save(w);
+    PvtSearch resumed(prob, seeded(11));
+    resumed.restore(io::CheckpointReader("mem", w.finish()));
+    const auto restored = resumed.run(k);  // no further step: as saved
+    EXPECT_EQ(restored.sizes, partial.sizes) << "k=" << k;
+    EXPECT_EQ(restored.bestValue, partial.bestValue) << "k=" << k;
+    EXPECT_EQ(restored.bestEval.measurements, partial.bestEval.measurements)
+        << "k=" << k;
+    const auto out = resumed.run(200);
+    EXPECT_EQ(out.totalSims, full.totalSims) << "k=" << k;
+    EXPECT_EQ(out.sizes, full.sizes) << "k=" << k;
+    EXPECT_EQ(out.bestValue, full.bestValue) << "k=" << k;
+    EXPECT_EQ(out.bestEval.measurements, full.bestEval.measurements)
+        << "k=" << k;
+  }
+}
+
+TEST(PvtSearchOneCorner, StartingPointShortensSearch) {
+  const auto prob = sphereCsp(0.04);
   double coldSum = 0.0;
   double warmSum = 0.0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    LocalExplorerConfig cold;
-    cold.seed = seed;
-    LocalExplorer agentCold(
-        prob.space, value,
-        [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
-        cold);
-    coldSum += static_cast<double>(agentCold.run(3000).iterations);
+    PvtSearchConfig cold = seeded(seed);
+    coldSum += static_cast<double>(PvtSearch(prob, cold).run(3000).totalSims);
 
-    LocalExplorerConfig warm;
-    warm.seed = seed;
-    warm.startingPoint = linalg::Vector{0.60, 0.36, 0.56};  // near optimum
-    LocalExplorer agentWarm(
-        prob.space, value,
-        [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
-        warm);
-    warmSum += static_cast<double>(agentWarm.run(3000).iterations);
+    PvtSearchConfig warm = seeded(seed);  // starts near the optimum
+    warm.explorer.startingPoint = linalg::Vector{0.60, 0.36, 0.56};
+    warmSum += static_cast<double>(PvtSearch(prob, warm).run(3000).totalSims);
   }
   EXPECT_LT(warmSum, coldSum);
 }
 
-TEST(LocalExplorer, HandlesFailingRegions) {
+/// The starting point is the first point simulated — snapped onto the grid,
+/// like every other sample — and it draws no rng: the search then goes on
+/// exactly as a cold one would after its first sample.
+TEST(PvtSearchOneCorner, FirstSimulatedPointIsSnappedStartingPoint) {
+  auto prob = sphereCsp(0.05);
+  auto seen = std::make_shared<std::vector<linalg::Vector>>();
+  const auto inner = prob.evaluate;
+  prob.evaluate = [seen, inner](const linalg::Vector& v,
+                                const sim::PvtCorner& c) {
+    seen->push_back(v);
+    return inner(v, c);
+  };
+  const linalg::Vector start = {0.123, 0.456, 0.789};  // off the 0.01 grid
+  PvtSearchConfig warm = seeded(5);
+  warm.cacheEvals = false;  // record every request
+  warm.explorer.startingPoint = start;
+  (void)PvtSearch(prob, warm).run(3);
+  ASSERT_EQ(seen->size(), 3u);
+  EXPECT_EQ((*seen)[0], prob.space.snap(start));
+
+  const std::vector<linalg::Vector> warmSeen = *seen;
+  seen->clear();
+  PvtSearchConfig cold = seeded(5);
+  cold.cacheEvals = false;
+  (void)PvtSearch(prob, cold).run(2);
+  ASSERT_EQ(seen->size(), 2u);
+  EXPECT_EQ(warmSeen[1], (*seen)[0]);
+  EXPECT_EQ(warmSeen[2], (*seen)[1]);
+}
+
+TEST(PvtSearchOneCorner, HandlesFailingRegions) {
   auto prob = sphereCsp(0.05);
   auto inner = prob.evaluate;
   prob.evaluate = [inner](const linalg::Vector& v, const sim::PvtCorner& c) {
     if (v[0] > 0.8) return EvalResult{};  // simulator dies out here
     return inner(v, c);
   };
-  const ValueFunction value(prob.measurementNames, prob.specs);
-  LocalExplorerConfig cfg;
-  cfg.seed = 13;
-  LocalExplorer agent(
-      prob.space, value,
-      [&](const linalg::Vector& x) { return prob.evaluate(x, prob.corners[0]); },
-      cfg);
-  const auto out = agent.run(3000);
+  const auto out = PvtSearch(prob, seeded(13)).run(3000);
   EXPECT_TRUE(out.solved);
 }
 
@@ -460,7 +490,7 @@ TEST_P(PvtStrategyTest, SolvesMultiCornerCsp) {
   PvtSearchConfig cfg;
   cfg.strategy = GetParam();
   cfg.seed = 21;
-  cfg.explorer = autoSchedule(prob, cfg.seed);
+  cfg.explorer = autoSchedule(prob);
   PvtSearch search(prob, cfg);
   const auto out = search.run(6000);
   EXPECT_TRUE(out.solved);
@@ -485,11 +515,34 @@ TEST(PvtSearch, BruteForceActivatesAllCornersUpFront) {
   PvtSearchConfig cfg;
   cfg.strategy = PvtStrategy::kBruteForce;
   cfg.seed = 23;
-  cfg.explorer = autoSchedule(prob, cfg.seed);
+  cfg.explorer = autoSchedule(prob);
   PvtSearch search(prob, cfg);
   const auto out = search.run(4000);
   EXPECT_EQ(out.cornersActivated, prob.corners.size());
   EXPECT_EQ(out.ledger.verifyBlocks(), 0u);  // nothing left to verify
+}
+
+/// Weight sharing: every corner surrogate starts from the donor's network
+/// when it is built (after one sample, before any training step), and the
+/// surrogate(corner) accessor exposes it for the next porting donor.
+TEST(PvtSearch, WarmStartWeightsSeedEveryBuiltSurrogate) {
+  const auto prob = multiCornerCsp();
+  PvtSearchConfig cfg;
+  cfg.strategy = PvtStrategy::kBruteForce;  // all three corners get one
+  cfg.seed = 23;
+  const SpiceSurrogate donor(prob.space.dim(), prob.measurementNames.size(),
+                             cfg.explorer.surrogate, /*seed=*/77);
+  cfg.explorer.warmStartWeights = &donor.network();
+  PvtSearch search(prob, cfg);
+  for (std::size_t c = 0; c < prob.corners.size(); ++c)
+    EXPECT_EQ(search.surrogate(c), nullptr);
+  (void)search.run(1);
+  for (std::size_t c = 0; c < prob.corners.size(); ++c) {
+    ASSERT_NE(search.surrogate(c), nullptr) << "corner " << c;
+    EXPECT_EQ(search.surrogate(c)->network().getParameters(),
+              donor.network().getParameters())
+        << "corner " << c;
+  }
 }
 
 TEST(PvtSearch, ProgressiveUsesFewerBlocksThanBruteForce) {
@@ -499,7 +552,7 @@ TEST(PvtSearch, ProgressiveUsesFewerBlocksThanBruteForce) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     PvtSearchConfig cfg;
     cfg.seed = seed;
-    cfg.explorer = autoSchedule(prob, cfg.seed);
+    cfg.explorer = autoSchedule(prob);
     cfg.strategy = PvtStrategy::kBruteForce;
     brute += static_cast<double>(PvtSearch(prob, cfg).run(6000).totalSims);
     cfg.strategy = PvtStrategy::kProgressiveHardest;
@@ -521,14 +574,32 @@ TEST(SizingSession, RunsEndToEnd) {
   EXPECT_NE(report.summary.find("solved: yes"), std::string::npos);
 }
 
+/// SessionOptions::cacheEvals is the search's one caching flag: the summary
+/// states it, and with it off every logical block is a real simulation.
+TEST(SizingSession, SummaryStatesTheCacheFlag) {
+  for (const bool cache : {true, false}) {
+    SessionOptions options;
+    options.maxSimulations = 300;
+    options.seed = 3;
+    options.cacheEvals = cache;
+    const auto report = SizingSession(multiCornerCsp(), options).run();
+    EXPECT_NE(report.summary.find(cache ? "cache on" : "cache off"),
+              std::string::npos);
+    if (!cache) {
+      EXPECT_EQ(report.evalStats.cacheHits, 0u);
+      EXPECT_EQ(report.evalStats.simulated, report.simulations);
+    }
+  }
+}
+
 TEST(SizingSession, AutoScheduleScalesWithDimension) {
-  const auto small = autoSchedule(sphereCsp(0.1), 1);
+  const auto small = autoSchedule(sphereCsp(0.1));
   auto bigProblem = sphereCsp(0.1);
   std::vector<ParamDef> params;
   for (int i = 0; i < 20; ++i)
     params.push_back({"p" + std::to_string(i), 0.0, 1.0, 32, false});
   bigProblem.space = DesignSpace(params);
-  const auto large = autoSchedule(bigProblem, 1);
+  const auto large = autoSchedule(bigProblem);
   EXPECT_GT(large.mcSamples, small.mcSamples);
   EXPECT_GE(large.initSamples, small.initSamples);
 }

@@ -12,7 +12,6 @@
 #include "circuits/ico.hpp"
 #include "circuits/ldo.hpp"
 #include "circuits/registry.hpp"
-#include "core/local_explorer.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "eval/eval_cache.hpp"
@@ -152,20 +151,6 @@ TEST(EvalEngine, SnapsRawSizesSoSimulatedPointMatchesTheKey) {
   EXPECT_EQ(r2.measurements, r1.measurements);
 }
 
-TEST(EvalEngineSearch, ExplorerLevelCacheFlagDisablesPvtSearchCaching) {
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  const auto prob = countingProblem(calls);
-  core::PvtSearchConfig cfg;
-  cfg.seed = 21;
-  cfg.cacheEvals = true;  // search-level on...
-  cfg.explorer = core::autoSchedule(prob, cfg.seed);
-  cfg.explorer.cacheEvals = false;  // ...but the explorer override wins
-  core::PvtSearch search(prob, cfg);
-  const auto out = search.run(3000);
-  EXPECT_EQ(out.evalStats.cacheHits, 0u);
-  EXPECT_EQ(out.evalStats.simulated, out.totalSims);
-}
-
 TEST(EvalEngine, ResetAccountingKeepsTheMemo) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
@@ -235,7 +220,7 @@ TEST(EvalEngineSearch, PvtSearchBitwiseIdenticalWithCacheOnOrOff) {
     core::PvtSearchConfig cfg;
     cfg.seed = 21;
     cfg.cacheEvals = cached == 1;
-    cfg.explorer = core::autoSchedule(prob, cfg.seed);
+    cfg.explorer = core::autoSchedule(prob);
     core::PvtSearch search(prob, cfg);
     outcomes[cached] = search.run(6000);
   }
@@ -259,39 +244,13 @@ TEST(EvalEngineSearch, PvtSearchThreadCountInvariantWithCacheOn) {
     cfg.seed = 33;
     cfg.cacheEvals = true;
     cfg.evalThreads = threads;
-    cfg.explorer = core::autoSchedule(prob, cfg.seed);
+    cfg.explorer = core::autoSchedule(prob);
     core::PvtSearch search(prob, cfg);
     outcomes[t++] = search.run(5000);
   }
   expectSamePvtOutcome(outcomes[1], outcomes[0]);
   EXPECT_EQ(outcomes[1].evalStats.cacheHits, outcomes[0].evalStats.cacheHits);
   EXPECT_EQ(outcomes[1].evalStats.simulated, outcomes[0].evalStats.simulated);
-}
-
-TEST(EvalEngineSearch, LocalExplorerBitwiseIdenticalWithCacheOnOrOff) {
-  auto calls = std::make_shared<std::atomic<int>>(0);
-  const auto prob = countingProblem(calls);
-  const core::ValueFunction value(prob.measurementNames, prob.specs);
-  auto eval = [&](const Vector& x) { return prob.evaluate(x, prob.corners[0]); };
-  core::SearchOutcome outcomes[2];
-  for (int cached = 0; cached < 2; ++cached) {
-    core::LocalExplorerConfig cfg;
-    cfg.seed = 29;
-    cfg.cacheEvals = cached == 1;
-    core::LocalExplorer agent(prob.space, value, eval, cfg);
-    outcomes[cached] = agent.run(1500);
-  }
-  const auto& off = outcomes[0];
-  const auto& on = outcomes[1];
-  EXPECT_EQ(on.solved, off.solved);
-  EXPECT_EQ(on.iterations, off.iterations);
-  EXPECT_EQ(on.bestValue, off.bestValue);
-  EXPECT_EQ(on.sizes, off.sizes);
-  EXPECT_EQ(on.eval.measurements, off.eval.measurements);
-  EXPECT_EQ(on.trace.bestValueHistory, off.trace.bestValueHistory);
-  EXPECT_EQ(on.trace.radiusHistory, off.trace.radiusHistory);
-  EXPECT_EQ(off.evalStats.cacheHits, 0u);
-  EXPECT_EQ(on.evalStats.simulated + on.evalStats.cacheHits, on.iterations);
 }
 
 TEST(EvalEngineSearch, SizingEnvBitwiseIdenticalWithCacheOnOrOff) {

@@ -5,7 +5,6 @@
 #include "circuits/ico.hpp"
 #include "circuits/ldo.hpp"
 #include "circuits/two_stage_opamp.hpp"
-#include "core/local_explorer.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "opt/random_search.hpp"
@@ -26,15 +25,12 @@ TEST(Integration, TrustRegionAgentSolves45nmOpamp) {
   // (the paper's agent averages well under 100 here).
   int solved = 0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    core::LocalExplorerConfig cfg;
+    core::PvtSearchConfig cfg;
     cfg.seed = seed;
-    core::LocalExplorer agent(
-        prob.space, value,
-        [&](const linalg::Vector& x) { return prob.evaluate(x, tt); }, cfg);
-    const auto out = agent.run(1500);
+    const auto out = core::PvtSearch(prob, cfg).run(1500);
     solved += out.solved;
     if (out.solved) {
-      EXPECT_TRUE(value.satisfied(out.eval.measurements));
+      EXPECT_TRUE(value.satisfied(out.cornerEvals[0].measurements));
       // Solution is on the declared grid.
       EXPECT_EQ(prob.space.snap(out.sizes), out.sizes);
     }
@@ -47,16 +43,13 @@ TEST(Integration, AgentBeatsRandomSearchByOrderOfMagnitude) {
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, sim::bsim45Card().nominalVdd,
                           27.0};
   const auto prob = amp.makeProblem({tt}, amp.defaultSpecs());
-  const core::ValueFunction value(prob.measurementNames, prob.specs);
 
   double agentIters = 0.0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    core::LocalExplorerConfig cfg;
+    core::PvtSearchConfig cfg;
     cfg.seed = seed;
-    core::LocalExplorer agent(
-        prob.space, value,
-        [&](const linalg::Vector& x) { return prob.evaluate(x, tt); }, cfg);
-    agentIters += static_cast<double>(agent.run(4000).iterations);
+    agentIters +=
+        static_cast<double>(core::PvtSearch(prob, cfg).run(4000).totalSims);
   }
   agentIters /= 3.0;
 
@@ -78,7 +71,7 @@ TEST(Integration, ProgressivePvtOn22nmOpamp) {
   core::PvtSearchConfig cfg;
   cfg.strategy = core::PvtStrategy::kProgressiveHardest;
   cfg.seed = 4;
-  cfg.explorer = core::autoSchedule(prob, cfg.seed);
+  cfg.explorer = core::autoSchedule(prob);
   core::PvtSearch search(prob, cfg);
   const auto out = search.run(6000);
   ASSERT_TRUE(out.solved);
@@ -135,34 +128,28 @@ TEST(Integration, RlEnvDrivesRealSimulator) {
 }
 
 TEST(Integration, PortingWeightAdoptionAcrossNodes) {
-  // A surrogate trained on 45nm can be *loaded* into a 22nm explorer (same
+  // A surrogate trained on 45nm can be *loaded* into a 22nm search (same
   // problem shape); the porting bench measures whether it also *helps*.
   const circuits::TwoStageOpamp amp45(sim::bsim45Card());
   const sim::PvtCorner tt45{sim::ProcessCorner::kTT,
                             sim::bsim45Card().nominalVdd, 27.0};
   const auto prob45 = amp45.makeProblem({tt45}, amp45.defaultSpecs());
-  const core::ValueFunction value45(prob45.measurementNames, prob45.specs);
-  core::LocalExplorerConfig cfg;
+  core::PvtSearchConfig cfg;
   cfg.seed = 12;
-  core::LocalExplorer donor(
-      prob45.space, value45,
-      [&](const linalg::Vector& x) { return prob45.evaluate(x, tt45); }, cfg);
+  core::PvtSearch donor(prob45, cfg);
   const auto donorOut = donor.run(2000);
   ASSERT_TRUE(donorOut.solved);
+  ASSERT_NE(donor.surrogate(0), nullptr);
 
   const circuits::TwoStageOpamp amp22(sim::bsim22Card());
   const sim::PvtCorner tt22{sim::ProcessCorner::kTT,
                             sim::bsim22Card().nominalVdd, 27.0};
   const auto prob22 = amp22.makeProblem({tt22}, amp22.defaultSpecs());
-  const core::ValueFunction value22(prob22.measurementNames, prob22.specs);
-  core::LocalExplorerConfig warm;
+  core::PvtSearchConfig warm;
   warm.seed = 13;
-  warm.startingPoint = donorOut.sizes;
-  warm.warmStartWeights = &donor.surrogate().network();
-  core::LocalExplorer agent(
-      prob22.space, value22,
-      [&](const linalg::Vector& x) { return prob22.evaluate(x, tt22); }, warm);
-  const auto out = agent.run(3000);
+  warm.explorer.startingPoint = donorOut.sizes;
+  warm.explorer.warmStartWeights = &donor.surrogate(0)->network();
+  const auto out = core::PvtSearch(prob22, warm).run(3000);
   EXPECT_TRUE(out.solved);
 }
 

@@ -7,6 +7,7 @@
 
 #include "opt/extra_trees.hpp"
 #include "opt/random_search.hpp"
+#include "opt/strategy.hpp"
 #include "opt/tree_bayes_opt.hpp"
 
 namespace trdse::opt {
@@ -161,6 +162,30 @@ TEST(TreeBayesOpt, ReportsBestEvenWhenUnsolved) {
   EXPECT_FALSE(out.sizes.empty());
   EXPECT_GT(out.bestValue, core::kFailedValue);
   EXPECT_FALSE(out.bestMeasurements.empty());
+}
+
+/// An unsolved TRM-DRL job reports its best point like the other strategies
+/// do — the highest worst-corner Value it simulated, with that corner's
+/// measurements — and budget-sliced stepping reports the same one.
+TEST(PvtSearchStrategy, ReportsBestEvenWhenUnsolved) {
+  auto prob = syntheticProblem(-0.01);  // closeness >= 1.01: unsolvable
+  prob.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0},
+                  {sim::ProcessCorner::kSS, 1.0, 125.0}};
+  const auto whole = makeStrategy("pvt_search", prob, 31, 150);
+  const StrategyOutcome out = whole->run();
+  ASSERT_FALSE(out.solved);
+  ASSERT_EQ(out.sizes.size(), prob.space.dim());
+  EXPECT_EQ(prob.space.snap(out.sizes), out.sizes);
+  EXPECT_GT(out.bestValue, core::kFailedValue);
+  EXPECT_LT(out.bestValue, 0.0);
+  EXPECT_EQ(out.bestMeasurements.size(), prob.measurementNames.size());
+
+  const auto sliced = makeStrategy("pvt_search", prob, 31, 150);
+  for (std::size_t target = 16; !sliced->finished(); target += 16)
+    (void)sliced->step(target);
+  EXPECT_EQ(sliced->outcome().sizes, out.sizes);
+  EXPECT_EQ(sliced->outcome().bestValue, out.bestValue);
+  EXPECT_EQ(sliced->outcome().bestMeasurements, out.bestMeasurements);
 }
 
 TEST(TreeBayesOpt, HandlesFailingSimulations) {
