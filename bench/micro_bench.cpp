@@ -52,6 +52,8 @@ void BM_LdoEval(benchmark::State& state) {
 BENCHMARK(BM_LdoEval);
 
 void BM_IcoEvalTransient(benchmark::State& state) {
+  // One-point evaluation: a one-lane pass of the DC/transient lane engines,
+  // which is what every one-point request costs.
   const circuits::Ico ico(sim::n5Card());
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, 0.70, 27.0};
   const auto x = circuits::Ico::humanReferenceSizing();
@@ -61,7 +63,8 @@ BENCHMARK(BM_IcoEvalTransient);
 
 void BM_IcoEvalTransientBatched(benchmark::State& state) {
   // One lane-blocked Ico::evaluateBatch call covering a 4-corner block; each
-  // slot is bitwise identical to the scalar evaluate() the bench above times.
+  // slot is bitwise identical to the one-lane evaluate() the bench above
+  // times.
   // scripts/bench.sh normalizes by the block width, so the recorded per-point
   // time is directly comparable to BM_IcoEvalTransient.
   const circuits::Ico ico(sim::n5Card());
@@ -88,10 +91,10 @@ BENCHMARK(BM_IcoEvalTransientBatched);
 // ---- Batched DC operating point: the lane-blocked Newton kernel ----
 //
 // Four (corner, sizing) operating points of a small MOS netlist solved one
-// at a time vs through a single solveDcBatch call. The batch's lanes are
-// bitwise identical to the scalar solves (tests/sim_batch_test.cpp locks
-// this), so the pair isolates the amortization of the lockstep Newton /
-// lane-blocked LU pipeline.
+// at a time (four one-lane DcSolver passes) vs through a single solveDcBatch
+// call. The batch's lanes are bitwise identical to the one-lane solves
+// (tests/sim_batch_test.cpp locks this), so the pair isolates what filling
+// the lanes of the lockstep Newton / lane-blocked LU pipeline buys.
 
 sim::Netlist dcOpNetlist(const sim::PvtCorner& c, double wScale) {
   const sim::ProcessCard& card = sim::bsim45Card();
@@ -291,12 +294,13 @@ BENCHMARK(BM_GemmBatch800);
 // ---- Thread-parallel corner sweep: the PVT sign-off hot path ----
 //
 // One sizing evaluated on all 9 PVT corners through the EvalEngine. Serial
-// is the scalar reference dispatch (threads=1 over a width-1 CallbackBackend
-// without the fused callback); Pooled fans the misses across hardware
-// threads and lets each worker's corner chunk fuse in the lane-blocked
-// backend. Both modes produce bitwise-identical results
-// (tests/sim_batch_test.cpp), so the ratio is pure dispatch speedup; CI
-// gates Serial/Pooled >= 1.8x on scripts/bench.sh output.
+// is the one-point reference dispatch (threads=1 over a width-1
+// CallbackBackend without the fused callback, so nine one-lane passes);
+// Pooled fans the misses across hardware threads and lets each worker's
+// corner chunk fuse in the lane-blocked backend. Both modes produce
+// bitwise-identical results (tests/sim_batch_test.cpp), so the ratio is pure
+// dispatch speedup; CI gates Serial/Pooled >= 1.8x on scripts/bench.sh
+// output.
 
 void runCornerSweep(benchmark::State& state, std::size_t threads,
                     bool fused) {

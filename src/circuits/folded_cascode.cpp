@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 
@@ -26,13 +25,7 @@ struct FcTestbench {
   double vdd = 0.0;
 };
 
-/// AC sweep grid shared by the scalar and batched measurement paths.
-std::vector<double> sweepFreqs() {
-  return sim::AcSolver::logSpace(10.0, 20e9, 110);
-}
-
-/// Assemble the result from an operating point + completed sweep. Shared by
-/// the scalar and batched paths so both run the identical expressions.
+/// Assemble the result from an operating point + completed sweep.
 core::EvalResult resultFromSweep(const FcTestbench& tb, const sim::DcResult& op,
                                  const std::vector<double>& freqs,
                                  const std::vector<std::complex<double>>& h) {
@@ -165,21 +158,17 @@ FcTestbench buildFcTestbench(const sim::ProcessCard& card,
 
 core::EvalResult FoldedCascodeOta::evaluate(const linalg::Vector& sizes,
                                             const sim::PvtCorner& corner) const {
-  const FcTestbench tb = buildFcTestbench(card_, sizes, corner);
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const sim::AcSolver ac(tb.netlist, op);
-  const auto freqs = sweepFreqs();
-  return resultFromSweep(tb, op, freqs, ac.sweep(freqs, tb.out));
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void FoldedCascodeOta::evaluateBatch(const linalg::Vector* const* sizes,
                                      const sim::PvtCorner* corners,
                                      core::EvalResult* results,
                                      std::size_t count) const {
-  const auto freqs = sweepFreqs();
+  const auto freqs = sim::AcSolver::logSpace(10.0, 20e9, 110);
   for (std::size_t off = 0; off < count; off += sim::kSimLanes) {
     const int lanes =
         static_cast<int>(std::min<std::size_t>(sim::kSimLanes, count - off));
@@ -219,7 +208,7 @@ void FoldedCascodeOta::evaluateBatch(const linalg::Vector* const* sizes,
                 ac.nodeVoltage(l, tbs[static_cast<std::size_t>(l)].out));
       }
       // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar solver, which is the equivalence reference.
+      // through the scalar AcSolver, which is the equivalence reference.
       for (int l = 0; l < lanes; ++l)
         if (acOps[static_cast<std::size_t>(l)] && !ac.laneFinite(l))
           h[static_cast<std::size_t>(l)] = ac.laneSolver(l)->sweep(

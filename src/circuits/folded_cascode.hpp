@@ -40,9 +40,10 @@ class FoldedCascodeOta {
   core::EvalResult evaluate(const linalg::Vector& sizes,
                             const sim::PvtCorner& corner) const;
 
-  /// Fused corner-batch evaluation through the lane-blocked DC/AC engines
-  /// (sim/op_batch.hpp), in chunks of sim::kSimLanes: results[i] is bitwise
-  /// identical to evaluate(sizes, corners[i]).
+  /// The measurement pipeline: the lane-blocked DC/AC engines
+  /// (sim/op_batch.hpp) in chunks of sim::kSimLanes. evaluate() is a
+  /// one-slot call of it, and results[i] does not depend on the chunk slot i
+  /// shares: it is bitwise identical to evaluate(*sizes[i], corners[i]).
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners, core::EvalResult* results,
                      std::size_t count) const;

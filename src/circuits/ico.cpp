@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 #include "sim/transient.hpp"
@@ -18,14 +17,6 @@ constexpr double kPnOffsetHz = 1e6;
 /// buffer noise; calibrated so hand designs land in the paper's -71..-74 dB
 /// range at ~8-9 GHz.
 constexpr double kExcessNoise = 25.0;
-
-/// Transient schedule shared by the scalar and batched paths.
-sim::TransientOptions transientOptions() {
-  sim::TransientOptions topt;
-  topt.tStop = 3.0e-9;
-  topt.dt = 0.8e-12;
-  return topt;
-}
 }  // namespace
 
 Ico::Ico(const sim::ProcessCard& card) : card_(card) {}
@@ -138,8 +129,7 @@ linalg::Vector kickedState(const IcoTestbench& tb, const sim::DcResult& op) {
   return ic;
 }
 
-/// Extract {freq, pnoise, power} from a completed transient. Shared by the
-/// scalar and batched paths so both run the identical expressions.
+/// Extract {freq, pnoise, power} from a completed transient.
 core::EvalResult measureFromTransient(const IcoTestbench& tb,
                                       const sim::TransientResult& tr,
                                       const sim::PvtCorner& corner) {
@@ -168,19 +158,18 @@ core::EvalResult measureFromTransient(const IcoTestbench& tb,
 
 core::EvalResult Ico::evaluate(const linalg::Vector& sizes,
                                const sim::PvtCorner& corner) const {
-  const IcoTestbench tb = buildIcoTestbench(card_, sizes, corner);
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const linalg::Vector ic = kickedState(tb, op);
-  const sim::TransientSolver tran(tb.netlist, transientOptions());
-  return measureFromTransient(tb, tran.run(ic), corner);
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void Ico::evaluateBatch(const linalg::Vector* const* sizes,
                         const sim::PvtCorner* corners,
                         core::EvalResult* results, std::size_t count) const {
+  sim::TransientOptions topt;
+  topt.tStop = 3.0e-9;
+  topt.dt = 0.8e-12;
   for (std::size_t off = 0; off < count; off += sim::kSimLanes) {
     const int lanes =
         static_cast<int>(std::min<std::size_t>(sim::kSimLanes, count - off));
@@ -209,7 +198,7 @@ void Ico::evaluateBatch(const linalg::Vector* const* sizes,
     }
 
     if (anyTr) {
-      sim::TransientBatch batch(trNls, transientOptions(), initial);
+      sim::TransientBatch batch(trNls, topt, initial);
       batch.run();
       for (int l = 0; l < lanes; ++l) {
         const auto li = static_cast<std::size_t>(l);

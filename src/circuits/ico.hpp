@@ -37,9 +37,11 @@ class Ico {
   core::EvalResult evaluate(const linalg::Vector& sizes,
                             const sim::PvtCorner& corner) const;
 
-  /// Fused batch evaluation through the lane-blocked DC/transient engines
-  /// (sim/op_batch.hpp), in chunks of sim::kSimLanes: results[i] is bitwise
-  /// identical to evaluate(*sizes[i], corners[i]). Slots may mix sizings.
+  /// The measurement pipeline: the lane-blocked DC/transient engines
+  /// (sim/op_batch.hpp) in chunks of sim::kSimLanes. evaluate() is a
+  /// one-slot call of it, and results[i] does not depend on the chunk slot i
+  /// shares: it is bitwise identical to evaluate(*sizes[i], corners[i]).
+  /// Slots may mix sizings.
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners, core::EvalResult* results,
                      std::size_t count) const;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 
@@ -66,11 +65,6 @@ struct LdoTestbench {
   linalg::Vector initialGuess;
   double vtarget = 0.0;
 };
-
-/// Loop-sweep grid shared by the scalar and batched measurement paths.
-std::vector<double> loopFreqs() {
-  return sim::AcSolver::logSpace(10.0, 5e9, 110);
-}
 
 LdoTestbench buildLdoTestbench(const sim::ProcessCard& card,
                                const linalg::Vector& sizes,
@@ -154,8 +148,9 @@ LdoTestbench buildLdoTestbench(const sim::ProcessCard& card,
 }
 
 /// Append one loop-gain point T = v(tap)/v(fbin); false when the injection
-/// node response is numerically dead (the scalar path bails out there).
-/// Shared by both paths so the guard and the division are identical.
+/// node response is numerically dead (the lane then measures as failed).
+/// Shared by the lane sweep and the non-finite lane replay so the guard and
+/// the division are identical.
 bool appendLoopPoint(const std::complex<double>& vTap,
                      const std::complex<double>& vFb,
                      std::vector<std::complex<double>>& t) {
@@ -190,29 +185,16 @@ core::EvalResult resultFromLoop(const Ldo& ldo, const LdoTestbench& tb,
 
 core::EvalResult Ldo::evaluate(const linalg::Vector& sizes,
                                const sim::PvtCorner& corner) const {
-  const LdoTestbench tb = buildLdoTestbench(card_, sizes, corner);
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const sim::AcSolver ac(tb.netlist, op);
-  const auto freqs = loopFreqs();
-  // Loop gain: T = v(tap)/v(fbin) per the series-injection identity.
-  std::vector<std::complex<double>> t;
-  t.reserve(freqs.size());
-  for (double f : freqs) {
-    const auto x = ac.solveAt(f);
-    if (!appendLoopPoint(ac.nodeVoltage(x, tb.tap), ac.nodeVoltage(x, tb.fbin),
-                         t))
-      return {};
-  }
-  return resultFromLoop(*this, tb, op, freqs, t, sizes);
+  const linalg::Vector* slot = &sizes;
+  core::EvalResult r;
+  evaluateBatch(&slot, &corner, &r, 1);
+  return r;
 }
 
 void Ldo::evaluateBatch(const linalg::Vector* const* sizes,
                         const sim::PvtCorner* corners,
                         core::EvalResult* results, std::size_t count) const {
-  const auto freqs = loopFreqs();
+  const auto freqs = sim::AcSolver::logSpace(10.0, 5e9, 110);
   for (std::size_t off = 0; off < count; off += sim::kSimLanes) {
     const int lanes =
         static_cast<int>(std::min<std::size_t>(sim::kSimLanes, count - off));
@@ -256,7 +238,7 @@ void Ldo::evaluateBatch(const linalg::Vector* const* sizes,
         }
       }
       // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar solver, which is the equivalence reference.
+      // through the scalar AcSolver, which is the equivalence reference.
       for (int l = 0; l < lanes; ++l) {
         const auto li = static_cast<std::size_t>(l);
         if (!acOps[li] || ac.laneFinite(l)) continue;

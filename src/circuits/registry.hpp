@@ -5,10 +5,11 @@
 // of hand-wiring the circuit class, design space, value function, and
 // evaluation lambda at every call site.
 //
-// A registry problem carries both the scalar evaluator and the fused
-// corner-batch one, so EvalEngine(problem) gets a lane-batched
-// CallbackBackend from it. The registry is extensible: user code can add()
-// its own entries and construct them through the same declarative path.
+// A registry problem carries its one-point evaluator (a one-slot pass of the
+// circuit's lane pipeline) and the fused corner-batch one, so
+// EvalEngine(problem) gets a lane-batched CallbackBackend from it. The
+// registry is extensible: user code can add() its own entries and construct
+// them through the same declarative path.
 #pragma once
 
 #include <functional>

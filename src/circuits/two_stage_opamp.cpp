@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/ac.hpp"
-#include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 #include "sim/op_batch.hpp"
 
@@ -17,13 +16,7 @@ namespace {
 constexpr double kLoadCap = 400e-15;  // fixed CL [F]
 constexpr double kBiasDiodeWidth = 2e-6;
 
-/// AC sweep grid shared by the scalar and batched measurement paths.
-std::vector<double> sweepFreqs() {
-  return sim::AcSolver::logSpace(10.0, 20e9, 120);
-}
-
-/// Assemble the result from an operating point + completed sweep. Shared by
-/// measure() and evaluateBatch() so both paths run the identical expressions.
+/// Assemble the result from an operating point + completed sweep.
 core::EvalResult resultFromSweep(const TwoStageOpamp::Testbench& tb,
                                  const sim::DcResult& op,
                                  const std::vector<double>& freqs,
@@ -40,6 +33,55 @@ core::EvalResult resultFromSweep(const TwoStageOpamp::Testbench& tb,
   r.measurements[TwoStageOpamp::kPowerMw] =
       std::abs(op.vsourceCurrent(tb.vddSource)) * tb.vdd * 1e3;
   return r;
+}
+
+/// The opamp's one measurement pipeline: the DC operating points of up to
+/// sim::kSimLanes testbenches through solveDcBatch, then one AcBatch sweep
+/// over the lanes that converged. measure(), evaluate() and evaluateBatch()
+/// all run it, so a slot's bits do not depend on how many lanes share its
+/// pass.
+void measureLanes(const TwoStageOpamp::Testbench* const* tbs, std::size_t lanes,
+                  core::EvalResult* results) {
+  const auto freqs = sim::AcSolver::logSpace(10.0, 20e9, 120);
+  std::array<const sim::Netlist*, sim::kSimLanes> nls{};
+  std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
+  for (std::size_t l = 0; l < lanes; ++l) {
+    nls[l] = &tbs[l]->netlist;
+    guesses[l] = &tbs[l]->initialGuess;
+  }
+  const auto ops = sim::solveDcBatch(nls, guesses);
+
+  std::array<const sim::Netlist*, sim::kSimLanes> acNls{};
+  std::array<const sim::DcResult*, sim::kSimLanes> acOps{};
+  bool anyAc = false;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    if (!ops[l].converged) continue;
+    acNls[l] = nls[l];
+    acOps[l] = &ops[l];
+    anyAc = true;
+  }
+
+  std::array<std::vector<std::complex<double>>, sim::kSimLanes> h;
+  if (anyAc) {
+    sim::AcBatch ac(acNls, acOps);
+    for (std::size_t l = 0; l < lanes; ++l)
+      if (acOps[l]) h[l].reserve(freqs.size());
+    for (const double f : freqs) {
+      ac.solveAt(f);
+      for (std::size_t l = 0; l < lanes; ++l)
+        if (acOps[l])
+          h[l].push_back(ac.nodeVoltage(static_cast<int>(l), tbs[l]->out));
+    }
+    // A lane whose lane-blocked factorization went non-finite is replayed
+    // through the scalar AcSolver, which is the equivalence reference.
+    for (std::size_t l = 0; l < lanes; ++l)
+      if (acOps[l] && !ac.laneFinite(static_cast<int>(l)))
+        h[l] = ac.laneSolver(static_cast<int>(l))->sweep(freqs, tbs[l]->out);
+  }
+
+  for (std::size_t l = 0; l < lanes; ++l)
+    results[l] = acOps[l] ? resultFromSweep(*tbs[l], ops[l], freqs, h[l])
+                          : core::EvalResult{};
 }
 }  // namespace
 
@@ -136,13 +178,10 @@ TwoStageOpamp::Testbench TwoStageOpamp::buildTestbench(
 }
 
 core::EvalResult TwoStageOpamp::measure(const Testbench& tb) {
-  const sim::DcSolver dc(tb.netlist);
-  const sim::DcResult op = dc.solve(&tb.initialGuess);
-  if (!op.converged) return {};
-
-  const sim::AcSolver ac(tb.netlist, op);
-  const auto freqs = sweepFreqs();
-  return resultFromSweep(tb, op, freqs, ac.sweep(freqs, tb.out));
+  const Testbench* slot = &tb;
+  core::EvalResult r;
+  measureLanes(&slot, 1, &r);
+  return r;
 }
 
 core::EvalResult TwoStageOpamp::evaluate(const linalg::Vector& sizes,
@@ -154,60 +193,16 @@ void TwoStageOpamp::evaluateBatch(const linalg::Vector* const* sizes,
                                   const sim::PvtCorner* corners,
                                   core::EvalResult* results,
                                   std::size_t count) const {
-  const auto freqs = sweepFreqs();
   for (std::size_t off = 0; off < count; off += sim::kSimLanes) {
-    const int lanes =
-        static_cast<int>(std::min<std::size_t>(sim::kSimLanes, count - off));
+    const std::size_t lanes =
+        std::min<std::size_t>(sim::kSimLanes, count - off);
     std::array<Testbench, sim::kSimLanes> tbs;
-    std::array<const sim::Netlist*, sim::kSimLanes> nls{};
-    std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
-    for (int l = 0; l < lanes; ++l) {
-      tbs[static_cast<std::size_t>(l)] =
-          buildTestbench(*sizes[off + static_cast<std::size_t>(l)],
-                         corners[off + l]);
-      nls[static_cast<std::size_t>(l)] = &tbs[static_cast<std::size_t>(l)].netlist;
-      guesses[static_cast<std::size_t>(l)] =
-          &tbs[static_cast<std::size_t>(l)].initialGuess;
+    std::array<const Testbench*, sim::kSimLanes> slots{};
+    for (std::size_t l = 0; l < lanes; ++l) {
+      tbs[l] = buildTestbench(*sizes[off + l], corners[off + l]);
+      slots[l] = &tbs[l];
     }
-    const auto ops = sim::solveDcBatch(nls, guesses);
-
-    std::array<const sim::Netlist*, sim::kSimLanes> acNls{};
-    std::array<const sim::DcResult*, sim::kSimLanes> acOps{};
-    bool anyAc = false;
-    for (int l = 0; l < lanes; ++l) {
-      if (!ops[static_cast<std::size_t>(l)].converged) continue;
-      acNls[static_cast<std::size_t>(l)] = nls[static_cast<std::size_t>(l)];
-      acOps[static_cast<std::size_t>(l)] = &ops[static_cast<std::size_t>(l)];
-      anyAc = true;
-    }
-
-    std::array<std::vector<std::complex<double>>, sim::kSimLanes> h;
-    if (anyAc) {
-      sim::AcBatch ac(acNls, acOps);
-      for (int l = 0; l < lanes; ++l)
-        if (acOps[static_cast<std::size_t>(l)])
-          h[static_cast<std::size_t>(l)].reserve(freqs.size());
-      for (const double f : freqs) {
-        ac.solveAt(f);
-        for (int l = 0; l < lanes; ++l)
-          if (acOps[static_cast<std::size_t>(l)])
-            h[static_cast<std::size_t>(l)].push_back(
-                ac.nodeVoltage(l, tbs[static_cast<std::size_t>(l)].out));
-      }
-      // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar solver, which is the equivalence reference.
-      for (int l = 0; l < lanes; ++l)
-        if (acOps[static_cast<std::size_t>(l)] && !ac.laneFinite(l))
-          h[static_cast<std::size_t>(l)] = ac.laneSolver(l)->sweep(
-              freqs, tbs[static_cast<std::size_t>(l)].out);
-    }
-
-    for (int l = 0; l < lanes; ++l) {
-      const auto li = static_cast<std::size_t>(l);
-      results[off + li] = acOps[li]
-                              ? resultFromSweep(tbs[li], ops[li], freqs, h[li])
-                              : core::EvalResult{};
-    }
+    measureLanes(slots.data(), lanes, results + off);
   }
 }
 

@@ -60,17 +60,20 @@ class TwoStageOpamp {
   Testbench buildTestbench(const linalg::Vector& sizes,
                            const sim::PvtCorner& corner) const;
 
-  /// DC + AC measurement of an (optionally perturbed) testbench.
+  /// DC + AC measurement of an (optionally perturbed) testbench: a one-lane
+  /// pass of the pipeline evaluateBatch() runs.
   static core::EvalResult measure(const Testbench& tb);
 
-  /// Run DC + AC and extract {gain, UGBW, PM, power}. ok=false when the
-  /// operating point fails to converge or the response never crosses unity.
+  /// Run DC + AC and extract {gain, UGBW, PM, power} (measure() of the built
+  /// testbench). ok=false when the operating point fails to converge or the
+  /// response never crosses unity.
   core::EvalResult evaluate(const linalg::Vector& sizes,
                             const sim::PvtCorner& corner) const;
 
-  /// Fused corner-batch evaluation through the lane-blocked DC/AC engines
-  /// (sim/op_batch.hpp), in chunks of sim::kSimLanes: results[i] is bitwise
-  /// identical to evaluate(sizes, corners[i]).
+  /// The measurement pipeline: the lane-blocked DC/AC engines
+  /// (sim/op_batch.hpp) in chunks of sim::kSimLanes. results[i] does not
+  /// depend on the chunk slot i shares: it is bitwise identical to
+  /// evaluate(*sizes[i], corners[i]).
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners, core::EvalResult* results,
                      std::size_t count) const;

@@ -127,9 +127,10 @@ using CornerEvalFn =
 /// `*sizes[i]` — slots are free to mix sizings, which is what lets the
 /// EvalEngine pack miss lanes across requests instead of padding ragged
 /// per-sizing tails. The contract is bitwise equivalence — slot i must hold
-/// exactly what the scalar CornerEvalFn returns for (*sizes[i], corners[i])
-/// — so the engine may route requests through either path (see
-/// eval::CallbackBackend) without changing any outcome.
+/// exactly what the CornerEvalFn returns for (*sizes[i], corners[i]), whatever
+/// else shares the call — so an engine over either function (see
+/// eval::CallbackBackend) reaches the same outcome. The registry circuits
+/// meet it with one pipeline: their CornerEvalFn is a one-slot call of it.
 /// Implementations handle arbitrary `count` by chunking into their native
 /// lane width internally (sim::kSimLanes for the registry circuits).
 using CornerBatchEvalFn =

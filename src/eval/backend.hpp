@@ -72,31 +72,32 @@ class EvalBackend {
 class CallbackBackend final : public EvalBackend {
  public:
   /// `batchFn`, when supplied, is the fused corner-batch path (must be
-  /// bitwise identical to `fn` per slot — see core::CornerBatchEvalFn);
-  /// `batchWidth` is the lane width the engine should chunk requests to.
+  /// bitwise identical to `fn` per slot — see core::CornerBatchEvalFn). It
+  /// makes the backend sim::kSimLanes wide, the simulator's lane width.
   explicit CallbackBackend(core::CornerEvalFn fn,
                            std::string label = "callback",
-                           core::CornerBatchEvalFn batchFn = {},
-                           std::size_t batchWidth = sim::kSimLanes)
+                           core::CornerBatchEvalFn batchFn = {})
       : fn_(std::move(fn)),
         batchFn_(std::move(batchFn)),
-        width_(batchWidth),
         label_(std::move(label)) {}
 
   std::string_view name() const override { return label_; }
 
-  std::size_t batchWidth() const override { return batchFn_ ? width_ : 1; }
+  std::size_t batchWidth() const override {
+    return batchFn_ ? sim::kSimLanes : 1;
+  }
 
-  /// Runs the fused callback when there is one and `count > 1`; otherwise
-  /// runs the scalar callback per slot. A one-slot fused pass would still
-  /// pay for every idle lane, while the scalar callback yields the same bits
-  /// at one point's cost.
+  /// Runs every chunk, one-slot chunks included, through the fused callback
+  /// when there is one; otherwise runs the scalar callback per slot. On the
+  /// registry circuits a one-lane pass is no slower than a scalar solve of
+  /// the same point (docs/BENCHMARKS.md), so no chunk shape needs a second
+  /// path.
   void evaluateBatch(const linalg::Vector* const* sizes,
                      const sim::PvtCorner* corners,
                      const EvalContext* contexts, core::EvalResult* results,
                      std::size_t count) const override {
     (void)contexts;  // callbacks carry no request identity
-    if (batchFn_ && count > 1) {
+    if (batchFn_) {
       batchFn_(sizes, corners, results, count);
       return;
     }
@@ -107,7 +108,6 @@ class CallbackBackend final : public EvalBackend {
  private:
   core::CornerEvalFn fn_;
   core::CornerBatchEvalFn batchFn_;
-  std::size_t width_ = 1;
   std::string label_;
 };
 

@@ -46,9 +46,6 @@ EvalEngine::EvalEngine(std::shared_ptr<const EvalBackend> backend,
       pool_(config.threads) {
   assert(backend_ != nullptr);
   assert(!corners_.empty());
-  // Baseline the process-wide phase counters so this engine's stats only
-  // ever accumulate growth that happened during its own dispatches.
-  phaseBase_ = sim::simPhaseTotals();
 }
 
 EvalEngine::EvalEngine(const core::SizingProblem& problem,
@@ -66,7 +63,6 @@ void EvalEngine::resetAccounting() {
   ledger_ = pvt::EdaLedger{};
   stats_ = EvalStats{};
   firstFailure_ = FailureRecord{};
-  phaseBase_ = sim::simPhaseTotals();
 }
 
 void EvalEngine::injectFaults(std::shared_ptr<const sim::FaultPlan> plan,
@@ -285,21 +281,23 @@ void EvalEngine::dispatchMisses(core::EvalResult* results) {
   missTrace_.assign(nMiss, MissTrace{});
   const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
   const std::size_t chunks = (nMiss + width - 1) / width;
+  // Sampled per dispatch, not per engine lifetime: growth from other
+  // engines' dispatches between two of ours never lands in our stats.
+  const sim::SimPhaseTotals before = sim::simPhaseTotals();
   pool_.parallelFor(chunks, [&](std::size_t t) {
     const std::size_t begin = t * width;
     runBatchWithRetry(results, begin, std::min(width, nMiss - begin));
   });
   for (const MissTrace& t : missTrace_) stats_.backendSeconds += t.seconds;
-  harvestSimPhases();
+  harvestSimPhases(before);
 }
 
-void EvalEngine::harvestSimPhases() {
+void EvalEngine::harvestSimPhases(const sim::SimPhaseTotals& before) {
   const sim::SimPhaseTotals now = sim::simPhaseTotals();
-  stats_.simDeviceEvalNs += now.deviceEvalNs - phaseBase_.deviceEvalNs;
-  stats_.simStampNs += now.stampNs - phaseBase_.stampNs;
-  stats_.simFactorNs += now.factorNs - phaseBase_.factorNs;
-  stats_.simSolveNs += now.solveNs - phaseBase_.solveNs;
-  phaseBase_ = now;
+  stats_.simDeviceEvalNs += now.deviceEvalNs - before.deviceEvalNs;
+  stats_.simStampNs += now.stampNs - before.stampNs;
+  stats_.simFactorNs += now.factorNs - before.factorNs;
+  stats_.simSolveNs += now.solveNs - before.solveNs;
 }
 
 void EvalEngine::accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,

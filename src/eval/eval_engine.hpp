@@ -338,9 +338,10 @@ class EvalEngine {
   /// simulator phase counters.
   void dispatchMisses(core::EvalResult* results);
 
-  /// Fold the process-wide sim phase counters' growth since the last sample
-  /// into stats_ (all-zero no-op unless sim profiling is on).
-  void harvestSimPhases();
+  /// Fold the process-wide sim phase counters' growth since `before` (sampled
+  /// as this engine's dispatch began) into stats_ (all-zero no-op unless sim
+  /// profiling is on).
+  void harvestSimPhases(const sim::SimPhaseTotals& before);
 
   /// One request's accounting in evalRequests' merge loop: updates stats,
   /// firstFailure_, and (when enabled) the ledger.
@@ -356,7 +357,6 @@ class EvalEngine {
   std::vector<char> hitFlags_;         ///< request served from the memo
   std::vector<char> sharedFlags_;      ///< ... specifically the shared cache
   std::vector<std::size_t> dupOf_;     ///< in-call duplicate -> first miss
-  sim::SimPhaseTotals phaseBase_;  ///< phase counters at the last harvest
 };
 
 }  // namespace trdse::eval

@@ -1,232 +1,22 @@
 #include "sim/dc.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <array>
+#include <utility>
 
-#include "linalg/lu.hpp"
-#include "sim/diode.hpp"
+#include "sim/op_batch.hpp"
 
 namespace trdse::sim {
-
-namespace {
-
-/// Stamp helper: add g between nodes a and b of the reduced MNA matrix.
-void stampG(linalg::Matrix& A, const Netlist& nl, NodeId a, NodeId b, double g) {
-  if (a != kGround) {
-    const std::size_t ia = nl.nodeIndex(a);
-    A(ia, ia) += g;
-    if (b != kGround) A(ia, nl.nodeIndex(b)) -= g;
-  }
-  if (b != kGround) {
-    const std::size_t ib = nl.nodeIndex(b);
-    A(ib, ib) += g;
-    if (a != kGround) A(ib, nl.nodeIndex(a)) -= g;
-  }
-}
-
-/// Stamp a current i flowing out of node a and into node b (KCL RHS).
-void stampI(linalg::Vector& rhs, const Netlist& nl, NodeId a, NodeId b, double i) {
-  if (a != kGround) rhs[nl.nodeIndex(a)] -= i;
-  if (b != kGround) rhs[nl.nodeIndex(b)] += i;
-}
-
-/// Add coefficient c at (row of node r, column of node cNode), skipping ground.
-void addAt(linalg::Matrix& A, const Netlist& nl, NodeId r, NodeId cNode, double c) {
-  if (r == kGround || cNode == kGround) return;
-  A(nl.nodeIndex(r), nl.nodeIndex(cNode)) += c;
-}
-
-}  // namespace
 
 DcSolver::DcSolver(const Netlist& netlist, DcOptions options)
     : netlist_(netlist), options_(options) {}
 
-DcResult DcSolver::newtonLoop(linalg::Vector v, double gmin, double srcScale,
-                              int maxIter) const {
-  const Netlist& nl = netlist_;
-  const std::size_t n = nl.unknownCount();
-  DcResult result;
-  result.v = std::move(v);
-  if (result.v.size() != nl.nodeCount()) result.v.assign(nl.nodeCount(), 0.0);
-
-  linalg::Matrix A(n, n);
-  linalg::Vector rhs(n, 0.0);
-  linalg::LuSolver<double> lu;
-  std::vector<MosOp> ops(nl.mosfets().size());
-
-  for (int iter = 0; iter < maxIter; ++iter) {
-    A.fill(0.0);
-    std::fill(rhs.begin(), rhs.end(), 0.0);
-
-    for (const auto& r : nl.resistors()) stampG(A, nl, r.a, r.b, 1.0 / r.ohms);
-    // Capacitors are open in DC; gmin keeps floating nodes anchored.
-    for (std::size_t i = 1; i < nl.nodeCount(); ++i)
-      A(nl.nodeIndex(static_cast<NodeId>(i)), nl.nodeIndex(static_cast<NodeId>(i))) += gmin;
-
-    for (const auto& src : nl.isources())
-      stampI(rhs, nl, src.p, src.n, src.idc * srcScale);
-
-    // VCCS: i(p->n) = gm * (v_cp - v_cn), purely linear.
-    for (const auto& g : nl.vccs()) {
-      addAt(A, nl, g.p, g.cp, g.gm);
-      addAt(A, nl, g.p, g.cn, -g.gm);
-      addAt(A, nl, g.n, g.cp, -g.gm);
-      addAt(A, nl, g.n, g.cn, g.gm);
-    }
-
-    // Diodes: Newton linearization around the current guess.
-    for (const auto& d : nl.diodes()) {
-      const double vak = result.v[static_cast<std::size_t>(d.a)] -
-                         result.v[static_cast<std::size_t>(d.k)];
-      const DiodeOp op = evalDiode(d, vak, nl.tempK);
-      stampG(A, nl, d.a, d.k, op.gd);
-      stampI(rhs, nl, d.a, d.k, op.id - op.gd * vak);
-    }
-
-    // Inductors are DC shorts: a zero-volt branch.
-    for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-      const auto& ind = nl.inductors()[k];
-      const std::size_t br = nl.inductorBranchIndex(k);
-      if (ind.a != kGround) {
-        A(nl.nodeIndex(ind.a), br) += 1.0;
-        A(br, nl.nodeIndex(ind.a)) += 1.0;
-      }
-      if (ind.b != kGround) {
-        A(nl.nodeIndex(ind.b), br) -= 1.0;
-        A(br, nl.nodeIndex(ind.b)) -= 1.0;
-      }
-    }
-
-    // MOSFETs: Newton linearization. ids leaves the drain node and enters the
-    // source node; the linearized current is
-    //   ids(v) ~= ids0 + sum_t g_t (v_t - v_t0).
-    for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-      const auto& fet = nl.mosfets()[k];
-      const double vd = result.v[static_cast<std::size_t>(fet.d)];
-      const double vg = result.v[static_cast<std::size_t>(fet.g)];
-      const double vs = result.v[static_cast<std::size_t>(fet.s)];
-      const double vb = result.v[static_cast<std::size_t>(fet.b)];
-      const MosOp op = evalMos(fet.params, fet.type, fet.geom, vd, vg, vs, vb,
-                               nl.tempK);
-      ops[k] = op;
-      // Jacobian entries for the drain KCL row (+ids) and source row (-ids).
-      addAt(A, nl, fet.d, fet.d, op.dIdVd);
-      addAt(A, nl, fet.d, fet.g, op.dIdVg);
-      addAt(A, nl, fet.d, fet.s, op.dIdVs);
-      addAt(A, nl, fet.d, fet.b, op.dIdVb);
-      addAt(A, nl, fet.s, fet.d, -op.dIdVd);
-      addAt(A, nl, fet.s, fet.g, -op.dIdVg);
-      addAt(A, nl, fet.s, fet.s, -op.dIdVs);
-      addAt(A, nl, fet.s, fet.b, -op.dIdVb);
-      const double ieq = op.ids - op.dIdVd * vd - op.dIdVg * vg -
-                         op.dIdVs * vs - op.dIdVb * vb;
-      stampI(rhs, nl, fet.d, fet.s, ieq);
-    }
-
-    for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-      const auto& src = nl.vsources()[k];
-      const std::size_t br = nl.vsourceBranchIndex(k);
-      if (src.p != kGround) {
-        A(nl.nodeIndex(src.p), br) += 1.0;
-        A(br, nl.nodeIndex(src.p)) += 1.0;
-      }
-      if (src.n != kGround) {
-        A(nl.nodeIndex(src.n), br) -= 1.0;
-        A(br, nl.nodeIndex(src.n)) -= 1.0;
-      }
-      rhs[br] = src.vdc * srcScale;
-    }
-
-    for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
-      const auto& e = nl.vcvs()[k];
-      const std::size_t br = nl.vcvsBranchIndex(k);
-      if (e.p != kGround) {
-        A(nl.nodeIndex(e.p), br) += 1.0;
-        A(br, nl.nodeIndex(e.p)) += 1.0;
-      }
-      if (e.n != kGround) {
-        A(nl.nodeIndex(e.n), br) -= 1.0;
-        A(br, nl.nodeIndex(e.n)) -= 1.0;
-      }
-      if (e.cp != kGround) A(br, nl.nodeIndex(e.cp)) -= e.gain;
-      if (e.cn != kGround) A(br, nl.nodeIndex(e.cn)) += e.gain;
-    }
-
-    if (!lu.factor(A)) {
-      result.converged = false;
-      result.iterations = iter;
-      return result;
-    }
-    const linalg::Vector x = lu.solve(rhs);
-
-    // Damped update + convergence test on the raw step.
-    double maxStep = 0.0;
-    for (std::size_t i = 1; i < nl.nodeCount(); ++i) {
-      const double vNew = x[nl.nodeIndex(static_cast<NodeId>(i))];
-      const double dv = vNew - result.v[i];
-      maxStep = std::max(maxStep, std::abs(dv));
-      result.v[i] += std::clamp(dv, -options_.damping, options_.damping);
-    }
-    result.iterations = iter + 1;
-
-    const double vScale = linalg::normInf(result.v);
-    if (maxStep < options_.tolAbs + options_.tolRel * vScale) {
-      result.converged = true;
-      result.branchCurrents.assign(nl.branchCount(), 0.0);
-      for (std::size_t k = 0; k < nl.branchCount(); ++k)
-        result.branchCurrents[k] = x[nl.nodeCount() - 1 + k];
-      result.diodeConductances.resize(nl.diodes().size());
-      for (std::size_t k = 0; k < nl.diodes().size(); ++k) {
-        const auto& d = nl.diodes()[k];
-        const double vak = result.v[static_cast<std::size_t>(d.a)] -
-                           result.v[static_cast<std::size_t>(d.k)];
-        result.diodeConductances[k] = evalDiode(d, vak, nl.tempK).gd;
-      }
-      // Re-evaluate device operating points at the converged voltages.
-      for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-        const auto& fet = nl.mosfets()[k];
-        ops[k] = evalMos(fet.params, fet.type, fet.geom,
-                         result.v[static_cast<std::size_t>(fet.d)],
-                         result.v[static_cast<std::size_t>(fet.g)],
-                         result.v[static_cast<std::size_t>(fet.s)],
-                         result.v[static_cast<std::size_t>(fet.b)], nl.tempK);
-      }
-      result.mosOps = std::move(ops);
-      return result;
-    }
-  }
-  result.converged = false;
-  return result;
-}
-
 DcResult DcSolver::solve(const linalg::Vector* initialGuess) const {
-  linalg::Vector v0;
-  if (initialGuess != nullptr && initialGuess->size() == netlist_.nodeCount()) {
-    v0 = *initialGuess;
-  } else {
-    v0.assign(netlist_.nodeCount(), 0.0);
-  }
-
-  // 1) plain Newton
-  DcResult r = newtonLoop(v0, options_.gmin, 1.0, options_.maxIterations);
-  if (r.converged) return r;
-
-  // 2) gmin stepping: start heavily damped towards ground, relax tenfold.
-  linalg::Vector warm = v0;
-  for (double gmin : {1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11}) {
-    DcResult step = newtonLoop(warm, gmin, 1.0, options_.maxIterations);
-    if (step.converged) warm = step.v;
-  }
-  r = newtonLoop(warm, options_.gmin, 1.0, options_.maxIterations);
-  if (r.converged) return r;
-
-  // 3) source stepping: ramp all independent sources from 10% to 100%.
-  warm = v0;
-  for (double scale : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
-    DcResult step = newtonLoop(warm, 1e-9, scale, options_.maxIterations);
-    if (step.converged) warm = step.v;
-  }
-  return newtonLoop(warm, options_.gmin, 1.0, options_.maxIterations);
+  std::array<const Netlist*, kSimLanes> nls{};
+  std::array<const linalg::Vector*, kSimLanes> guesses{};
+  nls[0] = &netlist_;
+  guesses[0] = initialGuess;
+  auto lanes = solveDcBatch(nls, guesses, options_);
+  return std::move(lanes[0]);
 }
 
 }  // namespace trdse::sim

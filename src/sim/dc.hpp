@@ -1,6 +1,10 @@
-// Nonlinear DC operating-point solver: Newton-Raphson over the MNA system
-// with per-node step damping, falling back to gmin stepping and then source
+// Nonlinear DC operating point: Newton-Raphson over the MNA system with
+// per-node step damping, falling back to gmin stepping and then source
 // stepping when the plain iteration fails — the standard SPICE ladder.
+//
+// DcSolver is the one-point entry: a one-lane call of solveDcBatch
+// (sim/op_batch.hpp), the library's only DC implementation. It hides the
+// lane-array layout from callers that solve one netlist at a time.
 #pragma once
 
 #include <vector>
@@ -35,13 +39,11 @@ class DcSolver {
  public:
   explicit DcSolver(const Netlist& netlist, DcOptions options = {});
 
-  /// Solve from an optional initial node-voltage guess (size nodeCount).
+  /// Solve from an optional initial node-voltage guess (size nodeCount; any
+  /// other size, or none, starts from all zeros).
   DcResult solve(const linalg::Vector* initialGuess = nullptr) const;
 
  private:
-  DcResult newtonLoop(linalg::Vector v, double gmin, double srcScale,
-                      int maxIter) const;
-
   const Netlist& netlist_;
   DcOptions options_;
 };

@@ -1,8 +1,9 @@
 // Batched operating-point engines. See op_batch.hpp for the lane-equivalence
-// contract. Everything here replicates the scalar solvers' floating-point
-// expressions literally, per lane, in the scalar stamp order; this TU is
-// compiled with FP contraction off (see CMakeLists.txt) so the replicated
-// expressions cannot fuse differently from the scalar TUs.
+// contract. Everything here replicates the reference solvers' floating-point
+// expressions (tests/sim_reference.hpp) literally, per lane, in the
+// reference stamp order; this TU is compiled with FP contraction off (see
+// CMakeLists.txt), like the reference's test TU, so the replicated
+// expressions cannot fuse differently there and here.
 #include "sim/op_batch.hpp"
 
 #include <algorithm>
@@ -66,7 +67,7 @@ void clearLaneToIdentity(LaneSystem& sys, int l) {
   for (std::size_t i = 0; i < sys.n; ++i) sys.rv(i, l) = 0.0;
 }
 
-// Per-lane stamp helpers mirroring the scalar solvers' stampG/stampI/addAt
+// Per-lane stamp helpers mirroring the reference solvers' stampG/stampI/addAt
 // (same ground skips, same += order).
 void stampG(LaneSystem& sys, const Netlist& nl, int l, NodeId a, NodeId b,
             double g) {
@@ -465,7 +466,7 @@ bool sameTopology(const Netlist& a, const Netlist& b) {
 // ---------------------------------------------------------------------------
 namespace {
 
-// DcSolver::solve's fallback ladder, phase-encoded:
+// The DC fallback ladder (reference solveDc), phase-encoded:
 //   0        plain Newton from the guess
 //   1..9     gmin stepping (kGminLadder), warm-started
 //   10       retry at opts.gmin from the gmin-ladder warm vector (terminal on
@@ -481,10 +482,10 @@ struct DcLane {
   bool done = false;
   int phase = 0;
   int iter = 0;        ///< completed iterations of the current loop
-  int iterations = 0;  ///< scalar result.iterations bookkeeping
+  int iterations = 0;  ///< reference result.iterations bookkeeping
   double gmin = 0.0;
   double srcScale = 1.0;
-  linalg::Vector v;     ///< current iterate (scalar result.v)
+  linalg::Vector v;     ///< current iterate (reference result.v)
   linalg::Vector v0;    ///< original guess
   linalg::Vector warm;  ///< warm-start carry between ladder loops
   std::vector<double> xSave;  ///< solution column of the converged iteration
@@ -504,8 +505,8 @@ void dcStartLoop(DcLane& ln, const linalg::Vector& start, double gmin,
   if (opts.maxIterations <= 0) dcEndLoop(ln, false, nl, opts);
 }
 
-/// Converged terminal loop: same finalization newtonLoop performs, through
-/// the same scalar device kernels.
+/// Converged terminal loop: the reference newtonLoop's finalization,
+/// through the same scalar device kernels.
 void dcFinalize(DcLane& ln, const Netlist& nl) {
   DcResult& r = ln.result;
   r.converged = true;
@@ -582,16 +583,16 @@ void dcEndLoop(DcLane& ln, bool converged, const Netlist& nl,
 }
 
 /// Lane l's *linear* DC image for one (gmin, srcScale) ladder setting:
-/// everything newtonLoop stamps that does not depend on the Newton iterate —
-/// resistors, the gmin diagonal, current sources, VCCS, inductor / vsource /
-/// vcvs branch rows, and the vsource RHS assignments. The per-iteration
-/// diode/MOS stamps are scattered onto a copy of this image each round; the
-/// split is bitwise-safe because every matrix cell and RHS row a nonlinear
-/// device touches receives its linear contributions from stamps that also
-/// precede the nonlinear ones in newtonLoop's order (the later linear stamps
-/// — inductor/vsource/vcvs — only touch branch rows/columns, which are
-/// disjoint from the node-node cells and node RHS rows the diode/MOS stamps
-/// accumulate into).
+/// everything the reference newtonLoop stamps that does not depend on the
+/// Newton iterate — resistors, the gmin diagonal, current sources, VCCS,
+/// inductor / vsource / vcvs branch rows, and the vsource RHS assignments.
+/// The per-iteration diode/MOS stamps are scattered onto a copy of this image
+/// each round; the split is bitwise-safe because every matrix cell and RHS
+/// row a nonlinear device touches receives its linear contributions from
+/// stamps that also precede the nonlinear ones in newtonLoop's order (the
+/// later linear stamps — inductor/vsource/vcvs — only touch branch
+/// rows/columns, which are disjoint from the node-node cells and node RHS
+/// rows the diode/MOS stamps accumulate into).
 void stampDcLinear(LaneSystem& sys, const Netlist& nl, int l, double gmin,
                    double srcScale) {
   for (const auto& r : nl.resistors()) stampG(sys, nl, l, r.a, r.b, 1.0 / r.ohms);
@@ -823,7 +824,7 @@ std::array<DcResult, kSimLanes> solveDcBatch(
       DcLane& ln = lanes[l];
       const Netlist& nl = *nls[l];
       if (!lu.ok[l]) {
-        ln.iterations = ln.iter;  // scalar: result.iterations = iter on singular
+        ln.iterations = ln.iter;  // reference: iterations = iter on singular
         dcEndLoop(ln, false, nl, opts);
         continue;
       }
@@ -857,8 +858,8 @@ std::array<DcResult, kSimLanes> solveDcBatch(
 // ---------------------------------------------------------------------------
 namespace {
 
-// Companion states, one set per lane, in TransientSolver::run's collection
-// order (explicit capacitors first, then per-MOSFET parasitics).
+// Companion states, one set per lane, in the reference runTransient's
+// collection order (explicit capacitors first, then per-MOSFET parasitics).
 struct BatchCapState {
   NodeId a = kGround;
   NodeId b = kGround;
@@ -874,7 +875,7 @@ struct BatchIndState {
 
 /// Lane l's step-invariant (linear) matrix part: resistors, gmin, VCCS,
 /// inductor/vsource/vcvs branch rows, capacitor companion conductances. The
-/// per-cell accumulation order matches the scalar per-iteration stamping
+/// per-cell accumulation order matches the reference per-iteration stamping
 /// (the nonlinear diode/MOS stamps are added on a copy each Newton round).
 void stampTransientBase(LaneSystem& base, const Netlist& nl, int l,
                         const std::vector<BatchCapState>& caps, double h) {
@@ -969,8 +970,9 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
   LaneLu& lu = ws->lu;
 
   // Per-step RHS: sources + linear companion currents. Node entries
-  // accumulate as isources then capacitors — the scalar per-iteration order
-  // with the nonlinear (diode/MOS) contributions appended per round below.
+  // accumulate as isources then capacitors — the reference per-iteration
+  // order with the nonlinear (diode/MOS) contributions appended per round
+  // below.
   {
     SimPhaseTimer timer(SimPhase::kStamp);
     std::fill(stepRhs.begin(), stepRhs.end(), 0.0);
@@ -1001,7 +1003,7 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
   for (int l = 0; l < L; ++l) {
     if (!alive[l]) continue;
     iterating[l] = true;
-    vIter[l] = v[l];  // scalar warm start from the last accepted point
+    vIter[l] = v[l];  // warm start from the last accepted point
   }
   auto anyIterating = [&iterating]() {
     for (int l = 0; l < L; ++l)
@@ -1021,11 +1023,14 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
       SimPhaseTimer timer(SimPhase::kStamp);
       // One copy of the precomputed base image straight into the LU panel
       // (the old flow stamped into a work system and copied again inside
-      // factor), then the plan-table nonlinear scatter on top.
+      // factor), then the plan-table nonlinear scatter on top. A lane that
+      // was never active needs no clear: its base slice has been identity
+      // since construction and its step RHS stays zero (the clear-once rule
+      // solveDcBatch applies through stampedIdentity).
       lu.load(ws->lin);
       workRhs.assign(stepRhs.begin(), stepRhs.end());
       for (int l = 0; l < L; ++l)
-        if (!iterating[l])
+        if (active[l] && !iterating[l])
           clearLaneRawToIdentity(lu.data(), workRhs.data(), n, l);
       scatterNonlinear(lu.data(), workRhs.data(), *plan, ws->db, vl, iterating);
     }
@@ -1038,7 +1043,7 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
     for (int l = 0; l < L; ++l) {
       if (!iterating[l]) continue;
       if (!lu.ok[l]) {
-        // Scalar: `if (!lu.factor(A)) return result;` — the lane stops
+        // Reference: `if (!lu.factor(A)) return result;` — the lane stops
         // recording mid-run, completed stays false.
         alive[l] = false;
         iterating[l] = false;
@@ -1062,12 +1067,12 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
   for (int l = 0; l < L; ++l) {
     if (!alive[l]) continue;
     if (!frozen[l]) {
-      // Newton exhausted its iteration budget: scalar returns mid-run.
+      // Newton exhausted its iteration budget: the run stops mid-way.
       alive[l] = false;
       continue;
     }
     const Netlist& nl = *nls[l];
-    // Accept the step: update companion states (scalar order).
+    // Accept the step: update companion states (reference order).
     for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
       const auto& ind = nl.inductors()[k];
       const double vNow = vIter[l][static_cast<std::size_t>(ind.a)] -

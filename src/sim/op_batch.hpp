@@ -1,25 +1,33 @@
-// Batched operating-point backend: DC, transient, and AC engines that drive
-// kSimLanes (sizing, corner) operating points through one Newton/LU pipeline.
+// The simulator's operating-point engines: DC, transient, and AC passes that
+// drive up to kSimLanes (sizing, corner) operating points through one
+// Newton/LU pipeline. solveDcBatch and TransientBatch are the library's only
+// DC and transient implementations; DcSolver and TransientSolver are
+// one-lane calls into them.
 //
-// The contract every engine here honors is *bitwise lane equivalence*: lane l
-// of a batch reproduces, bit for bit, what the scalar solver (DcSolver,
-// TransientSolver, AcSolver) produces for that lane's netlist alone. Three
-// mechanisms make that hold:
+// The contract every engine here honors:
+//   * Lanes are independent. A lane's trajectory never depends on what the
+//     other lanes hold, so a one-lane pass, a partially filled batch (null
+//     lanes), and lanes that freeze early (converged / failed) all give a
+//     lane the same bits.
+//   * Lane l equals the reference bit for bit. For DC and transient the
+//     reference is the textbook scalar loop over one dense MNA matrix in
+//     tests/sim_reference.hpp; for AC it is the library's AcSolver.
+// Three mechanisms make the second hold:
 //   1. Device cards are evaluated through the shared block kernels
 //      (evalMosBlock / evalDiodeBlock), whose lanes are bitwise identical to
 //      the scalar calls by construction (see sim/mosfet.hpp).
-//   2. Stamps, Newton updates, and convergence tests replicate the scalar
-//      solvers' expressions literally, per lane, in the scalar solvers' stamp
-//      order; the involved translation units are compiled with FP contraction
-//      off so the same source expression cannot fuse differently.
-//   3. The lane-blocked LU factors each lane with the scalar pivoting rule
-//      (per-lane pivot scan and row swaps) while vectorizing the elimination
-//      across lanes — arithmetic per lane is unchanged.
+//   2. Stamps, Newton updates, and convergence tests replicate the
+//      reference's expressions literally, per lane, in its stamp order; the
+//      translation units involved (the reference's test TU included) are
+//      compiled with FP contraction off so the same source expression cannot
+//      fuse differently.
+//   3. The lane-blocked LU factors each lane with the scalar LuSolver's
+//      pivoting rule (per-lane pivot scan and row swaps) while vectorizing
+//      the elimination across lanes — arithmetic per lane is unchanged.
 //
-// Lanes are independent: a lane's trajectory never depends on what the other
-// lanes hold, so partially-filled batches (null lanes) and lanes that freeze
-// early (converged / failed) are safe. tests/sim_batch_test.cpp locks the
-// equivalence over every registry circuit, corner set, and thread count.
+// tests/sim_batch_test.cpp locks both properties over every device type,
+// every rung of the DC ladder, a transient that fails mid-run, and every
+// registry circuit, corner set, and thread count.
 #pragma once
 
 #include <array>
@@ -43,12 +51,11 @@ namespace trdse::sim {
 bool sameTopology(const Netlist& a, const Netlist& b);
 
 /// Batched DC operating point over up to kSimLanes netlists of one topology.
-/// Null lanes are skipped (their result stays default-constructed). Lane l of
-/// the result is bitwise identical to
-///   DcSolver(*nls[l], opts).solve(guesses[l]).
-/// Each lane runs the scalar solver's full convergence ladder (plain Newton,
-/// gmin stepping, source stepping) as an independent state machine; lanes at
-/// different ladder stages still share each lockstep iteration's block device
+/// Null lanes are skipped (their result stays default-constructed). A null
+/// guess, or one whose size is not nodeCount(), starts the lane from zeros.
+/// Each lane runs the full convergence ladder (plain Newton, gmin stepping,
+/// source stepping) as an independent state machine; lanes at different
+/// ladder stages still share each lockstep iteration's block device
 /// evaluation and lane-blocked LU.
 std::array<DcResult, kSimLanes> solveDcBatch(
     const std::array<const Netlist*, kSimLanes>& nls,
@@ -61,10 +68,9 @@ std::array<DcResult, kSimLanes> solveDcBatch(
 ///
 /// step(k) followed by step(n - k) is state-identical to step(n) — the
 /// companion states, voltages, and recorded traces carry over exactly — which
-/// is what lets a consumer interleave lanes with other work. Lane l's result
-/// is bitwise identical to TransientSolver(*nls[l], opts).run(*initial[l]);
-/// a lane whose Newton fails (or whose matrix goes singular) stops recording
-/// at that step with completed == false, exactly like the scalar solver.
+/// is what lets a consumer interleave lanes with other work. A lane whose
+/// Newton fails (or whose matrix goes singular) stops recording at that step
+/// with completed == false.
 class TransientBatch {
  public:
   /// `nls[l] == nullptr` disables lane l. Active lanes must share topology

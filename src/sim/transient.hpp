@@ -4,6 +4,10 @@
 // re-linearized each Newton iteration, with their parasitic capacitances
 // included as fixed linear capacitors. This is what the ICO experiment uses
 // to measure oscillation frequency from node-crossing periods.
+//
+// TransientSolver is the one-point entry: a one-lane TransientBatch
+// (sim/op_batch.hpp), the library's only transient implementation. The
+// waveform helpers below measure either one's results.
 #pragma once
 
 #include <vector>
@@ -48,7 +52,9 @@ class TransientSolver {
   TransientSolver(const Netlist& netlist, TransientOptions options = {});
 
   /// Integrate from the given initial node voltages (e.g. a DC OP, possibly
-  /// perturbed to kick an oscillator out of its metastable point).
+  /// perturbed to kick an oscillator out of its metastable point). A singular
+  /// matrix or an exhausted Newton loop stops the run at that step with
+  /// completed == false.
   TransientResult run(const linalg::Vector& initialVoltages) const;
 
  private:

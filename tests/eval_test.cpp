@@ -17,6 +17,7 @@
 #include "eval/eval_cache.hpp"
 #include "eval/eval_engine.hpp"
 #include "rl/sizing_env.hpp"
+#include "sim/sim_profile.hpp"
 
 namespace trdse {
 namespace {
@@ -372,7 +373,7 @@ TEST(Registry, CircuitEvaluatesThroughTheEngine) {
 
 // ---------- CallbackBackend ----------
 
-TEST(CallbackBackend, OneSlotRunsScalarCallbackWiderRunsFused) {
+TEST(CallbackBackend, EveryChunkRunsFusedAndNoFusedMeansScalarPerSlot) {
   std::size_t scalarCalls = 0;
   std::vector<std::size_t> fusedCounts;
   const auto model = [](const Vector& v, const sim::PvtCorner& c) {
@@ -409,16 +410,17 @@ TEST(CallbackBackend, OneSlotRunsScalarCallbackWiderRunsFused) {
       EXPECT_EQ(out[i].measurements, model(x, corners[i]).measurements);
   };
 
+  // A one-slot chunk is a one-lane fused pass like any other chunk.
   backend.evaluateBatch(sizes.data(), corners.data(), contexts.data(),
                         out.data(), 1);
-  EXPECT_EQ(scalarCalls, 1u);
-  EXPECT_TRUE(fusedCounts.empty());
+  EXPECT_EQ(scalarCalls, 0u);
+  EXPECT_EQ(fusedCounts, std::vector<std::size_t>{1});
   expectModel(1);
 
   backend.evaluateBatch(sizes.data(), corners.data(), contexts.data(),
                         out.data(), 3);
-  EXPECT_EQ(scalarCalls, 1u);
-  EXPECT_EQ(fusedCounts, std::vector<std::size_t>{3});
+  EXPECT_EQ(scalarCalls, 0u);
+  EXPECT_EQ(fusedCounts, (std::vector<std::size_t>{1, 3}));
   expectModel(3);
 
   // Without a fused callback the backend is width 1 and every slot runs
@@ -427,8 +429,50 @@ TEST(CallbackBackend, OneSlotRunsScalarCallbackWiderRunsFused) {
   EXPECT_EQ(scalarOnly.batchWidth(), 1u);
   scalarOnly.evaluateBatch(sizes.data(), corners.data(), contexts.data(),
                            out.data(), 3);
-  EXPECT_EQ(scalarCalls, 4u);
+  EXPECT_EQ(scalarCalls, 3u);
   expectModel(3);
+}
+
+// ---------- Simulator phase counters ----------
+
+TEST(EvalStats, SimPhaseCountersCoverOnePointRequests) {
+  // A lone evalOne is a one-lane pass of the lane engine, which times every
+  // simulator phase. With profiling on, one request on each registry circuit
+  // must move all four phase counters of its engine.
+  struct ProfilingOn {
+    bool was = sim::simProfilingEnabled();
+    ProfilingOn() { sim::setSimProfiling(true); }
+    ~ProfilingOn() { sim::setSimProfiling(was); }
+  } profiling;
+  const auto phaseNs = [](const eval::EvalStats& st) {
+    return st.simDeviceEvalNs + st.simStampNs + st.simFactorNs +
+           st.simSolveNs;
+  };
+  const auto& reg = circuits::Registry::global();
+  // Built before the loop and dispatched after it: an engine's counters
+  // cover its own dispatches only, not other engines' work in between.
+  const core::SizingProblem opamp = reg.makeProblem("two_stage_opamp");
+  eval::EvalEngine late(opamp, {/*cacheEvals=*/false, 1});
+  std::uint64_t loopNs = 0;
+  for (const auto& name : reg.names()) {
+    const core::SizingProblem prob = reg.makeProblem(name);
+    eval::EvalEngine engine(prob, {/*cacheEvals=*/false, 1});
+    std::mt19937_64 rng(17);
+    engine.evalOne(0, prob.space.randomPoint(rng), pvt::BlockKind::kSearch);
+    const eval::EvalStats& st = engine.stats();
+    EXPECT_EQ(st.simulated + st.failures, 1u) << name;
+    EXPECT_GT(st.simDeviceEvalNs, 0u) << name;
+    EXPECT_GT(st.simStampNs, 0u) << name;
+    EXPECT_GT(st.simFactorNs, 0u) << name;
+    EXPECT_GT(st.simSolveNs, 0u) << name;
+    loopNs += phaseNs(st);
+  }
+  // One opamp point against the loop's four circuits, an ICO transient
+  // among them.
+  std::mt19937_64 rng(17);
+  late.evalOne(0, opamp.space.randomPoint(rng), pvt::BlockKind::kSearch);
+  EXPECT_GT(phaseNs(late.stats()), 0u);
+  EXPECT_LT(phaseNs(late.stats()), loopNs);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Differential + property harness locking the scalar<->batched simulator
-// equivalence (sim/op_batch.hpp, and the EvalEngine's lane-batched dispatch
-// against a width-1 scalar backend).
+// Differential + property harness locking the lane engines' contract
+// (sim/op_batch.hpp): every DC and transient lane equals the scalar reference
+// loops in sim_reference.hpp, every AC lane equals AcSolver, and a lane's
+// bits do not depend on what shares its pass — down to the EvalEngine, whose
+// lane-batched dispatch must match a width-1 backend's one-slot passes.
 //
 // Every numeric comparison here is on the *bit pattern* of the doubles, not
-// an epsilon: the batched backend's contract is that lane l reproduces the
-// scalar solver exactly (see the op_batch.hpp header for how the kernels and
-// compile flags guarantee it). An epsilon test would quietly accept the
+// an epsilon: the contract is that lane l reproduces the reference exactly
+// (see the op_batch.hpp header for how the kernels and compile flags
+// guarantee it). An epsilon test would quietly accept the
 // contraction/vectorization drift these tests exist to catch.
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 #include <complex>
 #include <cstring>
 #include <random>
+#include <set>
 #include <vector>
 
 #include <atomic>
@@ -30,6 +33,7 @@
 #include "sim/op_batch.hpp"
 #include "sim/process.hpp"
 #include "sim/transient.hpp"
+#include "sim_reference.hpp"
 
 namespace trdse::sim {
 namespace {
@@ -107,30 +111,64 @@ struct SinkLanes {
 
 // ---- DC ------------------------------------------------------------------
 
-TEST(SimBatchDc, EveryLaneBitwiseMatchesScalarSolver) {
+void expectSameDc(const DcResult& ref, const DcResult& b, std::size_t lane) {
+  ASSERT_EQ(ref.converged, b.converged) << "lane " << lane;
+  EXPECT_EQ(ref.iterations, b.iterations) << "lane " << lane;
+  ASSERT_EQ(ref.v.size(), b.v.size());
+  for (std::size_t i = 0; i < ref.v.size(); ++i)
+    ASSERT_BITS_EQ(ref.v[i], b.v[i]);
+  ASSERT_EQ(ref.branchCurrents.size(), b.branchCurrents.size());
+  for (std::size_t i = 0; i < ref.branchCurrents.size(); ++i)
+    ASSERT_BITS_EQ(ref.branchCurrents[i], b.branchCurrents[i]);
+  ASSERT_EQ(ref.mosOps.size(), b.mosOps.size());
+  for (std::size_t i = 0; i < ref.mosOps.size(); ++i) {
+    EXPECT_BITS_EQ(ref.mosOps[i].ids, b.mosOps[i].ids);
+    EXPECT_BITS_EQ(ref.mosOps[i].gm, b.mosOps[i].gm);
+    EXPECT_BITS_EQ(ref.mosOps[i].gds, b.mosOps[i].gds);
+  }
+  ASSERT_EQ(ref.diodeConductances.size(), b.diodeConductances.size());
+  for (std::size_t i = 0; i < ref.diodeConductances.size(); ++i)
+    EXPECT_BITS_EQ(ref.diodeConductances[i], b.diodeConductances[i]);
+}
+
+TEST(SimBatchDc, EveryLaneBitwiseMatchesReference) {
+  // Lanes of a full batch and the one-lane DcSolver entry point alike.
   const SinkLanes lanes;
   const auto batch = solveDcBatch(lanes.nlp, lanes.gp);
   for (std::size_t l = 0; l < kSimLanes; ++l) {
-    const DcResult scalar = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
-    const DcResult& b = batch[l];
-    ASSERT_EQ(scalar.converged, b.converged) << "lane " << l;
-    EXPECT_EQ(scalar.iterations, b.iterations) << "lane " << l;
-    ASSERT_EQ(scalar.v.size(), b.v.size());
-    for (std::size_t i = 0; i < scalar.v.size(); ++i)
-      ASSERT_BITS_EQ(scalar.v[i], b.v[i]);
-    ASSERT_EQ(scalar.branchCurrents.size(), b.branchCurrents.size());
-    for (std::size_t i = 0; i < scalar.branchCurrents.size(); ++i)
-      ASSERT_BITS_EQ(scalar.branchCurrents[i], b.branchCurrents[i]);
-    ASSERT_EQ(scalar.mosOps.size(), b.mosOps.size());
-    for (std::size_t i = 0; i < scalar.mosOps.size(); ++i) {
-      EXPECT_BITS_EQ(scalar.mosOps[i].ids, b.mosOps[i].ids);
-      EXPECT_BITS_EQ(scalar.mosOps[i].gm, b.mosOps[i].gm);
-      EXPECT_BITS_EQ(scalar.mosOps[i].gds, b.mosOps[i].gds);
-    }
-    ASSERT_EQ(scalar.diodeConductances.size(), b.diodeConductances.size());
-    for (std::size_t i = 0; i < scalar.diodeConductances.size(); ++i)
-      EXPECT_BITS_EQ(scalar.diodeConductances[i], b.diodeConductances[i]);
+    const DcResult ref = reference::solveDc(lanes.nls[l], lanes.gp[l]);
+    expectSameDc(ref, batch[l], l);
+    expectSameDc(ref, DcSolver(lanes.nls[l]).solve(lanes.gp[l]), l);
   }
+}
+
+TEST(SimBatchDc, EveryLadderRungBitwiseMatchesReference) {
+  // The kitchen sink converges on plain Newton at the default budget.
+  // Starving each Newton loop of iterations pushes lanes down the ladder:
+  // at 10 iterations the four lanes converge on source stepping, gmin
+  // stepping, and plain Newton, and at 7 one lane fails every rung — lanes
+  // at different rungs share each lockstep pass.
+  const SinkLanes lanes;
+  std::set<reference::DcRung> convergedOn;
+  bool sawFailure = false;
+  for (const int maxIterations : {7, 10}) {
+    DcOptions opts;
+    opts.maxIterations = maxIterations;
+    const auto batch = solveDcBatch(lanes.nlp, lanes.gp, opts);
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      reference::DcRung rung;
+      const DcResult ref =
+          reference::solveDc(lanes.nls[l], lanes.gp[l], opts, &rung);
+      expectSameDc(ref, batch[l], l);
+      if (ref.converged) {
+        convergedOn.insert(rung);
+      } else {
+        sawFailure = true;
+      }
+    }
+  }
+  EXPECT_EQ(convergedOn.size(), 3u) << "a ladder rung went unexercised";
+  EXPECT_TRUE(sawFailure) << "no lane failed every rung";
 }
 
 TEST(SimBatchDc, NullLanesAreSkippedAndSurvivorsUnchanged) {
@@ -158,11 +196,27 @@ TEST(SimBatchDc, NullLanesAreSkippedAndSurvivorsUnchanged) {
 
 // ---- Transient -----------------------------------------------------------
 
-TEST(SimBatchTransient, TracesBitwiseMatchScalarSolver) {
+void expectSameTrace(const TransientResult& ref, const TransientResult& b,
+                     std::size_t lane) {
+  ASSERT_EQ(ref.completed, b.completed) << "lane " << lane;
+  ASSERT_EQ(ref.times.size(), b.times.size()) << "lane " << lane;
+  for (std::size_t t = 0; t < ref.times.size(); ++t) {
+    ASSERT_BITS_EQ(ref.times[t], b.times[t]);
+    ASSERT_EQ(ref.voltages[t].size(), b.voltages[t].size());
+    for (std::size_t i = 0; i < ref.voltages[t].size(); ++i)
+      ASSERT_BITS_EQ(ref.voltages[t][i], b.voltages[t][i]);
+    ASSERT_EQ(ref.branchCurrents[t].size(), b.branchCurrents[t].size());
+    for (std::size_t i = 0; i < ref.branchCurrents[t].size(); ++i)
+      ASSERT_BITS_EQ(ref.branchCurrents[t][i], b.branchCurrents[t][i]);
+  }
+}
+
+TEST(SimBatchTransient, TracesBitwiseMatchReference) {
+  // Lanes of a full batch and the one-lane TransientSolver entry point alike.
   const SinkLanes lanes;
   std::array<DcResult, kSimLanes> ops;
   for (std::size_t l = 0; l < kSimLanes; ++l)
-    ops[l] = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
+    ops[l] = reference::solveDc(lanes.nls[l], lanes.gp[l]);
 
   TransientOptions topt;
   topt.tStop = 2e-10;
@@ -173,20 +227,44 @@ TEST(SimBatchTransient, TracesBitwiseMatchScalarSolver) {
   TransientBatch batch(lanes.nlp, topt, init);
   batch.run();
   for (std::size_t l = 0; l < kSimLanes; ++l) {
-    const TransientResult scalar =
-        TransientSolver(lanes.nls[l], topt).run(ops[l].v);
-    const TransientResult& b = batch.result(static_cast<int>(l));
-    ASSERT_EQ(scalar.completed, b.completed) << "lane " << l;
-    ASSERT_EQ(scalar.times.size(), b.times.size()) << "lane " << l;
-    for (std::size_t t = 0; t < scalar.times.size(); ++t) {
-      ASSERT_BITS_EQ(scalar.times[t], b.times[t]);
-      ASSERT_EQ(scalar.voltages[t].size(), b.voltages[t].size());
-      for (std::size_t i = 0; i < scalar.voltages[t].size(); ++i)
-        ASSERT_BITS_EQ(scalar.voltages[t][i], b.voltages[t][i]);
-      for (std::size_t i = 0; i < scalar.branchCurrents[t].size(); ++i)
-        ASSERT_BITS_EQ(scalar.branchCurrents[t][i], b.branchCurrents[t][i]);
-    }
+    const TransientResult ref =
+        reference::runTransient(lanes.nls[l], topt, ops[l].v);
+    expectSameTrace(ref, batch.result(static_cast<int>(l)), l);
+    expectSameTrace(ref, TransientSolver(lanes.nls[l], topt).run(ops[l].v), l);
   }
+}
+
+TEST(SimBatchTransient, MidRunNewtonFailureMatchesReference) {
+  // Started from all-zero voltages with three Newton iterations per step,
+  // two lanes exhaust their budget a few steps into the run while the other
+  // two complete: the failed lanes must stop recording exactly where the
+  // reference stops, and the survivors must not notice.
+  const SinkLanes lanes;
+  TransientOptions topt;
+  topt.tStop = 2e-10;
+  topt.dt = 1e-12;
+  topt.maxNewtonIterations = 3;
+  std::array<linalg::Vector, kSimLanes> zeros;
+  std::array<const linalg::Vector*, kSimLanes> init{};
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    zeros[l].assign(lanes.nls[l].nodeCount(), 0.0);
+    init[l] = &zeros[l];
+  }
+
+  TransientBatch batch(lanes.nlp, topt, init);
+  batch.run();
+  bool sawMidRunFailure = false;
+  bool sawCompletion = false;
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    const TransientResult ref =
+        reference::runTransient(lanes.nls[l], topt, zeros[l]);
+    expectSameTrace(ref, batch.result(static_cast<int>(l)), l);
+    sawMidRunFailure =
+        sawMidRunFailure || (!ref.completed && ref.times.size() > 2);
+    sawCompletion = sawCompletion || ref.completed;
+  }
+  EXPECT_TRUE(sawMidRunFailure) << "no lane failed mid-run";
+  EXPECT_TRUE(sawCompletion) << "no lane completed";
 }
 
 TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
@@ -194,7 +272,7 @@ TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
   std::array<DcResult, kSimLanes> ops;
   std::array<const linalg::Vector*, kSimLanes> init{};
   for (std::size_t l = 0; l < kSimLanes; ++l) {
-    ops[l] = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
+    ops[l] = reference::solveDc(lanes.nls[l], lanes.gp[l]);
     init[l] = &ops[l].v;
   }
   TransientOptions topt;
@@ -234,7 +312,7 @@ TEST(SimBatchAc, SweepBitwiseMatchesScalarSolver) {
   std::array<DcResult, kSimLanes> dcs;
   std::array<const DcResult*, kSimLanes> ops{};
   for (std::size_t l = 0; l < kSimLanes; ++l) {
-    dcs[l] = DcSolver(lanes.nls[l]).solve(lanes.gp[l]);
+    dcs[l] = reference::solveDc(lanes.nls[l], lanes.gp[l]);
     ops[l] = &dcs[l];
   }
   AcBatch ac(lanes.nlp, ops);
@@ -421,9 +499,10 @@ std::vector<linalg::Vector> probeSizings(const core::DesignSpace& space,
 }
 
 /// The problem without its fused corner-batch evaluator: its engine's
-/// CallbackBackend is 1 lane wide, so every miss runs the scalar evaluator —
-/// the reference the lane-batched dispatch is compared against.
-core::SizingProblem scalarOnly(core::SizingProblem p) {
+/// CallbackBackend is 1 lane wide, so every miss runs `evaluate`, a one-slot
+/// pass of the circuit's lane pipeline. Comparing it with the fused dispatch
+/// checks that a slot's bits do not depend on the chunk it shares.
+core::SizingProblem oneSlotOnly(core::SizingProblem p) {
   p.evaluateBatch = {};
   return p;
 }
@@ -433,8 +512,8 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
   // every corner of the nine-corner sign-off set, and every thread count,
   // the engine over the lane-batched backend returns byte-identical
   // results, ledger, and stats (minus wall-clock) to the engine over the
-  // width-1 scalar backend. Caching is off so every request actually
-  // exercises the backend dispatch under test.
+  // width-1 backend of one-slot passes. Caching is off so every request
+  // actually exercises the backend dispatch under test.
   const auto& reg = circuits::Registry::global();
   for (const auto& name : reg.names()) {
     const auto nominal = reg.makeProblem(name);
@@ -449,49 +528,49 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
     for (const std::size_t threads : {1u, 2u, 4u}) {
       const EvalEngineConfig cfg{/*cacheEvals=*/false, threads,
                                  /*recordLedger=*/true};
-      EvalEngine scalarEngine(scalarOnly(problem), cfg);
+      EvalEngine oneSlotEngine(oneSlotOnly(problem), cfg);
       EvalEngine batchEngine(problem, cfg);
       for (const auto& v : sizings) {
-        const auto rs = scalarEngine.evalBatch(cornerIdx, v,
-                                               pvt::BlockKind::kSearch);
+        const auto ro = oneSlotEngine.evalBatch(cornerIdx, v,
+                                                pvt::BlockKind::kSearch);
         const auto rb = batchEngine.evalBatch(cornerIdx, v,
                                               pvt::BlockKind::kSearch);
-        ASSERT_EQ(rs.size(), rb.size());
-        for (std::size_t c = 0; c < rs.size(); ++c) {
-          ASSERT_EQ(rs[c].ok, rb[c].ok)
+        ASSERT_EQ(ro.size(), rb.size());
+        for (std::size_t c = 0; c < ro.size(); ++c) {
+          ASSERT_EQ(ro[c].ok, rb[c].ok)
               << name << " corner " << c << " threads " << threads;
-          ASSERT_EQ(rs[c].failure, rb[c].failure);
-          ASSERT_EQ(rs[c].measurements.size(), rb[c].measurements.size());
-          for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
-            ASSERT_TRUE(sameBits(rs[c].measurements[m], rb[c].measurements[m]))
+          ASSERT_EQ(ro[c].failure, rb[c].failure);
+          ASSERT_EQ(ro[c].measurements.size(), rb[c].measurements.size());
+          for (std::size_t m = 0; m < ro[c].measurements.size(); ++m)
+            ASSERT_TRUE(sameBits(ro[c].measurements[m], rb[c].measurements[m]))
                 << name << " corner " << c << " meas " << m << " threads "
                 << threads;
         }
       }
       // Ledger: identical block sequence (EdaBlock carries no wall-clock).
-      const auto& ls = scalarEngine.ledger().blocks();
+      const auto& lo = oneSlotEngine.ledger().blocks();
       const auto& lb = batchEngine.ledger().blocks();
-      ASSERT_EQ(ls.size(), lb.size()) << name;
-      for (std::size_t i = 0; i < ls.size(); ++i) {
-        EXPECT_EQ(ls[i].cornerIndex, lb[i].cornerIndex);
-        EXPECT_EQ(ls[i].kind, lb[i].kind);
-        EXPECT_EQ(ls[i].meetsSpec, lb[i].meetsSpec);
-        EXPECT_EQ(ls[i].cached, lb[i].cached);
-        EXPECT_EQ(ls[i].failed, lb[i].failed);
-        EXPECT_EQ(ls[i].retries, lb[i].retries);
-        EXPECT_EQ(ls[i].backoff, lb[i].backoff);
+      ASSERT_EQ(lo.size(), lb.size()) << name;
+      for (std::size_t i = 0; i < lo.size(); ++i) {
+        EXPECT_EQ(lo[i].cornerIndex, lb[i].cornerIndex);
+        EXPECT_EQ(lo[i].kind, lb[i].kind);
+        EXPECT_EQ(lo[i].meetsSpec, lb[i].meetsSpec);
+        EXPECT_EQ(lo[i].cached, lb[i].cached);
+        EXPECT_EQ(lo[i].failed, lb[i].failed);
+        EXPECT_EQ(lo[i].retries, lb[i].retries);
+        EXPECT_EQ(lo[i].backoff, lb[i].backoff);
       }
       // Stats: identical except backendSeconds (wall time, not semantics).
-      const EvalStats& ss = scalarEngine.stats();
+      const EvalStats& so = oneSlotEngine.stats();
       const EvalStats& sb = batchEngine.stats();
-      EXPECT_EQ(ss.requests, sb.requests);
-      EXPECT_EQ(ss.simulated, sb.simulated);
-      EXPECT_EQ(ss.cacheHits, sb.cacheHits);
-      EXPECT_EQ(ss.sharedHits, sb.sharedHits);
-      EXPECT_EQ(ss.attempts, sb.attempts);
-      EXPECT_EQ(ss.faults, sb.faults);
-      EXPECT_EQ(ss.failures, sb.failures);
-      EXPECT_EQ(ss.backoffUnits, sb.backoffUnits);
+      EXPECT_EQ(so.requests, sb.requests);
+      EXPECT_EQ(so.simulated, sb.simulated);
+      EXPECT_EQ(so.cacheHits, sb.cacheHits);
+      EXPECT_EQ(so.sharedHits, sb.sharedHits);
+      EXPECT_EQ(so.attempts, sb.attempts);
+      EXPECT_EQ(so.faults, sb.faults);
+      EXPECT_EQ(so.failures, sb.failures);
+      EXPECT_EQ(so.backoffUnits, sb.backoffUnits);
     }
   }
 }
@@ -507,25 +586,25 @@ TEST(EvalEngineBatch, OddBatchSizesAndRepeatsStayBitwiseIdentical) {
   for (const std::size_t n : {1u, 3u, 5u, 9u}) {
     std::vector<std::size_t> cornerIdx(n);
     for (std::size_t i = 0; i < n; ++i) cornerIdx[i] = i % 9;
-    EvalEngine scalarEngine(scalarOnly(problem), EvalEngineConfig{true, 1});
+    EvalEngine oneSlotEngine(oneSlotOnly(problem), EvalEngineConfig{true, 1});
     EvalEngine batchEngine(problem, EvalEngineConfig{true, 1});
-    const auto rs =
-        scalarEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
+    const auto ro =
+        oneSlotEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
     const auto rb =
         batchEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
-    ASSERT_EQ(rs.size(), rb.size());
-    for (std::size_t c = 0; c < rs.size(); ++c) {
-      ASSERT_EQ(rs[c].ok, rb[c].ok);
-      for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
-        ASSERT_TRUE(sameBits(rs[c].measurements[m], rb[c].measurements[m]));
+    ASSERT_EQ(ro.size(), rb.size());
+    for (std::size_t c = 0; c < ro.size(); ++c) {
+      ASSERT_EQ(ro[c].ok, rb[c].ok);
+      for (std::size_t m = 0; m < ro[c].measurements.size(); ++m)
+        ASSERT_TRUE(sameBits(ro[c].measurements[m], rb[c].measurements[m]));
     }
   }
 }
 
-TEST(EvalEngineBatch, ProblemBatchEvaluatorMatchesScalarEvaluatePerSlot) {
+TEST(EvalEngineBatch, ProblemBatchEvaluatorMatchesOneSlotEvaluatePerSlot) {
   // The raw SizingProblem::evaluateBatch contract, without the engine in
-  // between: slot i == evaluate(sizes, corners[i]), bit for bit, for a
-  // ragged count too.
+  // between: slot i == evaluate(sizes, corners[i]), the one-slot pass, bit
+  // for bit, for a ragged count too.
   const auto& reg = circuits::Registry::global();
   for (const auto& name : reg.names()) {
     const auto nominal = reg.makeProblem(name);
@@ -680,26 +759,24 @@ core::EvalResult chunkModel(const linalg::Vector& sizes,
   return r;
 }
 
-TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
+TEST(EvalEngineBatch, EveryChunkReachesTheFusedCallback) {
   // The engine cuts its misses into consecutive chunks of the backend's
-  // width, and CallbackBackend runs a one-slot chunk through the scalar
-  // callback (same bits by the batch contract, one lane's cost instead of a
-  // whole batch); tails of 2..width-1 stay fused. Verified against the
-  // recorded dispatch shape for every remainder class of width 4, with
-  // results identical to an engine over the scalar callback alone.
+  // width (4), and CallbackBackend runs every chunk — a ragged tail of one
+  // included — through the fused callback. Verified against the recorded
+  // dispatch shape for every remainder class, with results identical to an
+  // engine over a width-1 backend.
   const auto problem = circuits::Registry::global().makeProblem(
       "two_stage_opamp", pvt::nineCornerSet(1.1));
   struct Case {
     std::size_t requests;
     std::vector<std::size_t> wantChunks;
-    std::size_t wantScalar;
   };
   const std::vector<Case> cases = {
-      {1, {}, 1},        // lone request: batch of 1 would waste 3 lanes
-      {4, {4}, 0},       // exact chunk
-      {5, {4}, 1},       // tail of 1 -> scalar
-      {6, {4, 2}, 0},    // tail of 2 stays batched
-      {9, {4, 4}, 1},    // two chunks + scalar tail
+      {1, {1}},        // lone request: a one-lane pass
+      {4, {4}},        // exact chunk
+      {5, {4, 1}},     // tail of 1
+      {6, {4, 2}},     // tail of 2
+      {9, {4, 4, 1}},  // two chunks + tail of 1
   };
   for (const Case& c : cases) {
     std::size_t scalarCalls = 0;
@@ -715,8 +792,8 @@ TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
           chunkSizes.push_back(count);
           for (std::size_t i = 0; i < count; ++i)
             results[i] = chunkModel(*sizes[i], corners[i]);
-        },
-        /*batchWidth=*/4);
+        });
+    ASSERT_EQ(backend->batchWidth(), 4u);
     // threads=1 keeps chunk completion in submission order so the recorded
     // shape is deterministic; cache off so every request is a miss.
     EvalEngine engine(backend, problem.space, problem.corners, {},
@@ -734,8 +811,8 @@ TEST(EvalEngineBatch, RaggedTailOfOneDispatchesScalar) {
 
     EXPECT_EQ(chunkSizes, c.wantChunks)
         << c.requests << " requests: unexpected batch chunking";
-    EXPECT_EQ(scalarCalls, c.wantScalar)
-        << c.requests << " requests: unexpected scalar-call count";
+    EXPECT_EQ(scalarCalls, 0u)
+        << c.requests << " requests: a chunk bypassed the fused callback";
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].ok, want[i].ok);
