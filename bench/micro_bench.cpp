@@ -16,7 +16,6 @@
 #include "core/planner.hpp"
 #include "core/surrogate.hpp"
 #include "eval/eval_engine.hpp"
-#include "linalg/lu.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "orch/scheduler.hpp"
@@ -615,20 +614,6 @@ void BM_WireRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireRoundTrip);
-
-void BM_LuSolve16(benchmark::State& state) {
-  std::mt19937_64 rng(4);
-  std::uniform_real_distribution<double> d(-1.0, 1.0);
-  linalg::Matrix a(16, 16);
-  for (std::size_t r = 0; r < 16; ++r) {
-    for (std::size_t c = 0; c < 16; ++c) a(r, c) = d(rng);
-    a(r, r) += 4.0;
-  }
-  linalg::Vector b(16, 1.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(linalg::LuSolver<double>::solveSystem(a, b));
-}
-BENCHMARK(BM_LuSolve16);
 
 }  // namespace
 

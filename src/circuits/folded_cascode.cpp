@@ -175,49 +175,22 @@ void FoldedCascodeOta::evaluateBatch(const linalg::Vector* const* sizes,
     std::array<FcTestbench, sim::kSimLanes> tbs;
     std::array<const sim::Netlist*, sim::kSimLanes> nls{};
     std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
+    std::array<std::vector<std::complex<double>>, sim::kSimLanes> h;
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
       tbs[li] = buildFcTestbench(card_, *sizes[off + li], corners[off + li]);
       nls[li] = &tbs[li].netlist;
       guesses[li] = &tbs[li].initialGuess;
+      h[li].reserve(freqs.size());
     }
-    const auto ops = sim::solveDcBatch(nls, guesses);
-
-    std::array<const sim::Netlist*, sim::kSimLanes> acNls{};
-    std::array<const sim::DcResult*, sim::kSimLanes> acOps{};
-    bool anyAc = false;
+    const auto ops = sim::solveDcAndSweepAc(
+        nls, guesses, freqs, [&](int l, const sim::AcBatch& ac) {
+          const auto li = static_cast<std::size_t>(l);
+          h[li].push_back(ac.nodeVoltage(l, tbs[li].out));
+        });
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
-      if (!ops[li].converged) continue;
-      acNls[li] = nls[li];
-      acOps[li] = &ops[li];
-      anyAc = true;
-    }
-
-    std::array<std::vector<std::complex<double>>, sim::kSimLanes> h;
-    if (anyAc) {
-      sim::AcBatch ac(acNls, acOps);
-      for (int l = 0; l < lanes; ++l)
-        if (acOps[static_cast<std::size_t>(l)])
-          h[static_cast<std::size_t>(l)].reserve(freqs.size());
-      for (const double f : freqs) {
-        ac.solveAt(f);
-        for (int l = 0; l < lanes; ++l)
-          if (acOps[static_cast<std::size_t>(l)])
-            h[static_cast<std::size_t>(l)].push_back(
-                ac.nodeVoltage(l, tbs[static_cast<std::size_t>(l)].out));
-      }
-      // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar AcSolver, which is the equivalence reference.
-      for (int l = 0; l < lanes; ++l)
-        if (acOps[static_cast<std::size_t>(l)] && !ac.laneFinite(l))
-          h[static_cast<std::size_t>(l)] = ac.laneSolver(l)->sweep(
-              freqs, tbs[static_cast<std::size_t>(l)].out);
-    }
-
-    for (int l = 0; l < lanes; ++l) {
-      const auto li = static_cast<std::size_t>(l);
-      results[off + li] = acOps[li]
+      results[off + li] = ops[li].converged
                               ? resultFromSweep(tbs[li], ops[li], freqs, h[li])
                               : core::EvalResult{};
     }

@@ -147,18 +147,6 @@ LdoTestbench buildLdoTestbench(const sim::ProcessCard& card,
   return tb;
 }
 
-/// Append one loop-gain point T = v(tap)/v(fbin); false when the injection
-/// node response is numerically dead (the lane then measures as failed).
-/// Shared by the lane sweep and the non-finite lane replay so the guard and
-/// the division are identical.
-bool appendLoopPoint(const std::complex<double>& vTap,
-                     const std::complex<double>& vFb,
-                     std::vector<std::complex<double>>& t) {
-  if (std::abs(vFb) < 1e-18) return false;
-  t.push_back(vTap / vFb);
-  return true;
-}
-
 /// Assemble the result from an operating point + completed loop sweep.
 core::EvalResult resultFromLoop(const Ldo& ldo, const LdoTestbench& tb,
                                 const sim::DcResult& op,
@@ -201,65 +189,32 @@ void Ldo::evaluateBatch(const linalg::Vector* const* sizes,
     std::array<LdoTestbench, sim::kSimLanes> tbs;
     std::array<const sim::Netlist*, sim::kSimLanes> nls{};
     std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
+    std::array<std::vector<std::complex<double>>, sim::kSimLanes> t;
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
       tbs[li] = buildLdoTestbench(card_, *sizes[off + li], corners[off + li]);
       nls[li] = &tbs[li].netlist;
       guesses[li] = &tbs[li].initialGuess;
+      t[li].reserve(freqs.size());
     }
-    const auto ops = sim::solveDcBatch(nls, guesses);
-
-    std::array<const sim::Netlist*, sim::kSimLanes> acNls{};
-    std::array<const sim::DcResult*, sim::kSimLanes> acOps{};
-    bool anyAc = false;
-    for (int l = 0; l < lanes; ++l) {
-      const auto li = static_cast<std::size_t>(l);
-      if (!ops[li].converged) continue;
-      acNls[li] = nls[li];
-      acOps[li] = &ops[li];
-      anyAc = true;
-    }
-
-    std::array<std::vector<std::complex<double>>, sim::kSimLanes> t;
+    // Loop gain T = v(tap)/v(fbin) per point; a lane whose injection node
+    // response goes numerically dead stops there and measures as failed.
     std::array<bool, sim::kSimLanes> dead{};
-    if (anyAc) {
-      sim::AcBatch ac(acNls, acOps);
-      for (int l = 0; l < lanes; ++l)
-        if (acOps[static_cast<std::size_t>(l)])
-          t[static_cast<std::size_t>(l)].reserve(freqs.size());
-      for (const double f : freqs) {
-        ac.solveAt(f);
-        for (int l = 0; l < lanes; ++l) {
+    const auto ops = sim::solveDcAndSweepAc(
+        nls, guesses, freqs, [&](int l, const sim::AcBatch& ac) {
           const auto li = static_cast<std::size_t>(l);
-          if (!acOps[li] || dead[li]) continue;
-          if (!appendLoopPoint(ac.nodeVoltage(l, tbs[li].tap),
-                               ac.nodeVoltage(l, tbs[li].fbin), t[li]))
+          if (dead[li]) return;
+          const std::complex<double> vFb = ac.nodeVoltage(l, tbs[li].fbin);
+          if (std::abs(vFb) < 1e-18) {
             dead[li] = true;
-        }
-      }
-      // A lane whose lane-blocked factorization went non-finite is replayed
-      // through the scalar AcSolver, which is the equivalence reference.
-      for (int l = 0; l < lanes; ++l) {
-        const auto li = static_cast<std::size_t>(l);
-        if (!acOps[li] || ac.laneFinite(l)) continue;
-        const sim::AcSolver* solver = ac.laneSolver(l);
-        t[li].clear();
-        dead[li] = false;
-        for (double f : freqs) {
-          const auto x = solver->solveAt(f);
-          if (!appendLoopPoint(solver->nodeVoltage(x, tbs[li].tap),
-                               solver->nodeVoltage(x, tbs[li].fbin), t[li])) {
-            dead[li] = true;
-            break;
+            return;
           }
-        }
-      }
-    }
-
+          t[li].push_back(ac.nodeVoltage(l, tbs[li].tap) / vFb);
+        });
     for (int l = 0; l < lanes; ++l) {
       const auto li = static_cast<std::size_t>(l);
       results[off + li] =
-          (acOps[li] && !dead[li])
+          (ops[li].converged && !dead[li])
               ? resultFromLoop(*this, tbs[li], ops[li], freqs, t[li],
                                *sizes[off + li])
               : core::EvalResult{};

@@ -36,52 +36,29 @@ core::EvalResult resultFromSweep(const TwoStageOpamp::Testbench& tb,
 }
 
 /// The opamp's one measurement pipeline: the DC operating points of up to
-/// sim::kSimLanes testbenches through solveDcBatch, then one AcBatch sweep
-/// over the lanes that converged. measure(), evaluate() and evaluateBatch()
-/// all run it, so a slot's bits do not depend on how many lanes share its
-/// pass.
+/// sim::kSimLanes testbenches, then one AC sweep over the lanes that
+/// converged (sim::solveDcAndSweepAc). measure(), evaluate() and
+/// evaluateBatch() all run it, so a slot's bits do not depend on how many
+/// lanes share its pass.
 void measureLanes(const TwoStageOpamp::Testbench* const* tbs, std::size_t lanes,
                   core::EvalResult* results) {
   const auto freqs = sim::AcSolver::logSpace(10.0, 20e9, 120);
   std::array<const sim::Netlist*, sim::kSimLanes> nls{};
   std::array<const linalg::Vector*, sim::kSimLanes> guesses{};
+  std::array<std::vector<std::complex<double>>, sim::kSimLanes> h;
   for (std::size_t l = 0; l < lanes; ++l) {
     nls[l] = &tbs[l]->netlist;
     guesses[l] = &tbs[l]->initialGuess;
+    h[l].reserve(freqs.size());
   }
-  const auto ops = sim::solveDcBatch(nls, guesses);
-
-  std::array<const sim::Netlist*, sim::kSimLanes> acNls{};
-  std::array<const sim::DcResult*, sim::kSimLanes> acOps{};
-  bool anyAc = false;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (!ops[l].converged) continue;
-    acNls[l] = nls[l];
-    acOps[l] = &ops[l];
-    anyAc = true;
-  }
-
-  std::array<std::vector<std::complex<double>>, sim::kSimLanes> h;
-  if (anyAc) {
-    sim::AcBatch ac(acNls, acOps);
-    for (std::size_t l = 0; l < lanes; ++l)
-      if (acOps[l]) h[l].reserve(freqs.size());
-    for (const double f : freqs) {
-      ac.solveAt(f);
-      for (std::size_t l = 0; l < lanes; ++l)
-        if (acOps[l])
-          h[l].push_back(ac.nodeVoltage(static_cast<int>(l), tbs[l]->out));
-    }
-    // A lane whose lane-blocked factorization went non-finite is replayed
-    // through the scalar AcSolver, which is the equivalence reference.
-    for (std::size_t l = 0; l < lanes; ++l)
-      if (acOps[l] && !ac.laneFinite(static_cast<int>(l)))
-        h[l] = ac.laneSolver(static_cast<int>(l))->sweep(freqs, tbs[l]->out);
-  }
-
+  const auto ops = sim::solveDcAndSweepAc(
+      nls, guesses, freqs, [&](int l, const sim::AcBatch& ac) {
+        const auto li = static_cast<std::size_t>(l);
+        h[li].push_back(ac.nodeVoltage(l, tbs[li]->out));
+      });
   for (std::size_t l = 0; l < lanes; ++l)
-    results[l] = acOps[l] ? resultFromSweep(*tbs[l], ops[l], freqs, h[l])
-                          : core::EvalResult{};
+    results[l] = ops[l].converged ? resultFromSweep(*tbs[l], ops[l], freqs, h[l])
+                                  : core::EvalResult{};
 }
 }  // namespace
 

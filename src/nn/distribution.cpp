@@ -41,11 +41,6 @@ std::size_t sampleCategorical(const linalg::Vector& logits, std::mt19937_64& rng
   return p.size() - 1;
 }
 
-std::size_t argmaxIndex(const linalg::Vector& logits) {
-  return static_cast<std::size_t>(
-      std::max_element(logits.begin(), logits.end()) - logits.begin());
-}
-
 double categoricalEntropy(const linalg::Vector& logits) {
   const linalg::Vector lp = logSoftmax(logits);
   double h = 0.0;

@@ -17,9 +17,6 @@ linalg::Vector logSoftmax(const linalg::Vector& logits);
 /// Sample an index from softmax(logits).
 std::size_t sampleCategorical(const linalg::Vector& logits, std::mt19937_64& rng);
 
-/// argmax of the logits (greedy action).
-std::size_t argmaxIndex(const linalg::Vector& logits);
-
 /// Entropy of softmax(logits).
 double categoricalEntropy(const linalg::Vector& logits);
 

@@ -29,17 +29,6 @@ PolicySample samplePolicy(const nn::Mlp& policy, const linalg::Vector& obs,
   return s;
 }
 
-std::vector<std::size_t> greedyPolicy(const nn::Mlp& policy,
-                                      const linalg::Vector& obs,
-                                      std::size_t heads,
-                                      std::size_t actionsPerHead) {
-  const linalg::Vector logits = policy.predict(obs);
-  std::vector<std::size_t> actions(heads);
-  for (std::size_t h = 0; h < heads; ++h)
-    actions[h] = nn::argmaxIndex(headLogits(logits, h, actionsPerHead));
-  return actions;
-}
-
 double jointLogProb(const linalg::Vector& logits,
                     const std::vector<std::size_t>& actions,
                     std::size_t actionsPerHead) {

@@ -27,12 +27,6 @@ PolicySample samplePolicy(const nn::Mlp& policy, const linalg::Vector& obs,
                           std::size_t heads, std::size_t actionsPerHead,
                           std::mt19937_64& rng);
 
-/// Greedy (argmax) action per head.
-std::vector<std::size_t> greedyPolicy(const nn::Mlp& policy,
-                                      const linalg::Vector& obs,
-                                      std::size_t heads,
-                                      std::size_t actionsPerHead);
-
 /// Sum over heads of log pi(a_h | obs) for given logits.
 double jointLogProb(const linalg::Vector& logits,
                     const std::vector<std::size_t>& actions,

@@ -1,165 +1,34 @@
 #include "sim/ac.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>
 
-#include "linalg/lu.hpp"
+#include "sim/op_batch.hpp"
 
 namespace trdse::sim {
 
-namespace {
-
-void stampReal(linalg::Matrix& M, const Netlist& nl, NodeId a, NodeId b, double g) {
-  if (a != kGround) {
-    const std::size_t ia = nl.nodeIndex(a);
-    M(ia, ia) += g;
-    if (b != kGround) M(ia, nl.nodeIndex(b)) -= g;
-  }
-  if (b != kGround) {
-    const std::size_t ib = nl.nodeIndex(b);
-    M(ib, ib) += g;
-    if (a != kGround) M(ib, nl.nodeIndex(a)) -= g;
-  }
-}
-
-void addAt(linalg::Matrix& M, const Netlist& nl, NodeId r, NodeId c, double v) {
-  if (r == kGround || c == kGround) return;
-  M(nl.nodeIndex(r), nl.nodeIndex(c)) += v;
-}
-
-}  // namespace
-
 AcSolver::AcSolver(const Netlist& netlist, const DcResult& op)
-    : netlist_(netlist) {
+    : netlist_(netlist), op_(op) {
   assert(op.converged && "AC analysis requires a converged operating point");
-  const Netlist& nl = netlist_;
-  const std::size_t n = nl.unknownCount();
-  g_.resize(n, n);
-  c_.resize(n, n);
-  bReal_.assign(n, 0.0);
-
-  for (const auto& r : nl.resistors()) stampReal(g_, nl, r.a, r.b, 1.0 / r.ohms);
-  for (const auto& cap : nl.capacitors()) stampReal(c_, nl, cap.a, cap.b, cap.farads);
-
-  for (const auto& g : nl.vccs()) {
-    addAt(g_, nl, g.p, g.cp, g.gm);
-    addAt(g_, nl, g.p, g.cn, -g.gm);
-    addAt(g_, nl, g.n, g.cp, -g.gm);
-    addAt(g_, nl, g.n, g.cn, g.gm);
-  }
-
-  // Diodes: small-signal conductance from the operating point.
-  assert(op.diodeConductances.size() == nl.diodes().size());
-  for (std::size_t k = 0; k < nl.diodes().size(); ++k) {
-    const auto& d = nl.diodes()[k];
-    stampReal(g_, nl, d.a, d.k, op.diodeConductances[k]);
-  }
-
-  // Inductors: branch equation v_p - v_n - jwL * i = 0. The jwL term lands
-  // in the capacitance-like matrix (multiplied by jw per point) with a
-  // negative L on the branch diagonal.
-  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-    const auto& ind = nl.inductors()[k];
-    const std::size_t br = nl.inductorBranchIndex(k);
-    if (ind.a != kGround) {
-      g_(nl.nodeIndex(ind.a), br) += 1.0;
-      g_(br, nl.nodeIndex(ind.a)) += 1.0;
-    }
-    if (ind.b != kGround) {
-      g_(nl.nodeIndex(ind.b), br) -= 1.0;
-      g_(br, nl.nodeIndex(ind.b)) -= 1.0;
-    }
-    c_(br, br) -= ind.henry;
-  }
-
-  // Linearized MOSFET: four-terminal VCCS from the DC Jacobian + parasitics.
-  assert(op.mosOps.size() == nl.mosfets().size());
-  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
-    const auto& fet = nl.mosfets()[k];
-    const MosOp& o = op.mosOps[k];
-    addAt(g_, nl, fet.d, fet.d, o.dIdVd);
-    addAt(g_, nl, fet.d, fet.g, o.dIdVg);
-    addAt(g_, nl, fet.d, fet.s, o.dIdVs);
-    addAt(g_, nl, fet.d, fet.b, o.dIdVb);
-    addAt(g_, nl, fet.s, fet.d, -o.dIdVd);
-    addAt(g_, nl, fet.s, fet.g, -o.dIdVg);
-    addAt(g_, nl, fet.s, fet.s, -o.dIdVs);
-    addAt(g_, nl, fet.s, fet.b, -o.dIdVb);
-
-    const double cgg = gateCapacitance(fet.params, fet.geom);
-    stampReal(c_, nl, fet.g, fet.s, 0.7 * cgg);
-    stampReal(c_, nl, fet.g, fet.d, 0.3 * cgg);  // Miller path
-    stampReal(c_, nl, fet.d, fet.b, drainCapacitance(fet.params, fet.geom));
-  }
-
-  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
-    const auto& src = nl.vsources()[k];
-    const std::size_t br = nl.vsourceBranchIndex(k);
-    if (src.p != kGround) {
-      g_(nl.nodeIndex(src.p), br) += 1.0;
-      g_(br, nl.nodeIndex(src.p)) += 1.0;
-    }
-    if (src.n != kGround) {
-      g_(nl.nodeIndex(src.n), br) -= 1.0;
-      g_(br, nl.nodeIndex(src.n)) -= 1.0;
-    }
-    bReal_[br] = src.vac;
-  }
-
-  for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
-    const auto& e = nl.vcvs()[k];
-    const std::size_t br = nl.vcvsBranchIndex(k);
-    if (e.p != kGround) {
-      g_(nl.nodeIndex(e.p), br) += 1.0;
-      g_(br, nl.nodeIndex(e.p)) += 1.0;
-    }
-    if (e.n != kGround) {
-      g_(nl.nodeIndex(e.n), br) -= 1.0;
-      g_(br, nl.nodeIndex(e.n)) -= 1.0;
-    }
-    if (e.cp != kGround) g_(br, nl.nodeIndex(e.cp)) -= e.gain;
-    if (e.cn != kGround) g_(br, nl.nodeIndex(e.cn)) += e.gain;
-  }
-
-  for (const auto& src : nl.isources()) {
-    if (src.iac == 0.0) continue;
-    if (src.p != kGround) bReal_[nl.nodeIndex(src.p)] -= src.iac;
-    if (src.n != kGround) bReal_[nl.nodeIndex(src.n)] += src.iac;
-  }
 }
 
 linalg::ComplexVector AcSolver::solveAt(double freqHz) const {
-  const std::size_t n = g_.rows();
-  const double w = 2.0 * std::numbers::pi * freqHz;
-  linalg::ComplexMatrix A(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c)
-      A(r, c) = {g_(r, c), w * c_(r, c)};
-  linalg::ComplexVector b(n);
-  for (std::size_t i = 0; i < n; ++i) b[i] = bReal_[i];
-  auto x = linalg::LuSolver<std::complex<double>>::solveSystem(A, b);
-  if (!x) return linalg::ComplexVector(n, {0.0, 0.0});
-  return *x;
+  AcBatch ac({&netlist_}, {&op_});
+  ac.solveAt(freqHz);
+  return ac.solution(0);
 }
 
 linalg::ComplexVector AcSolver::solveCurrentInjection(double freqHz, NodeId from,
                                                       NodeId to) const {
-  const std::size_t n = g_.rows();
-  const double w = 2.0 * std::numbers::pi * freqHz;
-  linalg::ComplexMatrix A(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c)
-      A(r, c) = {g_(r, c), w * c_(r, c)};
   // Unit current from -> to, independent sources dead (b = injection only;
   // voltage-source branch rows keep their zero RHS, i.e. AC shorts).
-  linalg::ComplexVector b(n, {0.0, 0.0});
+  linalg::Vector b(netlist_.unknownCount(), 0.0);
   if (from != kGround) b[netlist_.nodeIndex(from)] -= 1.0;
   if (to != kGround) b[netlist_.nodeIndex(to)] += 1.0;
-  auto x = linalg::LuSolver<std::complex<double>>::solveSystem(A, b);
-  if (!x) return linalg::ComplexVector(n, {0.0, 0.0});
-  return *x;
+  AcBatch ac({&netlist_}, {&op_});
+  ac.solveAt(freqHz, {&b});
+  return ac.solution(0);
 }
 
 std::complex<double> AcSolver::nodeVoltage(const linalg::ComplexVector& x,
@@ -182,9 +51,13 @@ std::vector<double> AcSolver::logSpace(double fStart, double fStop,
 
 std::vector<std::complex<double>> AcSolver::sweep(const std::vector<double>& freqs,
                                                   NodeId out) const {
+  AcBatch ac({&netlist_}, {&op_});
   std::vector<std::complex<double>> h;
   h.reserve(freqs.size());
-  for (double f : freqs) h.push_back(nodeVoltage(solveAt(f), out));
+  for (const double f : freqs) {
+    ac.solveAt(f);
+    h.push_back(ac.nodeVoltage(0, out));
+  }
   return h;
 }
 

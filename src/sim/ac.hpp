@@ -1,11 +1,11 @@
-// Small-signal AC analysis.
+// Small-signal AC analysis of one netlist.
 //
-// The netlist's MOSFETs are linearized at a previously-computed DC operating
-// point (their four-terminal Jacobian becomes the conductance stamp) and
-// device parasitic capacitances (cgs / cgd / cdb) are added automatically, so
-// Miller multiplication and non-dominant poles emerge from the topology
-// rather than from hand-inserted elements. Per frequency the complex system
-// (G + jωC) x = b_ac is LU-solved.
+// AcSolver is the one-point entry: each call is a one-lane pass of AcBatch
+// (sim/op_batch.hpp), the library's only small-signal implementation, which
+// linearizes the netlist's devices at a previously computed DC operating
+// point and LU-solves the complex system (G + jωC) x = b per frequency. The
+// loop-metric helpers below turn a swept transfer function into gain, UGBW
+// and phase margin.
 #pragma once
 
 #include <complex>
@@ -19,7 +19,8 @@ namespace trdse::sim {
 
 class AcSolver {
  public:
-  /// `op` must be a converged DcResult for the same netlist.
+  /// `op` must be a converged DcResult for the same netlist (it is copied;
+  /// the netlist must outlive the solver).
   AcSolver(const Netlist& netlist, const DcResult& op);
 
   /// Complex solution vector (nodes then branches) at one frequency.
@@ -42,19 +43,9 @@ class AcSolver {
   std::vector<std::complex<double>> sweep(const std::vector<double>& freqs,
                                           NodeId out) const;
 
-  /// Raw stamp access for the batched AC engine (sim/op_batch.cpp), which
-  /// builds its per-lane systems from the scalar solver's matrices so the
-  /// two paths assemble bit-identical A = G + jwC.
-  const linalg::Matrix& gStamps() const { return g_; }
-  const linalg::Matrix& cStamps() const { return c_; }
-  const linalg::Vector& acExcitation() const { return bReal_; }
-  const Netlist& netlist() const { return netlist_; }
-
  private:
   const Netlist& netlist_;
-  linalg::Matrix g_;  // conductance + source topology stamps
-  linalg::Matrix c_;  // capacitance stamps (multiplied by jω per point)
-  linalg::Vector bReal_;  // AC excitation (vac / iac entries)
+  DcResult op_;
 };
 
 /// 20*log10(|h|), with a -400 dB floor for numerically-zero responses.

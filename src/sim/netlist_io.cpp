@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <sstream>
 
 namespace trdse::sim {
@@ -92,7 +93,11 @@ std::optional<double> parseSpiceValue(const std::string& token) {
                                     [&](const char* u) { return suffix == u; });
     if (!isUnit) return std::nullopt;
   }
-  return base * scale;
+  // "nan", "inf" and an overflowing suffix ("1e308k") would otherwise put
+  // non-finite stamps into the DC and AC engines.
+  const double value = base * scale;
+  if (!std::isfinite(value)) return std::nullopt;
+  return value;
 }
 
 ParseResult parseNetlist(const std::string& text, const ProcessCard& card,

@@ -43,7 +43,7 @@ ParseResult parseNetlist(const std::string& text, const ProcessCard& card,
                          const PvtCorner& corner);
 
 /// Parse a numeric literal with SPICE magnitude suffixes ("2.2k", "10u",
-/// "1meg"); nullopt on malformed input.
+/// "1meg"); nullopt on malformed input and on values that are not finite.
 std::optional<double> parseSpiceValue(const std::string& token);
 
 /// Render a netlist back to card text (device parameters, not process cards).

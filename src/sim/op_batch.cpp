@@ -14,8 +14,6 @@
 #include <vector>
 
 #include "core/simd.hpp"
-#include "linalg/cxmath.hpp"
-#include "linalg/lu.hpp"
 #include "sim/assembly_plan.hpp"
 #include "sim/diode.hpp"
 #include "sim/sim_profile.hpp"
@@ -68,9 +66,10 @@ void clearLaneToIdentity(LaneSystem& sys, int l) {
 }
 
 // Per-lane stamp helpers mirroring the reference solvers' stampG/stampI/addAt
-// (same ground skips, same += order).
-void stampG(LaneSystem& sys, const Netlist& nl, int l, NodeId a, NodeId b,
-            double g) {
+// (same ground skips, same += order). stampG and addAt take any lane image
+// with at(r, c, l): a LaneSystem, or one plane of AcBatch's G/C image.
+template <typename Sys>
+void stampG(Sys& sys, const Netlist& nl, int l, NodeId a, NodeId b, double g) {
   if (a != kGround) {
     const std::size_t ia = nl.nodeIndex(a);
     sys.at(ia, ia, l) += g;
@@ -96,17 +95,43 @@ void stampIVec(std::vector<double>& rhsB, const Netlist& nl, int l, NodeId a,
   if (b != kGround) rhsB[nl.nodeIndex(b) * L + static_cast<std::size_t>(l)] += i;
 }
 
-void addAt(LaneSystem& sys, const Netlist& nl, int l, NodeId r, NodeId cNode,
+template <typename Sys>
+void addAt(Sys& sys, const Netlist& nl, int l, NodeId r, NodeId cNode,
            double c) {
   if (r == kGround || cNode == kGround) return;
   sys.at(nl.nodeIndex(r), nl.nodeIndex(cNode), l) += c;
 }
 
+/// Voltage-controlled current source gm * (v(cp) - v(cn)) from p to n.
+template <typename Sys>
+void stampVccs(Sys& sys, const Netlist& nl, int l, const Vccs& g) {
+  addAt(sys, nl, l, g.p, g.cp, g.gm);
+  addAt(sys, nl, l, g.p, g.cn, -g.gm);
+  addAt(sys, nl, l, g.n, g.cp, -g.gm);
+  addAt(sys, nl, l, g.n, g.cn, g.gm);
+}
+
+/// Incidence of branch unknown `br` (a voltage source, VCVS or inductor)
+/// between nodes p and n: the branch current enters p's KCL row and the
+/// branch equation reads v(p) - v(n).
+template <typename Sys>
+void stampBranch(Sys& sys, const Netlist& nl, int l, NodeId p, NodeId n,
+                 std::size_t br) {
+  if (p != kGround) {
+    sys.at(nl.nodeIndex(p), br, l) += 1.0;
+    sys.at(br, nl.nodeIndex(p), l) += 1.0;
+  }
+  if (n != kGround) {
+    sys.at(nl.nodeIndex(n), br, l) -= 1.0;
+    sys.at(br, nl.nodeIndex(n), l) -= 1.0;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Lane-blocked real LU. Pivot choice and row swaps are per lane (identical to
-// the scalar LuSolver's partial pivoting, decided on the lane's own values);
-// the elimination arithmetic runs vectorized across the lane dimension, which
-// per lane is the exact op sequence scalar factor() performs.
+// the reference scalar LU's partial pivoting, decided on the lane's own
+// values); the elimination arithmetic runs vectorized across the lane
+// dimension, which per lane is the exact op sequence scalar factor() performs.
 // ---------------------------------------------------------------------------
 struct LaneLu {
   std::size_t n = 0;
@@ -212,7 +237,7 @@ struct LaneLu {
     }
   }
 
-  /// Per lane this is exactly LuSolver<double>::solveInto. `bB` must not
+  /// Per lane this is exactly the scalar LU's solveInto. `bB` must not
   /// alias `xB` (callers pass the system RHS and a separate solution
   /// buffer). The permutation gather stays scalar (lane-dependent rows); the
   /// triangular accumulations run as one V4d chain per row.
@@ -602,48 +627,22 @@ void stampDcLinear(LaneSystem& sys, const Netlist& nl, int l, double gmin,
   }
   for (const auto& src : nl.isources())
     stampI(sys, nl, l, src.p, src.n, src.idc * srcScale);
-  for (const auto& g : nl.vccs()) {
-    addAt(sys, nl, l, g.p, g.cp, g.gm);
-    addAt(sys, nl, l, g.p, g.cn, -g.gm);
-    addAt(sys, nl, l, g.n, g.cp, -g.gm);
-    addAt(sys, nl, l, g.n, g.cn, g.gm);
-  }
+  for (const auto& g : nl.vccs()) stampVccs(sys, nl, l, g);
   for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
     const auto& ind = nl.inductors()[k];
     const std::size_t br = nl.inductorBranchIndex(k);
-    if (ind.a != kGround) {
-      sys.at(nl.nodeIndex(ind.a), br, l) += 1.0;
-      sys.at(br, nl.nodeIndex(ind.a), l) += 1.0;
-    }
-    if (ind.b != kGround) {
-      sys.at(nl.nodeIndex(ind.b), br, l) -= 1.0;
-      sys.at(br, nl.nodeIndex(ind.b), l) -= 1.0;
-    }
+    stampBranch(sys, nl, l, ind.a, ind.b, br);
   }
   for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
     const auto& src = nl.vsources()[k];
     const std::size_t br = nl.vsourceBranchIndex(k);
-    if (src.p != kGround) {
-      sys.at(nl.nodeIndex(src.p), br, l) += 1.0;
-      sys.at(br, nl.nodeIndex(src.p), l) += 1.0;
-    }
-    if (src.n != kGround) {
-      sys.at(nl.nodeIndex(src.n), br, l) -= 1.0;
-      sys.at(br, nl.nodeIndex(src.n), l) -= 1.0;
-    }
+    stampBranch(sys, nl, l, src.p, src.n, br);
     sys.rv(br, l) = src.vdc * srcScale;
   }
   for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
     const auto& e = nl.vcvs()[k];
     const std::size_t br = nl.vcvsBranchIndex(k);
-    if (e.p != kGround) {
-      sys.at(nl.nodeIndex(e.p), br, l) += 1.0;
-      sys.at(br, nl.nodeIndex(e.p), l) += 1.0;
-    }
-    if (e.n != kGround) {
-      sys.at(nl.nodeIndex(e.n), br, l) -= 1.0;
-      sys.at(br, nl.nodeIndex(e.n), l) -= 1.0;
-    }
+    stampBranch(sys, nl, l, e.p, e.n, br);
     if (e.cp != kGround) sys.at(br, nl.nodeIndex(e.cp), l) -= e.gain;
     if (e.cn != kGround) sys.at(br, nl.nodeIndex(e.cn), l) += e.gain;
   }
@@ -882,23 +881,11 @@ void stampTransientBase(LaneSystem& base, const Netlist& nl, int l,
   for (const auto& r : nl.resistors()) stampG(base, nl, l, r.a, r.b, 1.0 / r.ohms);
   for (std::size_t i = 1; i < nl.nodeCount(); ++i)
     base.at(i - 1, i - 1, l) += 1e-12;  // gmin
-  for (const auto& g : nl.vccs()) {
-    addAt(base, nl, l, g.p, g.cp, g.gm);
-    addAt(base, nl, l, g.p, g.cn, -g.gm);
-    addAt(base, nl, l, g.n, g.cp, -g.gm);
-    addAt(base, nl, l, g.n, g.cn, g.gm);
-  }
+  for (const auto& g : nl.vccs()) stampVccs(base, nl, l, g);
   for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
     const auto& ind = nl.inductors()[k];
     const std::size_t br = nl.inductorBranchIndex(k);
-    if (ind.a != kGround) {
-      base.at(nl.nodeIndex(ind.a), br, l) += 1.0;
-      base.at(br, nl.nodeIndex(ind.a), l) += 1.0;
-    }
-    if (ind.b != kGround) {
-      base.at(nl.nodeIndex(ind.b), br, l) -= 1.0;
-      base.at(br, nl.nodeIndex(ind.b), l) -= 1.0;
-    }
+    stampBranch(base, nl, l, ind.a, ind.b, br);
     const double zeq = 2.0 * ind.henry / h;
     base.at(br, br, l) -= zeq;
   }
@@ -909,26 +896,12 @@ void stampTransientBase(LaneSystem& base, const Netlist& nl, int l,
   for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
     const auto& src = nl.vsources()[k];
     const std::size_t br = nl.vsourceBranchIndex(k);
-    if (src.p != kGround) {
-      base.at(nl.nodeIndex(src.p), br, l) += 1.0;
-      base.at(br, nl.nodeIndex(src.p), l) += 1.0;
-    }
-    if (src.n != kGround) {
-      base.at(nl.nodeIndex(src.n), br, l) -= 1.0;
-      base.at(br, nl.nodeIndex(src.n), l) -= 1.0;
-    }
+    stampBranch(base, nl, l, src.p, src.n, br);
   }
   for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
     const auto& e = nl.vcvs()[k];
     const std::size_t br = nl.vcvsBranchIndex(k);
-    if (e.p != kGround) {
-      base.at(nl.nodeIndex(e.p), br, l) += 1.0;
-      base.at(br, nl.nodeIndex(e.p), l) += 1.0;
-    }
-    if (e.n != kGround) {
-      base.at(nl.nodeIndex(e.n), br, l) -= 1.0;
-      base.at(br, nl.nodeIndex(e.n), l) -= 1.0;
-    }
+    stampBranch(base, nl, l, e.p, e.n, br);
     if (e.cp != kGround) base.at(br, nl.nodeIndex(e.cp), l) -= e.gain;
     if (e.cn != kGround) base.at(br, nl.nodeIndex(e.cn), l) += e.gain;
   }
@@ -1199,23 +1172,23 @@ TransientResult TransientBatch::takeResult(int lane) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched AC: lane-blocked complex LU over split re/im planes.
+// Small-signal AC: per-lane stamps, then a lane-blocked complex LU over split
+// re/im planes.
 //
-// Per lane this performs the exact op sequence of LuSolver<complex<double>>:
-// the schoolbook multiply (ar*br - ai*bi, ar*bi + ai*br) written out below is
-// the same linalg::cxMul expression the scalar complex LU spells out (see
-// cxmath.hpp for why neither path may use std::complex operator*), and the
-// reciprocal-multiply division goes through the shared cxReciprocal. Any
-// non-finite excursion is still detected by the per-lane sticky finiteness
-// flag, and flagged lanes are redone through the scalar AcSolver by the
-// caller.
+// Per lane this performs the exact op sequence of the reference's scalar
+// complex LU (tests/lu.hpp): every complex product is the schoolbook
+// (ar*br - ai*bi, ar*bi + ai*br) written out below, and division multiplies
+// by the naive reciprocal conj(z)/|z|^2. The reference spells the same real
+// arithmetic out by hand because GCC lowers std::complex operator* to fused
+// multiply-addsub instructions even under -ffp-contract=off. Neither side
+// takes libgcc's NaN-recovery path, so a lane that goes non-finite keeps the
+// reference's values too: the same entries turn NaN or infinite, and every
+// other bit matches (a NaN's sign is left to the compiler, which may move a
+// negation across a product).
 // ---------------------------------------------------------------------------
 struct AcBatch::Impl {
-  std::array<std::unique_ptr<AcSolver>, L> solvers;
-  bool active[L] = {};
-  bool finite[L] = {true, true, true, true};
+  std::array<const Netlist*, L> nls{};  ///< null for inactive lanes
   bool solveOk[L] = {};  ///< per-solveAt nonsingular flag
-  int ref = -1;
   std::size_t n = 0;
   // Lane- and plane-interleaved storage: matrix cell (r, c) occupies one
   // 64-byte group of 8 doubles at (r*n + c)*2L, the first four lanes being
@@ -1224,54 +1197,140 @@ struct AcBatch::Impl {
   // assembles G + jwC into lu as a single linear V4d pass, and the complex
   // elimination/solve kernels touch exactly one cache line per cell.
   std::vector<double> gc, lu;      // (r*n + c)*2L + plane*L + l
+  std::vector<double> b;           // i*L + l: stamped AC excitation
   std::vector<double> x;           // i*2L + plane*L + l (one cell per unknown)
   std::vector<std::size_t> perm;   // i*L + l
 };
+
+namespace {
+
+/// One plane (G or C) of AcBatch's stamp image, addressed like a LaneSystem.
+struct AcPlane {
+  double* base;  ///< gc.data() + plane * L
+  std::size_t n;
+  double& at(std::size_t r, std::size_t c, int l) const {
+    return base[(r * n + c) * 2 * L + static_cast<std::size_t>(l)];
+  }
+};
+
+/// Stamp lane l's small-signal system: G (conductance and source topology),
+/// C (capacitance; multiplied by jw per point) and the AC excitation b
+/// (i*L + l). The reference (tests/sim_reference.hpp) stamps the same terms
+/// in the same order.
+void stampAcLane(const Netlist& nl, const DcResult& op, AcPlane g, AcPlane c,
+                 double* b, int l) {
+  auto bAt = [&](std::size_t i) -> double& {
+    return b[i * L + static_cast<std::size_t>(l)];
+  };
+  for (const auto& r : nl.resistors()) stampG(g, nl, l, r.a, r.b, 1.0 / r.ohms);
+  for (const auto& cap : nl.capacitors())
+    stampG(c, nl, l, cap.a, cap.b, cap.farads);
+
+  for (const auto& v : nl.vccs()) stampVccs(g, nl, l, v);
+
+  // Diodes: small-signal conductance from the operating point.
+  assert(op.diodeConductances.size() == nl.diodes().size());
+  for (std::size_t k = 0; k < nl.diodes().size(); ++k) {
+    const auto& d = nl.diodes()[k];
+    stampG(g, nl, l, d.a, d.k, op.diodeConductances[k]);
+  }
+
+  // Inductors: branch equation v_p - v_n - jwL * i = 0. The jwL term lands
+  // in the capacitance-like plane (multiplied by jw per point) with a
+  // negative L on the branch diagonal.
+  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
+    const auto& ind = nl.inductors()[k];
+    const std::size_t br = nl.inductorBranchIndex(k);
+    stampBranch(g, nl, l, ind.a, ind.b, br);
+    c.at(br, br, l) -= ind.henry;
+  }
+
+  // Linearized MOSFET: four-terminal VCCS from the DC Jacobian + parasitics.
+  assert(op.mosOps.size() == nl.mosfets().size());
+  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
+    const auto& fet = nl.mosfets()[k];
+    const MosOp& o = op.mosOps[k];
+    addAt(g, nl, l, fet.d, fet.d, o.dIdVd);
+    addAt(g, nl, l, fet.d, fet.g, o.dIdVg);
+    addAt(g, nl, l, fet.d, fet.s, o.dIdVs);
+    addAt(g, nl, l, fet.d, fet.b, o.dIdVb);
+    addAt(g, nl, l, fet.s, fet.d, -o.dIdVd);
+    addAt(g, nl, l, fet.s, fet.g, -o.dIdVg);
+    addAt(g, nl, l, fet.s, fet.s, -o.dIdVs);
+    addAt(g, nl, l, fet.s, fet.b, -o.dIdVb);
+
+    const double cgg = gateCapacitance(fet.params, fet.geom);
+    stampG(c, nl, l, fet.g, fet.s, 0.7 * cgg);
+    stampG(c, nl, l, fet.g, fet.d, 0.3 * cgg);  // Miller path
+    stampG(c, nl, l, fet.d, fet.b, drainCapacitance(fet.params, fet.geom));
+  }
+
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
+    const auto& src = nl.vsources()[k];
+    const std::size_t br = nl.vsourceBranchIndex(k);
+    stampBranch(g, nl, l, src.p, src.n, br);
+    bAt(br) = src.vac;
+  }
+
+  for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
+    const auto& e = nl.vcvs()[k];
+    const std::size_t br = nl.vcvsBranchIndex(k);
+    stampBranch(g, nl, l, e.p, e.n, br);
+    if (e.cp != kGround) g.at(br, nl.nodeIndex(e.cp), l) -= e.gain;
+    if (e.cn != kGround) g.at(br, nl.nodeIndex(e.cn), l) += e.gain;
+  }
+
+  for (const auto& src : nl.isources()) {
+    if (src.iac == 0.0) continue;
+    if (src.p != kGround) bAt(nl.nodeIndex(src.p)) -= src.iac;
+    if (src.n != kGround) bAt(nl.nodeIndex(src.n)) += src.iac;
+  }
+}
+
+}  // namespace
 
 AcBatch::AcBatch(const std::array<const Netlist*, kSimLanes>& nls,
                  const std::array<const DcResult*, kSimLanes>& ops)
     : impl_(new Impl) {
   Impl& im = *impl_;
+  int ref = -1;
   for (int l = 0; l < L; ++l) {
     if (nls[l] == nullptr || ops[l] == nullptr) continue;
-    if (im.ref < 0) {
-      im.ref = l;
+    assert(ops[l]->converged &&
+           "AC analysis requires a converged operating point");
+    if (ref < 0) {
+      ref = l;
     } else {
-      assert(sameTopology(*nls[im.ref], *nls[l]));
+      assert(sameTopology(*nls[ref], *nls[l]));
     }
-    im.active[l] = true;
-    im.solvers[l] = std::make_unique<AcSolver>(*nls[l], *ops[l]);
+    im.nls[l] = nls[l];
   }
-  assert(im.ref >= 0 && "AcBatch needs at least one active lane");
-  im.n = im.solvers[im.ref]->gStamps().rows();
+  assert(ref >= 0 && "AcBatch needs at least one active lane");
+  im.n = nls[ref]->unknownCount();
   const std::size_t groups =
       im.n * im.n * static_cast<std::size_t>(2 * L);
   im.gc.assign(groups, 0.0);
   im.lu.assign(groups, 0.0);
+  im.b.assign(im.n * L, 0.0);
   im.x.assign(im.n * static_cast<std::size_t>(2 * L), 0.0);
   im.perm.assign(im.n * L, 0);
   for (int l = 0; l < L; ++l) {
-    if (!im.active[l]) {
+    if (im.nls[l] == nullptr) {
       // Inactive lanes hold a fixed identity (C plane zero) so the shared
       // factorization stays benign at any frequency.
       for (std::size_t i = 0; i < im.n; ++i)
         im.gc[(i * im.n + i) * 2 * L + l] = 1.0;
       continue;
     }
-    const linalg::Matrix& g = im.solvers[l]->gStamps();
-    const linalg::Matrix& c = im.solvers[l]->cStamps();
-    for (std::size_t r = 0; r < im.n; ++r) {
-      for (std::size_t cc = 0; cc < im.n; ++cc) {
-        im.gc[(r * im.n + cc) * 2 * L + l] = g(r, cc);
-        im.gc[(r * im.n + cc) * 2 * L + L + l] = c(r, cc);
-      }
-    }
+    stampAcLane(*im.nls[l], *ops[l], AcPlane{im.gc.data(), im.n},
+                AcPlane{im.gc.data() + L, im.n}, im.b.data(), l);
   }
 }
 
 AcBatch::~AcBatch() = default;
 
-void AcBatch::solveAt(double freqHz) {
+void AcBatch::solveAt(double freqHz,
+                      const std::array<const linalg::Vector*, kSimLanes>& rhs) {
   Impl& im = *impl_;
   const std::size_t n = im.n;
   const double w = 2.0 * std::numbers::pi * freqHz;
@@ -1281,9 +1340,9 @@ void AcBatch::solveAt(double freqHz) {
   const double* __restrict gc = im.gc.data();
   // Stamped cell (r,c) is {g, w*c} (scalar assembly of A = G + jwC); w * 0.0
   // keeps inactive lanes' identity imaginary-free, and the real plane's
-  // 1.0-multiply is an exact bitwise identity for every non-NaN double (NaN
-  // lanes replay through the scalar solver, so payload quieting is
-  // unobservable). The k = 0 elimination step below computes stamped values
+  // 1.0-multiply returns every stamped value unchanged: each cell is a sum
+  // formed from 0.0, so it is never a signalling NaN, and a quiet NaN keeps
+  // its payload. The k = 0 elimination step below computes stamped values
   // on the fly straight from the G/C image — each cell's w-multiply happens
   // exactly once either way, so fusing only removes a full matrix write +
   // re-read, never a rounding step.
@@ -1294,7 +1353,7 @@ void AcBatch::solveAt(double freqHz) {
     SimPhaseTimer timer(SimPhase::kFactor);
     for (std::size_t i = 0; i < n; ++i)
       for (int l = 0; l < L; ++l) im.perm[i * L + l] = i;
-    for (int l = 0; l < L; ++l) im.solveOk[l] = im.active[l];
+    for (int l = 0; l < L; ++l) im.solveOk[l] = im.nls[l] != nullptr;
 
     // Fused stamp + k = 0 step: pivot-search column 0 against on-the-fly
     // stamped magnitudes, and when every lane agrees on the pivot row (the
@@ -1361,8 +1420,8 @@ void AcBatch::solveAt(double freqHz) {
       // Pivot search: one 4-lane cabs1 (|re| + |im|, elementwise-exact) per
       // candidate row, with a strict-greater first-wins mask blend. Per lane
       // this performs the same comparisons in the same r order as the scalar
-      // LuSolver, so the pivot choice (and every rounding after it) is
-      // identical; dead lanes' magnitudes are computed but never consumed.
+      // LU, so the pivot choice (and every rounding after it) is identical;
+      // dead lanes' magnitudes are computed but never consumed.
       V4d bests = simd::abs4(simd::load4(lup + (k * n + k) * S)) +
                   simd::abs4(simd::load4(lup + (k * n + k) * S + L));
       V4i pivots = simd::splatI4(static_cast<std::int64_t>(k));
@@ -1376,7 +1435,7 @@ void AcBatch::solveAt(double freqHz) {
       }
       for (int l = 0; l < L; ++l)
         if (im.solveOk[l] && bests[l] < 1e-300)
-          im.solveOk[l] = false;  // scalar solveSystem: nullopt -> zeros
+          im.solveOk[l] = false;  // singular: the lane's solution is zeros
       const std::int64_t p0 = pivots[0];
       if (pivots[1] == p0 && pivots[2] == p0 && pivots[3] == p0) {
         // Same-topology corner batches almost always agree on the pivot row:
@@ -1409,8 +1468,8 @@ void AcBatch::solveAt(double freqHz) {
           }
         }
       }
-      // cxReciprocal of the diagonal, vectorized: the identical expression
-      // sequence (d = re*re + im*im; id = 1/d; {re*id, -im*id}) per lane.
+      // Naive reciprocal of the diagonal, vectorized: the reference's
+      // expression sequence (d = re*re + im*im; id = 1/d; {re*id, -im*id}).
       const V4d dre = simd::load4(lup + (k * n + k) * S);
       const V4d dim = simd::load4(lup + (k * n + k) * S + L);
       const V4d den = dre * dre + dim * dim;
@@ -1473,20 +1532,18 @@ void AcBatch::solveAt(double freqHz) {
     }
   }
 
-  // Solve (per lane: LuSolver<complex>::solveInto with b = bReal + j0). The
-  // solution vector shares the matrix's cell layout, so the triangular
-  // accumulations run on whole cells: per term, t1/t2 hold the four scalar
-  // products and the half-swaps only repackage lanes before the exact
-  // scalar-order sub/add (re: mr*xr - mi*xi, im: mr*xi + mi*xr).
+  // Solve (per lane: the scalar LU's solveInto with b = rhs + j0, where rhs
+  // is the caller's or else the stamped excitation). The solution vector
+  // shares the matrix's cell layout, so the triangular accumulations run on
+  // whole cells in the scalar order (re: mr*xr - mi*xi, im: mr*xi + mi*xr).
   SimPhaseTimer timer(SimPhase::kSolve);
-  const double* bLane[L] = {};
-  for (int l = 0; l < L; ++l)
-    if (im.active[l]) bLane[l] = im.solvers[l]->acExcitation().data();
   double* __restrict x = im.x.data();
   for (std::size_t i = 0; i < n; ++i) {
     double init[L];
-    for (int l = 0; l < L; ++l)
-      init[l] = bLane[l] != nullptr ? bLane[l][im.perm[i * L + l]] : 0.0;
+    for (int l = 0; l < L; ++l) {
+      const std::size_t src = im.perm[i * L + l];
+      init[l] = rhs[l] != nullptr ? (*rhs[l])[src] : im.b[src * L + l];
+    }
     V4d accRe = simd::load4(init);
     V4d accIm = simd::splat4(0.0);
     for (std::size_t j = 0; j < i; ++j) {
@@ -1521,43 +1578,34 @@ void AcBatch::solveAt(double freqHz) {
     simd::store4(x + ii * S + L, accRe * invIm + accIm * invRe);
   }
 
-  // Singular lanes yield the scalar's zero solution; surviving lanes feed the
-  // sticky finiteness check that gates the std::complex NaN-recovery redo.
+  // Singular lanes yield the reference's zero solution.
   for (int l = 0; l < L; ++l) {
-    if (!im.active[l]) continue;
-    if (!im.solveOk[l]) {
-      for (std::size_t i = 0; i < n; ++i) {
-        im.x[i * S + l] = 0.0;
-        im.x[i * S + L + l] = 0.0;
-      }
-      continue;
-    }
+    if (im.nls[l] == nullptr || im.solveOk[l]) continue;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!std::isfinite(im.x[i * S + l]) || !std::isfinite(im.x[i * S + L + l])) {
-        im.finite[l] = false;
-        break;
-      }
+      im.x[i * S + l] = 0.0;
+      im.x[i * S + L + l] = 0.0;
     }
   }
 }
 
 std::complex<double> AcBatch::nodeVoltage(int lane, NodeId n) const {
   const Impl& im = *impl_;
-  assert(lane >= 0 && lane < L && im.active[lane]);
+  assert(lane >= 0 && lane < L && im.nls[lane] != nullptr);
   if (n == kGround) return {0.0, 0.0};
-  const std::size_t i = im.solvers[lane]->netlist().nodeIndex(n);
+  const std::size_t i = im.nls[lane]->nodeIndex(n);
   const std::size_t cell = i * static_cast<std::size_t>(2 * L);
   return {im.x[cell + lane], im.x[cell + L + lane]};
 }
 
-bool AcBatch::laneFinite(int lane) const {
-  assert(lane >= 0 && lane < L);
-  return impl_->finite[lane];
-}
-
-const AcSolver* AcBatch::laneSolver(int lane) const {
-  assert(lane >= 0 && lane < L);
-  return impl_->solvers[lane].get();
+linalg::ComplexVector AcBatch::solution(int lane) const {
+  const Impl& im = *impl_;
+  assert(lane >= 0 && lane < L && im.nls[lane] != nullptr);
+  linalg::ComplexVector x(im.n);
+  for (std::size_t i = 0; i < im.n; ++i) {
+    const std::size_t cell = i * static_cast<std::size_t>(2 * L);
+    x[i] = {im.x[cell + lane], im.x[cell + L + lane]};
+  }
+  return x;
 }
 
 }  // namespace trdse::sim

@@ -1,17 +1,19 @@
 // The simulator's operating-point engines: DC, transient, and AC passes that
 // drive up to kSimLanes (sizing, corner) operating points through one
-// Newton/LU pipeline. solveDcBatch and TransientBatch are the library's only
-// DC and transient implementations; DcSolver and TransientSolver are
-// one-lane calls into them.
+// Newton/LU pipeline. solveDcBatch, TransientBatch and AcBatch are the
+// library's only DC, transient and small-signal implementations; DcSolver,
+// TransientSolver and AcSolver are one-lane calls into them.
 //
 // The contract every engine here honors:
 //   * Lanes are independent. A lane's trajectory never depends on what the
-//     other lanes hold, so a one-lane pass, a partially filled batch (null
-//     lanes), and lanes that freeze early (converged / failed) all give a
-//     lane the same bits.
-//   * Lane l equals the reference bit for bit. For DC and transient the
-//     reference is the textbook scalar loop over one dense MNA matrix in
-//     tests/sim_reference.hpp; for AC it is the library's AcSolver.
+//     other lanes hold or on which slot it occupies, so a one-lane pass, a
+//     partially filled batch (null lanes), a permuted batch, and lanes that
+//     freeze early (converged / failed) all give a lane the same bits.
+//   * Lane l equals the reference bit for bit (a NaN's sign aside, which
+//     the compiler may place differently per build). The references are the
+//     textbook scalar loops over one dense MNA matrix in
+//     tests/sim_reference.hpp: the DC ladder, the trapezoidal transient, and
+//     the complex AC solve through the scalar LU beside it (tests/lu.hpp).
 // Three mechanisms make the second hold:
 //   1. Device cards are evaluated through the shared block kernels
 //      (evalMosBlock / evalDiodeBlock), whose lanes are bitwise identical to
@@ -21,12 +23,16 @@
 //      translation units involved (the reference's test TU included) are
 //      compiled with FP contraction off so the same source expression cannot
 //      fuse differently.
-//   3. The lane-blocked LU factors each lane with the scalar LuSolver's
-//      pivoting rule (per-lane pivot scan and row swaps) while vectorizing
-//      the elimination across lanes — arithmetic per lane is unchanged.
+//   3. The lane-blocked LUs factor each lane with the scalar LU's pivoting
+//      rule (per-lane pivot scan and row swaps) while vectorizing the
+//      elimination across lanes — arithmetic per lane is unchanged. The
+//      complex LU spells every product and the pivot reciprocal as the naive
+//      schoolbook formula on split re/im planes, which is the reference's op
+//      sequence on finite and non-finite values alike.
 //
 // tests/sim_batch_test.cpp locks both properties over every device type,
-// every rung of the DC ladder, a transient that fails mid-run, and every
+// every rung of the DC ladder, a transient that fails mid-run, an AC lane
+// driven non-finite, every subset and slot permutation of a pass, and every
 // registry circuit, corner set, and thread count.
 #pragma once
 
@@ -34,9 +40,10 @@
 #include <complex>
 #include <cstddef>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "linalg/matrix.hpp"
-#include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/mosfet.hpp"
 #include "sim/netlist.hpp"
@@ -100,47 +107,73 @@ class TransientBatch {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Batched small-signal AC over up to kSimLanes operating points. Builds the
-/// per-lane G/C/b stamps through the scalar AcSolver (identical matrices by
-/// construction) and solves every frequency point with a lane-blocked complex
-/// LU over split re/im planes and persistent workspaces — no per-frequency
+/// Small-signal AC over up to kSimLanes operating points. Each lane's system
+/// (G + jωC) x = b is stamped from its netlist at its DC operating point: the
+/// MOSFETs become four-terminal conductances from the DC Jacobian plus their
+/// gate and drain capacitances (so Miller multiplication and non-dominant
+/// poles emerge from the topology), diodes their operating-point
+/// conductance, and b holds the sources' AC magnitudes. The G/C images are
+/// built once; every frequency point runs a lane-blocked complex LU over
+/// split re/im planes and persistent workspaces — no per-frequency
 /// allocation.
-///
-/// Lane equivalence: the complex arithmetic is the naive schoolbook formula,
-/// which is what std::complex performs unless an intermediate turns NaN (the
-/// Annex-G recovery path). solveAt() therefore reports per-lane finiteness;
-/// a lane flagged non-finite must be redone through the scalar AcSolver —
-/// whose recovered values are then the shared truth (see laneFinite()).
 class AcBatch {
  public:
   /// `ops[l] == nullptr` disables lane l; active lanes need a converged
-  /// DcResult for their netlist, exactly like the scalar AcSolver.
+  /// DcResult for their netlist and must share topology.
   AcBatch(const std::array<const Netlist*, kSimLanes>& nls,
           const std::array<const DcResult*, kSimLanes>& ops);
   ~AcBatch();
   AcBatch(const AcBatch&) = delete;
   AcBatch& operator=(const AcBatch&) = delete;
 
-  /// Solve (G + jωC) x = b on every active lane at one frequency. A lane
-  /// whose factorization is numerically singular yields a zero solution
-  /// vector, matching AcSolver::solveAt.
-  void solveAt(double freqHz);
+  /// Solve (G + jωC) x = b on every active lane at one frequency. A non-null
+  /// `rhs[l]` (unknownCount() real entries) stands in for lane l's stamped
+  /// excitation b in this solve. A lane whose factorization is numerically
+  /// singular yields a zero solution vector.
+  void solveAt(double freqHz,
+               const std::array<const linalg::Vector*, kSimLanes>& rhs = {});
 
   /// Complex node voltage of the latest solveAt() solution.
   std::complex<double> nodeVoltage(int lane, NodeId n) const;
 
-  /// Whether every solveAt() so far kept lane `lane` finite. When false the
-  /// batched lane may have diverged from std::complex's NaN-recovery
-  /// semantics: recompute that lane with the scalar AcSolver.
-  bool laneFinite(int lane) const;
-
-  /// The per-lane scalar solver the stamps were built with (null for
-  /// inactive lanes) — the redo path for non-finite lanes.
-  const AcSolver* laneSolver(int lane) const;
+  /// Lane `lane`'s whole latest solveAt() solution: nodes, then branches.
+  linalg::ComplexVector solution(int lane) const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// The small-signal measurement pass of the AC circuits: the DC operating
+/// points of up to kSimLanes testbench netlists (null lanes skipped) through
+/// solveDcBatch, then one AcBatch sweep over `freqs` on the lanes whose DC
+/// converged. At each frequency, in order, `probe(lane, ac)` runs for every
+/// such lane, in lane order, to read its solution. Returns the DC results; a
+/// lane with converged == false was never probed.
+template <typename Probe>
+std::array<DcResult, kSimLanes> solveDcAndSweepAc(
+    const std::array<const Netlist*, kSimLanes>& nls,
+    const std::array<const linalg::Vector*, kSimLanes>& guesses,
+    const std::vector<double>& freqs, Probe&& probe) {
+  std::array<DcResult, kSimLanes> ops = solveDcBatch(nls, guesses);
+  std::array<const Netlist*, kSimLanes> acNls{};
+  std::array<const DcResult*, kSimLanes> acOps{};
+  bool anyAc = false;
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    if (!ops[l].converged) continue;
+    acNls[l] = nls[l];
+    acOps[l] = &ops[l];
+    anyAc = true;
+  }
+  if (anyAc) {
+    AcBatch ac(acNls, acOps);
+    for (const double f : freqs) {
+      ac.solveAt(f);
+      for (std::size_t l = 0; l < kSimLanes; ++l)
+        if (acOps[l] != nullptr) probe(static_cast<int>(l), std::as_const(ac));
+    }
+  }
+  return ops;
+}
 
 }  // namespace trdse::sim

@@ -1,4 +1,6 @@
-// Shared complex helpers for the scalar and lane-blocked LU paths.
+// Complex helpers of the reference scalar LU (tests/lu.hpp). The lane-blocked
+// complex LU in sim/op_batch.cpp spells the same expressions out on split
+// re/im planes.
 #pragma once
 
 #include <cmath>
@@ -14,7 +16,8 @@ namespace trdse::linalg {
 /// (1e-154, 1e154), far beyond any magnitude an MNA factorization with
 /// partial pivoting produces. Both LuSolver<std::complex<double>> and the
 /// lane-blocked complex LU in sim/op_batch.cpp divide by multiplying with
-/// this reciprocal, keeping their per-lane arithmetic bitwise identical.
+/// this reciprocal expression, keeping their per-lane arithmetic bitwise
+/// identical.
 inline std::complex<double> cxReciprocal(const std::complex<double>& z) {
   const double d = z.real() * z.real() + z.imag() * z.imag();
   const double id = 1.0 / d;
@@ -42,7 +45,7 @@ inline std::complex<double> cxMul(const std::complex<double>& a,
 /// the serial, non-vectorizable fraction of both the scalar and the
 /// lane-blocked complex LU, so it sets the ceiling on the batch speedup.
 /// Scalar LuSolver<std::complex<double>> and sim/op_batch.cpp must use this
-/// same function so their pivot choices (and therefore every subsequent
+/// same magnitude so their pivot choices (and therefore every subsequent
 /// rounding) stay bitwise identical.
 inline double cxPivotMag(const std::complex<double>& z) {
   return std::abs(z.real()) + std::abs(z.imag());

@@ -3,7 +3,7 @@
 #include <complex>
 #include <random>
 
-#include "linalg/lu.hpp"
+#include "lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/stats.hpp"
 

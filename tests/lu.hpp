@@ -1,18 +1,66 @@
-#include "linalg/lu.hpp"
+// The reference solvers' scalar LU (tests/sim_reference.hpp): factorization
+// with partial pivoting, templated over the scalar so the same code solves
+// real Newton systems (DC operating point) and complex small-signal systems
+// (AC sweep). The lane-blocked LUs in sim/op_batch.cpp must reproduce it bit
+// for bit.
+//
+// Header-only: a test TU that includes it is compiled with FP contraction and
+// the vectorizers off (see CMakeLists.txt). GCC's SLP complex-operation
+// patterns would otherwise re-form the complex LU's hand-written re/im
+// arithmetic into fused multiply-addsub instructions even under
+// -ffp-contract=off, which rounds differently from the lane-blocked complex
+// LU's split planes.
+#pragma once
 
 #include <cassert>
 #include <cmath>
+#include <complex>
+#include <optional>
 #include <type_traits>
+#include <vector>
 
-#include "linalg/cxmath.hpp"
+#include "cxmath.hpp"
+#include "linalg/matrix.hpp"
 
 namespace trdse::linalg {
 
-namespace {
-double magnitude(double v) { return std::abs(v); }
+/// In-place LU factorization with row pivoting. After a successful factor(),
+/// solve() may be called any number of times with different right-hand sides.
+template <typename T>
+class LuSolver {
+ public:
+  LuSolver() = default;
+
+  /// Factor A (copied). Returns false when A is numerically singular.
+  bool factor(const MatrixT<T>& a);
+
+  /// Solve A x = b using the stored factorization. Requires factor() == true.
+  std::vector<T> solve(const std::vector<T>& b) const;
+
+  /// Allocation-free solve: reads b[0..n), writes x[0..n). b and x may not
+  /// alias. This is the Newton-loop entry point — factor() reuses the matrix
+  /// capacity and solveInto touches no heap, so a factor+solve per iteration
+  /// costs no allocations in steady state.
+  void solveInto(const T* b, T* x) const;
+
+  /// One-shot convenience: factor and solve; nullopt when singular.
+  static std::optional<std::vector<T>> solveSystem(const MatrixT<T>& a,
+                                                   const std::vector<T>& b);
+
+  bool factored() const { return factored_; }
+  std::size_t dim() const { return lu_.rows(); }
+
+ private:
+  MatrixT<T> lu_;
+  std::vector<std::size_t> perm_;
+  bool factored_ = false;
+};
+
+namespace detail {
+inline double magnitude(double v) { return std::abs(v); }
 // Complex pivots order by cabs1, matching the lane-blocked LU (cxmath.hpp).
-double magnitude(const std::complex<double>& v) { return cxPivotMag(v); }
-}  // namespace
+inline double magnitude(const std::complex<double>& v) { return cxPivotMag(v); }
+}  // namespace detail
 
 template <typename T>
 bool LuSolver<T>::factor(const MatrixT<T>& a) {
@@ -26,9 +74,9 @@ bool LuSolver<T>::factor(const MatrixT<T>& a) {
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: pick the largest magnitude in column k.
     std::size_t pivot = k;
-    double best = magnitude(lu_(k, k));
+    double best = detail::magnitude(lu_(k, k));
     for (std::size_t r = k + 1; r < n; ++r) {
-      const double m = magnitude(lu_(r, k));
+      const double m = detail::magnitude(lu_(r, k));
       if (m > best) {
         best = m;
         pivot = r;
@@ -109,8 +157,5 @@ std::optional<std::vector<T>> LuSolver<T>::solveSystem(const MatrixT<T>& a,
   if (!s.factor(a)) return std::nullopt;
   return s.solve(b);
 }
-
-template class LuSolver<double>;
-template class LuSolver<std::complex<double>>;
 
 }  // namespace trdse::linalg

@@ -1,16 +1,18 @@
 // Differential + property harness locking the lane engines' contract
-// (sim/op_batch.hpp): every DC and transient lane equals the scalar reference
-// loops in sim_reference.hpp, every AC lane equals AcSolver, and a lane's
-// bits do not depend on what shares its pass — down to the EvalEngine, whose
+// (sim/op_batch.hpp): every DC, transient and AC lane equals the scalar
+// reference solves in sim_reference.hpp, and a lane's bits depend neither on
+// its slot nor on what shares its pass — down to the EvalEngine, whose
 // lane-batched dispatch must match a width-1 backend's one-slot passes.
 //
-// Every numeric comparison here is on the *bit pattern* of the doubles, not
-// an epsilon: the contract is that lane l reproduces the reference exactly
-// (see the op_batch.hpp header for how the kernels and compile flags
-// guarantee it). An epsilon test would quietly accept the
-// contraction/vectorization drift these tests exist to catch.
+// Every numeric comparison here is on the *bit pattern* of the doubles (a
+// NaN's sign and payload aside, see sameValue), not an epsilon: the contract
+// is that lane l reproduces the reference exactly (see the op_batch.hpp
+// header for how the kernels and compile flags guarantee it). An epsilon
+// test would quietly accept the contraction/vectorization drift these tests
+// exist to catch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <complex>
@@ -49,6 +51,18 @@ testing::AssertionResult bitsEqual(double a, double b) {
 
 #define EXPECT_BITS_EQ(a, b) EXPECT_TRUE(bitsEqual((a), (b)))
 #define ASSERT_BITS_EQ(a, b) ASSERT_TRUE(bitsEqual((a), (b)))
+
+/// bitsEqual, except that any NaN matches any NaN. IEEE 754 leaves the sign
+/// and payload of a NaN that arithmetic produces unspecified, and GCC moves
+/// a negation across a product (-a*b, a*-b, -(a*b): equal for every non-NaN
+/// value) differently from one build flavour to another — under ASan+UBSan
+/// the reference's NaN signs differ from the engine's, which match in the
+/// Release builds. Which elements are NaN, and every other bit pattern,
+/// infinities included, stay exact.
+testing::AssertionResult sameValue(double a, double b) {
+  if (std::isnan(a) && std::isnan(b)) return testing::AssertionSuccess();
+  return bitsEqual(a, b);
+}
 
 /// Kitchen-sink netlist exercising every device type the MNA stamps know:
 /// vsource (w/ AC), resistor, diode, NMOS, PMOS, capacitor, inductor, VCCS,
@@ -108,6 +122,19 @@ struct SinkLanes {
     }
   }
 };
+
+/// Every non-empty subset of the four lanes under every permutation of the
+/// four slots: body(keep, slot) runs lane l in slot[l] when bit l of `keep`
+/// is set, leaving the other slots null.
+template <typename Body>
+void forEachSubsetAndSlotPermutation(Body&& body) {
+  for (unsigned keep = 1; keep < (1u << kSimLanes); ++keep) {
+    std::array<std::size_t, kSimLanes> slot = {0, 1, 2, 3};
+    do {
+      body(keep, slot);
+    } while (std::next_permutation(slot.begin(), slot.end()));
+  }
+}
 
 // ---- DC ------------------------------------------------------------------
 
@@ -174,24 +201,21 @@ TEST(SimBatchDc, EveryLadderRungBitwiseMatchesReference) {
 TEST(SimBatchDc, NullLanesAreSkippedAndSurvivorsUnchanged) {
   const SinkLanes lanes;
   const auto full = solveDcBatch(lanes.nlp, lanes.gp);
-  // Every strict subset of active lanes must reproduce the full batch's
-  // lanes bitwise: lane blocking may not couple lanes numerically.
-  for (std::size_t keep = 1; keep < (1u << kSimLanes) - 1; ++keep) {
+  // Every subset of the lanes, in every slot order, must reproduce the full
+  // batch's lanes bitwise: lane blocking may not couple lanes numerically,
+  // and a lane's slot may not matter.
+  forEachSubsetAndSlotPermutation([&](unsigned keep, const auto& slot) {
     std::array<const Netlist*, kSimLanes> nlp{};
     std::array<const linalg::Vector*, kSimLanes> gp{};
     for (std::size_t l = 0; l < kSimLanes; ++l) {
       if (!(keep & (1u << l))) continue;
-      nlp[l] = lanes.nlp[l];
-      gp[l] = lanes.gp[l];
+      nlp[slot[l]] = lanes.nlp[l];
+      gp[slot[l]] = lanes.gp[l];
     }
     const auto part = solveDcBatch(nlp, gp);
-    for (std::size_t l = 0; l < kSimLanes; ++l) {
-      if (!(keep & (1u << l))) continue;
-      ASSERT_EQ(part[l].converged, full[l].converged);
-      for (std::size_t i = 0; i < full[l].v.size(); ++i)
-        ASSERT_BITS_EQ(part[l].v[i], full[l].v[i]);
-    }
-  }
+    for (std::size_t l = 0; l < kSimLanes; ++l)
+      if (keep & (1u << l)) expectSameDc(full[l], part[slot[l]], l);
+  });
 }
 
 // ---- Transient -----------------------------------------------------------
@@ -267,6 +291,36 @@ TEST(SimBatchTransient, MidRunNewtonFailureMatchesReference) {
   EXPECT_TRUE(sawCompletion) << "no lane completed";
 }
 
+TEST(SimBatchTransient, EveryLaneSubsetAndSlotPermutationKeepsItsTrace) {
+  const SinkLanes lanes;
+  std::array<DcResult, kSimLanes> ops;
+  std::array<const linalg::Vector*, kSimLanes> init{};
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    ops[l] = reference::solveDc(lanes.nls[l], lanes.gp[l]);
+    init[l] = &ops[l].v;
+  }
+  TransientOptions topt;
+  topt.tStop = 2e-10;
+  topt.dt = 1e-12;
+  TransientBatch full(lanes.nlp, topt, init);
+  full.run();
+  forEachSubsetAndSlotPermutation([&](unsigned keep, const auto& slot) {
+    std::array<const Netlist*, kSimLanes> nlp{};
+    std::array<const linalg::Vector*, kSimLanes> vp{};
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      if (!(keep & (1u << l))) continue;
+      nlp[slot[l]] = lanes.nlp[l];
+      vp[slot[l]] = init[l];
+    }
+    TransientBatch part(nlp, topt, vp);
+    part.run();
+    for (std::size_t l = 0; l < kSimLanes; ++l)
+      if (keep & (1u << l))
+        expectSameTrace(full.result(static_cast<int>(l)),
+                        part.result(static_cast<int>(slot[l])), l);
+  });
+}
+
 TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
   const SinkLanes lanes;
   std::array<DcResult, kSimLanes> ops;
@@ -307,31 +361,157 @@ TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
 
 // ---- AC ------------------------------------------------------------------
 
-TEST(SimBatchAc, SweepBitwiseMatchesScalarSolver) {
-  const SinkLanes lanes;
+void expectSameAc(const linalg::ComplexVector& ref,
+                  const linalg::ComplexVector& got, std::size_t lane) {
+  ASSERT_EQ(ref.size(), got.size()) << "lane " << lane;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_TRUE(sameValue(ref[i].real(), got[i].real()))
+        << "lane " << lane << " unknown " << i;
+    EXPECT_TRUE(sameValue(ref[i].imag(), got[i].imag()))
+        << "lane " << lane << " unknown " << i;
+  }
+}
+
+/// Reference operating points of `nls` and the pointers AcBatch takes.
+struct AcOps {
   std::array<DcResult, kSimLanes> dcs;
   std::array<const DcResult*, kSimLanes> ops{};
-  for (std::size_t l = 0; l < kSimLanes; ++l) {
-    dcs[l] = reference::solveDc(lanes.nls[l], lanes.gp[l]);
-    ops[l] = &dcs[l];
+  explicit AcOps(const std::array<Netlist, kSimLanes>& nls) {
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      dcs[l] = reference::solveDc(nls[l], nullptr);
+      ops[l] = &dcs[l];
+    }
   }
-  AcBatch ac(lanes.nlp, ops);
+};
+
+/// Unit current injected from node n1 into node n3 of a kitchen-sink lane.
+linalg::Vector sinkInjection(const Netlist& nl) {
+  linalg::Vector b(nl.unknownCount(), 0.0);
+  b[nl.nodeIndex(nl.findNode("n1"))] -= 1.0;
+  b[nl.nodeIndex(nl.findNode("n3"))] += 1.0;
+  return b;
+}
+
+TEST(SimBatchAc, EveryLaneBitwiseMatchesReference) {
+  // Every unknown of every lane of a full batch — on the stamped excitation,
+  // and with a current injection standing in for it on lanes 1 and 3 — and
+  // of the one-lane AcSolver's solveAt, solveCurrentInjection and sweep.
+  const SinkLanes lanes;
+  const AcOps dc(lanes.nls);
+  std::array<reference::AcSystem, kSimLanes> refs;
+  for (std::size_t l = 0; l < kSimLanes; ++l)
+    refs[l] = reference::stampAc(lanes.nls[l], dc.dcs[l]);
+  const linalg::Vector inj = sinkInjection(lanes.nls[0]);
+  const std::array<const linalg::Vector*, kSimLanes> rhs = {nullptr, &inj,
+                                                            nullptr, &inj};
+  const NodeId n1 = lanes.nls[0].findNode("n1");
+  const NodeId n3 = lanes.nls[0].findNode("n3");
+
+  AcBatch ac(lanes.nlp, dc.ops);
   const auto freqs = AcSolver::logSpace(10.0, 20e9, 60);
   for (const double f : freqs) {
     ac.solveAt(f);
     for (std::size_t l = 0; l < kSimLanes; ++l) {
-      ASSERT_TRUE(ac.laneFinite(static_cast<int>(l)));
-      const AcSolver scalar(lanes.nls[l], dcs[l]);
-      const linalg::ComplexVector xs = scalar.solveAt(f);
+      const auto li = static_cast<int>(l);
+      const linalg::ComplexVector ref = reference::solveAc(refs[l], f);
+      const linalg::ComplexVector x = ac.solution(li);
+      expectSameAc(ref, x, l);
       for (std::size_t node = 1; node < lanes.nls[l].nodeCount(); ++node) {
-        const auto sv = scalar.nodeVoltage(xs, static_cast<NodeId>(node));
-        const auto bv =
-            ac.nodeVoltage(static_cast<int>(l), static_cast<NodeId>(node));
-        ASSERT_BITS_EQ(sv.real(), bv.real());
-        ASSERT_BITS_EQ(sv.imag(), bv.imag());
+        const auto v = ac.nodeVoltage(li, static_cast<NodeId>(node));
+        ASSERT_BITS_EQ(ref[node - 1].real(), v.real());
+        ASSERT_BITS_EQ(ref[node - 1].imag(), v.imag());
+      }
+      const AcSolver one(lanes.nls[l], dc.dcs[l]);
+      expectSameAc(ref, one.solveAt(f), l);
+      expectSameAc(reference::solveAc(refs[l], f, &inj),
+                   one.solveCurrentInjection(f, n1, n3), l);
+    }
+    ac.solveAt(f, rhs);
+    for (std::size_t l = 0; l < kSimLanes; ++l)
+      expectSameAc(reference::solveAc(refs[l], f, rhs[l]),
+                   ac.solution(static_cast<int>(l)), l);
+  }
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    const auto h = AcSolver(lanes.nls[l], dc.dcs[l]).sweep(freqs, n3);
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      const auto ref = reference::solveAc(refs[l], freqs[i]);
+      ASSERT_BITS_EQ(ref[lanes.nls[l].nodeIndex(n3)].real(), h[i].real());
+      ASSERT_BITS_EQ(ref[lanes.nls[l].nodeIndex(n3)].imag(), h[i].imag());
+    }
+  }
+}
+
+TEST(SimBatchAc, NonFiniteLaneMatchesReference) {
+  // A 1e300 F load on lane 2, swept to 1 THz, drives w*C past the double
+  // range: that lane's factorization spreads inf and NaN through its
+  // solution. Every bit pattern, NaN payloads and signs included, must still
+  // equal the reference's, in the shared pass and in the one-lane AcSolver,
+  // and the finite lanes beside it must stay finite and exact.
+  std::array<Netlist, kSimLanes> nls;
+  std::array<const Netlist*, kSimLanes> nlp{};
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    nls[l] = buildSink(kCorners[l], kWScales[l]);
+    nls[l].addCapacitor(nls[l].findNode("n3"), kGround, l == 2 ? 1e300 : 1e-12);
+    nlp[l] = &nls[l];
+  }
+  const AcOps dc(nls);
+  AcBatch ac(nlp, dc.ops);
+  std::size_t nonFinite = 0;
+  for (const double f : AcSolver::logSpace(1e6, 1e12, 13)) {
+    ac.solveAt(f);
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      const linalg::ComplexVector ref =
+          reference::solveAc(reference::stampAc(nls[l], dc.dcs[l]), f);
+      const linalg::ComplexVector x = ac.solution(static_cast<int>(l));
+      expectSameAc(ref, x, l);
+      expectSameAc(ref, AcSolver(nls[l], dc.dcs[l]).solveAt(f), l);
+      for (std::size_t i = 0; i + 1 < nls[l].nodeCount(); ++i) {
+        const bool finite =
+            std::isfinite(x[i].real()) && std::isfinite(x[i].imag());
+        if (l != 2) {
+          ASSERT_TRUE(finite) << "lane " << l << " at " << f << " Hz";
+        }
+        if (!finite) ++nonFinite;
       }
     }
   }
+  EXPECT_GT(nonFinite, 0u) << "the 1e300 F lane never went non-finite";
+}
+
+TEST(SimBatchAc, EveryLaneSubsetAndSlotPermutationKeepsItsBits) {
+  const SinkLanes lanes;
+  const AcOps dc(lanes.nls);
+  const linalg::Vector inj = sinkInjection(lanes.nls[0]);
+  const std::array<const linalg::Vector*, kSimLanes> rhs = {nullptr, &inj,
+                                                            nullptr, nullptr};
+  const std::vector<double> freqs = {10.0, 1e6, 1e9, 20e9};
+  std::vector<std::array<linalg::ComplexVector, kSimLanes>> want(freqs.size());
+  {
+    AcBatch full(lanes.nlp, dc.ops);
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      full.solveAt(freqs[i], rhs);
+      for (std::size_t l = 0; l < kSimLanes; ++l)
+        want[i][l] = full.solution(static_cast<int>(l));
+    }
+  }
+  forEachSubsetAndSlotPermutation([&](unsigned keep, const auto& slot) {
+    std::array<const Netlist*, kSimLanes> nlp{};
+    std::array<const DcResult*, kSimLanes> ops{};
+    std::array<const linalg::Vector*, kSimLanes> prhs{};
+    for (std::size_t l = 0; l < kSimLanes; ++l) {
+      if (!(keep & (1u << l))) continue;
+      nlp[slot[l]] = lanes.nlp[l];
+      ops[slot[l]] = dc.ops[l];
+      prhs[slot[l]] = rhs[l];
+    }
+    AcBatch part(nlp, ops);
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      part.solveAt(freqs[i], prhs);
+      for (std::size_t l = 0; l < kSimLanes; ++l)
+        if (keep & (1u << l))
+          expectSameAc(want[i][l], part.solution(static_cast<int>(slot[l])), l);
+    }
+  });
 }
 
 // ---- Device-model property tests ----------------------------------------

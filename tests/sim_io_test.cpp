@@ -46,6 +46,10 @@ TEST(SpiceValue, RejectsGarbage) {
   EXPECT_FALSE(parseSpiceValue("abc").has_value());
   EXPECT_FALSE(parseSpiceValue("").has_value());
   EXPECT_FALSE(parseSpiceValue("1.2x7").has_value());
+  EXPECT_FALSE(parseSpiceValue("nan").has_value());
+  EXPECT_FALSE(parseSpiceValue("inf").has_value());
+  EXPECT_FALSE(parseSpiceValue("-inf").has_value());
+  EXPECT_FALSE(parseSpiceValue("1e308k").has_value());
 }
 
 // ---------- Netlist parsing ----------
@@ -89,6 +93,10 @@ TEST(NetlistIo, ReportsErrorsWithLineNumbers) {
   const auto bad = parseNetlist("V1 a 0 1\nXfoo 1 2 3\n", bsim45Card(), kTt);
   EXPECT_FALSE(bad.netlist.has_value());
   EXPECT_EQ(bad.error.line, 2u);
+  const auto nan = parseNetlist("V1 a 0 1\nR1 a 0 1k\nC1 a 0 nan\n",
+                                bsim45Card(), kTt);
+  EXPECT_FALSE(nan.netlist.has_value());
+  EXPECT_EQ(nan.error.line, 3u);
 }
 
 TEST(NetlistIo, TempDirectiveSetsTemperature) {

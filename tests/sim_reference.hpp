@@ -1,23 +1,27 @@
-// Scalar reference solvers: the textbook DC and transient loops over one
-// dense MNA matrix, kept as the oracle the lane engines in sim/op_batch.hpp
-// are compared against bit for bit (tests/sim_batch_test.cpp).
+// Scalar reference solvers: the textbook DC, transient and small-signal AC
+// solves over one dense MNA matrix, kept as the oracle the lane engines in
+// sim/op_batch.hpp are compared against bit for bit
+// (tests/sim_batch_test.cpp).
 //
-// The library's DcSolver and TransientSolver are one-lane calls into those
-// engines; these loops are what a lane must reproduce. They stamp every
-// device on every Newton iteration, in netlist order, and factor through the
-// scalar linalg::LuSolver. The including test TU is compiled with FP
-// contraction off (see CMakeLists.txt), like the engine TUs, so the same
+// The library's DcSolver, TransientSolver and AcSolver are one-lane calls
+// into those engines; these loops are what a lane must reproduce. They stamp
+// every device in netlist order (the DC and transient loops on every Newton
+// iteration) and factor through the scalar linalg::LuSolver (lu.hpp). The
+// including test TU is compiled with FP contraction and the vectorizers off
+// (see CMakeLists.txt), like the engine TUs contraction-wise, so the same
 // source expression cannot round differently here and there.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <complex>
+#include <numbers>
 #include <utility>
 #include <vector>
 
-#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
+#include "lu.hpp"
 #include "sim/dc.hpp"
 #include "sim/diode.hpp"
 #include "sim/mosfet.hpp"
@@ -492,6 +496,136 @@ inline TransientResult runTransient(const Netlist& nl,
   }
   result.completed = true;
   return result;
+}
+
+/// The small-signal system of one netlist at a converged operating point:
+/// conductance G, capacitance C (multiplied by jw per frequency) and the AC
+/// excitation b.
+struct AcSystem {
+  linalg::Matrix g;  ///< conductance + source topology stamps
+  linalg::Matrix c;  ///< capacitance stamps
+  linalg::Vector b;  ///< AC excitation (vac / iac entries)
+};
+
+/// Linearize `nl` at `op`: MOSFETs become four-terminal conductances from the
+/// DC Jacobian plus their gate and drain capacitances, diodes their
+/// operating-point conductance.
+inline AcSystem stampAc(const Netlist& nl, const DcResult& op) {
+  using detail::addAt;
+  using detail::stampG;
+  assert(op.converged && "AC analysis requires a converged operating point");
+  const std::size_t n = nl.unknownCount();
+  AcSystem sys;
+  linalg::Matrix& g = sys.g;
+  linalg::Matrix& c = sys.c;
+  g.resize(n, n);
+  c.resize(n, n);
+  sys.b.assign(n, 0.0);
+
+  for (const auto& r : nl.resistors()) stampG(g, nl, r.a, r.b, 1.0 / r.ohms);
+  for (const auto& cap : nl.capacitors()) stampG(c, nl, cap.a, cap.b, cap.farads);
+
+  for (const auto& v : nl.vccs()) {
+    addAt(g, nl, v.p, v.cp, v.gm);
+    addAt(g, nl, v.p, v.cn, -v.gm);
+    addAt(g, nl, v.n, v.cp, -v.gm);
+    addAt(g, nl, v.n, v.cn, v.gm);
+  }
+
+  assert(op.diodeConductances.size() == nl.diodes().size());
+  for (std::size_t k = 0; k < nl.diodes().size(); ++k) {
+    const auto& d = nl.diodes()[k];
+    stampG(g, nl, d.a, d.k, op.diodeConductances[k]);
+  }
+
+  // Inductors: branch equation v_p - v_n - jwL * i = 0, with the jwL term in
+  // C (a negative L on the branch diagonal).
+  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
+    const auto& ind = nl.inductors()[k];
+    const std::size_t br = nl.inductorBranchIndex(k);
+    if (ind.a != kGround) {
+      g(nl.nodeIndex(ind.a), br) += 1.0;
+      g(br, nl.nodeIndex(ind.a)) += 1.0;
+    }
+    if (ind.b != kGround) {
+      g(nl.nodeIndex(ind.b), br) -= 1.0;
+      g(br, nl.nodeIndex(ind.b)) -= 1.0;
+    }
+    c(br, br) -= ind.henry;
+  }
+
+  assert(op.mosOps.size() == nl.mosfets().size());
+  for (std::size_t k = 0; k < nl.mosfets().size(); ++k) {
+    const auto& fet = nl.mosfets()[k];
+    const MosOp& o = op.mosOps[k];
+    addAt(g, nl, fet.d, fet.d, o.dIdVd);
+    addAt(g, nl, fet.d, fet.g, o.dIdVg);
+    addAt(g, nl, fet.d, fet.s, o.dIdVs);
+    addAt(g, nl, fet.d, fet.b, o.dIdVb);
+    addAt(g, nl, fet.s, fet.d, -o.dIdVd);
+    addAt(g, nl, fet.s, fet.g, -o.dIdVg);
+    addAt(g, nl, fet.s, fet.s, -o.dIdVs);
+    addAt(g, nl, fet.s, fet.b, -o.dIdVb);
+
+    const double cgg = gateCapacitance(fet.params, fet.geom);
+    stampG(c, nl, fet.g, fet.s, 0.7 * cgg);
+    stampG(c, nl, fet.g, fet.d, 0.3 * cgg);  // Miller path
+    stampG(c, nl, fet.d, fet.b, drainCapacitance(fet.params, fet.geom));
+  }
+
+  for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
+    const auto& src = nl.vsources()[k];
+    const std::size_t br = nl.vsourceBranchIndex(k);
+    if (src.p != kGround) {
+      g(nl.nodeIndex(src.p), br) += 1.0;
+      g(br, nl.nodeIndex(src.p)) += 1.0;
+    }
+    if (src.n != kGround) {
+      g(nl.nodeIndex(src.n), br) -= 1.0;
+      g(br, nl.nodeIndex(src.n)) -= 1.0;
+    }
+    sys.b[br] = src.vac;
+  }
+
+  for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
+    const auto& e = nl.vcvs()[k];
+    const std::size_t br = nl.vcvsBranchIndex(k);
+    if (e.p != kGround) {
+      g(nl.nodeIndex(e.p), br) += 1.0;
+      g(br, nl.nodeIndex(e.p)) += 1.0;
+    }
+    if (e.n != kGround) {
+      g(nl.nodeIndex(e.n), br) -= 1.0;
+      g(br, nl.nodeIndex(e.n)) -= 1.0;
+    }
+    if (e.cp != kGround) g(br, nl.nodeIndex(e.cp)) -= e.gain;
+    if (e.cn != kGround) g(br, nl.nodeIndex(e.cn)) += e.gain;
+  }
+
+  for (const auto& src : nl.isources()) {
+    if (src.iac == 0.0) continue;
+    if (src.p != kGround) sys.b[nl.nodeIndex(src.p)] -= src.iac;
+    if (src.n != kGround) sys.b[nl.nodeIndex(src.n)] += src.iac;
+  }
+  return sys;
+}
+
+/// Solve (G + jwC) x = rhs at one frequency through the scalar complex LU;
+/// rhs defaults to the stamped excitation b. A numerically singular system
+/// yields the zero vector.
+inline linalg::ComplexVector solveAc(const AcSystem& sys, double freqHz,
+                                     const linalg::Vector* rhs = nullptr) {
+  const std::size_t n = sys.g.rows();
+  const double w = 2.0 * std::numbers::pi * freqHz;
+  linalg::ComplexMatrix A(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) A(r, c) = {sys.g(r, c), w * sys.c(r, c)};
+  const linalg::Vector& src = rhs != nullptr ? *rhs : sys.b;
+  linalg::ComplexVector b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = src[i];
+  auto x = linalg::LuSolver<std::complex<double>>::solveSystem(A, b);
+  if (!x) return linalg::ComplexVector(n, {0.0, 0.0});
+  return *x;
 }
 
 }  // namespace trdse::sim::reference
