@@ -26,6 +26,19 @@ bool allFinite(const linalg::Vector& v) {
     if (!std::isfinite(x)) return false;
   return true;
 }
+
+/// Snap `raw` onto the grid of `space`: its grid indices and grid values.
+void snapToGrid(const core::DesignSpace& space, const linalg::Vector& raw,
+                std::vector<std::size_t>& indices, linalg::Vector& snapped) {
+  const std::size_t dim = space.dim();
+  assert(raw.size() == dim);
+  indices.resize(dim);
+  snapped.resize(dim);
+  for (std::size_t d = 0; d < dim; ++d) {
+    indices[d] = space.nearestIndex(d, raw[d]);
+    snapped[d] = space.gridValue(d, indices[d]);
+  }
+}
 }  // namespace
 
 MeetsSpecFn makeMeetsSpec(core::ValueFunction value) {
@@ -79,6 +92,16 @@ void EvalEngine::injectFaults(std::shared_ptr<const sim::FaultPlan> plan,
   backend_ = std::make_shared<FaultInjector>(backend_, std::move(plan), scope);
 }
 
+void EvalEngine::setBackend(std::shared_ptr<const EvalBackend> backend) {
+  if (!backend)
+    throw std::invalid_argument("EvalEngine::setBackend: backend is null");
+  if (stats_.requests != 0)
+    throw std::logic_error(
+        "EvalEngine::setBackend: must be configured before the first "
+        "request");
+  backend_ = std::move(backend);
+}
+
 void EvalEngine::attachSharedCache(std::shared_ptr<SharedEvalCache> shared,
                                    std::string_view scope) {
   if (!config_.cacheEvals)
@@ -108,6 +131,7 @@ std::vector<PublishEntry> EvalEngine::drainPublishJournal() {
 }
 
 void EvalEngine::saveState(io::SectionWriter& w) const {
+  assert(ahead_.empty() && "lookahead results outlived their step");
   // Memo, sorted by (corner, grid indices) — unordered_map iteration order
   // is not stable, and deterministic bytes make save→load→save idempotent.
   std::vector<const std::pair<const EvalKey, core::EvalResult>*> entries;
@@ -204,8 +228,7 @@ void EvalEngine::restoreState(io::SectionReader& r) {
   unpublished_.clear();
 }
 
-void EvalEngine::runBatchWithRetry(core::EvalResult* results,
-                                   std::size_t begin, std::size_t count) {
+void EvalEngine::runBatchWithRetry(std::size_t begin, std::size_t count) {
   const RetryPolicy& retry = config_.retry;
   const std::size_t maxAttempts = std::max<std::size_t>(1, retry.maxAttempts);
   // Lanes still awaiting a clean result, as offsets into the chunk.
@@ -221,7 +244,7 @@ void EvalEngine::runBatchWithRetry(core::EvalResult* results,
     corners.clear();
     contexts.clear();
     for (const std::size_t lane : active) {
-      const MissRef& ref = missRefs_[begin + lane];
+      const MissRef& ref = missRefs_[pending_[begin + lane]];
       sizes.push_back(ref.sizes);
       corners.push_back(corners_[ref.cornerIndex]);
       EvalContext ctx;
@@ -235,7 +258,7 @@ void EvalEngine::runBatchWithRetry(core::EvalResult* results,
     backend_->evaluateBatch(sizes.data(), corners.data(), contexts.data(),
                             attemptResults.data(), active.size());
     const double elapsed = secondsSince(t0);
-    missTrace_[begin].seconds += elapsed;
+    missTrace_[pending_[begin]].seconds += elapsed;
     // Classify each lane: the backend's own verdict first, then the
     // wall-clock deadline (the call's elapsed time, outside the determinism
     // contract like every wall-clock classification), then the finiteness
@@ -252,8 +275,8 @@ void EvalEngine::runBatchWithRetry(core::EvalResult* results,
         cls = sim::FaultClass::kTimeout;
       if (cls == sim::FaultClass::kNone && r.ok && !allFinite(r.measurements))
         cls = sim::FaultClass::kNonFinite;
-      MissTrace& trace = missTrace_[begin + lane];
-      core::EvalResult& out = results[missRefs_[begin + lane].slot];
+      MissTrace& trace = missTrace_[pending_[begin + lane]];
+      core::EvalResult& out = *missRefs_[pending_[begin + lane]].out;
       if (cls == sim::FaultClass::kNone) {
         trace.retries = static_cast<std::uint32_t>(attempt);
         out = std::move(r);
@@ -276,19 +299,23 @@ void EvalEngine::runBatchWithRetry(core::EvalResult* results,
   }
 }
 
-void EvalEngine::dispatchMisses(core::EvalResult* results) {
-  const std::size_t nMiss = missRefs_.size();
-  missTrace_.assign(nMiss, MissTrace{});
+void EvalEngine::dispatchMisses() {
+  const std::size_t nLanes = pending_.size();
   const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
-  const std::size_t chunks = (nMiss + width - 1) / width;
+  const std::size_t chunks = (nLanes + width - 1) / width;
   // Sampled per dispatch, not per engine lifetime: growth from other
   // engines' dispatches between two of ours never lands in our stats.
   const sim::SimPhaseTotals before = sim::simPhaseTotals();
   pool_.parallelFor(chunks, [&](std::size_t t) {
     const std::size_t begin = t * width;
-    runBatchWithRetry(results, begin, std::min(width, nMiss - begin));
+    runBatchWithRetry(begin, std::min(width, nLanes - begin));
   });
-  for (const MissTrace& t : missTrace_) stats_.backendSeconds += t.seconds;
+  // Every lane evaluation counts when it runs, lookahead lanes included;
+  // the rest of a lane's accounting waits until a request consumes it.
+  for (const std::size_t i : pending_) {
+    stats_.attempts += missTrace_[i].retries + 1;
+    stats_.backendSeconds += missTrace_[i].seconds;
+  }
   harvestSimPhases(before);
 }
 
@@ -307,7 +334,6 @@ void EvalEngine::accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,
   const bool failed = result.failure != sim::FaultClass::kNone;
   ++stats_.requests;
   if (isMiss) {
-    stats_.attempts += trace.retries + 1;
     stats_.backoffUnits += trace.backoff;
     stats_.faults += trace.retries + (failed ? 1 : 0);
   }
@@ -334,84 +360,131 @@ void EvalEngine::accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,
   }
 }
 
-void EvalEngine::evalRequests(const linalg::Vector* points, std::size_t np,
+bool EvalEngine::ledgerMatchesStats() const {
+  return ledger_.totalBlocks() == stats_.requests &&
+         ledger_.cachedBlocks() == stats_.cacheHits + stats_.sharedHits &&
+         ledger_.failedBlocks() == stats_.failures &&
+         ledger_.retryAttempts() == stats_.faults - stats_.failures &&
+         ledger_.backoffUnits() == stats_.backoffUnits;
+}
+
+void EvalEngine::queueLookahead(const Lookahead& next, std::size_t room) {
+  aheadSnaps_.resize(room);
+  aheadKeys_.resize(room);
+  aheadResults_.assign(room, core::EvalResult{});
+  linalg::Vector raw;
+  std::size_t lanes = 0;
+  for (std::size_t k = 0; lanes < room; ++k) {
+    std::size_t corner = 0;
+    if (!next(k, raw, corner)) break;
+    assert(corner < corners_.size());
+    EvalKey& key = aheadKeys_[lanes];
+    snapToGrid(space_, raw, key.indices, aheadSnaps_[lanes]);
+    key.cornerIndex = corner;
+    // Memo-only probe: the shared cache's counters must not see requests
+    // nobody has made yet.
+    if (cache_.find(key) != nullptr || ahead_.count(key) != 0) continue;
+    const bool queued =
+        std::any_of(missRefs_.begin(), missRefs_.end(), [&](const MissRef& m) {
+          return m.cornerIndex == corner && *m.indices == key.indices;
+        });
+    if (queued) continue;
+    pending_.push_back(missRefs_.size());
+    missRefs_.push_back({kNone, &aheadResults_[lanes], &aheadSnaps_[lanes],
+                         &key.indices, corner});
+    ++lanes;
+  }
+}
+
+void EvalEngine::evalRequests(const linalg::Vector& point,
                               const std::size_t* cornerIdx, std::size_t nc,
-                              pvt::BlockKind kind,
-                              core::EvalResult* results) {
-  const std::size_t n = np * nc;
-  if (n == 0) return;
+                              pvt::BlockKind kind, core::EvalResult* results,
+                              const Lookahead* next) {
+  if (nc == 0) return;
 
-  // Snap every point once up front, so the simulated point always matches
-  // the cache key (callers may pass raw or snapped values). The snapped
-  // sizings and index lists stay put for the whole call because queued miss
-  // lanes point into them.
-  const std::size_t dim = space_.dim();
-  snaps_.resize(np);
-  keys_.resize(np);
-  for (std::size_t p = 0; p < np; ++p) {
-    assert(points[p].size() == dim);
-    snaps_[p].resize(dim);
-    keys_[p].indices.resize(dim);
-    for (std::size_t d = 0; d < dim; ++d) {
-      const std::size_t idx = space_.nearestIndex(d, points[p][d]);
-      keys_[p].indices[d] = idx;
-      snaps_[p][d] = space_.gridValue(d, idx);
-    }
-  }
+  // Snap once up front, so the simulated point always matches the cache key
+  // (callers may pass raw or snapped values). The snapped sizing and index
+  // list stay put for the whole call because queued miss lanes point into
+  // them.
+  snapToGrid(space_, point, key_.indices, snap_);
 
-  // ---- Probe the memos (and collapse in-call duplicates) serially,
-  // point-major.
+  // ---- Probe the memos (and collapse repeated corners) serially.
   missRefs_.clear();
-  hitFlags_.assign(n, 0);
-  sharedFlags_.assign(n, 0);
-  dupOf_.assign(n, kNone);
-  for (std::size_t p = 0; p < np; ++p) {
-    EvalKey& key = keys_[p];
-    for (std::size_t c = 0; c < nc; ++c) {
-      const std::size_t slot = p * nc + c;
-      if (config_.cacheEvals) {
-        key.cornerIndex = cornerIdx[c];
-        if (const core::EvalResult* hit = cache_.find(key)) {
-          results[slot] = *hit;
-          hitFlags_[slot] = 1;
-          continue;
-        }
-        // Local miss: the cross-job cache may already hold the result. Copy
-        // a shared hit into the local memo, so a repeat of the key inside
-        // this call (or later) becomes a plain local hit.
-        if (shared_ != nullptr &&
-            shared_->find(sharedScope_, key, results[slot])) {
-          cache_.insert({key.indices, cornerIdx[c]}, results[slot]);
-          hitFlags_[slot] = 1;
-          sharedFlags_[slot] = 1;
-          continue;
-        }
-        // A duplicate key can only repeat an earlier *miss* (had the key
-        // been cached, both requests would have hit). Points from different
-        // raw sizings can snap to the same grid cell.
-        for (const MissRef& m : missRefs_) {
-          if (m.cornerIndex == cornerIdx[c] && *m.indices == key.indices) {
-            dupOf_[slot] = m.slot;
-            break;
-          }
-        }
-        if (dupOf_[slot] != kNone) continue;
+  hitFlags_.assign(nc, 0);
+  sharedFlags_.assign(nc, 0);
+  dupOf_.assign(nc, kNone);
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (config_.cacheEvals) {
+      key_.cornerIndex = cornerIdx[c];
+      if (const core::EvalResult* hit = cache_.find(key_)) {
+        results[c] = *hit;
+        hitFlags_[c] = 1;
+        continue;
       }
-      missRefs_.push_back({slot, &snaps_[p], &key.indices, cornerIdx[c]});
+      // Local miss: the cross-job cache may already hold the result. Copy
+      // a shared hit into the local memo, so a repeat of the key inside
+      // this call (or later) becomes a plain local hit.
+      if (shared_ != nullptr && shared_->find(sharedScope_, key_, results[c])) {
+        cache_.insert(key_, results[c]);
+        hitFlags_[c] = 1;
+        sharedFlags_[c] = 1;
+        continue;
+      }
+      // A repeated corner can only repeat an earlier *miss* (had the key
+      // been cached, both requests would have hit).
+      for (const MissRef& m : missRefs_) {
+        if (m.cornerIndex == cornerIdx[c]) {
+          dupOf_[c] = m.slot;
+          break;
+        }
+      }
+      if (dupOf_[c] != kNone) continue;
     }
+    missRefs_.push_back({c, &results[c], &snap_, &key_.indices, cornerIdx[c]});
   }
 
-  // ---- Fan the real simulations out; results land in per-request slots.
-  if (!missRefs_.empty()) dispatchMisses(results);
+  // ---- A miss simulated ahead takes its buffered result and retry trace;
+  // the rest go to the backend, their last lane chunk filled with `next`'s
+  // lookahead lanes. Results land in per-request slots.
+  const std::size_t nMiss = missRefs_.size();
+  missTrace_.assign(nMiss, MissTrace{});
+  pending_.clear();
+  for (std::size_t i = 0; i < nMiss; ++i) {
+    const auto it = ahead_.empty()
+                        ? ahead_.end()
+                        : ahead_.find({key_.indices, missRefs_[i].cornerIndex});
+    if (it == ahead_.end()) {
+      pending_.push_back(i);
+      continue;
+    }
+    *missRefs_[i].out = std::move(it->second.result);
+    missTrace_[i] = it->second.trace;
+    ahead_.erase(it);
+  }
+  if (!pending_.empty()) {
+    const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
+    const std::size_t room = (width - pending_.size() % width) % width;
+    if (next != nullptr && *next && room != 0) {
+      queueLookahead(*next, room);
+      missTrace_.resize(missRefs_.size());
+    }
+    dispatchMisses();
+    for (std::size_t i = nMiss; i < missRefs_.size(); ++i)
+      ahead_.emplace(EvalKey{*missRefs_[i].indices, missRefs_[i].cornerIndex},
+                     Ahead{std::move(*missRefs_[i].out), missTrace_[i]});
+    missRefs_.resize(nMiss);
+  }
 
   // ---- Merge and account after the join, in request order: cache inserts,
-  // ledger blocks, and counters are then identical for any thread count.
+  // ledger blocks, and counters are then identical for any thread count,
+  // and a miss taken from the lookahead buffer accounts exactly like one
+  // simulated now.
   std::size_t cursor = 0;  // missRefs_ slots ascend with the request slot
-  for (std::size_t slot = 0; slot < n; ++slot) {
+  for (std::size_t slot = 0; slot < nc; ++slot) {
     const bool isMiss =
         cursor < missRefs_.size() && missRefs_[cursor].slot == slot;
     const MissTrace trace = isMiss ? missTrace_[cursor++] : MissTrace{};
-    const std::size_t corner = cornerIdx[slot % nc];
+    const std::size_t corner = cornerIdx[slot];
     if (dupOf_[slot] != kNone) results[slot] = results[dupOf_[slot]];
     const bool failed = results[slot].failure != sim::FaultClass::kNone;
     // A failed request is never "cached": poison enters no memo, and a
@@ -419,40 +492,32 @@ void EvalEngine::evalRequests(const linalg::Vector* points, std::size_t np,
     const bool cached =
         !failed && (hitFlags_[slot] != 0 || dupOf_[slot] != kNone);
     if (config_.cacheEvals && isMiss && !failed) {
-      const std::vector<std::size_t>& indices = keys_[slot / nc].indices;
-      cache_.insert({indices, corner}, results[slot]);
-      if (shared_ != nullptr) unpublished_.push_back({indices, corner});
+      cache_.insert({key_.indices, corner}, results[slot]);
+      if (shared_ != nullptr) unpublished_.push_back({key_.indices, corner});
     }
     accountRequest(corner, kind, results[slot], cached,
                    sharedFlags_[slot] != 0, isMiss, trace);
   }
   assert(stats_.requests == stats_.simulated + stats_.cacheHits +
                                 stats_.sharedHits + stats_.failures);
+  assert(!config_.recordLedger || ledgerMatchesStats());
 }
 
 std::vector<core::EvalResult> EvalEngine::evalBatch(
     const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
     pvt::BlockKind kind) {
   std::vector<core::EvalResult> results(cornerIdx.size());
-  evalRequests(&sizes, 1, cornerIdx.data(), cornerIdx.size(), kind,
-               results.data());
-  return results;
-}
-
-std::vector<core::EvalResult> EvalEngine::evalPacked(
-    const std::vector<linalg::Vector>& points,
-    const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind) {
-  std::vector<core::EvalResult> results(points.size() * cornerIdx.size());
-  evalRequests(points.data(), points.size(), cornerIdx.data(),
-               cornerIdx.size(), kind, results.data());
+  evalRequests(sizes, cornerIdx.data(), cornerIdx.size(), kind,
+               results.data(), nullptr);
   return results;
 }
 
 core::EvalResult EvalEngine::evalOne(std::size_t cornerIdx,
                                      const linalg::Vector& sizes,
-                                     pvt::BlockKind kind) {
+                                     pvt::BlockKind kind,
+                                     const Lookahead& next) {
   core::EvalResult result;
-  evalRequests(&sizes, 1, &cornerIdx, 1, kind, &result);
+  evalRequests(sizes, &cornerIdx, 1, kind, &result, &next);
   return result;
 }
 

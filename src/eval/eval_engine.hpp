@@ -18,6 +18,17 @@
 // Timing (EvalStats::backendSeconds) is measurement-only: it never feeds back
 // into scheduling, so it is excluded from the determinism guarantees.
 //
+// Lookahead: a caller that knows its next one-point requests (RandomSearch's
+// next sizings, TreeBayesOpt's remaining corners) offers them with evalOne.
+// When the request must simulate, the engine fills the rest of its
+// batchWidth() lane chunk with those of them that miss its own memo (the
+// shared cache is never probed for them), and keeps their results in a side
+// buffer. A later request that misses both memos takes its buffered result
+// and is accounted exactly as if it had simulated then; nothing else about a
+// buffered lane is recorded until it is consumed. The caller empties the
+// buffer at the end of each step (LookaheadScope), so nothing speculative is
+// ever checkpointed, journaled, published or sent over the wire.
+//
 // Fault tolerance: the engine classifies every backend attempt (the result's
 // FaultClass, a wall-clock deadline when RetryPolicy::timeoutSeconds is set,
 // and a finiteness guard over ok results), retries transient faults up to
@@ -29,6 +40,7 @@
 
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,8 +109,12 @@ struct EvalStats {
   // Fault accounting. `requests == simulated + cacheHits + sharedHits +
   // failures` always holds — a failed request is neither simulated (no
   // trustworthy result) nor cached (poison never enters a memo).
-  std::size_t attempts = 0;     ///< backend invocations incl. retries
-  std::size_t faults = 0;       ///< attempts classified as faulted
+  /// Backend lane evaluations, retries and lookahead lanes included, counted
+  /// when they run. Every other counter describes consumed requests only, so
+  /// `attempts - simulated - faults` is the lane evaluations simulated ahead
+  /// and never asked for (0 without a lookahead).
+  std::size_t attempts = 0;
+  std::size_t faults = 0;       ///< attempts of consumed requests that faulted
   std::size_t failures = 0;     ///< requests failed after retry exhaustion
   std::size_t backoffUnits = 0; ///< deterministic backoff charged for retries
   // Simulator phase attribution (sim/sim_profile.hpp): nanoseconds of
@@ -141,6 +157,16 @@ struct PublishEntry {
 /// Whether an EvalResult meets every spec — used for ledger bookkeeping.
 using MeetsSpecFn = std::function<bool(const core::EvalResult&)>;
 
+/// A caller's upcoming one-point requests (EvalEngine::evalOne's lookahead).
+/// Called with k = 0, 1, 2, ... in turn on the calling thread, it writes the
+/// k-th next request the caller expects to make — a sizing (raw or snapped)
+/// and a corner index — and returns true, or returns false once it expects
+/// no more; it must return false after finitely many calls. Offer only
+/// requests the caller will make if its search goes on: a lane simulated
+/// ahead and never asked for is wasted backend time.
+using Lookahead = std::function<bool(std::size_t k, linalg::Vector& sizes,
+                                     std::size_t& cornerIdx)>;
+
 /// The standard ledger predicate: simulation converged and every spec of
 /// `value` holds. Shared by every engine built around a problem's specs.
 MeetsSpecFn makeMeetsSpec(core::ValueFunction value);
@@ -182,27 +208,26 @@ class EvalEngine {
       const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
       pvt::BlockKind kind);
 
-  /// Evaluate `points.size()` sizings on each corner of `cornerIdx` as one
-  /// fused batch; slot `p * cornerIdx.size() + c` of the returned vector is
-  /// point p on corner cornerIdx[c]. Misses from *all* points pack into
-  /// consecutive simulator lanes, so per-point ragged tails (e.g. 9 corners
-  /// on a 4-lane backend) stop wasting lanes once several points are in
-  /// flight. Per-slot results are bitwise identical to the equivalent
-  /// sequence of evalBatch calls (the backend batch contract is per-slot),
-  /// and so is the accounting, with one documented exception: this is ONE
-  /// batch, so a duplicate (snapped point, corner) key across points
-  /// simulates once and the later slot accounts as cached — exactly the
-  /// in-batch duplicate rule evalBatch already applies within a call.
-  std::vector<core::EvalResult> evalPacked(
-      const std::vector<linalg::Vector>& points,
-      const std::vector<std::size_t>& cornerIdx, pvt::BlockKind kind);
-
-  /// Single request (the RandomSearch / SizingEnv per-step hot path): a
-  /// one-element evalBatch that returns its result directly. Request
-  /// scratch is reused across calls, so a steady-state cache hit performs
-  /// no allocation beyond the returned result.
+  /// Single request (the RandomSearch / TreeBayesOpt / SizingEnv per-step
+  /// hot path): a one-element evalBatch that returns its result directly.
+  /// Request scratch is reused across calls, so a steady-state cache hit
+  /// performs no allocation beyond the returned result.
+  ///
+  /// `next` offers the caller's upcoming requests. It is consulted only when
+  /// this request must simulate (never on a hit, never on a width-1
+  /// backend): the engine then fills the rest of the request's batchWidth()
+  /// chunk with offered requests that miss its memo, the side buffer and
+  /// the chunk so far, in offered order, and buffers their results and
+  /// retry traces. The caller must empty the buffer (clearLookahead) before
+  /// its step ends.
   core::EvalResult evalOne(std::size_t cornerIdx, const linalg::Vector& sizes,
-                           pvt::BlockKind kind);
+                           pvt::BlockKind kind, const Lookahead& next = {});
+
+  /// Drop every lookahead result not yet consumed. Their lane evaluations
+  /// stay counted in EvalStats::attempts and backendSeconds.
+  void clearLookahead() { ahead_.clear(); }
+  /// Lookahead results waiting for their request (0 between steps).
+  std::size_t lookaheadSize() const { return ahead_.size(); }
 
   /// Wrap the backend in a FaultInjector driven by `plan` (no-op when the
   /// plan injects nothing), keyed on `scope` — jobs that share a fault plan
@@ -211,6 +236,12 @@ class EvalEngine {
   /// std::invalid_argument on a null plan.
   void injectFaults(std::shared_ptr<const sim::FaultPlan> plan,
                     std::string_view scope);
+
+  /// Replace the backend, e.g. with a simulator service of another lane
+  /// width. Like injectFaults (which wraps whatever backend is set), only
+  /// before the first request: throws std::logic_error otherwise and
+  /// std::invalid_argument on a null backend.
+  void setBackend(std::shared_ptr<const EvalBackend> backend);
 
   /// Replace the retry policy. Like injectFaults, only before the first
   /// request (throws std::logic_error otherwise) — mid-run policy changes
@@ -264,7 +295,8 @@ class EvalEngine {
 
   /// Serialize the engine's durable state — memo contents, ledger timeline,
   /// stats counters — into a checkpoint section. Cache entries are emitted
-  /// in sorted key order so identical states produce identical bytes.
+  /// in sorted key order so identical states produce identical bytes. The
+  /// lookahead buffer must be empty (it is never persisted).
   void saveState(io::SectionWriter& w) const;
   /// Replace memo/ledger/stats with state written by saveState. The restored
   /// memo is what keeps a resumed run's cached/simulated accounting bitwise
@@ -296,27 +328,39 @@ class EvalEngine {
     double seconds = 0.0;       ///< backend wall time over all attempts
   };
 
-  /// One queued simulation: where its result lands (flat slot) and the full
-  /// request identity. `sizes`/`indices` point into snaps_/keys_, which stay
-  /// frozen through the parallel section.
+  /// One queued simulation: where its result lands and the full request
+  /// identity. `sizes`/`indices` point into snap_/key_ (or the lookahead
+  /// scratch), which stay frozen through the parallel section.
   struct MissRef {
-    std::size_t slot = 0;  ///< index into the flat result array
+    std::size_t slot = 0;  ///< request slot (unused by lookahead lanes)
+    core::EvalResult* out = nullptr;  ///< where the lane's result lands
     const linalg::Vector* sizes = nullptr;
     const std::vector<std::size_t>* indices = nullptr;
     std::size_t cornerIndex = 0;
   };
 
-  /// The one request body behind evalBatch, evalOne and evalPacked. Snaps
-  /// the `np` sizings at `points`, probes the memos and collapses duplicate
-  /// (snapped point, corner) keys serially in point-major order, dispatches
-  /// the misses, then merges and accounts in the same order. Slot
-  /// p * nc + c of `results` (np * nc entries, caller-allocated) is point p
-  /// on corner cornerIdx[c].
-  void evalRequests(const linalg::Vector* points, std::size_t np,
-                    const std::size_t* cornerIdx, std::size_t nc,
-                    pvt::BlockKind kind, core::EvalResult* results);
+  /// A lookahead lane's outcome, waiting for the request that asks for it.
+  struct Ahead {
+    core::EvalResult result;
+    MissTrace trace;
+  };
 
-  /// Drive the miss chunk missRefs_[begin .. begin+count) through a
+  /// The one request body behind evalBatch and evalOne. Snaps `point`,
+  /// probes the memos and collapses repeated corners serially, takes
+  /// buffered lookahead results, dispatches the remaining misses (plus
+  /// `next`'s lookahead lanes), then merges and accounts in request order.
+  /// Slot c of `results` (nc entries, caller-allocated) is corner
+  /// cornerIdx[c].
+  void evalRequests(const linalg::Vector& point, const std::size_t* cornerIdx,
+                    std::size_t nc, pvt::BlockKind kind,
+                    core::EvalResult* results, const Lookahead* next);
+
+  /// Queue up to `room` of `next`'s offered requests as lookahead lanes
+  /// behind the request misses: those that miss the memo, the buffer and
+  /// every key queued so far.
+  void queueLookahead(const Lookahead& next, std::size_t room);
+
+  /// Drive the lanes missRefs_[pending_[begin .. begin+count)] through a
   /// lockstep retry loop — one backend evaluateBatch call per attempt round
   /// over the lanes still faulted — writing results and missTrace_ entries
   /// for each lane. Each attempt is classified by the result's own fault,
@@ -328,15 +372,18 @@ class EvalEngine {
   /// to the chunk's first lane. Thread-safe: reads only state that is frozen
   /// during the parallel section, and chunks write disjoint result/trace
   /// slots.
-  void runBatchWithRetry(core::EvalResult* results, std::size_t begin,
-                         std::size_t count);
+  void runBatchWithRetry(std::size_t begin, std::size_t count);
 
-  /// Fan the queued misses (missRefs_) out across the pool in consecutive
-  /// chunks of the backend's batch width. Chunk boundaries depend only on
-  /// the miss count and the width, so the outcome is the same for any
-  /// thread count. Fills missTrace_, charges backendSeconds, and samples the
-  /// simulator phase counters.
-  void dispatchMisses(core::EvalResult* results);
+  /// Fan the lanes that need the backend (pending_) out across the pool in
+  /// consecutive chunks of the backend's batch width. Chunk boundaries
+  /// depend only on the lane count and the width, so the outcome is the
+  /// same for any thread count. Fills missTrace_, charges attempts and
+  /// backendSeconds, and samples the simulator phase counters.
+  void dispatchMisses();
+
+  /// The ledger partition: the ledger and the stats describe the same
+  /// consumed requests (checked in debug builds when the ledger records).
+  bool ledgerMatchesStats() const;
 
   /// Fold the process-wide sim phase counters' growth since `before` (sampled
   /// as this engine's dispatch began) into stats_ (all-zero no-op unless sim
@@ -349,14 +396,37 @@ class EvalEngine {
                       const core::EvalResult& result, bool cached, bool shared,
                       bool isMiss, const MissTrace& trace);
 
+  /// Lookahead results not yet asked for; emptied by clearLookahead().
+  std::unordered_map<EvalKey, Ahead, EvalKeyHash> ahead_;
+
   // Request scratch, reused across calls.
-  std::vector<linalg::Vector> snaps_;  ///< snapped sizings (fed to backends)
-  std::vector<EvalKey> keys_;          ///< per-point probe keys
-  std::vector<MissRef> missRefs_;      ///< queued simulations, slot order
+  linalg::Vector snap_;  ///< the request's snapped sizing (fed to backends)
+  EvalKey key_;          ///< the request's probe key
+  /// Queued simulations: the request misses in slot order, then the
+  /// lookahead lanes.
+  std::vector<MissRef> missRefs_;
   std::vector<MissTrace> missTrace_;   ///< per-miss retry/timing bookkeeping
+  std::vector<std::size_t> pending_;   ///< missRefs_ entries the backend runs
+  std::vector<linalg::Vector> aheadSnaps_;  ///< lookahead lanes' sizings
+  std::vector<EvalKey> aheadKeys_;          ///< lookahead lanes' keys
+  std::vector<core::EvalResult> aheadResults_;  ///< lookahead lanes' results
   std::vector<char> hitFlags_;         ///< request served from the memo
   std::vector<char> sharedFlags_;      ///< ... specifically the shared cache
   std::vector<std::size_t> dupOf_;     ///< in-call duplicate -> first miss
+};
+
+/// Empties an engine's lookahead buffer when it goes out of scope. A
+/// strategy holds one for the length of each step(), so nothing speculative
+/// outlives the step, even when the step throws.
+class LookaheadScope {
+ public:
+  explicit LookaheadScope(EvalEngine& engine) : engine_(engine) {}
+  ~LookaheadScope() { engine_.clearLookahead(); }
+  LookaheadScope(const LookaheadScope&) = delete;
+  LookaheadScope& operator=(const LookaheadScope&) = delete;
+
+ private:
+  EvalEngine& engine_;
 };
 
 }  // namespace trdse::eval

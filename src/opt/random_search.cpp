@@ -27,6 +27,7 @@ bool RandomSearch::finished() const {
 
 const StrategyOutcome& RandomSearch::step(std::size_t target) {
   target = std::min(target, budget_);
+  const eval::LookaheadScope lookahead(engine_);
   const auto harvest = [this]() -> const StrategyOutcome& {
     result_.evalStats = engine_.stats();
     // The ledger grows with the budget; snapshot it once, at the end.
@@ -56,8 +57,26 @@ const StrategyOutcome& RandomSearch::step(std::size_t target) {
         return harvest();
       }
       if (result_.iterations >= target) return harvest();  // pause; resumes
-      const core::EvalResult r =
-          engine_.evalOne(cornerPos_, x_, pvt::BlockKind::kSearch);
+      // Lookahead: the first corner of each sizing this step can still
+      // start (the k-th next one starts no earlier than k + 1 requests from
+      // now), drawn on a copy of the rng, at most two lane passes' worth
+      // ahead: enough for a corner miss to fill its pass while the last
+      // pass's sizings wait in the engine's buffer. Without that bound,
+      // sizings that pass corners make every miss reach further out, and
+      // the buffer grows until the step ends and drops it.
+      const std::size_t startable =
+          std::min(target - result_.iterations - 1,
+                   2 * (engine_.backend().batchWidth() - 1));
+      const core::EvalResult r = engine_.evalOne(
+          cornerPos_, x_, pvt::BlockKind::kSearch,
+          [this, startable](std::size_t k, linalg::Vector& sizes,
+                            std::size_t& corner) {
+            if (k >= startable) return false;
+            if (k == 0) aheadRng_ = rng_;
+            sizes = problem_.space.randomPoint(aheadRng_);
+            corner = 0;
+            return true;
+          });
       ++result_.iterations;
       const double v = value_.valueOf(r);
       worst_ = std::min(worst_, v);

@@ -41,7 +41,10 @@ class RandomSearch final : public Strategy {
   /// with early exit, each check costing one logical simulation (EDA-block
   /// accounting). A slice boundary pauses *inside* a corner sweep and the
   /// next step() resumes it, so sliced and single-shot runs are bitwise
-  /// identical.
+  /// identical. Each request offers the engine the first corner of the
+  /// sizings this step can still start, up to two lane passes ahead
+  /// (pre-drawn on a copy of the rng), so a lane-batched backend simulates
+  /// them together.
   const StrategyOutcome& step(std::size_t target) override;
 
   using Strategy::run;
@@ -74,6 +77,8 @@ class RandomSearch final : public Strategy {
   core::ValueFunction value_;
   eval::EvalEngine engine_;
   std::mt19937_64 rng_;
+  /// Lookahead scratch: a copy of rng_ that pre-draws the next sizings.
+  std::mt19937_64 aheadRng_;
   std::uint64_t seed_ = 0;
   std::size_t budget_ = 0;
 

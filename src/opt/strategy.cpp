@@ -1,6 +1,7 @@
 #include "opt/strategy.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/parse_util.hpp"
@@ -48,6 +49,24 @@ double parseF64(const std::string& key, const std::string& value) {
 
 bool parseBool(const std::string& key, const std::string& value) {
   return common::parseBool("strategy option \"" + key + "\"", value);
+}
+
+/// parseF64 restricted to [lo, hi] (NaN is outside every range): a NaN
+/// kappa makes every acquisition compare false, and a NaN fraction reaches
+/// a float-to-size_t cast.
+double parseF64In(const std::string& key, const std::string& value, double lo,
+                  double hi, const char* expected) {
+  const double v = parseF64(key, value);
+  if (!(v >= lo && v <= hi))
+    throw std::invalid_argument("strategy option \"" + key + "\": expected " +
+                                expected + ", got \"" + value + "\"");
+  return v;
+}
+
+constexpr double kMaxF64 = std::numeric_limits<double>::max();
+
+double parseFinite(const std::string& key, const std::string& value) {
+  return parseF64In(key, value, -kMaxF64, kMaxF64, "a finite number");
 }
 
 /// Consume every entry of `options` through `apply` (key -> handled?);
@@ -181,10 +200,15 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
         [&cfg](const std::string& k, const std::string& v) {
           if (k == "init_samples") cfg.initSamples = parseU64(k, v);
           else if (k == "candidate_pool") cfg.candidatePool = parseU64(k, v);
-          else if (k == "local_fraction") cfg.localFraction = parseF64(k, v);
-          else if (k == "local_sigma") cfg.localSigma = parseF64(k, v);
-          else if (k == "kappa_start") cfg.kappaStart = parseF64(k, v);
-          else if (k == "kappa_end") cfg.kappaEnd = parseF64(k, v);
+          else if (k == "local_fraction")
+            cfg.localFraction =
+                parseF64In(k, v, 0.0, 1.0, "a number in [0, 1]");
+          else if (k == "local_sigma")
+            cfg.localSigma =
+                parseF64In(k, v, std::numeric_limits<double>::denorm_min(),
+                           kMaxF64, "a finite number > 0");
+          else if (k == "kappa_start") cfg.kappaStart = parseFinite(k, v);
+          else if (k == "kappa_end") cfg.kappaEnd = parseFinite(k, v);
           else if (k == "refit_divisor") cfg.refitDivisor = parseU64(k, v);
           else return false;
           return true;
@@ -203,8 +227,8 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
           else if (k == "n_steps") cfg.nSteps = parseU64(k, v);
           else if (k == "episode_length") cfg.env.episodeLength = parseU64(k, v);
           else if (k == "stride_divisor") cfg.env.strideDivisor = parseU64(k, v);
-          else if (k == "learning_rate") cfg.learningRate = parseF64(k, v);
-          else if (k == "entropy_coeff") cfg.entropyCoeff = parseF64(k, v);
+          else if (k == "learning_rate") cfg.learningRate = parseFinite(k, v);
+          else if (k == "entropy_coeff") cfg.entropyCoeff = parseFinite(k, v);
           else if (k == "train") cfg.train = parseBool(k, v);
           else return false;
           return true;

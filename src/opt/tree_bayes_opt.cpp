@@ -41,8 +41,18 @@ void TreeBayesOpt::observe(const linalg::Vector& rawSizes) {
   linalg::Vector meas;
   for (std::size_t c = 0; c < problem_.corners.size(); ++c) {
     if (result_.iterations >= budget_) break;
-    const core::EvalResult r =
-        engine_.evalOne(c, sizes, pvt::BlockKind::kSearch);
+    // Lookahead: the rest of the sweep, as far as the budget reaches.
+    const std::size_t last =
+        std::min(problem_.corners.size(), c + (budget_ - result_.iterations));
+    const core::EvalResult r = engine_.evalOne(
+        c, sizes, pvt::BlockKind::kSearch,
+        [&sizes, c, last](std::size_t k, linalg::Vector& next,
+                          std::size_t& corner) {
+          corner = c + 1 + k;
+          if (corner >= last) return false;
+          next = sizes;
+          return true;
+        });
     ++result_.iterations;
     const double v = value_.valueOf(r);
     if (v < worst) {
@@ -71,6 +81,7 @@ void TreeBayesOpt::observe(const linalg::Vector& rawSizes) {
 
 const StrategyOutcome& TreeBayesOpt::step(std::size_t target) {
   target = std::min(target, budget_);
+  const eval::LookaheadScope lookahead(engine_);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
   const auto& space = problem_.space;
 

@@ -60,7 +60,8 @@ class TreeBayesOpt final : public Strategy {
   /// reached or the CSP is solved. Slice boundaries pause only *between*
   /// observations; the multi-corner sweep inside one observation runs to its
   /// own early-exit rules (bounded by the corner count), exactly as in the
-  /// single-shot loop.
+  /// single-shot loop. Each request offers the engine the rest of its sweep,
+  /// so a lane-batched backend simulates the corners together.
   const StrategyOutcome& step(std::size_t target) override;
 
   using Strategy::run;

@@ -11,8 +11,11 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -335,12 +338,17 @@ void WorkerPool::dispatchRound(std::size_t w) {
     r.u64(jobs_[i].granted);
   }
   slot.stepping = true;
-  if (scenario_.workerTimeoutSeconds > 0.0)
-    slot.deadline = std::chrono::steady_clock::now() +
-                    std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(
-                            scenario_.workerTimeoutSeconds));
+  if (scenario_.workerTimeoutSeconds > 0.0) {
+    // The scenario parser bounds the timeout by steady_clock's range; the
+    // deadline saturates rather than overflow past it.
+    using Clock = std::chrono::steady_clock;
+    const auto now = Clock::now();
+    const auto timeout = std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double>(scenario_.workerTimeoutSeconds));
+    slot.deadline = timeout < Clock::time_point::max() - now
+                        ? now + timeout
+                        : Clock::time_point::max();
+  }
   try {
     slot.ch.send(msg);
   } catch (const WireError& e) {
@@ -387,7 +395,12 @@ void WorkerPool::collectRoundResults(
         const auto remain = std::chrono::duration_cast<std::chrono::milliseconds>(
                                 slots_[w].deadline - now)
                                 .count();
-        const int ms = remain < 0 ? 0 : static_cast<int>(remain) + 1;
+        // poll() takes an int; a far deadline just re-polls when it wakes.
+        const int ms =
+            remain < 0 ? 0
+                       : static_cast<int>(std::min<std::int64_t>(
+                             remain, std::numeric_limits<int>::max() - 1)) +
+                             1;
         if (timeoutMs < 0 || ms < timeoutMs) timeoutMs = ms;
       }
     }

@@ -1,5 +1,7 @@
 #include "orch/scenario.hpp"
 
+#include <chrono>
+#include <cmath>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -54,6 +56,17 @@ double parseF64(const std::string& source, std::size_t line,
   }
 }
 
+/// A wall-clock timeout in seconds: finite and >= 0 (0 = off). NaN would
+/// compare false against every deadline and never round-trip through a
+/// journal fingerprint, and inf overflows any clock.
+double parseTimeout(const std::string& source, std::size_t line,
+                    const std::string& key, const std::string& value) {
+  const double seconds = parseF64(source, line, key, value);
+  if (!std::isfinite(seconds) || seconds < 0.0)
+    fail(source, line, key + " must be finite and >= 0, got " + value);
+  return seconds;
+}
+
 }  // namespace
 
 Scenario parseScenario(std::istream& in, const std::string& source) {
@@ -99,9 +112,13 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
       else if (key == "threads") sc.threads = parseU64(source, lineNo, key, value);
       else if (key == "workers") sc.workers = parseU64(source, lineNo, key, value);
       else if (key == "worker_timeout") {
-        sc.workerTimeoutSeconds = parseF64(source, lineNo, key, value);
-        if (sc.workerTimeoutSeconds < 0.0)
-          fail(source, lineNo, "worker_timeout must be >= 0");
+        sc.workerTimeoutSeconds = parseTimeout(source, lineNo, key, value);
+        // The round deadline is a steady_clock time point.
+        using Clock = std::chrono::steady_clock;
+        if (!(sc.workerTimeoutSeconds <
+              std::chrono::duration<double>(Clock::duration::max()).count()))
+          fail(source, lineNo,
+               "worker_timeout " + value + " is too large for steady_clock");
       }
       else if (key == "slice") sc.slice = parseU64(source, lineNo, key, value);
       else if (key == "shared_cache") sc.sharedCache = parseBool(source, lineNo, key, value);
@@ -131,9 +148,7 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
       } else if (key == "retry_backoff_cap") {
         sc.retry.backoffCap = parseU64(source, lineNo, key, value);
       } else if (key == "retry_timeout") {
-        sc.retry.timeoutSeconds = parseF64(source, lineNo, key, value);
-        if (sc.retry.timeoutSeconds < 0.0)
-          fail(source, lineNo, "retry_timeout must be >= 0");
+        sc.retry.timeoutSeconds = parseTimeout(source, lineNo, key, value);
       } else if (key == "journal") {
         sc.journalPath = value;
       } else if (key == "journal_every") {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
+#include <vector>
 
+#include "eval/shared_cache.hpp"
 #include "opt/extra_trees.hpp"
 #include "opt/random_search.hpp"
 #include "opt/strategy.hpp"
@@ -437,6 +442,350 @@ TEST(TreeBayesOpt, LedgerAgreesWithIterationCount) {
   EXPECT_EQ(out.evalStats.simulated + out.evalStats.cacheHits +
                 out.evalStats.sharedHits,
             out.iterations);
+}
+
+// ---- Lookahead lane packing -----------------------------------------------
+//
+// On a backend wider than one lane, RandomSearch and TreeBayesOpt offer
+// their next requests with each one-point request, and the engine simulates
+// them in the same pass. Every consumed request must account exactly as on a
+// width-1 backend, where nothing is looked ahead.
+
+/// Five corners whose feasible discs shift with the corner, and a hot corner
+/// whose simulation fails outright in one region: random sweeps fail at
+/// different corners, and TreeBayesOpt's sweeps stop early on hard failures.
+core::SizingProblem lookaheadProblem(double feasibleRadius) {
+  core::SizingProblem p = syntheticProblem(feasibleRadius);
+  p.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0},
+               {sim::ProcessCorner::kSS, 0.9, 125.0},
+               {sim::ProcessCorner::kFF, 1.1, -40.0},
+               {sim::ProcessCorner::kSF, 1.0, 27.0},
+               {sim::ProcessCorner::kFS, 0.95, 85.0}};
+  p.evaluate = [](const linalg::Vector& v, const sim::PvtCorner& c) {
+    core::EvalResult r;
+    if (c.tempC > 100.0 && v[0] + v[1] > 1.2) return r;  // hard failure
+    r.ok = true;
+    const double dx = v[0] - 0.7 + 0.1 * (c.vdd - 1.0);
+    const double dy = v[1] - 0.3 + 0.0005 * (c.tempC - 27.0);
+    r.measurements = {1.0 - std::sqrt(dx * dx + dy * dy), v[0] + v[1]};
+    return r;
+  };
+  return p;
+}
+
+/// A backend `width` lanes wide over a scalar callback — wider than the
+/// simulator's own lanes — that remembers the widest pass it ran.
+class WideBackend final : public eval::EvalBackend {
+ public:
+  WideBackend(core::CornerEvalFn fn, std::size_t width)
+      : fn_(std::move(fn)), width_(width) {}
+  std::string_view name() const override { return "wide"; }
+  std::size_t batchWidth() const override { return width_; }
+  void evaluateBatch(const linalg::Vector* const* sizes,
+                     const sim::PvtCorner* corners, const eval::EvalContext*,
+                     core::EvalResult* results,
+                     std::size_t count) const override {
+    std::size_t seen = widest_.load();
+    while (seen < count && !widest_.compare_exchange_weak(seen, count)) {
+    }
+    for (std::size_t i = 0; i < count; ++i)
+      results[i] = fn_(*sizes[i], corners[i]);
+  }
+  std::size_t widest() const { return widest_; }
+
+ private:
+  core::CornerEvalFn fn_;
+  std::size_t width_;
+  mutable std::atomic<std::size_t> widest_{0};
+};
+
+/// The problem with a fused evaluator that loops over its scalar one: its
+/// engine's backend becomes sim::kSimLanes wide.
+core::SizingProblem fused(core::SizingProblem p) {
+  p.evaluateBatch = [fn = p.evaluate](const linalg::Vector* const* sizes,
+                                      const sim::PvtCorner* corners,
+                                      core::EvalResult* results,
+                                      std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i)
+      results[i] = fn(*sizes[i], corners[i]);
+  };
+  return p;
+}
+
+constexpr std::size_t kLookaheadBudget = 120;
+
+/// Everything a run consumed, plus the lane evaluations it spent.
+struct LookaheadRun {
+  StrategyOutcome outcome;
+  pvt::EdaLedger ledger;
+  eval::EvalStats stats;
+  eval::FailureRecord firstFailure;
+  std::vector<eval::EvalKey> publishes;  ///< every step's drain, in order
+  std::size_t memo = 0;
+  std::size_t lanes = 0;   ///< lane evaluations the callback saw
+  std::size_t widest = 0;  ///< widest pass (width-8 backend only)
+  std::size_t steps = 0;
+};
+
+struct LookaheadConfig {
+  bool treeBo = false;
+  double radius = 0.2;
+  std::uint64_t seed = 3;
+  std::size_t width = 1;  ///< 1: scalar callback, 4: fused, 8: WideBackend
+  std::size_t slice = 0;  ///< 0: one step to the budget
+  bool faulty = false;    ///< ci_smoke_faulty's fault plan and retries
+  /// RandomSearch only: after this many steps, checkpoint, rebuild and
+  /// restore into a fresh strategy, and go on (0: never).
+  std::size_t resumeAfter = 0;
+};
+
+LookaheadRun runLookahead(const LookaheadConfig& c) {
+  core::SizingProblem prob = lookaheadProblem(c.radius);
+  auto lanes = std::make_shared<std::atomic<std::size_t>>(0);
+  prob.evaluate = [fn = prob.evaluate, lanes](const linalg::Vector& v,
+                                              const sim::PvtCorner& corner) {
+    ++*lanes;
+    return fn(v, corner);
+  };
+  if (c.width == 4) prob = fused(std::move(prob));
+  std::shared_ptr<WideBackend> wide;
+  if (c.width == 8) wide = std::make_shared<WideBackend>(prob.evaluate, 8);
+
+  const auto build = [&]() -> std::unique_ptr<Strategy> {
+    std::unique_ptr<Strategy> s;
+    if (c.treeBo) {
+      TreeBayesOptConfig cfg;
+      cfg.seed = c.seed;
+      cfg.initSamples = 6;
+      cfg.candidatePool = 80;
+      s = std::make_unique<TreeBayesOpt>(prob, cfg, kLookaheadBudget);
+    } else {
+      s = std::make_unique<RandomSearch>(prob, c.seed, kLookaheadBudget);
+    }
+    eval::EvalEngine& engine = s->engine();
+    if (wide) engine.setBackend(wide);
+    engine.attachSharedCache(std::make_shared<eval::SharedEvalCache>(4),
+                             "lookahead");
+    if (c.faulty) {
+      sim::FaultPlanConfig plan;
+      plan.seed = 2021;
+      plan.nonConvergenceRate = 0.30;
+      plan.nonFiniteRate = 0.05;
+      engine.injectFaults(std::make_shared<const sim::FaultPlan>(plan),
+                          "lookahead");
+      engine.setRetryPolicy(eval::RetryPolicy{/*maxAttempts=*/2});
+    }
+    return s;
+  };
+
+  LookaheadRun run;
+  std::unique_ptr<Strategy> s = build();
+  const std::size_t slice = c.slice == 0 ? kLookaheadBudget : c.slice;
+  for (std::size_t target = slice;; target += slice) {
+    s->step(std::min(target, kLookaheadBudget));
+    ++run.steps;
+    // Nothing speculative outlives a step.
+    EXPECT_EQ(s->engine().lookaheadSize(), 0u);
+    for (const eval::PublishEntry& e : s->engine().drainPublishJournal())
+      run.publishes.push_back(e.key);
+    if (s->finished() || target >= kLookaheadBudget) break;
+    if (run.steps == c.resumeAfter) {
+      const std::string blob = s->saveCheckpointBlob();
+      s = build();
+      s->restoreCheckpointBlob(blob, "lookahead-test");
+    }
+  }
+  run.outcome = s->outcome();
+  run.ledger = s->engine().ledger();
+  run.stats = s->engine().stats();
+  run.firstFailure = s->engine().firstFailure();
+  run.memo = s->engine().cacheSize();
+  run.lanes = *lanes;
+  run.widest = wide ? wide->widest() : 0;
+  return run;
+}
+
+/// Every consumed-request field of two runs agrees, bit for bit.
+void expectSameConsumed(const LookaheadRun& a, const LookaheadRun& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.outcome.solved, b.outcome.solved) << where;
+  EXPECT_EQ(a.outcome.iterations, b.outcome.iterations) << where;
+  EXPECT_EQ(a.outcome.sizes, b.outcome.sizes) << where;
+  EXPECT_EQ(a.outcome.bestValue, b.outcome.bestValue) << where;
+  EXPECT_EQ(a.outcome.bestMeasurements, b.outcome.bestMeasurements) << where;
+  const auto& la = a.ledger.blocks();
+  const auto& lb = b.ledger.blocks();
+  ASSERT_EQ(la.size(), lb.size()) << where;
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    EXPECT_EQ(la[i].cornerIndex, lb[i].cornerIndex) << where << " block " << i;
+    EXPECT_EQ(la[i].kind, lb[i].kind) << where << " block " << i;
+    EXPECT_EQ(la[i].meetsSpec, lb[i].meetsSpec) << where << " block " << i;
+    EXPECT_EQ(la[i].cached, lb[i].cached) << where << " block " << i;
+    EXPECT_EQ(la[i].failed, lb[i].failed) << where << " block " << i;
+    EXPECT_EQ(la[i].retries, lb[i].retries) << where << " block " << i;
+    EXPECT_EQ(la[i].backoff, lb[i].backoff) << where << " block " << i;
+  }
+  EXPECT_EQ(a.stats.requests, b.stats.requests) << where;
+  EXPECT_EQ(a.stats.simulated, b.stats.simulated) << where;
+  EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits) << where;
+  EXPECT_EQ(a.stats.sharedHits, b.stats.sharedHits) << where;
+  EXPECT_EQ(a.stats.failures, b.stats.failures) << where;
+  EXPECT_EQ(a.stats.faults, b.stats.faults) << where;
+  EXPECT_EQ(a.stats.backoffUnits, b.stats.backoffUnits) << where;
+  EXPECT_EQ(a.firstFailure.valid, b.firstFailure.valid) << where;
+  EXPECT_EQ(a.firstFailure.request, b.firstFailure.request) << where;
+  EXPECT_EQ(a.firstFailure.cornerIndex, b.firstFailure.cornerIndex) << where;
+  EXPECT_EQ(a.firstFailure.cls, b.firstFailure.cls) << where;
+  EXPECT_EQ(a.firstFailure.attempts, b.firstFailure.attempts) << where;
+  EXPECT_EQ(a.publishes, b.publishes) << where;
+  EXPECT_EQ(a.memo, b.memo) << where;
+}
+
+std::string describe(const LookaheadConfig& c) {
+  return std::string(c.treeBo ? "tree_bayes_opt" : "random_search") +
+         " radius " + std::to_string(c.radius) + " width " +
+         std::to_string(c.width) + " slice " + std::to_string(c.slice) +
+         (c.faulty ? " faulty" : " clean") +
+         (c.resumeAfter != 0
+              ? " resumed after step " + std::to_string(c.resumeAfter)
+              : "");
+}
+
+TEST(Lookahead, StrategiesAccountExactlyAsOneRequestAtATime) {
+  std::size_t wastedTotal = 0;
+  for (const bool treeBo : {false, true}) {
+    // A disc wide enough to solve within the budget, and one too narrow.
+    for (const double radius : {0.2, 0.03}) {
+      for (const bool faulty : {false, true}) {
+        LookaheadConfig base;
+        base.treeBo = treeBo;
+        base.radius = radius;
+        base.faulty = faulty;
+        const LookaheadRun whole = runLookahead(base);
+        for (const std::size_t slice : {std::size_t{0}, std::size_t{7}}) {
+          LookaheadConfig ref = base;
+          ref.slice = slice;
+          const LookaheadRun one = runLookahead(ref);
+          // Width 1 never looks ahead: every lane evaluation is consumed.
+          EXPECT_EQ(one.stats.attempts, one.stats.simulated + one.stats.faults)
+              << describe(ref);
+          // Slicing changes nothing a request consumes.
+          expectSameConsumed(one, whole, describe(ref) + " vs single-shot");
+          for (const std::size_t width : {4u, 8u}) {
+            LookaheadConfig c = ref;
+            c.width = width;
+            const LookaheadRun packed = runLookahead(c);
+            expectSameConsumed(packed, one, describe(c));
+            // attempts counts every lane evaluation; the excess over the
+            // consumed ones is what was simulated ahead and dropped.
+            ASSERT_GE(packed.stats.attempts,
+                      packed.stats.simulated + packed.stats.faults)
+                << describe(c);
+            wastedTotal += packed.stats.attempts - packed.stats.simulated -
+                           packed.stats.faults;
+            // Faulted lanes never reach the callback, so count lanes on
+            // clean runs only.
+            if (!faulty) {
+              EXPECT_EQ(packed.stats.attempts, packed.lanes) << describe(c);
+              EXPECT_EQ(one.stats.attempts, one.lanes) << describe(ref);
+              if (width == 8) {
+                EXPECT_GT(packed.widest, 4u) << describe(c);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The cases above do drop lanes (solves, hard failures, slice ends).
+  EXPECT_GT(wastedTotal, 0u);
+}
+
+TEST(Lookahead, ClampsToWhatTheStepCanStillAsk) {
+  // Without solves or hard failures every lane simulated ahead is asked
+  // for: RandomSearch offers only sizings the step target lets it start,
+  // TreeBayesOpt only corners the budget reaches (100 blocks end one
+  // corner into a three-corner sweep).
+  for (const std::size_t width : {4u, 8u}) {
+    const auto prob = fused(syntheticProblem(0.001));  // never solves
+    RandomSearch rs(prob, 5, 100);
+    if (width == 8)
+      rs.engine().setBackend(std::make_shared<WideBackend>(prob.evaluate, 8));
+    for (std::size_t target = 7; !rs.finished(); target += 7) rs.step(target);
+    const eval::EvalStats& rst = rs.outcome().evalStats;
+    EXPECT_EQ(rst.requests, 100u);
+    EXPECT_EQ(rst.attempts, rst.simulated) << "random_search width " << width;
+
+    // Sizings that pass most corners make each corner miss look further
+    // ahead; the lookahead stays within two passes' worth of sizings, so a
+    // long single-shot run drops at most that many first corners (without
+    // the bound this run drops hundreds).
+    auto passing = syntheticProblem();
+    passing.corners = multiCornerProblem(0.0).corners;
+    passing.corners.push_back({sim::ProcessCorner::kFS, 1.0, 85.0});
+    passing.evaluate = [](const linalg::Vector& v, const sim::PvtCorner& c) {
+      core::EvalResult r;
+      r.ok = true;
+      // Corners pass with probability ~0.8 (a hash of the point and the
+      // corner); the last corner never passes.
+      std::uint64_t h = static_cast<std::uint64_t>(v[0] * 200.0 + 0.5) *
+                            1000003ull +
+                        static_cast<std::uint64_t>(v[1] * 200.0 + 0.5) *
+                            7919ull +
+                        static_cast<std::uint64_t>(c.tempC + 100.0);
+      h = (h ^ (h >> 31)) * 0x9e3779b97f4a7c15ull;
+      const bool pass = c.tempC < 80.0 && (h >> 40) % 10 < 8;
+      r.measurements = {pass ? 1.0 : 0.0, 0.0};
+      return r;
+    };
+    passing = fused(std::move(passing));
+    RandomSearch far(passing, 9, 2000);
+    if (width == 8)
+      far.engine().setBackend(
+          std::make_shared<WideBackend>(passing.evaluate, 8));
+    const eval::EvalStats& fst = far.run().evalStats;
+    EXPECT_EQ(fst.requests, 2000u);
+    EXPECT_GT(fst.simulated, 1000u);
+    EXPECT_LE(fst.attempts - fst.simulated, 2 * (width - 1))
+        << "random_search single-shot width " << width;
+
+    const auto multi = fused(multiCornerProblem(0.001));
+    TreeBayesOptConfig cfg;
+    cfg.seed = 4;
+    cfg.candidatePool = 50;
+    TreeBayesOpt bo(multi, cfg, 100);
+    if (width == 8)
+      bo.engine().setBackend(std::make_shared<WideBackend>(multi.evaluate, 8));
+    const StrategyOutcome& out = bo.run();
+    EXPECT_EQ(out.iterations, 100u);
+    EXPECT_EQ(out.evalStats.attempts, out.evalStats.simulated)
+        << "tree_bayes_opt width " << width;
+  }
+}
+
+TEST(Lookahead, RandomSearchResumesFromAnyStepBoundary) {
+  // A checkpoint holds no lookahead (the buffer is emptied before step()
+  // returns), so a run checkpointed and restored into a fresh strategy at
+  // any step boundary ends exactly where the uninterrupted run does —
+  // including the lanes it simulated ahead.
+  for (const std::size_t width : {4u, 8u}) {
+    for (const bool faulty : {false, true}) {
+      LookaheadConfig c;
+      c.radius = 0.03;  // runs the whole budget: 17 step boundaries
+      c.width = width;
+      c.slice = 7;
+      c.faulty = faulty;
+      const LookaheadRun whole = runLookahead(c);
+      ASSERT_EQ(whole.steps, 18u);
+      for (std::size_t k = 1; k < whole.steps; ++k) {
+        c.resumeAfter = k;
+        const LookaheadRun resumed = runLookahead(c);
+        expectSameConsumed(resumed, whole, describe(c));
+        EXPECT_EQ(resumed.stats.attempts, whole.stats.attempts) << describe(c);
+        EXPECT_EQ(resumed.lanes, whole.lanes) << describe(c);
+      }
+    }
+  }
 }
 
 }  // namespace

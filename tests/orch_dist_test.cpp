@@ -564,6 +564,25 @@ TEST(Scenario, RejectsMalformedWorkerKnobsWithFileAndLine) {
                std::invalid_argument);  // duplicate key, no last-wins
   EXPECT_THROW(parseScenarioText("worker_timeout = -0.5\n" + tail, "x"),
                std::invalid_argument);
+  // NaN would switch the deadline off silently; inf and values past
+  // steady_clock's range (~292 years) would overflow the deadline.
+  for (const char* bad : {"nan", "inf", "1e300", "1e10"}) {
+    try {
+      parseScenarioText("slice = 4\nworker_timeout = " + std::string(bad) +
+                            "\n" + tail,
+                        "bad.scenario");
+      ADD_FAILURE() << "worker_timeout = " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad.scenario:2"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("worker_timeout"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(parseScenarioText("worker_timeout = 1e9\n" + tail, "x")
+                .workerTimeoutSeconds,
+            1e9);  // ~32 years still fits
   EXPECT_THROW(parseScenarioText("[job]\ncircuit = c\nstrategy = s\n"
                                  "budget = 1\nworkers = 2\n",
                                  "x"),

@@ -363,6 +363,37 @@ TEST(Strategy, FactoryRejectsUnknownNamesAndOptions) {
   EXPECT_THROW(opt::makeStrategy("pvt_search", prob, 1, 10,
                                  {{"pool", "sideways"}}),
                std::invalid_argument);
+  // Non-finite or out-of-range numeric options: a NaN kappa makes every
+  // acquisition compare false (the search stops after its init samples), a
+  // NaN local_fraction reaches a float-to-size_t cast.
+  const std::pair<const char*, const char*> badBo[] = {
+      {"kappa_start", "nan"},    {"kappa_start", "inf"},
+      {"kappa_end", "-inf"},     {"kappa_end", "nan"},
+      {"local_fraction", "nan"}, {"local_fraction", "-0.1"},
+      {"local_fraction", "1.5"}, {"local_sigma", "nan"},
+      {"local_sigma", "inf"},    {"local_sigma", "0"},
+      {"local_sigma", "-0.1"}};
+  for (const auto& [key, value] : badBo)
+    EXPECT_THROW(opt::makeStrategy("tree_bayes_opt", prob, 1, 10,
+                                   {{key, value}}),
+                 std::invalid_argument)
+        << key << " = " << value;
+  for (const char* key : {"learning_rate", "entropy_coeff"})
+    for (const char* value : {"nan", "inf", "-inf"})
+      EXPECT_THROW(opt::makeStrategy("rl_policy", prob, 1, 10, {{key, value}}),
+                   std::invalid_argument)
+          << key << " = " << value;
+  // The range ends and ordinary values still parse.
+  EXPECT_NO_THROW(opt::makeStrategy("tree_bayes_opt", prob, 1, 10,
+                                    {{"local_fraction", "0"},
+                                     {"local_sigma", "0.01"},
+                                     {"kappa_start", "-1"},
+                                     {"kappa_end", "0"}}));
+  EXPECT_NO_THROW(opt::makeStrategy("tree_bayes_opt", prob, 1, 10,
+                                    {{"local_fraction", "1"}}));
+  EXPECT_NO_THROW(opt::makeStrategy("rl_policy", prob, 1, 10,
+                                    {{"learning_rate", "0.001"},
+                                     {"entropy_coeff", "0"}}));
 }
 
 TEST(Strategy, RandomSearchCheckpointRoundTrip) {
@@ -580,6 +611,25 @@ TEST(Scenario, RejectsInvalidFaultAndRetryConfigs) {
                std::invalid_argument);
   EXPECT_THROW(parseScenarioText("retry_timeout = -1\n" + tail, "x"),
                std::invalid_argument);
+  // Non-finite deadlines: NaN compares false against every deadline (and a
+  // NaN journal fingerprint never matches itself on --resume).
+  for (const char* bad : {"nan", "-nan", "inf", "-inf", "1e999"}) {
+    try {
+      parseScenarioText("slice = 4\nretry_timeout = " + std::string(bad) +
+                            "\n" + tail,
+                        "bad.scenario");
+      ADD_FAILURE() << "retry_timeout = " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad.scenario:2"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("retry_timeout"),
+                std::string::npos);
+    }
+  }
+  EXPECT_EQ(parseScenarioText("retry_timeout = 1e300\n" + tail, "x")
+                .retry.timeoutSeconds,
+            1e300);  // finite: a deadline that never fires
   EXPECT_THROW(parseScenarioText("journal_every = 0\n" + tail, "x"),
                std::invalid_argument);
   EXPECT_THROW(parseScenarioText("max_failures = 3\n" + tail, "x"),

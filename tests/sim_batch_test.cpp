@@ -865,66 +865,197 @@ TEST(AssemblyPlanCache, RepeatSweepsRebuildNothingAndStayBitwise) {
   }
 }
 
-TEST(EvalEnginePacked, PackedSweepMatchesPerRequestBatches) {
-  // Cross-request lane packing: evalPacked fuses all points' misses into
-  // one dispatch (lanes may mix sizings mid-chunk), yet results, stats,
-  // and the ledger must be exactly what the same engine produces for one
-  // evalBatch per point. A duplicated point exercises the cross-point
-  // duplicate rule against the sequential engine's plain cache hit.
+TEST(EvalEngineLookahead, PackedLanesMatchOneRequestAtATime) {
+  // Cross-request lane packing: each one-point request offers every request
+  // still to come as its lookahead, so lanes mix sizings and corners inside
+  // one 4-lane pass. Slot bits, stats, ledger and publish order must be
+  // exactly what one request at a time produces on the same backend, clean
+  // and under a fault plan (faults are drawn per (point, corner, attempt),
+  // so a lane simulated ahead draws the attempt its request would have). A
+  // duplicated point exercises the memo: its clean requests hit in both
+  // engines, so the lookahead skips them. Every offered request is later
+  // made, so no lane is wasted.
+  const auto& reg = circuits::Registry::global();
+  core::SizingProblem problem =
+      reg.makeProblem("two_stage_opamp", pvt::nineCornerSet(1.1));
+  auto passes = std::make_shared<std::atomic<std::size_t>>(0);
+  auto lanes = std::make_shared<std::atomic<std::size_t>>(0);
+  problem.evaluateBatch = [fused = problem.evaluateBatch, passes, lanes](
+                              const linalg::Vector* const* sizes,
+                              const sim::PvtCorner* corners,
+                              core::EvalResult* results, std::size_t count) {
+    ++*passes;
+    *lanes += count;
+    fused(sizes, corners, results, count);
+  };
+  auto points = probeSizings(problem.space, 3);
+  points.push_back(points[0]);  // repeats hit the memo
+  const std::size_t nc = problem.corners.size();
+  const std::size_t n = points.size() * nc;
+
+  sim::FaultPlanConfig faulty;
+  faulty.seed = 2021;
+  faulty.nonConvergenceRate = 0.30;
+  faulty.nonFiniteRate = 0.05;
+  for (const bool withFaults : {false, true}) {
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      const EvalEngineConfig cfg{/*cacheEvals=*/true, threads,
+                                 /*recordLedger=*/true};
+      EvalEngine ahead(problem, cfg);
+      EvalEngine sequential(problem, cfg);
+      auto sharedAhead = std::make_shared<SharedEvalCache>(4);
+      auto sharedSeq = std::make_shared<SharedEvalCache>(4);
+      ahead.attachSharedCache(sharedAhead, "opamp");
+      sequential.attachSharedCache(sharedSeq, "opamp");
+      if (withFaults) {
+        const auto plan = std::make_shared<const sim::FaultPlan>(faulty);
+        ahead.injectFaults(plan, "opamp");
+        sequential.injectFaults(plan, "opamp");
+        const RetryPolicy retry{/*maxAttempts=*/2};
+        ahead.setRetryPolicy(retry);
+        sequential.setRetryPolicy(retry);
+      }
+      passes->store(0);
+      lanes->store(0);
+
+      std::vector<core::EvalResult> flat(n), ref(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Lookahead rest = [&](std::size_t k, linalg::Vector& sizes,
+                                   std::size_t& corner) {
+          const std::size_t j = i + 1 + k;
+          if (j >= n) return false;
+          sizes = points[j / nc];
+          corner = j % nc;
+          return true;
+        };
+        flat[i] = ahead.evalOne(i % nc, points[i / nc],
+                                pvt::BlockKind::kSearch, rest);
+      }
+      ahead.clearLookahead();
+      const std::size_t packedPasses = passes->load();
+      const std::size_t packedLanes = lanes->load();
+      for (std::size_t i = 0; i < n; ++i)
+        ref[i] = sequential.evalOne(i % nc, points[i / nc],
+                                    pvt::BlockKind::kSearch);
+      const std::string where = std::string(withFaults ? "faulty" : "clean") +
+                                " threads " + std::to_string(threads);
+
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(ref[i].ok, flat[i].ok) << "slot " << i << ' ' << where;
+        ASSERT_EQ(ref[i].failure, flat[i].failure);
+        ASSERT_EQ(ref[i].measurements.size(), flat[i].measurements.size());
+        for (std::size_t m = 0; m < ref[i].measurements.size(); ++m)
+          ASSERT_TRUE(sameBits(ref[i].measurements[m], flat[i].measurements[m]))
+              << "slot " << i << " meas " << m << ' ' << where;
+      }
+
+      const EvalStats& sp = ahead.stats();
+      const EvalStats& ss = sequential.stats();
+      EXPECT_EQ(sp.requests, ss.requests) << where;
+      EXPECT_EQ(sp.simulated, ss.simulated) << where;
+      EXPECT_EQ(sp.cacheHits, ss.cacheHits) << where;
+      EXPECT_EQ(sp.sharedHits, ss.sharedHits) << where;
+      EXPECT_EQ(sp.faults, ss.faults) << where;
+      EXPECT_EQ(sp.failures, ss.failures) << where;
+      EXPECT_EQ(sp.backoffUnits, ss.backoffUnits) << where;
+      // Nothing was wasted, so the lane evaluations match too, and every
+      // one of them reached the backend.
+      EXPECT_EQ(sp.attempts, ss.attempts) << where;
+      EXPECT_EQ(sp.attempts, sp.simulated + sp.faults) << where;
+      EXPECT_EQ(ahead.cacheSize(), sequential.cacheSize()) << where;
+      if (!withFaults) {
+        EXPECT_EQ(packedLanes, sp.attempts) << where;
+        // 27 distinct misses in full 4-lane passes: 7 passes, not 27.
+        EXPECT_EQ(packedPasses, (ss.simulated + 3) / 4) << where;
+      }
+
+      const auto& lp = ahead.ledger().blocks();
+      const auto& ls = sequential.ledger().blocks();
+      ASSERT_EQ(lp.size(), ls.size());
+      for (std::size_t i = 0; i < lp.size(); ++i) {
+        EXPECT_EQ(lp[i].cornerIndex, ls[i].cornerIndex) << "block " << i;
+        EXPECT_EQ(lp[i].kind, ls[i].kind);
+        EXPECT_EQ(lp[i].meetsSpec, ls[i].meetsSpec);
+        EXPECT_EQ(lp[i].cached, ls[i].cached);
+        EXPECT_EQ(lp[i].failed, ls[i].failed);
+        EXPECT_EQ(lp[i].retries, ls[i].retries);
+        EXPECT_EQ(lp[i].backoff, ls[i].backoff);
+      }
+      const FailureRecord& fp = ahead.firstFailure();
+      const FailureRecord& fs = sequential.firstFailure();
+      EXPECT_EQ(fp.valid, fs.valid) << where;
+      EXPECT_EQ(fp.request, fs.request);
+      EXPECT_EQ(fp.cornerIndex, fs.cornerIndex);
+      EXPECT_EQ(fp.cls, fs.cls);
+      EXPECT_EQ(fp.attempts, fs.attempts);
+
+      const auto pubAhead = ahead.drainPublishJournal();
+      const auto pubSeq = sequential.drainPublishJournal();
+      ASSERT_EQ(pubAhead.size(), pubSeq.size()) << where;
+      for (std::size_t i = 0; i < pubAhead.size(); ++i)
+        EXPECT_EQ(pubAhead[i].key, pubSeq[i].key) << "publish " << i;
+      // The lookahead never probed the shared cache.
+      EXPECT_EQ(sharedAhead->totals().hits, sharedSeq->totals().hits);
+      EXPECT_EQ(sharedAhead->totals().misses, sharedSeq->totals().misses);
+    }
+  }
+}
+
+TEST(EvalEngineLookahead, OnlyMissesLookAheadAndUnusedLanesCountAsAttempts) {
+  // The lookahead is built only when a request must simulate, it takes only
+  // offered requests that miss the memo, and a dropped lane shows up in
+  // `attempts` alone: attempts - simulated - faults counts it.
   const auto& reg = circuits::Registry::global();
   const auto problem =
       reg.makeProblem("two_stage_opamp", pvt::nineCornerSet(1.1));
-  auto points = probeSizings(problem.space, 3);
-  points.push_back(points[0]);  // packed: cross-point dup; sequential: hits
-  std::vector<std::size_t> cornerIdx(problem.corners.size());
-  for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
+  const auto points = probeSizings(problem.space, 2);
+  EvalEngine engine(problem);
+  std::size_t offers = 0;
+  // Offers corners 0, 1, 2, 2, 3, 4, 5 of points[0].
+  const Lookahead offerRest = [&](std::size_t k, linalg::Vector& sizes,
+                                  std::size_t& corner) {
+    ++offers;
+    if (k >= 7) return false;
+    sizes = points[0];
+    corner = k <= 2 ? k : k - 1;
+    return true;
+  };
+  // Corner 1 goes into the memo first. The lookahead of the corner-0 miss
+  // skips corner 0 (the request itself), corner 1 (memo) and the second
+  // corner 2 (already in the chunk), and takes corners 2, 3, 4: three lanes
+  // fill the chunk, after six offers.
+  engine.evalOne(1, points[0], pvt::BlockKind::kSearch);
+  EXPECT_EQ(engine.lookaheadSize(), 0u);
+  engine.evalOne(0, points[0], pvt::BlockKind::kSearch, offerRest);
+  EXPECT_EQ(offers, 6u);
+  EXPECT_EQ(engine.lookaheadSize(), 3u);
+  EXPECT_EQ(engine.stats().attempts, 5u);
+  EXPECT_EQ(engine.stats().simulated, 2u);
+  // A hit (here from the memo) never builds a lookahead; a buffered result
+  // is taken without a backend call.
+  offers = 0;
+  engine.evalOne(0, points[0], pvt::BlockKind::kSearch, offerRest);
+  engine.evalOne(2, points[0], pvt::BlockKind::kSearch, offerRest);
+  EXPECT_EQ(offers, 0u);
+  EXPECT_EQ(engine.stats().attempts, 5u);
+  EXPECT_EQ(engine.stats().simulated, 3u);
+  // Dropping the buffer wastes corners 3 and 4.
+  EXPECT_EQ(engine.lookaheadSize(), 2u);
+  engine.clearLookahead();
+  EXPECT_EQ(engine.lookaheadSize(), 0u);
+  engine.evalOne(3, points[0], pvt::BlockKind::kSearch);
+  const EvalStats& st = engine.stats();
+  EXPECT_EQ(st.simulated, 4u);
+  EXPECT_EQ(st.attempts - st.simulated - st.faults, 2u);
+  EXPECT_EQ(st.requests, 5u);
+  EXPECT_EQ(engine.ledger().totalBlocks(), 5u);
 
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    const EvalEngineConfig cfg{/*cacheEvals=*/true, threads,
-                               /*recordLedger=*/true};
-    EvalEngine packed(problem, cfg);
-    EvalEngine sequential(problem, cfg);
-
-    const auto flat =
-        packed.evalPacked(points, cornerIdx, pvt::BlockKind::kSearch);
-    ASSERT_EQ(flat.size(), points.size() * cornerIdx.size());
-    std::vector<core::EvalResult> ref;
-    for (const auto& p : points) {
-      const auto r = sequential.evalBatch(cornerIdx, p, pvt::BlockKind::kSearch);
-      ref.insert(ref.end(), r.begin(), r.end());
-    }
-
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      ASSERT_EQ(ref[i].ok, flat[i].ok) << "slot " << i << " threads " << threads;
-      ASSERT_EQ(ref[i].failure, flat[i].failure);
-      ASSERT_EQ(ref[i].measurements.size(), flat[i].measurements.size());
-      for (std::size_t m = 0; m < ref[i].measurements.size(); ++m)
-        ASSERT_TRUE(sameBits(ref[i].measurements[m], flat[i].measurements[m]))
-            << "slot " << i << " meas " << m << " threads " << threads;
-    }
-
-    const EvalStats& sp = packed.stats();
-    const EvalStats& ss = sequential.stats();
-    EXPECT_EQ(sp.requests, ss.requests);
-    EXPECT_EQ(sp.simulated, ss.simulated);
-    EXPECT_EQ(sp.cacheHits, ss.cacheHits);
-    EXPECT_EQ(sp.sharedHits, ss.sharedHits);
-    EXPECT_EQ(sp.attempts, ss.attempts);
-    EXPECT_EQ(sp.faults, ss.faults);
-    EXPECT_EQ(sp.failures, ss.failures);
-    EXPECT_EQ(sp.backoffUnits, ss.backoffUnits);
-
-    const auto& lp = packed.ledger().blocks();
-    const auto& ls = sequential.ledger().blocks();
-    ASSERT_EQ(lp.size(), ls.size());
-    for (std::size_t i = 0; i < lp.size(); ++i) {
-      EXPECT_EQ(lp[i].cornerIndex, ls[i].cornerIndex) << "block " << i;
-      EXPECT_EQ(lp[i].kind, ls[i].kind);
-      EXPECT_EQ(lp[i].meetsSpec, ls[i].meetsSpec);
-      EXPECT_EQ(lp[i].cached, ls[i].cached);
-      EXPECT_EQ(lp[i].failed, ls[i].failed);
-    }
-  }
+  // A width-1 backend never consults the lookahead.
+  EvalEngine narrow(oneSlotOnly(problem));
+  offers = 0;
+  narrow.evalOne(0, points[1], pvt::BlockKind::kSearch, offerRest);
+  EXPECT_EQ(offers, 0u);
+  EXPECT_EQ(narrow.stats().attempts, 1u);
 }
 
 /// Deterministic synthetic model whose result is a pure function of

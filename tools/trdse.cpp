@@ -214,6 +214,22 @@ int cmdRun(ArgCursor args, bool resume) {
                    "factor=%.1fms solve=%.1fms\n",
                    dev / 1e6, stamp / 1e6, factor / 1e6, solve / 1e6);
     }
+    // Lane evaluations the strategies' lookahead simulated and no request
+    // ever asked for: `attempts` counts every lane evaluation, `simulated`
+    // and `faults` only consumed requests. Harvests carry all three, so this
+    // holds under --workers too.
+    {
+      std::size_t unused = 0;
+      for (const trdse::orch::JobResult& jr : results) {
+        const trdse::eval::EvalStats& st = jr.outcome.evalStats;
+        if (st.attempts > st.simulated + st.faults)
+          unused += st.attempts - st.simulated - st.faults;
+      }
+      std::fprintf(stderr,
+                   "# lookahead: %zu lane evaluations simulated ahead and "
+                   "never used\n",
+                   unused);
+    }
     for (const std::string& ev : scheduler.events())
       std::fprintf(stderr, "# event: %s\n", ev.c_str());
     std::fprintf(stderr, "[%.2fs wall, threads=%zu, workers=%zu]\n", seconds,
