@@ -27,6 +27,17 @@ bool allFinite(const linalg::Vector& v) {
   return true;
 }
 
+/// min(base << attempt, cap), saturating: a shift past the bit width or past
+/// the cap charges the cap.
+std::size_t backoffFor(std::size_t base, std::size_t attempt,
+                       std::size_t cap) {
+  if (base == 0) return 0;
+  if (attempt >= std::numeric_limits<std::size_t>::digits ||
+      base > (cap >> attempt))
+    return cap;
+  return base << attempt;
+}
+
 /// Snap `raw` onto the grid of `space`: its grid indices and grid values.
 void snapToGrid(const core::DesignSpace& space, const linalg::Vector& raw,
                 std::vector<std::size_t>& indices, linalg::Vector& snapped) {
@@ -283,9 +294,10 @@ void EvalEngine::runBatchWithRetry(std::size_t begin, std::size_t count) {
       } else if (attempt + 1 < maxAttempts) {
         // Charge deterministic backoff for the retry about to happen. Units
         // are ledger bookkeeping, not sleeps: the cost model stays bitwise
-        // reproducible and tests stay fast.
-        trace.backoff += static_cast<std::uint32_t>(
-            std::min(retry.backoffBase << attempt, retry.backoffCap));
+        // reproducible and tests stay fast. The per-request sum saturates.
+        trace.backoff += static_cast<std::uint32_t>(std::min<std::size_t>(
+            backoffFor(retry.backoffBase, attempt, retry.backoffCap),
+            std::numeric_limits<std::uint32_t>::max() - trace.backoff));
         active[kept++] = lane;
       } else {
         trace.retries = static_cast<std::uint32_t>(attempt);

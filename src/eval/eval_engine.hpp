@@ -2,8 +2,8 @@
 // memoizing service.
 //
 // Every consumer of circuit evaluations (PvtSearch, the baseline strategies,
-// the RL SizingEnv, sessions, examples) routes its (sizing, corner) requests
-// through one engine per search, which:
+// the RL rollout collector's environments, sessions, examples) routes its
+// (sizing, corner) requests through one engine per search, which:
 //   - dedups and memoizes requests through an EvalCache keyed on (snapped
 //     grid indices, corner id) — re-simulating an already-paid-for point
 //     costs zero EDA blocks;
@@ -19,7 +19,8 @@
 // into scheduling, so it is excluded from the determinism guarantees.
 //
 // Lookahead: a caller that knows its next one-point requests (RandomSearch's
-// next sizings, TreeBayesOpt's remaining corners) offers them with evalOne.
+// next sizings, TreeBayesOpt's remaining corners, the rollout collector's
+// other environments in the tick) offers them with evalOne.
 // When the request must simulate, the engine fills the rest of its
 // batchWidth() lane chunk with those of them that miss its own memo (the
 // shared cache is never probed for them), and keeps their results in a side
@@ -68,9 +69,10 @@ struct RetryPolicy {
   /// Total attempts per request, including the first (>= 1; 0 reads as 1).
   std::size_t maxAttempts = 3;
   /// Deterministic backoff charged to the ledger before retry k (0-based
-  /// first retry): min(backoffBase << k, backoffCap) abstract units. Units
-  /// are bookkeeping, not sleeps — fault scenarios stay fast and bitwise
-  /// reproducible.
+  /// first retry): min(backoffBase << k, backoffCap) abstract units, where a
+  /// shift past the bit width charges the cap; a request's total saturates
+  /// at 2^32 - 1. Units are bookkeeping, not sleeps — fault scenarios stay
+  /// fast and bitwise reproducible.
   std::size_t backoffBase = 1;
   std::size_t backoffCap = 8;
   /// Per-request wall-clock deadline (seconds); attempts running longer are
@@ -90,8 +92,8 @@ struct EvalEngineConfig {
   std::size_t threads = 1;
   /// Record one EdaBlock per logical request (and evaluate meetsSpec for
   /// it). Long-running consumers that never render a timeline — the RL
-  /// SizingEnv — turn this off so the ledger does not grow unbounded;
-  /// EvalStats counters are kept either way.
+  /// trainers' rollout collectors — turn this off so the ledger does not
+  /// grow unbounded; EvalStats counters are kept either way.
   bool recordLedger = true;
   /// Retry/timeout handling for faulted attempts.
   RetryPolicy retry{};
@@ -209,7 +211,8 @@ class EvalEngine {
       pvt::BlockKind kind);
 
   /// Single request (the RandomSearch / TreeBayesOpt / SizingEnv per-step
-  /// hot path): a one-element evalBatch that returns its result directly.
+  /// hot path; a rollout collector's environments share one engine): a
+  /// one-element evalBatch that returns its result directly.
   /// Request scratch is reused across calls, so a steady-state cache hit
   /// performs no allocation beyond the returned result.
   ///

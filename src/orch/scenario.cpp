@@ -141,8 +141,11 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
         faultLine = lineNo;
       } else if (key == "retry_attempts") {
         sc.retry.maxAttempts = parseU64(source, lineNo, key, value);
-        if (sc.retry.maxAttempts == 0)
-          fail(source, lineNo, "retry_attempts must be positive");
+        if (sc.retry.maxAttempts == 0 ||
+            sc.retry.maxAttempts > kMaxRetryAttempts)
+          fail(source, lineNo,
+               "retry_attempts must be in [1, " +
+                   std::to_string(kMaxRetryAttempts) + "], got " + value);
       } else if (key == "retry_backoff") {
         sc.retry.backoffBase = parseU64(source, lineNo, key, value);
       } else if (key == "retry_backoff_cap") {

@@ -72,6 +72,11 @@ struct JobSpec {
   std::size_t sourceLine = 0;
 };
 
+/// Largest `retry_attempts` a scenario may ask for: every attempt is a
+/// lockstep backend round, and a request past the bound stops paying for
+/// anything but backoff at the cap.
+constexpr std::size_t kMaxRetryAttempts = 100;
+
 /// A parsed scenario: scheduling knobs + the job list.
 struct Scenario {
   std::string name = "scenario";
@@ -100,7 +105,8 @@ struct Scenario {
   /// Deterministic fault injection applied to every job's engine (all rates
   /// zero = no injection; `fault_*` keys).
   sim::FaultPlanConfig faultPlan;
-  /// Retry/timeout policy applied to every job's engine (`retry_*` keys).
+  /// Retry/timeout policy applied to every job's engine (`retry_*` keys;
+  /// `retry_attempts` in [1, kMaxRetryAttempts]).
   eval::RetryPolicy retry;
   /// Write-ahead journal path for crash-resumable runs (empty = off;
   /// requires every job's strategy to support checkpointing).

@@ -1,11 +1,8 @@
 #include "rl/a2c.hpp"
 
-#include <algorithm>
 #include <sstream>
-#include <stdexcept>
 
 #include "rl/checkpoint.hpp"
-#include "rl/vec_env.hpp"
 
 namespace trdse::rl {
 
@@ -50,15 +47,8 @@ void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
 
 RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg,
                         std::size_t maxSimulations) {
-  if (cfg.checkpointEvery != 0 && cfg.checkpointPath.empty())
-    throw std::invalid_argument(
-        "A2cConfig::checkpointEvery is set but checkpointPath is empty");
-  RlTrainOutcome out;
-  ParallelRolloutCollector collector(problem, cfg.env,
-                                     std::max<std::size_t>(1, cfg.numEnvs),
-                                     cfg.rolloutThreads, cfg.seed,
-                                     /*rngSalt=*/7,
-                                     /*initialReset=*/cfg.resumeFrom.empty());
+  ParallelRolloutCollector collector(problem, cfg.env, cfg.seed,
+                                     cfg.seed + /*rngSalt=*/7);
   nn::Mlp policy = makePolicyNet(collector.observationDim(),
                                  collector.actionHeads(),
                                  SizingEnv::kActionsPerHead, cfg.hidden,
@@ -68,7 +58,6 @@ RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg
   nn::AdamOptimizer policyOpt(cfg.learningRate);
   nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
 
-  out.bestEpisodeReturn = -1e18;
   std::size_t updates = 0;
   std::ostringstream hyper;
   hyper.precision(17);
@@ -89,33 +78,11 @@ RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg
   snapshot.criticOpt = &criticOpt;
   snapshot.collector = &collector;
   snapshot.updates = &updates;
-  snapshot.bestEpisodeReturn = &out.bestEpisodeReturn;
-  if (!cfg.resumeFrom.empty())
-    restoreTrainerCheckpoint(cfg.resumeFrom, snapshot);
-
-  std::vector<RolloutBuffer> buffers;
-  while ((cfg.maxUpdates == 0 || updates < cfg.maxUpdates) &&
-         collector.totalSimulations() < maxSimulations && !collector.solved()) {
-    const CollectStats stats =
-        collector.collect(policy, critic, cfg.nSteps, maxSimulations, buffers);
-    out.bestEpisodeReturn = std::max(out.bestEpisodeReturn,
-                                     stats.bestEpisodeReturn);
-    if (stats.anySolved || stats.steps == 0) break;
-
-    const FlatRollout data =
-        flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda);
-    a2cUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg);
-    ++updates;
-    if (cfg.checkpointEvery != 0 && !cfg.checkpointPath.empty() &&
-        updates % cfg.checkpointEvery == 0)
-      saveTrainerCheckpoint(cfg.checkpointPath, snapshot);
-  }
-
-  out.totalSimulations = collector.totalSimulations();
-  out.solved = collector.solved();
-  out.simulationsToSolve =
-      out.solved ? collector.simsAtFirstSolve() : collector.totalSimulations();
-  return out;
+  return runTrainer(cfg, cfg.nSteps, snapshot, maxSimulations,
+                    [&](const FlatRollout& data) {
+                      a2cUpdateBatched(policy, critic, policyOpt, criticOpt,
+                                       data, cfg);
+                    });
 }
 
 }  // namespace trdse::rl

@@ -1,8 +1,9 @@
 // Advantage Actor-Critic (Mnih et al., 2016) — Table I baseline.
 // Synchronous variant with n-step GAE advantages, entropy regularization and
 // gradient-norm clipping, as in Stable-Baselines' A2C. Rollouts come from a
-// ParallelRolloutCollector (N environments, deterministic env-order merge);
-// the gradient step is one batched forward/backward pass per network.
+// ParallelRolloutCollector (one environment per simulator lane, env-order
+// merge); the gradient step is one batched forward/backward pass per
+// network.
 #pragma once
 
 #include "core/problem.hpp"
@@ -15,7 +16,7 @@ namespace trdse::rl {
 
 /// Hyper-parameters of the A2C baseline trainer.
 struct A2cConfig {
-  std::size_t nSteps = 16;          ///< rollout steps per env per update
+  std::size_t nSteps = 16;          ///< transitions per update, all envs
   double gamma = 0.99;              ///< discount factor
   double gaeLambda = 0.95;          ///< GAE(lambda) mixing coefficient
   double learningRate = 7e-4;       ///< policy Adam step size
@@ -23,14 +24,6 @@ struct A2cConfig {
   double entropyCoeff = 0.01;       ///< entropy-bonus weight
   double maxGradNorm = 0.5;         ///< L2 gradient clip threshold
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Parallel rollout environments (1 reproduces the pre-collector serial
-  /// trainer bitwise).
-  std::size_t numEnvs = 1;
-  /// Threads for rollout collection, the caller included: 1 = inline, 0 =
-  /// hardware concurrency. Trajectories are thread-count invariant, but
-  /// with more than one thread the problem's evaluate callback must be
-  /// thread-safe.
-  std::size_t rolloutThreads = 1;
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling
   /// Stop after this many policy updates (0 = unlimited) — pauses a run at

@@ -53,7 +53,6 @@ void saveTrainerCheckpoint(const std::string& path, const TrainerState& s) {
   mw.str(s.fingerprint);
   mw.u64(s.collector->numEnvs());
   mw.u64(*s.updates);
-  mw.f64(*s.bestEpisodeReturn);
 
   io::writeMlp(w.section("policy"), *s.policy);
   io::writeMlp(w.section("critic"), *s.critic);
@@ -82,10 +81,10 @@ void restoreTrainerCheckpoint(const std::string& path, const TrainerState& s) {
   const std::uint64_t numEnvs = mr.u64();
   if (numEnvs != s.collector->numEnvs())
     mr.fail("checkpoint has " + std::to_string(numEnvs) +
-            " environments, this trainer is configured with " +
-            std::to_string(s.collector->numEnvs()));
+            " environments, this trainer has " +
+            std::to_string(s.collector->numEnvs()) +
+            " (the engine's batch width)");
   *s.updates = mr.u64();
-  *s.bestEpisodeReturn = mr.f64();
   mr.expectEnd();
 
   io::SectionReader pr = r.section("policy");

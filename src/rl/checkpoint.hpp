@@ -1,18 +1,21 @@
-// Checkpoint/warm-start hooks shared by the A2C / PPO / TRPO trainers.
+// The loop the A2C / PPO / TRPO trainers share, and its checkpoint hooks.
 //
 // A trainer snapshot captures everything the training loop owns: actor and
-// critic networks, their Adam moments, every environment slot of the rollout
-// collector (env state + policy-sampling RNG streams), PPO's mini-batch
-// shuffle stream, and the loop counters. Restoring it and continuing
-// reproduces the uninterrupted run's RlTrainOutcome bit for bit — the same
-// contract the model-based searches honor (docs/CHECKPOINTS.md).
+// critic networks, their Adam moments, the rollout collector (its engine and
+// every environment slot: env state + policy-sampling RNG streams), PPO's
+// mini-batch shuffle stream, and the update counter. Restoring it and
+// continuing reproduces the uninterrupted run's RlTrainOutcome bit for bit —
+// the same contract the model-based searches honor (docs/CHECKPOINTS.md).
 #pragma once
 
+#include <functional>
 #include <random>
+#include <stdexcept>
 #include <string>
 
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
+#include "rl/a2c.hpp"  // RlTrainOutcome
 #include "rl/vec_env.hpp"
 
 namespace trdse::rl {
@@ -27,10 +30,9 @@ struct TrainerState {
   nn::Mlp* critic = nullptr;               ///< value network
   nn::AdamOptimizer* policyOpt = nullptr;  ///< actor Adam (null for TRPO)
   nn::AdamOptimizer* criticOpt = nullptr;  ///< critic Adam
-  ParallelRolloutCollector* collector = nullptr;  ///< env slots + RNG streams
+  ParallelRolloutCollector* collector = nullptr;  ///< engine + env slots
   std::mt19937_64* shuffleRng = nullptr;   ///< PPO mini-batch stream
   std::size_t* updates = nullptr;          ///< completed policy updates
-  double* bestEpisodeReturn = nullptr;     ///< best return seen so far
 };
 
 /// Compact single-line fingerprint of everything a trainer trajectory
@@ -50,8 +52,48 @@ void saveTrainerCheckpoint(const std::string& path, const TrainerState& s);
 
 /// Restore a snapshot written by saveTrainerCheckpoint into `s`. The
 /// networks, optimizers and collector must already be constructed with the
-/// same shapes/numEnvs; algorithm or shape mismatches throw
+/// same shapes and environment count; algorithm or shape mismatches throw
 /// io::CheckpointError with a descriptive message.
 void restoreTrainerCheckpoint(const std::string& path, const TrainerState& s);
+
+/// The training loop of every trainer (`Config` is A2cConfig, PpoConfig or
+/// TrpoConfig): restore `cfg.resumeFrom` into `s` when set, then run the
+/// collector up to `maxSimulations` requests, calling `update` on each
+/// rollout of `transitions` transitions, saving `cfg.checkpointPath` every
+/// `cfg.checkpointEvery` updates and pausing after `cfg.maxUpdates` (0 =
+/// unlimited). Throws std::invalid_argument for a checkpoint cadence with no
+/// path.
+template <class Config>
+RlTrainOutcome runTrainer(
+    const Config& cfg, std::size_t transitions, const TrainerState& s,
+    std::size_t maxSimulations,
+    const std::function<void(const FlatRollout&)>& update) {
+  if (cfg.checkpointEvery != 0 && cfg.checkpointPath.empty())
+    throw std::invalid_argument(s.algo +
+                                ": checkpointEvery is set but checkpointPath "
+                                "is empty");
+  if (!cfg.resumeFrom.empty()) restoreTrainerCheckpoint(cfg.resumeFrom, s);
+  const auto more = [&] {
+    return cfg.maxUpdates == 0 || *s.updates < cfg.maxUpdates;
+  };
+  if (more())
+    s.collector->run(*s.policy, *s.critic, transitions, cfg.gamma,
+                     cfg.gaeLambda, maxSimulations,
+                     [&](const FlatRollout& data) {
+                       update(data);
+                       ++*s.updates;
+                       if (cfg.checkpointEvery != 0 &&
+                           *s.updates % cfg.checkpointEvery == 0)
+                         saveTrainerCheckpoint(cfg.checkpointPath, s);
+                       return more();
+                     });
+  RlTrainOutcome out;
+  out.totalSimulations = s.collector->totalSimulations();
+  out.solved = s.collector->solved();
+  out.simulationsToSolve =
+      out.solved ? s.collector->simsAtFirstSolve() : out.totalSimulations;
+  out.bestEpisodeReturn = s.collector->bestEpisodeReturn();
+  return out;
+}
 
 }  // namespace trdse::rl

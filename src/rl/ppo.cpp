@@ -4,11 +4,9 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
-#include <stdexcept>
 
 #include "rl/actor_critic.hpp"
 #include "rl/checkpoint.hpp"
-#include "rl/vec_env.hpp"
 
 namespace trdse::rl {
 
@@ -94,15 +92,8 @@ void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
 
 RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg,
                         std::size_t maxSimulations) {
-  if (cfg.checkpointEvery != 0 && cfg.checkpointPath.empty())
-    throw std::invalid_argument(
-        "PpoConfig::checkpointEvery is set but checkpointPath is empty");
-  RlTrainOutcome out;
-  ParallelRolloutCollector collector(problem, cfg.env,
-                                     std::max<std::size_t>(1, cfg.numEnvs),
-                                     cfg.rolloutThreads, cfg.seed,
-                                     /*rngSalt=*/19,
-                                     /*initialReset=*/cfg.resumeFrom.empty());
+  ParallelRolloutCollector collector(problem, cfg.env, cfg.seed,
+                                     cfg.seed + /*rngSalt=*/19);
   std::mt19937_64 shuffleRng(cfg.seed + 53);
 
   nn::Mlp policy = makePolicyNet(collector.observationDim(),
@@ -114,7 +105,6 @@ RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg
   nn::AdamOptimizer policyOpt(cfg.learningRate);
   nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
 
-  out.bestEpisodeReturn = -1e18;
   std::size_t updates = 0;
   std::ostringstream hyper;
   hyper.precision(17);
@@ -137,34 +127,11 @@ RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg
   snapshot.collector = &collector;
   snapshot.shuffleRng = &shuffleRng;
   snapshot.updates = &updates;
-  snapshot.bestEpisodeReturn = &out.bestEpisodeReturn;
-  if (!cfg.resumeFrom.empty())
-    restoreTrainerCheckpoint(cfg.resumeFrom, snapshot);
-
-  std::vector<RolloutBuffer> buffers;
-  while ((cfg.maxUpdates == 0 || updates < cfg.maxUpdates) &&
-         collector.totalSimulations() < maxSimulations && !collector.solved()) {
-    const CollectStats stats =
-        collector.collect(policy, critic, cfg.horizon, maxSimulations, buffers);
-    out.bestEpisodeReturn = std::max(out.bestEpisodeReturn,
-                                     stats.bestEpisodeReturn);
-    if (stats.anySolved || stats.steps == 0) break;
-
-    const FlatRollout data =
-        flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda);
-    ppoUpdateBatched(policy, critic, policyOpt, criticOpt, data, cfg,
-                     shuffleRng);
-    ++updates;
-    if (cfg.checkpointEvery != 0 && !cfg.checkpointPath.empty() &&
-        updates % cfg.checkpointEvery == 0)
-      saveTrainerCheckpoint(cfg.checkpointPath, snapshot);
-  }
-
-  out.totalSimulations = collector.totalSimulations();
-  out.solved = collector.solved();
-  out.simulationsToSolve =
-      out.solved ? collector.simsAtFirstSolve() : collector.totalSimulations();
-  return out;
+  return runTrainer(cfg, cfg.horizon, snapshot, maxSimulations,
+                    [&](const FlatRollout& data) {
+                      ppoUpdateBatched(policy, critic, policyOpt, criticOpt,
+                                       data, cfg, shuffleRng);
+                    });
 }
 
 }  // namespace trdse::rl

@@ -1,8 +1,9 @@
 // Proximal Policy Optimization (Schulman et al., 2017) — Table I baseline.
 // Clipped-surrogate objective with GAE, multiple epochs of shuffled
-// mini-batches per rollout, entropy bonus and gradient clipping. Rollouts
-// come from a ParallelRolloutCollector; each mini-batch runs as batched
-// forward/backward passes.
+// mini-batches per rollout (shuffled by their own stream, seed + 53),
+// entropy bonus and gradient clipping. Rollouts come from a
+// ParallelRolloutCollector; each mini-batch runs as batched forward/backward
+// passes.
 #pragma once
 
 #include <random>
@@ -17,7 +18,7 @@ namespace trdse::rl {
 
 /// Hyper-parameters of the PPO baseline trainer.
 struct PpoConfig {
-  std::size_t horizon = 192;        ///< rollout steps per env per update
+  std::size_t horizon = 192;        ///< transitions per update, all envs
   std::size_t epochs = 4;           ///< optimization epochs per rollout
   std::size_t minibatch = 32;       ///< shuffled mini-batch size
   double gamma = 0.99;              ///< discount factor
@@ -28,16 +29,6 @@ struct PpoConfig {
   double entropyCoeff = 0.01;       ///< entropy-bonus weight
   double maxGradNorm = 0.5;         ///< L2 gradient clip threshold
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Parallel rollout environments. With 1 the collection loop is serial,
-  /// but runs are NOT bitwise comparable to the pre-collector PPO trainer:
-  /// that trainer drew mini-batch shuffles from the action-sampling RNG,
-  /// whereas shuffles now use their own stream (seed + 53).
-  std::size_t numEnvs = 1;
-  /// Threads for rollout collection, the caller included: 1 = inline, 0 =
-  /// hardware concurrency. Trajectories are thread-count invariant, but
-  /// with more than one thread the problem's evaluate callback must be
-  /// thread-safe.
-  std::size_t rolloutThreads = 1;
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling
   /// Stop after this many policy updates (0 = unlimited) — pauses a run at

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/thread_pool.hpp"
+
 namespace trdse::rl {
 
 namespace {
@@ -18,6 +20,11 @@ A2cConfig toUpdateConfig(const RlPolicyConfig& cfg) {
   return u;
 }
 
+EnvConfig withLedger(EnvConfig env) {
+  env.recordLedger = true;  // common block-level accounting
+  return env;
+}
+
 }  // namespace
 
 RlPolicyStrategy::RlPolicyStrategy(core::SizingProblem problem,
@@ -26,91 +33,39 @@ RlPolicyStrategy::RlPolicyStrategy(core::SizingProblem problem,
     : problem_(std::move(problem)),
       config_(config),
       updateCfg_(toUpdateConfig(config)),
+      collector_(problem_, withLedger(config.env),
+                 common::perTaskSeed(seed, 3), common::perTaskSeed(seed, 2)),
+      policy_(makePolicyNet(collector_.observationDim(),
+                            collector_.actionHeads(),
+                            SizingEnv::kActionsPerHead, config.hidden,
+                            common::perTaskSeed(seed, 0))),
+      critic_(makeValueNet(collector_.observationDim(), config.hidden,
+                           common::perTaskSeed(seed, 1))),
       policyOpt_(config.learningRate),
       criticOpt_(config.valueLearningRate),
-      rng_(common::perTaskSeed(seed, 2)),
-      budget_(budget) {
-  config_.env.recordLedger = true;  // common block-level accounting
-  env_ = std::make_unique<SizingEnv>(problem_, config_.env,
-                                     common::perTaskSeed(seed, 3));
-  policy_ = makePolicyNet(env_->observationDim(), env_->actionHeads(),
-                          SizingEnv::kActionsPerHead, config_.hidden,
-                          common::perTaskSeed(seed, 0));
-  critic_ = makeValueNet(env_->observationDim(), config_.hidden,
-                         common::perTaskSeed(seed, 1));
-}
+      budget_(budget) {}
 
 bool RlPolicyStrategy::finished() const {
-  return result_.solved || exhausted_ ||
-         (budget_ > 0 && result_.iterations >= budget_);
-}
-
-const opt::StrategyOutcome& RlPolicyStrategy::harvest() {
-  result_.iterations = env_->simulationsUsed();
-  result_.evalStats = env_->engine().stats();
-  // The ledger grows with the budget; snapshot it once, at the end.
-  if (finished()) result_.ledger = env_->engine().ledger();
-  return result_;
-}
-
-void RlPolicyStrategy::maybeUpdate(bool episodeEnded) {
-  if (!config_.train || buffer_.size() < config_.nSteps) return;
-  buffer_.bootstrapValue = episodeEnded ? 0.0 : critic_.predict(obs_)[0];
-  const FlatRollout flat =
-      flattenRollouts({buffer_}, updateCfg_.gamma, updateCfg_.gaeLambda);
-  a2cUpdateBatched(policy_, critic_, policyOpt_, criticOpt_, flat, updateCfg_);
-  buffer_.clear();
+  return result_.solved || result_.iterations >= budget_;
 }
 
 const opt::StrategyOutcome& RlPolicyStrategy::step(std::size_t target) {
-  target = std::min(target, budget_);
-  const std::size_t heads = env_->actionHeads();
-
-  while (!finished() && env_->simulationsUsed() < target) {
-    // One loop turn = at most one episode reset (1 sim) + one env step
-    // (1 sim). Never start work the total budget cannot pay for.
-    const std::size_t cost = haveObs_ ? 1 : 2;
-    if (env_->simulationsUsed() + cost > budget_) {
-      exhausted_ = true;
-      break;
-    }
-    if (!haveObs_) {
-      obs_ = env_->reset();
-      haveObs_ = true;
-      continue;
-    }
-
-    const PolicySample sample = samplePolicy(
-        policy_, obs_, heads, SizingEnv::kActionsPerHead, rng_);
-    const double valueEstimate = critic_.predict(obs_)[0];
-    const StepResult sr = env_->step(sample.actions);
-
-    Transition t;
-    t.observation = obs_;
-    t.actions = sample.actions;
-    t.reward = sr.reward;
-    t.valueEstimate = valueEstimate;
-    t.logProb = sample.logProb;
-    t.done = sr.done;
-    buffer_.transitions.push_back(std::move(t));
-    obs_ = sr.observation;
-
-    // Track the best Value seen (reward minus the solve bonus), so the
-    // outcome is comparable with the other strategies' worst-corner Value.
-    const double v = sr.reward - (sr.solved ? config_.env.solveBonus : 0.0);
-    if (v > result_.bestValue) {
-      result_.bestValue = v;
-      result_.sizes = env_->currentSizes();
-    }
-    if (sr.solved) {
-      result_.solved = true;
-      result_.sizes = env_->currentSizes();
-      break;
-    }
-    if (sr.done) haveObs_ = false;
-    maybeUpdate(sr.done);
-  }
-  return harvest();
+  collector_.run(policy_, critic_, config_.nSteps, config_.gamma,
+                 config_.gaeLambda, std::min(target, budget_),
+                 [this](const FlatRollout& data) {
+                   if (config_.train)
+                     a2cUpdateBatched(policy_, critic_, policyOpt_,
+                                      criticOpt_, data, updateCfg_);
+                   return true;
+                 });
+  result_.solved = collector_.solved();
+  result_.iterations = collector_.totalSimulations();
+  result_.bestValue = collector_.bestValue();
+  result_.sizes = collector_.bestSizes();
+  result_.evalStats = engine().stats();
+  // The ledger grows with the budget; snapshot it once, at the end.
+  if (finished()) result_.ledger = engine().ledger();
+  return result_;
 }
 
 }  // namespace trdse::rl

@@ -1,27 +1,23 @@
 // The RL-policy baseline as a schedulable opt::Strategy.
 //
-// Wraps the AutoCkt-style SizingEnv behind the unified strategy interface: a
-// multi-head categorical policy (and scalar critic) rolls episodes on the
-// environment, improving itself with synchronous A2C updates every nSteps
-// transitions — the same update rule as the Table I A2C baseline trainer,
-// repackaged as a budget-sliced, resumable search. Every environment step is
-// one logical EvalEngine request, so RL jobs charge EDA blocks through the
-// same meter (ledger + EvalStats) as the model-based and BO strategies.
+// A multi-head categorical policy (and scalar critic) rolls episodes on the
+// AutoCkt-style SizingEnvs of a ParallelRolloutCollector — four environments
+// per simulator pass on a registry circuit — improving itself with
+// synchronous A2C updates (a2cUpdateBatched) every nSteps transitions: the
+// Table I A2C baseline's rollout loop and update rule, repackaged as a
+// budget-sliced, resumable search. Every environment request is one logical
+// EvalEngine request, so RL jobs charge EDA blocks through the same meter
+// (ledger + EvalStats) as the model-based and BO strategies.
 //
-// Resumability: all state (env grid position, policy/critic weights, Adam
-// moments, rollout buffer, RNG streams) lives in members and advances one
-// environment step at a time, so step(k); step(n) == step(n) bitwise.
+// Resumability: all state (env grid positions, policy/critic weights, Adam
+// moments, the partial rollout, RNG streams) lives in members and advances
+// one request at a time, so step(k); step(n) == step(n) bitwise.
 #pragma once
-
-#include <memory>
-#include <random>
 
 #include "nn/optimizer.hpp"
 #include "opt/strategy.hpp"
 #include "rl/a2c.hpp"
-#include "rl/actor_critic.hpp"
-#include "rl/rollout.hpp"
-#include "rl/sizing_env.hpp"
+#include "rl/vec_env.hpp"
 
 namespace trdse::rl {
 
@@ -29,7 +25,9 @@ namespace trdse::rl {
 /// the environment shaping).
 struct RlPolicyConfig {
   std::size_t hidden = 32;     ///< hidden width of policy/critic MLPs
-  std::size_t nSteps = 32;     ///< transitions per policy update
+  /// Transitions per policy update, counted over all environments (an
+  /// update waits for the end of the tick that reaches it).
+  std::size_t nSteps = 32;
   double gamma = 0.99;         ///< discount factor
   double gaeLambda = 0.95;     ///< GAE(lambda) mixing coefficient
   double learningRate = 7e-4;  ///< policy Adam step size
@@ -42,10 +40,11 @@ struct RlPolicyConfig {
   EnvConfig env;  ///< environment shaping (recordLedger is forced on)
 };
 
-/// Policy-gradient search over SizingEnv behind the Strategy contract.
+/// Policy-gradient search over a ParallelRolloutCollector behind the
+/// Strategy contract.
 class RlPolicyStrategy final : public opt::Strategy {
  public:
-  /// The problem is copied and owned (the env keeps a reference into it).
+  /// The problem is copied and owned (the envs keep a reference into it).
   /// Uses the problem's first corner, like every Table I baseline.
   RlPolicyStrategy(core::SizingProblem problem, RlPolicyConfig config,
                    std::uint64_t seed, std::size_t budget);
@@ -55,30 +54,20 @@ class RlPolicyStrategy final : public opt::Strategy {
   const opt::StrategyOutcome& step(std::size_t target) override;
   const opt::StrategyOutcome& outcome() const override { return result_; }
   bool finished() const override;
-  eval::EvalEngine& engine() override { return env_->engine(); }
+  eval::EvalEngine& engine() override { return collector_.engine(); }
 
  private:
-  void maybeUpdate(bool episodeEnded);
-  const opt::StrategyOutcome& harvest();
-
-  /// Owned copy — env_ holds a reference into it, so the strategy is
+  /// Owned copy — the envs hold a reference into it, so the strategy is
   /// neither copyable nor movable (enforced by the Strategy base anyway).
   core::SizingProblem problem_;
   RlPolicyConfig config_;
   A2cConfig updateCfg_;  ///< the slice of config_ the A2C update consumes
-  std::unique_ptr<SizingEnv> env_;
+  ParallelRolloutCollector collector_;
   nn::Mlp policy_;
   nn::Mlp critic_;
   nn::AdamOptimizer policyOpt_;
   nn::AdamOptimizer criticOpt_;
-  std::mt19937_64 rng_;  ///< action-sampling stream
   std::size_t budget_ = 0;
-
-  // ---- Resumable rollout state ----
-  RolloutBuffer buffer_;
-  linalg::Vector obs_;
-  bool haveObs_ = false;   ///< obs_ is live (episode in progress)
-  bool exhausted_ = false; ///< remaining budget cannot afford another step
   opt::StrategyOutcome result_;
 };
 

@@ -1,41 +1,43 @@
 #include "rl/sizing_env.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "io/state_io.hpp"
 
 namespace trdse::rl {
 
+std::unique_ptr<eval::EvalEngine> makeEnvEngine(
+    const core::SizingProblem& problem, const EnvConfig& config) {
+  assert(!problem.corners.empty());
+  eval::EvalEngineConfig engineCfg;
+  engineCfg.cacheEvals = config.cacheEvals;
+  engineCfg.recordLedger = config.recordLedger;
+  return std::make_unique<eval::EvalEngine>(
+      std::make_shared<eval::CallbackBackend>(
+          problem.evaluate, "env:" + problem.name, problem.evaluateBatch),
+      problem.space, std::vector<sim::PvtCorner>{problem.corners.front()},
+      eval::makeMeetsSpec(
+          core::ValueFunction(problem.measurementNames, problem.specs)),
+      engineCfg);
+}
+
 SizingEnv::SizingEnv(const core::SizingProblem& problem, EnvConfig config,
-                     std::uint64_t seed)
+                     std::uint64_t seed, eval::EvalEngine& engine)
     : problem_(problem),
       config_(config),
       value_(problem.measurementNames, problem.specs),
-      rng_(seed) {
-  assert(!problem.corners.empty());
-  // Single-corner engine (Table I is single-PVT); evaluations are inline —
-  // parallelism across environments lives in the rollout collector. Ledger
-  // recording defaults off (see EnvConfig::recordLedger); spec satisfaction
-  // is judged from the reward path.
-  eval::EvalEngineConfig engineCfg;
-  engineCfg.cacheEvals = config.cacheEvals;
-  engineCfg.threads = 1;
-  engineCfg.recordLedger = config.recordLedger;
-  engine_ = std::make_unique<eval::EvalEngine>(
-      std::make_shared<eval::CallbackBackend>(problem.evaluate,
-                                              "env:" + problem.name),
-      problem.space, std::vector<sim::PvtCorner>{problem.corners.front()},
-      eval::makeMeetsSpec(value_), engineCfg);
-}
+      engine_(engine),
+      rng_(seed) {}
 
 std::size_t SizingEnv::observationDim() const {
   return problem_.space.dim() + 2 * problem_.specs.size();
 }
 
-void SizingEnv::simulateCurrent() {
+void SizingEnv::simulateCurrent(const eval::Lookahead& next) {
   sizes_ = problem_.space.fromIndices(indices_);
   const core::EvalResult r =
-      engine_->evalOne(0, sizes_, pvt::BlockKind::kSearch);
+      engine_.evalOne(0, sizes_, pvt::BlockKind::kSearch, next);
   ++sims_;
   currentOk_ = r.ok;
   if (r.ok) {
@@ -61,31 +63,54 @@ linalg::Vector SizingEnv::makeObservation() const {
   return obs;
 }
 
-linalg::Vector SizingEnv::reset() {
-  indices_.resize(problem_.space.dim());
-  for (std::size_t d = 0; d < indices_.size(); ++d) {
+std::vector<std::size_t> SizingEnv::drawIndices(std::mt19937_64& rng) const {
+  std::vector<std::size_t> indices(problem_.space.dim());
+  for (std::size_t d = 0; d < indices.size(); ++d) {
     std::uniform_int_distribution<std::size_t> dist(
         0, problem_.space.param(d).steps - 1);
-    indices_[d] = dist(rng_);
+    indices[d] = dist(rng);
   }
-  stepsInEpisode_ = 0;
-  simulateCurrent();
-  return makeObservation();
+  return indices;
 }
 
-StepResult SizingEnv::step(const std::vector<std::size_t>& actions) {
+std::vector<std::size_t> SizingEnv::movedIndices(
+    const std::vector<std::size_t>& actions) const {
   assert(actions.size() == problem_.space.dim());
+  std::vector<std::size_t> indices = indices_;
   for (std::size_t d = 0; d < actions.size(); ++d) {
     const std::size_t steps = problem_.space.param(d).steps;
     const long stride = std::max<long>(
         1, static_cast<long>(steps / config_.strideDivisor));
-    long idx = static_cast<long>(indices_[d]);
+    long idx = static_cast<long>(indices[d]);
     if (actions[d] == 0) idx -= stride;
     if (actions[d] == 2) idx += stride;
-    indices_[d] = static_cast<std::size_t>(
+    indices[d] = static_cast<std::size_t>(
         std::clamp<long>(idx, 0, static_cast<long>(steps) - 1));
   }
-  simulateCurrent();
+  return indices;
+}
+
+linalg::Vector SizingEnv::resetSizes() const {
+  std::mt19937_64 rng = rng_;
+  return problem_.space.fromIndices(drawIndices(rng));
+}
+
+linalg::Vector SizingEnv::stepSizes(
+    const std::vector<std::size_t>& actions) const {
+  return problem_.space.fromIndices(movedIndices(actions));
+}
+
+linalg::Vector SizingEnv::reset(const eval::Lookahead& next) {
+  indices_ = drawIndices(rng_);
+  stepsInEpisode_ = 0;
+  simulateCurrent(next);
+  return makeObservation();
+}
+
+StepResult SizingEnv::step(const std::vector<std::size_t>& actions,
+                           const eval::Lookahead& next) {
+  indices_ = movedIndices(actions);
+  simulateCurrent(next);
   ++stepsInEpisode_;
 
   StepResult r;
@@ -107,7 +132,6 @@ void SizingEnv::saveState(io::SectionWriter& w) const {
   w.u64(stepsInEpisode_);
   w.u64(sims_);
   w.u64(simsAtFirstSolve_);
-  engine_->saveState(w);
 }
 
 void SizingEnv::restoreState(io::SectionReader& r) {
@@ -132,7 +156,6 @@ void SizingEnv::restoreState(io::SectionReader& r) {
   stepsInEpisode_ = r.u64();
   sims_ = r.u64();
   simsAtFirstSolve_ = r.u64();
-  engine_->restoreState(r);
 }
 
 }  // namespace trdse::rl

@@ -7,6 +7,12 @@
 // grid (multi-discrete). Reward = the same Value function as the model-based
 // agent, plus a solve bonus; an episode ends on success or after a fixed
 // horizon.
+//
+// The environment owns no engine: it borrows one (makeEnvEngine builds it)
+// that several environments share, so a rollout collector can pack their
+// simulations into one lane pass. resetSizes / stepSizes preview the next
+// request's sizing without changing any state, which is what the
+// collector's lookahead offers.
 #pragma once
 
 #include <memory>
@@ -50,12 +56,21 @@ struct StepResult {
   bool solved = false;         ///< the design met every spec
 };
 
-/// The AutoCkt-style multi-discrete sizing environment.
+/// The engine environments of `problem` share: one over its first corner
+/// (Table I is single-PVT), backed by its fused evaluateBatch when it has
+/// one, so the engine is sim::kSimLanes wide (1 without), with the cache and
+/// ledger switches of `config`.
+std::unique_ptr<eval::EvalEngine> makeEnvEngine(
+    const core::SizingProblem& problem, const EnvConfig& config);
+
+/// The AutoCkt-style multi-discrete sizing environment. Every simulation is
+/// one evalOne request on a borrowed engine (see makeEnvEngine), which
+/// several environments may share.
 class SizingEnv {
  public:
-  /// Uses the problem's first corner only (Table I is single-PVT).
+  /// Requests corner 0 of `engine`, which must outlive the environment.
   SizingEnv(const core::SizingProblem& problem, EnvConfig config,
-            std::uint64_t seed);
+            std::uint64_t seed, eval::EvalEngine& engine);
 
   /// Observation vector length (params + 2 * specs).
   std::size_t observationDim() const;
@@ -65,28 +80,32 @@ class SizingEnv {
   static constexpr std::size_t kActionsPerHead = 3;
 
   /// Jump to a random grid point and start a new episode (one simulation).
-  linalg::Vector reset();
+  /// `next` is passed to the engine's evalOne as its lookahead.
+  linalg::Vector reset(const eval::Lookahead& next = {});
   /// Apply one move per parameter and simulate the new point.
-  StepResult step(const std::vector<std::size_t>& actions);
+  StepResult step(const std::vector<std::size_t>& actions,
+                  const eval::Lookahead& next = {});
 
-  /// Logical SPICE requests since construction (the Table I budget); cache
-  /// hits count here but consume no EDA time (see evalStats().simulated).
+  /// The sizing the next reset() simulates, drawn on a copy of the env's
+  /// stream: what a caller's lookahead offers for a reset.
+  linalg::Vector resetSizes() const;
+  /// The sizing step(actions) would simulate; changes nothing.
+  linalg::Vector stepSizes(const std::vector<std::size_t>& actions) const;
+
+  /// Logical SPICE requests this env made (the Table I budget); cache hits
+  /// count here but consume no EDA time.
   std::size_t simulationsUsed() const { return sims_; }
-  /// Engine counters: real simulations vs memo hits, backend timing.
-  const eval::EvalStats& evalStats() const { return engine_->stats(); }
-  /// The engine every step routes through (shared-cache attachment, ledger
-  /// inspection — see opt::Strategy / rl::RlPolicyStrategy).
-  eval::EvalEngine& engine() { return *engine_; }
-  const eval::EvalEngine& engine() const { return *engine_; }
   /// Simulation count at the first solved step (0 when never solved).
   std::size_t simsAtFirstSolve() const { return simsAtFirstSolve_; }
 
   /// Raw (non-unit) sizing at the current grid position.
   const linalg::Vector& currentSizes() const { return sizes_; }
+  /// Value of the current point (the reward without the solve bonus).
+  double currentValue() const { return currentValue_; }
 
-  /// Serialize the full environment state — grid position, episode
-  /// counters, RNG stream, eval-engine memo and stats — into a checkpoint
-  /// section (see docs/CHECKPOINTS.md).
+  /// Serialize the environment state — grid position, episode counters,
+  /// RNG stream — into a checkpoint section (see docs/CHECKPOINTS.md). The
+  /// engine is its owner's to save.
   void saveState(io::SectionWriter& w) const;
   /// Restore state written by saveState; subsequent steps continue the
   /// interrupted trajectory bitwise. Throws io::CheckpointError on
@@ -94,15 +113,16 @@ class SizingEnv {
   void restoreState(io::SectionReader& r);
 
  private:
+  std::vector<std::size_t> drawIndices(std::mt19937_64& rng) const;
+  std::vector<std::size_t> movedIndices(
+      const std::vector<std::size_t>& actions) const;
   linalg::Vector makeObservation() const;
-  void simulateCurrent();
+  void simulateCurrent(const eval::Lookahead& next);
 
   const core::SizingProblem& problem_;
   EnvConfig config_;
   core::ValueFunction value_;
-  /// Single-corner engine over the problem's evaluator (unique_ptr keeps the
-  /// env movable; the engine owns a thread pool and is immovable itself).
-  std::unique_ptr<eval::EvalEngine> engine_;
+  eval::EvalEngine& engine_;
   std::mt19937_64 rng_;
 
   std::vector<std::size_t> indices_;  // grid position

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "rl/actor_critic.hpp"
 #include "rl/checkpoint.hpp"
-#include "rl/vec_env.hpp"
 
 namespace trdse::rl {
 
@@ -165,15 +163,8 @@ bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
 
 RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
                          const TrpoConfig& cfg, std::size_t maxSimulations) {
-  if (cfg.checkpointEvery != 0 && cfg.checkpointPath.empty())
-    throw std::invalid_argument(
-        "TrpoConfig::checkpointEvery is set but checkpointPath is empty");
-  RlTrainOutcome out;
-  ParallelRolloutCollector collector(problem, cfg.env,
-                                     std::max<std::size_t>(1, cfg.numEnvs),
-                                     cfg.rolloutThreads, cfg.seed,
-                                     /*rngSalt=*/37,
-                                     /*initialReset=*/cfg.resumeFrom.empty());
+  ParallelRolloutCollector collector(problem, cfg.env, cfg.seed,
+                                     cfg.seed + /*rngSalt=*/37);
   nn::Mlp policy = makePolicyNet(collector.observationDim(),
                                  collector.actionHeads(), kApH, cfg.hidden,
                                  cfg.seed + 41);
@@ -181,7 +172,6 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
       makeValueNet(collector.observationDim(), cfg.hidden, cfg.seed + 43);
   nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
 
-  out.bestEpisodeReturn = -1e18;
   std::size_t updates = 0;
   std::ostringstream hyper;
   hyper.precision(17);
@@ -203,33 +193,10 @@ RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
   snapshot.criticOpt = &criticOpt;
   snapshot.collector = &collector;
   snapshot.updates = &updates;
-  snapshot.bestEpisodeReturn = &out.bestEpisodeReturn;
-  if (!cfg.resumeFrom.empty())
-    restoreTrainerCheckpoint(cfg.resumeFrom, snapshot);
-
-  std::vector<RolloutBuffer> buffers;
-  while ((cfg.maxUpdates == 0 || updates < cfg.maxUpdates) &&
-         collector.totalSimulations() < maxSimulations && !collector.solved()) {
-    const CollectStats stats = collector.collect(policy, critic, cfg.horizon,
-                                                 maxSimulations, buffers);
-    out.bestEpisodeReturn = std::max(out.bestEpisodeReturn,
-                                     stats.bestEpisodeReturn);
-    if (stats.anySolved || stats.steps == 0) break;
-
-    const FlatRollout data =
-        flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda);
-    trpoUpdate(policy, critic, criticOpt, data, cfg);
-    ++updates;
-    if (cfg.checkpointEvery != 0 && !cfg.checkpointPath.empty() &&
-        updates % cfg.checkpointEvery == 0)
-      saveTrainerCheckpoint(cfg.checkpointPath, snapshot);
-  }
-
-  out.totalSimulations = collector.totalSimulations();
-  out.solved = collector.solved();
-  out.simulationsToSolve =
-      out.solved ? collector.simsAtFirstSolve() : collector.totalSimulations();
-  return out;
+  return runTrainer(cfg, cfg.horizon, snapshot, maxSimulations,
+                    [&](const FlatRollout& data) {
+                      trpoUpdate(policy, critic, criticOpt, data, cfg);
+                    });
 }
 
 }  // namespace trdse::rl

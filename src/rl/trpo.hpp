@@ -21,7 +21,7 @@ namespace trdse::rl {
 
 /// Hyper-parameters of the TRPO baseline trainer.
 struct TrpoConfig {
-  std::size_t horizon = 256;        ///< rollout steps per env per update
+  std::size_t horizon = 256;        ///< transitions per update, all envs
   double gamma = 0.99;              ///< discount factor
   double gaeLambda = 0.95;          ///< GAE(lambda) mixing coefficient
   double maxKl = 0.01;              ///< trust-region KL radius
@@ -31,14 +31,6 @@ struct TrpoConfig {
   double valueLearningRate = 1e-3;  ///< critic Adam step size
   std::size_t valueEpochs = 5;      ///< critic regression epochs per rollout
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
-  /// Parallel rollout environments (1 reproduces the pre-collector serial
-  /// trainer bitwise).
-  std::size_t numEnvs = 1;
-  /// Threads for rollout collection, the caller included: 1 = inline, 0 =
-  /// hardware concurrency. Trajectories are thread-count invariant, but
-  /// with more than one thread the problem's evaluate callback must be
-  /// thread-safe.
-  std::size_t rolloutThreads = 1;
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling
   /// Stop after this many policy updates (0 = unlimited) — pauses a run at

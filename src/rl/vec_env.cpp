@@ -3,141 +3,150 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/thread_pool.hpp"
 #include "io/state_io.hpp"
 #include "rl/actor_critic.hpp"
 
 namespace trdse::rl {
 
+namespace {
+constexpr std::size_t kApH = SizingEnv::kActionsPerHead;
+}  // namespace
+
 ParallelRolloutCollector::ParallelRolloutCollector(
     const core::SizingProblem& problem, const EnvConfig& envConfig,
-    std::size_t numEnvs, std::size_t threads, std::uint64_t seed,
-    std::uint64_t rngSalt, bool initialReset)
-    : pool_(numEnvs <= 1 ? 1 : threads) {
-  assert(numEnvs >= 1);
-  slots_.reserve(numEnvs);
-  for (std::size_t e = 0; e < numEnvs; ++e) {
-    // Environment 0 keeps the pre-collector seed derivation so single-env
-    // runs reproduce the original serial trainers bitwise; the rest get
-    // well-mixed independent streams.
-    const std::uint64_t envSeed =
-        e == 0 ? seed : common::perTaskSeed(seed, e);
-    const std::uint64_t rngSeed =
-        e == 0 ? seed + rngSalt : common::perTaskSeed(seed + rngSalt, e);
-    slots_.push_back(
-        std::make_unique<EnvSlot>(problem, envConfig, envSeed, rngSeed));
-  }
-  // Initial resets (one simulation each) can fan out like any other round;
-  // skipped when a checkpoint restore is about to replace the state anyway.
-  if (initialReset)
-    pool_.parallelFor(slots_.size(), [&](std::size_t e) {
-      slots_[e]->obs = slots_[e]->env.reset();
-    });
+    std::uint64_t envSeed, std::uint64_t rngSeed)
+    : engine_(makeEnvEngine(problem, envConfig)) {
+  const std::size_t n =
+      std::max<std::size_t>(1, engine_->backend().batchWidth());
+  slots_.reserve(n);
+  for (std::size_t e = 0; e < n; ++e)
+    slots_.emplace_back(problem, envConfig,
+                        e == 0 ? envSeed : common::perTaskSeed(envSeed, e),
+                        e == 0 ? rngSeed : common::perTaskSeed(rngSeed, e),
+                        *engine_);
+  buffers_.resize(n);
 }
 
 std::size_t ParallelRolloutCollector::observationDim() const {
-  return slots_.front()->env.observationDim();
+  return slots_.front().env.observationDim();
 }
 
 std::size_t ParallelRolloutCollector::actionHeads() const {
-  return slots_.front()->env.actionHeads();
+  return slots_.front().env.actionHeads();
 }
 
 std::size_t ParallelRolloutCollector::totalSimulations() const {
   std::size_t total = 0;
-  for (const auto& s : slots_) total += s->env.simulationsUsed();
+  for (const EnvSlot& s : slots_) total += s.env.simulationsUsed();
   return total;
 }
 
-CollectStats ParallelRolloutCollector::collect(
-    const nn::Mlp& policy, const nn::Mlp& critic, std::size_t stepsPerEnv,
-    std::size_t maxTotalSims, std::vector<RolloutBuffer>& buffers) {
-  const std::size_t n = slots_.size();
-  buffers.resize(n);
+linalg::Vector ParallelRolloutCollector::nextSizes(
+    std::size_t e, const nn::Mlp& policy) const {
+  const EnvSlot& s = slots_[e];
+  if (!s.haveObs) return s.env.resetSizes();
+  std::mt19937_64 rng = s.rng;
+  return s.env.stepSizes(
+      samplePolicy(policy, s.obs, actionHeads(), kApH, rng).actions);
+}
 
-  // Deterministic split of the remaining simulation budget: env e may burn
-  // floor(remaining / n) simulations, the first (remaining % n) envs one
-  // more. Independent of scheduling, and equal to the serial trainer's
-  // "stop when simulationsUsed() reaches the budget" rule when n == 1.
-  const std::size_t used = totalSimulations();
-  const std::size_t remaining = maxTotalSims > used ? maxTotalSims - used : 0;
-  const std::size_t base = remaining / n;
-  const std::size_t extra = remaining % n;
-
-  const std::size_t heads = actionHeads();
-  constexpr std::size_t apH = SizingEnv::kActionsPerHead;
-  std::vector<double> bestReturns(n, -1e18);
-
-  pool_.parallelFor(n, [&](std::size_t e) {
-    EnvSlot& slot = *slots_[e];
-    RolloutBuffer& buf = buffers[e];
-    buf.clear();
-    const std::size_t allowance = base + (e < extra ? 1 : 0);
-    const std::size_t simsAtStart = slot.env.simulationsUsed();
-    // An env that solved last round sits on a terminal observation; start it
-    // on a fresh episode. The reset is deferred to here (not done at the
-    // solve) so a final solving round consumes no extra simulations — the
-    // single-env trainers stop there, matching the pre-collector loops.
-    if (slot.needsReset && allowance > 0) {
-      slot.obs = slot.env.reset();
-      slot.needsReset = false;
-    }
-    for (std::size_t s = 0;
-         s < stepsPerEnv &&
-         slot.env.simulationsUsed() - simsAtStart < allowance;
-         ++s) {
-      const PolicySample ps = samplePolicy(policy, slot.obs, heads, apH,
-                                           slot.rng);
-      const double v = critic.predict(slot.obs)[0];
-      const StepResult sr = slot.env.step(ps.actions);
-
-      Transition t;
-      t.observation = slot.obs;
-      t.actions = ps.actions;
-      t.reward = sr.reward;
-      t.valueEstimate = v;
-      t.logProb = ps.logProb;
-      t.done = sr.done;
-      buf.transitions.push_back(std::move(t));
-
-      slot.episodeReturn += sr.reward;
-      slot.obs = sr.observation;
-      if (sr.done) {
-        bestReturns[e] = std::max(bestReturns[e], slot.episodeReturn);
-        slot.episodeReturn = 0.0;
-        if (sr.solved) {
-          slot.needsReset = true;
-          break;
-        }
-        slot.obs = slot.env.reset();
-      }
-    }
-    buf.bootstrapValue = (buf.transitions.empty() ||
-                          buf.transitions.back().done)
-                             ? 0.0
-                             : critic.predict(slot.obs)[0];
-  });
-
-  CollectStats stats;
-  for (std::size_t e = 0; e < n; ++e) {
-    stats.steps += buffers[e].size();
-    stats.bestEpisodeReturn = std::max(stats.bestEpisodeReturn,
-                                       bestReturns[e]);
-    if (slots_[e]->env.simsAtFirstSolve() > 0) stats.anySolved = true;
+void ParallelRolloutCollector::request(std::size_t e, const nn::Mlp& policy,
+                                       const nn::Mlp& critic,
+                                       const eval::Lookahead& next) {
+  EnvSlot& s = slots_[e];
+  if (!s.haveObs) {
+    s.obs = s.env.reset(next);
+    s.haveObs = true;
+    return;
   }
-  if (stats.anySolved && solveSims_ == 0) solveSims_ = totalSimulations();
-  return stats;
+  const PolicySample ps = samplePolicy(policy, s.obs, actionHeads(), kApH,
+                                       s.rng);
+  const double v = critic.predict(s.obs)[0];
+  StepResult sr = s.env.step(ps.actions, next);
+
+  Transition t;
+  t.observation = std::move(s.obs);
+  t.actions = ps.actions;
+  t.reward = sr.reward;
+  t.valueEstimate = v;
+  t.logProb = ps.logProb;
+  t.done = sr.done;
+  buffers_[e].transitions.push_back(std::move(t));
+  ++transitions_;
+
+  s.episodeReturn += sr.reward;
+  s.obs = std::move(sr.observation);
+  // The Value without the solve bonus, comparable with the other
+  // strategies' worst-corner Value.
+  if (s.env.currentValue() > bestValue_) {
+    bestValue_ = s.env.currentValue();
+    bestSizes_ = s.env.currentSizes();
+  }
+  if (sr.done) {
+    bestEpisodeReturn_ = std::max(bestEpisodeReturn_, s.episodeReturn);
+    s.episodeReturn = 0.0;
+    s.haveObs = false;
+  }
+  if (sr.solved) solveSims_ = totalSimulations();
+}
+
+void ParallelRolloutCollector::run(const nn::Mlp& policy,
+                                   const nn::Mlp& critic,
+                                   std::size_t transitions, double gamma,
+                                   double lambda, std::size_t target,
+                                   const UpdateFn& update) {
+  const eval::LookaheadScope scope(*engine_);
+  const std::size_t n = slots_.size();
+  const std::size_t rolloutSize = std::max<std::size_t>(1, transitions);
+  for (std::size_t made = totalSimulations(); !solved() && made < target;
+       ++made) {
+    const std::size_t e = nextEnv_;
+    // Lookahead: the tick's later environments, as many as the target lets
+    // request after this one.
+    const std::size_t ahead = std::min(n - 1 - e, target - made - 1);
+    request(e, policy, critic,
+            [&, e, ahead](std::size_t k, linalg::Vector& sizes,
+                          std::size_t& corner) {
+              if (k >= ahead) return false;
+              sizes = nextSizes(e + 1 + k, policy);
+              corner = 0;
+              return true;
+            });
+    nextEnv_ = (e + 1) % n;
+    if (nextEnv_ != 0) continue;
+    // Tick boundary: lanes left over were offered for this tick's
+    // environments, so the buffer never holds more than one tick.
+    engine_->clearLookahead();
+    if (solved() || transitions_ < rolloutSize) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      RolloutBuffer& b = buffers_[i];
+      b.bootstrapValue = b.transitions.empty() || !slots_[i].haveObs
+                             ? 0.0
+                             : critic.predict(slots_[i].obs)[0];
+    }
+    const FlatRollout data = flattenRollouts(buffers_, gamma, lambda);
+    for (RolloutBuffer& b : buffers_) b.clear();
+    transitions_ = 0;
+    if (!update(data)) return;
+  }
 }
 
 void ParallelRolloutCollector::saveState(io::SectionWriter& w) const {
+  assert(nextEnv_ == 0 && transitions_ == 0 && "rollout in progress");
   w.u64(slots_.size());
-  for (const auto& s : slots_) {
-    s->env.saveState(w);
-    io::writeRng(w, s->rng);
-    w.vec(s->obs);
-    w.f64(s->episodeReturn);
-    w.boolean(s->needsReset);
+  engine_->saveState(w);
+  for (const EnvSlot& s : slots_) {
+    s.env.saveState(w);
+    io::writeRng(w, s.rng);
+    w.vec(s.obs);
+    w.boolean(s.haveObs);
+    w.f64(s.episodeReturn);
   }
   w.u64(solveSims_);
+  w.f64(bestEpisodeReturn_);
+  w.f64(bestValue_);
+  w.vec(bestSizes_);
 }
 
 void ParallelRolloutCollector::restoreState(io::SectionReader& r) {
@@ -146,15 +155,22 @@ void ParallelRolloutCollector::restoreState(io::SectionReader& r) {
     r.fail("checkpoint holds " + std::to_string(n) +
            " environments, this collector has " +
            std::to_string(slots_.size()) +
-           " — numEnvs must match to resume");
-  for (auto& s : slots_) {
-    s->env.restoreState(r);
-    io::readRng(r, s->rng);
-    s->obs = r.vec();
-    s->episodeReturn = r.f64();
-    s->needsReset = r.boolean();
+           " (the engine's batch width) — they must match to resume");
+  engine_->restoreState(r);
+  for (EnvSlot& s : slots_) {
+    s.env.restoreState(r);
+    io::readRng(r, s.rng);
+    s.obs = r.vec();
+    s.haveObs = r.boolean();
+    s.episodeReturn = r.f64();
   }
   solveSims_ = r.u64();
+  bestEpisodeReturn_ = r.f64();
+  bestValue_ = r.f64();
+  bestSizes_ = r.vec();
+  nextEnv_ = 0;
+  transitions_ = 0;
+  for (RolloutBuffer& b : buffers_) b.clear();
 }
 
 }  // namespace trdse::rl

@@ -1,116 +1,131 @@
-// Parallel multi-environment rollout collection for the model-free baselines
-// (AutoCkt-style vectorized trajectory sampling).
+// Multi-environment rollout collection, four environments per simulator pass
+// (AutoCkt-style parallel trajectory sampling) — the one rollout loop behind
+// RlPolicyStrategy and the A2C / PPO / TRPO trainers.
 //
-// N independent SizingEnv instances advance concurrently on a shared
-// ThreadPool; each environment owns its RNG streams (common::perTaskSeed per
-// environment index) and writes into its own RolloutBuffer, and the buffers
-// are merged in environment order after the join. Trajectories therefore do
-// not depend on the thread count or on how workers were scheduled, and a
-// single-environment collector reproduces the original serial collection
-// loop bitwise (environment 0 keeps the legacy seed derivation; note the
-// PPO caveat on PpoConfig::numEnvs — its legacy trainer shared one RNG
-// between action sampling and mini-batch shuffling).
+// The collector owns one EvalEngine over the problem's first corner (see
+// makeEnvEngine) and runs N SizingEnvs on it, N being the engine's
+// batchWidth(): sim::kSimLanes (4) for a problem with a fused evaluateBatch,
+// 1 without. Each environment owns its RNG streams and its rollout buffer.
 //
-// With more than one worker thread the problem's `evaluate` callback runs
-// concurrently from several environments and must be thread-safe (every
-// circuits:: evaluator is; it builds its own testbench per call).
+// One tick steps every environment once, in environment order, with one
+// evalOne request each: a reset when it has no observation (at the start and
+// after an episode ends), else a policy-sampled step. A request that must
+// simulate offers the engine the tick's later environments' next points as
+// its lookahead, built lazily: each one's action (or reset point) is sampled
+// on a copy of its stream, so a cache hit samples nothing extra and no
+// pending state outlives the request. One lane pass therefore serves a whole
+// tick, while the ledger and statistics stay exactly those of one request at
+// a time in environment order.
+//
+// Policy updates happen only at tick boundaries, so an update never
+// invalidates a point simulated ahead. Collection stops at the exact request
+// target or at the request that solves, and the lookahead buffer is emptied
+// before run() returns.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <random>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "nn/mlp.hpp"
 #include "rl/rollout.hpp"
 #include "rl/sizing_env.hpp"
 
 namespace trdse::rl {
 
-/// Aggregate statistics of one collection round across all environments.
-struct CollectStats {
-  /// Some environment reached a satisfying design during the round.
-  bool anySolved = false;
-  /// Best completed-episode return observed this round (-1e18 when no
-  /// episode finished).
-  double bestEpisodeReturn = -1e18;
-  /// Transitions collected over all environments.
-  std::size_t steps = 0;
-};
-
-/// Collects trajectories from N sizing environments concurrently.
+/// Collects trajectories from N sizing environments sharing one engine.
 ///
 /// Environment state (grid position, episode progress, RNG streams) persists
-/// across collection rounds, exactly as a single environment's state persists
-/// across the serial trainer's outer iterations.
+/// across run() calls, and so does a partly collected rollout: a call that
+/// stops mid-tick resumes with the next environment. The problem must
+/// outlive the collector.
 class ParallelRolloutCollector {
  public:
-  /// @param numEnvs  number of independent environments (>= 1).
-  /// @param threads  threads for collection, the caller included: 1 runs
-  ///                 inline (serial), 0 uses the hardware concurrency.
-  /// @param seed     base seed; environment 0 uses it verbatim (legacy
-  ///                 stream), environment e > 0 uses perTaskSeed(seed, e).
-  /// @param rngSalt  offset applied to `seed` for the policy-sampling RNG
-  ///                 streams (each trainer keeps its historical salt).
-  /// @param initialReset  run the initial per-env reset (one simulation
-  ///                 each). Trainers that restore a checkpoint right after
-  ///                 construction pass false — the restored state replaces
-  ///                 everything, so those simulations would be pure waste.
-  ParallelRolloutCollector(const core::SizingProblem& problem,
-                           const EnvConfig& envConfig, std::size_t numEnvs,
-                           std::size_t threads, std::uint64_t seed,
-                           std::uint64_t rngSalt, bool initialReset = true);
+  /// Called with each complete rollout, flattened; returns false to stop
+  /// collecting after it. It may update the networks run() samples from:
+  /// the next tick uses the updated ones.
+  using UpdateFn = std::function<bool(const FlatRollout&)>;
 
-  /// Number of managed environments.
+  /// Environment e uses seed `envSeed` (`rngSeed` for its policy-sampling
+  /// stream) when e == 0 and common::perTaskSeed(envSeed or rngSeed, e)
+  /// otherwise, so a one-environment collector keeps the bases verbatim.
+  ParallelRolloutCollector(const core::SizingProblem& problem,
+                           const EnvConfig& envConfig, std::uint64_t envSeed,
+                           std::uint64_t rngSeed);
+
+  /// Number of environments: the engine's batch width.
   std::size_t numEnvs() const { return slots_.size(); }
   /// Observation dimensionality (shared by all environments).
   std::size_t observationDim() const;
   /// Number of categorical action heads (one per sizing parameter).
   std::size_t actionHeads() const;
+  /// The engine every environment's requests go through.
+  eval::EvalEngine& engine() { return *engine_; }
 
-  /// Run one collection round: every environment takes up to `stepsPerEnv`
-  /// policy-sampled steps (stopping early when it solves or when its
-  /// deterministic share of the remaining `maxTotalSims` simulation budget
-  /// is exhausted) and fills buffers[e] with its fragment, including the
-  /// critic bootstrap value for an unfinished tail episode. `buffers` is
-  /// resized to one buffer per environment.
-  CollectStats collect(const nn::Mlp& policy, const nn::Mlp& critic,
-                       std::size_t stepsPerEnv, std::size_t maxTotalSims,
-                       std::vector<RolloutBuffer>& buffers);
+  /// Tick until the environments have made `target` requests in total, or
+  /// one of them solves. Whenever a tick ends with at least `transitions`
+  /// (>= 1) transitions buffered over all environments, the rollout is
+  /// flattened (GAE(gamma, lambda) per environment, bootstrapped by
+  /// `critic`), cleared, and handed to `update`; run() returns right after
+  /// an update that returns false.
+  void run(const nn::Mlp& policy, const nn::Mlp& critic,
+           std::size_t transitions, double gamma, double lambda,
+           std::size_t target, const UpdateFn& update);
 
-  /// Total SPICE simulations consumed across all environments.
+  /// Requests made over all environments.
   std::size_t totalSimulations() const;
-  /// Whether any environment has produced a satisfying design.
+  /// Whether a step reached a satisfying design (collection stopped there).
   bool solved() const { return solveSims_ > 0; }
-  /// Total simulations at the end of the first solving round (0 when never
-  /// solved). For a single environment this equals the environment's own
-  /// sims-at-first-solve because collection stops at the solving step.
+  /// Total requests at the solving step (0 when never solved).
   std::size_t simsAtFirstSolve() const { return solveSims_; }
+  /// Best completed-episode return (-1e18 before any episode ends).
+  double bestEpisodeReturn() const { return bestEpisodeReturn_; }
+  /// Best Value of a stepped-to point (a solve's Value when solved), and
+  /// that point's sizing.
+  double bestValue() const { return bestValue_; }
+  const linalg::Vector& bestSizes() const { return bestSizes_; }
 
-  /// Serialize every environment slot — env state, policy-sampling RNG,
-  /// pending observation, open-episode return — plus the solve marker into a
-  /// checkpoint section. Restoring resumes collection bitwise.
+  /// Serialize the engine and every environment slot — env state,
+  /// policy-sampling RNG, pending observation, open-episode return — plus
+  /// the collection markers into a checkpoint section. Only between
+  /// rollouts (as after an update): a rollout in progress is not saved.
   void saveState(io::SectionWriter& w) const;
-  /// Restore state written by saveState; the collector must have been built
-  /// with the same numEnvs (mismatch throws io::CheckpointError).
+  /// Restore state written by saveState into a collector with the same
+  /// number of environments (a mismatch throws io::CheckpointError).
   void restoreState(io::SectionReader& r);
 
  private:
-  /// Per-environment persistent state (env, RNG stream, pending observation).
+  /// Per-environment persistent state.
   struct EnvSlot {
     EnvSlot(const core::SizingProblem& problem, const EnvConfig& cfg,
-            std::uint64_t envSeed, std::uint64_t rngSeed)
-        : env(problem, cfg, envSeed), rng(rngSeed) {}
+            std::uint64_t envSeed, std::uint64_t rngSeed,
+            eval::EvalEngine& engine)
+        : env(problem, cfg, envSeed, engine), rng(rngSeed) {}
     SizingEnv env;
     std::mt19937_64 rng;        // policy-sampling stream
     linalg::Vector obs;         // observation awaiting the next action
+    bool haveObs = false;       // false: the next request is a reset
     double episodeReturn = 0.0; // running return of the open episode
-    bool needsReset = false;    // solved last round; reset on next collect
   };
 
-  std::vector<std::unique_ptr<EnvSlot>> slots_;
-  common::ThreadPool pool_;
+  /// Environment e's next request (reset or policy step, made through
+  /// `next` as its lookahead); records its transition and the markers.
+  void request(std::size_t e, const nn::Mlp& policy, const nn::Mlp& critic,
+               const eval::Lookahead& next);
+  /// The sizing environment e would request next under `policy`, sampled
+  /// on a copy of its streams.
+  linalg::Vector nextSizes(std::size_t e, const nn::Mlp& policy) const;
+
+  std::unique_ptr<eval::EvalEngine> engine_;
+  std::vector<EnvSlot> slots_;
+  std::vector<RolloutBuffer> buffers_;  // this rollout, one per environment
+  std::size_t nextEnv_ = 0;       // environment of the next request
+  std::size_t transitions_ = 0;   // buffered over all environments
   std::size_t solveSims_ = 0;
+  double bestEpisodeReturn_ = -1e18;
+  double bestValue_ = core::kFailedValue;
+  linalg::Vector bestSizes_;
 };
 
 }  // namespace trdse::rl

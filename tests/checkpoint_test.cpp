@@ -677,13 +677,26 @@ void expectRlOutcomeEq(const rl::RlTrainOutcome& a, const rl::RlTrainOutcome& b)
   EXPECT_EQ(a.bestEpisodeReturn, b.bestEpisodeReturn);  // bitwise
 }
 
+/// rlProblem with a fused evaluator: its trainers run sim::kSimLanes envs.
+core::SizingProblem fusedRlProblem() {
+  core::SizingProblem p = rlProblem();
+  p.evaluateBatch = [fn = p.evaluate](const Vector* const* sizes,
+                                      const sim::PvtCorner* corners,
+                                      core::EvalResult* results,
+                                      std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i)
+      results[i] = fn(*sizes[i], corners[i]);
+  };
+  return p;
+}
+
 TEST(RlCheckpoint, A2cResumeBitwiseEqualSingleAndMultiEnv) {
-  const auto prob = rlProblem();
-  for (const std::size_t numEnvs : {std::size_t{1}, std::size_t{2}}) {
+  for (const std::size_t numEnvs :
+       {std::size_t{1}, static_cast<std::size_t>(sim::kSimLanes)}) {
+    const auto prob = numEnvs == 1 ? rlProblem() : fusedRlProblem();
     rl::A2cConfig cfg;
     cfg.seed = 9;
     cfg.nSteps = 12;
-    cfg.numEnvs = numEnvs;
     cfg.env.episodeLength = 20;
     const std::size_t kBudget = 600;
 
@@ -703,6 +716,19 @@ TEST(RlCheckpoint, A2cResumeBitwiseEqualSingleAndMultiEnv) {
     tail.resumeFrom = path;
     const rl::RlTrainOutcome continued = rl::trainA2c(prob, tail, kBudget);
     expectRlOutcomeEq(full, continued);
+    EXPECT_EQ(rl::ParallelRolloutCollector(prob, cfg.env, 1, 2).numEnvs(),
+              numEnvs);
+
+    // The environment count is the engine's width: a snapshot taken at the
+    // other width is rejected.
+    const auto other = numEnvs == 1 ? fusedRlProblem() : rlProblem();
+    try {
+      (void)rl::trainA2c(other, tail, kBudget);
+      ADD_FAILURE() << "resumed " << numEnvs << " envs at another width";
+    } catch (const io::CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("environments"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

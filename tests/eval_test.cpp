@@ -274,7 +274,8 @@ TEST(EvalEngineSearch, SizingEnvBitwiseIdenticalWithCacheOnOrOff) {
   for (int cached = 0; cached < 2; ++cached) {
     rl::EnvConfig cfg;
     cfg.cacheEvals = cached == 1;
-    rl::SizingEnv env(prob, cfg, 11);
+    const auto engine = rl::makeEnvEngine(prob, cfg);
+    rl::SizingEnv env(prob, cfg, 11, *engine);
     observations[cached].push_back(env.reset());
     for (const auto& a : actionLog) {
       auto sr = env.step(a);
@@ -282,8 +283,8 @@ TEST(EvalEngineSearch, SizingEnvBitwiseIdenticalWithCacheOnOrOff) {
       observations[cached].push_back(std::move(sr.observation));
       if (sr.done) observations[cached].push_back(env.reset());
     }
-    EXPECT_EQ(env.simulationsUsed(), env.evalStats().requests);
-    realSims[cached] = env.evalStats().simulated;
+    EXPECT_EQ(env.simulationsUsed(), engine->stats().requests);
+    realSims[cached] = engine->stats().simulated;
   }
   EXPECT_EQ(rewards[1], rewards[0]);
   ASSERT_EQ(observations[1].size(), observations[0].size());

@@ -294,6 +294,44 @@ TEST(EvalEngineFaults, ExhaustionYieldsTypedFailureNeverCached) {
   EXPECT_EQ(engine.ledger().simulatedBlocks(), 0u);
 }
 
+TEST(EvalEngineFaults, BackoffSaturatesPastTheShiftWidth) {
+  const core::SizingProblem problem = faultGridProblem();
+  const linalg::Vector sizes = {0.5, 0.5};
+  // Every attempt faults. 80 attempts charge before each of 79 retries:
+  // 1 + 2 + 4, then the cap of 8 for retries 3..78, including those past
+  // the 64-bit shift width.
+  EvalEngineConfig cfg;
+  cfg.retry.maxAttempts = 80;
+  cfg.retry.backoffBase = 1;
+  cfg.retry.backoffCap = 8;
+  EvalEngine engine(problem, cfg);
+  engine.injectFaults(std::make_shared<const sim::FaultPlan>(
+                          planConfig(3, 0.0, 1.0, 0.0)),
+                      problem.name);
+  EXPECT_FALSE(engine.evalOne(0, sizes, pvt::BlockKind::kSearch).ok);
+  EXPECT_EQ(engine.stats().attempts, 80u);
+  EXPECT_EQ(engine.stats().backoffUnits, 615u);
+  EXPECT_EQ(engine.ledger().backoffUnits(), 615u);
+  ASSERT_EQ(engine.ledger().totalBlocks(), 1u);
+  EXPECT_EQ(engine.ledger().blocks()[0].backoff, 615u);
+
+  // A base too large to shift charges the cap, and a request's sum stops at
+  // the largest 32-bit count instead of wrapping.
+  EvalEngineConfig big;
+  big.retry.maxAttempts = 4;
+  big.retry.backoffBase = std::numeric_limits<std::size_t>::max() / 2;
+  big.retry.backoffCap = std::numeric_limits<std::size_t>::max();
+  EvalEngine wide(problem, big);
+  wide.injectFaults(std::make_shared<const sim::FaultPlan>(
+                        planConfig(3, 0.0, 1.0, 0.0)),
+                    problem.name);
+  EXPECT_FALSE(wide.evalOne(0, sizes, pvt::BlockKind::kSearch).ok);
+  EXPECT_EQ(wide.stats().backoffUnits,
+            std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(wide.ledger().backoffUnits(),
+            std::numeric_limits<std::uint32_t>::max());
+}
+
 TEST(EvalEngineFaults, BatchSurfacesFailuresInTheirSlots) {
   const core::SizingProblem problem = faultGridProblem();
   EvalEngineConfig cfg;

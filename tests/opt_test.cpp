@@ -14,6 +14,7 @@
 #include "opt/random_search.hpp"
 #include "opt/strategy.hpp"
 #include "opt/tree_bayes_opt.hpp"
+#include "rl/rl_strategy.hpp"
 
 namespace trdse::opt {
 namespace {
@@ -705,7 +706,8 @@ TEST(Lookahead, ClampsToWhatTheStepCanStillAsk) {
   // Without solves or hard failures every lane simulated ahead is asked
   // for: RandomSearch offers only sizings the step target lets it start,
   // TreeBayesOpt only corners the budget reaches (100 blocks end one
-  // corner into a three-corner sweep).
+  // corner into a three-corner sweep), rl_policy only the environments
+  // left in the tick.
   for (const std::size_t width : {4u, 8u}) {
     const auto prob = fused(syntheticProblem(0.001));  // never solves
     RandomSearch rs(prob, 5, 100);
@@ -760,6 +762,42 @@ TEST(Lookahead, ClampsToWhatTheStepCanStillAsk) {
     EXPECT_EQ(out.iterations, 100u);
     EXPECT_EQ(out.evalStats.attempts, out.evalStats.simulated)
         << "tree_bayes_opt width " << width;
+
+    // rl_policy offers only the tick's later environments, as far as the
+    // step target reaches: a run that never solves simulates no lane it
+    // does not use, and one that solves wastes at most the solving tick's
+    // later environments. The 101-request budget ends mid-tick.
+    for (const double radius : {0.001, 0.3}) {
+      const auto rlProb = fused(syntheticProblem(radius));
+      rl::RlPolicyConfig rlCfg;
+      rlCfg.hidden = 8;
+      rlCfg.nSteps = 8;
+      rlCfg.env.episodeLength = 10;
+      for (const std::size_t slice : {std::size_t{7}, std::size_t{101}}) {
+        rl::RlPolicyStrategy rlp(rlProb, rlCfg, 7, 101);
+        if (width == 8)
+          rlp.engine().setBackend(
+              std::make_shared<WideBackend>(rlProb.evaluate, 8));
+        for (std::size_t target = slice; !rlp.finished(); target += slice) {
+          rlp.step(target);
+          EXPECT_EQ(rlp.engine().lookaheadSize(), 0u);
+        }
+        const StrategyOutcome& ro = rlp.outcome();
+        const std::size_t wasted =
+            ro.evalStats.attempts - ro.evalStats.simulated;
+        const std::string where = "rl_policy radius " +
+                                  std::to_string(radius) + " slice " +
+                                  std::to_string(slice) + " width " +
+                                  std::to_string(width);
+        EXPECT_EQ(ro.solved, radius > 0.1) << where;
+        if (ro.solved) {
+          EXPECT_LE(wasted, sim::kSimLanes - 1u) << where;
+        } else {
+          EXPECT_EQ(ro.iterations, 101u) << where;
+          EXPECT_EQ(wasted, 0u) << where;
+        }
+      }
+    }
   }
 }
 

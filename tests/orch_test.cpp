@@ -5,10 +5,13 @@
 // cross-job shared hits actually occurring.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 
 #include "circuits/registry.hpp"
 #include "core/pvt_search.hpp"
@@ -314,19 +317,38 @@ TEST(StrategyResume, TreeBayesOptSlicedEqualsSingleShot) {
 }
 
 TEST(StrategyResume, RlPolicySlicedEqualsSingleShot) {
-  const core::SizingProblem prob = tinyGridProblem(0.3);
-  rl::RlPolicyConfig cfg;
-  cfg.hidden = 8;
-  cfg.nSteps = 8;
-  cfg.env.episodeLength = 10;
+  // One environment, and four sharing each lane pass (a fused evaluator).
+  // Slices of 13 cut the four-environment ticks, and the budget of 81 is
+  // not a multiple of four.
+  for (const bool packed : {false, true}) {
+    for (const double radius : {0.3, 0.05}) {  // solves / never solves
+      core::SizingProblem prob = tinyGridProblem(radius);
+      if (packed)
+        prob.evaluateBatch = [fn = prob.evaluate](
+                                 const linalg::Vector* const* sizes,
+                                 const sim::PvtCorner* corners,
+                                 core::EvalResult* results, std::size_t n) {
+          for (std::size_t i = 0; i < n; ++i)
+            results[i] = fn(*sizes[i], corners[i]);
+        };
+      rl::RlPolicyConfig cfg;
+      cfg.hidden = 8;
+      cfg.nSteps = 8;
+      cfg.env.episodeLength = 10;
 
-  rl::RlPolicyStrategy whole(prob, cfg, 91, 80);
-  whole.run();
-  rl::RlPolicyStrategy sliced(prob, cfg, 91, 80);
-  for (std::size_t target = 13; !sliced.finished(); target += 13)
-    sliced.step(target);
-  expectSameOutcome(sliced.outcome(), whole.outcome());
-  EXPECT_EQ(whole.outcome().iterations, whole.outcome().ledger.totalBlocks());
+      rl::RlPolicyStrategy whole(prob, cfg, 91, 81);
+      whole.run();
+      EXPECT_EQ(whole.outcome().solved, radius > 0.1);
+      rl::RlPolicyStrategy sliced(prob, cfg, 91, 81);
+      for (std::size_t target = 13; !sliced.finished(); target += 13)
+        sliced.step(target);
+      SCOPED_TRACE(std::string(packed ? "four" : "one") + " env(s), radius " +
+                   std::to_string(radius));
+      expectSameOutcome(sliced.outcome(), whole.outcome());
+      EXPECT_EQ(whole.outcome().iterations,
+                whole.outcome().ledger.totalBlocks());
+    }
+  }
 }
 
 TEST(Strategy, PvtWrapperMatchesDirectSearch) {
@@ -609,6 +631,22 @@ TEST(Scenario, RejectsInvalidFaultAndRetryConfigs) {
                std::invalid_argument);
   EXPECT_THROW(parseScenarioText("retry_attempts = 0\n" + tail, "x"),
                std::invalid_argument);
+  EXPECT_EQ(parseScenarioText("retry_attempts = " +
+                                  std::to_string(kMaxRetryAttempts) + "\n" +
+                                  tail,
+                              "x")
+                .retry.maxAttempts,
+            kMaxRetryAttempts);
+  try {
+    parseScenarioText("slice = 4\nretry_attempts = " +
+                          std::to_string(kMaxRetryAttempts + 1) + "\n" + tail,
+                      "many.scenario");
+    ADD_FAILURE() << "retry_attempts past the bound accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("many.scenario:2"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("retry_attempts"), std::string::npos);
+  }
   EXPECT_THROW(parseScenarioText("retry_timeout = -1\n" + tail, "x"),
                std::invalid_argument);
   // Non-finite deadlines: NaN compares false against every deadline (and a
@@ -634,6 +672,80 @@ TEST(Scenario, RejectsInvalidFaultAndRetryConfigs) {
                std::invalid_argument);
   EXPECT_THROW(parseScenarioText("max_failures = 3\n" + tail, "x"),
                std::invalid_argument);  // global scope: job key
+}
+
+// ---- Scenario parser fuzz ---------------------------------------------------
+//
+// Every prefix of the committed CI scenarios, and a deterministic set of
+// single-byte mutations of them, either parses or throws
+// std::invalid_argument pointing at a line: "scenario <source>:<line>: ...".
+// No other exception type, and no crash (the suite also runs under ASan).
+
+std::string readCommittedScenario(const std::string& name) {
+  const std::string path = std::string(TRDSE_SOURCE_DIR) + "/scenarios/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// How one fuzzed input fared: parsed, or rejected with a located
+/// invalid_argument; `error` describes any other outcome.
+struct FuzzOutcome {
+  bool parsed = false;
+  std::string error;
+};
+
+FuzzOutcome parseFuzzed(const std::string& text) {
+  const std::string prefix = "scenario fuzz:";
+  FuzzOutcome out;
+  try {
+    (void)parseScenarioText(text, "fuzz");
+    out.parsed = true;
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    std::size_t i = prefix.size();
+    while (i < msg.size() && std::isdigit(static_cast<unsigned char>(msg[i])))
+      ++i;
+    if (msg.compare(0, prefix.size(), prefix) != 0 || i == prefix.size() ||
+        i >= msg.size() || msg[i] != ':')
+      out.error = "unlocated error: " + msg;
+  } catch (const std::exception& e) {
+    out.error = std::string("unexpected exception: ") + e.what();
+  } catch (...) {
+    out.error = "unexpected non-standard exception";
+  }
+  return out;
+}
+
+TEST(Scenario, FuzzedInputsParseOrPointAtALine) {
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const char* name : {"ci_smoke.scenario", "ci_smoke_faulty.scenario"}) {
+    const std::string text = readCommittedScenario(name);
+    ASSERT_FALSE(text.empty()) << name;
+    ASSERT_TRUE(parseFuzzed(text).parsed) << name;
+    const auto check = [&](const std::string& input, const std::string& what) {
+      const FuzzOutcome o = parseFuzzed(input);
+      EXPECT_EQ(o.error, "") << name << " " << what;
+      ++(o.parsed ? parsed : rejected);
+    };
+    for (std::size_t n = 0; n < text.size(); ++n)
+      check(text.substr(0, n), "prefix of " + std::to_string(n) + " bytes");
+    // Single-byte substitutions at every offset: structure bytes, digits,
+    // signs, letters, control and non-ASCII bytes.
+    for (std::size_t i = 0; i < text.size(); ++i)
+      for (const char b : {'\0', '\n', '\r', '=', '#', '[', ']', ' ', '0', '9',
+                           '-', '.', 'e', 'x', '\x7f', '\xff'}) {
+        if (text[i] == b) continue;
+        std::string mutated = text;
+        mutated[i] = b;
+        check(mutated, "byte " + std::to_string(i) + " set to " +
+                           std::to_string(static_cast<unsigned char>(b)));
+      }
+  }
+  // Both outcomes occur: the fuzz reaches past the first line.
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 /// Faulty acceptance scenario: nonconvergence faults on a coarse grid, one

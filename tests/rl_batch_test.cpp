@@ -2,15 +2,20 @@
 // the segment softmax kernels, the row-batched joint log-prob/entropy/KL
 // helpers, the batched A2C/PPO/TRPO updates against test-local per-sample
 // references (asserted *bitwise* with EXPECT_EQ, not within a tolerance),
-// and thread-count invariance of parallel rollout collection.
+// and lane-packed rollout collection against a one-request-at-a-time
+// reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <random>
 
+#include "common/thread_pool.hpp"
 #include "nn/distribution.hpp"
+#include "nn/optimizer.hpp"
 #include "rl/a2c.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/ppo.hpp"
@@ -450,16 +455,35 @@ void expectOutcomesEqual(const RlTrainOutcome& a, const RlTrainOutcome& b) {
 
 // ---------- parallel rollout collection ----------
 
-core::SizingProblem bowlProblem() {
+/// The problem with a fused evaluator that loops over its scalar one (and
+/// counts its calls and lanes): its collector runs sim::kSimLanes envs.
+core::SizingProblem fused(core::SizingProblem p,
+                          std::shared_ptr<std::atomic<std::size_t>> calls =
+                              nullptr) {
+  p.evaluateBatch = [fn = p.evaluate, calls](const Vector* const* sizes,
+                                             const sim::PvtCorner* corners,
+                                             core::EvalResult* results,
+                                             std::size_t count) {
+    if (calls) ++*calls;
+    for (std::size_t i = 0; i < count; ++i)
+      results[i] = fn(*sizes[i], corners[i]);
+  };
+  return p;
+}
+
+/// A 2-D bowl around (0.3, 0.7) whose simulation fails outright in one
+/// corner of the grid; `spec` sets how close counts as solved.
+core::SizingProblem bowlProblem(double spec = 0.95) {
   core::SizingProblem p;
   p.name = "bowl";
   p.space = core::DesignSpace({{"x", 0.0, 1.0, 33, false},
                                {"y", 0.0, 1.0, 33, false}});
   p.measurementNames = {"closeness"};
-  p.specs = {{"closeness", core::SpecKind::kAtLeast, 0.95}};
+  p.specs = {{"closeness", core::SpecKind::kAtLeast, spec}};
   p.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0}};
   p.evaluate = [](const Vector& v, const sim::PvtCorner&) {
     core::EvalResult r;
+    if (v[0] > 0.8 && v[1] < 0.2) return r;  // hard failure
     r.ok = true;
     const double dx = v[0] - 0.3;
     const double dy = v[1] - 0.7;
@@ -469,91 +493,306 @@ core::SizingProblem bowlProblem() {
   return p;
 }
 
-void expectBuffersBitwiseEqual(const std::vector<RolloutBuffer>& a,
-                               const std::vector<RolloutBuffer>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    ASSERT_EQ(a[e].size(), b[e].size()) << "env " << e;
-    EXPECT_EQ(a[e].bootstrapValue, b[e].bootstrapValue);
-    for (std::size_t i = 0; i < a[e].size(); ++i) {
-      const Transition& ta = a[e].transitions[i];
-      const Transition& tb = b[e].transitions[i];
-      EXPECT_EQ(ta.observation, tb.observation);
-      EXPECT_EQ(ta.actions, tb.actions);
-      EXPECT_EQ(ta.reward, tb.reward);
-      EXPECT_EQ(ta.valueEstimate, tb.valueEstimate);
-      EXPECT_EQ(ta.logProb, tb.logProb);
-      EXPECT_EQ(ta.done, tb.done);
+void expectFlatBitwiseEqual(const FlatRollout& a, const FlatRollout& b,
+                            const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  ASSERT_EQ(a.observations.size(), b.observations.size()) << where;
+  for (std::size_t i = 0; i < a.observations.size(); ++i)
+    EXPECT_EQ(a.observations.data()[i], b.observations.data()[i]) << where;
+  EXPECT_EQ(a.actions, b.actions) << where;
+  EXPECT_EQ(a.logProbs, b.logProbs) << where;
+  EXPECT_EQ(a.advantages, b.advantages) << where;
+  EXPECT_EQ(a.returns, b.returns) << where;
+}
+
+constexpr std::size_t kRolloutBudget = 150;  // not a multiple of 4
+constexpr std::size_t kRolloutSize = 8;
+
+/// Everything a collection consumed.
+struct CollectRun {
+  std::vector<FlatRollout> rollouts;  ///< every update's input, in order
+  bool solved = false;
+  std::size_t sims = 0;
+  std::size_t simsAtSolve = 0;
+  double bestReturn = 0.0;
+  double bestValue = 0.0;
+  Vector bestSizes;
+  pvt::EdaLedger ledger;
+  eval::EvalStats stats;
+  eval::FailureRecord firstFailure;
+  std::size_t memo = 0;
+};
+
+struct CollectSetup {
+  std::uint64_t envSeed = 17;  ///< policy streams use envSeed + 7
+  double spec = 0.95;
+  bool faulty = false;     ///< ci_smoke_faulty's fault plan and retries
+  std::size_t slice = 0;   ///< 0: one run() to the budget
+};
+
+EnvConfig rolloutEnv() {
+  EnvConfig env;
+  env.episodeLength = 12;
+  env.recordLedger = true;
+  return env;
+}
+
+void configure(eval::EvalEngine& engine, const CollectSetup& c) {
+  if (!c.faulty) return;
+  sim::FaultPlanConfig plan;
+  plan.seed = 2021;
+  plan.nonConvergenceRate = 0.30;
+  plan.nonFiniteRate = 0.05;
+  engine.injectFaults(std::make_shared<const sim::FaultPlan>(plan), "rollout");
+  engine.setRetryPolicy(eval::RetryPolicy{/*maxAttempts=*/2});
+}
+
+void finish(CollectRun& run, const eval::EvalEngine& engine) {
+  run.ledger = engine.ledger();
+  run.stats = engine.stats();
+  run.firstFailure = engine.firstFailure();
+  run.memo = engine.cacheSize();
+}
+
+/// The collector, over `prob` (fused: four envs per lane pass).
+CollectRun runCollector(const core::SizingProblem& prob,
+                        const CollectSetup& c) {
+  ParallelRolloutCollector collector(prob, rolloutEnv(), c.envSeed,
+                                     c.envSeed + 7);
+  configure(collector.engine(), c);
+  const std::size_t obsDim = collector.observationDim();
+  nn::Mlp policy = makePolicyNet(obsDim, 2, kApH, 16, 71);
+  nn::Mlp critic = makeValueNet(obsDim, 16, 72);
+  nn::AdamOptimizer policyOpt(7e-4), criticOpt(7e-4);
+  const A2cConfig cfg;
+  CollectRun run;
+  const std::size_t slice = c.slice == 0 ? kRolloutBudget : c.slice;
+  for (std::size_t target = slice;; target += slice) {
+    collector.run(policy, critic, kRolloutSize, cfg.gamma, cfg.gaeLambda,
+                  std::min(target, kRolloutBudget),
+                  [&](const FlatRollout& data) {
+                    run.rollouts.push_back(data);
+                    a2cUpdateBatched(policy, critic, policyOpt, criticOpt,
+                                     data, cfg);
+                    return true;
+                  });
+    EXPECT_EQ(collector.engine().lookaheadSize(), 0u);
+    if (collector.solved() || target >= kRolloutBudget) break;
+  }
+  run.solved = collector.solved();
+  run.sims = collector.totalSimulations();
+  run.simsAtSolve = collector.simsAtFirstSolve();
+  run.bestReturn = collector.bestEpisodeReturn();
+  run.bestValue = collector.bestValue();
+  run.bestSizes = collector.bestSizes();
+  finish(run, collector.engine());
+  return run;
+}
+
+/// The reference: `n` envs on one width-1 engine, stepped one request at a
+/// time in env order (a reset when an env has no observation), updating
+/// after each full tick that ends with a full rollout.
+CollectRun runReference(const core::SizingProblem& scalar, std::size_t n,
+                        const CollectSetup& c) {
+  const EnvConfig envCfg = rolloutEnv();
+  const auto engine = makeEnvEngine(scalar, envCfg);
+  configure(*engine, c);
+  std::vector<SizingEnv> envs;
+  std::vector<std::mt19937_64> rngs;
+  for (std::size_t e = 0; e < n; ++e) {
+    const std::uint64_t rngSeed = c.envSeed + 7;
+    envs.emplace_back(scalar, envCfg,
+                      e == 0 ? c.envSeed : common::perTaskSeed(c.envSeed, e),
+                      *engine);
+    rngs.emplace_back(e == 0 ? rngSeed : common::perTaskSeed(rngSeed, e));
+  }
+  const std::size_t obsDim = envs[0].observationDim();
+  nn::Mlp policy = makePolicyNet(obsDim, 2, kApH, 16, 71);
+  nn::Mlp critic = makeValueNet(obsDim, 16, 72);
+  nn::AdamOptimizer policyOpt(7e-4), criticOpt(7e-4);
+  const A2cConfig cfg;
+  std::vector<Vector> obs(n);
+  std::vector<bool> haveObs(n, false);
+  std::vector<double> episodeReturn(n, 0.0);
+  std::vector<RolloutBuffer> buffers(n);
+  std::size_t transitions = 0;
+  CollectRun run;
+  run.bestReturn = -1e18;
+  run.bestValue = core::kFailedValue;
+  while (run.sims < kRolloutBudget && !run.solved) {
+    std::size_t e = 0;
+    for (; e < n && run.sims < kRolloutBudget && !run.solved; ++e) {
+      ++run.sims;
+      if (!haveObs[e]) {
+        obs[e] = envs[e].reset();
+        haveObs[e] = true;
+        continue;
+      }
+      const PolicySample ps = samplePolicy(policy, obs[e], 2, kApH, rngs[e]);
+      const double v = critic.predict(obs[e])[0];
+      const StepResult sr = envs[e].step(ps.actions);
+      Transition t;
+      t.observation = obs[e];
+      t.actions = ps.actions;
+      t.reward = sr.reward;
+      t.valueEstimate = v;
+      t.logProb = ps.logProb;
+      t.done = sr.done;
+      buffers[e].transitions.push_back(t);
+      ++transitions;
+      episodeReturn[e] += sr.reward;
+      obs[e] = sr.observation;
+      if (envs[e].currentValue() > run.bestValue) {
+        run.bestValue = envs[e].currentValue();
+        run.bestSizes = envs[e].currentSizes();
+      }
+      if (sr.done) {
+        run.bestReturn = std::max(run.bestReturn, episodeReturn[e]);
+        episodeReturn[e] = 0.0;
+        haveObs[e] = false;
+      }
+      if (sr.solved) {
+        run.solved = true;
+        run.simsAtSolve = run.sims;
+      }
+    }
+    if (e < n || run.solved || transitions < kRolloutSize) continue;
+    for (std::size_t i = 0; i < n; ++i)
+      buffers[i].bootstrapValue = buffers[i].transitions.empty() || !haveObs[i]
+                                      ? 0.0
+                                      : critic.predict(obs[i])[0];
+    run.rollouts.push_back(flattenRollouts(buffers, cfg.gamma, cfg.gaeLambda));
+    a2cUpdateBatched(policy, critic, policyOpt, criticOpt,
+                     run.rollouts.back(), cfg);
+    for (RolloutBuffer& b : buffers) b.clear();
+    transitions = 0;
+  }
+  finish(run, *engine);
+  return run;
+}
+
+void expectSameCollection(const CollectRun& a, const CollectRun& b,
+                          const std::string& where) {
+  ASSERT_EQ(a.rollouts.size(), b.rollouts.size()) << where;
+  for (std::size_t i = 0; i < a.rollouts.size(); ++i)
+    expectFlatBitwiseEqual(a.rollouts[i], b.rollouts[i],
+                           where + " rollout " + std::to_string(i));
+  EXPECT_EQ(a.solved, b.solved) << where;
+  EXPECT_EQ(a.sims, b.sims) << where;
+  EXPECT_EQ(a.simsAtSolve, b.simsAtSolve) << where;
+  EXPECT_EQ(a.bestReturn, b.bestReturn) << where;
+  EXPECT_EQ(a.bestValue, b.bestValue) << where;
+  EXPECT_EQ(a.bestSizes, b.bestSizes) << where;
+  const auto& la = a.ledger.blocks();
+  const auto& lb = b.ledger.blocks();
+  ASSERT_EQ(la.size(), lb.size()) << where;
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    EXPECT_EQ(la[i].cornerIndex, lb[i].cornerIndex) << where << " block " << i;
+    EXPECT_EQ(la[i].kind, lb[i].kind) << where << " block " << i;
+    EXPECT_EQ(la[i].meetsSpec, lb[i].meetsSpec) << where << " block " << i;
+    EXPECT_EQ(la[i].cached, lb[i].cached) << where << " block " << i;
+    EXPECT_EQ(la[i].failed, lb[i].failed) << where << " block " << i;
+    EXPECT_EQ(la[i].retries, lb[i].retries) << where << " block " << i;
+    EXPECT_EQ(la[i].backoff, lb[i].backoff) << where << " block " << i;
+  }
+  // Every EvalStats field but attempts, which counts lanes simulated ahead.
+  EXPECT_EQ(a.stats.requests, b.stats.requests) << where;
+  EXPECT_EQ(a.stats.simulated, b.stats.simulated) << where;
+  EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits) << where;
+  EXPECT_EQ(a.stats.sharedHits, b.stats.sharedHits) << where;
+  EXPECT_EQ(a.stats.faults, b.stats.faults) << where;
+  EXPECT_EQ(a.stats.failures, b.stats.failures) << where;
+  EXPECT_EQ(a.stats.backoffUnits, b.stats.backoffUnits) << where;
+  EXPECT_EQ(a.firstFailure.valid, b.firstFailure.valid) << where;
+  EXPECT_EQ(a.firstFailure.request, b.firstFailure.request) << where;
+  EXPECT_EQ(a.firstFailure.cls, b.firstFailure.cls) << where;
+  EXPECT_EQ(a.firstFailure.attempts, b.firstFailure.attempts) << where;
+  EXPECT_EQ(a.memo, b.memo) << where;
+}
+
+/// Packing four environments into each lane pass changes nothing a request
+/// consumes: at N = 1 and N = 4, clean and faulty, solving (at a tick's last
+/// environment with seed 17, at its first with seed 19) or not, whole or
+/// sliced mid-tick, the collector matches the one-request-at-a-time
+/// reference bit for bit — rollouts, markers, ledger and statistics.
+TEST(ParallelRollout, PackedTicksAccountExactlyAsOneRequestAtATime) {
+  for (const std::uint64_t envSeed : {17u, 19u}) {
+    for (const double spec : {0.95, 0.999}) {  // solves / never solves
+      for (const bool faulty : {false, true}) {
+        for (const std::size_t slice : {std::size_t{0}, std::size_t{13}}) {
+          CollectSetup c;
+          c.envSeed = envSeed;
+          c.spec = spec;
+          c.faulty = faulty;
+          c.slice = slice;
+          const std::string where =
+              "seed " + std::to_string(envSeed) + " spec " +
+              std::to_string(spec) + (faulty ? " faulty" : " clean") +
+              " slice " + std::to_string(slice);
+          const core::SizingProblem scalar = bowlProblem(spec);
+          auto calls = std::make_shared<std::atomic<std::size_t>>(0);
+          const core::SizingProblem packed = fused(scalar, calls);
+          for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+            const CollectRun run = runCollector(n == 1 ? scalar : packed, c);
+            const CollectRun ref = runReference(scalar, n, c);
+            expectSameCollection(run, ref, where + " N " + std::to_string(n));
+            EXPECT_FALSE(run.rollouts.empty()) << where;
+          }
+          if (faulty) continue;
+          // Four envs share lane passes: far fewer passes than simulations.
+          *calls = 0;
+          const CollectRun run = runCollector(packed, c);
+          EXPECT_LT(2 * *calls, run.stats.simulated) << where;
+          EXPECT_EQ(run.solved, spec < 0.99) << where;
+          // Seed 19 solves at a tick's first environment, after its pass
+          // simulated the rest of the tick: those lanes go unused (unless
+          // the slice ends at the solving request, which then offers none).
+          const std::size_t unused = run.stats.attempts - run.stats.simulated;
+          if (envSeed == 19 && run.solved) {
+            EXPECT_EQ(run.sims % 4, 1u) << where;
+            if (slice == 0) {
+              EXPECT_GT(unused, 0u) << where;
+            }
+          }
+          EXPECT_LE(unused, run.solved ? 3u : 0u) << where;
+        }
+      }
     }
   }
 }
 
-/// The tentpole determinism guarantee: rollout collection fans N envs across
-/// the pool, but the merged trajectories are identical for every thread
-/// count (per-env RNG streams + env-order merge).
-TEST(ParallelRollout, ThreadCountDoesNotChangeTrajectories) {
-  const auto prob = bowlProblem();
-  EnvConfig envCfg;
-  envCfg.episodeLength = 12;
-  const std::size_t numEnvs = 4;
-
-  const std::size_t obsDim = 2 + 2 * 1;
-  nn::Mlp policy = makePolicyNet(obsDim, 2, kApH, 24, 71);
-  nn::Mlp critic = makeValueNet(obsDim, 24, 72);
-
-  std::vector<RolloutBuffer> serial, pooled;
-  std::size_t simsSerial = 0, simsPooled = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ParallelRolloutCollector collector(prob, envCfg, numEnvs, threads,
-                                       /*seed=*/17, /*rngSalt=*/7);
-    auto& buffers = threads == 1 ? serial : pooled;
-    for (int round = 0; round < 3; ++round)
-      collector.collect(policy, critic, 24, 100000, buffers);
-    (threads == 1 ? simsSerial : simsPooled) = collector.totalSimulations();
-  }
-  EXPECT_EQ(simsSerial, simsPooled);
-  expectBuffersBitwiseEqual(serial, pooled);
-}
-
 TEST(ParallelRollout, EnvStreamsAreIndependent) {
-  const auto prob = bowlProblem();
-  EnvConfig envCfg;
-  envCfg.episodeLength = 12;
-  const std::size_t obsDim = 2 + 2 * 1;
+  const auto prob = fused(bowlProblem());
+  ParallelRolloutCollector collector(prob, rolloutEnv(), 17, 24);
+  ASSERT_EQ(collector.numEnvs(), sim::kSimLanes);
+  const std::size_t obsDim = collector.observationDim();
   nn::Mlp policy = makePolicyNet(obsDim, 2, kApH, 24, 71);
   nn::Mlp critic = makeValueNet(obsDim, 24, 72);
-
-  ParallelRolloutCollector collector(prob, envCfg, 3, 1, 17, 7);
-  std::vector<RolloutBuffer> buffers;
-  collector.collect(policy, critic, 16, 100000, buffers);
-  ASSERT_EQ(buffers.size(), 3u);
-  // Different seeds must give different start points / trajectories.
-  EXPECT_NE(buffers[0].transitions.front().observation,
-            buffers[1].transitions.front().observation);
-  EXPECT_NE(buffers[1].transitions.front().observation,
-            buffers[2].transitions.front().observation);
+  std::vector<FlatRollout> rollouts;
+  // Tick 1 resets all four envs; ticks 2 and 3 step each twice.
+  collector.run(policy, critic, 8, 0.99, 0.95, 1000,
+                [&](const FlatRollout& data) {
+                  rollouts.push_back(data);
+                  return false;
+                });
+  ASSERT_EQ(rollouts.size(), 1u);
+  ASSERT_EQ(rollouts[0].size(), 8u);
+  // Different seeds must give different start points / trajectories: rows
+  // 0, 2, 4, 6 are each env's first transition.
+  const Matrix& o = rollouts[0].observations;
+  for (std::size_t e = 0; e + 1 < 4; ++e)
+    EXPECT_FALSE(std::equal(o.row(2 * e), o.row(2 * e) + obsDim,
+                            o.row(2 * e + 2)))
+        << "env " << e;
 }
 
 TEST(ParallelRollout, MultiEnvTrainingIsDeterministic) {
-  const auto prob = bandProblem();
+  const auto prob = fused(bandProblem());
   PpoConfig cfg;
   cfg.seed = 5;
   cfg.horizon = 32;
   cfg.env.episodeLength = 16;
-  cfg.numEnvs = 3;
-  cfg.rolloutThreads = 2;
   expectOutcomesEqual(trainPpo(prob, cfg, 400), trainPpo(prob, cfg, 400));
-}
-
-TEST(ParallelRollout, MultiEnvOutcomeIndependentOfThreadCount) {
-  const auto prob = bandProblem();
-  A2cConfig a, b;
-  a.seed = b.seed = 9;
-  a.env.episodeLength = b.env.episodeLength = 16;
-  a.numEnvs = b.numEnvs = 3;
-  a.rolloutThreads = 1;
-  b.rolloutThreads = 4;
-  expectOutcomesEqual(trainA2c(prob, a, 400), trainA2c(prob, b, 400));
 }
 
 // ---------- flattening ----------

@@ -31,7 +31,8 @@ core::SizingProblem bandProblem() {
 
 TEST(SizingEnv, ObservationShape) {
   const auto prob = bandProblem();
-  SizingEnv env(prob, {}, 1);
+  const auto engine = makeEnvEngine(prob, {});
+  SizingEnv env(prob, {}, 1, *engine);
   const auto obs = env.reset();
   EXPECT_EQ(obs.size(), env.observationDim());
   EXPECT_EQ(env.observationDim(), 1u + 2u * 1u);
@@ -42,7 +43,8 @@ TEST(SizingEnv, ActionsMoveParameters) {
   const auto prob = bandProblem();
   EnvConfig cfg;
   cfg.episodeLength = 1000;
-  SizingEnv env(prob, cfg, 2);
+  const auto engine = makeEnvEngine(prob, cfg);
+  SizingEnv env(prob, cfg, 2, *engine);
   env.reset();
   const double x0 = env.currentSizes()[0];
   env.step({2});  // increment
@@ -56,7 +58,8 @@ TEST(SizingEnv, ActionsMoveParameters) {
 
 TEST(SizingEnv, ClampsAtGridEdges) {
   const auto prob = bandProblem();
-  SizingEnv env(prob, {}, 3);
+  const auto engine = makeEnvEngine(prob, {});
+  SizingEnv env(prob, {}, 3, *engine);
   env.reset();
   for (int i = 0; i < 100; ++i) env.step({0});
   EXPECT_NEAR(env.currentSizes()[0], 0.0, 1e-12);
@@ -66,7 +69,8 @@ TEST(SizingEnv, SolveGivesBonusAndTerminates) {
   const auto prob = bandProblem();
   EnvConfig cfg;
   cfg.episodeLength = 500;
-  SizingEnv env(prob, cfg, 4);
+  const auto engine = makeEnvEngine(prob, cfg);
+  SizingEnv env(prob, cfg, 4, *engine);
   env.reset();
   StepResult last;
   for (int i = 0; i < 500; ++i) {
@@ -82,7 +86,8 @@ TEST(SizingEnv, SolveGivesBonusAndTerminates) {
 
 TEST(SizingEnv, CountsSimulations) {
   const auto prob = bandProblem();
-  SizingEnv env(prob, {}, 5);
+  const auto engine = makeEnvEngine(prob, {});
+  SizingEnv env(prob, {}, 5, *engine);
   env.reset();
   env.step({1});
   env.step({1});
