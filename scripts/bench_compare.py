@@ -24,7 +24,9 @@ import sys
 # The benches that define the perf trajectory (docs/BENCHMARKS.md).  Keep in
 # sync with the speedup pairs in scripts/bench.sh and the CI ratio gates.
 DEFAULT_HOT = [
+    "BM_DcOpScalar",
     "BM_DcOpBatch",
+    "BM_IcoEvalTransient",
     "BM_IcoEvalTransientBatched",
     "BM_PvtCornerSweepPooled",
     "BM_SurrogateScoreBatch",

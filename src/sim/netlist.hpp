@@ -114,7 +114,8 @@ class Netlist {
                         const MosParams& params);
 
   std::size_t nodeCount() const { return nodeCount_; }  ///< includes ground
-  /// Number of MNA unknowns: (nodes-1) + vsources + vcvs branches.
+  /// Number of MNA unknowns: (nodes-1) + the branchCount() branch currents
+  /// (vsources, vcvs and inductors).
   std::size_t unknownCount() const;
   /// MNA row/column of a node (node must not be ground).
   std::size_t nodeIndex(NodeId n) const {

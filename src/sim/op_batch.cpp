@@ -56,13 +56,9 @@ struct LaneSystem {
   }
 };
 
-/// Lanes that are frozen, dead, or unused still go through the shared LU, so
-/// give them a benign identity system (diag 1, rhs 0): factoring stays finite
-/// and their solve output is all zeros (and discarded).
-void clearLaneToIdentity(LaneSystem& sys, int l) {
-  for (std::size_t r = 0; r < sys.n; ++r)
-    for (std::size_t c = 0; c < sys.n; ++c) sys.at(r, c, l) = (r == c) ? 1.0 : 0.0;
-  for (std::size_t i = 0; i < sys.n; ++i) sys.rv(i, l) = 0.0;
+/// All-ones lanes where on[l], all-zero elsewhere: a select4 mask.
+V4i laneMask(const bool* on) {
+  return V4i{on[0] ? -1 : 0, on[1] ? -1 : 0, on[2] ? -1 : 0, on[3] ? -1 : 0};
 }
 
 // Per-lane stamp helpers mirroring the reference solvers' stampG/stampI/addAt
@@ -86,13 +82,6 @@ void stampI(LaneSystem& sys, const Netlist& nl, int l, NodeId a, NodeId b,
             double i) {
   if (a != kGround) sys.rv(nl.nodeIndex(a), l) -= i;
   if (b != kGround) sys.rv(nl.nodeIndex(b), l) += i;
-}
-
-/// stampI into a bare lane-blocked vector (the transient per-step RHS).
-void stampIVec(std::vector<double>& rhsB, const Netlist& nl, int l, NodeId a,
-               NodeId b, double i) {
-  if (a != kGround) rhsB[nl.nodeIndex(a) * L + static_cast<std::size_t>(l)] -= i;
-  if (b != kGround) rhsB[nl.nodeIndex(b) * L + static_cast<std::size_t>(l)] += i;
 }
 
 template <typename Sys>
@@ -139,13 +128,38 @@ struct LaneLu {
   std::vector<std::size_t> perm;    // i*L + l
   bool ok[L] = {};                  // per-lane "factored and nonsingular"
 
-  /// Copy the (linear image) system in. The per-iteration nonlinear stamps
-  /// then scatter straight into data() and factorInPlace() runs on it — one
-  /// matrix copy per Newton round instead of the old stamp-into-work +
-  /// copy-into-lu two-pass.
-  void load(const LaneSystem& sys) {
+  /// Copy the linear image `sys` into the panel and `rhsIn` into `rhsOut`,
+  /// with every lane outside `on` blended to the identity system (diag 1,
+  /// rhs 0): lanes that are frozen, dead or unused still go through the
+  /// shared LU, where the identity keeps factoring finite and solves to
+  /// zeros (which are discarded). The per-round nonlinear stamps then
+  /// scatter straight into data() and factorInPlace() runs on it — one
+  /// matrix pass per Newton round.
+  void load(const LaneSystem& sys, const std::vector<double>& rhsIn, V4i on,
+            std::vector<double>& rhsOut) {
     n = sys.n;
-    lu.assign(sys.a.begin(), sys.a.end());
+    lu.resize(sys.a.size());
+    rhsOut.resize(rhsIn.size());
+    const V4d zero = simd::splat4(0.0);
+    const V4d one = simd::splat4(1.0);
+    const double* __restrict src = sys.a.data();
+    double* __restrict dst = lu.data();
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < n; ++c) {
+        const std::size_t at = (r * n + c) * L;
+        simd::store4(dst + at, simd::select4(on, simd::load4(src + at),
+                                             r == c ? one : zero));
+      }
+    for (std::size_t i = 0; i < n; ++i)
+      simd::store4(rhsOut.data() + i * L,
+                   simd::select4(on, simd::load4(rhsIn.data() + i * L), zero));
+  }
+
+  /// Size the panel and permutation for a `dim`-unknown system up front.
+  void reset(std::size_t dim) {
+    n = dim;
+    lu.assign(n * n * L, 0.0);
+    perm.assign(n * L, 0);
   }
 
   double* data() { return lu.data(); }
@@ -313,120 +327,96 @@ void buildDeviceBlocks(const std::array<const Netlist*, kSimLanes>& nls, int ref
   }
 }
 
-/// One lockstep round of device-card evaluation at each lane's current
-/// voltages. Lanes with a null vector gather 0.0 (benign inputs; the outputs
-/// of those lanes are discarded) — a dead lane's last iterate may hold
-/// non-finite values the kernels must never see.
-void evalDeviceBlocks(const Netlist& rnl, DeviceBlocks& db,
-                      const std::array<const linalg::Vector*, kSimLanes>& v) {
-  for (std::size_t k = 0; k < rnl.mosfets().size(); ++k) {
-    const auto& fet = rnl.mosfets()[k];
-    double vd[L], vg[L], vs[L], vb[L];
-    for (int l = 0; l < L; ++l) {
-      if (v[l] != nullptr) {
-        vd[l] = (*v[l])[static_cast<std::size_t>(fet.d)];
-        vg[l] = (*v[l])[static_cast<std::size_t>(fet.g)];
-        vs[l] = (*v[l])[static_cast<std::size_t>(fet.s)];
-        vb[l] = (*v[l])[static_cast<std::size_t>(fet.b)];
-      } else {
-        vd[l] = vg[l] = vs[l] = vb[l] = 0.0;
-      }
-    }
+// The Newton iterate of every engine round lives in one node x lane layout,
+// node i of lane l at v[i*L + l] (ground row included), the layout of the LU
+// panel's right-hand side. The device gathers below are therefore one V4d
+// load per terminal, masked by the lanes the round iterates: a masked-off
+// lane reads exactly 0.0, since a dead lane's last iterate may hold
+// non-finite values that the kernels and the stamp blend must never see.
+
+/// Node `node`'s four lanes of `v`, with the lanes outside `on` read as 0.0.
+V4d gatherNode(const double* v, NodeId node, V4i on) {
+  return simd::select4(
+      on, simd::load4(v + static_cast<std::size_t>(node) * L),
+      simd::splat4(0.0));
+}
+
+/// One lockstep round of device-card evaluation at the iterate `v` of the
+/// lanes in `on` (the others evaluate at all-zero terminals; their outputs
+/// are discarded).
+void evalDeviceBlocks(const AssemblyPlan& plan, DeviceBlocks& db,
+                      const double* v, V4i on) {
+  for (std::size_t k = 0; k < plan.mosIdx.size(); ++k) {
+    const MosStampIdx& ix = plan.mosIdx[k];
+    alignas(32) double vd[L], vg[L], vs[L], vb[L];
+    simd::store4(vd, gatherNode(v, ix.d, on));
+    simd::store4(vg, gatherNode(v, ix.g, on));
+    simd::store4(vs, gatherNode(v, ix.s, on));
+    simd::store4(vb, gatherNode(v, ix.b, on));
     evalMosBlock(db.mosCtx[k], vd, vg, vs, vb, db.mosOp[k]);
   }
-  for (std::size_t k = 0; k < rnl.diodes().size(); ++k) {
-    const auto& d = rnl.diodes()[k];
-    double vak[L];
-    for (int l = 0; l < L; ++l) {
-      vak[l] = v[l] != nullptr ? (*v[l])[static_cast<std::size_t>(d.a)] -
-                                     (*v[l])[static_cast<std::size_t>(d.k)]
-                               : 0.0;
-    }
+  for (std::size_t k = 0; k < plan.dioIdx.size(); ++k) {
+    const DiodeStampIdx& ix = plan.dioIdx[k];
+    alignas(32) double vak[L];
+    simd::store4(vak, gatherNode(v, ix.a, on) - gatherNode(v, ix.k, on));
     evalDiodeBlock(db.dioCtx[k], vak, db.dioOp[k]);
   }
 }
 
-/// clearLaneToIdentity on raw lane-blocked matrix/rhs storage (the LU panel a
-/// plan scatter is about to run on).
-void clearLaneRawToIdentity(double* a, double* rhs, std::size_t n, int l) {
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c)
-      a[(r * n + c) * L + static_cast<std::size_t>(l)] = (r == c) ? 1.0 : 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    rhs[i * L + static_cast<std::size_t>(l)] = 0.0;
+/// cell += x, four lanes at once.
+void addCell(double* cell, V4d x) {
+  simd::store4(cell, simd::load4(cell) + x);
+}
+
+void subCell(double* cell, V4d x) {
+  simd::store4(cell, simd::load4(cell) - x);
 }
 
 /// Nonlinear (diode/MOS) Newton stamps through the precompiled plan tables,
-/// with the lane loop innermost: the four lanes of one matrix cell are
-/// contiguous, so each cell update is one vector add. Per lane this
-/// accumulates exactly the scalar per-iteration sequence (diodes in netlist
-/// order, then MOSFETs, same addAt order per device — distinct lanes are
-/// independent slots, so interleaving across lanes is order-free). Lanes with
-/// on[l] false blend in an addend of exactly 0.0, leaving their cells
-/// bit-unchanged; their op-block values are finite (evalDeviceBlocks feeds
-/// dead lanes 0.0 inputs) and their voltage gathers are masked to 0.0 so no
-/// NaN enters the blend. Shared by the batched DC and transient engines —
+/// one V4d per matrix cell. Per lane this accumulates exactly the scalar
+/// per-iteration sequence (diodes in netlist order, then MOSFETs, same addAt
+/// order per device). Lanes outside `on` blend in an addend of exactly 0.0,
+/// leaving their cells bit-unchanged; their op-block values are finite
+/// (evalDeviceBlocks feeds them 0.0 inputs) and their voltage gathers read
+/// 0.0, so no NaN enters the blend. Shared by the DC and transient engines —
 /// both stamp the same linearized device companions onto their respective
 /// linear images.
 void scatterNonlinear(double* __restrict wa, double* __restrict wr,
                       const AssemblyPlan& plan, const DeviceBlocks& db,
-                      const std::array<const linalg::Vector*, kSimLanes>& v,
-                      const bool* on) {
+                      const double* v, V4i on) {
+  const V4d zero = simd::splat4(0.0);
   for (std::size_t k = 0; k < plan.dioIdx.size(); ++k) {
     const DiodeStampIdx& ix = plan.dioIdx[k];
     const DiodeOpBlock& op = db.dioOp[k];
-    double mgd[L], ieq[L];
-    for (int l = 0; l < L; ++l) {
-      const double vak = on[l] ? (*v[l])[static_cast<std::size_t>(ix.a)] -
-                                     (*v[l])[static_cast<std::size_t>(ix.k)]
-                               : 0.0;
-      const double gd = on[l] ? op.gd[l] : 0.0;
-      const double id = on[l] ? op.id[l] : 0.0;
-      mgd[l] = gd;
-      ieq[l] = id - gd * vak;
-    }
-    if (ix.cell[0] >= 0)
-      for (int l = 0; l < L; ++l) wa[ix.cell[0] * L + l] += mgd[l];
-    if (ix.cell[1] >= 0)
-      for (int l = 0; l < L; ++l) wa[ix.cell[1] * L + l] -= mgd[l];
-    if (ix.cell[2] >= 0)
-      for (int l = 0; l < L; ++l) wa[ix.cell[2] * L + l] += mgd[l];
-    if (ix.cell[3] >= 0)
-      for (int l = 0; l < L; ++l) wa[ix.cell[3] * L + l] -= mgd[l];
-    if (ix.rhsA >= 0)
-      for (int l = 0; l < L; ++l) wr[ix.rhsA * L + l] -= ieq[l];
-    if (ix.rhsK >= 0)
-      for (int l = 0; l < L; ++l) wr[ix.rhsK * L + l] += ieq[l];
+    const V4d vak = gatherNode(v, ix.a, on) - gatherNode(v, ix.k, on);
+    const V4d gd = simd::select4(on, simd::load4(op.gd), zero);
+    const V4d id = simd::select4(on, simd::load4(op.id), zero);
+    const V4d ieq = id - gd * vak;
+    if (ix.cell[0] >= 0) addCell(wa + ix.cell[0] * L, gd);
+    if (ix.cell[1] >= 0) subCell(wa + ix.cell[1] * L, gd);
+    if (ix.cell[2] >= 0) addCell(wa + ix.cell[2] * L, gd);
+    if (ix.cell[3] >= 0) subCell(wa + ix.cell[3] * L, gd);
+    if (ix.rhsA >= 0) subCell(wr + ix.rhsA * L, ieq);
+    if (ix.rhsK >= 0) addCell(wr + ix.rhsK * L, ieq);
   }
   for (std::size_t k = 0; k < plan.mosIdx.size(); ++k) {
     const MosStampIdx& ix = plan.mosIdx[k];
     const MosOpBlock& op = db.mosOp[k];
-    double mv[4][L], ieq[L];
-    for (int l = 0; l < L; ++l) {
-      mv[0][l] = on[l] ? op.dIdVd[l] : 0.0;
-      mv[1][l] = on[l] ? op.dIdVg[l] : 0.0;
-      mv[2][l] = on[l] ? op.dIdVs[l] : 0.0;
-      mv[3][l] = on[l] ? op.dIdVb[l] : 0.0;
-    }
-    for (int l = 0; l < L; ++l) {
-      const double ids = on[l] ? op.ids[l] : 0.0;
-      const double vd = on[l] ? (*v[l])[static_cast<std::size_t>(ix.d)] : 0.0;
-      const double vg = on[l] ? (*v[l])[static_cast<std::size_t>(ix.g)] : 0.0;
-      const double vs = on[l] ? (*v[l])[static_cast<std::size_t>(ix.s)] : 0.0;
-      const double vb = on[l] ? (*v[l])[static_cast<std::size_t>(ix.b)] : 0.0;
-      ieq[l] = ids - mv[0][l] * vd - mv[1][l] * vg - mv[2][l] * vs -
-               mv[3][l] * vb;
-    }
+    const V4d mv[4] = {simd::select4(on, simd::load4(op.dIdVd), zero),
+                       simd::select4(on, simd::load4(op.dIdVg), zero),
+                       simd::select4(on, simd::load4(op.dIdVs), zero),
+                       simd::select4(on, simd::load4(op.dIdVb), zero)};
+    const V4d ids = simd::select4(on, simd::load4(op.ids), zero);
+    const V4d ieq = ids - mv[0] * gatherNode(v, ix.d, on) -
+                    mv[1] * gatherNode(v, ix.g, on) -
+                    mv[2] * gatherNode(v, ix.s, on) -
+                    mv[3] * gatherNode(v, ix.b, on);
     for (int e = 0; e < 4; ++e)
-      if (ix.cell[e] >= 0)
-        for (int l = 0; l < L; ++l) wa[ix.cell[e] * L + l] += mv[e][l];
+      if (ix.cell[e] >= 0) addCell(wa + ix.cell[e] * L, mv[e]);
     for (int e = 0; e < 4; ++e)
-      if (ix.cell[4 + e] >= 0)
-        for (int l = 0; l < L; ++l) wa[ix.cell[4 + e] * L + l] -= mv[e][l];
-    if (ix.rhsD >= 0)
-      for (int l = 0; l < L; ++l) wr[ix.rhsD * L + l] -= ieq[l];
-    if (ix.rhsS >= 0)
-      for (int l = 0; l < L; ++l) wr[ix.rhsS * L + l] += ieq[l];
+      if (ix.cell[4 + e] >= 0) subCell(wa + ix.cell[4 + e] * L, mv[e]);
+    if (ix.rhsD >= 0) subCell(wr + ix.rhsD * L, ieq);
+    if (ix.rhsS >= 0) addCell(wr + ix.rhsS * L, ieq);
   }
 }
 
@@ -673,6 +663,8 @@ struct BatchWorkspace {
   std::vector<double> workRhs;
   std::vector<double> stepRhs;
   std::vector<double> xB;
+  std::vector<double> v;      ///< node x lane Newton iterate (i*L + l)
+  std::vector<double> xSave;  ///< transient: converged-round solution (i*L + l)
   DeviceBlocks db;
   std::array<DcLane, L> dcLanes;
 };
@@ -757,15 +749,17 @@ std::array<DcResult, kSimLanes> solveDcBatch(
   std::vector<double>& workRhs = ws.workRhs;
   std::vector<double>& xB = ws.xB;
   xB.assign(n * static_cast<std::size_t>(L), 0.0);
+  std::vector<double>& vB = ws.v;
+  vB.assign(nodes * static_cast<std::size_t>(L), 0.0);
 
   // Which (gmin, srcScale) setting each lane's slice of the linear image
   // currently holds. A lane's image is only rebuilt when its ladder phase
   // changes that pair — in the common converge-at-phase-0 case it is stamped
-  // exactly once per solve instead of once per Newton iteration.
+  // exactly once per solve instead of once per Newton iteration. Lanes that
+  // are not live are blended to identity as the image is loaded.
   double stampedGmin[L];
   double stampedSrc[L];
   bool stampedValid[L] = {};
-  bool stampedIdentity[L] = {};
 
   auto anyLive = [&lanes]() {
     for (const DcLane& ln : lanes)
@@ -774,41 +768,37 @@ std::array<DcResult, kSimLanes> solveDcBatch(
   };
 
   while (anyLive()) {
-    std::array<const linalg::Vector*, L> vl{};
+    // Gather the live lanes' iterates into the node x lane layout the device
+    // gathers and the nonlinear scatter read.
     bool live[L] = {};
     for (int l = 0; l < L; ++l) {
-      if (lanes[l].active && !lanes[l].done) {
-        live[l] = true;
-        vl[l] = &lanes[l].v;
-      }
+      if (!lanes[l].active || lanes[l].done) continue;
+      live[l] = true;
+      const linalg::Vector& v = lanes[l].v;
+      for (std::size_t i = 0; i < nodes; ++i)
+        vB[i * L + static_cast<std::size_t>(l)] = v[i];
     }
+    const V4i on = laneMask(live);
     {
       SimPhaseTimer timer(SimPhase::kDeviceEval);
-      evalDeviceBlocks(rnl, db, vl);
+      evalDeviceBlocks(*plan, db, vB.data(), on);
     }
     {
       SimPhaseTimer timer(SimPhase::kStamp);
       for (int l = 0; l < L; ++l) {
-        if (live[l]) {
-          const DcLane& ln = lanes[l];
-          if (!stampedValid[l] || stampedGmin[l] != ln.gmin ||
-              stampedSrc[l] != ln.srcScale) {
-            zeroLane(lin, l);
-            stampDcLinear(lin, *nls[l], l, ln.gmin, ln.srcScale);
-            stampedGmin[l] = ln.gmin;
-            stampedSrc[l] = ln.srcScale;
-            stampedValid[l] = true;
-            stampedIdentity[l] = false;
-          }
-        } else if (!stampedIdentity[l]) {
-          clearLaneToIdentity(lin, l);
-          stampedIdentity[l] = true;
-          stampedValid[l] = false;
+        if (!live[l]) continue;
+        const DcLane& ln = lanes[l];
+        if (!stampedValid[l] || stampedGmin[l] != ln.gmin ||
+            stampedSrc[l] != ln.srcScale) {
+          zeroLane(lin, l);
+          stampDcLinear(lin, *nls[l], l, ln.gmin, ln.srcScale);
+          stampedGmin[l] = ln.gmin;
+          stampedSrc[l] = ln.srcScale;
+          stampedValid[l] = true;
         }
       }
-      lu.load(lin);
-      workRhs.assign(lin.rhs.begin(), lin.rhs.end());
-      scatterNonlinear(lu.data(), workRhs.data(), *plan, db, vl, live);
+      lu.load(lin, lin.rhs, on, workRhs);
+      scatterNonlinear(lu.data(), workRhs.data(), *plan, db, vB.data(), on);
     }
     {
       SimPhaseTimer timer(SimPhase::kFactor);
@@ -857,46 +847,53 @@ std::array<DcResult, kSimLanes> solveDcBatch(
 // ---------------------------------------------------------------------------
 namespace {
 
-// Companion states, one set per lane, in the reference runTransient's
-// collection order (explicit capacitors first, then per-MOSFET parasitics).
-struct BatchCapState {
+// Companion elements as lane blocks: the lanes share topology, so terminals
+// and branch rows are shared and only the values are per lane. Capacitors
+// keep the reference runTransient's collection order (explicit capacitors
+// first, then each MOSFET's gate-source, gate-drain and drain-bulk
+// parasitics).
+struct CapBlock {
+  alignas(32) double geq[L] = {};  ///< trapezoidal conductance 2C/h
+  alignas(32) double vPrev[L] = {};  ///< v(a) - v(b) at the last accepted step
+  alignas(32) double iPrev[L] = {};  ///< companion current at that step
   NodeId a = kGround;
   NodeId b = kGround;
-  double c = 0.0;
-  double vPrev = 0.0;
-  double iPrev = 0.0;
 };
 
-struct BatchIndState {
-  double iPrev = 0.0;
-  double vPrev = 0.0;
+struct IndBlock {
+  alignas(32) double zeq[L] = {};  ///< trapezoidal impedance 2L/h
+  alignas(32) double vPrev[L] = {};  ///< v(a) - v(b) at the last accepted step
+  alignas(32) double iPrev[L] = {};  ///< branch current at that step
+  NodeId a = kGround;
+  NodeId b = kGround;
+  std::size_t br = 0;  ///< MNA branch row
 };
 
-/// Lane l's step-invariant (linear) matrix part: resistors, gmin, VCCS,
-/// inductor/vsource/vcvs branch rows, capacitor companion conductances. The
-/// per-cell accumulation order matches the reference per-iteration stamping
-/// (the nonlinear diode/MOS stamps are added on a copy each Newton round).
+/// Lane l's step-invariant image: the matrix's linear part (resistors, gmin,
+/// VCCS, inductor/vsource/vcvs branch rows, capacitor companion
+/// conductances) and the sources' RHS (isources on node rows, vsource
+/// rows). The per-cell accumulation order matches the reference
+/// per-iteration stamping; each step adds the companion currents to a copy
+/// of the RHS, and each Newton round the nonlinear diode/MOS stamps to a
+/// copy of both.
 void stampTransientBase(LaneSystem& base, const Netlist& nl, int l,
-                        const std::vector<BatchCapState>& caps, double h) {
+                        const std::vector<CapBlock>& caps,
+                        const std::vector<IndBlock>& inds) {
   for (const auto& r : nl.resistors()) stampG(base, nl, l, r.a, r.b, 1.0 / r.ohms);
   for (std::size_t i = 1; i < nl.nodeCount(); ++i)
     base.at(i - 1, i - 1, l) += 1e-12;  // gmin
+  for (const auto& src : nl.isources()) stampI(base, nl, l, src.p, src.n, src.idc);
   for (const auto& g : nl.vccs()) stampVccs(base, nl, l, g);
-  for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-    const auto& ind = nl.inductors()[k];
-    const std::size_t br = nl.inductorBranchIndex(k);
-    stampBranch(base, nl, l, ind.a, ind.b, br);
-    const double zeq = 2.0 * ind.henry / h;
-    base.at(br, br, l) -= zeq;
+  for (const IndBlock& ind : inds) {
+    stampBranch(base, nl, l, ind.a, ind.b, ind.br);
+    base.at(ind.br, ind.br, l) -= ind.zeq[l];
   }
-  for (const auto& cs : caps) {
-    const double geq = 2.0 * cs.c / h;
-    stampG(base, nl, l, cs.a, cs.b, geq);
-  }
+  for (const CapBlock& cs : caps) stampG(base, nl, l, cs.a, cs.b, cs.geq[l]);
   for (std::size_t k = 0; k < nl.vsources().size(); ++k) {
     const auto& src = nl.vsources()[k];
     const std::size_t br = nl.vsourceBranchIndex(k);
     stampBranch(base, nl, l, src.p, src.n, br);
+    base.rv(br, l) = src.vdc;
   }
   for (std::size_t k = 0; k < nl.vcvs().size(); ++k) {
     const auto& e = nl.vcvs()[k];
@@ -921,14 +918,13 @@ struct TransientBatch::Impl {
   bool active[L] = {};
   bool alive[L] = {};  ///< still recording (no singular matrix / Newton fail)
   std::array<TransientResult, L> results;
-  std::array<linalg::Vector, L> v;      ///< last accepted node voltages
-  std::array<linalg::Vector, L> vIter;  ///< Newton iterate scratch
-  std::array<std::vector<BatchCapState>, L> caps;
-  std::array<std::vector<BatchIndState>, L> inds;
-  std::array<std::vector<double>, L> xSave;  ///< converged-round solution
+  std::vector<CapBlock> caps;
+  std::vector<IndBlock> inds;
   PlanHandle plan;  ///< cached per-topology scatter tables
-  /// Pooled buffers: the base image lives in ws->lin (rhs member unused),
-  /// the Newton round runs on ws->lu / ws->workRhs / ws->stepRhs / ws->xB.
+  /// Pooled buffers, all in the node x lane layout: the step-invariant image
+  /// in ws->lin, the Newton iterate in ws->v (which holds each lane's last
+  /// accepted voltages between steps), its converged solution in ws->xSave,
+  /// and the round's panel and vectors in ws->lu / stepRhs / workRhs / xB.
   WorkspaceLease ws;
 
   void doStep(std::size_t stepIndex);
@@ -936,48 +932,38 @@ struct TransientBatch::Impl {
 
 void TransientBatch::Impl::doStep(std::size_t stepIndex) {
   const Netlist& rnl = *nls[ref];
-  const double h = opts.dt;
-  std::vector<double>& stepRhs = ws->stepRhs;
-  std::vector<double>& workRhs = ws->workRhs;
-  std::vector<double>& xB = ws->xB;
-  LaneLu& lu = ws->lu;
+  BatchWorkspace& w = *ws;
+  LaneLu& lu = w.lu;
+  double* v = w.v.data();
+  double* xSave = w.xSave.data();
+  const double* x = w.xB.data();
 
-  // Per-step RHS: sources + linear companion currents. Node entries
-  // accumulate as isources then capacitors — the reference per-iteration
-  // order with the nonlinear (diode/MOS) contributions appended per round
-  // below.
+  // Per-step RHS: the sources' image, the inductor rows, then the capacitor
+  // companion currents — per lane the reference's order (isources, inductor
+  // rows, capacitors, vsource rows), with the nonlinear (diode/MOS)
+  // contributions appended each round below. Every lane is computed; the
+  // lanes a round does not iterate are blended to a zero RHS as it loads.
   {
     SimPhaseTimer timer(SimPhase::kStamp);
-    std::fill(stepRhs.begin(), stepRhs.end(), 0.0);
-    for (int l = 0; l < L; ++l) {
-      if (!alive[l]) continue;
-      const Netlist& nl = *nls[l];
-      for (const auto& src : nl.isources())
-        stampIVec(stepRhs, nl, l, src.p, src.n, src.idc);
-      for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-        const auto& ind = nl.inductors()[k];
-        const double zeq = 2.0 * ind.henry / h;
-        stepRhs[nl.inductorBranchIndex(k) * L + static_cast<std::size_t>(l)] =
-            -(inds[l][k].vPrev + zeq * inds[l][k].iPrev);
-      }
-      for (const auto& cs : caps[l]) {
-        const double geq = 2.0 * cs.c / h;
-        const double ieq = -geq * cs.vPrev - cs.iPrev;
-        stampIVec(stepRhs, nl, l, cs.a, cs.b, ieq);
-      }
-      for (std::size_t k = 0; k < nl.vsources().size(); ++k)
-        stepRhs[nl.vsourceBranchIndex(k) * L + static_cast<std::size_t>(l)] =
-            nl.vsources()[k].vdc;
+    double* rhs = w.stepRhs.data();
+    std::copy(w.lin.rhs.begin(), w.lin.rhs.end(), rhs);
+    for (const IndBlock& ind : inds)
+      simd::store4(rhs + ind.br * L,
+                   -(simd::load4(ind.vPrev) +
+                     simd::load4(ind.zeq) * simd::load4(ind.iPrev)));
+    for (const CapBlock& cs : caps) {
+      const V4d ieq = -simd::load4(cs.geq) * simd::load4(cs.vPrev) -
+                      simd::load4(cs.iPrev);
+      if (cs.a != kGround) subCell(rhs + rnl.nodeIndex(cs.a) * L, ieq);
+      if (cs.b != kGround) addCell(rhs + rnl.nodeIndex(cs.b) * L, ieq);
     }
   }
 
+  // Each alive lane warm-starts from its last accepted point, which ws->v
+  // already holds.
   bool iterating[L] = {};
-  bool frozen[L] = {};
-  for (int l = 0; l < L; ++l) {
-    if (!alive[l]) continue;
-    iterating[l] = true;
-    vIter[l] = v[l];  // warm start from the last accepted point
-  }
+  bool accepted[L] = {};
+  for (int l = 0; l < L; ++l) iterating[l] = alive[l];
   auto anyIterating = [&iterating]() {
     for (int l = 0; l < L; ++l)
       if (iterating[l]) return true;
@@ -985,34 +971,36 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
   };
 
   for (int it = 0; it < opts.maxNewtonIterations && anyIterating(); ++it) {
-    std::array<const linalg::Vector*, L> vl{};
-    for (int l = 0; l < L; ++l)
-      if (iterating[l]) vl[l] = &vIter[l];
+    const V4i on = laneMask(iterating);
     {
       SimPhaseTimer timer(SimPhase::kDeviceEval);
-      evalDeviceBlocks(rnl, ws->db, vl);
+      evalDeviceBlocks(*plan, w.db, v, on);
     }
     {
       SimPhaseTimer timer(SimPhase::kStamp);
-      // One copy of the precomputed base image straight into the LU panel
-      // (the old flow stamped into a work system and copied again inside
-      // factor), then the plan-table nonlinear scatter on top. A lane that
-      // was never active needs no clear: its base slice has been identity
-      // since construction and its step RHS stays zero (the clear-once rule
-      // solveDcBatch applies through stampedIdentity).
-      lu.load(ws->lin);
-      workRhs.assign(stepRhs.begin(), stepRhs.end());
-      for (int l = 0; l < L; ++l)
-        if (active[l] && !iterating[l])
-          clearLaneRawToIdentity(lu.data(), workRhs.data(), n, l);
-      scatterNonlinear(lu.data(), workRhs.data(), *plan, ws->db, vl, iterating);
+      lu.load(w.lin, w.stepRhs, on, w.workRhs);
+      scatterNonlinear(lu.data(), w.workRhs.data(), *plan, w.db, v, on);
     }
     {
       SimPhaseTimer timer(SimPhase::kFactor);
       lu.factorInPlace(iterating);
     }
     SimPhaseTimer timer(SimPhase::kSolve);
-    lu.solve(workRhs, xB);
+    lu.solve(w.workRhs, w.xB);
+    // Newton update of the lanes whose factorization held, and the largest
+    // node step of each lane: std::max(maxStep, |dv|) per lane, its NaN rule
+    // included ((m < a) ? a : m).
+    const V4i update = on & laneMask(lu.ok);
+    V4d maxStep = simd::splat4(0.0);
+    for (std::size_t i = 1; i < nodes; ++i) {
+      const V4d vNew = simd::load4(x + (i - 1) * L);
+      const V4d vOld = simd::load4(v + i * L);
+      const V4d dv = simd::abs4(vNew - vOld);
+      maxStep = simd::select4(maxStep < dv, dv, maxStep);
+      simd::store4(v + i * L, simd::select4(update, vNew, vOld));
+    }
+    bool converged[L] = {};
+    bool anyConverged = false;
     for (int l = 0; l < L; ++l) {
       if (!iterating[l]) continue;
       if (!lu.ok[l]) {
@@ -1020,54 +1008,57 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
         // recording mid-run, completed stays false.
         alive[l] = false;
         iterating[l] = false;
-        continue;
-      }
-      double maxStep = 0.0;
-      for (std::size_t i = 1; i < nodes; ++i) {
-        const double dv = xB[(i - 1) * L + l] - vIter[l][i];
-        maxStep = std::max(maxStep, std::abs(dv));
-        vIter[l][i] = xB[(i - 1) * L + l];
-      }
-      if (maxStep < opts.tolAbs) {
-        frozen[l] = true;
+      } else if (maxStep[l] < opts.tolAbs) {
+        converged[l] = accepted[l] = true;
         iterating[l] = false;
-        xSave[l].resize(n);
-        for (std::size_t j = 0; j < n; ++j) xSave[l][j] = xB[j * L + l];
+        anyConverged = true;
       }
+    }
+    if (anyConverged) {
+      const V4i keep = laneMask(converged);
+      for (std::size_t j = 0; j < n; ++j)
+        simd::store4(xSave + j * L,
+                     simd::select4(keep, simd::load4(x + j * L),
+                                   simd::load4(xSave + j * L)));
     }
   }
 
+  bool anyAccepted = false;
   for (int l = 0; l < L; ++l) {
-    if (!alive[l]) continue;
-    if (!frozen[l]) {
-      // Newton exhausted its iteration budget: the run stops mid-way.
-      alive[l] = false;
-      continue;
-    }
-    const Netlist& nl = *nls[l];
-    // Accept the step: update companion states (reference order).
-    for (std::size_t k = 0; k < nl.inductors().size(); ++k) {
-      const auto& ind = nl.inductors()[k];
-      const double vNow = vIter[l][static_cast<std::size_t>(ind.a)] -
-                          vIter[l][static_cast<std::size_t>(ind.b)];
-      inds[l][k].iPrev = xSave[l][nl.inductorBranchIndex(k)];
-      inds[l][k].vPrev = vNow;
-    }
-    for (auto& cs : caps[l]) {
-      const double vNow = vIter[l][static_cast<std::size_t>(cs.a)] -
-                          vIter[l][static_cast<std::size_t>(cs.b)];
-      const double geq = 2.0 * cs.c / h;
-      const double iNow = geq * (vNow - cs.vPrev) - cs.iPrev;
-      cs.vPrev = vNow;
-      cs.iPrev = iNow;
-    }
-    v[l] = vIter[l];
-    results[l].times.push_back(static_cast<double>(stepIndex) * h);
-    results[l].voltages.push_back(v[l]);
-    linalg::Vector br(nBranches, 0.0);
+    // Newton exhausted its iteration budget: the run stops mid-way.
+    if (!accepted[l]) alive[l] = false;
+    anyAccepted = anyAccepted || accepted[l];
+  }
+  if (!anyAccepted) return;
+
+  // Accept the step on the converged lanes: companion states in the
+  // reference order, then the trace rows, appended in place.
+  const V4i acc = laneMask(accepted);
+  for (IndBlock& ind : inds) {
+    const V4d vNow = simd::load4(v + static_cast<std::size_t>(ind.a) * L) -
+                     simd::load4(v + static_cast<std::size_t>(ind.b) * L);
+    simd::store4(ind.iPrev, simd::select4(acc, simd::load4(xSave + ind.br * L),
+                                          simd::load4(ind.iPrev)));
+    simd::store4(ind.vPrev, simd::select4(acc, vNow, simd::load4(ind.vPrev)));
+  }
+  for (CapBlock& cs : caps) {
+    const V4d vNow = simd::load4(v + static_cast<std::size_t>(cs.a) * L) -
+                     simd::load4(v + static_cast<std::size_t>(cs.b) * L);
+    const V4d vPrev = simd::load4(cs.vPrev);
+    const V4d iPrev = simd::load4(cs.iPrev);
+    const V4d iNow = simd::load4(cs.geq) * (vNow - vPrev) - iPrev;
+    simd::store4(cs.vPrev, simd::select4(acc, vNow, vPrev));
+    simd::store4(cs.iPrev, simd::select4(acc, iNow, iPrev));
+  }
+  const double t = static_cast<double>(stepIndex) * opts.dt;
+  for (int l = 0; l < L; ++l) {
+    if (!accepted[l]) continue;
+    const auto li = static_cast<std::size_t>(l);
+    TransientResult& res = results[li];
+    res.times.push_back(t);
+    for (std::size_t i = 0; i < nodes; ++i) res.voltages.push_back(v[i * L + li]);
     for (std::size_t k = 0; k < nBranches; ++k)
-      br[k] = xSave[l][nl.nodeCount() - 1 + k];
-    results[l].branchCurrents.push_back(std::move(br));
+      res.branchCurrents.push_back(xSave[(nodes - 1 + k) * L + li]);
   }
 }
 
@@ -1091,50 +1082,69 @@ TransientBatch::TransientBatch(
   im.plan = acquirePlan(rnl);
   BatchWorkspace& ws = *im.ws;
   buildDeviceBlocks(nls, im.ref, ws.db);
+  // Size every per-step buffer here, so that stepping allocates nothing.
+  const std::size_t nL = im.n * static_cast<std::size_t>(L);
   ws.lin.reset(im.n);
-  ws.stepRhs.assign(im.n * static_cast<std::size_t>(L), 0.0);
-  ws.workRhs.assign(im.n * static_cast<std::size_t>(L), 0.0);
-  ws.xB.assign(im.n * static_cast<std::size_t>(L), 0.0);
+  ws.lu.reset(im.n);
+  ws.stepRhs.assign(nL, 0.0);
+  ws.workRhs.assign(nL, 0.0);
+  ws.xB.assign(nL, 0.0);
+  ws.xSave.assign(nL, 0.0);
+  ws.v.assign(im.nodes * static_cast<std::size_t>(L), 0.0);
+
+  // Companion blocks, in the reference's collection order. The lanes share
+  // topology, so every lane writes the same terminals and its own values.
+  im.caps.resize(rnl.capacitors().size() +
+                 (opts.includeDeviceCaps ? 3 * rnl.mosfets().size() : 0));
+  im.inds.resize(rnl.inductors().size());
   for (int l = 0; l < L; ++l) {
-    if (nls[l] == nullptr) {
-      clearLaneToIdentity(ws.lin, l);
-      continue;
-    }
+    if (nls[l] == nullptr) continue;
     assert(sameTopology(rnl, *nls[l]));
     assert(initial[l] != nullptr && initial[l]->size() == im.nodes);
     im.active[l] = im.alive[l] = true;
-    im.v[l] = *initial[l];
     const Netlist& nl = *nls[l];
-    for (const auto& c : nl.capacitors())
-      im.caps[l].push_back({c.a, c.b, c.farads, 0, 0});
+    const linalg::Vector& v0 = *initial[l];
+    const auto li = static_cast<std::size_t>(l);
+    for (std::size_t i = 0; i < im.nodes; ++i) ws.v[i * L + li] = v0[i];
+    std::size_t next = 0;
+    auto addCap = [&](NodeId a, NodeId b, double farads) {
+      CapBlock& cs = im.caps[next++];
+      cs.a = a;
+      cs.b = b;
+      cs.geq[li] = 2.0 * farads / h;
+      cs.vPrev[li] =
+          v0[static_cast<std::size_t>(a)] - v0[static_cast<std::size_t>(b)];
+    };
+    for (const auto& c : nl.capacitors()) addCap(c.a, c.b, c.farads);
     if (opts.includeDeviceCaps) {
       for (const auto& fet : nl.mosfets()) {
         const double cgg = gateCapacitance(fet.params, fet.geom);
-        im.caps[l].push_back({fet.g, fet.s, 0.7 * cgg, 0, 0});
-        im.caps[l].push_back({fet.g, fet.d, 0.3 * cgg, 0, 0});
-        im.caps[l].push_back(
-            {fet.d, fet.b, drainCapacitance(fet.params, fet.geom), 0, 0});
+        addCap(fet.g, fet.s, 0.7 * cgg);
+        addCap(fet.g, fet.d, 0.3 * cgg);
+        addCap(fet.d, fet.b, drainCapacitance(fet.params, fet.geom));
       }
     }
-    for (auto& cs : im.caps[l]) {
-      cs.vPrev = im.v[l][static_cast<std::size_t>(cs.a)] -
-                 im.v[l][static_cast<std::size_t>(cs.b)];
-      cs.iPrev = 0.0;
+    for (std::size_t k = 0; k < im.inds.size(); ++k) {
+      const auto& src = nl.inductors()[k];
+      IndBlock& ind = im.inds[k];
+      ind.a = src.a;
+      ind.b = src.b;
+      ind.br = nl.inductorBranchIndex(k);
+      ind.zeq[li] = 2.0 * src.henry / h;
+      ind.vPrev[li] = v0[static_cast<std::size_t>(src.a)] -
+                      v0[static_cast<std::size_t>(src.b)];
     }
-    im.inds[l].resize(nl.inductors().size());
-    for (std::size_t k = 0; k < im.inds[l].size(); ++k) {
-      const auto& ind = nl.inductors()[k];
-      im.inds[l][k].vPrev = im.v[l][static_cast<std::size_t>(ind.a)] -
-                            im.v[l][static_cast<std::size_t>(ind.b)];
-    }
-    TransientResult& res = im.results[l];
+    stampTransientBase(ws.lin, nl, l, im.caps, im.inds);
+
+    TransientResult& res = im.results[li];
+    res.nodeCount = im.nodes;
+    res.branchCount = im.nBranches;
     res.times.reserve(im.totalSteps + 1);
-    res.voltages.reserve(im.totalSteps + 1);
-    res.branchCurrents.reserve(im.totalSteps + 1);
+    res.voltages.reserve((im.totalSteps + 1) * im.nodes);
+    res.branchCurrents.reserve((im.totalSteps + 1) * im.nBranches);
     res.times.push_back(0.0);
-    res.voltages.push_back(im.v[l]);
-    res.branchCurrents.emplace_back(im.nBranches, 0.0);
-    stampTransientBase(ws.lin, nl, l, im.caps[l], h);
+    res.voltages.assign(v0.begin(), v0.end());
+    res.branchCurrents.assign(im.nBranches, 0.0);
   }
 }
 

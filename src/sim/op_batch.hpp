@@ -97,7 +97,8 @@ class TransientBatch {
   void step(std::size_t n);
   /// Run to completion.
   void run();
-  /// Lane result so far; completed == true only after a full run.
+  /// Lane result so far: the live trace, which stepping appends to in
+  /// place; completed == true only after a full run.
   const TransientResult& result(int lane) const;
   /// Move a lane's result out (the lane must not be stepped afterwards).
   TransientResult takeResult(int lane);

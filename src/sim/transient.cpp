@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <cmath>
 
 #include "sim/op_batch.hpp"
@@ -21,25 +22,36 @@ TransientResult TransientSolver::run(const linalg::Vector& initialVoltages) cons
   return batch.takeResult(0);
 }
 
+namespace {
+
+/// First index of the trailing `fraction` of `size` samples, the fraction
+/// clamped to [0, 1] (a NaN counts as 0: an empty window).
+std::size_t tailStart(std::size_t size, double fraction) {
+  const double f = fraction > 0.0 ? std::min(fraction, 1.0) : 0.0;
+  return static_cast<std::size_t>(static_cast<double>(size) * (1.0 - f));
+}
+
+}  // namespace
+
 Waveform TransientResult::waveform(NodeId n) const {
   Waveform w;
   w.t = times;
-  w.v.reserve(voltages.size());
-  for (const auto& snap : voltages) w.v.push_back(snap[static_cast<std::size_t>(n)]);
+  w.v.reserve(times.size());
+  for (std::size_t t = 0; t < times.size(); ++t) w.v.push_back(voltage(t, n));
   w.valid = completed && !w.v.empty();
   return w;
 }
 
 double TransientResult::meanVsourceCurrent(std::size_t vsrcIdx,
                                            double tailFraction) const {
-  if (branchCurrents.size() < 2) return 0.0;
-  const std::size_t start = static_cast<std::size_t>(
-      static_cast<double>(branchCurrents.size()) * (1.0 - tailFraction));
+  const std::size_t rows = times.size();
+  if (rows < 2) return 0.0;
+  assert(vsrcIdx < branchCount);
   double sum = 0.0;
   std::size_t n = 0;
-  for (std::size_t i = std::max<std::size_t>(start, 1); i < branchCurrents.size();
-       ++i) {
-    sum += std::abs(branchCurrents[i][vsrcIdx]);
+  for (std::size_t i = std::max<std::size_t>(tailStart(rows, tailFraction), 1);
+       i < rows; ++i) {
+    sum += std::abs(branchCurrent(i, vsrcIdx));
     ++n;
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
@@ -73,9 +85,8 @@ double estimateFrequency(const Waveform& w, double threshold,
 }
 
 double steadyStateAmplitude(const Waveform& w, double tailFraction) {
-  if (w.v.empty()) return 0.0;
-  const std::size_t start =
-      static_cast<std::size_t>(static_cast<double>(w.v.size()) * (1.0 - tailFraction));
+  const std::size_t start = tailStart(w.v.size(), tailFraction);
+  if (start >= w.v.size()) return 0.0;
   double lo = w.v[start];
   double hi = w.v[start];
   for (std::size_t i = start; i < w.v.size(); ++i) {

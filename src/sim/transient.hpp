@@ -32,18 +32,34 @@ struct Waveform {
   bool valid = false;
 };
 
+/// One lane's recorded trace: one row per accepted time point, the t = 0
+/// initial state first. The rows are stored flat and row-major, the layout
+/// the engine appends them in.
 struct TransientResult {
   bool completed = false;
+  std::size_t nodeCount = 0;    ///< columns of `voltages` (ground included)
+  std::size_t branchCount = 0;  ///< columns of `branchCurrents`
   std::vector<double> times;
-  /// times.size() x nodeCount matrix of node voltages (ground column incl.).
-  std::vector<linalg::Vector> voltages;
-  /// times.size() x (vsources + vcvs) branch currents (empty at t=0 entry).
-  std::vector<linalg::Vector> branchCurrents;
+  /// times.size() x nodeCount node voltages.
+  std::vector<double> voltages;
+  /// times.size() x branchCount currents of every MNA branch: vsources, vcvs
+  /// and inductors, in the netlist's branch order (so column k of the first
+  /// block is vsource k). The t = 0 row is zeros.
+  std::vector<double> branchCurrents;
+
+  double voltage(std::size_t t, NodeId n) const {
+    return voltages[t * nodeCount + static_cast<std::size_t>(n)];
+  }
+  double branchCurrent(std::size_t t, std::size_t k) const {
+    return branchCurrents[t * branchCount + k];
+  }
 
   Waveform waveform(NodeId n) const;
 
   /// Mean |current| through the idx-th voltage source over the trailing
-  /// fraction of the run — the ICO supply-power measurement.
+  /// fraction of the run — the ICO supply-power measurement. The fraction is
+  /// clamped to [0, 1]; an empty window (or a run shorter than two points)
+  /// gives 0.
   double meanVsourceCurrent(std::size_t vsrcIdx, double tailFraction = 0.5) const;
 };
 
@@ -71,7 +87,8 @@ std::vector<double> risingCrossings(const Waveform& w, double threshold);
 double estimateFrequency(const Waveform& w, double threshold,
                          std::size_t minPeriods = 3);
 
-/// Peak-to-peak amplitude over the trailing fraction of the waveform.
+/// Peak-to-peak amplitude over the trailing fraction of the waveform. The
+/// fraction is clamped to [0, 1]; an empty window gives 0.
 double steadyStateAmplitude(const Waveform& w, double tailFraction = 0.5);
 
 }  // namespace trdse::sim

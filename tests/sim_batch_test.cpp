@@ -16,9 +16,12 @@
 #include <array>
 #include <cmath>
 #include <complex>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <atomic>
@@ -36,6 +39,26 @@
 #include "sim/process.hpp"
 #include "sim/transient.hpp"
 #include "sim_reference.hpp"
+
+// Heap allocations made on this thread while armed: the transient stepping
+// test asserts that a time step allocates nothing.
+namespace {
+thread_local bool tCountAllocations = false;
+thread_local std::size_t tAllocations = 0;
+}  // namespace
+
+// The replacements pair malloc with free themselves; GCC cannot see that
+// through the inlined new/delete pairs and warns at every call site.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (tCountAllocations) ++tAllocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace trdse::sim {
 namespace {
@@ -220,19 +243,34 @@ TEST(SimBatchDc, NullLanesAreSkippedAndSurvivorsUnchanged) {
 
 // ---- Transient -----------------------------------------------------------
 
+/// `b`'s rows equal the first rows of `ref`, bit for bit: times, node
+/// voltages and branch currents, in the flat row-major layout.
+void expectTracePrefix(const TransientResult& ref, const TransientResult& b,
+                       std::size_t lane) {
+  ASSERT_EQ(ref.nodeCount, b.nodeCount) << "lane " << lane;
+  ASSERT_EQ(ref.branchCount, b.branchCount) << "lane " << lane;
+  for (const TransientResult* r : {&ref, &b}) {
+    ASSERT_EQ(r->voltages.size(), r->times.size() * r->nodeCount);
+    ASSERT_EQ(r->branchCurrents.size(), r->times.size() * r->branchCount);
+  }
+  ASSERT_LE(b.times.size(), ref.times.size()) << "lane " << lane;
+  for (std::size_t t = 0; t < b.times.size(); ++t) {
+    ASSERT_BITS_EQ(ref.times[t], b.times[t]) << "lane " << lane << " row " << t;
+    for (std::size_t i = 0; i < b.nodeCount; ++i)
+      ASSERT_BITS_EQ(ref.voltage(t, static_cast<NodeId>(i)),
+                     b.voltage(t, static_cast<NodeId>(i)))
+          << "lane " << lane << " row " << t << " node " << i;
+    for (std::size_t k = 0; k < b.branchCount; ++k)
+      ASSERT_BITS_EQ(ref.branchCurrent(t, k), b.branchCurrent(t, k))
+          << "lane " << lane << " row " << t << " branch " << k;
+  }
+}
+
 void expectSameTrace(const TransientResult& ref, const TransientResult& b,
                      std::size_t lane) {
   ASSERT_EQ(ref.completed, b.completed) << "lane " << lane;
   ASSERT_EQ(ref.times.size(), b.times.size()) << "lane " << lane;
-  for (std::size_t t = 0; t < ref.times.size(); ++t) {
-    ASSERT_BITS_EQ(ref.times[t], b.times[t]);
-    ASSERT_EQ(ref.voltages[t].size(), b.voltages[t].size());
-    for (std::size_t i = 0; i < ref.voltages[t].size(); ++i)
-      ASSERT_BITS_EQ(ref.voltages[t][i], b.voltages[t][i]);
-    ASSERT_EQ(ref.branchCurrents[t].size(), b.branchCurrents[t].size());
-    for (std::size_t i = 0; i < ref.branchCurrents[t].size(); ++i)
-      ASSERT_BITS_EQ(ref.branchCurrents[t][i], b.branchCurrents[t][i]);
-  }
+  expectTracePrefix(ref, b, lane);
 }
 
 TEST(SimBatchTransient, TracesBitwiseMatchReference) {
@@ -337,7 +375,9 @@ TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
   whole.run();
 
   // step(k); step(n-k) must land on the identical trajectory for any cut —
-  // the scheduler may suspend/resume a batch anywhere.
+  // the scheduler may suspend/resume a batch anywhere. Between slices each
+  // lane's live trace, read in place, is a bitwise prefix of the single
+  // run's, one row per step taken so far; at the end it is the whole trace.
   std::mt19937_64 rng(20210605);  // seeded: failures must reproduce
   for (int trial = 0; trial < 3; ++trial) {
     TransientBatch sliced(lanes.nlp, topt, init);
@@ -347,15 +387,154 @@ TEST(SimBatchTransient, SlicedSteppingEqualsSingleRun) {
       const std::size_t k = cut(rng);
       sliced.step(k);
       remaining -= k;
+      for (std::size_t l = 0; l < kSimLanes; ++l) {
+        const TransientResult& a = whole.result(static_cast<int>(l));
+        const TransientResult& b = sliced.result(static_cast<int>(l));
+        expectTracePrefix(a, b, l);
+        EXPECT_EQ(b.times.size(),
+                  std::min(sliced.stepsDone() + 1, a.times.size()));
+        if (remaining > 0) {
+          EXPECT_FALSE(b.completed);
+        }
+      }
     }
-    for (std::size_t l = 0; l < kSimLanes; ++l) {
-      const TransientResult& a = whole.result(static_cast<int>(l));
-      const TransientResult& b = sliced.result(static_cast<int>(l));
-      ASSERT_EQ(a.times.size(), b.times.size());
-      for (std::size_t t = 0; t < a.times.size(); ++t)
-        for (std::size_t i = 0; i < a.voltages[t].size(); ++i)
-          ASSERT_BITS_EQ(a.voltages[t][i], b.voltages[t][i]);
-    }
+    for (std::size_t l = 0; l < kSimLanes; ++l)
+      expectSameTrace(whole.result(static_cast<int>(l)),
+                      sliced.result(static_cast<int>(l)), l);
+  }
+}
+
+TEST(SimBatchTransient, SteppingAllocatesNothing) {
+  // Every per-step buffer, the trace rows included, is sized when the batch
+  // is built; a full batch and a one-lane pass step without touching the
+  // heap.
+  const SinkLanes lanes;
+  std::array<DcResult, kSimLanes> ops;
+  std::array<const linalg::Vector*, kSimLanes> init{};
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    ops[l] = reference::solveDc(lanes.nls[l], lanes.gp[l]);
+    init[l] = &ops[l].v;
+  }
+  TransientOptions topt;
+  topt.tStop = 2e-10;
+  topt.dt = 1e-12;
+  const std::array<const Netlist*, kSimLanes> one = {nullptr, lanes.nlp[1],
+                                                     nullptr, nullptr};
+  for (const auto* nlp : {&lanes.nlp, &one}) {
+    TransientBatch batch(*nlp, topt, init);
+    tAllocations = 0;
+    tCountAllocations = true;
+    batch.run();
+    tCountAllocations = false;
+    EXPECT_EQ(tAllocations, 0u);
+    EXPECT_EQ(batch.stepsDone(), batch.totalSteps());
+  }
+}
+
+/// A 3-stage current-starved MOS ring shaped like circuits/ico.cpp's
+/// testbench: a diode-connected mirror pair biases the starving devices, and
+/// each inverter's source sits on its starving device's drain, off the bulk,
+/// so the body-effect arm of the device kernel runs.
+struct StarvedRing {
+  Netlist nl;
+  std::array<NodeId, 3> ring{};
+  linalg::Vector guess;
+};
+
+StarvedRing buildStarvedRing(const PvtCorner& c, double wScale, double ictrl) {
+  const ProcessCard& card = n5Card();
+  const MosParams nmos = applyPvt(card.nmos, MosType::kNmos, c, card.tnomK);
+  const MosParams pmos = applyPvt(card.pmos, MosType::kPmos, c, card.tnomK);
+  StarvedRing r;
+  Netlist& nl = r.nl;
+  nl.tempK = c.tempK();
+  const NodeId vdd = nl.node("vdd");
+  const NodeId nbias = nl.node("nbias");
+  const NodeId pbias = nl.node("pbias");
+  nl.addVSource(vdd, kGround, c.vdd);
+  nl.addISource(vdd, nbias, ictrl);
+  const double wst = 6e-6 * wScale;
+  const MosGeometry gMir{wst, 2.0 * card.minL, 1.0};
+  const MosGeometry gInvN{2e-6 * wScale, card.minL, 1.0};
+  const MosGeometry gInvP{4e-6 * wScale, card.minL, 1.0};
+  const MosGeometry gStN{wst, card.minL, 1.0};
+  const MosGeometry gStP{2.0 * wst, card.minL, 1.0};
+  nl.addMosfet("MNB", nbias, nbias, kGround, kGround, MosType::kNmos, gMir, nmos);
+  nl.addMosfet("MNM", pbias, nbias, kGround, kGround, MosType::kNmos, gMir, nmos);
+  nl.addMosfet("MPB", pbias, pbias, vdd, vdd, MosType::kPmos, gMir, pmos);
+  for (int i = 0; i < 3; ++i) r.ring[i] = nl.node("r" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) {
+    const NodeId in = r.ring[i];
+    const NodeId out = r.ring[(i + 1) % 3];
+    const NodeId vtp = nl.node("vtp" + std::to_string(i));
+    const NodeId vtn = nl.node("vtn" + std::to_string(i));
+    const std::string tag = std::to_string(i);
+    nl.addMosfet("MSP" + tag, vtp, pbias, vdd, vdd, MosType::kPmos, gStP, pmos);
+    nl.addMosfet("MP" + tag, out, in, vtp, vdd, MosType::kPmos, gInvP, pmos);
+    nl.addMosfet("MN" + tag, out, in, vtn, kGround, MosType::kNmos, gInvN, nmos);
+    nl.addMosfet("MSN" + tag, vtn, nbias, kGround, kGround, MosType::kNmos, gStN,
+                 nmos);
+  }
+  r.guess.assign(nl.nodeCount(), 0.5 * c.vdd);
+  r.guess[kGround] = 0.0;
+  r.guess[static_cast<std::size_t>(vdd)] = c.vdd;
+  r.guess[static_cast<std::size_t>(nbias)] = 0.4;
+  r.guess[static_cast<std::size_t>(pbias)] = c.vdd - 0.4;
+  return r;
+}
+
+TEST(SimBatchTransient, RingOscillatorTracesBitwiseMatchReference) {
+  // The kitchen sink never oscillates and ties both MOSFETs' sources to
+  // their bulks. Here four lanes at four corners and sizings are kicked off
+  // their DC balance points (which the DC engine must find bit for bit too)
+  // and ring for at least three periods; every lane's whole trace, and the
+  // one-lane TransientSolver's, must equal the reference.
+  const std::array<PvtCorner, kSimLanes> corners = {{
+      {ProcessCorner::kTT, 0.70, 27.0},
+      {ProcessCorner::kFF, 0.77, -40.0},
+      {ProcessCorner::kSS, 0.63, 125.0},
+      {ProcessCorner::kSF, 0.70, 85.0},
+  }};
+  const std::array<double, kSimLanes> wScales = {1.0, 0.8, 1.3, 1.1};
+  const std::array<double, kSimLanes> ictrls = {110e-6, 90e-6, 140e-6, 120e-6};
+  std::array<StarvedRing, kSimLanes> rings;
+  std::array<linalg::Vector, kSimLanes> ics;
+  std::array<const Netlist*, kSimLanes> nlp{};
+  std::array<const linalg::Vector*, kSimLanes> guesses{};
+  std::array<const linalg::Vector*, kSimLanes> init{};
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    rings[l] = buildStarvedRing(corners[l], wScales[l], ictrls[l]);
+    nlp[l] = &rings[l].nl;
+    guesses[l] = &rings[l].guess;
+  }
+  const auto dcs = solveDcBatch(nlp, guesses);
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    const DcResult op = reference::solveDc(rings[l].nl, &rings[l].guess);
+    ASSERT_TRUE(op.converged) << "lane " << l;
+    expectSameDc(op, dcs[l], l);
+    ics[l] = op.v;
+    ics[l][static_cast<std::size_t>(rings[l].ring[0])] += 0.08;
+    ics[l][static_cast<std::size_t>(rings[l].ring[1])] -= 0.05;
+    init[l] = &ics[l];
+  }
+  const auto& fets = rings[0].nl.mosfets();
+  ASSERT_TRUE(std::any_of(fets.begin(), fets.end(),
+                          [](const auto& f) { return f.s != f.b; }));
+
+  TransientOptions topt;
+  topt.tStop = 1.0e-9;
+  topt.dt = 0.8e-12;
+  TransientBatch batch(nlp, topt, init);
+  batch.run();
+  for (std::size_t l = 0; l < kSimLanes; ++l) {
+    const TransientResult ref =
+        reference::runTransient(rings[l].nl, topt, ics[l]);
+    ASSERT_TRUE(ref.completed) << "lane " << l;
+    const Waveform w = ref.waveform(rings[l].ring[2]);
+    EXPECT_GE(risingCrossings(w, 0.5 * corners[l].vdd).size(), 4u)
+        << "lane " << l << " rang for fewer than three periods";
+    expectSameTrace(ref, batch.result(static_cast<int>(l)), l);
+    expectSameTrace(ref, TransientSolver(rings[l].nl, topt).run(ics[l]), l);
   }
 }
 

@@ -246,7 +246,7 @@ TEST(Inductor, TransientRlStepResponse) {
   // Current through the vsource at t = tau is -(V/R)(1 - 1/e).
   std::size_t idxTau = 0;
   while (idxTau < r.times.size() && r.times[idxTau] < 1e-6) ++idxTau;
-  EXPECT_NEAR(std::abs(r.branchCurrents[idxTau][0]),
+  EXPECT_NEAR(std::abs(r.branchCurrent(idxTau, 0)),
               1e-3 * (1.0 - std::exp(-1.0)), 5e-6);
 }
 

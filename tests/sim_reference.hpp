@@ -333,12 +333,11 @@ inline TransientResult runTransient(const Netlist& nl,
   const double h = options.dt;
   const std::size_t steps = static_cast<std::size_t>(options.tStop / h);
   const std::size_t nBranches = nl.branchCount();
-  result.times.reserve(steps + 1);
-  result.voltages.reserve(steps + 1);
-  result.branchCurrents.reserve(steps + 1);
+  result.nodeCount = nl.nodeCount();
+  result.branchCount = nBranches;
   result.times.push_back(0.0);
-  result.voltages.push_back(v);
-  result.branchCurrents.emplace_back(nBranches, 0.0);
+  result.voltages.insert(result.voltages.end(), v.begin(), v.end());
+  result.branchCurrents.insert(result.branchCurrents.end(), nBranches, 0.0);
 
   linalg::Matrix A(n, n);
   linalg::Vector rhs(n, 0.0);
@@ -489,10 +488,9 @@ inline TransientResult runTransient(const Netlist& nl,
     }
     v = vIter;
     result.times.push_back(static_cast<double>(step) * h);
-    result.voltages.push_back(v);
-    linalg::Vector br(nBranches, 0.0);
-    for (std::size_t k = 0; k < nBranches; ++k) br[k] = x[nl.nodeCount() - 1 + k];
-    result.branchCurrents.push_back(std::move(br));
+    result.voltages.insert(result.voltages.end(), v.begin(), v.end());
+    for (std::size_t k = 0; k < nBranches; ++k)
+      result.branchCurrents.push_back(x[nl.nodeCount() - 1 + k]);
   }
   result.completed = true;
   return result;

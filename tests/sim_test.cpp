@@ -393,6 +393,30 @@ TEST(Transient, BranchCurrentRecorded) {
   EXPECT_NEAR(r.meanVsourceCurrent(0), 1e-3, 1e-6);
 }
 
+TEST(Transient, TailWindowsClampToTheRun) {
+  // A trailing fraction of 0 is an empty window (0.0), 1 the whole run, and
+  // anything above 1 clamps to it: neither helper reads outside the trace.
+  Waveform w;
+  w.t = {0.0, 1.0, 2.0, 3.0};
+  w.v = {0.0, 2.0, -1.0, 0.5};
+  EXPECT_EQ(steadyStateAmplitude(w, 0.0), 0.0);
+  EXPECT_EQ(steadyStateAmplitude(w, 0.5), 1.5);
+  EXPECT_EQ(steadyStateAmplitude(w, 1.0), 3.0);
+  EXPECT_EQ(steadyStateAmplitude(w, 1.5), 3.0);
+
+  TransientResult r;
+  r.nodeCount = 1;
+  r.branchCount = 1;
+  r.times = {0.0, 1.0, 2.0, 3.0};
+  r.voltages = {0.0, 0.0, 0.0, 0.0};
+  r.branchCurrents = {0.0, -1.0, 2.0, -3.0};
+  // The t = 0 row never counts.
+  EXPECT_EQ(r.meanVsourceCurrent(0, 0.0), 0.0);
+  EXPECT_EQ(r.meanVsourceCurrent(0, 0.5), 2.5);
+  EXPECT_EQ(r.meanVsourceCurrent(0, 1.0), 2.0);
+  EXPECT_EQ(r.meanVsourceCurrent(0, 1.5), 2.0);
+}
+
 TEST(Transient, CrossingDetection) {
   Waveform w;
   for (int i = 0; i <= 100; ++i) {
