@@ -37,8 +37,7 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
       config_(std::move(config)),
       // note: value_ must be built from the member, not the moved-from param
       value_(problem_.measurementNames, problem_.specs),
-      engine_(problem_,
-              eval::EvalEngineConfig{config_.cacheEvals, config_.evalThreads}),
+      engine_(problem_, eval::EvalEngineConfig{config_.cacheEvals}),
       rng_(config_.seed),
       tr_(config_.explorer.trustRegion) {
   value_.setMarginBonus(config_.explorer.marginBonus);
@@ -53,9 +52,10 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
 std::vector<EvalResult> PvtSearch::evalCorners(
     const std::vector<std::size_t>& corners, const linalg::Vector& sizes,
     pvt::BlockKind kind) {
-  // The engine memoizes, fans real simulations across its pool, merges in
-  // request order, and records the ledger blocks; the search budget is
-  // charged per logical request so trajectories are cache-invariant.
+  // The engine memoizes, fans real simulations out on the step's pool,
+  // merges in request order, and records the ledger blocks; the search
+  // budget is charged per logical request so trajectories are
+  // cache-invariant.
   std::vector<EvalResult> results = engine_.evalBatch(corners, sizes, kind);
   result_.totalSims = engine_.stats().requests;
   return results;

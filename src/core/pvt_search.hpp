@@ -80,22 +80,18 @@ struct ExplorerConfig {
   const nn::Mlp* warmStartWeights = nullptr;
 };
 
-/// Parameters of the progressive PVT search.
+/// Parameters of the progressive PVT search. None of them is a thread count:
+/// a search stepped inside a pool task (a scheduler round, or the caller's
+/// own common::ThreadPool) fans a TRM step's surrogate fits, candidate
+/// scoring and corner simulations out on that pool
+/// (common::ThreadPool::current()), and runs inline off a pool. Results
+/// merge in corner order, so the outcome is identical for any pool size,
+/// but the evaluation callback must be thread-safe (every circuits::
+/// evaluator is; it builds its own testbench per call).
 struct PvtSearchConfig {
   PvtStrategy strategy = PvtStrategy::kProgressiveHardest;  ///< pool policy
   ExplorerConfig explorer;       ///< per-corner surrogate/TRM settings
   std::uint64_t seed = 1;        ///< seed for corner choice and exploration
-  /// Threads for corner evaluation, the caller included: the same sizing is
-  /// simulated on every active (and, during sign-off, every inactive)
-  /// corner, and those simulations are independent, so they fan out across
-  /// the eval engine's thread pool. Results are merged in corner order, so
-  /// the outcome is identical for any thread count — but the evaluation
-  /// callback must be thread-safe (every circuits:: evaluator is; it builds
-  /// its own testbench per call). 1 = serial (inline, the default), 0 =
-  /// hardware concurrency. (A TRM step's surrogate fits and candidate scoring
-  /// fan out on the pool the search is stepped on, if any — see
-  /// common::ThreadPool::current() — not on this one.)
-  std::size_t evalThreads = 1;
   /// Memoize evaluations on (snapped grid indices, corner id) in the eval
   /// engine. Cache hits cost zero EDA blocks (tallied separately in the
   /// ledger/stats); the seeded search trajectory — solved flag, sizes,

@@ -30,7 +30,6 @@ PvtSearch& SizingSession::ensureSearch() {
     cfg.strategy = options_.strategy;
     cfg.seed = options_.seed;
     cfg.cacheEvals = options_.cacheEvals;
-    cfg.evalThreads = options_.evalThreads;
     cfg.autoCheckpointEvery = options_.checkpointEvery;
     cfg.autoCheckpointPath = options_.checkpointPath;
     cfg.explorer = options_.explorerOverride.has_value()

@@ -23,10 +23,6 @@ struct SessionOptions {
   /// Outcomes are bitwise identical on/off; turn off to reproduce the
   /// paper's EDA-block tables with every block a real simulation.
   bool cacheEvals = true;
-  /// Threads for per-corner evaluation, the caller included
-  /// (PvtSearchConfig::evalThreads; 1 = serial, 0 = hardware concurrency).
-  /// Thread-count invariant.
-  std::size_t evalThreads = 1;
   /// Auto-checkpoint: every `checkpointEvery` completed TRM steps the full
   /// session state is written to `checkpointPath` (0 = off). A session
   /// killed mid-run resumes from the snapshot bitwise — same report, same

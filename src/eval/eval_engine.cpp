@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/thread_pool.hpp"
 #include "eval/fault_injector.hpp"
 #include "io/state_io.hpp"
 
@@ -52,6 +53,58 @@ void snapToGrid(const core::DesignSpace& space, const linalg::Vector& raw,
 }
 }  // namespace
 
+void writeEvalStats(io::SectionWriter& w, const EvalStats& s) {
+  w.u64(s.requests);
+  w.u64(s.simulated);
+  w.u64(s.cacheHits);
+  w.u64(s.sharedHits);
+  w.f64(s.backendSeconds);
+  w.u64(s.attempts);
+  w.u64(s.faults);
+  w.u64(s.failures);
+  w.u64(s.backoffUnits);
+}
+
+EvalStats readEvalStats(io::SectionReader& r) {
+  EvalStats s;
+  s.requests = r.u64();
+  s.simulated = r.u64();
+  s.cacheHits = r.u64();
+  s.sharedHits = r.u64();
+  s.backendSeconds = r.f64();
+  if (r.version() < 2) return s;
+  s.attempts = r.u64();
+  s.faults = r.u64();
+  s.failures = r.u64();
+  s.backoffUnits = r.u64();
+  if (s.requests != s.simulated + s.cacheHits + s.sharedHits + s.failures)
+    r.fail("stats partition broken: requests != simulated + cacheHits + "
+           "sharedHits + failures");
+  return s;
+}
+
+void writeFailureRecord(io::SectionWriter& w, const FailureRecord& f) {
+  w.boolean(f.valid);
+  w.u64(f.request);
+  w.u64(f.cornerIndex);
+  w.u8(static_cast<std::uint8_t>(f.cls));
+  w.u64(f.attempts);
+}
+
+FailureRecord readFailureRecord(io::SectionReader& r) {
+  FailureRecord f;
+  if (r.version() < 2) return f;
+  f.valid = r.boolean();
+  f.request = r.u64();
+  f.cornerIndex = r.u64();
+  const std::uint8_t cls = r.u8();
+  if (cls > static_cast<std::uint8_t>(sim::FaultClass::kNonFinite))
+    r.fail("unknown fault class " + std::to_string(cls));
+  f.cls = static_cast<sim::FaultClass>(cls);
+  f.attempts = r.u64();
+  return f;
+}
+
 MeetsSpecFn makeMeetsSpec(core::ValueFunction value) {
   return [value = std::move(value)](const core::EvalResult& r) {
     return r.ok && value.satisfied(r.measurements);
@@ -66,8 +119,7 @@ EvalEngine::EvalEngine(std::shared_ptr<const EvalBackend> backend,
       space_(std::move(space)),
       corners_(std::move(corners)),
       meetsSpec_(std::move(meetsSpec)),
-      config_(config),
-      pool_(config.threads) {
+      config_(config) {
   assert(backend_ != nullptr);
   assert(!corners_.empty());
 }
@@ -160,20 +212,8 @@ void EvalEngine::saveState(io::SectionWriter& w) const {
     io::writeEvalResult(w, kv->second);
   }
   io::writeLedger(w, ledger_);
-  w.u64(stats_.requests);
-  w.u64(stats_.simulated);
-  w.u64(stats_.cacheHits);
-  w.u64(stats_.sharedHits);
-  w.f64(stats_.backendSeconds);
-  w.u64(stats_.attempts);
-  w.u64(stats_.faults);
-  w.u64(stats_.failures);
-  w.u64(stats_.backoffUnits);
-  w.boolean(firstFailure_.valid);
-  w.u64(firstFailure_.request);
-  w.u64(firstFailure_.cornerIndex);
-  w.u8(static_cast<std::uint8_t>(firstFailure_.cls));
-  w.u64(firstFailure_.attempts);
+  writeEvalStats(w, stats_);
+  writeFailureRecord(w, firstFailure_);
 }
 
 void EvalEngine::restoreState(io::SectionReader& r) {
@@ -202,37 +242,10 @@ void EvalEngine::restoreState(io::SectionReader& r) {
     cache_.insert(std::move(key), std::move(result));
   }
   io::readLedger(r, ledger_);
-  stats_ = EvalStats{};
-  firstFailure_ = FailureRecord{};
-  stats_.requests = r.u64();
-  stats_.simulated = r.u64();
-  stats_.cacheHits = r.u64();
-  stats_.sharedHits = r.u64();
-  stats_.backendSeconds = r.f64();
-  // Fault counters and the first-failure record arrived with container
-  // format version 2; version-1 snapshots could only describe clean runs,
-  // which the zeroed defaults state exactly.
-  if (r.version() >= 2) {
-    stats_.attempts = r.u64();
-    stats_.faults = r.u64();
-    stats_.failures = r.u64();
-    stats_.backoffUnits = r.u64();
-    firstFailure_.valid = r.boolean();
-    firstFailure_.request = r.u64();
-    firstFailure_.cornerIndex = r.u64();
-    const std::uint8_t cls = r.u8();
-    if (cls > static_cast<std::uint8_t>(sim::FaultClass::kNonFinite))
-      r.fail("unknown fault class " + std::to_string(cls));
-    firstFailure_.cls = static_cast<sim::FaultClass>(cls);
-    firstFailure_.attempts = r.u64();
-    if (firstFailure_.valid && firstFailure_.cls == sim::FaultClass::kNone)
-      r.fail("first-failure record with no fault class");
-    if (stats_.requests !=
-        stats_.simulated + stats_.cacheHits + stats_.sharedHits +
-            stats_.failures)
-      r.fail("stats partition broken: requests != simulated + cacheHits + "
-             "sharedHits + failures");
-  }
+  stats_ = readEvalStats(r);
+  firstFailure_ = readFailureRecord(r);
+  if (firstFailure_.valid && firstFailure_.cls == sim::FaultClass::kNone)
+    r.fail("first-failure record with no fault class");
   // The publish journal is deliberately not persisted: results simulated
   // before a snapshot re-enter the shared cache only by being re-requested,
   // never as stale cross-run publishes.
@@ -318,10 +331,12 @@ void EvalEngine::dispatchMisses() {
   // Sampled per dispatch, not per engine lifetime: growth from other
   // engines' dispatches between two of ours never lands in our stats.
   const sim::SimPhaseTotals before = sim::simPhaseTotals();
-  pool_.parallelFor(chunks, [&](std::size_t t) {
-    const std::size_t begin = t * width;
-    runBatchWithRetry(begin, std::min(width, nLanes - begin));
-  });
+  common::parallelForOn(common::ThreadPool::current(), chunks,
+                        [&](std::size_t t) {
+                          const std::size_t begin = t * width;
+                          runBatchWithRetry(begin,
+                                            std::min(width, nLanes - begin));
+                        });
   // Every lane evaluation counts when it runs, lookahead lanes included;
   // the rest of a lane's accounting waits until a request consumes it.
   for (const std::size_t i : pending_) {

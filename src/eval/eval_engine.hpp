@@ -7,9 +7,11 @@
 //   - dedups and memoizes requests through an EvalCache keyed on (snapped
 //     grid indices, corner id) — re-simulating an already-paid-for point
 //     costs zero EDA blocks;
-//   - fans real simulations out across a common::ThreadPool and merges
-//     results in request order, so outcomes are identical for any thread
-//     count;
+//   - fans real simulations out on the pool the caller runs on
+//     (common::ThreadPool::current(): a scheduler round's, a worker
+//     process's, or the caller's own pool task; inline off a pool) and
+//     merges results in request order, so outcomes are identical for any
+//     pool size;
 //   - owns the EdaLedger: each logical request records one block, with cache
 //     hits flagged `cached` (zero EDA time, tallied separately), so the
 //     (corner, kind, meetsSpec) block sequence — and therefore any seeded
@@ -45,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/problem.hpp"
 #include "core/value.hpp"
 #include "eval/backend.hpp"
@@ -87,9 +88,6 @@ struct EvalEngineConfig {
   /// Memoize results on (snapped grid indices, corner id). Cache hits cost
   /// zero EDA blocks; seeded search outcomes are bitwise identical on/off.
   bool cacheEvals = true;
-  /// Threads for fanning a batch's real simulations out, the caller
-  /// included: 1 = inline/serial (default), 0 = hardware concurrency.
-  std::size_t threads = 1;
   /// Record one EdaBlock per logical request (and evaluate meetsSpec for
   /// it). Long-running consumers that never render a timeline — the RL
   /// trainers' rollout collectors — turn this off so the ledger does not
@@ -150,6 +148,19 @@ struct FailureRecord {
   std::size_t attempts = 0;                          ///< attempts consumed
 };
 
+/// The one codec for EvalStats and FailureRecord, shared by engine
+/// checkpoints (saveState) and orchestration wire frames: every field but
+/// the measurement-only simulator phase counters, in declaration order.
+/// Readers fail loudly (io::CheckpointError) on a broken stats partition or
+/// an unknown fault class. The fault fields arrived with container format
+/// version 2: from a version-1 section the stats reader takes the first five
+/// fields and the record reader nothing, leaving the zeroed defaults, which
+/// describe the clean runs version 1 could record.
+void writeEvalStats(io::SectionWriter& w, const EvalStats& s);
+EvalStats readEvalStats(io::SectionReader& r);
+void writeFailureRecord(io::SectionWriter& w, const FailureRecord& f);
+FailureRecord readFailureRecord(io::SectionReader& r);
+
 /// One (key, result) pair of an engine's shared-cache publish journal.
 struct PublishEntry {
   EvalKey key;
@@ -175,7 +186,8 @@ MeetsSpecFn makeMeetsSpec(core::ValueFunction value);
 
 /// Batched, memoizing, thread-parallel evaluation front-end over an
 /// EvalBackend. Not thread-safe itself: one engine per search/session, called
-/// from the coordinating thread (the internal pool carries the parallelism).
+/// from the coordinating thread. The engine owns no threads; its backend
+/// chunks run on the caller's pool (see dispatchMisses).
 class EvalEngine {
  public:
   /// @param backend    the simulator service (shared so sessions can reuse it)
@@ -201,8 +213,8 @@ class EvalEngine {
   /// matches the cache key (callers may pass raw or snapped values).
   /// Results come back in request order; cache probes and inserts, ledger
   /// records, and stats updates all happen on the calling thread in request
-  /// order, so the outcome and the accounting are identical for any thread
-  /// count. Duplicate (point, corner) requests inside a batch simulate once
+  /// order, so the outcome and the accounting are identical for any pool
+  /// size. Duplicate (point, corner) requests inside a batch simulate once
   /// when caching is on. A request that exhausts its retries yields a failed
   /// EvalResult (ok == false, failure != kNone) in its slot — faults never
   /// throw through the batch and never enter any cache.
@@ -312,7 +324,6 @@ class EvalEngine {
   std::vector<sim::PvtCorner> corners_;
   MeetsSpecFn meetsSpec_;
   EvalEngineConfig config_;
-  common::ThreadPool pool_;
   EvalCache cache_;
   pvt::EdaLedger ledger_;
   EvalStats stats_;
@@ -377,11 +388,13 @@ class EvalEngine {
   /// slots.
   void runBatchWithRetry(std::size_t begin, std::size_t count);
 
-  /// Fan the lanes that need the backend (pending_) out across the pool in
-  /// consecutive chunks of the backend's batch width. Chunk boundaries
-  /// depend only on the lane count and the width, so the outcome is the
-  /// same for any thread count. Fills missTrace_, charges attempts and
-  /// backendSeconds, and samples the simulator phase counters.
+  /// Fan the lanes that need the backend (pending_) out in consecutive
+  /// chunks of the backend's batch width on common::ThreadPool::current(),
+  /// the pool the caller's step already fans out on (inline when there is
+  /// none). Chunk boundaries depend only on the lane count and the width,
+  /// so the outcome is the same for any pool size. Fills missTrace_,
+  /// charges attempts and backendSeconds, and samples the simulator phase
+  /// counters.
   void dispatchMisses();
 
   /// The ledger partition: the ledger and the stats describe the same

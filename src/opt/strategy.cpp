@@ -173,14 +173,13 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
         name, options,
         [&cfg](const std::string& k, const std::string& v) {
           if (k == "pool") cfg.strategy = parsePoolPolicy(k, v);
-          else if (k == "eval_threads") cfg.evalThreads = parseU64(k, v);
           else if (k == "cache") cfg.cacheEvals = parseBool(k, v);
           else if (k == "init_samples") cfg.explorer.initSamples = parseU64(k, v);
           else if (k == "mc_samples") cfg.explorer.mcSamples = parseU64(k, v);
           else return false;
           return true;
         },
-        "pool, eval_threads, cache, init_samples, mc_samples");
+        "pool, cache, init_samples, mc_samples");
     return std::make_unique<PvtSearchStrategy>(std::move(problem), cfg, budget);
   }
 

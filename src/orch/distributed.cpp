@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.hpp"
@@ -195,14 +194,6 @@ void reap(pid_t pid, int graceMs) {
 WorkerPool::WorkerPool(const Scenario& scenario, std::vector<BuiltJob>& jobs,
                        std::shared_ptr<eval::SharedEvalCache> shared)
     : scenario_(scenario), jobs_(jobs), shared_(std::move(shared)) {
-  for (const BuiltJob& job : jobs_)
-    if (job.strategy->engine().config().threads != 1)
-      throw std::invalid_argument(
-          "scenario " + scenario_.sourceName + ": job \"" + job.spec.name +
-          "\": per-engine eval threads != 1 cannot run under workers > 0 "
-          "(worker processes fork after engine construction); use the "
-          "scenario-level threads knob instead");
-
   const std::size_t n = std::min(scenario_.workers, jobs_.size());
   slots_.resize(n);
   attribution_.resize(n);

@@ -62,9 +62,7 @@ using DistributedScheduler = Scheduler;
 class WorkerPool {
  public:
   /// Shard jobs round-robin over min(workers, jobs) worker slots; forks
-  /// nothing. Throws std::invalid_argument on per-engine eval thread pools
-  /// (opt.eval_threads != 1): the child would inherit the pool's bookkeeping
-  /// but none of its threads.
+  /// nothing.
   WorkerPool(const Scenario& scenario, std::vector<BuiltJob>& jobs,
              std::shared_ptr<eval::SharedEvalCache> shared);
   ~WorkerPool();

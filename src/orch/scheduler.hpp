@@ -120,10 +120,9 @@ class Scheduler {
  public:
   /// Build every job's problem (circuits::Registry or JobSpec::makeProblem)
   /// and strategy up front; throws std::invalid_argument on unknown
-  /// circuit/strategy names, bad options, a checkpoint cadence on a
-  /// strategy that cannot checkpoint, or (workers > 0) engine thread pools
-  /// that cannot survive a fork (opt.eval_threads != 1). Forks nothing:
-  /// worker processes start at the first run().
+  /// circuit/strategy names, bad options, or a checkpoint cadence on a
+  /// strategy that cannot checkpoint. Forks nothing: worker processes start
+  /// at the first run().
   explicit Scheduler(Scenario scenario);
 
   /// Same, but attach every job to `externalCache` instead of constructing a

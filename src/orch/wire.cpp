@@ -202,56 +202,6 @@ eval::EvalKey readEvalKey(io::SectionReader& r) {
   return key;
 }
 
-void writeEvalStats(io::SectionWriter& w, const eval::EvalStats& s) {
-  w.u64(s.requests);
-  w.u64(s.simulated);
-  w.u64(s.cacheHits);
-  w.u64(s.sharedHits);
-  w.f64(s.backendSeconds);
-  w.u64(s.attempts);
-  w.u64(s.faults);
-  w.u64(s.failures);
-  w.u64(s.backoffUnits);
-}
-
-eval::EvalStats readEvalStats(io::SectionReader& r) {
-  eval::EvalStats s;
-  s.requests = r.u64();
-  s.simulated = r.u64();
-  s.cacheHits = r.u64();
-  s.sharedHits = r.u64();
-  s.backendSeconds = r.f64();
-  s.attempts = r.u64();
-  s.faults = r.u64();
-  s.failures = r.u64();
-  s.backoffUnits = r.u64();
-  if (s.requests != s.simulated + s.cacheHits + s.sharedHits + s.failures)
-    r.fail("EvalStats violate the partition invariant (requests != simulated "
-           "+ cacheHits + sharedHits + failures)");
-  return s;
-}
-
-void writeFailureRecord(io::SectionWriter& w, const eval::FailureRecord& f) {
-  w.boolean(f.valid);
-  w.u64(f.request);
-  w.u64(f.cornerIndex);
-  w.u8(static_cast<std::uint8_t>(f.cls));
-  w.u64(f.attempts);
-}
-
-eval::FailureRecord readFailureRecord(io::SectionReader& r) {
-  eval::FailureRecord f;
-  f.valid = r.boolean();
-  f.request = r.u64();
-  f.cornerIndex = r.u64();
-  const std::uint8_t cls = r.u8();
-  if (cls > static_cast<std::uint8_t>(sim::FaultClass::kNonFinite))
-    r.fail("unknown fault class " + std::to_string(cls));
-  f.cls = static_cast<sim::FaultClass>(cls);
-  f.attempts = r.u64();
-  return f;
-}
-
 void writeOutcome(io::SectionWriter& w, const opt::StrategyOutcome& o) {
   w.boolean(o.solved);
   w.u64(o.iterations);
@@ -259,7 +209,7 @@ void writeOutcome(io::SectionWriter& w, const opt::StrategyOutcome& o) {
   w.f64(o.bestValue);
   w.vec(o.bestMeasurements);
   io::writeLedger(w, o.ledger);
-  writeEvalStats(w, o.evalStats);
+  eval::writeEvalStats(w, o.evalStats);
 }
 
 opt::StrategyOutcome readOutcome(io::SectionReader& r) {
@@ -270,7 +220,7 @@ opt::StrategyOutcome readOutcome(io::SectionReader& r) {
   o.bestValue = r.f64();
   o.bestMeasurements = r.vec();
   io::readLedger(r, o.ledger);
-  o.evalStats = readEvalStats(r);
+  o.evalStats = eval::readEvalStats(r);
   return o;
 }
 
@@ -303,8 +253,8 @@ void writeJobRoundReport(io::SectionWriter& w, const JobRoundReport& rep) {
   w.u64(rep.iterations);
   w.boolean(rep.solved);
   w.f64(rep.bestValue);
-  writeEvalStats(w, rep.stats);
-  writeFailureRecord(w, rep.firstFailure);
+  eval::writeEvalStats(w, rep.stats);
+  eval::writeFailureRecord(w, rep.firstFailure);
   writePublishes(w, rep.publishes);
   w.str(rep.strategyBlob);
 }
@@ -317,8 +267,8 @@ JobRoundReport readJobRoundReport(io::SectionReader& r) {
   rep.iterations = r.u64();
   rep.solved = r.boolean();
   rep.bestValue = r.f64();
-  rep.stats = readEvalStats(r);
-  rep.firstFailure = readFailureRecord(r);
+  rep.stats = eval::readEvalStats(r);
+  rep.firstFailure = eval::readFailureRecord(r);
   rep.publishes = readPublishes(r);
   rep.strategyBlob = r.str();
   return rep;
@@ -352,7 +302,7 @@ void writeJobHarvest(io::SectionWriter& w, const JobHarvest& h) {
   w.u64(h.jobIndex);
   writeOutcome(w, h.outcome);
   io::writeLedger(w, h.engineLedger);
-  writeEvalStats(w, h.engineStats);
+  eval::writeEvalStats(w, h.engineStats);
 }
 
 JobHarvest readJobHarvest(io::SectionReader& r) {
@@ -360,7 +310,7 @@ JobHarvest readJobHarvest(io::SectionReader& r) {
   h.jobIndex = r.u64();
   h.outcome = readOutcome(r);
   io::readLedger(r, h.engineLedger);
-  h.engineStats = readEvalStats(r);
+  h.engineStats = eval::readEvalStats(r);
   return h;
 }
 

@@ -206,12 +206,6 @@ struct JobHarvest {
 void writeEvalKey(io::SectionWriter& w, const eval::EvalKey& key);
 eval::EvalKey readEvalKey(io::SectionReader& r);
 
-void writeEvalStats(io::SectionWriter& w, const eval::EvalStats& s);
-eval::EvalStats readEvalStats(io::SectionReader& r);
-
-void writeFailureRecord(io::SectionWriter& w, const eval::FailureRecord& f);
-eval::FailureRecord readFailureRecord(io::SectionReader& r);
-
 void writeOutcome(io::SectionWriter& w, const opt::StrategyOutcome& o);
 opt::StrategyOutcome readOutcome(io::SectionReader& r);
 

@@ -48,6 +48,7 @@ void SizingEnv::simulateCurrent(const eval::Lookahead& next) {
     currentValue_ = config_.failedSimScore *
                     static_cast<double>(problem_.specs.size());
   }
+  if (currentSolves() && simsAtFirstSolve_ == 0) simsAtFirstSolve_ = sims_;
 }
 
 linalg::Vector SizingEnv::makeObservation() const {
@@ -114,11 +115,10 @@ StepResult SizingEnv::step(const std::vector<std::size_t>& actions,
   ++stepsInEpisode_;
 
   StepResult r;
-  r.solved = currentOk_ && currentValue_ >= 0.0;
+  r.solved = currentSolves();
   r.reward = currentValue_ + (r.solved ? config_.solveBonus : 0.0);
   r.done = r.solved || stepsInEpisode_ >= config_.episodeLength;
   r.observation = makeObservation();
-  if (r.solved && simsAtFirstSolve_ == 0) simsAtFirstSolve_ = sims_;
   return r;
 }
 

@@ -80,7 +80,9 @@ class SizingEnv {
   static constexpr std::size_t kActionsPerHead = 3;
 
   /// Jump to a random grid point and start a new episode (one simulation).
-  /// `next` is passed to the engine's evalOne as its lookahead.
+  /// `next` is passed to the engine's evalOne as its lookahead. A reset onto
+  /// a point that meets every spec is a solve, as a step there would be
+  /// (currentSolves, simsAtFirstSolve).
   linalg::Vector reset(const eval::Lookahead& next = {});
   /// Apply one move per parameter and simulate the new point.
   StepResult step(const std::vector<std::size_t>& actions,
@@ -95,8 +97,11 @@ class SizingEnv {
   /// Logical SPICE requests this env made (the Table I budget); cache hits
   /// count here but consume no EDA time.
   std::size_t simulationsUsed() const { return sims_; }
-  /// Simulation count at the first solved step (0 when never solved).
+  /// Simulation count at the first solve, reset or step (0 when never
+  /// solved).
   std::size_t simsAtFirstSolve() const { return simsAtFirstSolve_; }
+  /// Whether the current point simulated cleanly and meets every spec.
+  bool currentSolves() const { return currentOk_ && currentValue_ >= 0.0; }
 
   /// Raw (non-unit) sizing at the current grid position.
   const linalg::Vector& currentSizes() const { return sizes_; }

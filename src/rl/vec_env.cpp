@@ -58,6 +58,13 @@ void ParallelRolloutCollector::request(std::size_t e, const nn::Mlp& policy,
   if (!s.haveObs) {
     s.obs = s.env.reset(next);
     s.haveObs = true;
+    // A reset onto a spec-meeting point solves, as a step there would. Its
+    // Value (>= 0) beats every earlier point's, none of which solved.
+    if (s.env.currentSolves()) {
+      bestValue_ = s.env.currentValue();
+      bestSizes_ = s.env.currentSizes();
+      solveSims_ = totalSimulations();
+    }
     return;
   }
   const PolicySample ps = samplePolicy(policy, s.obs, actionHeads(), kApH,

@@ -19,8 +19,9 @@
 //
 // Policy updates happen only at tick boundaries, so an update never
 // invalidates a point simulated ahead. Collection stops at the exact request
-// target or at the request that solves, and the lookahead buffer is emptied
-// before run() returns.
+// target or at the request that solves (a reset or a step onto a point that
+// meets every spec), and the lookahead buffer is emptied before run()
+// returns.
 #pragma once
 
 #include <functional>
@@ -75,14 +76,15 @@ class ParallelRolloutCollector {
 
   /// Requests made over all environments.
   std::size_t totalSimulations() const;
-  /// Whether a step reached a satisfying design (collection stopped there).
+  /// Whether a reset or step reached a satisfying design (collection
+  /// stopped there).
   bool solved() const { return solveSims_ > 0; }
-  /// Total requests at the solving step (0 when never solved).
+  /// Total requests at the solving request (0 when never solved).
   std::size_t simsAtFirstSolve() const { return solveSims_; }
   /// Best completed-episode return (-1e18 before any episode ends).
   double bestEpisodeReturn() const { return bestEpisodeReturn_; }
-  /// Best Value of a stepped-to point (a solve's Value when solved), and
-  /// that point's sizing.
+  /// Best Value of a stepped-to point (a solve's Value when solved, a
+  /// solving reset included), and that point's sizing.
   double bestValue() const { return bestValue_; }
   const linalg::Vector& bestSizes() const { return bestSizes_; }
 

@@ -648,7 +648,7 @@ void zeroLane(LaneSystem& sys, int l) {
 // ---------------------------------------------------------------------------
 // Persistent batch workspaces. One solve used to allocate its lane system,
 // LU panel, permutation array and solution buffer fresh (~20 heap
-// allocations); engine pool workers run thousands of solves over the same
+// allocations); pool threads run thousands of solves over the same
 // one or two matrix sizes, so the buffers are pooled per thread and reused.
 // Ownership rules (see docs/ARCHITECTURE.md): a workspace holds *values*,
 // never structure — every acquire re-derives sizes from the netlists at

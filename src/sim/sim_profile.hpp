@@ -10,7 +10,7 @@
 // checkpoint round-trips) see stable all-zero values.
 //
 // The totals are process-global (relaxed atomic adds), aggregated across all
-// engine pool workers; they are diagnostics, not resumable state, and are
+// threads that simulate; they are diagnostics, not resumable state, and are
 // deliberately excluded from the checkpoint wire format.
 
 #include <cstdint>

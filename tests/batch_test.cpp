@@ -35,6 +35,7 @@
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/scaler.hpp"
+#include "pool_task.hpp"
 
 namespace trdse {
 namespace {
@@ -867,10 +868,12 @@ std::string blobWithoutWallClock(const std::string& blob) {
   return out;
 }
 
-/// The parallel corner-evaluation pipeline must give identical results for
-/// any thread count (results are merged in corner order after the join),
-/// and so must a search stepped inside a pool task, whose TRM steps fit the
-/// corner surrogates concurrently and score candidates in row chunks.
+/// A search's outcome does not depend on the pool it is stepped in: off a
+/// pool, or as a task of 1, 2 or 4 threads, on which its TRM steps fit the
+/// corner surrogates concurrently, score candidates in row chunks, and fan
+/// the corner simulations out. Clean and under ci_smoke_faulty's fault plan
+/// (seed 2021, 30% non-convergence, 5% non-finite, two attempts), the
+/// outcome, ledger, EvalStats and checkpoint blob are equal bit for bit.
 TEST(PvtSearchParallel, ThreadCountDoesNotChangeOutcome) {
   auto prob = multiCornerCsp();
   // Out of reach at the hot corner (its best is 0.98): the search spends its
@@ -880,65 +883,75 @@ TEST(PvtSearchParallel, ThreadCountDoesNotChangeOutcome) {
     core::PvtSearchOutcome outcome;
     std::string blob;
   };
-  const auto run = [&](std::size_t evalThreads, common::ThreadPool* stepPool) {
+  const auto run = [&](std::size_t pool, bool faulty) {
     core::PvtSearchConfig cfg;
     cfg.strategy = core::PvtStrategy::kBruteForce;  // 3 corners active: real fan-out
     cfg.seed = 33;
     cfg.explorer = core::autoSchedule(prob);
-    cfg.evalThreads = evalThreads;
     core::PvtSearch search(prob, cfg);
-    Run r;
-    if (stepPool == nullptr) {
-      r.outcome = search.run(300);
-    } else {
-      stepPool->parallelFor(1, [&](std::size_t) {
-        EXPECT_EQ(common::ThreadPool::current(), stepPool);
-        r.outcome = search.run(300);
-      });
+    if (faulty) {
+      sim::FaultPlanConfig plan;
+      plan.seed = 2021;
+      plan.nonConvergenceRate = 0.30;
+      plan.nonFiniteRate = 0.05;
+      search.engine().setRetryPolicy(eval::RetryPolicy{/*maxAttempts=*/2});
+      search.engine().injectFaults(
+          std::make_shared<const sim::FaultPlan>(plan), prob.name);
     }
+    Run r;
+    testing_pool::inPoolTask(pool, [&] { r.outcome = search.run(300); });
     io::CheckpointWriter w("pvt-search");
     search.save(w);
     r.blob = w.finish();
     return r;
   };
-  const Run serial = run(1, nullptr);
-  const Run pooledEval = run(4, nullptr);
-  common::ThreadPool stepPool(4);
-  const Run pooledStep = run(1, &stepPool);
-  // Well past the 3 x 10 init samples: about 90 three-corner TRM steps.
-  EXPECT_FALSE(serial.outcome.solved);
-  EXPECT_GE(serial.outcome.totalSims, 300u);
+  for (const bool faulty : {false, true}) {
+    SCOPED_TRACE(faulty ? "faulty" : "clean");
+    const Run serial = run(0, faulty);
+    // Well past the 3 x 10 init samples: about 90 three-corner TRM steps.
+    EXPECT_FALSE(serial.outcome.solved);
+    EXPECT_GE(serial.outcome.totalSims, 300u);
+    EXPECT_EQ(serial.outcome.evalStats.failures > 0, faulty);
 
-  for (const Run* other : {&pooledEval, &pooledStep}) {
-    const core::PvtSearchOutcome& a = other->outcome;
-    const core::PvtSearchOutcome& b = serial.outcome;
-    EXPECT_EQ(a.solved, b.solved);
-    EXPECT_EQ(a.totalSims, b.totalSims);
-    EXPECT_EQ(a.sizes, b.sizes);
-    EXPECT_EQ(a.cornersActivated, b.cornersActivated);
-    ASSERT_EQ(a.cornerEvals.size(), b.cornerEvals.size());
-    for (std::size_t i = 0; i < a.cornerEvals.size(); ++i) {
-      EXPECT_EQ(a.cornerEvals[i].ok, b.cornerEvals[i].ok);
-      EXPECT_EQ(a.cornerEvals[i].measurements, b.cornerEvals[i].measurements);
+    for (const std::size_t pool : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}}) {
+      SCOPED_TRACE("pool " + std::to_string(pool));
+      const Run other = run(pool, faulty);
+      const core::PvtSearchOutcome& a = other.outcome;
+      const core::PvtSearchOutcome& b = serial.outcome;
+      EXPECT_EQ(a.solved, b.solved);
+      EXPECT_EQ(a.totalSims, b.totalSims);
+      EXPECT_EQ(a.sizes, b.sizes);
+      EXPECT_EQ(a.cornersActivated, b.cornersActivated);
+      ASSERT_EQ(a.cornerEvals.size(), b.cornerEvals.size());
+      for (std::size_t i = 0; i < a.cornerEvals.size(); ++i) {
+        EXPECT_EQ(a.cornerEvals[i].ok, b.cornerEvals[i].ok);
+        EXPECT_EQ(a.cornerEvals[i].measurements,
+                  b.cornerEvals[i].measurements);
+      }
+      ASSERT_EQ(a.ledger.totalBlocks(), b.ledger.totalBlocks());
+      for (std::size_t i = 0; i < a.ledger.blocks().size(); ++i) {
+        const pvt::EdaBlock& x = a.ledger.blocks()[i];
+        const pvt::EdaBlock& y = b.ledger.blocks()[i];
+        EXPECT_EQ(x.cornerIndex, y.cornerIndex) << i;
+        EXPECT_EQ(x.kind, y.kind) << i;
+        EXPECT_EQ(x.meetsSpec, y.meetsSpec) << i;
+        EXPECT_EQ(x.cached, y.cached) << i;
+        EXPECT_EQ(x.failed, y.failed) << i;
+        EXPECT_EQ(x.retries, y.retries) << i;
+        EXPECT_EQ(x.backoff, y.backoff) << i;
+      }
+      EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
+      EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
+      EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
+      EXPECT_EQ(a.evalStats.sharedHits, b.evalStats.sharedHits);
+      EXPECT_EQ(a.evalStats.attempts, b.evalStats.attempts);
+      EXPECT_EQ(a.evalStats.faults, b.evalStats.faults);
+      EXPECT_EQ(a.evalStats.failures, b.evalStats.failures);
+      EXPECT_EQ(a.evalStats.backoffUnits, b.evalStats.backoffUnits);
+      EXPECT_TRUE(blobWithoutWallClock(other.blob) ==
+                  blobWithoutWallClock(serial.blob));
     }
-    ASSERT_EQ(a.ledger.totalBlocks(), b.ledger.totalBlocks());
-    for (std::size_t i = 0; i < a.ledger.blocks().size(); ++i) {
-      const pvt::EdaBlock& x = a.ledger.blocks()[i];
-      const pvt::EdaBlock& y = b.ledger.blocks()[i];
-      EXPECT_EQ(x.cornerIndex, y.cornerIndex) << i;
-      EXPECT_EQ(x.kind, y.kind) << i;
-      EXPECT_EQ(x.meetsSpec, y.meetsSpec) << i;
-      EXPECT_EQ(x.cached, y.cached) << i;
-      EXPECT_EQ(x.failed, y.failed) << i;
-    }
-    EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
-    EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
-    EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
-    EXPECT_EQ(a.evalStats.sharedHits, b.evalStats.sharedHits);
-    EXPECT_EQ(a.evalStats.attempts, b.evalStats.attempts);
-    EXPECT_EQ(a.evalStats.failures, b.evalStats.failures);
-    EXPECT_TRUE(blobWithoutWallClock(other->blob) ==
-                blobWithoutWallClock(serial.blob));
   }
 }
 

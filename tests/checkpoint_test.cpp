@@ -1,7 +1,7 @@
 // Tests for the src/io checkpoint subsystem (ISSUE 4 determinism contract):
 // a run checkpointed at step k and resumed must be bitwise identical to the
 // uninterrupted run — same outcome, same ledger — for PvtSearch,
-// SizingSession and the RL trainers, for any evalThreads and with the eval
+// SizingSession and the RL trainers, for any pool size and with the eval
 // cache on or off. Plus the container's error paths (corrupt / truncated /
 // version-mismatch / wrong-kind files) and the edge cases of the network,
 // optimizer and scaler encodings the format builds on.
@@ -19,6 +19,7 @@
 #include "core/sizing_api.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
+#include "pool_task.hpp"
 #include "rl/a2c.hpp"
 #include "rl/checkpoint.hpp"
 #include "rl/trpo.hpp"
@@ -28,8 +29,12 @@ namespace {
 
 using linalg::Vector;
 
+/// A path in the test temp dir, with any file an earlier run left there
+/// removed: a test must never read a checkpoint it did not write itself.
 std::string tmpPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
+  const std::string path = testing::TempDir() + "/" + name;
+  std::remove(path.c_str());
+  return path;
 }
 
 /// Cheap closed-form multi-corner CSP that is genuinely hard for the TRM
@@ -405,16 +410,13 @@ void setPortingHooks(core::ExplorerConfig& e, const nn::Mlp& donor) {
   e.warmStartWeights = &donor;
 }
 
-class PvtResume
-    : public ::testing::TestWithParam<std::tuple<bool, std::size_t, bool>> {};
-
-TEST_P(PvtResume, BitwiseEqualToUninterruptedRun) {
-  const auto [cacheOn, threads, hooks] = GetParam();
+/// A PvtSearch paused mid-run, saved, and resumed in a brand-new search
+/// (and, in memory, continued) ends bitwise equal to the uninterrupted run.
+void expectResumeBitwise(bool cacheOn, bool hooks) {
   const auto prob = hillProblem();
   core::PvtSearchConfig cfg;
   cfg.seed = 3;
   cfg.cacheEvals = cacheOn;
-  cfg.evalThreads = threads;
   const core::SpiceSurrogate donor(4, 1, cfg.explorer.surrogate, 5);
   if (hooks) setPortingHooks(cfg.explorer, donor.network());
   const std::size_t kBudget = 2000;
@@ -442,16 +444,29 @@ TEST_P(PvtResume, BitwiseEqualToUninterruptedRun) {
   expectOutcomeEq(full, continuedInMemory);
 }
 
+/// Param: cache on, the pool size every run steps in (0: no pool; see
+/// testing_pool::inPoolTask), porting hooks.
+class PvtResume
+    : public ::testing::TestWithParam<std::tuple<bool, std::size_t, bool>> {};
+
+TEST_P(PvtResume, BitwiseEqualToUninterruptedRun) {
+  const auto [cacheOn, pool, hooks] = GetParam();
+  testing_pool::inPoolTask(pool, [cacheOn = cacheOn, hooks = hooks] {
+    expectResumeBitwise(cacheOn, hooks);
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    CacheAndThreads, PvtResume,
-    ::testing::Values(std::make_tuple(true, std::size_t{1}, false),
-                      std::make_tuple(false, std::size_t{1}, false),
+    CacheAndPools, PvtResume,
+    ::testing::Values(std::make_tuple(true, std::size_t{0}, false),
+                      std::make_tuple(false, std::size_t{0}, false),
+                      std::make_tuple(true, std::size_t{1}, false),
                       std::make_tuple(true, std::size_t{2}, false),
-                      std::make_tuple(false, std::size_t{3}, false),
+                      std::make_tuple(false, std::size_t{4}, false),
                       std::make_tuple(true, std::size_t{2}, true)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) ? "cache" : "nocache") +
-             "_threads" + std::to_string(std::get<1>(info.param)) +
+             "_pool" + std::to_string(std::get<1>(info.param)) +
              (std::get<2>(info.param) ? "_porting" : "");
     });
 
@@ -695,7 +710,9 @@ TEST(RlCheckpoint, A2cResumeBitwiseEqualSingleAndMultiEnv) {
        {std::size_t{1}, static_cast<std::size_t>(sim::kSimLanes)}) {
     const auto prob = numEnvs == 1 ? rlProblem() : fusedRlProblem();
     rl::A2cConfig cfg;
-    cfg.seed = 9;
+    // Seed 9's first reset meets the spec, which solves at request 1; seed 4
+    // trains past the pause at either width.
+    cfg.seed = 4;
     cfg.nSteps = 12;
     cfg.env.episodeLength = 20;
     const std::size_t kBudget = 600;
@@ -742,7 +759,7 @@ TEST(RlCheckpoint, CheckpointCadenceWithoutPathThrows) {
 TEST(RlCheckpoint, ResumeRejectsChangedConfiguration) {
   const auto prob = rlProblem();
   rl::A2cConfig cfg;
-  cfg.seed = 9;
+  cfg.seed = 4;
   cfg.maxUpdates = 2;
   cfg.checkpointEvery = 2;
   cfg.checkpointPath = tmpPath("a2c_fingerprint.ckpt");
@@ -765,14 +782,14 @@ TEST(RlCheckpoint, ResumeRejectsChangedConfiguration) {
 TEST(RlCheckpoint, ResumeRejectsWrongAlgorithm) {
   const auto prob = rlProblem();
   rl::A2cConfig cfg;
-  cfg.seed = 9;
+  cfg.seed = 4;
   cfg.maxUpdates = 2;
   cfg.checkpointEvery = 2;
   cfg.checkpointPath = tmpPath("a2c_for_trpo.ckpt");
   (void)rl::trainA2c(prob, cfg, 300);
 
   rl::TrpoConfig trpo;
-  trpo.seed = 9;
+  trpo.seed = 4;
   trpo.resumeFrom = cfg.checkpointPath;
   try {
     (void)rl::trainTrpo(prob, trpo, 300);

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 
@@ -16,6 +19,8 @@
 #include "core/sizing_api.hpp"
 #include "eval/eval_cache.hpp"
 #include "eval/eval_engine.hpp"
+#include "pool_task.hpp"
+#include "pvt/corners.hpp"
 #include "rl/sizing_env.hpp"
 #include "sim/sim_profile.hpp"
 
@@ -71,7 +76,7 @@ TEST(EvalCache, KeyedOnIndicesAndCorner) {
 TEST(EvalEngine, MemoizesAcrossBatchesAndCountsBlocks) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
-  eval::EvalEngine engine(prob, {/*cacheEvals=*/true, /*threads=*/1});
+  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
 
   const Vector point = prob.space.snap({0.41, 0.59});
   const std::vector<std::size_t> corners{0, 1, 2};
@@ -111,7 +116,7 @@ TEST(EvalEngine, DedupsDuplicateRequestsWithinABatch) {
   const Vector point = prob.space.snap({0.5, 0.5});
 
   {  // cache on: the duplicate corner simulates once.
-    eval::EvalEngine engine(prob, {true, 1});
+    eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
     const auto r = engine.evalBatch({1, 1, 2}, point, pvt::BlockKind::kSearch);
     EXPECT_EQ(calls->load(), 2);
     EXPECT_EQ(r[0].measurements, r[1].measurements);
@@ -121,7 +126,7 @@ TEST(EvalEngine, DedupsDuplicateRequestsWithinABatch) {
   }
   {  // cache off: every request is a real block.
     calls->store(0);
-    eval::EvalEngine engine(prob, {false, 1});
+    eval::EvalEngine engine(prob, {/*cacheEvals=*/false});
     engine.evalBatch({1, 1, 2}, point, pvt::BlockKind::kSearch);
     EXPECT_EQ(calls->load(), 3);
     EXPECT_EQ(engine.stats().cacheHits, 0u);
@@ -138,7 +143,7 @@ TEST(EvalEngine, SnapsRawSizesSoSimulatedPointMatchesTheKey) {
     lastSeen = v;
     return inner(v, c);
   };
-  eval::EvalEngine engine(prob, {true, 1});
+  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
   // Raw, off-grid request: the backend must see the snapped point...
   const Vector raw{0.412, 0.588};
   const Vector snapped = prob.space.snap(raw);
@@ -155,7 +160,7 @@ TEST(EvalEngine, SnapsRawSizesSoSimulatedPointMatchesTheKey) {
 TEST(EvalEngine, ResetAccountingKeepsTheMemo) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
-  eval::EvalEngine engine(prob, {true, 1});
+  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
   const Vector point = prob.space.snap({0.3, 0.3});
   engine.evalBatch({0, 1, 2}, point, pvt::BlockKind::kSearch);
   engine.resetAccounting();
@@ -167,27 +172,110 @@ TEST(EvalEngine, ResetAccountingKeepsTheMemo) {
 }
 
 TEST(EvalEngine, ThreadCountDoesNotChangeResultsOrAccounting) {
-  std::vector<std::vector<core::EvalResult>> results;
-  std::vector<std::size_t> simulated;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  struct Run {
+    std::vector<core::EvalResult> results;
+    eval::EvalStats stats;
+    pvt::EdaLedger ledger;
+  };
+  std::vector<Run> runs;
+  for (const std::size_t pool : testing_pool::kPoolSizes) {
     auto calls = std::make_shared<std::atomic<int>>(0);
     const auto prob = countingProblem(calls);
-    eval::EvalEngine engine(prob, {true, threads});
-    std::mt19937_64 rng(7);
-    std::vector<core::EvalResult> all;
-    for (int k = 0; k < 20; ++k) {
-      const Vector p = prob.space.randomPoint(rng);
-      auto r = engine.evalBatch({0, 1, 2}, prob.space.snap(p),
-                                pvt::BlockKind::kSearch);
-      all.insert(all.end(), r.begin(), r.end());
-    }
-    results.push_back(std::move(all));
-    simulated.push_back(engine.stats().simulated);
+    eval::EvalEngine engine(prob);
+    Run run;
+    testing_pool::inPoolTask(pool, [&] {
+      std::mt19937_64 rng(7);
+      for (int k = 0; k < 20; ++k) {
+        const Vector p = prob.space.randomPoint(rng);
+        auto r = engine.evalBatch({0, 1, 2}, prob.space.snap(p),
+                                  pvt::BlockKind::kSearch);
+        run.results.insert(run.results.end(), r.begin(), r.end());
+      }
+    });
+    run.stats = engine.stats();
+    run.ledger = engine.ledger();
+    runs.push_back(std::move(run));
   }
-  EXPECT_EQ(simulated[0], simulated[1]);
-  ASSERT_EQ(results[0].size(), results[1].size());
-  for (std::size_t i = 0; i < results[0].size(); ++i)
-    EXPECT_EQ(results[0][i].measurements, results[1][i].measurements);
+  const Run& ref = runs.front();
+  for (std::size_t k = 1; k < runs.size(); ++k) {
+    const Run& run = runs[k];
+    SCOPED_TRACE("pool " + std::to_string(testing_pool::kPoolSizes[k]));
+    EXPECT_EQ(run.stats.requests, ref.stats.requests);
+    EXPECT_EQ(run.stats.simulated, ref.stats.simulated);
+    EXPECT_EQ(run.stats.cacheHits, ref.stats.cacheHits);
+    EXPECT_EQ(run.stats.attempts, ref.stats.attempts);
+    ASSERT_EQ(run.results.size(), ref.results.size());
+    for (std::size_t i = 0; i < ref.results.size(); ++i)
+      EXPECT_EQ(run.results[i].measurements, ref.results[i].measurements);
+    ASSERT_EQ(run.ledger.totalBlocks(), ref.ledger.totalBlocks());
+    for (std::size_t i = 0; i < ref.ledger.blocks().size(); ++i) {
+      EXPECT_EQ(run.ledger.blocks()[i].cornerIndex,
+                ref.ledger.blocks()[i].cornerIndex);
+      EXPECT_EQ(run.ledger.blocks()[i].meetsSpec,
+                ref.ledger.blocks()[i].meetsSpec);
+      EXPECT_EQ(run.ledger.blocks()[i].cached, ref.ledger.blocks()[i].cached);
+    }
+  }
+}
+
+/// Four-lane backend whose every call (one per lane chunk) holds until a
+/// second call has started, or gives up after a bounded wait.
+class HoldingBackend final : public eval::EvalBackend {
+ public:
+  std::string_view name() const override { return "holding"; }
+  std::size_t batchWidth() const override { return sim::kSimLanes; }
+  void evaluateBatch(const Vector* const*, const sim::PvtCorner*,
+                     const eval::EvalContext*, core::EvalResult* results,
+                     std::size_t count) const override {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++started_;
+    cv_.notify_all();
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [&] { return started_ >= 2; }))
+      ++timedOut_;
+    for (std::size_t i = 0; i < count; ++i) {
+      results[i] = core::EvalResult{};
+      results[i].ok = true;
+      results[i].measurements = {1.0};
+    }
+  }
+  std::size_t started() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_;
+  }
+  std::size_t timedOut() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return timedOut_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable std::size_t started_ = 0;
+  mutable std::size_t timedOut_ = 0;
+};
+
+/// A multi-chunk request made from a pool task runs its lane chunks on that
+/// pool: with nine corners on a four-lane backend (chunks of 4, 4 and 1),
+/// the first chunk can only finish without timing out if another chunk runs
+/// beside it.
+TEST(EvalEngine, ChunksFanOutOnTheCallersPool) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  core::SizingProblem prob = countingProblem(calls);
+  prob.corners = pvt::nineCornerSet(1.0);
+  const auto backend = std::make_shared<HoldingBackend>();
+  eval::EvalEngine engine(backend, prob.space, prob.corners,
+                          eval::MeetsSpecFn{}, {/*cacheEvals=*/false});
+  std::vector<std::size_t> all(prob.corners.size());
+  for (std::size_t c = 0; c < all.size(); ++c) all[c] = c;
+  testing_pool::inPoolTask(4, [&] {
+    const auto r = engine.evalBatch(all, {0.5, 0.5}, pvt::BlockKind::kSearch);
+    ASSERT_EQ(r.size(), 9u);
+    for (const core::EvalResult& x : r) EXPECT_TRUE(x.ok);
+  });
+  EXPECT_EQ(backend->started(), 3u);
+  EXPECT_EQ(backend->timedOut(), 0u);
+  EXPECT_EQ(engine.stats().simulated, 9u);
 }
 
 // ---------- cache-on/off bitwise invariance of seeded searches ----------
@@ -237,21 +325,25 @@ TEST(EvalEngineSearch, PvtSearchBitwiseIdenticalWithCacheOnOrOff) {
 TEST(EvalEngineSearch, PvtSearchThreadCountInvariantWithCacheOn) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
-  core::PvtSearchOutcome outcomes[2];
-  int t = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  std::vector<core::PvtSearchOutcome> outcomes;
+  for (const std::size_t pool : testing_pool::kPoolSizes) {
     core::PvtSearchConfig cfg;
     cfg.strategy = core::PvtStrategy::kBruteForce;  // 3 active: real fan-out
     cfg.seed = 33;
     cfg.cacheEvals = true;
-    cfg.evalThreads = threads;
     cfg.explorer = core::autoSchedule(prob);
     core::PvtSearch search(prob, cfg);
-    outcomes[t++] = search.run(5000);
+    testing_pool::inPoolTask(pool,
+                             [&] { outcomes.push_back(search.run(5000)); });
   }
-  expectSamePvtOutcome(outcomes[1], outcomes[0]);
-  EXPECT_EQ(outcomes[1].evalStats.cacheHits, outcomes[0].evalStats.cacheHits);
-  EXPECT_EQ(outcomes[1].evalStats.simulated, outcomes[0].evalStats.simulated);
+  for (std::size_t k = 1; k < outcomes.size(); ++k) {
+    SCOPED_TRACE("pool " + std::to_string(testing_pool::kPoolSizes[k]));
+    expectSamePvtOutcome(outcomes[k], outcomes[0]);
+    EXPECT_EQ(outcomes[k].evalStats.cacheHits,
+              outcomes[0].evalStats.cacheHits);
+    EXPECT_EQ(outcomes[k].evalStats.simulated,
+              outcomes[0].evalStats.simulated);
+  }
 }
 
 TEST(EvalEngineSearch, SizingEnvBitwiseIdenticalWithCacheOnOrOff) {
@@ -322,7 +414,7 @@ TEST(Registry, RoundTripInstantiatesAndEvaluatesEveryCircuit) {
     // Evaluate a handful of grid points through an engine; at least one must
     // converge, and a repeated request must hit the memo with a bitwise-
     // identical result.
-    eval::EvalEngine engine(prob, {true, 1});
+    eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
     std::mt19937_64 rng(3);
     int okCount = 0;
     for (int k = 0; k < 40 && okCount == 0; ++k) {
@@ -356,7 +448,7 @@ TEST(Registry, RejectsDuplicateEntries) {
 TEST(Registry, CircuitEvaluatesThroughTheEngine) {
   const core::SizingProblem prob =
       circuits::Registry::global().makeProblem("ico");
-  eval::EvalEngine engine(prob, {true, 1});
+  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
   EXPECT_EQ(engine.backend().name(), "problem:ico_n5");
   // Registry problems ship the fused corner-batch evaluator.
   EXPECT_EQ(engine.backend().batchWidth(),
@@ -453,11 +545,11 @@ TEST(EvalStats, SimPhaseCountersCoverOnePointRequests) {
   // Built before the loop and dispatched after it: an engine's counters
   // cover its own dispatches only, not other engines' work in between.
   const core::SizingProblem opamp = reg.makeProblem("two_stage_opamp");
-  eval::EvalEngine late(opamp, {/*cacheEvals=*/false, 1});
+  eval::EvalEngine late(opamp, {/*cacheEvals=*/false});
   std::uint64_t loopNs = 0;
   for (const auto& name : reg.names()) {
     const core::SizingProblem prob = reg.makeProblem(name);
-    eval::EvalEngine engine(prob, {/*cacheEvals=*/false, 1});
+    eval::EvalEngine engine(prob, {/*cacheEvals=*/false});
     std::mt19937_64 rng(17);
     engine.evalOne(0, prob.space.randomPoint(rng), pvt::BlockKind::kSearch);
     const eval::EvalStats& st = engine.stats();

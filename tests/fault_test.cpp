@@ -16,6 +16,7 @@
 #include "eval/fault_injector.hpp"
 #include "eval/shared_cache.hpp"
 #include "io/checkpoint.hpp"
+#include "pool_task.hpp"
 #include "sim/fault.hpp"
 
 namespace trdse::eval {
@@ -336,15 +337,17 @@ TEST(EvalEngineFaults, BatchSurfacesFailuresInTheirSlots) {
   const core::SizingProblem problem = faultGridProblem();
   EvalEngineConfig cfg;
   cfg.retry.maxAttempts = 1;  // every fault immediately terminal
-  cfg.threads = 4;
   EvalEngine engine(problem, cfg);
   engine.injectFaults(std::make_shared<const sim::FaultPlan>(
                           planConfig(19, 0.0, 0.5, 0.0)),
                       problem.name);
 
+  // From a 4-thread pool task the three one-corner chunks fan out.
   const std::vector<std::size_t> allCorners = {0, 1, 2};
-  const std::vector<core::EvalResult> batch =
-      engine.evalBatch(allCorners, {0.25, 0.75}, pvt::BlockKind::kVerify);
+  std::vector<core::EvalResult> batch;
+  testing_pool::inPoolTask(4, [&] {
+    batch = engine.evalBatch(allCorners, {0.25, 0.75}, pvt::BlockKind::kVerify);
+  });
   ASSERT_EQ(batch.size(), 3u);
   std::size_t failed = 0;
   for (std::size_t c = 0; c < batch.size(); ++c) {
@@ -381,14 +384,14 @@ TEST(EvalEngineFaults, BatchedDispatchDrawsIdenticalFaultSlots) {
   // nothing about dispatch shape. So with the same plan, an engine over a
   // width-4 backend must fault on exactly the same (sizing, corner, attempt)
   // slots as one over a width-1 backend: same per-slot results, same ledger
-  // rows (retries and backoff included), same fault counters, for any
-  // thread count.
+  // rows (retries and backoff included), same fault counters, off a pool
+  // and from pool tasks of any size.
   const core::SizingProblem problem = faultGridBatchProblem();
   const core::SizingProblem scalarProblem = faultGridProblem();
   const std::vector<std::size_t> allCorners = {0, 1, 2};
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    EvalEngineConfig cfg{/*cacheEvals=*/false, threads,
-                         /*recordLedger=*/true};
+  for (const std::size_t pool : testing_pool::kPoolSizes) {
+    SCOPED_TRACE("pool " + std::to_string(pool));
+    EvalEngineConfig cfg{/*cacheEvals=*/false};
     cfg.retry.maxAttempts = 3;
     EvalEngine scalarEngine(scalarProblem, cfg);
     EvalEngine batchEngine(problem, cfg);
@@ -399,22 +402,24 @@ TEST(EvalEngineFaults, BatchedDispatchDrawsIdenticalFaultSlots) {
     scalarEngine.injectFaults(plan, problem.name);
     batchEngine.injectFaults(plan, problem.name);
 
-    for (std::size_t gx = 0; gx < 9; gx += 2) {
-      const linalg::Vector sizes = {problem.space.gridValue(0, gx),
-                                    problem.space.gridValue(1, 8 - gx)};
-      const auto rs =
-          scalarEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
-      const auto rb =
-          batchEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
-      ASSERT_EQ(rs.size(), rb.size());
-      for (std::size_t c = 0; c < rs.size(); ++c) {
-        EXPECT_EQ(rs[c].ok, rb[c].ok) << "corner " << c;
-        EXPECT_EQ(rs[c].failure, rb[c].failure) << "corner " << c;
-        ASSERT_EQ(rs[c].measurements.size(), rb[c].measurements.size());
-        for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
-          EXPECT_EQ(rs[c].measurements[m], rb[c].measurements[m]);
+    testing_pool::inPoolTask(pool, [&] {
+      for (std::size_t gx = 0; gx < 9; gx += 2) {
+        const linalg::Vector sizes = {problem.space.gridValue(0, gx),
+                                      problem.space.gridValue(1, 8 - gx)};
+        const auto rs =
+            scalarEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
+        const auto rb =
+            batchEngine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
+        ASSERT_EQ(rs.size(), rb.size());
+        for (std::size_t c = 0; c < rs.size(); ++c) {
+          EXPECT_EQ(rs[c].ok, rb[c].ok) << "corner " << c;
+          EXPECT_EQ(rs[c].failure, rb[c].failure) << "corner " << c;
+          ASSERT_EQ(rs[c].measurements.size(), rb[c].measurements.size());
+          for (std::size_t m = 0; m < rs[c].measurements.size(); ++m)
+            EXPECT_EQ(rs[c].measurements[m], rb[c].measurements[m]);
+        }
       }
-    }
+    });
 
     const auto& ls = scalarEngine.ledger().blocks();
     const auto& lb = batchEngine.ledger().blocks();
@@ -548,23 +553,22 @@ TEST(LedgerInvariant, HoldsAcrossCacheThreadsAndFaultConfigs) {
 
   for (const bool faults : {false, true}) {
     for (const bool cacheOn : {true, false}) {
-      for (const std::size_t threads : {1u, 2u, 4u}) {
+      for (const std::size_t pool : testing_pool::kPoolSizes) {
         EvalEngineConfig cfg;
         cfg.cacheEvals = cacheOn;
-        cfg.threads = threads;
         cfg.retry.maxAttempts = 2;
         EvalEngine engine(problem, cfg);
         if (faults)
           engine.injectFaults(std::make_shared<const sim::FaultPlan>(
                                   planConfig(77, 0.1, 0.35, 0.1)),
                               problem.name);
-        driveStream(engine);
+        testing_pool::inPoolTask(pool, [&] { driveStream(engine); });
 
         const EvalStats& s = engine.stats();
         const pvt::EdaLedger& ledger = engine.ledger();
         SCOPED_TRACE("faults=" + std::to_string(faults) +
                      " cache=" + std::to_string(cacheOn) +
-                     " threads=" + std::to_string(threads));
+                     " pool=" + std::to_string(pool));
         // The two partition invariants of the fault-tolerant pipeline.
         EXPECT_EQ(s.requests,
                   s.simulated + s.cacheHits + s.sharedHits + s.failures);
@@ -589,7 +593,7 @@ TEST(LedgerInvariant, HoldsAcrossCacheThreadsAndFaultConfigs) {
 
         // The logical (corner, kind, meetsSpec, failed) block stream is a
         // function of the request stream and the fault plan alone — not of
-        // caching or thread count.
+        // caching or the pool the requests came from.
         if (reference[faults].empty()) {
           reference[faults] = ledger.blocks();
           referenceFailures[faults] = s.failures;

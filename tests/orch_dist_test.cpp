@@ -511,16 +511,30 @@ TEST(DistributedScheduler, JournalCacheOffHoldsUnderWorkers) {
 }
 
 TEST(DistributedScheduler, ContractErrorsAreLoud) {
-  // Engine-internal thread pools cannot survive a fork: the child inherits
-  // the pool's bookkeeping but none of its threads.
-  {
-    ensureTinyGridRegistered();
+  // Engines own no threads (their chunks run on the round's pool), so
+  // pvt_search has no eval_threads option: a scenario that sets it fails
+  // like any unknown option, naming the key and the known ones, in process
+  // and with workers alike.
+  ensureTinyGridRegistered();
+  for (const char* workers : {"0", "2"}) {
+    SCOPED_TRACE(std::string("workers = ") + workers);
     Scenario sc = parseScenarioText(
-        "workers = 2\n"
-        "[job]\nname = pvt\ncircuit = tiny_grid\nstrategy = pvt_search\n"
-        "seed = 3\nbudget = 20\nopt.eval_threads = 2\n",
+        std::string("workers = ") + workers +
+            "\n[job]\nname = pvt\ncircuit = tiny_grid\n"
+            "strategy = pvt_search\nseed = 3\nbudget = 20\n"
+            "opt.eval_threads = 2\n",
         "inline");
-    EXPECT_THROW(DistributedScheduler{std::move(sc)}, std::invalid_argument);
+    try {
+      DistributedScheduler sched(std::move(sc));
+      ADD_FAILURE() << "opt.eval_threads was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("no option \"eval_threads\""), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("(known: pool, cache, init_samples, mc_samples)"),
+                std::string::npos)
+          << what;
+    }
   }
   // A scheduler runs exactly once; resume is a pre-run operation.
   {
@@ -752,11 +766,11 @@ TEST(Wire, StatsCodecRejectsBrokenPartitionInvariant) {
   s.requests = 10;
   s.simulated = 3;  // 3 + 0 + 0 + 0 != 10
   io::CheckpointWriter msg = wire::makeMessage(wire::kMsgRoundResult);
-  wire::writeEvalStats(msg.section("stats"), s);
+  eval::writeEvalStats(msg.section("stats"), s);
   const std::string body = wire::encodeFrame(msg).substr(8);
   const io::CheckpointReader reader = wire::decodeFrame(body, "t");
   io::SectionReader r = reader.section("stats");
-  EXPECT_THROW(wire::readEvalStats(r), io::CheckpointError);
+  EXPECT_THROW(eval::readEvalStats(r), io::CheckpointError);
 }
 
 }  // namespace

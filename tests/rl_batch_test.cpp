@@ -590,8 +590,9 @@ CollectRun runCollector(const core::SizingProblem& prob,
 }
 
 /// The reference: `n` envs on one width-1 engine, stepped one request at a
-/// time in env order (a reset when an env has no observation), updating
-/// after each full tick that ends with a full rollout.
+/// time in env order (a reset when an env has no observation; one onto a
+/// spec-meeting point solves, as a step would), updating after each full
+/// tick that ends with a full rollout.
 CollectRun runReference(const core::SizingProblem& scalar, std::size_t n,
                         const CollectSetup& c) {
   const EnvConfig envCfg = rolloutEnv();
@@ -626,6 +627,12 @@ CollectRun runReference(const core::SizingProblem& scalar, std::size_t n,
       if (!haveObs[e]) {
         obs[e] = envs[e].reset();
         haveObs[e] = true;
+        if (envs[e].currentSolves()) {
+          run.solved = true;
+          run.simsAtSolve = run.sims;
+          run.bestValue = envs[e].currentValue();
+          run.bestSizes = envs[e].currentSizes();
+        }
         continue;
       }
       const PolicySample ps = samplePolicy(policy, obs[e], 2, kApH, rngs[e]);
@@ -758,6 +765,47 @@ TEST(ParallelRollout, PackedTicksAccountExactlyAsOneRequestAtATime) {
         }
       }
     }
+  }
+}
+
+/// A reset that lands on a spec-meeting point is a solve: the collector
+/// stops at that request with the point as its best, and the environment
+/// records the solve, at one environment and at four.
+TEST(ParallelRollout, ResetOntoSpecMeetingPointSolves) {
+  // Every point that simulates meets a closeness spec of -1 (the bowl's
+  // worst closeness is 1 - sqrt(2)); only the failing grid corner does not.
+  const core::SizingProblem scalar = bowlProblem(-1.0);
+  const EnvConfig envCfg = rolloutEnv();
+  {
+    const auto engine = makeEnvEngine(scalar, envCfg);
+    SizingEnv env(scalar, envCfg, 17, *engine);
+    env.reset();
+    ASSERT_GE(env.currentValue(), 0.0) << "seed 17 resets onto a failure";
+    EXPECT_EQ(env.simsAtFirstSolve(), 1u);
+  }
+  for (const std::size_t n : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("N " + std::to_string(n));
+    const core::SizingProblem prob = n == 1 ? scalar : fused(scalar);
+    ParallelRolloutCollector collector(prob, envCfg, 17, 24);
+    ASSERT_EQ(collector.numEnvs(), n);
+    const std::size_t obsDim = collector.observationDim();
+    const nn::Mlp policy = makePolicyNet(obsDim, 2, kApH, 16, 71);
+    const nn::Mlp critic = makeValueNet(obsDim, 16, 72);
+    std::size_t updates = 0;
+    collector.run(policy, critic, kRolloutSize, 0.99, 0.95, kRolloutBudget,
+                  [&](const FlatRollout&) {
+                    ++updates;
+                    return true;
+                  });
+    EXPECT_TRUE(collector.solved());
+    EXPECT_EQ(collector.simsAtFirstSolve(), 1u);
+    EXPECT_EQ(collector.totalSimulations(), 1u);
+    EXPECT_EQ(updates, 0u);
+    EXPECT_GE(collector.bestValue(), 0.0);
+    EXPECT_EQ(collector.bestSizes().size(), prob.space.dim());
+    EXPECT_EQ(collector.engine().lookaheadSize(), 0u);
+    ASSERT_EQ(collector.engine().ledger().totalBlocks(), 1u);
+    EXPECT_TRUE(collector.engine().ledger().blocks()[0].meetsSpec);
   }
 }
 

@@ -38,6 +38,7 @@
 #include "sim/op_batch.hpp"
 #include "sim/process.hpp"
 #include "sim/transient.hpp"
+#include "pool_task.hpp"
 #include "sim_reference.hpp"
 
 // Heap allocations made on this thread while armed: the transient stepping
@@ -868,8 +869,10 @@ core::SizingProblem oneSlotOnly(core::SizingProblem p) {
 
 TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
   // The acceptance bar of the batched backend: for every registry circuit,
-  // every corner of the nine-corner sign-off set, and every thread count,
-  // the engine over the lane-batched backend returns byte-identical
+  // every corner of the nine-corner sign-off set, and every pool the
+  // requests are made from (none, or a task of 1, 2 or 4 threads, on which
+  // the engines fan their lane chunks out), the engine over the lane-batched
+  // backend returns byte-identical
   // results, ledger, and stats (minus wall-clock) to the engine over the
   // width-1 backend of one-slot passes. Caching is off so every request
   // actually exercises the backend dispatch under test.
@@ -884,28 +887,30 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
     for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
     const auto sizings = probeSizings(problem.space, 2);
 
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      const EvalEngineConfig cfg{/*cacheEvals=*/false, threads,
-                                 /*recordLedger=*/true};
+    for (const std::size_t pool : testing_pool::kPoolSizes) {
+      const EvalEngineConfig cfg{/*cacheEvals=*/false};
       EvalEngine oneSlotEngine(oneSlotOnly(problem), cfg);
       EvalEngine batchEngine(problem, cfg);
-      for (const auto& v : sizings) {
-        const auto ro = oneSlotEngine.evalBatch(cornerIdx, v,
+      testing_pool::inPoolTask(pool, [&] {
+        for (const auto& v : sizings) {
+          const auto ro = oneSlotEngine.evalBatch(cornerIdx, v,
+                                                  pvt::BlockKind::kSearch);
+          const auto rb = batchEngine.evalBatch(cornerIdx, v,
                                                 pvt::BlockKind::kSearch);
-        const auto rb = batchEngine.evalBatch(cornerIdx, v,
-                                              pvt::BlockKind::kSearch);
-        ASSERT_EQ(ro.size(), rb.size());
-        for (std::size_t c = 0; c < ro.size(); ++c) {
-          ASSERT_EQ(ro[c].ok, rb[c].ok)
-              << name << " corner " << c << " threads " << threads;
-          ASSERT_EQ(ro[c].failure, rb[c].failure);
-          ASSERT_EQ(ro[c].measurements.size(), rb[c].measurements.size());
-          for (std::size_t m = 0; m < ro[c].measurements.size(); ++m)
-            ASSERT_TRUE(sameBits(ro[c].measurements[m], rb[c].measurements[m]))
-                << name << " corner " << c << " meas " << m << " threads "
-                << threads;
+          ASSERT_EQ(ro.size(), rb.size());
+          for (std::size_t c = 0; c < ro.size(); ++c) {
+            ASSERT_EQ(ro[c].ok, rb[c].ok)
+                << name << " corner " << c << " pool " << pool;
+            ASSERT_EQ(ro[c].failure, rb[c].failure);
+            ASSERT_EQ(ro[c].measurements.size(), rb[c].measurements.size());
+            for (std::size_t m = 0; m < ro[c].measurements.size(); ++m)
+              ASSERT_TRUE(
+                  sameBits(ro[c].measurements[m], rb[c].measurements[m]))
+                  << name << " corner " << c << " meas " << m << " pool "
+                  << pool;
+          }
         }
-      }
+      });
       // Ledger: identical block sequence (EdaBlock carries no wall-clock).
       const auto& lo = oneSlotEngine.ledger().blocks();
       const auto& lb = batchEngine.ledger().blocks();
@@ -945,8 +950,8 @@ TEST(EvalEngineBatch, OddBatchSizesAndRepeatsStayBitwiseIdentical) {
   for (const std::size_t n : {1u, 3u, 5u, 9u}) {
     std::vector<std::size_t> cornerIdx(n);
     for (std::size_t i = 0; i < n; ++i) cornerIdx[i] = i % 9;
-    EvalEngine oneSlotEngine(oneSlotOnly(problem), EvalEngineConfig{true, 1});
-    EvalEngine batchEngine(problem, EvalEngineConfig{true, 1});
+    EvalEngine oneSlotEngine(oneSlotOnly(problem));
+    EvalEngine batchEngine(problem);
     const auto ro =
         oneSlotEngine.evalBatch(cornerIdx, sizings[0], pvt::BlockKind::kSearch);
     const auto rb =
@@ -1050,10 +1055,11 @@ TEST(EvalEngineLookahead, PackedLanesMatchOneRequestAtATime) {
   // one 4-lane pass. Slot bits, stats, ledger and publish order must be
   // exactly what one request at a time produces on the same backend, clean
   // and under a fault plan (faults are drawn per (point, corner, attempt),
-  // so a lane simulated ahead draws the attempt its request would have). A
-  // duplicated point exercises the memo: its clean requests hit in both
-  // engines, so the lookahead skips them. Every offered request is later
-  // made, so no lane is wasted.
+  // so a lane simulated ahead draws the attempt its request would have), off
+  // a pool and from tasks of 1, 2 and 4 threads. A duplicated point
+  // exercises the memo: its clean requests hit in both engines, so the
+  // lookahead skips them. Every offered request is later made, so no lane is
+  // wasted.
   const auto& reg = circuits::Registry::global();
   core::SizingProblem problem =
       reg.makeProblem("two_stage_opamp", pvt::nineCornerSet(1.1));
@@ -1077,11 +1083,9 @@ TEST(EvalEngineLookahead, PackedLanesMatchOneRequestAtATime) {
   faulty.nonConvergenceRate = 0.30;
   faulty.nonFiniteRate = 0.05;
   for (const bool withFaults : {false, true}) {
-    for (const std::size_t threads : {1u, 2u, 4u}) {
-      const EvalEngineConfig cfg{/*cacheEvals=*/true, threads,
-                                 /*recordLedger=*/true};
-      EvalEngine ahead(problem, cfg);
-      EvalEngine sequential(problem, cfg);
+    for (const std::size_t pool : testing_pool::kPoolSizes) {
+      EvalEngine ahead(problem);
+      EvalEngine sequential(problem);
       auto sharedAhead = std::make_shared<SharedEvalCache>(4);
       auto sharedSeq = std::make_shared<SharedEvalCache>(4);
       ahead.attachSharedCache(sharedAhead, "opamp");
@@ -1098,26 +1102,29 @@ TEST(EvalEngineLookahead, PackedLanesMatchOneRequestAtATime) {
       lanes->store(0);
 
       std::vector<core::EvalResult> flat(n), ref(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const Lookahead rest = [&](std::size_t k, linalg::Vector& sizes,
-                                   std::size_t& corner) {
-          const std::size_t j = i + 1 + k;
-          if (j >= n) return false;
-          sizes = points[j / nc];
-          corner = j % nc;
-          return true;
-        };
-        flat[i] = ahead.evalOne(i % nc, points[i / nc],
-                                pvt::BlockKind::kSearch, rest);
-      }
-      ahead.clearLookahead();
-      const std::size_t packedPasses = passes->load();
-      const std::size_t packedLanes = lanes->load();
-      for (std::size_t i = 0; i < n; ++i)
-        ref[i] = sequential.evalOne(i % nc, points[i / nc],
-                                    pvt::BlockKind::kSearch);
+      std::size_t packedPasses = 0, packedLanes = 0;
+      testing_pool::inPoolTask(pool, [&] {
+        for (std::size_t i = 0; i < n; ++i) {
+          const Lookahead rest = [&](std::size_t k, linalg::Vector& sizes,
+                                     std::size_t& corner) {
+            const std::size_t j = i + 1 + k;
+            if (j >= n) return false;
+            sizes = points[j / nc];
+            corner = j % nc;
+            return true;
+          };
+          flat[i] = ahead.evalOne(i % nc, points[i / nc],
+                                  pvt::BlockKind::kSearch, rest);
+        }
+        ahead.clearLookahead();
+        packedPasses = passes->load();
+        packedLanes = lanes->load();
+        for (std::size_t i = 0; i < n; ++i)
+          ref[i] = sequential.evalOne(i % nc, points[i / nc],
+                                      pvt::BlockKind::kSearch);
+      });
       const std::string where = std::string(withFaults ? "faulty" : "clean") +
-                                " threads " + std::to_string(threads);
+                                " pool " + std::to_string(pool);
 
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(ref[i].ok, flat[i].ok) << "slot " << i << ' ' << where;
@@ -1284,13 +1291,13 @@ TEST(EvalEngineBatch, EveryChunkReachesTheFusedCallback) {
             results[i] = chunkModel(*sizes[i], corners[i]);
         });
     ASSERT_EQ(backend->batchWidth(), 4u);
-    // threads=1 keeps chunk completion in submission order so the recorded
+    // Off a pool the chunks run inline, in submission order, so the recorded
     // shape is deterministic; cache off so every request is a miss.
     EvalEngine engine(backend, problem.space, problem.corners, {},
-                      EvalEngineConfig{false, 1});
+                      EvalEngineConfig{/*cacheEvals=*/false});
     EvalEngine scalarEngine(std::make_shared<CallbackBackend>(chunkModel),
                             problem.space, problem.corners, {},
-                            EvalEngineConfig{false, 1});
+                            EvalEngineConfig{/*cacheEvals=*/false});
     std::vector<std::size_t> cornerIdx(c.requests);
     for (std::size_t i = 0; i < c.requests; ++i) cornerIdx[i] = i % 9;
     const auto sizing = probeSizings(problem.space, 1)[0];
