@@ -22,6 +22,7 @@
 #include "orch/scheduler.hpp"
 #include "orch/wire.hpp"
 #include "pvt/corners.hpp"
+#include "rl/actor_critic.hpp"
 #include "rl/ppo.hpp"
 #include "rl/trpo.hpp"
 #include "sim/dc.hpp"

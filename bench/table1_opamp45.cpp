@@ -16,9 +16,7 @@
 #include "core/pvt_search.hpp"
 #include "opt/random_search.hpp"
 #include "opt/tree_bayes_opt.hpp"
-#include "rl/a2c.hpp"
-#include "rl/ppo.hpp"
-#include "rl/trpo.hpp"
+#include "rl/learner.hpp"
 
 using namespace trdse;
 
@@ -67,7 +65,7 @@ int main() {
     for (std::size_t r = 0; r < row.runs; ++r) {
       rl::A2cConfig cfg;
       cfg.seed = 300 + r;
-      const auto out = rl::trainA2c(problem, cfg, cap);
+      const auto out = rl::train(problem, cfg, cap);
       row.successes += out.solved;
       row.iterations.push_back(static_cast<double>(out.simulationsToSolve));
     }
@@ -81,7 +79,7 @@ int main() {
     for (std::size_t r = 0; r < row.runs; ++r) {
       rl::PpoConfig cfg;
       cfg.seed = 400 + r;
-      const auto out = rl::trainPpo(problem, cfg, cap);
+      const auto out = rl::train(problem, cfg, cap);
       row.successes += out.solved;
       row.iterations.push_back(static_cast<double>(out.simulationsToSolve));
     }
@@ -95,7 +93,7 @@ int main() {
     for (std::size_t r = 0; r < row.runs; ++r) {
       rl::TrpoConfig cfg;
       cfg.seed = 500 + r;
-      const auto out = rl::trainTrpo(problem, cfg, cap);
+      const auto out = rl::train(problem, cfg, cap);
       row.successes += out.solved;
       row.iterations.push_back(static_cast<double>(out.simulationsToSolve));
     }

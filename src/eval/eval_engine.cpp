@@ -102,6 +102,9 @@ FailureRecord readFailureRecord(io::SectionReader& r) {
     r.fail("unknown fault class " + std::to_string(cls));
   f.cls = static_cast<sim::FaultClass>(cls);
   f.attempts = r.u64();
+  // The engine records the class of a failed request, never kNone.
+  if (f.valid && f.cls == sim::FaultClass::kNone)
+    r.fail("first-failure record with no fault class");
   return f;
 }
 
@@ -244,8 +247,6 @@ void EvalEngine::restoreState(io::SectionReader& r) {
   io::readLedger(r, ledger_);
   stats_ = readEvalStats(r);
   firstFailure_ = readFailureRecord(r);
-  if (firstFailure_.valid && firstFailure_.cls == sim::FaultClass::kNone)
-    r.fail("first-failure record with no fault class");
   // The publish journal is deliberately not persisted: results simulated
   // before a snapshot re-enter the shared cache only by being re-requested,
   // never as stale cross-run publishes.

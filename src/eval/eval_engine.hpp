@@ -151,11 +151,12 @@ struct FailureRecord {
 /// The one codec for EvalStats and FailureRecord, shared by engine
 /// checkpoints (saveState) and orchestration wire frames: every field but
 /// the measurement-only simulator phase counters, in declaration order.
-/// Readers fail loudly (io::CheckpointError) on a broken stats partition or
-/// an unknown fault class. The fault fields arrived with container format
-/// version 2: from a version-1 section the stats reader takes the first five
-/// fields and the record reader nothing, leaving the zeroed defaults, which
-/// describe the clean runs version 1 could record.
+/// Readers fail loudly (io::CheckpointError) on a broken stats partition, an
+/// unknown fault class, or a first-failure record with no fault class. The
+/// fault fields arrived with container format version 2: from a version-1
+/// section the stats reader takes the first five fields and the record
+/// reader nothing, leaving the zeroed defaults, which describe the clean
+/// runs version 1 could record.
 void writeEvalStats(io::SectionWriter& w, const EvalStats& s);
 EvalStats readEvalStats(io::SectionReader& r);
 void writeFailureRecord(io::SectionWriter& w, const FailureRecord& f);

@@ -208,7 +208,7 @@ std::string CheckpointWriter::finish() const {
   return out;
 }
 
-void CheckpointWriter::writeFile(const std::string& path) const {
+void writeFileAtomic(const std::string& path, const std::string& bytes) {
   // Write-to-temp + rename so the update is atomic: the periodic
   // auto-checkpoint overwrites one path, and a crash mid-write must leave
   // the previous good snapshot intact (that crash is exactly the scenario
@@ -218,8 +218,7 @@ void CheckpointWriter::writeFile(const std::string& path) const {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f)
       throw CheckpointError("cannot create checkpoint file '" + tmp + "'");
-    const std::string blob = finish();
-    f.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     f.flush();
     if (!f)
       throw CheckpointError("short write to checkpoint file '" + tmp + "'");
@@ -235,6 +234,19 @@ void CheckpointWriter::writeFile(const std::string& path) const {
   }
   const std::size_t slash = path.find_last_of('/');
   syncPath(slash == std::string::npos ? "." : path.substr(0, slash + 1));
+}
+
+std::string readFileBytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f)
+    throw CheckpointError("cannot open checkpoint file '" + path + "'");
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+void CheckpointWriter::writeFile(const std::string& path) const {
+  writeFileAtomic(path, finish());
 }
 
 // ---- CheckpointReader -----------------------------------------------------
@@ -284,12 +296,7 @@ CheckpointReader::CheckpointReader(std::string source, const std::string& blob)
 }
 
 CheckpointReader CheckpointReader::fromFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f)
-    throw CheckpointError("cannot open checkpoint file '" + path + "'");
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return CheckpointReader(path, ss.str());
+  return CheckpointReader(path, readFileBytes(path));
 }
 
 void CheckpointReader::expectKind(const std::string& kind) const {

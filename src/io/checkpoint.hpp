@@ -150,9 +150,7 @@ class CheckpointWriter {
   /// Serialize header + table + payloads; the blob is the on-disk format.
   std::string finish() const;
 
-  /// finish() to a temp file, then atomically rename onto `path` — a crash
-  /// mid-write leaves any previous checkpoint at `path` intact. Throws
-  /// CheckpointError when the file cannot be created or fully written.
+  /// writeFileAtomic(path, finish()).
   void writeFile(const std::string& path) const;
 
  private:
@@ -191,6 +189,14 @@ class CheckpointReader {
   std::uint32_t version_ = 0;
   std::map<std::string, std::string> sections_;
 };
+
+/// Write `bytes` to a temp file, then atomically rename it onto `path` — a
+/// crash mid-write leaves any previous checkpoint at `path` intact. Throws
+/// CheckpointError when the file cannot be created or fully written.
+void writeFileAtomic(const std::string& path, const std::string& bytes);
+
+/// The whole file at `path`; throws CheckpointError when it cannot be opened.
+std::string readFileBytes(const std::string& path);
 
 /// FNV-1a 64-bit hash (the body checksum).
 std::uint64_t fnv1a64(const char* data, std::size_t n);

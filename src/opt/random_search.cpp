@@ -105,7 +105,8 @@ const StrategyOutcome& RandomSearch::run(std::size_t maxSimulations) {
   return step(maxSimulations);
 }
 
-void RandomSearch::save(io::CheckpointWriter& w) const {
+std::string RandomSearch::saveCheckpointBlob() const {
+  io::CheckpointWriter w(kCheckpointKind);
   io::SectionWriter& cfg = w.section("config");
   cfg.str(problem_.name);
   cfg.u64(problem_.space.dim());
@@ -125,9 +126,12 @@ void RandomSearch::save(io::CheckpointWriter& w) const {
   st.vec(result_.bestMeasurements);
 
   engine_.saveState(w.section("engine"));
+  return w.finish();
 }
 
-void RandomSearch::restore(const io::CheckpointReader& r) {
+void RandomSearch::restoreCheckpointBlob(const std::string& blob,
+                                         const std::string& source) {
+  const io::CheckpointReader r(source, blob);
   try {
     restoreSections(r);
   } catch (...) {
@@ -184,27 +188,6 @@ void RandomSearch::restoreSections(const io::CheckpointReader& r) {
   budget_ = budget;
   result_.ledger = engine_.ledger();
   result_.evalStats = engine_.stats();
-}
-
-void RandomSearch::saveCheckpoint(const std::string& path) const {
-  io::CheckpointWriter w(kCheckpointKind);
-  save(w);
-  w.writeFile(path);
-}
-
-void RandomSearch::restoreCheckpoint(const std::string& path) {
-  restore(io::CheckpointReader::fromFile(path));
-}
-
-std::string RandomSearch::saveCheckpointBlob() const {
-  io::CheckpointWriter w(kCheckpointKind);
-  save(w);
-  return w.finish();
-}
-
-void RandomSearch::restoreCheckpointBlob(const std::string& blob,
-                                         const std::string& source) {
-  restore(io::CheckpointReader(source, blob));
 }
 
 }  // namespace trdse::opt

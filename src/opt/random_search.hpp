@@ -17,7 +17,6 @@
 
 namespace trdse::io {
 class CheckpointReader;
-class CheckpointWriter;
 }  // namespace trdse::io
 
 namespace trdse::opt {
@@ -59,18 +58,14 @@ class RandomSearch final : public Strategy {
   /// Checkpointable: RNG stream, sweep position, outcome, and the engine's
   /// memo/ledger/stats all snapshot (checkpoint kind "random-search").
   bool supportsCheckpoint() const override { return true; }
-  void saveCheckpoint(const std::string& path) const override;
-  void restoreCheckpoint(const std::string& path) override;
   std::string saveCheckpointBlob() const override;
+  /// A restore that fails past the container check leaves the
+  /// freshly-seeded state, never a hybrid.
   void restoreCheckpointBlob(const std::string& blob,
                              const std::string& source) override;
 
-  /// Stream-free composition (orchestrator checkpoints).
-  void save(io::CheckpointWriter& w) const;
-  void restore(const io::CheckpointReader& r);
-
  private:
-  /// restore() body; restore() wraps it to reset on failure.
+  /// restoreCheckpointBlob() body.
   void restoreSections(const io::CheckpointReader& r);
 
   core::SizingProblem problem_;

@@ -13,14 +13,12 @@
 
 namespace trdse::opt {
 
-void Strategy::saveCheckpoint(const std::string&) const {
-  throw std::logic_error("strategy \"" + std::string(name()) +
-                         "\" does not support checkpointing");
+void Strategy::saveCheckpoint(const std::string& path) const {
+  io::writeFileAtomic(path, saveCheckpointBlob());
 }
 
-void Strategy::restoreCheckpoint(const std::string&) {
-  throw std::logic_error("strategy \"" + std::string(name()) +
-                         "\" does not support checkpointing");
+void Strategy::restoreCheckpoint(const std::string& path) {
+  restoreCheckpointBlob(io::readFileBytes(path), path);
 }
 
 std::string Strategy::saveCheckpointBlob() const {
@@ -132,13 +130,6 @@ class PvtSearchStrategy final : public Strategy {
   eval::EvalEngine& engine() override { return search_.engine(); }
 
   bool supportsCheckpoint() const override { return true; }
-  void saveCheckpoint(const std::string& path) const override {
-    search_.saveCheckpoint(path);
-  }
-  void restoreCheckpoint(const std::string& path) override {
-    search_.restoreCheckpoint(path);
-    step(0);  // refresh the cached outcome from the restored search
-  }
   std::string saveCheckpointBlob() const override {
     io::CheckpointWriter w("pvt-search");
     search_.save(w);
@@ -222,12 +213,16 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
     applyOptions(
         name, options,
         [&cfg](const std::string& k, const std::string& v) {
-          if (k == "hidden") cfg.hidden = parseU64(k, v);
-          else if (k == "n_steps") cfg.nSteps = parseU64(k, v);
-          else if (k == "episode_length") cfg.env.episodeLength = parseU64(k, v);
-          else if (k == "stride_divisor") cfg.env.strideDivisor = parseU64(k, v);
-          else if (k == "learning_rate") cfg.learningRate = parseFinite(k, v);
-          else if (k == "entropy_coeff") cfg.entropyCoeff = parseFinite(k, v);
+          if (k == "hidden") cfg.a2c.hidden = parseU64(k, v);
+          else if (k == "n_steps") cfg.a2c.nSteps = parseU64(k, v);
+          else if (k == "episode_length")
+            cfg.a2c.env.episodeLength = parseU64(k, v);
+          else if (k == "stride_divisor")
+            cfg.a2c.env.strideDivisor = parseU64(k, v);
+          else if (k == "learning_rate")
+            cfg.a2c.learningRate = parseFinite(k, v);
+          else if (k == "entropy_coeff")
+            cfg.a2c.entropyCoeff = parseFinite(k, v);
           else if (k == "train") cfg.train = parseBool(k, v);
           else return false;
           return true;

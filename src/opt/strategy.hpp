@@ -84,24 +84,23 @@ class Strategy {
     return const_cast<Strategy*>(this)->engine();
   }
 
-  /// Whether saveCheckpoint()/restoreCheckpoint() are implemented.
+  /// Whether the checkpoint blob pair below is implemented.
   virtual bool supportsCheckpoint() const { return false; }
-  /// Snapshot the full strategy state; a restored strategy continues
-  /// bitwise. Throws std::logic_error when unsupported (see
-  /// supportsCheckpoint), io::CheckpointError on I/O failure.
-  virtual void saveCheckpoint(const std::string& path) const;
-  /// Restore a snapshot written by saveCheckpoint (same problem/config).
-  virtual void restoreCheckpoint(const std::string& path);
-
-  /// In-memory sibling of saveCheckpoint: the same snapshot as a checkpoint
-  /// blob (full TDCK container bytes), for embedding inside a larger
-  /// container — the orchestrator's write-ahead journal stores one blob per
-  /// job. Throws std::logic_error when unsupported.
+  /// Snapshot the full strategy state as a checkpoint blob (full TDCK
+  /// container bytes); a restored strategy continues bitwise. The
+  /// orchestrator's write-ahead journal stores one blob per job. Throws
+  /// std::logic_error when unsupported (see supportsCheckpoint).
   virtual std::string saveCheckpointBlob() const;
-  /// Restore a blob written by saveCheckpointBlob; `source` labels error
-  /// messages (e.g. "journal.ckpt[job3]").
+  /// Restore a blob written by saveCheckpointBlob (same problem/config);
+  /// `source` labels error messages (e.g. "journal.ckpt[job3]").
   virtual void restoreCheckpointBlob(const std::string& blob,
                                      const std::string& source);
+
+  /// saveCheckpointBlob() written to `path` atomically
+  /// (io::writeFileAtomic); io::CheckpointError on I/O failure.
+  void saveCheckpoint(const std::string& path) const;
+  /// restoreCheckpointBlob() of the file at `path`.
+  void restoreCheckpoint(const std::string& path);
 };
 
 /// Registered strategy names, in factory order: "pvt_search" (TRM-DRL),

@@ -1,9 +1,5 @@
 #include "rl/a2c.hpp"
 
-#include <sstream>
-
-#include "rl/checkpoint.hpp"
-
 namespace trdse::rl {
 
 void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
@@ -43,46 +39,6 @@ void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
   nn::clipGradNorm(critic, cfg.maxGradNorm);
   policyOpt.step(policy);
   criticOpt.step(critic);
-}
-
-RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg,
-                        std::size_t maxSimulations) {
-  ParallelRolloutCollector collector(problem, cfg.env, cfg.seed,
-                                     cfg.seed + /*rngSalt=*/7);
-  nn::Mlp policy = makePolicyNet(collector.observationDim(),
-                                 collector.actionHeads(),
-                                 SizingEnv::kActionsPerHead, cfg.hidden,
-                                 cfg.seed + 11);
-  nn::Mlp critic =
-      makeValueNet(collector.observationDim(), cfg.hidden, cfg.seed + 13);
-  nn::AdamOptimizer policyOpt(cfg.learningRate);
-  nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
-
-  std::size_t updates = 0;
-  std::ostringstream hyper;
-  hyper.precision(17);
-  // " batched=1" is a constant: checkpoints written when the update path
-  // was configurable carry it, and their fingerprints must keep matching.
-  hyper << "a2c nSteps=" << cfg.nSteps << " gamma=" << cfg.gamma
-        << " gae=" << cfg.gaeLambda << " lr=" << cfg.learningRate
-        << " vlr=" << cfg.valueLearningRate << " ent=" << cfg.entropyCoeff
-        << " clip=" << cfg.maxGradNorm << " hidden=" << cfg.hidden
-        << " batched=1";
-  TrainerState snapshot;
-  snapshot.algo = "a2c";
-  snapshot.fingerprint =
-      trainerFingerprint(problem, cfg.env, cfg.seed, hyper.str());
-  snapshot.policy = &policy;
-  snapshot.critic = &critic;
-  snapshot.policyOpt = &policyOpt;
-  snapshot.criticOpt = &criticOpt;
-  snapshot.collector = &collector;
-  snapshot.updates = &updates;
-  return runTrainer(cfg, cfg.nSteps, snapshot, maxSimulations,
-                    [&](const FlatRollout& data) {
-                      a2cUpdateBatched(policy, critic, policyOpt, criticOpt,
-                                       data, cfg);
-                    });
 }
 
 }  // namespace trdse::rl

@@ -26,31 +26,7 @@ struct A2cConfig {
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling
-  /// Stop after this many policy updates (0 = unlimited) — pauses a run at
-  /// an update boundary so it can be checkpointed and resumed bitwise.
-  std::size_t maxUpdates = 0;
-  /// Write a trainer checkpoint (networks, Adam moments, env/RNG state) to
-  /// `checkpointPath` every N completed updates (0 = off).
-  std::size_t checkpointEvery = 0;
-  /// Destination of the periodic snapshots.
-  std::string checkpointPath;
-  /// Restore this checkpoint before training; the continued run reproduces
-  /// the uninterrupted one bitwise (docs/CHECKPOINTS.md).
-  std::string resumeFrom;
 };
-
-/// Result of one model-free training run (shared by A2C / PPO / TRPO).
-struct RlTrainOutcome {
-  bool solved = false;                 ///< a satisfying design was found
-  std::size_t simulationsToSolve = 0;  ///< sims at the first satisfying design
-  std::size_t totalSimulations = 0;    ///< sims consumed over the whole run
-  double bestEpisodeReturn = 0.0;      ///< best completed-episode return
-};
-
-/// Train on the problem's first corner until a satisfying design is found or
-/// the simulation budget is exhausted.
-RlTrainOutcome trainA2c(const core::SizingProblem& problem, const A2cConfig& cfg,
-                        std::size_t maxSimulations);
 
 /// One synchronous A2C gradient step over a flattened rollout: one
 /// forwardBatch/backwardBatch pass per network. Bitwise identical to the

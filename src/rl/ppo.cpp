@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 
 #include "rl/actor_critic.hpp"
-#include "rl/checkpoint.hpp"
 
 namespace trdse::rl {
 
@@ -88,50 +86,6 @@ void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
       criticOpt.step(critic);
     }
   }
-}
-
-RlTrainOutcome trainPpo(const core::SizingProblem& problem, const PpoConfig& cfg,
-                        std::size_t maxSimulations) {
-  ParallelRolloutCollector collector(problem, cfg.env, cfg.seed,
-                                     cfg.seed + /*rngSalt=*/19);
-  std::mt19937_64 shuffleRng(cfg.seed + 53);
-
-  nn::Mlp policy = makePolicyNet(collector.observationDim(),
-                                 collector.actionHeads(),
-                                 SizingEnv::kActionsPerHead, cfg.hidden,
-                                 cfg.seed + 23);
-  nn::Mlp critic =
-      makeValueNet(collector.observationDim(), cfg.hidden, cfg.seed + 29);
-  nn::AdamOptimizer policyOpt(cfg.learningRate);
-  nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
-
-  std::size_t updates = 0;
-  std::ostringstream hyper;
-  hyper.precision(17);
-  // " batched=1" is a constant: checkpoints written when the update path
-  // was configurable carry it, and their fingerprints must keep matching.
-  hyper << "ppo horizon=" << cfg.horizon << " epochs=" << cfg.epochs
-        << " minibatch=" << cfg.minibatch << " gamma=" << cfg.gamma
-        << " gae=" << cfg.gaeLambda << " clipRatio=" << cfg.clipRatio
-        << " lr=" << cfg.learningRate << " vlr=" << cfg.valueLearningRate
-        << " ent=" << cfg.entropyCoeff << " clip=" << cfg.maxGradNorm
-        << " hidden=" << cfg.hidden << " batched=1";
-  TrainerState snapshot;
-  snapshot.algo = "ppo";
-  snapshot.fingerprint =
-      trainerFingerprint(problem, cfg.env, cfg.seed, hyper.str());
-  snapshot.policy = &policy;
-  snapshot.critic = &critic;
-  snapshot.policyOpt = &policyOpt;
-  snapshot.criticOpt = &criticOpt;
-  snapshot.collector = &collector;
-  snapshot.shuffleRng = &shuffleRng;
-  snapshot.updates = &updates;
-  return runTrainer(cfg, cfg.horizon, snapshot, maxSimulations,
-                    [&](const FlatRollout& data) {
-                      ppoUpdateBatched(policy, critic, policyOpt, criticOpt,
-                                       data, cfg, shuffleRng);
-                    });
 }
 
 }  // namespace trdse::rl

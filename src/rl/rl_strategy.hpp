@@ -4,49 +4,49 @@
 // AutoCkt-style SizingEnvs of a ParallelRolloutCollector — four environments
 // per simulator pass on a registry circuit — improving itself with
 // synchronous A2C updates (a2cUpdateBatched) every nSteps transitions: the
-// Table I A2C baseline's rollout loop and update rule, repackaged as a
+// Table I A2C baseline's learner (rl/learner.hpp), repackaged as a
 // budget-sliced, resumable search. Every environment request is one logical
 // EvalEngine request, so RL jobs charge EDA blocks through the same meter
 // (ledger + EvalStats) as the model-based and BO strategies.
 //
 // Resumability: all state (env grid positions, policy/critic weights, Adam
-// moments, the partial rollout, RNG streams) lives in members and advances
-// one request at a time, so step(k); step(n) == step(n) bitwise.
+// moments, the partial rollout, RNG streams) lives in the learner and
+// advances one request at a time, so step(k); step(n) == step(n) bitwise,
+// and a checkpoint blob taken at any step boundary (the learner's
+// "rl-trainer" snapshot, tagged "rl_policy") restores into a fresh strategy
+// that continues bitwise.
 #pragma once
 
-#include "nn/optimizer.hpp"
 #include "opt/strategy.hpp"
-#include "rl/a2c.hpp"
-#include "rl/vec_env.hpp"
+#include "rl/learner.hpp"
 
 namespace trdse::rl {
 
-/// Knobs of the policy-driven strategy (a compact slice of A2cConfig plus
-/// the environment shaping).
+/// Knobs of the policy-driven strategy.
 struct RlPolicyConfig {
-  std::size_t hidden = 32;     ///< hidden width of policy/critic MLPs
-  /// Transitions per policy update, counted over all environments (an
-  /// update waits for the end of the tick that reaches it).
-  std::size_t nSteps = 32;
-  double gamma = 0.99;         ///< discount factor
-  double gaeLambda = 0.95;     ///< GAE(lambda) mixing coefficient
-  double learningRate = 7e-4;  ///< policy Adam step size
-  double valueLearningRate = 7e-4;  ///< critic Adam step size
-  double entropyCoeff = 0.01;  ///< entropy-bonus weight
-  double maxGradNorm = 0.5;    ///< L2 gradient clip threshold
+  /// The A2C update and environment shaping. nSteps counts transitions over
+  /// all environments (an update waits for the end of the tick that reaches
+  /// it). The strategy's seed replaces a2c.seed, and env.recordLedger is
+  /// forced on.
+  A2cConfig a2c = [] {
+    A2cConfig c;
+    c.nSteps = 32;
+    c.hidden = 32;
+    return c;
+  }();
   /// Learn while searching. Off = pure inference rollouts of the seeded
   /// random-init policy (the untrained-policy ablation).
   bool train = true;
-  EnvConfig env;  ///< environment shaping (recordLedger is forced on)
 };
 
-/// Policy-gradient search over a ParallelRolloutCollector behind the
-/// Strategy contract.
+/// Policy-gradient search over an RlLearner behind the Strategy contract.
 class RlPolicyStrategy final : public opt::Strategy {
  public:
   /// The problem is copied and owned (the envs keep a reference into it).
-  /// Uses the problem's first corner, like every Table I baseline.
-  RlPolicyStrategy(core::SizingProblem problem, RlPolicyConfig config,
+  /// Uses the problem's first corner, like every Table I baseline. The
+  /// learner's streams are common::perTaskSeed(seed, k): k = 3 for the
+  /// environments, 2 for policy sampling, 0 and 1 for the two networks.
+  RlPolicyStrategy(core::SizingProblem problem, const RlPolicyConfig& config,
                    std::uint64_t seed, std::size_t budget);
 
   std::string_view name() const override { return "rl_policy"; }
@@ -54,19 +54,21 @@ class RlPolicyStrategy final : public opt::Strategy {
   const opt::StrategyOutcome& step(std::size_t target) override;
   const opt::StrategyOutcome& outcome() const override { return result_; }
   bool finished() const override;
-  eval::EvalEngine& engine() override { return collector_.engine(); }
+  eval::EvalEngine& engine() override { return learner_.engine(); }
+
+  bool supportsCheckpoint() const override { return true; }
+  std::string saveCheckpointBlob() const override { return learner_.save(); }
+  void restoreCheckpointBlob(const std::string& blob,
+                             const std::string& source) override;
 
  private:
+  /// Refresh the outcome from the learner.
+  void harvest();
+
   /// Owned copy — the envs hold a reference into it, so the strategy is
   /// neither copyable nor movable (enforced by the Strategy base anyway).
   core::SizingProblem problem_;
-  RlPolicyConfig config_;
-  A2cConfig updateCfg_;  ///< the slice of config_ the A2C update consumes
-  ParallelRolloutCollector collector_;
-  nn::Mlp policy_;
-  nn::Mlp critic_;
-  nn::AdamOptimizer policyOpt_;
-  nn::AdamOptimizer criticOpt_;
+  RlLearner learner_;
   std::size_t budget_ = 0;
   opt::StrategyOutcome result_;
 };

@@ -136,18 +136,20 @@ void SizingEnv::saveState(io::SectionWriter& w) const {
 
 void SizingEnv::restoreState(io::SectionReader& r) {
   io::readRng(r, rng_);
+  // Empty position, sizing and scores = saved before the first reset (a
+  // snapshot mid-tick can catch later environments there); anything else
+  // must match the problem (scores feed the observation vector the policy
+  // net consumes).
   indices_ = r.indexVec();
-  if (indices_.size() != problem_.space.dim())
+  if (!indices_.empty() && indices_.size() != problem_.space.dim())
     r.fail("environment grid position dimensionality mismatch");
   for (std::size_t d = 0; d < indices_.size(); ++d)
     if (indices_[d] >= problem_.space.param(d).steps)
       r.fail("environment grid index out of range");
   sizes_ = r.vec();
-  if (sizes_.size() != problem_.space.dim())
+  if (sizes_.size() != indices_.size())
     r.fail("environment sizing dimensionality mismatch");
   const linalg::Vector scores = r.vec();
-  // Empty = saved before the first reset; anything else must match the spec
-  // table (scores feed the observation vector the policy net consumes).
   if (!scores.empty() && scores.size() != problem_.specs.size())
     r.fail("environment per-spec score count does not match the spec table");
   scores_.assign(scores.begin(), scores.end());

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "rl/actor_critic.hpp"
-#include "rl/checkpoint.hpp"
 
 namespace trdse::rl {
 
@@ -159,44 +157,6 @@ bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
   for (std::size_t e = 0; e < cfg.valueEpochs; ++e)
     criticEpochBatched(critic, criticOpt, data);
   return accepted;
-}
-
-RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
-                         const TrpoConfig& cfg, std::size_t maxSimulations) {
-  ParallelRolloutCollector collector(problem, cfg.env, cfg.seed,
-                                     cfg.seed + /*rngSalt=*/37);
-  nn::Mlp policy = makePolicyNet(collector.observationDim(),
-                                 collector.actionHeads(), kApH, cfg.hidden,
-                                 cfg.seed + 41);
-  nn::Mlp critic =
-      makeValueNet(collector.observationDim(), cfg.hidden, cfg.seed + 43);
-  nn::AdamOptimizer criticOpt(cfg.valueLearningRate);
-
-  std::size_t updates = 0;
-  std::ostringstream hyper;
-  hyper.precision(17);
-  // " batched=1" is a constant: checkpoints written when the update path
-  // was configurable carry it, and their fingerprints must keep matching.
-  hyper << "trpo horizon=" << cfg.horizon << " gamma=" << cfg.gamma
-        << " gae=" << cfg.gaeLambda << " maxKl=" << cfg.maxKl
-        << " damping=" << cfg.cgDamping << " cgIters=" << cfg.cgIterations
-        << " lineSearch=" << cfg.lineSearchSteps
-        << " vlr=" << cfg.valueLearningRate
-        << " valueEpochs=" << cfg.valueEpochs << " hidden=" << cfg.hidden
-        << " batched=1";
-  TrainerState snapshot;
-  snapshot.algo = "trpo";
-  snapshot.fingerprint =
-      trainerFingerprint(problem, cfg.env, cfg.seed, hyper.str());
-  snapshot.policy = &policy;
-  snapshot.critic = &critic;
-  snapshot.criticOpt = &criticOpt;
-  snapshot.collector = &collector;
-  snapshot.updates = &updates;
-  return runTrainer(cfg, cfg.horizon, snapshot, maxSimulations,
-                    [&](const FlatRollout& data) {
-                      trpoUpdate(policy, critic, criticOpt, data, cfg);
-                    });
 }
 
 }  // namespace trdse::rl

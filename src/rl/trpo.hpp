@@ -13,7 +13,6 @@
 
 #include "core/problem.hpp"
 #include "nn/optimizer.hpp"
-#include "rl/a2c.hpp"  // RlTrainOutcome
 #include "rl/rollout.hpp"
 #include "rl/sizing_env.hpp"
 
@@ -33,23 +32,7 @@ struct TrpoConfig {
   std::size_t hidden = 64;          ///< hidden width of policy/critic MLPs
   EnvConfig env;                    ///< sizing-environment parameters
   std::uint64_t seed = 1;           ///< base seed for envs, nets and sampling
-  /// Stop after this many policy updates (0 = unlimited) — pauses a run at
-  /// an update boundary so it can be checkpointed and resumed bitwise.
-  std::size_t maxUpdates = 0;
-  /// Write a trainer checkpoint (networks, critic Adam moments, env/RNG
-  /// state) to `checkpointPath` every N updates (0 = off).
-  std::size_t checkpointEvery = 0;
-  /// Destination of the periodic snapshots.
-  std::string checkpointPath;
-  /// Restore this checkpoint before training; the continued run reproduces
-  /// the uninterrupted one bitwise (docs/CHECKPOINTS.md).
-  std::string resumeFrom;
 };
-
-/// Train on the problem's first corner until a satisfying design is found or
-/// the simulation budget is exhausted.
-RlTrainOutcome trainTrpo(const core::SizingProblem& problem,
-                         const TrpoConfig& cfg, std::size_t maxSimulations);
 
 /// One full TRPO update (natural-gradient policy step via CG on
 /// Fisher-vector products + backtracking line search, then critic

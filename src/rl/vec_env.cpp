@@ -1,9 +1,9 @@
 #include "rl/vec_env.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/thread_pool.hpp"
+#include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 #include "rl/actor_critic.hpp"
 
@@ -135,12 +135,12 @@ void ParallelRolloutCollector::run(const nn::Mlp& policy,
     const FlatRollout data = flattenRollouts(buffers_, gamma, lambda);
     for (RolloutBuffer& b : buffers_) b.clear();
     transitions_ = 0;
-    if (!update(data)) return;
+    update(data);
   }
 }
 
-void ParallelRolloutCollector::saveState(io::SectionWriter& w) const {
-  assert(nextEnv_ == 0 && transitions_ == 0 && "rollout in progress");
+void ParallelRolloutCollector::saveState(io::CheckpointWriter& cw) const {
+  io::SectionWriter& w = cw.section("collector");
   w.u64(slots_.size());
   engine_->saveState(w);
   for (const EnvSlot& s : slots_) {
@@ -154,9 +154,26 @@ void ParallelRolloutCollector::saveState(io::SectionWriter& w) const {
   w.f64(bestEpisodeReturn_);
   w.f64(bestValue_);
   w.vec(bestSizes_);
+
+  if (nextEnv_ == 0 && transitions_ == 0) return;
+  io::SectionWriter& rw = cw.section("rollout");
+  rw.u64(nextEnv_);
+  rw.u64(transitions_);
+  for (const RolloutBuffer& b : buffers_) {
+    rw.u64(b.size());
+    for (const Transition& t : b.transitions) {
+      rw.vec(t.observation);
+      rw.indexVec(t.actions);
+      rw.f64(t.reward);
+      rw.f64(t.valueEstimate);
+      rw.f64(t.logProb);
+      rw.boolean(t.done);
+    }
+  }
 }
 
-void ParallelRolloutCollector::restoreState(io::SectionReader& r) {
+void ParallelRolloutCollector::restoreState(const io::CheckpointReader& cr) {
+  io::SectionReader r = cr.section("collector");
   const std::uint64_t n = r.u64();
   if (n != slots_.size())
     r.fail("checkpoint holds " + std::to_string(n) +
@@ -175,9 +192,38 @@ void ParallelRolloutCollector::restoreState(io::SectionReader& r) {
   bestEpisodeReturn_ = r.f64();
   bestValue_ = r.f64();
   bestSizes_ = r.vec();
+  r.expectEnd();
+
   nextEnv_ = 0;
   transitions_ = 0;
   for (RolloutBuffer& b : buffers_) b.clear();
+  if (!cr.hasSection("rollout")) return;
+  io::SectionReader rr = cr.section("rollout");
+  nextEnv_ = rr.u64();
+  if (nextEnv_ >= slots_.size()) rr.fail("next environment out of range");
+  const std::uint64_t buffered = rr.u64();
+  for (RolloutBuffer& b : buffers_) {
+    const std::uint64_t count = rr.u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      Transition t;
+      t.observation = rr.vec();
+      t.actions = rr.indexVec();
+      if (t.observation.size() != observationDim() ||
+          t.actions.size() != actionHeads() ||
+          std::any_of(t.actions.begin(), t.actions.end(),
+                      [](std::size_t a) { return a >= kApH; }))
+        rr.fail("buffered transition does not match the environments");
+      t.reward = rr.f64();
+      t.valueEstimate = rr.f64();
+      t.logProb = rr.f64();
+      t.done = rr.boolean();
+      b.transitions.push_back(std::move(t));
+    }
+    transitions_ += count;
+  }
+  if (transitions_ != buffered)
+    rr.fail("buffered count does not match the buffered transitions");
+  rr.expectEnd();
 }
 
 }  // namespace trdse::rl

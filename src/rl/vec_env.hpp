@@ -33,6 +33,11 @@
 #include "rl/rollout.hpp"
 #include "rl/sizing_env.hpp"
 
+namespace trdse::io {
+class CheckpointReader;
+class CheckpointWriter;
+}  // namespace trdse::io
+
 namespace trdse::rl {
 
 /// Collects trajectories from N sizing environments sharing one engine.
@@ -43,10 +48,9 @@ namespace trdse::rl {
 /// outlive the collector.
 class ParallelRolloutCollector {
  public:
-  /// Called with each complete rollout, flattened; returns false to stop
-  /// collecting after it. It may update the networks run() samples from:
-  /// the next tick uses the updated ones.
-  using UpdateFn = std::function<bool(const FlatRollout&)>;
+  /// Called with each complete rollout, flattened. It may update the
+  /// networks run() samples from: the next tick uses the updated ones.
+  using UpdateFn = std::function<void(const FlatRollout&)>;
 
   /// Environment e uses seed `envSeed` (`rngSeed` for its policy-sampling
   /// stream) when e == 0 and common::perTaskSeed(envSeed or rngSeed, e)
@@ -68,8 +72,7 @@ class ParallelRolloutCollector {
   /// one of them solves. Whenever a tick ends with at least `transitions`
   /// (>= 1) transitions buffered over all environments, the rollout is
   /// flattened (GAE(gamma, lambda) per environment, bootstrapped by
-  /// `critic`), cleared, and handed to `update`; run() returns right after
-  /// an update that returns false.
+  /// `critic`), cleared, and handed to `update`.
   void run(const nn::Mlp& policy, const nn::Mlp& critic,
            std::size_t transitions, double gamma, double lambda,
            std::size_t target, const UpdateFn& update);
@@ -88,14 +91,17 @@ class ParallelRolloutCollector {
   double bestValue() const { return bestValue_; }
   const linalg::Vector& bestSizes() const { return bestSizes_; }
 
-  /// Serialize the engine and every environment slot — env state,
-  /// policy-sampling RNG, pending observation, open-episode return — plus
-  /// the collection markers into a checkpoint section. Only between
-  /// rollouts (as after an update): a rollout in progress is not saved.
-  void saveState(io::SectionWriter& w) const;
+  /// Write the `collector` section: the engine, every environment slot
+  /// (env state, policy-sampling RNG, pending observation, open-episode
+  /// return) and the collection markers. While a rollout is in progress
+  /// (transitions buffered, or a tick half done) also write the `rollout`
+  /// section: the next environment, the buffered count and each
+  /// environment's buffered transitions. Valid at any request boundary.
+  void saveState(io::CheckpointWriter& w) const;
   /// Restore state written by saveState into a collector with the same
-  /// number of environments (a mismatch throws io::CheckpointError).
-  void restoreState(io::SectionReader& r);
+  /// number of environments (a mismatch throws io::CheckpointError); no
+  /// `rollout` section means none was in progress.
+  void restoreState(const io::CheckpointReader& r);
 
  private:
   /// Per-environment persistent state.

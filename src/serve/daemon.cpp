@@ -172,6 +172,7 @@ void Daemon::handleFrame(Connection& conn, io::CheckpointReader& frame) {
 void Daemon::handleSubmit(Connection& conn, io::CheckpointReader& frame) {
   io::SectionReader body = frame.section("body");
   const SubmitRequest req = readSubmitRequest(body);
+  body.expectEnd();
   if (req.scenarioText.size() > config_.maxSubmissionBytes) {
     reject(conn, "submission of " + std::to_string(req.scenarioText.size()) +
                      " bytes exceeds the admission limit of " +
@@ -188,7 +189,8 @@ void Daemon::handleSubmit(Connection& conn, io::CheckpointReader& frame) {
   sub->id = meta_.nextId;
   try {
     buildScheduler(*sub);
-  } catch (const std::invalid_argument& e) {
+  } catch (const std::exception& e) {
+    // Whatever building the jobs throws refuses this submission only.
     reject(conn, e.what());
     return;
   }
@@ -225,6 +227,7 @@ void Daemon::handleSubmit(Connection& conn, io::CheckpointReader& frame) {
 void Daemon::handleStatus(Connection& conn, io::CheckpointReader& frame) {
   io::SectionReader body = frame.section("body");
   const std::uint64_t id = body.u64();
+  body.expectEnd();
   std::vector<JobStatus> rows;
   for (const auto& sub : submissions_)
     if (id == 0 || sub->id == id) rows.push_back(statusRowFor(*sub));
@@ -242,6 +245,7 @@ void Daemon::handleStatus(Connection& conn, io::CheckpointReader& frame) {
 void Daemon::handleStream(Connection& conn, io::CheckpointReader& frame) {
   io::SectionReader body = frame.section("body");
   const std::uint64_t id = body.u64();
+  body.expectEnd();
   Submission* sub = nullptr;
   for (const auto& s : submissions_)
     if (s->id == id) sub = s.get();
@@ -271,6 +275,7 @@ void Daemon::handleStream(Connection& conn, io::CheckpointReader& frame) {
 void Daemon::handleCancel(Connection& conn, io::CheckpointReader& frame) {
   io::SectionReader body = frame.section("body");
   const std::uint64_t id = body.u64();
+  body.expectEnd();
   Submission* sub = nullptr;
   for (const auto& s : submissions_)
     if (s->id == id) sub = s.get();

@@ -14,15 +14,15 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 #include "pool_task.hpp"
-#include "rl/a2c.hpp"
-#include "rl/checkpoint.hpp"
-#include "rl/trpo.hpp"
+#include "rl/learner.hpp"
+#include "rl/rl_strategy.hpp"
 
 namespace trdse {
 namespace {
@@ -664,7 +664,7 @@ TEST(SessionCheckpoint, PeriodicAutoCheckpointIsResumable) {
   EXPECT_EQ(full.summary, continued.summary);
 }
 
-// ---------- RL trainers: resume-at-update-k == uninterrupted ----------
+// ---------- RL learners: resume at any request == uninterrupted ----------
 
 core::SizingProblem rlProblem() {
   core::SizingProblem p;
@@ -705,74 +705,105 @@ core::SizingProblem fusedRlProblem() {
   return p;
 }
 
-TEST(RlCheckpoint, A2cResumeBitwiseEqualSingleAndMultiEnv) {
+/// Every EvalStats field but the wall-clock backend time, bit for bit.
+void expectStatsEq(const eval::EvalStats& a, const eval::EvalStats& b) {
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.simulated, b.simulated);
+  EXPECT_EQ(a.cacheHits, b.cacheHits);
+  EXPECT_EQ(a.sharedHits, b.sharedHits);
+  EXPECT_EQ(a.failures, b.failures);
+  EXPECT_EQ(a.attempts, b.attempts);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.backoffUnits, b.backoffUnits);
+}
+
+/// The three Table I algorithms, with rollouts short enough that a run
+/// updates many times, on seeds that solve only after 170+ requests at both
+/// widths.
+std::vector<rl::RlAlgorithm> tableOneAlgorithms() {
+  rl::A2cConfig a2c;
+  a2c.seed = 11;
+  a2c.nSteps = 12;
+  a2c.env.episodeLength = 20;
+  rl::PpoConfig ppo;
+  ppo.seed = 2;
+  ppo.horizon = 24;
+  ppo.epochs = 2;
+  ppo.minibatch = 8;
+  ppo.env.episodeLength = 20;
+  rl::TrpoConfig trpo;
+  trpo.seed = 6;
+  trpo.horizon = 24;
+  trpo.cgIterations = 4;
+  trpo.env.episodeLength = 20;
+  return {a2c, ppo, trpo};
+}
+
+TEST(RlCheckpoint, LearnersResumeMidRolloutBitwise) {
+  // Request 103 is neither a tick boundary of four environments nor an
+  // update: the snapshot carries a half-collected rollout and a half-done
+  // tick, and a fresh learner restored from it ends where the uninterrupted
+  // run does.
+  constexpr std::size_t kBudget = 600;
+  constexpr std::size_t kCut = 103;
   for (const std::size_t numEnvs :
        {std::size_t{1}, static_cast<std::size_t>(sim::kSimLanes)}) {
     const auto prob = numEnvs == 1 ? rlProblem() : fusedRlProblem();
-    rl::A2cConfig cfg;
-    // Seed 9's first reset meets the spec, which solves at request 1; seed 4
-    // trains past the pause at either width.
-    cfg.seed = 4;
-    cfg.nSteps = 12;
-    cfg.env.episodeLength = 20;
-    const std::size_t kBudget = 600;
-
-    const rl::RlTrainOutcome full = rl::trainA2c(prob, cfg, kBudget);
-
-    const std::string path =
-        tmpPath("a2c_resume_" + std::to_string(numEnvs) + ".ckpt");
-    rl::A2cConfig head = cfg;
-    head.maxUpdates = 5;
-    head.checkpointEvery = 5;
-    head.checkpointPath = path;
-    const rl::RlTrainOutcome partial = rl::trainA2c(prob, head, kBudget);
-    ASSERT_LT(partial.totalSimulations, full.totalSimulations)
-        << "pause landed past the end of training";
-
-    rl::A2cConfig tail = cfg;
-    tail.resumeFrom = path;
-    const rl::RlTrainOutcome continued = rl::trainA2c(prob, tail, kBudget);
-    expectRlOutcomeEq(full, continued);
-    EXPECT_EQ(rl::ParallelRolloutCollector(prob, cfg.env, 1, 2).numEnvs(),
-              numEnvs);
-
-    // The environment count is the engine's width: a snapshot taken at the
-    // other width is rejected.
     const auto other = numEnvs == 1 ? fusedRlProblem() : rlProblem();
-    try {
-      (void)rl::trainA2c(other, tail, kBudget);
-      ADD_FAILURE() << "resumed " << numEnvs << " envs at another width";
-    } catch (const io::CheckpointError& e) {
-      EXPECT_NE(std::string(e.what()).find("environments"), std::string::npos)
-          << e.what();
+    for (const rl::RlAlgorithm& algo : tableOneAlgorithms()) {
+      SCOPED_TRACE("algorithm " + std::to_string(algo.index()) + ", " +
+                   std::to_string(numEnvs) + " env(s)");
+      rl::RlLearner full(prob, algo);
+      ASSERT_EQ(full.collector().numEnvs(), numEnvs);
+      full.run(kBudget);
+      ASSERT_GT(full.outcome().totalSimulations, kCut);
+
+      rl::RlLearner head(prob, algo);
+      head.run(kCut);
+      ASSERT_EQ(head.outcome().totalSimulations, kCut);
+      ASSERT_GT(head.updates(), 0u);
+      const std::string blob = head.save();
+      EXPECT_TRUE(io::CheckpointReader("t", blob).hasSection("rollout"))
+          << "request " << kCut << " is between rollouts";
+
+      rl::RlLearner tail(prob, algo);
+      tail.restore(blob, "mid-rollout");
+      tail.run(kBudget);
+      expectRlOutcomeEq(full.outcome(), tail.outcome());
+      EXPECT_EQ(full.updates(), tail.updates());
+      expectStatsEq(full.engine().stats(), tail.engine().stats());
+
+      // A snapshot saved between rollouts keeps the layout it always had.
+      EXPECT_FALSE(io::CheckpointReader("t", rl::RlLearner(prob, algo).save())
+                       .hasSection("rollout"));
+
+      // The environment count is the engine's width: a snapshot taken at
+      // the other width is rejected.
+      rl::RlLearner wrongWidth(other, algo);
+      try {
+        wrongWidth.restore(blob, "other-width");
+        ADD_FAILURE() << "resumed " << numEnvs << " envs at another width";
+      } catch (const io::CheckpointError& e) {
+        EXPECT_NE(std::string(e.what()).find("environments"),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
-}
-
-TEST(RlCheckpoint, CheckpointCadenceWithoutPathThrows) {
-  rl::A2cConfig cfg;
-  cfg.checkpointEvery = 5;  // no checkpointPath
-  EXPECT_THROW((void)rl::trainA2c(rlProblem(), cfg, 100),
-               std::invalid_argument);
 }
 
 TEST(RlCheckpoint, ResumeRejectsChangedConfiguration) {
   const auto prob = rlProblem();
   rl::A2cConfig cfg;
   cfg.seed = 4;
-  cfg.maxUpdates = 2;
-  cfg.checkpointEvery = 2;
-  cfg.checkpointPath = tmpPath("a2c_fingerprint.ckpt");
-  (void)rl::trainA2c(prob, cfg, 300);
+  rl::RlLearner head(prob, cfg);
+  head.run(50);
 
   rl::A2cConfig other = cfg;
-  other.maxUpdates = 0;
-  other.checkpointEvery = 0;
-  other.checkpointPath.clear();
-  other.resumeFrom = cfg.checkpointPath;
   other.env.episodeLength = 25;  // trajectory-shaping change
+  rl::RlLearner changed(prob, other);
   try {
-    (void)rl::trainA2c(prob, other, 300);
+    changed.restore(head.save(), "a2c");
     FAIL() << "changed env configuration accepted";
   } catch (const io::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos);
@@ -783,22 +814,37 @@ TEST(RlCheckpoint, ResumeRejectsWrongAlgorithm) {
   const auto prob = rlProblem();
   rl::A2cConfig cfg;
   cfg.seed = 4;
-  cfg.maxUpdates = 2;
-  cfg.checkpointEvery = 2;
-  cfg.checkpointPath = tmpPath("a2c_for_trpo.ckpt");
-  (void)rl::trainA2c(prob, cfg, 300);
+  rl::RlLearner a2c(prob, cfg);
+  a2c.run(50);
 
   rl::TrpoConfig trpo;
   trpo.seed = 4;
-  trpo.resumeFrom = cfg.checkpointPath;
+  rl::RlLearner trpoLearner(prob, trpo);
   try {
-    (void)rl::trainTrpo(prob, trpo, 300);
+    trpoLearner.restore(a2c.save(), "a2c");
     FAIL() << "cross-algorithm resume accepted";
   } catch (const io::CheckpointError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("a2c"), std::string::npos);
-    EXPECT_NE(msg.find("trpo"), std::string::npos);
+    EXPECT_NE(msg.find("'a2c'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'trpo'"), std::string::npos) << msg;
   }
+
+  // rl_policy runs the A2C update on other seed streams: its blobs carry
+  // their own tag, and neither side accepts the other's.
+  rl::RlPolicyStrategy policy(prob, rl::RlPolicyConfig{}, 4, 100);
+  policy.step(50);
+  rl::RlLearner a2cLearner(prob, cfg);
+  try {
+    a2cLearner.restore(policy.saveCheckpointBlob(), "rl_policy");
+    FAIL() << "rl_policy blob restored into the A2C trainer";
+  } catch (const io::CheckpointError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'rl_policy'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'a2c'"), std::string::npos) << msg;
+  }
+  rl::RlPolicyStrategy fresh(prob, rl::RlPolicyConfig{}, 4, 100);
+  EXPECT_THROW(fresh.restoreCheckpointBlob(a2c.save(), "a2c"),
+               io::CheckpointError);
 }
 
 }  // namespace

@@ -530,13 +530,14 @@ struct LookaheadRun {
 
 struct LookaheadConfig {
   bool treeBo = false;
+  bool rlPolicy = false;
   double radius = 0.2;
   std::uint64_t seed = 3;
   std::size_t width = 1;  ///< 1: scalar callback, 4: fused, 8: WideBackend
   std::size_t slice = 0;  ///< 0: one step to the budget
   bool faulty = false;    ///< ci_smoke_faulty's fault plan and retries
-  /// RandomSearch only: after this many steps, checkpoint, rebuild and
-  /// restore into a fresh strategy, and go on (0: never).
+  /// RandomSearch and rl_policy: after this many steps, checkpoint, rebuild
+  /// and restore into a fresh strategy, and go on (0: never).
   std::size_t resumeAfter = 0;
 };
 
@@ -548,7 +549,10 @@ LookaheadRun runLookahead(const LookaheadConfig& c) {
     ++*lanes;
     return fn(v, corner);
   };
-  if (c.width == 4) prob = fused(std::move(prob));
+  // rl_policy runs as many environments as the problem's own evaluator is
+  // wide, so it needs the fused one to fill a wide backend too.
+  if (c.width == 4 || (c.width == 8 && c.rlPolicy))
+    prob = fused(std::move(prob));
   std::shared_ptr<WideBackend> wide;
   if (c.width == 8) wide = std::make_shared<WideBackend>(prob.evaluate, 8);
 
@@ -560,6 +564,13 @@ LookaheadRun runLookahead(const LookaheadConfig& c) {
       cfg.initSamples = 6;
       cfg.candidatePool = 80;
       s = std::make_unique<TreeBayesOpt>(prob, cfg, kLookaheadBudget);
+    } else if (c.rlPolicy) {
+      rl::RlPolicyConfig cfg;
+      cfg.a2c.hidden = 8;
+      cfg.a2c.nSteps = 8;
+      cfg.a2c.env.episodeLength = 10;
+      s = std::make_unique<rl::RlPolicyStrategy>(prob, cfg, c.seed,
+                                                 kLookaheadBudget);
     } else {
       s = std::make_unique<RandomSearch>(prob, c.seed, kLookaheadBudget);
     }
@@ -643,7 +654,9 @@ void expectSameConsumed(const LookaheadRun& a, const LookaheadRun& b,
 }
 
 std::string describe(const LookaheadConfig& c) {
-  return std::string(c.treeBo ? "tree_bayes_opt" : "random_search") +
+  return std::string(c.treeBo     ? "tree_bayes_opt"
+                     : c.rlPolicy ? "rl_policy"
+                                  : "random_search") +
          " radius " + std::to_string(c.radius) + " width " +
          std::to_string(c.width) + " slice " + std::to_string(c.slice) +
          (c.faulty ? " faulty" : " clean") +
@@ -770,9 +783,9 @@ TEST(Lookahead, ClampsToWhatTheStepCanStillAsk) {
     for (const double radius : {0.001, 0.3}) {
       const auto rlProb = fused(syntheticProblem(radius));
       rl::RlPolicyConfig rlCfg;
-      rlCfg.hidden = 8;
-      rlCfg.nSteps = 8;
-      rlCfg.env.episodeLength = 10;
+      rlCfg.a2c.hidden = 8;
+      rlCfg.a2c.nSteps = 8;
+      rlCfg.a2c.env.episodeLength = 10;
       for (const std::size_t slice : {std::size_t{7}, std::size_t{101}}) {
         rl::RlPolicyStrategy rlp(rlProb, rlCfg, 7, 101);
         if (width == 8)
@@ -821,6 +834,37 @@ TEST(Lookahead, RandomSearchResumesFromAnyStepBoundary) {
         expectSameConsumed(resumed, whole, describe(c));
         EXPECT_EQ(resumed.stats.attempts, whole.stats.attempts) << describe(c);
         EXPECT_EQ(resumed.lanes, whole.lanes) << describe(c);
+      }
+    }
+  }
+}
+
+TEST(Lookahead, RlPolicyResumesFromAnyStepBoundary) {
+  // rl_policy's blob is its learner's snapshot: networks, Adam moments,
+  // every environment slot and the half-collected rollout, so a run
+  // checkpointed at any step boundary (mid-tick and mid-rollout included)
+  // and restored into a fresh strategy ends exactly where the uninterrupted
+  // run does, lanes simulated ahead included.
+  for (const std::size_t width : {4u, 8u}) {
+    for (const bool faulty : {false, true}) {
+      for (const std::size_t slice : {1u, 7u}) {
+        LookaheadConfig c;
+        c.rlPolicy = true;
+        c.radius = 0.03;  // never solves: the run takes every slice
+        c.width = width;
+        c.slice = slice;
+        c.faulty = faulty;
+        const LookaheadRun whole = runLookahead(c);
+        ASSERT_FALSE(whole.outcome.solved) << describe(c);
+        ASSERT_EQ(whole.steps, (kLookaheadBudget + slice - 1) / slice);
+        for (std::size_t k = 1; k < whole.steps; ++k) {
+          c.resumeAfter = k;
+          const LookaheadRun resumed = runLookahead(c);
+          expectSameConsumed(resumed, whole, describe(c));
+          EXPECT_EQ(resumed.stats.attempts, whole.stats.attempts)
+              << describe(c);
+          EXPECT_EQ(resumed.lanes, whole.lanes) << describe(c);
+        }
       }
     }
   }

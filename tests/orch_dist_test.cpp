@@ -60,6 +60,23 @@ void ensureTinyGridRegistered() {
            if (!corners.empty()) p.corners = std::move(corners);
            return p;
          }});
+    // The same grid with a fused evaluator: rl_policy runs four
+    // environments on it, so its slices can end mid-tick.
+    circuits::Registry::global().add(
+        {"tiny_grid_packed", "bsim45", "tiny_grid, fused (orch_dist tests)",
+         [](const sim::ProcessCard&, std::vector<sim::PvtCorner> corners) {
+           core::SizingProblem p = tinyGridProblem(0.05);
+           p.name = "tiny_grid_packed";
+           if (!corners.empty()) p.corners = std::move(corners);
+           p.evaluateBatch = [fn = p.evaluate](
+                                 const linalg::Vector* const* sizes,
+                                 const sim::PvtCorner* cs,
+                                 core::EvalResult* results, std::size_t n) {
+             for (std::size_t k = 0; k < n; ++k)
+               results[k] = fn(*sizes[k], cs[k]);
+           };
+           return p;
+         }});
     return true;
   }();
   (void)once;
@@ -199,6 +216,26 @@ Scenario faultyCheckpointableScenario() {
       "[job]\n"
       "name = tough_pvt\ncircuit = tiny_grid\nstrategy = pvt_search\n"
       "seed = 7\nbudget = 70\nmax_failures = 100000\n",
+      "inline");
+}
+
+/// random_search, rl_policy and pvt_search: every strategy checkpoints. The
+/// rl_policy job runs four environments (tiny_grid_packed) and is job 1, so
+/// worker 1 of two owns it, and its 10-request slices end mid-tick and
+/// mid-rollout (8 transitions per update).
+Scenario rlCheckpointableScenario() {
+  ensureTinyGridRegistered();
+  return parseScenarioText(
+      "name = dist_rl\n"
+      "slice = 10\n"
+      "base_seed = 5\n"
+      "[job]\nname = rs\ncircuit = tiny_grid\nstrategy = random_search\n"
+      "seed = 101\nbudget = 70\n"
+      "[job]\nname = rl\ncircuit = tiny_grid_packed\nstrategy = rl_policy\n"
+      "seed = 11\nbudget = 70\nopt.hidden = 8\nopt.n_steps = 8\n"
+      "opt.episode_length = 10\n"
+      "[job]\nname = pvt\ncircuit = tiny_grid\nstrategy = pvt_search\n"
+      "seed = 7\nbudget = 70\n",
       "inline");
 }
 
@@ -424,6 +461,33 @@ TEST(DistributedScheduler, KillingEveryWorkerInTurnStillMatches) {
   sched.debugKillWorker(1, 3);
   expectSameResults(sched.run(), expected);
   EXPECT_EQ(sched.events().size(), 2u);
+}
+
+TEST(DistributedScheduler, WorkerKilledWithRlPolicyInFlightIsReplayed) {
+  std::vector<JobResult> expected;
+  {
+    Scenario sc = rlCheckpointableScenario();
+    sc.workers = 2;
+    DistributedScheduler sched(std::move(sc));
+    expected = sched.run();
+  }
+  ASSERT_EQ(expected[1].name, "rl");
+  ASSERT_GT(expected[1].rounds, 3u) << "rl must still be running at round 3";
+
+  // Worker 1 dies on receiving round 3, with rl_policy stepped twice: the
+  // respawned worker restores it from its last post-step blob and replays
+  // the round.
+  Scenario sc = rlCheckpointableScenario();
+  sc.workers = 2;
+  DistributedScheduler sched(std::move(sc));
+  sched.debugKillWorker(1, 3);
+  expectSameResults(sched.run(), expected);
+  ASSERT_EQ(sched.events().size(), 1u);
+  EXPECT_NE(sched.events()[0].find("worker 1"), std::string::npos);
+  EXPECT_NE(sched.events()[0].find("respawned"), std::string::npos);
+
+  // The same rows in process.
+  expectSameResults(Scheduler(rlCheckpointableScenario()).run(), expected);
 }
 
 TEST(DistributedScheduler, CoordinatorDeathResumesBitwise) {
@@ -727,6 +791,7 @@ TEST(Wire, PayloadCodecsRoundTrip) {
   rep.firstFailure.valid = true;
   rep.firstFailure.request = 12;
   rep.firstFailure.cornerIndex = 1;
+  rep.firstFailure.cls = sim::FaultClass::kNonFinite;
   rep.firstFailure.attempts = 2;
   wire::PublishEntry entry;
   entry.key = {{3, 4}, 1};
@@ -759,6 +824,30 @@ TEST(Wire, PayloadCodecsRoundTrip) {
   EXPECT_EQ(back.strategyBlob, rep.strategyBlob);
   EXPECT_TRUE(back.firstFailure.valid);
   EXPECT_EQ(back.firstFailure.request, rep.firstFailure.request);
+  EXPECT_EQ(back.firstFailure.cornerIndex, rep.firstFailure.cornerIndex);
+  EXPECT_EQ(back.firstFailure.cls, rep.firstFailure.cls);
+  EXPECT_EQ(back.firstFailure.attempts, rep.firstFailure.attempts);
+}
+
+TEST(Wire, FailureRecordWithoutFaultClassIsRejected) {
+  // A failed request always has a fault class; a worker frame claiming a
+  // first failure without one is refused, as a checkpoint's is.
+  wire::JobRoundReport rep;
+  rep.firstFailure.valid = true;
+  rep.firstFailure.request = 5;
+  rep.firstFailure.attempts = 1;
+  io::CheckpointWriter msg = wire::makeMessage(wire::kMsgRoundResult);
+  wire::writeJobRoundReport(msg.section("jobs"), rep);
+  const std::string body = wire::encodeFrame(msg).substr(8);
+  const io::CheckpointReader reader = wire::decodeFrame(body, "t");
+  io::SectionReader r = reader.section("jobs");
+  try {
+    (void)wire::readJobRoundReport(r);
+    FAIL() << "classless first-failure record accepted";
+  } catch (const io::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("no fault class"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Wire, StatsCodecRejectsBrokenPartitionInvariant) {

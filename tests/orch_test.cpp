@@ -61,6 +61,23 @@ void ensureTinyGridRegistered() {
            if (!corners.empty()) p.corners = std::move(corners);
            return p;
          }});
+    // The same grid with a fused evaluator: rl_policy runs four
+    // environments on it, so its slices can end mid-tick.
+    circuits::Registry::global().add(
+        {"tiny_grid_packed", "bsim45", "tiny_grid, fused (orch tests)",
+         [](const sim::ProcessCard&, std::vector<sim::PvtCorner> corners) {
+           core::SizingProblem p = tinyGridProblem(0.05);
+           p.name = "tiny_grid_packed";
+           if (!corners.empty()) p.corners = std::move(corners);
+           p.evaluateBatch = [fn = p.evaluate](
+                                 const linalg::Vector* const* sizes,
+                                 const sim::PvtCorner* cs,
+                                 core::EvalResult* results, std::size_t n) {
+             for (std::size_t k = 0; k < n; ++k)
+               results[k] = fn(*sizes[k], cs[k]);
+           };
+           return p;
+         }});
     return true;
   }();
   (void)once;
@@ -332,9 +349,9 @@ TEST(StrategyResume, RlPolicySlicedEqualsSingleShot) {
             results[i] = fn(*sizes[i], corners[i]);
         };
       rl::RlPolicyConfig cfg;
-      cfg.hidden = 8;
-      cfg.nSteps = 8;
-      cfg.env.episodeLength = 10;
+      cfg.a2c.hidden = 8;
+      cfg.a2c.nSteps = 8;
+      cfg.a2c.env.episodeLength = 10;
 
       rl::RlPolicyStrategy whole(prob, cfg, 91, 81);
       whole.run();
@@ -429,6 +446,8 @@ TEST(Strategy, RandomSearchCheckpointRoundTrip) {
   saver.step(41);  // pauses mid-sweep for odd targets
   const std::string path = testing::TempDir() + "rs_orch.ckpt";
   saver.saveCheckpoint(path);
+  // The file is the blob, byte for byte.
+  EXPECT_EQ(io::readFileBytes(path), saver.saveCheckpointBlob());
 
   opt::RandomSearch resumed(prob, 999, 90);  // wrong seed: state comes from disk
   resumed.restoreCheckpoint(path);
@@ -854,6 +873,58 @@ TEST(SchedulerFaults, JournaledRunResumesBitwise) {
   }
   std::remove(journal.c_str());
   std::remove((testing::TempDir() + "orch_whole.tdck").c_str());
+}
+
+TEST(SchedulerFaults, JournaledRlPolicyResumesFromEveryRound) {
+  // random_search, rl_policy (four environments, so its 10-request rounds
+  // end mid-tick and mid-rollout) and pvt_search under a journal: stopped
+  // after any round and resumed in a fresh scheduler, the run ends with the
+  // uninterrupted rows.
+  ensureTinyGridRegistered();
+  const auto scenario = [](const std::string& journal) {
+    Scenario sc = parseScenarioText(
+        "name = rl_journal\n"
+        "slice = 10\n"
+        "base_seed = 5\n"
+        "[job]\nname = rs\ncircuit = tiny_grid\nstrategy = random_search\n"
+        "seed = 101\nbudget = 70\n"
+        "[job]\nname = rl\ncircuit = tiny_grid_packed\n"
+        "strategy = rl_policy\nseed = 11\nbudget = 70\nopt.hidden = 8\n"
+        "opt.n_steps = 8\nopt.episode_length = 10\n"
+        "[job]\nname = pvt\ncircuit = tiny_grid\nstrategy = pvt_search\n"
+        "seed = 7\nbudget = 70\n",
+        "inline");
+    sc.journalPath = journal;
+    return sc;
+  };
+  const std::string whole = testing::TempDir() + "orch_rl_whole.tdck";
+  Scheduler wholeSched(scenario(whole));
+  const std::vector<JobResult> expected = wholeSched.run();
+  ASSERT_EQ(expected[1].rounds, 7u);
+
+  const std::string journal = testing::TempDir() + "orch_rl_resume.tdck";
+  for (std::size_t k = 1; k < expected[1].rounds; ++k) {
+    SCOPED_TRACE("stopped after round " + std::to_string(k));
+    {
+      Scheduler first(scenario(journal));
+      first.run(k);
+      EXPECT_FALSE(first.completed());
+    }
+    Scheduler second(scenario(journal));
+    second.resume(journal);
+    const std::vector<JobResult> resumed = second.run();
+    EXPECT_TRUE(second.completed());
+    ASSERT_EQ(resumed.size(), expected.size());
+    for (std::size_t j = 0; j < expected.size(); ++j) {
+      EXPECT_EQ(resumed[j].rounds, expected[j].rounds) << expected[j].name;
+      EXPECT_EQ(resumed[j].published, expected[j].published)
+          << expected[j].name;
+      EXPECT_EQ(resumed[j].failures, expected[j].failures) << expected[j].name;
+      expectSameOutcome(resumed[j].outcome, expected[j].outcome);
+    }
+  }
+  std::remove(journal.c_str());
+  std::remove(whole.c_str());
 }
 
 TEST(SchedulerFaults, ResumeRejectsCorruptAndMismatchedJournals) {

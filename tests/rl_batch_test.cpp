@@ -18,6 +18,7 @@
 #include "nn/optimizer.hpp"
 #include "rl/a2c.hpp"
 #include "rl/actor_critic.hpp"
+#include "rl/learner.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/trpo.hpp"
@@ -817,12 +818,10 @@ TEST(ParallelRollout, EnvStreamsAreIndependent) {
   nn::Mlp policy = makePolicyNet(obsDim, 2, kApH, 24, 71);
   nn::Mlp critic = makeValueNet(obsDim, 24, 72);
   std::vector<FlatRollout> rollouts;
-  // Tick 1 resets all four envs; ticks 2 and 3 step each twice.
-  collector.run(policy, critic, 8, 0.99, 0.95, 1000,
-                [&](const FlatRollout& data) {
-                  rollouts.push_back(data);
-                  return false;
-                });
+  // Tick 1 resets all four envs; ticks 2 and 3 step each twice, and the
+  // 12-request target ends collection at the update after tick 3.
+  collector.run(policy, critic, 8, 0.99, 0.95, 12,
+                [&](const FlatRollout& data) { rollouts.push_back(data); });
   ASSERT_EQ(rollouts.size(), 1u);
   ASSERT_EQ(rollouts[0].size(), 8u);
   // Different seeds must give different start points / trajectories: rows
@@ -840,7 +839,7 @@ TEST(ParallelRollout, MultiEnvTrainingIsDeterministic) {
   cfg.seed = 5;
   cfg.horizon = 32;
   cfg.env.episodeLength = 16;
-  expectOutcomesEqual(trainPpo(prob, cfg, 400), trainPpo(prob, cfg, 400));
+  expectOutcomesEqual(train(prob, cfg, 400), train(prob, cfg, 400));
 }
 
 // ---------- flattening ----------

@@ -4,6 +4,7 @@
 
 #include "rl/a2c.hpp"
 #include "rl/actor_critic.hpp"
+#include "rl/learner.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
 #include "rl/sizing_env.hpp"
@@ -179,19 +180,19 @@ TEST_P(RlAlgoTest, SolvesEasyBandProblem) {
       A2cConfig cfg;
       cfg.seed = seed;
       cfg.env.episodeLength = 30;
-      solved = trainA2c(prob, cfg, 4000).solved;
+      solved = train(prob, cfg, 4000).solved;
     } else if (algo == 1) {
       PpoConfig cfg;
       cfg.seed = seed;
       cfg.horizon = 64;
       cfg.env.episodeLength = 30;
-      solved = trainPpo(prob, cfg, 4000).solved;
+      solved = train(prob, cfg, 4000).solved;
     } else {
       TrpoConfig cfg;
       cfg.seed = seed;
       cfg.horizon = 64;
       cfg.env.episodeLength = 30;
-      solved = trainTrpo(prob, cfg, 4000).solved;
+      solved = train(prob, cfg, 4000).solved;
     }
   }
   EXPECT_TRUE(solved);

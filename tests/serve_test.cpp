@@ -27,6 +27,8 @@
 //    survives a restart, and a warm round appends the same bytes however
 //    large the rest of the cache is.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -36,6 +38,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,6 +83,14 @@ void ensureTinyGridRegistered() {
              return r;
            };
            return p;
+         }});
+    // A circuit whose factory fails with something other than
+    // std::invalid_argument (say, a netlist that cannot be read).
+    circuits::Registry::global().add(
+        {"broken_grid", "bsim45", "factory that throws (serve tests)",
+         [](const sim::ProcessCard&,
+            std::vector<sim::PvtCorner>) -> core::SizingProblem {
+           throw std::runtime_error("broken_grid: netlist unavailable");
          }});
     return true;
   }();
@@ -470,6 +481,93 @@ TEST(ServeTest, AdmissionRejectsAndDowngrades) {
     ++known;
   }
   EXPECT_EQ(known, 1u);
+}
+
+TEST(ServeTest, FuzzedSubmitBodiesAreAnsweredNeverFatal) {
+  // Every prefix and single-byte substitutions of a valid submit request's
+  // body, re-framed with a valid checksum so the payload codecs (not the
+  // frame check) meet the damage. Each frame gets serve/accepted or
+  // serve/rejected; the daemon never dies or hangs, and still admits a valid
+  // submission afterwards. threads = 1 and the large budget cannot be
+  // mutated into other numbers (no substitution below yields a digit).
+  ensureTinyGridRegistered();
+  const std::string dir = freshDir("fuzz");
+  DaemonHarness harness(makeConfig(dir));
+  harness.start();
+  namespace wire = orch::wire;
+
+  SubmitRequest valid;
+  valid.tenant = "fuzz";
+  valid.source = "fz";
+  valid.wantJournal = false;
+  valid.scenarioText =
+      "threads = 1\nname = fz\nslice = 4\n[job]\nname = a\n"
+      "circuit = tiny_grid\nstrategy = random_search\nseed = 1\n"
+      "budget = 4000\n";
+  io::SectionWriter encoded;
+  writeSubmitRequest(encoded, valid);
+  const std::string body = encoded.bytes();
+
+  wire::FrameChannel ch = connectUnixSocket(dir + "/daemon.sock");
+  const timeval timeout{30, 0};  // a hung daemon fails the test, not CI
+  ASSERT_EQ(::setsockopt(ch.fd(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  Client client = Client::connect(dir + "/daemon.sock");
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto send = [&](const std::string& bytes) {
+    io::CheckpointWriter msg = wire::makeMessage(wire::kMsgSubmit);
+    io::SectionWriter& w = msg.section("body");
+    for (const char c : bytes) w.u8(static_cast<std::uint8_t>(c));
+    ch.send(msg);
+    const io::CheckpointReader reply = ch.recv("fuzz");
+    if (reply.kind() == wire::kMsgAccepted) {
+      ++accepted;
+      io::SectionReader r = reply.section("body");
+      client.cancel(r.u64());
+      return true;
+    }
+    EXPECT_EQ(reply.kind(), wire::kMsgRejected);
+    ++rejected;
+    return false;
+  };
+
+  for (std::size_t n = 0; n < body.size(); ++n)
+    EXPECT_FALSE(send(body.substr(0, n))) << "prefix of " << n << " bytes";
+  // Trailing bytes after a complete request are damage too.
+  EXPECT_FALSE(send(body + '\0'));
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    const auto b = static_cast<unsigned char>(body[i]);
+    for (const unsigned char sub : {0x00, 0x01, 0x7f, 0x80, 0xff, b ^ 0x20}) {
+      if (sub == b) continue;
+      std::string mutant = body;
+      mutant[i] = static_cast<char>(sub);
+      send(mutant);
+    }
+  }
+  // Both answers occur: the damage reaches past the length fields.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, body.size());
+
+  EXPECT_TRUE(send(body));
+  EXPECT_EQ(client.status().size(), accepted);
+
+  // A job that fails to build with any exception refuses its submission;
+  // the daemon goes on serving.
+  SubmitRequest broken = valid;
+  broken.scenarioText =
+      "threads = 1\n[job]\nname = b\ncircuit = broken_grid\n"
+      "strategy = random_search\nbudget = 4\n";
+  try {
+    client.submit(broken);
+    ADD_FAILURE() << "a job that failed to build was admitted";
+  } catch (const ServeError& e) {
+    EXPECT_NE(std::string(e.what()).find("netlist unavailable"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(send(body));
 }
 
 TEST(ServeTest, CancelAndShutdown) {
