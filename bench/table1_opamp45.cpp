@@ -35,8 +35,8 @@ int main() {
     row.name = "Random search";
     row.runs = bench::scaled(4);
     for (std::size_t r = 0; r < row.runs; ++r) {
-      opt::RandomSearch rs(problem, 100 + r);
-      const auto out = rs.run(cap);
+      opt::RandomSearch rs(problem, 100 + r, cap);
+      const auto out = rs.run();
       row.successes += out.solved;
       row.iterations.push_back(static_cast<double>(out.iterations));
     }
@@ -50,8 +50,8 @@ int main() {
     for (std::size_t r = 0; r < row.runs; ++r) {
       opt::TreeBayesOptConfig cfg;
       cfg.seed = 200 + r;
-      opt::TreeBayesOpt bo(problem, cfg);
-      const auto out = bo.run(cap);
+      opt::TreeBayesOpt bo(problem, cfg, cap);
+      const auto out = bo.run();
       row.successes += out.solved;
       row.iterations.push_back(static_cast<double>(out.iterations));
     }

@@ -30,8 +30,8 @@ int main() {
     row.name = "Random search";
     row.runs = bench::scaled(3);
     for (std::size_t r = 0; r < row.runs; ++r) {
-      opt::RandomSearch rs(problem, 2000 + r);
-      const auto out = rs.run(cap);
+      opt::RandomSearch rs(problem, 2000 + r, cap);
+      const auto out = rs.run();
       row.successes += out.solved;
       row.iterations.push_back(static_cast<double>(out.iterations));
     }

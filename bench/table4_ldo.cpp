@@ -62,8 +62,8 @@ int main() {
   {  // Customized BO.
     opt::TreeBayesOptConfig cfg;
     cfg.seed = 11;
-    opt::TreeBayesOpt bo(problem, cfg);
-    const auto out = bo.run(bench::budgetOr(6000));
+    opt::TreeBayesOpt bo(problem, cfg, bench::budgetOr(6000));
+    const auto out = bo.run();
     const double gain = out.bestMeasurements.empty()
                             ? 0.0
                             : out.bestMeasurements[circuits::Ldo::kLoopGainDb];

@@ -47,8 +47,8 @@ int main() {
     for (std::size_t r = 0; r < row.runs; ++r) {
       opt::TreeBayesOptConfig cfg;
       cfg.seed = 70 + r;
-      opt::TreeBayesOpt bo(problem, cfg);
-      const auto out = bo.run(bench::budgetOr(2000));
+      opt::TreeBayesOpt bo(problem, cfg, bench::budgetOr(2000));
+      const auto out = bo.run();
       row.iterations.push_back(static_cast<double>(out.iterations));
       if (out.solved && !out.bestMeasurements.empty()) {
         ++solvedRuns;

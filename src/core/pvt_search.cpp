@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "io/checkpoint.hpp"
@@ -41,12 +40,6 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
       rng_(config_.seed),
       tr_(config_.explorer.trustRegion) {
   value_.setMarginBonus(config_.explorer.marginBonus);
-  // Misconfigured periodic checkpointing must fail up front: silently
-  // running without snapshots is exactly the data loss the knob prevents.
-  if (config_.autoCheckpointEvery != 0 && config_.autoCheckpointPath.empty())
-    throw std::invalid_argument(
-        "PvtSearchConfig::autoCheckpointEvery is set but "
-        "autoCheckpointPath is empty");
 }
 
 std::vector<EvalResult> PvtSearch::evalCorners(
@@ -351,9 +344,6 @@ void PvtSearch::stepTrm() {
   }
 
   ++trmSteps_;
-  if (config_.autoCheckpointEvery != 0 &&
-      trmSteps_ % config_.autoCheckpointEvery == 0)
-    saveCheckpoint(config_.autoCheckpointPath);
 }
 
 // ---- Checkpointing --------------------------------------------------------
@@ -453,7 +443,8 @@ void writePoint(io::SectionWriter& w, const linalg::Vector& sizes,
 
 }  // namespace
 
-void PvtSearch::save(io::CheckpointWriter& w) const {
+std::string PvtSearch::save() const {
+  io::CheckpointWriter w(kCheckpointKind);
   io::SectionWriter& fw = w.section("fingerprint");
   const auto fp = fingerprintOf(problem_, config_);
   fw.u64(fp.size());
@@ -499,15 +490,11 @@ void PvtSearch::save(io::CheckpointWriter& w) const {
   io::SectionWriter& bw = w.section("best");
   bw.f64(result_.bestValue);
   io::writeEvalResult(bw, result_.bestEval);
+  return w.finish();
 }
 
-void PvtSearch::saveCheckpoint(const std::string& path) const {
-  io::CheckpointWriter w(kCheckpointKind);
-  save(w);
-  w.writeFile(path);
-}
-
-void PvtSearch::restore(const io::CheckpointReader& r) {
+void PvtSearch::restore(const std::string& blob, const std::string& source) {
+  const io::CheckpointReader r(source, blob);
   // A failure below (corrupt section, version skew) must not leave a
   // half-restored hybrid behind: reset to the freshly-constructed state so a
   // caller that catches the error and runs anyway gets a clean search.
@@ -645,11 +632,6 @@ void PvtSearch::restoreSections(const io::CheckpointReader& r) {
   } else if (result_.solved) {
     considerBest(result_.sizes, result_.cornerEvals);
   }
-}
-
-void PvtSearch::restoreCheckpoint(const std::string& path) {
-  const io::CheckpointReader r = io::CheckpointReader::fromFile(path);
-  restore(r);
 }
 
 }  // namespace trdse::core

@@ -35,7 +35,6 @@
 
 namespace trdse::io {
 class CheckpointReader;
-class CheckpointWriter;
 }  // namespace trdse::io
 
 namespace trdse::core {
@@ -101,14 +100,6 @@ struct PvtSearchConfig {
   /// off for impure or stateful callbacks (e.g. per-call noise injection),
   /// which must see every request.
   bool cacheEvals = true;
-  /// Auto-checkpoint cadence: every `autoCheckpointEvery` completed TRM
-  /// steps the full search state is written to `autoCheckpointPath`
-  /// (0 = off). A run killed at any point resumes from the last snapshot
-  /// bitwise (see docs/CHECKPOINTS.md for the determinism contract).
-  std::size_t autoCheckpointEvery = 0;
-  /// Destination of the periodic snapshots (required when
-  /// `autoCheckpointEvery` is non-zero).
-  std::string autoCheckpointPath;
 };
 
 /// Result of one progressive PVT search run.
@@ -137,10 +128,10 @@ struct PvtSearchOutcome {
 /// where the original single-pass loop had them), so a run paused by a
 /// smaller budget — or killed and restored from a checkpoint — continues to
 /// the same outcome, ledger and stats, bit for bit, as an
-/// uninterrupted run. saveCheckpoint()/restoreCheckpoint() persist the full
-/// state: per-corner surrogates (weights + Adam moments + scalers),
-/// trajectories, trust-region radius, RNG stream, eval-engine memo and
-/// accounting, and the loop position itself.
+/// uninterrupted run. save()/restore() carry the full state as one blob:
+/// per-corner surrogates (weights + Adam moments + scalers), trajectories,
+/// trust-region radius, RNG stream, eval-engine memo and accounting, and the
+/// loop position itself.
 class PvtSearch {
  public:
   /// The problem is copied (callbacks + metadata), so temporaries are safe.
@@ -164,19 +155,16 @@ class PvtSearch {
   /// while that corner is inactive or has not been built yet.
   const SpiceSurrogate* surrogate(std::size_t corner) const;
 
-  /// Snapshot the full search state into a versioned checkpoint file.
-  /// Throws io::CheckpointError when the file cannot be written.
-  void saveCheckpoint(const std::string& path) const;
-  /// Snapshot into an in-memory writer (stream/file-free composition).
-  void save(io::CheckpointWriter& w) const;
-  /// Restore a snapshot written by saveCheckpoint; the next run() continues
-  /// bitwise. The search must have been constructed with the same problem
-  /// and configuration (specs and corner conditions included) — mismatches
-  /// throw io::CheckpointError. On any restore failure the search is reset
-  /// to its freshly-constructed state, never left half-restored.
-  void restoreCheckpoint(const std::string& path);
-  /// Restore from a parsed checkpoint (see restoreCheckpoint).
-  void restore(const io::CheckpointReader& r);
+  /// Snapshot the full search state as one checkpoint blob (TDCK container
+  /// bytes, kind "pvt-search"); a file holding it is a checkpoint file.
+  std::string save() const;
+  /// Restore a blob written by save(); the next run() continues bitwise.
+  /// `source` labels error messages. The search must have been constructed
+  /// with the same problem and configuration (specs and corner conditions
+  /// included) — mismatches throw io::CheckpointError. A blob that fails the
+  /// container check leaves the search untouched; any later failure resets
+  /// it to its freshly-constructed state, never left half-restored.
+  void restore(const std::string& blob, const std::string& source);
 
  private:
   struct CornerState {
@@ -262,7 +250,7 @@ class PvtSearch {
   TrustRegion tr_;
   std::size_t sinceRestart_ = 0;
   std::size_t sinceImprovement_ = 0;
-  std::size_t trmSteps_ = 0;       ///< completed TRM steps (checkpoint cadence)
+  std::size_t trmSteps_ = 0;       ///< completed TRM steps
   std::vector<char> isActive_;     ///< per-corner active flag
   std::optional<std::size_t> measDim_;
   PvtSearchOutcome result_;        ///< outcome accumulated so far

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "io/checkpoint.hpp"
+
 namespace trdse::core {
 
 ExplorerConfig autoSchedule(const SizingProblem& problem) {
@@ -30,8 +32,6 @@ PvtSearch& SizingSession::ensureSearch() {
     cfg.strategy = options_.strategy;
     cfg.seed = options_.seed;
     cfg.cacheEvals = options_.cacheEvals;
-    cfg.autoCheckpointEvery = options_.checkpointEvery;
-    cfg.autoCheckpointPath = options_.checkpointPath;
     cfg.explorer = options_.explorerOverride.has_value()
                        ? *options_.explorerOverride
                        : autoSchedule(problem_);
@@ -41,11 +41,11 @@ PvtSearch& SizingSession::ensureSearch() {
 }
 
 void SizingSession::save(const std::string& path) {
-  ensureSearch().saveCheckpoint(path);
+  io::writeFileAtomic(path, ensureSearch().save());
 }
 
 void SizingSession::resume(const std::string& path) {
-  ensureSearch().restoreCheckpoint(path);
+  ensureSearch().restore(io::readFileBytes(path), path);
 }
 
 SessionReport SizingSession::run() {

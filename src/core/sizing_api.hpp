@@ -23,13 +23,6 @@ struct SessionOptions {
   /// Outcomes are bitwise identical on/off; turn off to reproduce the
   /// paper's EDA-block tables with every block a real simulation.
   bool cacheEvals = true;
-  /// Auto-checkpoint: every `checkpointEvery` completed TRM steps the full
-  /// session state is written to `checkpointPath` (0 = off). A session
-  /// killed mid-run resumes from the snapshot bitwise — same report, same
-  /// ledger — via resume() (see docs/CHECKPOINTS.md).
-  std::size_t checkpointEvery = 0;
-  /// Destination of the periodic snapshots (and of save()).
-  std::string checkpointPath;
   /// Override the auto-scheduled hyper-parameters when set.
   std::optional<ExplorerConfig> explorerOverride;
 };
@@ -69,14 +62,15 @@ class SizingSession {
   /// restored (or previously budget-capped) search instead of restarting.
   SessionReport run();
 
-  /// Snapshot the full session state to a versioned checkpoint file. Before
-  /// the first run() this snapshots a fresh search; mid-stack it captures
-  /// surrogates, trust region, RNG streams, memo and ledger exactly.
+  /// Snapshot the full session state to a versioned checkpoint file,
+  /// written atomically. Before the first run() this snapshots a fresh
+  /// search; after a budget-capped run() it captures surrogates, trust
+  /// region, RNG streams, memo and ledger exactly.
   void save(const std::string& path);
 
-  /// Restore a checkpoint written by save() (or by the periodic
-  /// checkpointEvery knob); the next run() continues bitwise. Throws
-  /// io::CheckpointError on corrupt files or a problem/config mismatch.
+  /// Restore a checkpoint written by save(); the next run() continues
+  /// bitwise. Throws io::CheckpointError on corrupt files or a
+  /// problem/config mismatch.
   void resume(const std::string& path);
 
   /// The problem this session optimizes.

@@ -22,7 +22,7 @@ RandomSearch::RandomSearch(core::SizingProblem problem, std::uint64_t seed,
       budget_(budget) {}
 
 bool RandomSearch::finished() const {
-  return result_.solved || (budget_ > 0 && result_.iterations >= budget_);
+  return result_.solved || result_.iterations >= budget_;
 }
 
 const StrategyOutcome& RandomSearch::step(std::size_t target) {
@@ -98,11 +98,6 @@ const StrategyOutcome& RandomSearch::step(std::size_t target) {
     }
   }
   return harvest();
-}
-
-const StrategyOutcome& RandomSearch::run(std::size_t maxSimulations) {
-  if (maxSimulations > budget_) budget_ = maxSimulations;
-  return step(maxSimulations);
 }
 
 std::string RandomSearch::saveCheckpointBlob() const {

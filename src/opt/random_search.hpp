@@ -27,10 +27,9 @@ using RandomSearchOutcome = StrategyOutcome;
 class RandomSearch final : public Strategy {
  public:
   /// The problem is copied (callbacks + metadata), so temporaries are safe.
-  /// `budget` fixes the total simulation allowance; 0 defers it to the first
-  /// run(maxSimulations) call (the legacy single-shot surface).
+  /// `budget` fixes the total simulation allowance.
   RandomSearch(core::SizingProblem problem, std::uint64_t seed,
-               std::size_t budget = 0);
+               std::size_t budget);
 
   std::string_view name() const override { return "random_search"; }
   std::size_t budget() const override { return budget_; }
@@ -45,11 +44,6 @@ class RandomSearch final : public Strategy {
   /// (pre-drawn on a copy of the rng), so a lane-batched backend simulates
   /// them together.
   const StrategyOutcome& step(std::size_t target) override;
-
-  using Strategy::run;
-  /// Legacy single-shot surface: raises the budget to `maxSimulations` (when
-  /// larger) and advances to completion.
-  const StrategyOutcome& run(std::size_t maxSimulations);
 
   const StrategyOutcome& outcome() const override { return result_; }
   bool finished() const override;

@@ -6,20 +6,11 @@
 
 #include "common/parse_util.hpp"
 #include "core/pvt_search.hpp"
-#include "io/checkpoint.hpp"
 #include "opt/random_search.hpp"
 #include "opt/tree_bayes_opt.hpp"
 #include "rl/rl_strategy.hpp"
 
 namespace trdse::opt {
-
-void Strategy::saveCheckpoint(const std::string& path) const {
-  io::writeFileAtomic(path, saveCheckpointBlob());
-}
-
-void Strategy::restoreCheckpoint(const std::string& path) {
-  restoreCheckpointBlob(io::readFileBytes(path), path);
-}
 
 std::string Strategy::saveCheckpointBlob() const {
   throw std::logic_error("strategy \"" + std::string(name()) +
@@ -130,14 +121,10 @@ class PvtSearchStrategy final : public Strategy {
   eval::EvalEngine& engine() override { return search_.engine(); }
 
   bool supportsCheckpoint() const override { return true; }
-  std::string saveCheckpointBlob() const override {
-    io::CheckpointWriter w("pvt-search");
-    search_.save(w);
-    return w.finish();
-  }
+  std::string saveCheckpointBlob() const override { return search_.save(); }
   void restoreCheckpointBlob(const std::string& blob,
                              const std::string& source) override {
-    search_.restore(io::CheckpointReader(source, blob));
+    search_.restore(blob, source);
     step(0);  // refresh the cached outcome from the restored search
   }
 

@@ -95,12 +95,6 @@ class Strategy {
   /// `source` labels error messages (e.g. "journal.ckpt[job3]").
   virtual void restoreCheckpointBlob(const std::string& blob,
                                      const std::string& source);
-
-  /// saveCheckpointBlob() written to `path` atomically
-  /// (io::writeFileAtomic); io::CheckpointError on I/O failure.
-  void saveCheckpoint(const std::string& path) const;
-  /// restoreCheckpointBlob() of the file at `path`.
-  void restoreCheckpoint(const std::string& path);
 };
 
 /// Registered strategy names, in factory order: "pvt_search" (TRM-DRL),

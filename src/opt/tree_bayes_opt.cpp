@@ -18,7 +18,7 @@ TreeBayesOpt::TreeBayesOpt(core::SizingProblem problem,
 
 bool TreeBayesOpt::finished() const {
   return phase_ == Phase::kDone || result_.solved ||
-         (budget_ > 0 && result_.iterations >= budget_);
+         result_.iterations >= budget_;
 }
 
 const StrategyOutcome& TreeBayesOpt::harvest() {
@@ -138,11 +138,6 @@ const StrategyOutcome& TreeBayesOpt::step(std::size_t target) {
     observe(space.fromUnit(bestCand));
   }
   return harvest();
-}
-
-const StrategyOutcome& TreeBayesOpt::run(std::size_t maxSimulations) {
-  if (maxSimulations > budget_) budget_ = maxSimulations;
-  return step(maxSimulations);
 }
 
 }  // namespace trdse::opt

@@ -49,9 +49,9 @@ class TreeBayesOpt final : public Strategy {
  public:
   /// The problem is copied (callbacks + metadata), so temporaries are safe.
   /// `budget` fixes the total simulation allowance (and the kappa-decay
-  /// denominator); 0 defers it to the first run(maxSimulations) call.
+  /// denominator).
   TreeBayesOpt(core::SizingProblem problem, TreeBayesOptConfig config,
-               std::size_t budget = 0);
+               std::size_t budget);
 
   std::string_view name() const override { return "tree_bayes_opt"; }
   std::size_t budget() const override { return budget_; }
@@ -63,11 +63,6 @@ class TreeBayesOpt final : public Strategy {
   /// single-shot loop. Each request offers the engine the rest of its sweep,
   /// so a lane-batched backend simulates the corners together.
   const StrategyOutcome& step(std::size_t target) override;
-
-  using Strategy::run;
-  /// Legacy single-shot surface: raises the budget to `maxSimulations` (when
-  /// larger) and advances to completion.
-  const StrategyOutcome& run(std::size_t maxSimulations);
 
   const StrategyOutcome& outcome() const override { return result_; }
   bool finished() const override;

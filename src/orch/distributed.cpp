@@ -119,12 +119,6 @@ using wire::WireError;
           }
         }
         pb.expectEnd();
-        io::SectionReader cp = msg.section("checkpoints");
-        const std::vector<std::size_t> paths = cp.indexVec();
-        cp.expectEnd();
-        for (const std::size_t i : paths)
-          if (std::find(owned.begin(), owned.end(), i) != owned.end())
-            jobs.at(i).strategy->saveCheckpoint(jobs[i].spec.checkpointPath);
         continue;
       }
 
@@ -468,8 +462,7 @@ void WorkerPool::collectRoundResults(
 }
 
 void WorkerPool::barrier(const std::vector<std::size_t>& stepped,
-                         const std::vector<wire::JobRoundReport>& reports,
-                         const std::vector<std::size_t>& checkpointJobs) {
+                         const std::vector<wire::JobRoundReport>& reports) {
   std::vector<std::size_t> publishing;
   for (const std::size_t i : stepped)
     if (reports[i].stepError.empty() && !reports[i].publishes.empty())
@@ -482,12 +475,10 @@ void WorkerPool::barrier(const std::vector<std::size_t>& stepped,
     pb.u64(i);
     wire::writePublishes(pb, reports[i].publishes);
   }
-  msg.section("checkpoints").indexVec(checkpointJobs);
 
   // Every worker gets the barrier (mirror sync). A worker that dies here is
   // respawned — its fresh fork image already contains this barrier's master
-  // inserts — and the barrier is re-sent so instructed periodic checkpoints
-  // still get written (mirror re-inserts are idempotent).
+  // inserts — and the barrier is re-sent (mirror re-inserts are idempotent).
   for (std::size_t w = 0; w < slots_.size(); ++w) {
     for (;;) {
       try {

@@ -79,11 +79,9 @@ class WorkerPool {
   void step(std::size_t round, const std::vector<std::size_t>& granted,
             std::vector<wire::JobRoundReport>& reports);
   /// Barrier: ship the publishes of the clean reports among `stepped` to
-  /// every mirror, and have the owners write the periodic checkpoints of
-  /// `checkpointJobs`.
+  /// every mirror.
   void barrier(const std::vector<std::size_t>& stepped,
-               const std::vector<wire::JobRoundReport>& reports,
-               const std::vector<std::size_t>& checkpointJobs);
+               const std::vector<wire::JobRoundReport>& reports);
   /// Live outcome and engine accounting of every job, by job index.
   std::vector<wire::JobHarvest> harvest();
   /// Job `i`'s checkpoint blob as of its last reported round; the

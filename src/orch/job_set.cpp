@@ -63,24 +63,10 @@ JobSet buildJobs(Scenario scenario,
       job.spec = spec;
       job.strategy = opt::makeStrategy(spec.strategy, std::move(problem),
                                        spec.seed, spec.budget, spec.options);
-      if (spec.checkpointEvery != 0 && !job.strategy->supportsCheckpoint())
-        throw std::invalid_argument("requests checkpoints but strategy \"" +
-                                    spec.strategy +
-                                    "\" does not support them");
       if (!sc.journalPath.empty() && !job.strategy->supportsCheckpoint())
         throw std::invalid_argument(
             "cannot run under a write-ahead journal: strategy \"" +
             spec.strategy + "\" does not support checkpointing");
-      if (!spec.checkpointPath.empty()) {
-        // Two jobs snapshotting onto one file would silently overwrite each
-        // other round after round; a restore would then load whichever job
-        // wrote last (kind/problem/shape all match).
-        for (const BuiltJob& other : set.jobs)
-          if (other.spec.checkpointPath == spec.checkpointPath)
-            throw std::invalid_argument("shares checkpoint_path \"" +
-                                        spec.checkpointPath + "\" with job \"" +
-                                        other.spec.name + "\"");
-      }
       eval::EvalEngine& engine = job.strategy->engine();
       engine.setRetryPolicy(sc.retry);
       if (faultPlan != nullptr) engine.injectFaults(faultPlan, job.scope);
@@ -92,7 +78,9 @@ JobSet buildJobs(Scenario scenario,
         engine.attachSharedCache(set.shared, job.scope);
 
       job.result.circuit = !spec.circuit.empty() ? spec.circuit : job.scope;
-    } catch (const std::invalid_argument& e) {
+    } catch (const std::exception& e) {
+      // Whatever a circuit factory or strategy throws, the error names the
+      // job and its [job] line.
       failJob(sc, spec, e.what());
     }
 

@@ -30,7 +30,6 @@ struct JobResult {
   std::size_t budget = 0;    ///< total block allowance
   std::size_t rounds = 0;    ///< scheduling rounds the job was stepped in
   std::size_t published = 0; ///< results this job published to the shared cache
-  std::size_t checkpoints = 0;  ///< periodic snapshots written
   /// Retry-exhausted evaluation failures the job's engine recorded.
   std::size_t failures = 0;
   bool quarantined = false;       ///< failure-isolated at a round barrier
@@ -59,8 +58,8 @@ struct JobSet {
 /// and strategy, derive absent seeds, and wire engines (retry, faults,
 /// shared cache). Throws std::invalid_argument — prefixed
 /// "scenario <source>:<line>: job \"name\":" — on unknown circuit/strategy
-/// names, bad options, checkpoint cadences on non-checkpointing strategies,
-/// or shared checkpoint paths.
+/// names, bad options, a journal over a non-checkpointing strategy, or any
+/// other exception a problem factory or strategy constructor throws.
 ///
 /// `externalCache` (serve daemon): attach jobs to a cache that outlives this
 /// scenario instead of creating a fresh one — a warmed cache turns repeat

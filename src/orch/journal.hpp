@@ -1,15 +1,15 @@
 // Write-ahead scenario journal — crash-resumable orchestration.
 //
-// At every round barrier (cadence Scenario::journalEvery) the Scheduler
-// writes one atomic checkpoint file (container kind "orch-journal") holding
-// everything a fresh process needs to continue the run bitwise:
+// At every round barrier the Scheduler writes one atomic checkpoint file
+// (container kind "orch-journal") holding everything a fresh process needs
+// to continue the run bitwise:
 //
 //   [scenario]      fingerprint of the scheduled scenario — name, knobs,
 //                   fault/retry config, and every job's resolved identity —
 //                   so a journal can never silently resume a *different*
 //                   scenario (mismatches fail naming the divergent field);
-//   [progress]      the round counter and per-job grant/round/publish/
-//                   checkpoint tallies plus quarantine flags and reasons;
+//   [progress]      the round counter and per-job grant/round/publish
+//                   tallies plus quarantine flags and reasons;
 //   [shared_cache]  the full SharedEvalCache contents and per-shard
 //                   counters (present iff the scenario shares results and
 //                   Scenario::journalCache is on);
@@ -39,7 +39,6 @@ struct JournalJobState {
   std::size_t granted = 0;      ///< cumulative budget target handed out
   std::size_t rounds = 0;       ///< rounds the job was stepped in
   std::size_t published = 0;    ///< shared-cache publishes so far
-  std::size_t checkpoints = 0;  ///< periodic snapshots written
   bool quarantined = false;     ///< failure-isolated at a round barrier
   std::string quarantineReason; ///< deterministic reason string
   std::string strategyBlob;     ///< embedded strategy checkpoint (TDCK bytes)

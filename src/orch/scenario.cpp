@@ -154,10 +154,6 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
         sc.retry.timeoutSeconds = parseTimeout(source, lineNo, key, value);
       } else if (key == "journal") {
         sc.journalPath = value;
-      } else if (key == "journal_every") {
-        sc.journalEvery = parseU64(source, lineNo, key, value);
-        if (sc.journalEvery == 0)
-          fail(source, lineNo, "journal_every must be positive");
       } else
         fail(source, lineNo,
              "unknown scenario key \"" + key +
@@ -165,8 +161,7 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
                  "shared_cache, shards, base_seed, fault_seed, "
                  "fault_timeout, fault_nonconv, "
                  "fault_nonfinite, fault_timeout_stall, retry_attempts, "
-                 "retry_backoff, retry_backoff_cap, retry_timeout, journal, "
-                 "journal_every)");
+                 "retry_backoff, retry_backoff_cap, retry_timeout, journal)");
       continue;
     }
 
@@ -176,9 +171,6 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
     else if (key == "cache_scope") job->cacheScope = value;
     else if (key == "seed") job->seed = parseU64(source, lineNo, key, value);
     else if (key == "budget") job->budget = parseU64(source, lineNo, key, value);
-    else if (key == "checkpoint_every")
-      job->checkpointEvery = parseU64(source, lineNo, key, value);
-    else if (key == "checkpoint_path") job->checkpointPath = value;
     else if (key == "max_failures")
       job->maxFailures = parseU64(source, lineNo, key, value);
     else if (key.rfind("opt.", 0) == 0) {
@@ -189,8 +181,7 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
       fail(source, lineNo,
            "unknown job key \"" + key +
                "\" (known: name, circuit, strategy, cache_scope, seed, "
-               "budget, checkpoint_every, checkpoint_path, max_failures, "
-               "opt.<option>)");
+               "budget, max_failures, opt.<option>)");
     }
   }
 
@@ -214,10 +205,6 @@ Scenario parseScenario(std::istream& in, const std::string& source) {
       fail(source, at, label + " (\"" + j.name + "\") has no strategy");
     if (j.budget == 0)
       fail(source, at, label + " (\"" + j.name + "\") has zero budget");
-    if (j.checkpointEvery != 0 && j.checkpointPath.empty())
-      fail(source, at,
-           label + " (\"" + j.name +
-               "\") sets checkpoint_every without checkpoint_path");
     for (std::size_t k = 0; k < i; ++k)
       if (sc.jobs[k].name == j.name)
         fail(source, at, "duplicate job name \"" + j.name + "\"");

@@ -57,10 +57,6 @@ struct JobSpec {
   /// 0 = derive deterministically from (scenario baseSeed, job index).
   std::uint64_t seed = 0;
   std::size_t budget = 1000;  ///< total logical EDA-block allowance
-  /// Write a strategy checkpoint every N scheduler rounds (0 = off; only
-  /// strategies with supportsCheckpoint()).
-  std::size_t checkpointEvery = 0;
-  std::string checkpointPath;  ///< destination of the periodic snapshots
   /// Retry-exhausted evaluation failures this job tolerates before the
   /// scheduler quarantines it (checked at round barriers). 0 = quarantine on
   /// the first failure.
@@ -108,11 +104,10 @@ struct Scenario {
   /// Retry/timeout policy applied to every job's engine (`retry_*` keys;
   /// `retry_attempts` in [1, kMaxRetryAttempts]).
   eval::RetryPolicy retry;
-  /// Write-ahead journal path for crash-resumable runs (empty = off;
-  /// requires every job's strategy to support checkpointing).
+  /// Write-ahead journal path for crash-resumable runs, rewritten at every
+  /// round barrier (empty = off; requires every job's strategy to support
+  /// checkpointing).
   std::string journalPath;
-  /// Journal every N scheduler rounds (the final state is always journaled).
-  std::size_t journalEvery = 1;
   /// Whether the journal embeds the shared cache. The serve daemon turns
   /// this off: its cache outlives any one submission and each barrier's
   /// publishes are persisted in the daemon's own state log, so embedding a

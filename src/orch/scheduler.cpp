@@ -134,7 +134,6 @@ void Scheduler::writeJournalFile() {
     js.granted = job.granted;
     js.rounds = job.result.rounds;
     js.published = job.result.published;
-    js.checkpoints = job.result.checkpoints;
     js.quarantined = job.result.quarantined;
     js.quarantineReason = job.result.quarantineReason;
     js.strategyBlob = workers_ != nullptr
@@ -165,7 +164,6 @@ void Scheduler::resume(const std::string& journalPath) {
     job.granted = js.granted;
     job.result.rounds = js.rounds;
     job.result.published = js.published;
-    job.result.checkpoints = js.checkpoints;
     job.result.quarantined = js.quarantined;
     job.result.quarantineReason = js.quarantineReason;
     job.strategy->restoreCheckpointBlob(
@@ -190,7 +188,6 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
   std::vector<std::size_t> runnable;
   runnable.reserve(jobs_.size());
   std::vector<std::size_t> beforeIters(jobs_.size(), 0);
-  std::vector<std::size_t> checkpointJobs;
   std::size_t roundsThisCall = 0;
 
   while (maxRounds == 0 || roundsThisCall < maxRounds) {
@@ -256,19 +253,6 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
                                                  rep.firstFailure));
     }
 
-    // Checkpoint cadence (rounds, counted per job; quarantined jobs stop
-    // snapshotting — their last good checkpoint stays put).
-    checkpointJobs.clear();
-    for (const std::size_t i : runnable) {
-      BuiltJob& job = jobs_[i];
-      if (job.result.quarantined) continue;
-      if (job.spec.checkpointEvery != 0 &&
-          job.result.rounds % job.spec.checkpointEvery == 0) {
-        checkpointJobs.push_back(i);
-        ++job.result.checkpoints;
-      }
-    }
-
     // Stall guard: a job already granted its full budget that neither
     // finishes nor consumes anything in a round would loop forever.
     // Strategies signal inability to proceed via finished(), so hitting
@@ -285,20 +269,13 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
                                "\" violates the step() contract)");
     }
 
-    // Checkpoints are written where the strategies live; workers also bring
-    // their cache mirrors up to this barrier's publishes.
-    if (workers_ != nullptr) {
-      workers_->barrier(runnable, reports_, checkpointJobs);
-    } else {
-      for (const std::size_t i : checkpointJobs)
-        jobs_[i].strategy->saveCheckpoint(jobs_[i].spec.checkpointPath);
-    }
+    // Workers bring their cache mirrors up to this barrier's publishes.
+    if (workers_ != nullptr) workers_->barrier(runnable, reports_);
 
-    // Write-ahead journal at the barrier, after every state transition of
-    // this round is final. A kill at any point between two journal writes
-    // loses at most the rounds since the last one — never consistency.
-    if (journaling && round_ % scenario_.journalEvery == 0)
-      writeJournalFile();
+    // Write-ahead journal at every barrier, after every state transition of
+    // this round is final. A kill at any point loses at most the round in
+    // flight — never consistency.
+    if (journaling) writeJournalFile();
 
     // Round hook, after the journal: an observer acting on the observation
     // (the daemon persisting its cache, streaming progress) sees a state the
@@ -334,11 +311,6 @@ std::vector<JobResult> Scheduler::run(std::size_t maxRounds) {
         break;
       }
   }
-  // The final state is always journaled, whatever the cadence: a completed
-  // run's journal must describe the completed run.
-  if (journaling && completed_ && round_ % scenario_.journalEvery != 0)
-    writeJournalFile();
-
   std::vector<JobResult> results = harvest();
   if (completed_ && workers_ != nullptr) workers_->shutdown();
   return results;

@@ -20,8 +20,8 @@
 // current()) — PvtSearch fits its corner surrogates and scores candidate
 // chunks that way — without oversubscribing the `threads` budget.
 // Either way each stepped job yields one wire::JobRoundReport (stepJob), and
-// the round barrier — progress, master-cache publish, quarantine, checkpoint
-// cadence, stall guard, journal, round hook — reads only those reports. The
+// the round barrier — progress, master-cache publish, quarantine, stall
+// guard, mirror sync, journal, round hook — reads only those reports. The
 // barrier, the grants, resume and the harvest therefore exist once, here.
 //
 // Determinism contract (asserted in tests/orch_test.cpp and
@@ -46,7 +46,7 @@
 // runs to completion. Quarantine decisions are made in job order from
 // report state, so they are bitwise identical for any thread or worker
 // count. With Scenario::journalPath set, the scheduler also write-ahead
-// journals the whole run at round barriers (orch/journal.hpp), making a
+// journals the whole run at every round barrier (orch/journal.hpp), making a
 // SIGKILL'd run resumable to byte-identical results under either transport.
 #pragma once
 
@@ -120,9 +120,9 @@ class Scheduler {
  public:
   /// Build every job's problem (circuits::Registry or JobSpec::makeProblem)
   /// and strategy up front; throws std::invalid_argument on unknown
-  /// circuit/strategy names, bad options, or a checkpoint cadence on a
-  /// strategy that cannot checkpoint. Forks nothing: worker processes start
-  /// at the first run().
+  /// circuit/strategy names, bad options, or a journal over a strategy that
+  /// cannot checkpoint (orch::buildJobs). Forks nothing: worker processes
+  /// start at the first run().
   explicit Scheduler(Scenario scenario);
 
   /// Same, but attach every job to `externalCache` instead of constructing a

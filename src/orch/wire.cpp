@@ -322,7 +322,9 @@ void writeJobResult(io::SectionWriter& w, const JobResult& res) {
   w.u64(res.budget);
   w.u64(res.rounds);
   w.u64(res.published);
-  w.u64(res.checkpoints);
+  // The retired per-job snapshot tally: a constant 0 keeps the layout that
+  // daemon state files and serve/result frames share.
+  w.u64(0);
   w.u64(res.failures);
   w.boolean(res.quarantined);
   w.str(res.quarantineReason);
@@ -338,7 +340,7 @@ JobResult readJobResult(io::SectionReader& r) {
   res.budget = r.u64();
   res.rounds = r.u64();
   res.published = r.u64();
-  res.checkpoints = r.u64();
+  (void)r.u64();  // retired snapshot tally (see writeJobResult)
   res.failures = r.u64();
   res.quarantined = r.boolean();
   res.quarantineReason = r.str();

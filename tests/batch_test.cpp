@@ -900,9 +900,7 @@ TEST(PvtSearchParallel, ThreadCountDoesNotChangeOutcome) {
     }
     Run r;
     testing_pool::inPoolTask(pool, [&] { r.outcome = search.run(300); });
-    io::CheckpointWriter w("pvt-search");
-    search.save(w);
-    r.blob = w.finish();
+    r.blob = search.save();
     return r;
   };
   for (const bool faulty : {false, true}) {

@@ -432,10 +432,10 @@ void expectResumeBitwise(bool cacheOn, bool hooks) {
   const auto partial = first.run(kPause);
   ASSERT_LT(partial.totalSims, full.totalSims) << "pause landed past the end";
   const std::string path = tmpPath("pvt_resume.ckpt");
-  first.saveCheckpoint(path);
+  io::writeFileAtomic(path, first.save());
 
   core::PvtSearch resumed(prob, cfg);
-  resumed.restoreCheckpoint(path);
+  resumed.restore(io::readFileBytes(path), path);
   const auto continued = resumed.run(kBudget);
   expectOutcomeEq(full, continued);
 
@@ -476,14 +476,13 @@ TEST(PvtCheckpoint, RestoreRejectsMismatchedConfiguration) {
   cfg.seed = 3;
   core::PvtSearch search(prob, cfg);
   (void)search.run(100);
-  const std::string path = tmpPath("pvt_mismatch.ckpt");
-  search.saveCheckpoint(path);
+  const std::string blob = search.save();
 
   core::PvtSearchConfig other = cfg;
   other.seed = 4;
   core::PvtSearch different(prob, other);
   try {
-    different.restoreCheckpoint(path);
+    different.restore(blob, "mismatch");
     FAIL() << "mismatched config accepted";
   } catch (const io::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("seed"), std::string::npos);
@@ -496,7 +495,7 @@ TEST(PvtCheckpoint, RestoreRejectsMismatchedConfiguration) {
   hotter.corners[1].tempC = 150.0;
   core::PvtSearch hotterSearch(hotter, cfg);
   try {
-    hotterSearch.restoreCheckpoint(path);
+    hotterSearch.restore(blob, "mismatch");
     FAIL() << "changed corner conditions accepted";
   } catch (const io::CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("corner:1"), std::string::npos);
@@ -523,18 +522,15 @@ TEST(PvtCheckpoint, RestoreRejectsMismatchedPortingHooks) {
   for (const core::PvtSearchConfig* cfg : configs) {
     core::PvtSearch search(prob, *cfg);
     (void)search.run(60);
-    io::CheckpointWriter w("pvt-search");
-    search.save(w);
-    blobs.push_back(w.finish());
+    blobs.push_back(search.save());
   }
   for (std::size_t saved = 0; saved < blobs.size(); ++saved) {
     for (std::size_t into = 0; into < blobs.size(); ++into) {
       core::PvtSearch search(prob, *configs[into]);
-      const io::CheckpointReader r("mem", blobs[saved]);
       if (saved == into) {
-        EXPECT_NO_THROW(search.restore(r)) << saved;
+        EXPECT_NO_THROW(search.restore(blobs[saved], "mem")) << saved;
       } else {
-        EXPECT_THROW(search.restore(r), io::CheckpointError)
+        EXPECT_THROW(search.restore(blobs[saved], "mem"), io::CheckpointError)
             << "saved " << saved << " restored into " << into;
       }
     }
@@ -544,8 +540,7 @@ TEST(PvtCheckpoint, RestoreRejectsMismatchedPortingHooks) {
   core::PvtSearchConfig otherWeights = plain;
   otherWeights.explorer.warmStartWeights = &otherDonor.network();
   core::PvtSearch search(prob, otherWeights);
-  EXPECT_THROW(search.restore(io::CheckpointReader("mem", blobs[2])),
-               io::CheckpointError);
+  EXPECT_THROW(search.restore(blobs[2], "mem"), io::CheckpointError);
 }
 
 TEST(PvtCheckpoint, FreshSnapshotBeforeFirstRunIsRestorable) {
@@ -558,43 +553,22 @@ TEST(PvtCheckpoint, FreshSnapshotBeforeFirstRunIsRestorable) {
   const auto direct = reference.run(400);
 
   core::PvtSearch fresh(prob, cfg);
-  const std::string path = tmpPath("pvt_fresh.ckpt");
-  fresh.saveCheckpoint(path);
   core::PvtSearch restored(prob, cfg);
-  restored.restoreCheckpoint(path);
+  restored.restore(fresh.save(), "fresh");
   const auto resumed = restored.run(400);
   expectOutcomeEq(direct, resumed);
-}
-
-TEST(PvtCheckpoint, CheckpointCadenceWithoutPathThrows) {
-  core::PvtSearchConfig cfg;
-  cfg.autoCheckpointEvery = 5;  // no autoCheckpointPath
-  EXPECT_THROW(core::PvtSearch(hillProblem(), cfg), std::invalid_argument);
 }
 
 TEST(PvtCheckpoint, RestoreRejectsWrongKindAndCorruptFile) {
   const auto prob = hillProblem();
   core::PvtSearchConfig cfg;
   core::PvtSearch search(prob, cfg);
-  (void)search.run(60);
+  const auto reference = search.run(60);
 
-  // Wrong kind: hand the search a checkpoint some other producer wrote.
-  const std::string alien = tmpPath("alien.ckpt");
-  io::CheckpointWriter w("rl-trainer");
-  w.section("meta").str("a2c");
-  w.writeFile(alien);
-  try {
-    search.restoreCheckpoint(alien);
-    FAIL() << "wrong-kind checkpoint accepted";
-  } catch (const io::CheckpointError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("rl-trainer"), std::string::npos);
-    EXPECT_NE(msg.find("pvt-search"), std::string::npos);
-  }
-
-  // Corrupt: truncate a valid checkpoint file on disk.
+  // Corrupt: a valid checkpoint file truncated on disk fails the container
+  // check and leaves the search as it was.
   const std::string path = tmpPath("pvt_corrupt.ckpt");
-  search.saveCheckpoint(path);
+  io::writeFileAtomic(path, search.save());
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buf;
   buf << in.rdbuf();
@@ -602,10 +576,27 @@ TEST(PvtCheckpoint, RestoreRejectsWrongKindAndCorruptFile) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(blob.data(), static_cast<std::streamsize>(blob.size() / 2));
   out.close();
-  EXPECT_THROW(search.restoreCheckpoint(path), io::CheckpointError);
+  EXPECT_THROW(search.restore(io::readFileBytes(path), path),
+               io::CheckpointError);
+  EXPECT_EQ(search.save(), blob);
+
+  // Wrong kind: hand the search a checkpoint some other producer wrote.
+  io::CheckpointWriter w("rl-trainer");
+  w.section("meta").str("a2c");
+  try {
+    search.restore(w.finish(), "alien");
+    FAIL() << "wrong-kind checkpoint accepted";
+  } catch (const io::CheckpointError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rl-trainer"), std::string::npos);
+    EXPECT_NE(msg.find("pvt-search"), std::string::npos);
+  }
+  // A restore that fails past the container check resets the search to its
+  // freshly-constructed state: it runs exactly as a new one would.
+  expectOutcomeEq(search.run(60), reference);
 }
 
-// ---------- SizingSession: save/resume + periodic auto-checkpoint ----------
+// ---------- SizingSession: save/resume ----------
 
 TEST(SessionCheckpoint, SaveResumeReproducesReportBitwise) {
   const auto prob = hillProblem();
@@ -640,28 +631,40 @@ TEST(SessionCheckpoint, SaveResumeReproducesReportBitwise) {
   EXPECT_EQ(full.summary, continued.summary);
 }
 
-TEST(SessionCheckpoint, PeriodicAutoCheckpointIsResumable) {
+/// A session saved after a run capped at a quarter, half or three quarters
+/// of what the uninterrupted run spends resumes, in a fresh session, to the
+/// uninterrupted report.
+TEST(SessionCheckpoint, SnapshotsAtEveryQuarterResume) {
   const auto prob = hillProblem();
-  const std::string path = tmpPath("session_auto.ckpt");
   core::SessionOptions opts;
   opts.seed = 6;
-  opts.maxSimulations = 1200;
-  opts.checkpointEvery = 4;  // every 4 TRM steps
-  opts.checkpointPath = path;
+  opts.maxSimulations = 500;
   core::SizingSession session(prob, opts);
   const auto full = session.run();
+  ASSERT_GT(full.simulations, 40u) << "problem too easy to pause mid-run";
 
-  // The periodic snapshot exists and resuming it lands on the same outcome.
-  core::SessionOptions optsResume;
-  optsResume.seed = 6;
-  optsResume.maxSimulations = 1200;
-  core::SizingSession resumed(prob, optsResume);
-  resumed.resume(path);
-  const auto continued = resumed.run();
-  EXPECT_EQ(full.solved, continued.solved);
-  EXPECT_EQ(full.simulations, continued.simulations);
-  EXPECT_EQ(full.sizes, continued.sizes);
-  EXPECT_EQ(full.summary, continued.summary);
+  for (const std::size_t quarter : {1, 2, 3}) {
+    SCOPED_TRACE("quarter " + std::to_string(quarter));
+    core::SessionOptions capped = opts;
+    capped.maxSimulations = full.simulations * quarter / 4;
+    core::SizingSession first(prob, capped);
+    ASSERT_LT(first.run().simulations, full.simulations);
+    const std::string path = tmpPath("session_quarter.ckpt");
+    first.save(path);
+
+    core::SizingSession resumed(prob, opts);
+    resumed.resume(path);
+    const auto continued = resumed.run();
+    EXPECT_EQ(full.solved, continued.solved);
+    EXPECT_EQ(full.simulations, continued.simulations);
+    EXPECT_EQ(full.sizes, continued.sizes);  // bitwise
+    expectEvalsEq(full.cornerEvals, continued.cornerEvals);
+    expectLedgerEq(full.ledger, continued.ledger);
+    EXPECT_EQ(full.evalStats.requests, continued.evalStats.requests);
+    EXPECT_EQ(full.evalStats.simulated, continued.evalStats.simulated);
+    EXPECT_EQ(full.evalStats.cacheHits, continued.evalStats.cacheHits);
+    EXPECT_EQ(full.summary, continued.summary);
+  }
 }
 
 // ---------- RL learners: resume at any request == uninterrupted ----------

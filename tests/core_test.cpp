@@ -13,7 +13,6 @@
 #include "core/surrogate.hpp"
 #include "core/trust_region.hpp"
 #include "core/value.hpp"
-#include "io/checkpoint.hpp"
 
 namespace trdse::core {
 namespace {
@@ -384,10 +383,8 @@ TEST(PvtSearchOneCorner, ReportsBestPointWhenUnsolved) {
     PvtSearch first(prob, seeded(11));
     const auto partial = first.run(k);
     ASSERT_GT(partial.bestValue, kFailedValue);
-    io::CheckpointWriter w("pvt-search");
-    first.save(w);
     PvtSearch resumed(prob, seeded(11));
-    resumed.restore(io::CheckpointReader("mem", w.finish()));
+    resumed.restore(first.save(), "mem");
     const auto restored = resumed.run(k);  // no further step: as saved
     EXPECT_EQ(restored.sizes, partial.sizes) << "k=" << k;
     EXPECT_EQ(restored.bestValue, partial.bestValue) << "k=" << k;

@@ -56,8 +56,8 @@ TEST(Integration, AgentBeatsRandomSearchByOrderOfMagnitude) {
   // Random search at the same budget: count sims to solve (cap 4000).
   double randomIters = 0.0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    opt::RandomSearch rs(prob, seed);
-    randomIters += static_cast<double>(rs.run(4000).iterations);
+    opt::RandomSearch rs(prob, seed, 4000);
+    randomIters += static_cast<double>(rs.run().iterations);
   }
   randomIters /= 3.0;
 
@@ -90,8 +90,8 @@ TEST(Integration, BoSolvesIcoCase) {
   const auto prob = ico.makeProblem({tt}, ico.defaultSpecs());
   opt::TreeBayesOptConfig cfg;
   cfg.seed = 6;
-  opt::TreeBayesOpt bo(prob, cfg);
-  const auto out = bo.run(1200);
+  opt::TreeBayesOpt bo(prob, cfg, 1200);
+  const auto out = bo.run();
   EXPECT_TRUE(out.solved);
 }
 

@@ -110,16 +110,16 @@ TEST(ExtraTrees, UncertaintyHigherNearDecisionBoundary) {
 
 TEST(RandomSearch, SolvesEasyProblem) {
   const auto prob = syntheticProblem(0.4);  // large feasible disc
-  RandomSearch rs(prob, 3);
-  const auto out = rs.run(2000);
+  RandomSearch rs(prob, 3, 2000);
+  const auto out = rs.run();
   EXPECT_TRUE(out.solved);
   EXPECT_LT(out.iterations, 2000u);
 }
 
 TEST(RandomSearch, RespectsBudgetOnHardProblem) {
   const auto prob = syntheticProblem(0.01);  // tiny disc
-  RandomSearch rs(prob, 3);
-  const auto out = rs.run(300);
+  RandomSearch rs(prob, 3, 300);
+  const auto out = rs.run();
   EXPECT_LE(out.iterations, 300u);
   if (!out.solved) {
     EXPECT_EQ(out.iterations, 300u);
@@ -131,8 +131,8 @@ TEST(RandomSearch, MultiCornerCountsEachCheck) {
   prob.corners = {{sim::ProcessCorner::kTT, 1.0, 27.0},
                   {sim::ProcessCorner::kSS, 1.0, 27.0},
                   {sim::ProcessCorner::kFF, 1.0, 27.0}};
-  RandomSearch rs(prob, 5);
-  const auto out = rs.run(100);
+  RandomSearch rs(prob, 5, 100);
+  const auto out = rs.run();
   EXPECT_TRUE(out.solved);
   EXPECT_EQ(out.iterations, 3u);  // one point, three corner checks
 }
@@ -144,12 +144,12 @@ TEST(TreeBayesOpt, SolvesSyntheticFasterThanRandomOnAverage) {
   for (int r = 0; r < 5; ++r) {
     TreeBayesOptConfig cfg;
     cfg.seed = 100 + r;
-    TreeBayesOpt bo(prob, cfg);
-    const auto b = bo.run(2000);
+    TreeBayesOpt bo(prob, cfg, 2000);
+    const auto b = bo.run();
     EXPECT_TRUE(b.solved);
     boIters.push_back(static_cast<double>(b.iterations));
-    RandomSearch rs(prob, 200 + r);
-    const auto s = rs.run(2000);
+    RandomSearch rs(prob, 200 + r, 2000);
+    const auto s = rs.run();
     rsIters.push_back(static_cast<double>(s.iterations));
   }
   double boMean = 0.0;
@@ -163,8 +163,8 @@ TEST(TreeBayesOpt, ReportsBestEvenWhenUnsolved) {
   const auto prob = syntheticProblem(0.005);
   TreeBayesOptConfig cfg;
   cfg.seed = 31;
-  TreeBayesOpt bo(prob, cfg);
-  const auto out = bo.run(150);
+  TreeBayesOpt bo(prob, cfg, 150);
+  const auto out = bo.run();
   EXPECT_FALSE(out.sizes.empty());
   EXPECT_GT(out.bestValue, core::kFailedValue);
   EXPECT_FALSE(out.bestMeasurements.empty());
@@ -203,8 +203,8 @@ TEST(TreeBayesOpt, HandlesFailingSimulations) {
   };
   TreeBayesOptConfig cfg;
   cfg.seed = 17;
-  TreeBayesOpt bo(prob, cfg);
-  const auto out = bo.run(1500);
+  TreeBayesOpt bo(prob, cfg, 1500);
+  const auto out = bo.run();
   EXPECT_TRUE(out.solved);
 }
 

@@ -165,7 +165,6 @@ void expectSameResults(const std::vector<JobResult>& a,
     EXPECT_EQ(a[j].seed, b[j].seed);
     EXPECT_EQ(a[j].rounds, b[j].rounds) << a[j].name;
     EXPECT_EQ(a[j].published, b[j].published) << a[j].name;
-    EXPECT_EQ(a[j].checkpoints, b[j].checkpoints) << a[j].name;
     EXPECT_EQ(a[j].failures, b[j].failures) << a[j].name;
     EXPECT_EQ(a[j].quarantined, b[j].quarantined) << a[j].name;
     EXPECT_EQ(a[j].quarantineReason, b[j].quarantineReason) << a[j].name;

@@ -12,6 +12,7 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "circuits/registry.hpp"
 #include "core/pvt_search.hpp"
@@ -19,6 +20,7 @@
 #include "opt/random_search.hpp"
 #include "opt/strategy.hpp"
 #include "opt/tree_bayes_opt.hpp"
+#include "orch/journal.hpp"
 #include "orch/scenario.hpp"
 #include "orch/scheduler.hpp"
 #include "rl/rl_strategy.hpp"
@@ -168,10 +170,28 @@ TEST(Scenario, RejectsMalformedInput) {
                         "x"),
       std::invalid_argument);  // duplicate names
   EXPECT_THROW(parseScenarioText("", "x"), std::invalid_argument);  // no jobs
-  EXPECT_THROW(parseScenarioText("[job]\ncircuit = c\nstrategy = s\n"
-                                 "checkpoint_every = 2\n",
-                                 "x"),
-               std::invalid_argument);  // cadence without path
+  // The retired snapshot keys are unknown keys like any other: the journal
+  // is the one snapshot, written at every round barrier.
+  const std::string job = "[job]\ncircuit = c\nstrategy = s\n";
+  for (const auto& [text, key, line] :
+       {std::make_tuple(job + "checkpoint_every = 2\n",
+                        std::string("checkpoint_every"), 4),
+        std::make_tuple(job + "checkpoint_path = snap.ckpt\n",
+                        std::string("checkpoint_path"), 4),
+        std::make_tuple("slice = 4\njournal_every = 1\n" + job,
+                        std::string("journal_every"), 2)}) {
+    try {
+      parseScenarioText(text, "retired.scenario");
+      ADD_FAILURE() << key << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("retired.scenario:" + std::to_string(line) + ": "),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("unknown"), std::string::npos) << what;
+      EXPECT_NE(what.find("\"" + key + "\""), std::string::npos) << what;
+    }
+  }
   EXPECT_THROW(parseScenarioText("threads = 2\nthreads = 4\n", "x"),
                std::invalid_argument);  // duplicate scalar key
   EXPECT_THROW(parseScenarioText("[job]\ncircuit = c\nstrategy = s\n"
@@ -445,19 +465,17 @@ TEST(Strategy, RandomSearchCheckpointRoundTrip) {
   opt::RandomSearch saver(prob, 7, 90);
   saver.step(41);  // pauses mid-sweep for odd targets
   const std::string path = testing::TempDir() + "rs_orch.ckpt";
-  saver.saveCheckpoint(path);
-  // The file is the blob, byte for byte.
-  EXPECT_EQ(io::readFileBytes(path), saver.saveCheckpointBlob());
+  io::writeFileAtomic(path, saver.saveCheckpointBlob());
 
   opt::RandomSearch resumed(prob, 999, 90);  // wrong seed: state comes from disk
-  resumed.restoreCheckpoint(path);
+  resumed.restoreCheckpointBlob(io::readFileBytes(path), path);
   resumed.run();
   expectSameOutcome(resumed.outcome(), whole.outcome());
 
   // Kind mismatch fails loudly.
   io::CheckpointWriter wrongKind("pvt-search");
-  wrongKind.writeFile(path);
-  EXPECT_THROW(resumed.restoreCheckpoint(path), io::CheckpointError);
+  EXPECT_THROW(resumed.restoreCheckpointBlob(wrongKind.finish(), "wrong-kind"),
+               io::CheckpointError);
   std::remove(path.c_str());
 }
 
@@ -562,26 +580,97 @@ TEST(Scheduler, SharedCacheSavesSimulationsVersusPrivate) {
   EXPECT_LE(entries, sharedSims);
 }
 
-TEST(Scheduler, ChecksCheckpointSupportAndWritesCadencedSnapshots) {
+/// Each job's blob in a journal is a checkpoint loadable on its own: stop a
+/// journaled run after round k, restore every blob into a strategy built by
+/// opt::makeStrategy with the job's resolved seed and budget, and step it to
+/// its budget — its row equals the uninterrupted scheduler's.
+TEST(Scheduler, JournalBlobsRestoreAsStandaloneStrategies) {
   ensureTinyGridRegistered();
-  const std::string ckpt = testing::TempDir() + "sched_job.ckpt";
+  const auto scenario = [](const std::string& journal) {
+    // No shared cache: a standalone strategy has none to hit.
+    Scenario sc = parseScenarioText(
+        "name = standalone_blobs\n"
+        "slice = 10\n"
+        "shared_cache = off\n"
+        "[job]\nname = rs\ncircuit = tiny_grid\nstrategy = random_search\n"
+        "budget = 70\n"
+        "[job]\nname = pvt\ncircuit = tiny_grid\nstrategy = pvt_search\n"
+        "budget = 60\nopt.init_samples = 6\n"
+        "[job]\nname = rl\ncircuit = tiny_grid_packed\n"
+        "strategy = rl_policy\nbudget = 70\nopt.hidden = 8\n"
+        "opt.n_steps = 8\nopt.episode_length = 10\n",
+        "inline");
+    sc.journalPath = journal;
+    return sc;
+  };
+  const std::string whole = testing::TempDir() + "orch_blobs_whole.tdck";
+  Scheduler wholeSched(scenario(whole));
+  const std::vector<JobResult> expected = wholeSched.run();
+  ASSERT_EQ(expected.size(), 3u);
+  ASSERT_GE(expected[0].rounds, 4u);
 
-  Scenario bad;
-  bad.jobs.push_back({"bo", "tiny_grid", {}, "tree_bayes_opt", "", 1, 50, 2,
-                      ckpt, {}, {}});
-  EXPECT_THROW(Scheduler{std::move(bad)}, std::invalid_argument);
+  const std::string journal = testing::TempDir() + "orch_blobs.tdck";
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("stopped after round " + std::to_string(k));
+    Scheduler first(scenario(journal));
+    first.run(k);
+    ASSERT_FALSE(first.completed());
+    const Scenario& scheduled = first.scenario();  // seeds resolved
+    const JournalState state = readJournal(journal, scheduled, nullptr);
+    EXPECT_EQ(state.round, k);
+    ASSERT_EQ(state.jobs.size(), scheduled.jobs.size());
+    for (std::size_t j = 0; j < scheduled.jobs.size(); ++j) {
+      const JobSpec& spec = scheduled.jobs[j];
+      SCOPED_TRACE(spec.name);
+      const std::unique_ptr<opt::Strategy> strategy = opt::makeStrategy(
+          spec.strategy, circuits::Registry::global().makeProblem(spec.circuit),
+          spec.seed, spec.budget, spec.options);
+      strategy->restoreCheckpointBlob(state.jobs[j].strategyBlob,
+                                      journal + "[job " + spec.name + "]");
+      strategy->run();
+      EXPECT_TRUE(strategy->finished());
+      EXPECT_EQ(expected[j].seed, spec.seed);
+      expectSameOutcome(strategy->outcome(), expected[j].outcome);
+    }
+  }
+  std::remove(journal.c_str());
+  std::remove(whole.c_str());
 
-  Scenario good;
-  good.slice = 10;
-  good.jobs.push_back({"rs", "tiny_grid", {}, "random_search", "", 1, 45, 2,
-                       ckpt, {}, {}});
-  Scheduler scheduler(std::move(good));
-  const auto results = scheduler.run();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_GT(results[0].checkpoints, 0u);
-  // The snapshot is a loadable random-search checkpoint.
-  EXPECT_EQ(io::CheckpointReader::fromFile(ckpt).kind(), "random-search");
-  std::remove(ckpt.c_str());
+  // A strategy that cannot checkpoint refuses a journal, whether the
+  // scenario names one or it is enabled after construction.
+  Scenario bo;
+  bo.jobs.push_back(JobSpec{});
+  bo.jobs[0].name = "bo";
+  bo.jobs[0].circuit = "tiny_grid";
+  bo.jobs[0].strategy = "tree_bayes_opt";
+  bo.jobs[0].budget = 20;
+  Scheduler unjournaled(bo);
+  EXPECT_THROW(unjournaled.enableJournal(journal), std::invalid_argument);
+  bo.journalPath = journal;
+  EXPECT_THROW(Scheduler{std::move(bo)}, std::invalid_argument);
+}
+
+/// Whatever a job's problem factory throws, the error names the scenario
+/// line and the job.
+TEST(Scheduler, BuildErrorsNameTheJob) {
+  Scenario sc = parseScenarioText(
+      "name = broken\n[job]\nname = ok\ncircuit = tiny_grid\n"
+      "strategy = random_search\nbudget = 8\n"
+      "[job]\nname = flaky\ncircuit = flaky_netlist\n"
+      "strategy = random_search\nbudget = 8\n",
+      "broken.scenario");
+  ensureTinyGridRegistered();
+  sc.jobs[1].makeProblem = []() -> core::SizingProblem {
+    throw std::runtime_error("flaky_netlist: netlist unavailable");
+  };
+  try {
+    Scheduler scheduler(std::move(sc));
+    ADD_FAILURE() << "a job that failed to build was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario broken.scenario:7: job \"flaky\": flaky_netlist: "
+              "netlist unavailable");
+  }
 }
 
 TEST(Scheduler, DerivesDistinctSeedsAndRunsOnce) {
@@ -616,7 +705,6 @@ TEST(Scenario, ParsesFaultRetryAndJournalKeys) {
       "retry_backoff_cap = 16\n"
       "retry_timeout = 1.5\n"
       "journal = /tmp/j.tdck\n"
-      "journal_every = 3\n"
       "[job]\n"
       "circuit = ldo\n"
       "strategy = random_search\n"
@@ -633,7 +721,6 @@ TEST(Scenario, ParsesFaultRetryAndJournalKeys) {
   EXPECT_EQ(sc.retry.backoffCap, 16u);
   EXPECT_EQ(sc.retry.timeoutSeconds, 1.5);
   EXPECT_EQ(sc.journalPath, "/tmp/j.tdck");
-  EXPECT_EQ(sc.journalEvery, 3u);
   ASSERT_EQ(sc.jobs.size(), 1u);
   EXPECT_EQ(sc.jobs[0].maxFailures, 7u);
   EXPECT_NE(sc.jobs[0].sourceLine, 0u);
@@ -687,8 +774,6 @@ TEST(Scenario, RejectsInvalidFaultAndRetryConfigs) {
   EXPECT_EQ(parseScenarioText("retry_timeout = 1e300\n" + tail, "x")
                 .retry.timeoutSeconds,
             1e300);  // finite: a deadline that never fires
-  EXPECT_THROW(parseScenarioText("journal_every = 0\n" + tail, "x"),
-               std::invalid_argument);
   EXPECT_THROW(parseScenarioText("max_failures = 3\n" + tail, "x"),
                std::invalid_argument);  // global scope: job key
 }

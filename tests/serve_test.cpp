@@ -563,7 +563,9 @@ TEST(ServeTest, FuzzedSubmitBodiesAreAnsweredNeverFatal) {
     client.submit(broken);
     ADD_FAILURE() << "a job that failed to build was admitted";
   } catch (const ServeError& e) {
-    EXPECT_NE(std::string(e.what()).find("netlist unavailable"),
+    // The reason names the job and its [job] line, as every build error does.
+    EXPECT_NE(std::string(e.what()).find(
+                  ":2: job \"b\": broken_grid: netlist unavailable"),
               std::string::npos)
         << e.what();
   }
