@@ -329,9 +329,6 @@ void EvalEngine::dispatchMisses() {
   const std::size_t nLanes = pending_.size();
   const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
   const std::size_t chunks = (nLanes + width - 1) / width;
-  // Sampled per dispatch, not per engine lifetime: growth from other
-  // engines' dispatches between two of ours never lands in our stats.
-  const sim::SimPhaseTotals before = sim::simPhaseTotals();
   common::parallelForOn(common::ThreadPool::current(), chunks,
                         [&](std::size_t t) {
                           const std::size_t begin = t * width;
@@ -344,15 +341,6 @@ void EvalEngine::dispatchMisses() {
     stats_.attempts += missTrace_[i].retries + 1;
     stats_.backendSeconds += missTrace_[i].seconds;
   }
-  harvestSimPhases(before);
-}
-
-void EvalEngine::harvestSimPhases(const sim::SimPhaseTotals& before) {
-  const sim::SimPhaseTotals now = sim::simPhaseTotals();
-  stats_.simDeviceEvalNs += now.deviceEvalNs - before.deviceEvalNs;
-  stats_.simStampNs += now.stampNs - before.stampNs;
-  stats_.simFactorNs += now.factorNs - before.factorNs;
-  stats_.simSolveNs += now.solveNs - before.solveNs;
 }
 
 void EvalEngine::accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,

@@ -54,7 +54,6 @@
 #include "eval/shared_cache.hpp"
 #include "pvt/ledger.hpp"
 #include "sim/fault.hpp"
-#include "sim/sim_profile.hpp"
 
 namespace trdse::io {
 class SectionReader;
@@ -76,10 +75,13 @@ struct RetryPolicy {
   /// fast and bitwise reproducible.
   std::size_t backoffBase = 1;
   std::size_t backoffCap = 8;
-  /// Per-request wall-clock deadline (seconds); attempts running longer are
-  /// classified kTimeout and discarded. 0 disables. Like backendSeconds,
-  /// wall-clock classification is excluded from the determinism contract —
-  /// leave it 0 wherever bitwise reproducibility matters.
+  /// Wall-clock deadline (seconds) for one attempt; 0 disables. It is
+  /// compared with the elapsed time of the whole lane pass the attempt ran
+  /// in, not of its own lane, so every lane of a pass that overruns is
+  /// classified kTimeout and discarded: a request packed with others can
+  /// time out where it would not alone. Like backendSeconds, wall-clock
+  /// classification is excluded from the determinism contract — leave it 0
+  /// wherever bitwise reproducibility matters.
   double timeoutSeconds = 0.0;
 };
 
@@ -117,18 +119,8 @@ struct EvalStats {
   std::size_t faults = 0;       ///< attempts of consumed requests that faulted
   std::size_t failures = 0;     ///< requests failed after retry exhaustion
   std::size_t backoffUnits = 0; ///< deterministic backoff charged for retries
-  // Simulator phase attribution (sim/sim_profile.hpp): nanoseconds of
-  // device-eval / stamp / factor / solve time sampled as deltas of the
-  // process-wide phase counters around this engine's backend dispatches.
-  // Exactly zero unless sim profiling is enabled (the `trdse run` report
-  // turns it on); attribution is exact when one engine dispatches at a time.
-  // Measurement-only like backendSeconds — excluded from determinism
-  // guarantees, never persisted in checkpoints, never shipped in harvests.
-  std::uint64_t simDeviceEvalNs = 0;
-  std::uint64_t simStampNs = 0;
-  std::uint64_t simFactorNs = 0;
-  std::uint64_t simSolveNs = 0;
 
+  bool operator==(const EvalStats&) const = default;
   std::size_t blocksSaved() const { return cacheHits + sharedHits; }
   double hitRate() const {
     return requests == 0 ? 0.0
@@ -149,8 +141,8 @@ struct FailureRecord {
 };
 
 /// The one codec for EvalStats and FailureRecord, shared by engine
-/// checkpoints (saveState) and orchestration wire frames: every field but
-/// the measurement-only simulator phase counters, in declaration order.
+/// checkpoints (saveState) and orchestration wire frames: every field, in
+/// declaration order.
 /// Readers fail loudly (io::CheckpointError) on a broken stats partition, an
 /// unknown fault class, or a first-failure record with no fault class. The
 /// fault fields arrived with container format version 2: from a version-1
@@ -393,19 +385,13 @@ class EvalEngine {
   /// chunks of the backend's batch width on common::ThreadPool::current(),
   /// the pool the caller's step already fans out on (inline when there is
   /// none). Chunk boundaries depend only on the lane count and the width,
-  /// so the outcome is the same for any pool size. Fills missTrace_,
-  /// charges attempts and backendSeconds, and samples the simulator phase
-  /// counters.
+  /// so the outcome is the same for any pool size. Fills missTrace_ and
+  /// charges attempts and backendSeconds.
   void dispatchMisses();
 
   /// The ledger partition: the ledger and the stats describe the same
   /// consumed requests (checked in debug builds when the ledger records).
   bool ledgerMatchesStats() const;
-
-  /// Fold the process-wide sim phase counters' growth since `before` (sampled
-  /// as this engine's dispatch began) into stats_ (all-zero no-op unless sim
-  /// profiling is on).
-  void harvestSimPhases(const sim::SimPhaseTotals& before);
 
   /// One request's accounting in evalRequests' merge loop: updates stats,
   /// firstFailure_, and (when enabled) the ledger.

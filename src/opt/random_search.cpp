@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
@@ -157,6 +158,9 @@ void RandomSearch::restoreSections(const io::CheckpointReader& r) {
     cfg.fail("design-space dimensionality mismatch");
   if (cfg.u64() != problem_.corners.size()) cfg.fail("corner count mismatch");
   const std::uint64_t budget = cfg.u64();
+  if (budget != budget_)
+    cfg.fail("checkpoint was taken with budget " + std::to_string(budget) +
+             ", restoring into budget " + std::to_string(budget_));
   cfg.expectEnd();
 
   io::SectionReader st = r.section("state");
@@ -180,7 +184,6 @@ void RandomSearch::restoreSections(const io::CheckpointReader& r) {
   engine_.restoreState(eng);
   eng.expectEnd();
 
-  budget_ = budget;
   result_.ledger = engine_.ledger();
   result_.evalStats = engine_.stats();
 }

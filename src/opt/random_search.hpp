@@ -53,8 +53,9 @@ class RandomSearch final : public Strategy {
   /// memo/ledger/stats all snapshot (checkpoint kind "random-search").
   bool supportsCheckpoint() const override { return true; }
   std::string saveCheckpointBlob() const override;
-  /// A restore that fails past the container check leaves the
-  /// freshly-seeded state, never a hybrid.
+  /// A blob taken on another problem shape or budget is rejected. A restore
+  /// that fails past the container check leaves the freshly-seeded state,
+  /// never a hybrid.
   void restoreCheckpointBlob(const std::string& blob,
                              const std::string& source) override;
 

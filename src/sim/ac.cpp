@@ -19,18 +19,6 @@ linalg::ComplexVector AcSolver::solveAt(double freqHz) const {
   return ac.solution(0);
 }
 
-linalg::ComplexVector AcSolver::solveCurrentInjection(double freqHz, NodeId from,
-                                                      NodeId to) const {
-  // Unit current from -> to, independent sources dead (b = injection only;
-  // voltage-source branch rows keep their zero RHS, i.e. AC shorts).
-  linalg::Vector b(netlist_.unknownCount(), 0.0);
-  if (from != kGround) b[netlist_.nodeIndex(from)] -= 1.0;
-  if (to != kGround) b[netlist_.nodeIndex(to)] += 1.0;
-  AcBatch ac({&netlist_}, {&op_});
-  ac.solveAt(freqHz, {&b});
-  return ac.solution(0);
-}
-
 std::complex<double> AcSolver::nodeVoltage(const linalg::ComplexVector& x,
                                            NodeId n) const {
   if (n == kGround) return {0.0, 0.0};

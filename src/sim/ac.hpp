@@ -26,12 +26,6 @@ class AcSolver {
   /// Complex solution vector (nodes then branches) at one frequency.
   linalg::ComplexVector solveAt(double freqHz) const;
 
-  /// Solve with a unit AC current injected from node `from` into node `to`
-  /// (all independent AC sources zeroed) — the workhorse of noise analysis,
-  /// where every noise generator is a current source across its device.
-  linalg::ComplexVector solveCurrentInjection(double freqHz, NodeId from,
-                                              NodeId to) const;
-
   /// Complex voltage at a node for the solution of solveAt().
   std::complex<double> nodeVoltage(const linalg::ComplexVector& x, NodeId n) const;
 

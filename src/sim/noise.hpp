@@ -8,16 +8,18 @@
 //   diode:     shot      2 q Id
 // The output PSD is  sum_k |Z_out,k(f)|^2 * S_k(f), with Z from a unit
 // current injection solve per source. Input-referred noise divides by the
-// signal gain |H(f)|^2.
+// signal gain |H(f)|^2. Each analysis stamps one one-lane AcBatch
+// (sim/op_batch.hpp) and runs every injection and gain solve on it.
 #pragma once
 
 #include <vector>
 
-#include "sim/ac.hpp"
 #include "sim/dc.hpp"
 #include "sim/netlist.hpp"
 
 namespace trdse::sim {
+
+class AcBatch;
 
 struct NoiseOptions {
   double mosGamma = 1.0;     ///< excess channel-noise factor (short channel)
@@ -34,6 +36,8 @@ struct NoiseResult {
 
 class NoiseAnalyzer {
  public:
+  /// `op` must be a converged DcResult for `netlist`; both must outlive the
+  /// analyzer.
   NoiseAnalyzer(const Netlist& netlist, const DcResult& op,
                 NoiseOptions options = {});
 
@@ -47,11 +51,13 @@ class NoiseAnalyzer {
 
  private:
   double mosChannelPsd(const MosOp& op, const MosInstance& fet, double freq) const;
+  /// outputNoise's body, on the caller's AcBatch of this netlist.
+  NoiseResult outputNoiseOn(AcBatch& ac, const std::vector<double>& freqs,
+                            NodeId out) const;
 
   const Netlist& netlist_;
   const DcResult& op_;
   NoiseOptions options_;
-  AcSolver ac_;
 };
 
 }  // namespace trdse::sim

@@ -16,7 +16,6 @@
 #include "core/simd.hpp"
 #include "sim/assembly_plan.hpp"
 #include "sim/diode.hpp"
-#include "sim/sim_profile.hpp"
 
 namespace trdse::sim {
 
@@ -779,35 +778,23 @@ std::array<DcResult, kSimLanes> solveDcBatch(
         vB[i * L + static_cast<std::size_t>(l)] = v[i];
     }
     const V4i on = laneMask(live);
-    {
-      SimPhaseTimer timer(SimPhase::kDeviceEval);
-      evalDeviceBlocks(*plan, db, vB.data(), on);
-    }
-    {
-      SimPhaseTimer timer(SimPhase::kStamp);
-      for (int l = 0; l < L; ++l) {
-        if (!live[l]) continue;
-        const DcLane& ln = lanes[l];
-        if (!stampedValid[l] || stampedGmin[l] != ln.gmin ||
-            stampedSrc[l] != ln.srcScale) {
-          zeroLane(lin, l);
-          stampDcLinear(lin, *nls[l], l, ln.gmin, ln.srcScale);
-          stampedGmin[l] = ln.gmin;
-          stampedSrc[l] = ln.srcScale;
-          stampedValid[l] = true;
-        }
+    evalDeviceBlocks(*plan, db, vB.data(), on);
+    for (int l = 0; l < L; ++l) {
+      if (!live[l]) continue;
+      const DcLane& ln = lanes[l];
+      if (!stampedValid[l] || stampedGmin[l] != ln.gmin ||
+          stampedSrc[l] != ln.srcScale) {
+        zeroLane(lin, l);
+        stampDcLinear(lin, *nls[l], l, ln.gmin, ln.srcScale);
+        stampedGmin[l] = ln.gmin;
+        stampedSrc[l] = ln.srcScale;
+        stampedValid[l] = true;
       }
-      lu.load(lin, lin.rhs, on, workRhs);
-      scatterNonlinear(lu.data(), workRhs.data(), *plan, db, vB.data(), on);
     }
-    {
-      SimPhaseTimer timer(SimPhase::kFactor);
-      lu.factorInPlace(live);
-    }
-    {
-      SimPhaseTimer timer(SimPhase::kSolve);
-      lu.solve(workRhs, xB);
-    }
+    lu.load(lin, lin.rhs, on, workRhs);
+    scatterNonlinear(lu.data(), workRhs.data(), *plan, db, vB.data(), on);
+    lu.factorInPlace(live);
+    lu.solve(workRhs, xB);
     for (int l = 0; l < L; ++l) {
       if (!live[l]) continue;
       DcLane& ln = lanes[l];
@@ -943,20 +930,17 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
   // rows, capacitors, vsource rows), with the nonlinear (diode/MOS)
   // contributions appended each round below. Every lane is computed; the
   // lanes a round does not iterate are blended to a zero RHS as it loads.
-  {
-    SimPhaseTimer timer(SimPhase::kStamp);
-    double* rhs = w.stepRhs.data();
-    std::copy(w.lin.rhs.begin(), w.lin.rhs.end(), rhs);
-    for (const IndBlock& ind : inds)
-      simd::store4(rhs + ind.br * L,
-                   -(simd::load4(ind.vPrev) +
-                     simd::load4(ind.zeq) * simd::load4(ind.iPrev)));
-    for (const CapBlock& cs : caps) {
-      const V4d ieq = -simd::load4(cs.geq) * simd::load4(cs.vPrev) -
-                      simd::load4(cs.iPrev);
-      if (cs.a != kGround) subCell(rhs + rnl.nodeIndex(cs.a) * L, ieq);
-      if (cs.b != kGround) addCell(rhs + rnl.nodeIndex(cs.b) * L, ieq);
-    }
+  double* rhs = w.stepRhs.data();
+  std::copy(w.lin.rhs.begin(), w.lin.rhs.end(), rhs);
+  for (const IndBlock& ind : inds)
+    simd::store4(rhs + ind.br * L,
+                 -(simd::load4(ind.vPrev) +
+                   simd::load4(ind.zeq) * simd::load4(ind.iPrev)));
+  for (const CapBlock& cs : caps) {
+    const V4d ieq = -simd::load4(cs.geq) * simd::load4(cs.vPrev) -
+                    simd::load4(cs.iPrev);
+    if (cs.a != kGround) subCell(rhs + rnl.nodeIndex(cs.a) * L, ieq);
+    if (cs.b != kGround) addCell(rhs + rnl.nodeIndex(cs.b) * L, ieq);
   }
 
   // Each alive lane warm-starts from its last accepted point, which ws->v
@@ -972,20 +956,10 @@ void TransientBatch::Impl::doStep(std::size_t stepIndex) {
 
   for (int it = 0; it < opts.maxNewtonIterations && anyIterating(); ++it) {
     const V4i on = laneMask(iterating);
-    {
-      SimPhaseTimer timer(SimPhase::kDeviceEval);
-      evalDeviceBlocks(*plan, w.db, v, on);
-    }
-    {
-      SimPhaseTimer timer(SimPhase::kStamp);
-      lu.load(w.lin, w.stepRhs, on, w.workRhs);
-      scatterNonlinear(lu.data(), w.workRhs.data(), *plan, w.db, v, on);
-    }
-    {
-      SimPhaseTimer timer(SimPhase::kFactor);
-      lu.factorInPlace(iterating);
-    }
-    SimPhaseTimer timer(SimPhase::kSolve);
+    evalDeviceBlocks(*plan, w.db, v, on);
+    lu.load(w.lin, w.stepRhs, on, w.workRhs);
+    scatterNonlinear(lu.data(), w.workRhs.data(), *plan, w.db, v, on);
+    lu.factorInPlace(iterating);
     lu.solve(w.workRhs, w.xB);
     // Newton update of the lanes whose factorization held, and the largest
     // node step of each lane: std::max(maxStep, |dv|) per lane, its NaN rule
@@ -1359,185 +1333,182 @@ void AcBatch::solveAt(double freqHz,
   const V8d w8 = simd::concat8(simd::splat4(1.0), simd::splat4(w));
   const V4d wv = simd::splat4(w);
 
-  {
-    SimPhaseTimer timer(SimPhase::kFactor);
-    for (std::size_t i = 0; i < n; ++i)
-      for (int l = 0; l < L; ++l) im.perm[i * L + l] = i;
-    for (int l = 0; l < L; ++l) im.solveOk[l] = im.nls[l] != nullptr;
+  for (std::size_t i = 0; i < n; ++i)
+    for (int l = 0; l < L; ++l) im.perm[i * L + l] = i;
+  for (int l = 0; l < L; ++l) im.solveOk[l] = im.nls[l] != nullptr;
 
-    // Fused stamp + k = 0 step: pivot-search column 0 against on-the-fly
-    // stamped magnitudes, and when every lane agrees on the pivot row (the
-    // overwhelmingly common case for same-topology corner batches) perform
-    // the first elimination step reading stamped values directly from gc,
-    // writing the already-updated matrix into lu. Lanes that disagree fall
-    // back to a whole-image stamp followed by the generic per-lane step.
-    std::size_t kStart = 0;
-    V4d bests = simd::abs4(simd::load4(gc)) +
-                simd::abs4(wv * simd::load4(gc + L));
-    V4i pivots = simd::splatI4(0);
+  // Fused stamp + k = 0 step: pivot-search column 0 against on-the-fly
+  // stamped magnitudes, and when every lane agrees on the pivot row (the
+  // overwhelmingly common case for same-topology corner batches) perform
+  // the first elimination step reading stamped values directly from gc,
+  // writing the already-updated matrix into lu. Lanes that disagree fall
+  // back to a whole-image stamp followed by the generic per-lane step.
+  std::size_t kStart = 0;
+  V4d bests = simd::abs4(simd::load4(gc)) +
+              simd::abs4(wv * simd::load4(gc + L));
+  V4i pivots = simd::splatI4(0);
+  for (std::size_t r = 1; r < n; ++r) {
+    const V4d m = simd::abs4(simd::load4(gc + (r * n) * S)) +
+                  simd::abs4(wv * simd::load4(gc + (r * n) * S + L));
+    const V4i better = m > bests;
+    bests = simd::select4(better, m, bests);
+    pivots = simd::selectI4(
+        better, simd::splatI4(static_cast<std::int64_t>(r)), pivots);
+  }
+  const std::int64_t fp0 = pivots[0];
+  if (pivots[1] == fp0 && pivots[2] == fp0 && pivots[3] == fp0) {
+    for (int l = 0; l < L; ++l)
+      if (im.solveOk[l] && bests[l] < 1e-300) im.solveOk[l] = false;
+    const std::size_t p = static_cast<std::size_t>(fp0);
+    if (p != 0)
+      for (int l = 0; l < L; ++l) std::swap(im.perm[l], im.perm[p * L + l]);
+    // Row 0 of the factor is the stamped source row p, verbatim.
+    for (std::size_t c = 0; c < n; ++c)
+      simd::store8(lup + c * S, simd::load8(gc + (p * n + c) * S) * w8);
+    const V4d dre = simd::load4(lup);
+    const V4d dim = simd::load4(lup + L);
+    const V4d den = dre * dre + dim * dim;
+    const V4d rcp = simd::splat4(1.0) / den;
+    const V4d invRe = dre * rcp;
+    const V4d invIm = -dim * rcp;
     for (std::size_t r = 1; r < n; ++r) {
-      const V4d m = simd::abs4(simd::load4(gc + (r * n) * S)) +
-                    simd::abs4(wv * simd::load4(gc + (r * n) * S + L));
+      // Row r's source is row r, except the row displaced by the swap.
+      const double* __restrict g = gc + ((r == p ? 0 : r) * n) * S;
+      double* __restrict rowR = lup + (r * n) * S;
+      const V4d ar = simd::load4(g);
+      const V4d ai = wv * simd::load4(g + L);
+      const V4d fRe = ar * invRe - ai * invIm;
+      const V4d fIm = ar * invIm + ai * invRe;
+      simd::store4(rowR, fRe);
+      simd::store4(rowR + L, fIm);
+      for (std::size_t c = 1; c < n; ++c) {
+        const V4d sr = simd::load4(g + c * S);
+        const V4d si = wv * simd::load4(g + c * S + L);
+        const V4d kr = simd::load4(lup + c * S);
+        const V4d ki = simd::load4(lup + c * S + L);
+        simd::store4(rowR + c * S, sr - (fRe * kr - fIm * ki));
+        simd::store4(rowR + c * S + L, si - (fRe * ki + fIm * kr));
+      }
+    }
+    kStart = 1;
+  } else {
+    // Divergent pivots at k = 0: materialize the whole stamped image and
+    // let the generic step redo the search against identical values.
+    for (std::size_t i = 0; i < n * n; ++i)
+      simd::store8(lup + i * S, simd::load8(gc + i * S) * w8);
+  }
+
+  for (std::size_t k = kStart; k < n; ++k) {
+    // Pivot search: one 4-lane cabs1 (|re| + |im|, elementwise-exact) per
+    // candidate row, with a strict-greater first-wins mask blend. Per lane
+    // this performs the same comparisons in the same r order as the scalar
+    // LU, so the pivot choice (and every rounding after it) is identical;
+    // dead lanes' magnitudes are computed but never consumed.
+    V4d bests = simd::abs4(simd::load4(lup + (k * n + k) * S)) +
+                simd::abs4(simd::load4(lup + (k * n + k) * S + L));
+    V4i pivots = simd::splatI4(static_cast<std::int64_t>(k));
+    for (std::size_t r = k + 1; r < n; ++r) {
+      const V4d m = simd::abs4(simd::load4(lup + (r * n + k) * S)) +
+                    simd::abs4(simd::load4(lup + (r * n + k) * S + L));
       const V4i better = m > bests;
       bests = simd::select4(better, m, bests);
       pivots = simd::selectI4(
           better, simd::splatI4(static_cast<std::int64_t>(r)), pivots);
     }
-    const std::int64_t fp0 = pivots[0];
-    if (pivots[1] == fp0 && pivots[2] == fp0 && pivots[3] == fp0) {
-      for (int l = 0; l < L; ++l)
-        if (im.solveOk[l] && bests[l] < 1e-300) im.solveOk[l] = false;
-      const std::size_t p = static_cast<std::size_t>(fp0);
-      if (p != 0)
-        for (int l = 0; l < L; ++l) std::swap(im.perm[l], im.perm[p * L + l]);
-      // Row 0 of the factor is the stamped source row p, verbatim.
-      for (std::size_t c = 0; c < n; ++c)
-        simd::store8(lup + c * S, simd::load8(gc + (p * n + c) * S) * w8);
-      const V4d dre = simd::load4(lup);
-      const V4d dim = simd::load4(lup + L);
-      const V4d den = dre * dre + dim * dim;
-      const V4d rcp = simd::splat4(1.0) / den;
-      const V4d invRe = dre * rcp;
-      const V4d invIm = -dim * rcp;
-      for (std::size_t r = 1; r < n; ++r) {
-        // Row r's source is row r, except the row displaced by the swap.
-        const double* __restrict g = gc + ((r == p ? 0 : r) * n) * S;
-        double* __restrict rowR = lup + (r * n) * S;
-        const V4d ar = simd::load4(g);
-        const V4d ai = wv * simd::load4(g + L);
-        const V4d fRe = ar * invRe - ai * invIm;
-        const V4d fIm = ar * invIm + ai * invRe;
-        simd::store4(rowR, fRe);
-        simd::store4(rowR + L, fIm);
-        for (std::size_t c = 1; c < n; ++c) {
-          const V4d sr = simd::load4(g + c * S);
-          const V4d si = wv * simd::load4(g + c * S + L);
-          const V4d kr = simd::load4(lup + c * S);
-          const V4d ki = simd::load4(lup + c * S + L);
-          simd::store4(rowR + c * S, sr - (fRe * kr - fIm * ki));
-          simd::store4(rowR + c * S + L, si - (fRe * ki + fIm * kr));
+    for (int l = 0; l < L; ++l)
+      if (im.solveOk[l] && bests[l] < 1e-300)
+        im.solveOk[l] = false;  // singular: the lane's solution is zeros
+    const std::int64_t p0 = pivots[0];
+    if (pivots[1] == p0 && pivots[2] == p0 && pivots[3] == p0) {
+      // Same-topology corner batches almost always agree on the pivot row:
+      // swap whole cells instead of per-lane scalar strides. Pure data
+      // movement, so the lane arithmetic is untouched; dead lanes ride
+      // along unobservably (their solution is zeroed after the solve, and
+      // the scalar path never reads their rows again).
+      const std::size_t pivot = static_cast<std::size_t>(p0);
+      if (pivot != k) {
+        for (int l = 0; l < L; ++l)
+          std::swap(im.perm[k * L + l], im.perm[pivot * L + l]);
+        for (std::size_t c = 0; c < n; ++c) {
+          const V8d a = simd::load8(lup + (k * n + c) * S);
+          const V8d b = simd::load8(lup + (pivot * n + c) * S);
+          simd::store8(lup + (k * n + c) * S, b);
+          simd::store8(lup + (pivot * n + c) * S, a);
         }
       }
-      kStart = 1;
     } else {
-      // Divergent pivots at k = 0: materialize the whole stamped image and
-      // let the generic step redo the search against identical values.
-      for (std::size_t i = 0; i < n * n; ++i)
-        simd::store8(lup + i * S, simd::load8(gc + i * S) * w8);
-    }
-
-    for (std::size_t k = kStart; k < n; ++k) {
-      // Pivot search: one 4-lane cabs1 (|re| + |im|, elementwise-exact) per
-      // candidate row, with a strict-greater first-wins mask blend. Per lane
-      // this performs the same comparisons in the same r order as the scalar
-      // LU, so the pivot choice (and every rounding after it) is identical;
-      // dead lanes' magnitudes are computed but never consumed.
-      V4d bests = simd::abs4(simd::load4(lup + (k * n + k) * S)) +
-                  simd::abs4(simd::load4(lup + (k * n + k) * S + L));
-      V4i pivots = simd::splatI4(static_cast<std::int64_t>(k));
-      for (std::size_t r = k + 1; r < n; ++r) {
-        const V4d m = simd::abs4(simd::load4(lup + (r * n + k) * S)) +
-                      simd::abs4(simd::load4(lup + (r * n + k) * S + L));
-        const V4i better = m > bests;
-        bests = simd::select4(better, m, bests);
-        pivots = simd::selectI4(
-            better, simd::splatI4(static_cast<std::int64_t>(r)), pivots);
-      }
-      for (int l = 0; l < L; ++l)
-        if (im.solveOk[l] && bests[l] < 1e-300)
-          im.solveOk[l] = false;  // singular: the lane's solution is zeros
-      const std::int64_t p0 = pivots[0];
-      if (pivots[1] == p0 && pivots[2] == p0 && pivots[3] == p0) {
-        // Same-topology corner batches almost always agree on the pivot row:
-        // swap whole cells instead of per-lane scalar strides. Pure data
-        // movement, so the lane arithmetic is untouched; dead lanes ride
-        // along unobservably (their solution is zeroed after the solve, and
-        // the scalar path never reads their rows again).
-        const std::size_t pivot = static_cast<std::size_t>(p0);
+      for (int l = 0; l < L; ++l) {
+        if (!im.solveOk[l]) continue;
+        const std::size_t pivot = static_cast<std::size_t>(pivots[l]);
         if (pivot != k) {
-          for (int l = 0; l < L; ++l)
-            std::swap(im.perm[k * L + l], im.perm[pivot * L + l]);
+          std::swap(im.perm[k * L + l], im.perm[pivot * L + l]);
           for (std::size_t c = 0; c < n; ++c) {
-            const V8d a = simd::load8(lup + (k * n + c) * S);
-            const V8d b = simd::load8(lup + (pivot * n + c) * S);
-            simd::store8(lup + (k * n + c) * S, b);
-            simd::store8(lup + (pivot * n + c) * S, a);
-          }
-        }
-      } else {
-        for (int l = 0; l < L; ++l) {
-          if (!im.solveOk[l]) continue;
-          const std::size_t pivot = static_cast<std::size_t>(pivots[l]);
-          if (pivot != k) {
-            std::swap(im.perm[k * L + l], im.perm[pivot * L + l]);
-            for (std::size_t c = 0; c < n; ++c) {
-              std::swap(lup[(k * n + c) * S + l], lup[(pivot * n + c) * S + l]);
-              std::swap(lup[(k * n + c) * S + L + l],
-                        lup[(pivot * n + c) * S + L + l]);
-            }
+            std::swap(lup[(k * n + c) * S + l], lup[(pivot * n + c) * S + l]);
+            std::swap(lup[(k * n + c) * S + L + l],
+                      lup[(pivot * n + c) * S + L + l]);
           }
         }
       }
-      // Naive reciprocal of the diagonal, vectorized: the reference's
-      // expression sequence (d = re*re + im*im; id = 1/d; {re*id, -im*id}).
-      const V4d dre = simd::load4(lup + (k * n + k) * S);
-      const V4d dim = simd::load4(lup + (k * n + k) * S + L);
-      const V4d den = dre * dre + dim * dim;
-      const V4d rcp = simd::splat4(1.0) / den;
-      const V4d invRe = dre * rcp;
-      const V4d invIm = -dim * rcp;
-      const double* __restrict rowK = lup + (k * n) * S;
-      // Two-row blocking: rows r and r+1 share one load of the pivot row's
-      // (kr, ki) per column. Each row still executes exactly its scalar
-      // expression sequence — blocking only interleaves two independent
-      // rows' updates, so the bitwise contract is untouched.
-      std::size_t r = k + 1;
-      for (; r + 1 < n; r += 2) {
-        // Rows r, r+1 and k are pairwise disjoint slices, so restrict holds.
-        double* __restrict rowR = lup + (r * n) * S;
-        double* __restrict rowQ = lup + ((r + 1) * n) * S;
-        const V4d ar0 = simd::load4(rowR + k * S);
-        const V4d ai0 = simd::load4(rowR + k * S + L);
-        const V4d ar1 = simd::load4(rowQ + k * S);
-        const V4d ai1 = simd::load4(rowQ + k * S + L);
-        const V4d fRe0 = ar0 * invRe - ai0 * invIm;
-        const V4d fIm0 = ar0 * invIm + ai0 * invRe;
-        const V4d fRe1 = ar1 * invRe - ai1 * invIm;
-        const V4d fIm1 = ar1 * invIm + ai1 * invRe;
-        simd::store4(rowR + k * S, fRe0);
-        simd::store4(rowR + k * S + L, fIm0);
-        simd::store4(rowQ + k * S, fRe1);
-        simd::store4(rowQ + k * S + L, fIm1);
-        for (std::size_t c = k + 1; c < n; ++c) {
-          const V4d kr = simd::load4(rowK + c * S);
-          const V4d ki = simd::load4(rowK + c * S + L);
-          simd::store4(rowR + c * S,
-                       simd::load4(rowR + c * S) - (fRe0 * kr - fIm0 * ki));
-          simd::store4(rowR + c * S + L,
-                       simd::load4(rowR + c * S + L) - (fRe0 * ki + fIm0 * kr));
-          simd::store4(rowQ + c * S,
-                       simd::load4(rowQ + c * S) - (fRe1 * kr - fIm1 * ki));
-          simd::store4(rowQ + c * S + L,
-                       simd::load4(rowQ + c * S + L) - (fRe1 * ki + fIm1 * kr));
-        }
+    }
+    // Naive reciprocal of the diagonal, vectorized: the reference's
+    // expression sequence (d = re*re + im*im; id = 1/d; {re*id, -im*id}).
+    const V4d dre = simd::load4(lup + (k * n + k) * S);
+    const V4d dim = simd::load4(lup + (k * n + k) * S + L);
+    const V4d den = dre * dre + dim * dim;
+    const V4d rcp = simd::splat4(1.0) / den;
+    const V4d invRe = dre * rcp;
+    const V4d invIm = -dim * rcp;
+    const double* __restrict rowK = lup + (k * n) * S;
+    // Two-row blocking: rows r and r+1 share one load of the pivot row's
+    // (kr, ki) per column. Each row still executes exactly its scalar
+    // expression sequence — blocking only interleaves two independent
+    // rows' updates, so the bitwise contract is untouched.
+    std::size_t r = k + 1;
+    for (; r + 1 < n; r += 2) {
+      // Rows r, r+1 and k are pairwise disjoint slices, so restrict holds.
+      double* __restrict rowR = lup + (r * n) * S;
+      double* __restrict rowQ = lup + ((r + 1) * n) * S;
+      const V4d ar0 = simd::load4(rowR + k * S);
+      const V4d ai0 = simd::load4(rowR + k * S + L);
+      const V4d ar1 = simd::load4(rowQ + k * S);
+      const V4d ai1 = simd::load4(rowQ + k * S + L);
+      const V4d fRe0 = ar0 * invRe - ai0 * invIm;
+      const V4d fIm0 = ar0 * invIm + ai0 * invRe;
+      const V4d fRe1 = ar1 * invRe - ai1 * invIm;
+      const V4d fIm1 = ar1 * invIm + ai1 * invRe;
+      simd::store4(rowR + k * S, fRe0);
+      simd::store4(rowR + k * S + L, fIm0);
+      simd::store4(rowQ + k * S, fRe1);
+      simd::store4(rowQ + k * S + L, fIm1);
+      for (std::size_t c = k + 1; c < n; ++c) {
+        const V4d kr = simd::load4(rowK + c * S);
+        const V4d ki = simd::load4(rowK + c * S + L);
+        simd::store4(rowR + c * S,
+                     simd::load4(rowR + c * S) - (fRe0 * kr - fIm0 * ki));
+        simd::store4(rowR + c * S + L,
+                     simd::load4(rowR + c * S + L) - (fRe0 * ki + fIm0 * kr));
+        simd::store4(rowQ + c * S,
+                     simd::load4(rowQ + c * S) - (fRe1 * kr - fIm1 * ki));
+        simd::store4(rowQ + c * S + L,
+                     simd::load4(rowQ + c * S + L) - (fRe1 * ki + fIm1 * kr));
       }
-      for (; r < n; ++r) {
-        // Rows r and k are disjoint slices (r > k), so restrict holds.
-        double* __restrict rowR = lup + (r * n) * S;
-        const V4d ar = simd::load4(rowR + k * S);
-        const V4d ai = simd::load4(rowR + k * S + L);
-        const V4d fRe = ar * invRe - ai * invIm;
-        const V4d fIm = ar * invIm + ai * invRe;
-        simd::store4(rowR + k * S, fRe);
-        simd::store4(rowR + k * S + L, fIm);
-        for (std::size_t c = k + 1; c < n; ++c) {
-          const V4d kr = simd::load4(rowK + c * S);
-          const V4d ki = simd::load4(rowK + c * S + L);
-          simd::store4(rowR + c * S,
-                       simd::load4(rowR + c * S) - (fRe * kr - fIm * ki));
-          simd::store4(rowR + c * S + L,
-                       simd::load4(rowR + c * S + L) - (fRe * ki + fIm * kr));
-        }
+    }
+    for (; r < n; ++r) {
+      // Rows r and k are disjoint slices (r > k), so restrict holds.
+      double* __restrict rowR = lup + (r * n) * S;
+      const V4d ar = simd::load4(rowR + k * S);
+      const V4d ai = simd::load4(rowR + k * S + L);
+      const V4d fRe = ar * invRe - ai * invIm;
+      const V4d fIm = ar * invIm + ai * invRe;
+      simd::store4(rowR + k * S, fRe);
+      simd::store4(rowR + k * S + L, fIm);
+      for (std::size_t c = k + 1; c < n; ++c) {
+        const V4d kr = simd::load4(rowK + c * S);
+        const V4d ki = simd::load4(rowK + c * S + L);
+        simd::store4(rowR + c * S,
+                     simd::load4(rowR + c * S) - (fRe * kr - fIm * ki));
+        simd::store4(rowR + c * S + L,
+                     simd::load4(rowR + c * S + L) - (fRe * ki + fIm * kr));
       }
     }
   }
@@ -1546,7 +1517,6 @@ void AcBatch::solveAt(double freqHz,
   // is the caller's or else the stamped excitation). The solution vector
   // shares the matrix's cell layout, so the triangular accumulations run on
   // whole cells in the scalar order (re: mr*xr - mi*xi, im: mr*xi + mi*xr).
-  SimPhaseTimer timer(SimPhase::kSolve);
   double* __restrict x = im.x.data();
   for (std::size_t i = 0; i < n; ++i) {
     double init[L];

@@ -29,6 +29,7 @@
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
 #include "core/surrogate.hpp"
+#include "eval_stats_eq.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 #include "nn/loss.hpp"
@@ -42,6 +43,7 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
+using testing_stats::countersOf;
 
 Matrix randomMatrix(std::size_t r, std::size_t c, std::mt19937_64& rng) {
   std::uniform_real_distribution<double> d(-2.0, 2.0);
@@ -939,14 +941,7 @@ TEST(PvtSearchParallel, ThreadCountDoesNotChangeOutcome) {
         EXPECT_EQ(x.retries, y.retries) << i;
         EXPECT_EQ(x.backoff, y.backoff) << i;
       }
-      EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
-      EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
-      EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
-      EXPECT_EQ(a.evalStats.sharedHits, b.evalStats.sharedHits);
-      EXPECT_EQ(a.evalStats.attempts, b.evalStats.attempts);
-      EXPECT_EQ(a.evalStats.faults, b.evalStats.faults);
-      EXPECT_EQ(a.evalStats.failures, b.evalStats.failures);
-      EXPECT_EQ(a.evalStats.backoffUnits, b.evalStats.backoffUnits);
+      EXPECT_EQ(countersOf(a.evalStats), countersOf(b.evalStats));
       EXPECT_TRUE(blobWithoutWallClock(other.blob) ==
                   blobWithoutWallClock(serial.blob));
     }

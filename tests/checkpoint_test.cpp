@@ -18,6 +18,7 @@
 
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
+#include "eval_stats_eq.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 #include "pool_task.hpp"
@@ -28,6 +29,7 @@ namespace trdse {
 namespace {
 
 using linalg::Vector;
+using testing_stats::countersOf;
 
 /// A path in the test temp dir, with any file an earlier run left there
 /// removed: a test must never read a checkpoint it did not write itself.
@@ -104,9 +106,7 @@ void expectOutcomeEq(const core::PvtSearchOutcome& a,
   expectEvalsEq(a.cornerEvals, b.cornerEvals);
   EXPECT_EQ(a.cornersActivated, b.cornersActivated);
   expectLedgerEq(a.ledger, b.ledger);
-  EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
-  EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
-  EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
+  EXPECT_EQ(countersOf(a.evalStats), countersOf(b.evalStats));
 }
 
 // ---------- Container format ----------
@@ -624,9 +624,7 @@ TEST(SessionCheckpoint, SaveResumeReproducesReportBitwise) {
   EXPECT_EQ(full.sizes, continued.sizes);  // bitwise
   expectEvalsEq(full.cornerEvals, continued.cornerEvals);
   expectLedgerEq(full.ledger, continued.ledger);
-  EXPECT_EQ(full.evalStats.requests, continued.evalStats.requests);
-  EXPECT_EQ(full.evalStats.simulated, continued.evalStats.simulated);
-  EXPECT_EQ(full.evalStats.cacheHits, continued.evalStats.cacheHits);
+  EXPECT_EQ(countersOf(full.evalStats), countersOf(continued.evalStats));
   // The whole human-readable report (timing never enters it) must agree.
   EXPECT_EQ(full.summary, continued.summary);
 }
@@ -660,9 +658,7 @@ TEST(SessionCheckpoint, SnapshotsAtEveryQuarterResume) {
     EXPECT_EQ(full.sizes, continued.sizes);  // bitwise
     expectEvalsEq(full.cornerEvals, continued.cornerEvals);
     expectLedgerEq(full.ledger, continued.ledger);
-    EXPECT_EQ(full.evalStats.requests, continued.evalStats.requests);
-    EXPECT_EQ(full.evalStats.simulated, continued.evalStats.simulated);
-    EXPECT_EQ(full.evalStats.cacheHits, continued.evalStats.cacheHits);
+    EXPECT_EQ(countersOf(full.evalStats), countersOf(continued.evalStats));
     EXPECT_EQ(full.summary, continued.summary);
   }
 }
@@ -706,18 +702,6 @@ core::SizingProblem fusedRlProblem() {
       results[i] = fn(*sizes[i], corners[i]);
   };
   return p;
-}
-
-/// Every EvalStats field but the wall-clock backend time, bit for bit.
-void expectStatsEq(const eval::EvalStats& a, const eval::EvalStats& b) {
-  EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.simulated, b.simulated);
-  EXPECT_EQ(a.cacheHits, b.cacheHits);
-  EXPECT_EQ(a.sharedHits, b.sharedHits);
-  EXPECT_EQ(a.failures, b.failures);
-  EXPECT_EQ(a.attempts, b.attempts);
-  EXPECT_EQ(a.faults, b.faults);
-  EXPECT_EQ(a.backoffUnits, b.backoffUnits);
 }
 
 /// The three Table I algorithms, with rollouts short enough that a run
@@ -774,7 +758,8 @@ TEST(RlCheckpoint, LearnersResumeMidRolloutBitwise) {
       tail.run(kBudget);
       expectRlOutcomeEq(full.outcome(), tail.outcome());
       EXPECT_EQ(full.updates(), tail.updates());
-      expectStatsEq(full.engine().stats(), tail.engine().stats());
+      EXPECT_EQ(countersOf(full.engine().stats()),
+                countersOf(tail.engine().stats()));
 
       // A snapshot saved between rollouts keeps the layout it always had.
       EXPECT_FALSE(io::CheckpointReader("t", rl::RlLearner(prob, algo).save())

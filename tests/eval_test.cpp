@@ -19,15 +19,16 @@
 #include "core/sizing_api.hpp"
 #include "eval/eval_cache.hpp"
 #include "eval/eval_engine.hpp"
+#include "eval_stats_eq.hpp"
 #include "pool_task.hpp"
 #include "pvt/corners.hpp"
 #include "rl/sizing_env.hpp"
-#include "sim/sim_profile.hpp"
 
 namespace trdse {
 namespace {
 
 using linalg::Vector;
+using testing_stats::countersOf;
 
 /// Cheap closed-form multi-corner CSP; counts real evaluate() calls so tests
 /// can distinguish logical requests from backend invocations.
@@ -200,10 +201,7 @@ TEST(EvalEngine, ThreadCountDoesNotChangeResultsOrAccounting) {
   for (std::size_t k = 1; k < runs.size(); ++k) {
     const Run& run = runs[k];
     SCOPED_TRACE("pool " + std::to_string(testing_pool::kPoolSizes[k]));
-    EXPECT_EQ(run.stats.requests, ref.stats.requests);
-    EXPECT_EQ(run.stats.simulated, ref.stats.simulated);
-    EXPECT_EQ(run.stats.cacheHits, ref.stats.cacheHits);
-    EXPECT_EQ(run.stats.attempts, ref.stats.attempts);
+    EXPECT_EQ(countersOf(run.stats), countersOf(ref.stats));
     ASSERT_EQ(run.results.size(), ref.results.size());
     for (std::size_t i = 0; i < ref.results.size(); ++i)
       EXPECT_EQ(run.results[i].measurements, ref.results[i].measurements);
@@ -524,48 +522,6 @@ TEST(CallbackBackend, EveryChunkRunsFusedAndNoFusedMeansScalarPerSlot) {
                            out.data(), 3);
   EXPECT_EQ(scalarCalls, 3u);
   expectModel(3);
-}
-
-// ---------- Simulator phase counters ----------
-
-TEST(EvalStats, SimPhaseCountersCoverOnePointRequests) {
-  // A lone evalOne is a one-lane pass of the lane engine, which times every
-  // simulator phase. With profiling on, one request on each registry circuit
-  // must move all four phase counters of its engine.
-  struct ProfilingOn {
-    bool was = sim::simProfilingEnabled();
-    ProfilingOn() { sim::setSimProfiling(true); }
-    ~ProfilingOn() { sim::setSimProfiling(was); }
-  } profiling;
-  const auto phaseNs = [](const eval::EvalStats& st) {
-    return st.simDeviceEvalNs + st.simStampNs + st.simFactorNs +
-           st.simSolveNs;
-  };
-  const auto& reg = circuits::Registry::global();
-  // Built before the loop and dispatched after it: an engine's counters
-  // cover its own dispatches only, not other engines' work in between.
-  const core::SizingProblem opamp = reg.makeProblem("two_stage_opamp");
-  eval::EvalEngine late(opamp, {/*cacheEvals=*/false});
-  std::uint64_t loopNs = 0;
-  for (const auto& name : reg.names()) {
-    const core::SizingProblem prob = reg.makeProblem(name);
-    eval::EvalEngine engine(prob, {/*cacheEvals=*/false});
-    std::mt19937_64 rng(17);
-    engine.evalOne(0, prob.space.randomPoint(rng), pvt::BlockKind::kSearch);
-    const eval::EvalStats& st = engine.stats();
-    EXPECT_EQ(st.simulated + st.failures, 1u) << name;
-    EXPECT_GT(st.simDeviceEvalNs, 0u) << name;
-    EXPECT_GT(st.simStampNs, 0u) << name;
-    EXPECT_GT(st.simFactorNs, 0u) << name;
-    EXPECT_GT(st.simSolveNs, 0u) << name;
-    loopNs += phaseNs(st);
-  }
-  // One opamp point against the loop's four circuits, an ICO transient
-  // among them.
-  std::mt19937_64 rng(17);
-  late.evalOne(0, opamp.space.randomPoint(rng), pvt::BlockKind::kSearch);
-  EXPECT_GT(phaseNs(late.stats()), 0u);
-  EXPECT_LT(phaseNs(late.stats()), loopNs);
 }
 
 }  // namespace

@@ -15,12 +15,15 @@
 #include "eval/eval_engine.hpp"
 #include "eval/fault_injector.hpp"
 #include "eval/shared_cache.hpp"
+#include "eval_stats_eq.hpp"
 #include "io/checkpoint.hpp"
 #include "pool_task.hpp"
 #include "sim/fault.hpp"
 
 namespace trdse::eval {
 namespace {
+
+using testing_stats::countersOf;
 
 /// 9x9 3-corner CSP with corner-dependent measurements, so batches fan out
 /// across the pool and cache keys distinguish corners.
@@ -431,11 +434,8 @@ TEST(EvalEngineFaults, BatchedDispatchDrawsIdenticalFaultSlots) {
       EXPECT_EQ(ls[i].backoff, lb[i].backoff) << "block " << i;
       EXPECT_EQ(ls[i].meetsSpec, lb[i].meetsSpec) << "block " << i;
     }
-    EXPECT_EQ(scalarEngine.stats().attempts, batchEngine.stats().attempts);
-    EXPECT_EQ(scalarEngine.stats().faults, batchEngine.stats().faults);
-    EXPECT_EQ(scalarEngine.stats().failures, batchEngine.stats().failures);
-    EXPECT_EQ(scalarEngine.stats().backoffUnits,
-              batchEngine.stats().backoffUnits);
+    EXPECT_EQ(countersOf(scalarEngine.stats()),
+              countersOf(batchEngine.stats()));
     // The plan's rates are high enough that this exercises real faults.
     EXPECT_GT(scalarEngine.stats().faults, 0u);
   }
@@ -635,11 +635,7 @@ TEST(FaultCheckpoint, EngineStateRoundTripsBitwise) {
   b.restoreState(r);
   r.expectEnd();
 
-  EXPECT_EQ(b.stats().requests, a.stats().requests);
-  EXPECT_EQ(b.stats().failures, a.stats().failures);
-  EXPECT_EQ(b.stats().attempts, a.stats().attempts);
-  EXPECT_EQ(b.stats().faults, a.stats().faults);
-  EXPECT_EQ(b.stats().backoffUnits, a.stats().backoffUnits);
+  EXPECT_EQ(b.stats(), a.stats());
   EXPECT_EQ(b.cacheSize(), a.cacheSize());
   ASSERT_TRUE(b.firstFailure().valid);
   EXPECT_EQ(b.firstFailure().request, a.firstFailure().request);

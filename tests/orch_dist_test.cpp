@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuits/registry.hpp"
+#include "eval_stats_eq.hpp"
 #include "io/checkpoint.hpp"
 #include "orch/distributed.hpp"
 #include "orch/scenario.hpp"
@@ -27,6 +28,8 @@
 
 namespace trdse::orch {
 namespace {
+
+using testing_stats::countersOf;
 
 /// Synthetic 2-D CSP on a deliberately coarse grid (9x9 = 81 distinct
 /// points), so concurrent jobs collide on cache keys within a few rounds
@@ -136,9 +139,8 @@ void expectSameLedger(const pvt::EdaLedger& a, const pvt::EdaLedger& b) {
   }
 }
 
-/// Bitwise comparison of everything a JobResult reports. backendSeconds is
-/// deliberately not part of EvalStats comparisons anywhere in the repo —
-/// wall-clock timing is measurement, not outcome.
+/// Bitwise comparison of everything a JobResult reports but the wall-clock
+/// backendSeconds, which is measurement, not outcome.
 void expectSameOutcome(const opt::StrategyOutcome& a,
                        const opt::StrategyOutcome& b) {
   EXPECT_EQ(a.solved, b.solved);
@@ -146,14 +148,7 @@ void expectSameOutcome(const opt::StrategyOutcome& a,
   EXPECT_EQ(a.sizes, b.sizes);
   EXPECT_EQ(a.bestValue, b.bestValue);
   EXPECT_EQ(a.bestMeasurements, b.bestMeasurements);
-  EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
-  EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
-  EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
-  EXPECT_EQ(a.evalStats.sharedHits, b.evalStats.sharedHits);
-  EXPECT_EQ(a.evalStats.attempts, b.evalStats.attempts);
-  EXPECT_EQ(a.evalStats.faults, b.evalStats.faults);
-  EXPECT_EQ(a.evalStats.failures, b.evalStats.failures);
-  EXPECT_EQ(a.evalStats.backoffUnits, b.evalStats.backoffUnits);
+  EXPECT_EQ(countersOf(a.evalStats), countersOf(b.evalStats));
   expectSameLedger(a.ledger, b.ledger);
 }
 
@@ -787,6 +782,7 @@ TEST(Wire, PayloadCodecsRoundTrip) {
   rep.stats.attempts = 45;
   rep.stats.faults = 2;
   rep.stats.backoffUnits = 3;
+  rep.stats.backendSeconds = 1.25;
   rep.firstFailure.valid = true;
   rep.firstFailure.request = 12;
   rep.firstFailure.cornerIndex = 1;
@@ -811,11 +807,7 @@ TEST(Wire, PayloadCodecsRoundTrip) {
   EXPECT_EQ(back.stepError, rep.stepError);
   EXPECT_EQ(back.finished, rep.finished);
   EXPECT_EQ(back.iterations, rep.iterations);
-  EXPECT_EQ(back.stats.requests, rep.stats.requests);
-  EXPECT_EQ(back.stats.simulated, rep.stats.simulated);
-  EXPECT_EQ(back.stats.cacheHits, rep.stats.cacheHits);
-  EXPECT_EQ(back.stats.sharedHits, rep.stats.sharedHits);
-  EXPECT_EQ(back.stats.failures, rep.stats.failures);
+  EXPECT_EQ(back.stats, rep.stats);
   ASSERT_EQ(back.publishes.size(), 1u);
   EXPECT_EQ(back.publishes[0].key.indices, entry.key.indices);
   EXPECT_EQ(back.publishes[0].key.cornerIndex, entry.key.cornerIndex);

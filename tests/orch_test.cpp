@@ -16,6 +16,7 @@
 
 #include "circuits/registry.hpp"
 #include "core/pvt_search.hpp"
+#include "eval_stats_eq.hpp"
 #include "io/checkpoint.hpp"
 #include "opt/random_search.hpp"
 #include "opt/strategy.hpp"
@@ -27,6 +28,8 @@
 
 namespace trdse::orch {
 namespace {
+
+using testing_stats::countersOf;
 
 /// Synthetic 2-D CSP on a deliberately coarse grid (9x9 = 81 distinct
 /// points), so concurrent jobs collide on cache keys within a few rounds.
@@ -105,14 +108,7 @@ void expectSameOutcome(const opt::StrategyOutcome& a,
   EXPECT_EQ(a.sizes, b.sizes);
   EXPECT_EQ(a.bestValue, b.bestValue);
   EXPECT_EQ(a.bestMeasurements, b.bestMeasurements);
-  EXPECT_EQ(a.evalStats.requests, b.evalStats.requests);
-  EXPECT_EQ(a.evalStats.simulated, b.evalStats.simulated);
-  EXPECT_EQ(a.evalStats.cacheHits, b.evalStats.cacheHits);
-  EXPECT_EQ(a.evalStats.sharedHits, b.evalStats.sharedHits);
-  EXPECT_EQ(a.evalStats.attempts, b.evalStats.attempts);
-  EXPECT_EQ(a.evalStats.faults, b.evalStats.faults);
-  EXPECT_EQ(a.evalStats.failures, b.evalStats.failures);
-  EXPECT_EQ(a.evalStats.backoffUnits, b.evalStats.backoffUnits);
+  EXPECT_EQ(countersOf(a.evalStats), countersOf(b.evalStats));
   expectSameLedger(a.ledger, b.ledger);
 }
 
@@ -477,6 +473,33 @@ TEST(Strategy, RandomSearchCheckpointRoundTrip) {
   EXPECT_THROW(resumed.restoreCheckpointBlob(wrongKind.finish(), "wrong-kind"),
                io::CheckpointError);
   std::remove(path.c_str());
+}
+
+TEST(Strategy, RandomSearchKeepsItsBudgetOnRestore) {
+  // Radius 0.05 has no feasible grid point, so every search runs its whole
+  // budget. A blob taken at budget 90 is rejected by a search built with 50,
+  // naming both, and the search stays the fresh one with its own budget.
+  const core::SizingProblem prob = tinyGridProblem(0.05);
+  opt::RandomSearch saver(prob, 7, 90);
+  saver.step(41);
+  const std::string blob = saver.saveCheckpointBlob();
+
+  const auto strat = opt::makeStrategy("random_search", prob, 7, 50);
+  try {
+    strat->restoreCheckpointBlob(blob, "budget-90");
+    ADD_FAILURE() << "a budget-90 blob restored into a budget-50 search";
+  } catch (const io::CheckpointError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("budget 90"), std::string::npos) << what;
+    EXPECT_NE(what.find("budget 50"), std::string::npos) << what;
+  }
+  EXPECT_EQ(strat->budget(), 50u);
+  strat->run();
+  EXPECT_EQ(strat->outcome().evalStats.requests, 50u);
+
+  const auto fresh = opt::makeStrategy("random_search", prob, 7, 50);
+  fresh->run();
+  expectSameOutcome(strat->outcome(), fresh->outcome());
 }
 
 // ---- Scheduler -----------------------------------------------------------

@@ -29,6 +29,7 @@
 
 #include "circuits/registry.hpp"
 #include "eval/eval_engine.hpp"
+#include "eval_stats_eq.hpp"
 #include "pvt/corners.hpp"
 #include "sim/ac.hpp"
 #include "sim/assembly_plan.hpp"
@@ -564,18 +565,24 @@ struct AcOps {
   }
 };
 
-/// Unit current injected from node n1 into node n3 of a kitchen-sink lane.
-linalg::Vector sinkInjection(const Netlist& nl) {
+/// Unit current injected from node `from` into node `to` (either may be
+/// ground) of a kitchen-sink lane; n1 into n3 by default.
+linalg::Vector sinkInjection(const Netlist& nl, const char* from = "n1",
+                             const char* to = "n3") {
   linalg::Vector b(nl.unknownCount(), 0.0);
-  b[nl.nodeIndex(nl.findNode("n1"))] -= 1.0;
-  b[nl.nodeIndex(nl.findNode("n3"))] += 1.0;
+  const NodeId f = nl.findNode(from);
+  const NodeId t = nl.findNode(to);
+  if (f != kGround) b[nl.nodeIndex(f)] -= 1.0;
+  if (t != kGround) b[nl.nodeIndex(t)] += 1.0;
   return b;
 }
 
 TEST(SimBatchAc, EveryLaneBitwiseMatchesReference) {
   // Every unknown of every lane of a full batch — on the stamped excitation,
-  // and with a current injection standing in for it on lanes 1 and 3 — and
-  // of the one-lane AcSolver's solveAt, solveCurrentInjection and sweep.
+  // and with a current injection standing in for it on lanes 1 and 3 — of
+  // the one-lane AcSolver's solveAt and sweep, and of one one-lane AcBatch
+  // per lane reused across frequencies and injections, the way
+  // NoiseAnalyzer drives it.
   const SinkLanes lanes;
   const AcOps dc(lanes.nls);
   std::array<reference::AcSystem, kSimLanes> refs;
@@ -584,8 +591,15 @@ TEST(SimBatchAc, EveryLaneBitwiseMatchesReference) {
   const linalg::Vector inj = sinkInjection(lanes.nls[0]);
   const std::array<const linalg::Vector*, kSimLanes> rhs = {nullptr, &inj,
                                                             nullptr, &inj};
-  const NodeId n1 = lanes.nls[0].findNode("n1");
+  const std::vector<linalg::Vector> injections = {
+      inj, sinkInjection(lanes.nls[0], "n3", "0"),
+      sinkInjection(lanes.nls[0], "n2", "n5")};
   const NodeId n3 = lanes.nls[0].findNode("n3");
+  std::vector<std::unique_ptr<AcBatch>> oneLane;
+  for (std::size_t l = 0; l < kSimLanes; ++l)
+    oneLane.push_back(std::make_unique<AcBatch>(
+        std::array<const Netlist*, kSimLanes>{&lanes.nls[l]},
+        std::array<const DcResult*, kSimLanes>{&dc.dcs[l]}));
 
   AcBatch ac(lanes.nlp, dc.ops);
   const auto freqs = AcSolver::logSpace(10.0, 20e9, 60);
@@ -601,10 +615,14 @@ TEST(SimBatchAc, EveryLaneBitwiseMatchesReference) {
         ASSERT_BITS_EQ(ref[node - 1].real(), v.real());
         ASSERT_BITS_EQ(ref[node - 1].imag(), v.imag());
       }
-      const AcSolver one(lanes.nls[l], dc.dcs[l]);
-      expectSameAc(ref, one.solveAt(f), l);
-      expectSameAc(reference::solveAc(refs[l], f, &inj),
-                   one.solveCurrentInjection(f, n1, n3), l);
+      expectSameAc(ref, AcSolver(lanes.nls[l], dc.dcs[l]).solveAt(f), l);
+      for (const linalg::Vector& b : injections) {
+        oneLane[l]->solveAt(f, {&b});
+        expectSameAc(reference::solveAc(refs[l], f, &b),
+                     oneLane[l]->solution(0), l);
+      }
+      oneLane[l]->solveAt(f);  // no injection leaks into the stamped solve
+      expectSameAc(ref, oneLane[l]->solution(0), l);
     }
     ac.solveAt(f, rhs);
     for (std::size_t l = 0; l < kSimLanes; ++l)
@@ -835,6 +853,8 @@ TEST(DiodeProperty, ConductanceIsStrictlyPositive) {
 namespace trdse::eval {
 namespace {
 
+using testing_stats::countersOf;
+
 testing::AssertionResult sameBits(double a, double b) {
   if (std::memcmp(&a, &b, sizeof(double)) == 0)
     return testing::AssertionSuccess();
@@ -924,17 +944,8 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
         EXPECT_EQ(lo[i].retries, lb[i].retries);
         EXPECT_EQ(lo[i].backoff, lb[i].backoff);
       }
-      // Stats: identical except backendSeconds (wall time, not semantics).
-      const EvalStats& so = oneSlotEngine.stats();
-      const EvalStats& sb = batchEngine.stats();
-      EXPECT_EQ(so.requests, sb.requests);
-      EXPECT_EQ(so.simulated, sb.simulated);
-      EXPECT_EQ(so.cacheHits, sb.cacheHits);
-      EXPECT_EQ(so.sharedHits, sb.sharedHits);
-      EXPECT_EQ(so.attempts, sb.attempts);
-      EXPECT_EQ(so.faults, sb.faults);
-      EXPECT_EQ(so.failures, sb.failures);
-      EXPECT_EQ(so.backoffUnits, sb.backoffUnits);
+      EXPECT_EQ(countersOf(oneSlotEngine.stats()),
+                countersOf(batchEngine.stats()));
     }
   }
 }
@@ -1135,18 +1146,11 @@ TEST(EvalEngineLookahead, PackedLanesMatchOneRequestAtATime) {
               << "slot " << i << " meas " << m << ' ' << where;
       }
 
-      const EvalStats& sp = ahead.stats();
-      const EvalStats& ss = sequential.stats();
-      EXPECT_EQ(sp.requests, ss.requests) << where;
-      EXPECT_EQ(sp.simulated, ss.simulated) << where;
-      EXPECT_EQ(sp.cacheHits, ss.cacheHits) << where;
-      EXPECT_EQ(sp.sharedHits, ss.sharedHits) << where;
-      EXPECT_EQ(sp.faults, ss.faults) << where;
-      EXPECT_EQ(sp.failures, ss.failures) << where;
-      EXPECT_EQ(sp.backoffUnits, ss.backoffUnits) << where;
       // Nothing was wasted, so the lane evaluations match too, and every
       // one of them reached the backend.
-      EXPECT_EQ(sp.attempts, ss.attempts) << where;
+      const EvalStats& sp = ahead.stats();
+      const EvalStats& ss = sequential.stats();
+      EXPECT_EQ(countersOf(sp), countersOf(ss)) << where;
       EXPECT_EQ(sp.attempts, sp.simulated + sp.faults) << where;
       EXPECT_EQ(ahead.cacheSize(), sequential.cacheSize()) << where;
       if (!withFaults) {

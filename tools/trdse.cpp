@@ -36,7 +36,6 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/report.hpp"
-#include "sim/sim_profile.hpp"
 
 namespace {
 
@@ -146,12 +145,6 @@ int cmdRun(ArgCursor args, bool resume) {
       return usage();
     }
 
-    // Per-phase simulator attribution is on for the whole run (one relaxed
-    // atomic load per phase scope when idle elsewhere); it feeds the
-    // stderr-only "# sim-phase" comment below and never touches stdout.
-    // Enabled before the scheduler exists so forked workers inherit it.
-    trdse::sim::setSimProfiling(true);
-
     // --workers only picks the transport that steps each round, so it is a
     // pure throughput knob.
     trdse::orch::Scheduler scheduler(std::move(scenario));
@@ -196,24 +189,6 @@ int cmdRun(ArgCursor args, bool resume) {
                    w, rep.sharedHits, rep.sharedMisses);
     }
     std::fputs(trdse::serve::renderReport(report).c_str(), stdout);
-    // Simulator phase attribution, summed over the job engines' EvalStats.
-    // Stderr comment lines only: stdout is golden-diffed and wall time is
-    // outside the determinism contract. Harvests from forked workers do not
-    // carry the phase fields (they are never on the wire), so runs with
-    // workers report zeros here.
-    {
-      std::uint64_t dev = 0, stamp = 0, factor = 0, solve = 0;
-      for (const trdse::orch::JobResult& jr : results) {
-        dev += jr.outcome.evalStats.simDeviceEvalNs;
-        stamp += jr.outcome.evalStats.simStampNs;
-        factor += jr.outcome.evalStats.simFactorNs;
-        solve += jr.outcome.evalStats.simSolveNs;
-      }
-      std::fprintf(stderr,
-                   "# sim-phase: deviceEval=%.1fms stamp=%.1fms "
-                   "factor=%.1fms solve=%.1fms\n",
-                   dev / 1e6, stamp / 1e6, factor / 1e6, solve / 1e6);
-    }
     // Lane evaluations the strategies' lookahead simulated and no request
     // ever asked for: `attempts` counts every lane evaluation, `simulated`
     // and `faults` only consumed requests. Harvests carry all three, so this
