@@ -116,7 +116,8 @@ pairs = [
 # dropped) would freeze its BENCH_micro.json entry at the last written value
 # and quietly hollow out the speedup pairs above — fail loudly instead.
 required = sorted({name for _, slow, fast in pairs for name in (slow, fast)}
-                  | {"BM_WireRoundTrip"})
+                  | {"BM_WireRoundTrip", "BM_ExtraTreesFit",
+                     "BM_TreeBoAcquire"})
 missing = [name for name in required if name not in result]
 if missing:
     sys.exit(f"error: expected benchmark(s) missing from {raw_path}: "

@@ -32,6 +32,8 @@ DEFAULT_HOT = [
     "BM_SurrogateScoreBatch",
     "BM_SurrogateEpoch",
     "BM_PpoUpdateBatched",
+    "BM_ExtraTreesFit",
+    "BM_TreeBoAcquire",
 ]
 
 

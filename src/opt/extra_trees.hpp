@@ -5,6 +5,15 @@
 // draws a random feature and a random threshold per split; the ensemble mean
 // is the prediction and the across-tree spread is the uncertainty the
 // acquisition function exploits.
+//
+// A fit keeps the whole forest in one flat node array, with each split's two
+// children side by side, so a walk step is `left + !(x[f] < threshold)`; a
+// leaf keeps its mean in the threshold slot and is its own left child.
+// Prediction runs on blocks of rows, tree by tree, with several walks in
+// flight; a one-row block is the single-point prediction, and a row's result
+// does not depend on the block around it. Fits and predictions are
+// bit-identical to the per-node, per-trial loops kept in
+// tests/extra_trees_reference.hpp.
 #pragma once
 
 #include <cstdint>
@@ -35,32 +44,36 @@ class ExtraTreesRegressor {
   void fit(const std::vector<linalg::Vector>& x, const std::vector<double>& y,
            std::uint64_t seed);
 
-  bool fitted() const { return !trees_.empty(); }
+  bool fitted() const { return !roots_.empty(); }
 
+  /// One point of the fitted dimension: a one-row block prediction.
   Prediction predict(const linalg::Vector& x) const;
+
+  /// Predict `rows` points stored row after row at `x` (each as many values
+  /// as the fitted samples had) into `out[0, rows)`.
+  void predict(const double* x, std::size_t rows, Prediction* out) const;
 
  private:
   struct Node {
-    // Leaf when feature < 0.
-    int feature = -1;
-    double threshold = 0.0;
-    std::size_t left = 0;
-    std::size_t right = 0;
-    double value = 0.0;  ///< leaf mean
+    std::int32_t feature = -1;  ///< split feature; a leaf when negative
+    std::uint32_t left = 0;     ///< left child (right: left + 1), or itself
+    double threshold = 0.0;     ///< split threshold, or the leaf's mean
   };
-  struct Tree {
-    std::vector<Node> nodes;
-  };
+  struct FitScratch;
 
-  std::size_t buildNode(Tree& tree, const std::vector<linalg::Vector>& x,
-                        const std::vector<double>& y,
-                        std::vector<std::size_t>& indices, std::size_t begin,
-                        std::size_t end, std::size_t depth, std::mt19937_64& rng);
+  void buildNode(std::size_t node, std::size_t begin, std::size_t end,
+                 std::size_t depth, FitScratch& s, std::mt19937_64& rng);
 
-  double predictTree(const Tree& tree, const linalg::Vector& x) const;
+  /// Walk the W rows at `x` down the tree at `root` together; row w's leaf
+  /// value goes to leaf[w * stride].
+  template <std::size_t W>
+  void walk(std::uint32_t root, const double* x, double* leaf,
+            std::size_t stride) const;
 
   ExtraTreesConfig config_;
-  std::vector<Tree> trees_;
+  std::size_t dim_ = 0;
+  std::vector<Node> nodes_;           ///< every tree's nodes
+  std::vector<std::uint32_t> roots_;  ///< each tree's root in nodes_
 };
 
 }  // namespace trdse::opt

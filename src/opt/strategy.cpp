@@ -36,6 +36,16 @@ double parseF64(const std::string& key, const std::string& value) {
   return common::parseF64("strategy option \"" + key + "\"", value);
 }
 
+/// parseU64 restricted to counts >= 1.
+std::uint64_t parseCount(const std::string& key, const std::string& value) {
+  const std::uint64_t v = parseU64(key, value);
+  if (v == 0)
+    throw std::invalid_argument("strategy option \"" + key +
+                                "\": expected a count >= 1, got \"" + value +
+                                "\"");
+  return v;
+}
+
 bool parseBool(const std::string& key, const std::string& value) {
   return common::parseBool("strategy option \"" + key + "\"", value);
 }
@@ -175,7 +185,8 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
     applyOptions(
         name, options,
         [&cfg](const std::string& k, const std::string& v) {
-          if (k == "init_samples") cfg.initSamples = parseU64(k, v);
+          // The forest fits on the init samples: it needs at least one.
+          if (k == "init_samples") cfg.initSamples = parseCount(k, v);
           else if (k == "candidate_pool") cfg.candidatePool = parseU64(k, v);
           else if (k == "local_fraction")
             cfg.localFraction =

@@ -3,8 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace trdse::opt {
+
+namespace {
+
+/// Candidates drawn and predicted together; memory stays bounded whatever
+/// the candidate pool.
+constexpr std::size_t kCandidateBlock = 64;
+
+}  // namespace
 
 TreeBayesOpt::TreeBayesOpt(core::SizingProblem problem,
                            TreeBayesOptConfig config, std::size_t budget)
@@ -14,7 +23,12 @@ TreeBayesOpt::TreeBayesOpt(core::SizingProblem problem,
       engine_(problem_),
       rng_(config.seed),
       budget_(budget),
-      gauss_(0.0, config.localSigma) {}
+      gauss_(0.0, config.localSigma) {
+  // The forest needs a sample to fit: without one every prediction is 0/0
+  // and the search would stop before its first acquisition.
+  if (config_.initSamples == 0)
+    throw std::invalid_argument("TreeBayesOpt: initSamples must be >= 1");
+}
 
 bool TreeBayesOpt::finished() const {
   return phase_ == Phase::kDone || result_.solved ||
@@ -84,11 +98,14 @@ const StrategyOutcome& TreeBayesOpt::step(std::size_t target) {
   const eval::LookaheadScope lookahead(engine_);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
   const auto& space = problem_.space;
+  const std::size_t dim = space.dim();
+  std::vector<double> block(kCandidateBlock * dim);
+  std::vector<Prediction> preds(kCandidateBlock);
 
   while (phase_ != Phase::kDone && !result_.solved &&
          result_.iterations < target) {
     if (phase_ == Phase::kInitSample) {
-      if (initDone_ >= config_.initSamples) {  // covers initSamples == 0
+      if (initDone_ >= config_.initSamples) {
         phase_ = Phase::kBoLoop;
         continue;
       }
@@ -112,24 +129,37 @@ const StrategyOutcome& TreeBayesOpt::step(std::size_t target) {
     const double kappa =
         config_.kappaStart + (config_.kappaEnd - config_.kappaStart) * progress;
 
+    // Candidates are drawn a block at a time in the serial order, predicted
+    // together, and scanned in order; only the winner is copied out.
     linalg::Vector bestCand;
     double bestAcq = -std::numeric_limits<double>::infinity();
     const std::size_t nLocal = static_cast<std::size_t>(
         config_.localFraction * static_cast<double>(config_.candidatePool));
-    for (std::size_t c = 0; c < config_.candidatePool; ++c) {
-      linalg::Vector u(space.dim());
-      if (c < nLocal && !bestUnit_.empty()) {
-        for (std::size_t d = 0; d < space.dim(); ++d)
-          u[d] = std::clamp(bestUnit_[d] + gauss_(rng_), 0.0, 1.0);
-      } else {
-        for (std::size_t d = 0; d < space.dim(); ++d) u[d] = unif(rng_);
+    for (std::size_t c0 = 0; c0 < config_.candidatePool;
+         c0 += kCandidateBlock) {
+      const std::size_t rows =
+          std::min(kCandidateBlock, config_.candidatePool - c0);
+      for (std::size_t r = 0; r < rows; ++r) {
+        double* u = block.data() + r * dim;
+        if (c0 + r < nLocal && !bestUnit_.empty()) {
+          for (std::size_t d = 0; d < dim; ++d)
+            u[d] = std::clamp(bestUnit_[d] + gauss_(rng_), 0.0, 1.0);
+        } else {
+          for (std::size_t d = 0; d < dim; ++d) u[d] = unif(rng_);
+        }
       }
-      const Prediction p = model_.predict(u);
-      const double acq = p.mean + kappa * p.std;
-      if (acq > bestAcq) {
-        bestAcq = acq;
-        bestCand = u;
+      model_.predict(block.data(), rows, preds.data());
+      std::size_t winner = rows;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double acq = preds[r].mean + kappa * preds[r].std;
+        if (acq > bestAcq) {
+          bestAcq = acq;
+          winner = r;
+        }
       }
+      if (winner < rows)
+        bestCand.assign(block.data() + winner * dim,
+                        block.data() + (winner + 1) * dim);
     }
     if (bestCand.empty()) {
       phase_ = Phase::kDone;  // empty candidate pool: nothing left to try

@@ -28,7 +28,7 @@
 namespace trdse::opt {
 
 struct TreeBayesOptConfig {
-  std::size_t initSamples = 12;
+  std::size_t initSamples = 12;  ///< >= 1: the forest fits on them
   std::size_t candidatePool = 600;
   double localFraction = 0.35;    ///< candidates perturbed around incumbent
   double localSigma = 0.08;       ///< unit-space perturbation width

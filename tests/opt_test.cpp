@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <random>
@@ -11,6 +12,7 @@
 
 #include "eval/shared_cache.hpp"
 #include "eval_stats_eq.hpp"
+#include "extra_trees_reference.hpp"
 #include "opt/extra_trees.hpp"
 #include "opt/random_search.hpp"
 #include "opt/strategy.hpp"
@@ -109,6 +111,91 @@ TEST(ExtraTrees, UncertaintyHigherNearDecisionBoundary) {
   model.fit(xs, ys, 9);
   EXPECT_GT(model.predict({0.5}).std, model.predict({0.1}).std);
   EXPECT_GT(model.predict({0.5}).std, model.predict({0.9}).std);
+}
+
+bool sameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The forest's fit and prediction equal the per-trial reference loops bit
+/// for bit: on continuous data and on grid-snapped data whose ties make
+/// equal split scores and empty threshold ranges common, with constant
+/// columns and duplicate rows, for split-trial counts below, at and beyond
+/// one scoring block, and for shallow trees and one-sample leaves. Each
+/// fitted forest predicts its training rows and fresh points, one at a time
+/// and as one block whose length is rarely a multiple of the walk count.
+TEST(ExtraTrees, BitwiseMatchesReference) {
+  const ExtraTreesConfig configs[] = {
+      {},              // 30 trees, leaves of 3, depth 18, 8 trials
+      {5, 1, 18, 1},   // one trial, one-sample leaves
+      {7, 2, 3, 16},   // two full trial blocks, depth 3
+      {4, 1, 18, 11},  // a full block and a partial one
+  };
+  std::size_t fits = 0;
+  std::size_t mismatches = 0;
+  for (const std::size_t dim : {1u, 2u, 9u, 13u})
+    for (const std::size_t n : {1u, 2u, 3u, 4u, 7u, 64u, 157u, 300u})
+      for (const int levels : {0, 2, 16, 64}) {
+        std::mt19937_64 rng(1000 * dim + 10 * n + levels);
+        std::uniform_real_distribution<double> unif(0.0, 1.0);
+        const auto draw = [&] {
+          const double u = unif(rng);
+          return levels == 0 ? u : std::round(u * (levels - 1)) / (levels - 1);
+        };
+        // 16 levels: the last column is constant. 64 levels: the second
+        // half of the rows repeats the first. 2 levels: half the zeros are
+        // -0.0, and coarse targets make split scores tie too.
+        std::vector<linalg::Vector> xs(n, linalg::Vector(dim));
+        std::vector<double> ys(n);
+        for (std::size_t r = 0; r < n; ++r) {
+          if (levels == 64 && r >= (n + 1) / 2) {
+            xs[r] = xs[r - (n + 1) / 2];
+          } else {
+            for (std::size_t d = 0; d < dim; ++d) xs[r][d] = draw();
+            if (levels == 16 && dim > 1) xs[r][dim - 1] = 0.25;
+            if (levels == 2 && r % 2 == 1)
+              for (double& v : xs[r]) v = v == 0.0 ? -0.0 : v;
+          }
+          double y = 0.0;
+          for (const double v : xs[r]) y += std::sin(3.0 * v);
+          ys[r] = levels == 2 ? std::round(2.0 * y) / 2.0 : y;
+        }
+        std::vector<double> queries;
+        for (const auto& x : xs)
+          queries.insert(queries.end(), x.begin(), x.end());
+        for (std::size_t q = 0; q < 13 * dim; ++q) queries.push_back(draw());
+        const std::size_t rows = queries.size() / dim;
+
+        for (const ExtraTreesConfig& cfg : configs) {
+          const std::uint64_t seed = fits + 1;
+          reference::ExtraTreesRegressor ref(cfg);
+          ref.fit(xs, ys, seed);
+          ExtraTreesRegressor forest(cfg);
+          forest.fit(xs, ys, seed);
+          ++fits;
+          std::vector<Prediction> block(rows);
+          forest.predict(queries.data(), rows, block.data());
+          for (std::size_t r = 0; r < rows; ++r) {
+            const linalg::Vector q(queries.begin() + r * dim,
+                                   queries.begin() + (r + 1) * dim);
+            const Prediction want = ref.predict(q);
+            const Prediction one = forest.predict(q);
+            const bool same = sameBits(one.mean, want.mean) &&
+                              sameBits(one.std, want.std) &&
+                              sameBits(block[r].mean, want.mean) &&
+                              sameBits(block[r].std, want.std);
+            if (!same && ++mismatches <= 5)
+              ADD_FAILURE() << "dim " << dim << " n " << n << " levels "
+                            << levels << " trials " << cfg.splitTrials
+                            << " row " << r << ": mean " << one.mean << " / "
+                            << block[r].mean << " vs " << want.mean
+                            << ", std " << one.std << " / " << block[r].std
+                            << " vs " << want.std;
+          }
+        }
+      }
+  EXPECT_EQ(fits, 512u);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(RandomSearch, SolvesEasyProblem) {
@@ -317,7 +404,7 @@ LegacyOutcome legacyTreeBayesOpt(const core::SizingProblem& problem,
     observe(space.randomPoint(rng));
   }
 
-  ExtraTreesRegressor model;
+  reference::ExtraTreesRegressor model;
   std::normal_distribution<double> gauss(0.0, config.localSigma);
   std::uniform_real_distribution<double> unif(0.0, 1.0);
   std::size_t lastFitSize = 0;
@@ -397,15 +484,23 @@ TEST(TreeBayesOpt, BitwiseMatchesPreRefactorLoop) {
     std::uint64_t seed;
     std::size_t budget;
     bool multiCorner;
+    std::size_t candidatePool;
   };
-  const Case cases[] = {{0.08, 100, 2000, false},  // solves
-                        {0.005, 31, 150, false},   // exhausts the budget
-                        {0.3, 21, 400, true}};     // multi-corner sweeps
+  // The 203-candidate pool ends mid-block, and its local/global boundary
+  // (candidate 71) falls inside the second block. The 65-candidate pool's
+  // last block holds one candidate, which wins some acquisitions of that
+  // run: a scan that skipped a block's last candidate fails it.
+  const Case cases[] = {{0.08, 100, 2000, false, 600},  // solves
+                        {0.005, 31, 150, false, 600},   // exhausts the budget
+                        {0.3, 21, 400, true, 600},      // multi-corner sweeps
+                        {0.005, 44, 160, false, 203},   // a partial last block
+                        {0.005, 44, 300, false, 65}};   // a one-row last block
   for (const Case& c : cases) {
     const auto prob =
         c.multiCorner ? multiCornerProblem(c.radius) : syntheticProblem(c.radius);
     TreeBayesOptConfig cfg;
     cfg.seed = c.seed;
+    cfg.candidatePool = c.candidatePool;
     const LegacyOutcome legacy = legacyTreeBayesOpt(prob, cfg, c.budget);
     TreeBayesOpt bo(prob, cfg, c.budget);
     const StrategyOutcome& out = bo.run();

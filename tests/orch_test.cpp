@@ -420,14 +420,15 @@ TEST(Strategy, FactoryRejectsUnknownNamesAndOptions) {
                std::invalid_argument);
   // Non-finite or out-of-range numeric options: a NaN kappa makes every
   // acquisition compare false (the search stops after its init samples), a
-  // NaN local_fraction reaches a float-to-size_t cast.
+  // NaN local_fraction reaches a float-to-size_t cast, and with no init
+  // sample the forest fits on nothing and the search stops at once.
   const std::pair<const char*, const char*> badBo[] = {
       {"kappa_start", "nan"},    {"kappa_start", "inf"},
       {"kappa_end", "-inf"},     {"kappa_end", "nan"},
       {"local_fraction", "nan"}, {"local_fraction", "-0.1"},
       {"local_fraction", "1.5"}, {"local_sigma", "nan"},
       {"local_sigma", "inf"},    {"local_sigma", "0"},
-      {"local_sigma", "-0.1"}};
+      {"local_sigma", "-0.1"},   {"init_samples", "0"}};
   for (const auto& [key, value] : badBo)
     EXPECT_THROW(opt::makeStrategy("tree_bayes_opt", prob, 1, 10,
                                    {{key, value}}),
@@ -694,6 +695,31 @@ TEST(Scheduler, BuildErrorsNameTheJob) {
               "scenario broken.scenario:7: job \"flaky\": flaky_netlist: "
               "netlist unavailable");
   }
+}
+
+/// A tree_bayes_opt job with no init samples is refused when the scenario is
+/// built, naming the job's line, rather than run as a search that stops
+/// before its first acquisition; the strategy refuses it on its own too.
+TEST(Scheduler, RejectsTreeBayesOptWithoutInitSamples) {
+  ensureTinyGridRegistered();
+  Scenario sc = parseScenarioText(
+      "name = bo\n[job]\nname = ok\ncircuit = tiny_grid\n"
+      "strategy = tree_bayes_opt\nbudget = 20\n"
+      "[job]\nname = empty\ncircuit = tiny_grid\n"
+      "strategy = tree_bayes_opt\nbudget = 20\nopt.init_samples = 0\n",
+      "bo.scenario");
+  try {
+    Scheduler scheduler(std::move(sc));
+    ADD_FAILURE() << "opt.init_samples = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario bo.scenario:7: job \"empty\": strategy option "
+              "\"init_samples\": expected a count >= 1, got \"0\"");
+  }
+  opt::TreeBayesOptConfig cfg;
+  cfg.initSamples = 0;
+  EXPECT_THROW(opt::TreeBayesOpt(tinyGridProblem(), cfg, 20),
+               std::invalid_argument);
 }
 
 TEST(Scheduler, DerivesDistinctSeedsAndRunsOnce) {
