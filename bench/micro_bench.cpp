@@ -193,6 +193,32 @@ void BM_SurrogateEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_SurrogateEpoch);
 
+// One surrogate fit at the size the TRM chain runs it: each step refits every
+// active corner's 9→48→48→4 network for 40 epochs on its local samples, about
+// 14 of them (pvt9_trm's trm_s10 takes 13 240 Adam steps over 11 320
+// epochs), so a fit is 40 single-batch epochs. The shuffle draws are the
+// step's serial rng work, outside the timed fit.
+void BM_SurrogateFit(benchmark::State& state) {
+  std::mt19937_64 rng(2);
+  std::uniform_real_distribution<double> d(0.0, 1.0);
+  core::SurrogateConfig cfg;
+  cfg.hiddenWidth = 48;
+  cfg.epochsPerUpdate = 40;
+  core::SpiceSurrogate sur(9, 4, cfg, 5);
+  for (int i = 0; i < 14; ++i) {
+    linalg::Vector x(9);
+    for (auto& v : x) v = d(rng);
+    sur.addSample(x, {x[0] + x[1], x[2] - x[3], x[4] * x[5], x[6]});
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    sur.drawShuffles(rng);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(sur.fit());
+  }
+}
+BENCHMARK(BM_SurrogateFit);
+
 // ---- Surrogate MC-candidate scoring: the planner's hot path ----
 //
 // Per TRM step the explorer scores mcSamples = 800 trust-region candidates on

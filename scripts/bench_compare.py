@@ -31,6 +31,7 @@ DEFAULT_HOT = [
     "BM_PvtCornerSweepPooled",
     "BM_SurrogateScoreBatch",
     "BM_SurrogateEpoch",
+    "BM_SurrogateFit",
     "BM_PpoUpdateBatched",
     "BM_ExtraTreesFit",
     "BM_TreeBoAcquire",

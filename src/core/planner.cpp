@@ -29,6 +29,62 @@ void drawCandidates(const linalg::Vector& centerUnit, double radius,
 
 }  // namespace
 
+void SnapTable::build(const DesignSpace& space) {
+  // An unbuilt table holds the empty space, whose table is empty too.
+  if (space.params() == space_.params()) return;
+  // A direct index within `guard` steps of a tie may round the other way
+  // from the exact one. The two differ by a few ulps of y (pow, log10, the
+  // subtraction) scaled into grid steps, plus a few ulps of the index itself:
+  // kGuardUlps ulps of both is a margin of about 10^6 over that. Past
+  // kMaxGuard the fallback would be common, so the axis stays exact.
+  constexpr double kGuardUlps = 0x1p20;
+  constexpr double kMaxGuard = 1e-3;
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  space_ = space;
+  axes_.assign(space.dim(), Axis{});
+  unit_.clear();
+  for (std::size_t i = 0; i < space.dim(); ++i) {
+    const ParamDef& p = space.param(i);
+    Axis& ax = axes_[i];
+    ax.offset = unit_.size();
+    ax.last = p.steps - 1;
+    ax.guard = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < p.steps; ++k)
+      unit_.push_back(space.valueToUnit(i, space.gridValue(i, k)));
+    if (!p.logScale) continue;
+    ax.logLo = std::log10(p.lo);
+    ax.logSpan = std::log10(p.hi) - ax.logLo;
+    ax.scale = static_cast<double>(ax.last) / ax.logSpan;
+    const double guard =
+        kGuardUlps * kEps *
+        (std::max(std::abs(ax.logLo), std::abs(ax.logLo + ax.logSpan)) +
+         ax.logSpan) *
+        ax.scale;
+    // A degenerate range gives 0/0 or x/0 here: not below kMaxGuard.
+    if (guard < kMaxGuard) ax.guard = guard;
+  }
+}
+
+void SnapTable::snap(const double* u, double* out) const {
+  for (std::size_t i = 0; i < axes_.size(); ++i) {
+    const Axis& ax = axes_[i];
+    std::size_t k = 0;
+    bool exact = true;
+    if (ax.guard < std::numeric_limits<double>::infinity()) {
+      const double t = std::clamp(u[i], 0.0, 1.0);
+      const double y = ax.logLo + t * ax.logSpan;
+      const double z = (y - ax.logLo) * ax.scale + 0.5;
+      // z >= 0 up to rounding, so truncation rounds the index to nearest.
+      k = z > 0.0 ? static_cast<std::size_t>(z) : 0;
+      const double f = z - static_cast<double>(k);
+      exact = !(f >= ax.guard && f <= 1.0 - ax.guard);
+    }
+    if (exact) k = space_.nearestIndex(i, space_.unitToValue(i, u[i]));
+    // Only a NaN coordinate, outside the contract, can land past the axis.
+    out[i] = unit_[ax.offset + std::min(k, ax.last)];
+  }
+}
+
 std::size_t CandidatePlanner::plan(
     const DesignSpace& space, const ValueFunction& value,
     std::span<const SpiceSurrogate* const> surrogates,
@@ -50,6 +106,7 @@ std::size_t CandidatePlanner::plan(
   if (chunks_.size() < nChunks) chunks_.resize(nChunks);
 
   const std::size_t dim = space.dim();
+  snap_.build(space);
   common::parallelForOn(pool, nChunks, [&](std::size_t c) {
     const std::size_t begin = c * rowsPerChunk;
     const std::size_t end = std::min(count, begin + rowsPerChunk);
@@ -57,7 +114,7 @@ std::size_t CandidatePlanner::plan(
     ch.x.resize(end - begin, dim);
     for (std::size_t s = begin; s < end; ++s) {
       double* row = cand_.row(s);
-      space.snapUnit(row, row);
+      snap_.snap(row, row);
       std::copy(row, row + dim, ch.x.row(s - begin));
     }
     for (const SpiceSurrogate* sur : surrogates) {

@@ -17,6 +17,50 @@ class ThreadPool;
 
 namespace trdse::core {
 
+/// toUnit(fromUnitSnapped(u)) by table, the planner's per-candidate snap.
+///
+/// The snapped unit value of a coordinate depends only on its variable and
+/// grid index, so build() tabulates valueToUnit(gridValue(i, k)) once per
+/// space and snap() only finds the index. On a log-scale axis the exact
+/// index, nearestIndex(i, unitToValue(i, u)), goes through pow and log10; the
+/// table reads it straight from y = log10(lo) + t·(log10(hi) − log10(lo)) as
+/// round((y − log10(lo))·(steps − 1)/(log10(hi) − log10(lo))). That value
+/// differs from the exact path's by the pow/log10 round trip, a few ulps of
+/// y, so whenever it lies within guard(i) grid steps of a rounding tie the
+/// coordinate takes the exact path instead. The guard bounds the round trip
+/// with a margin of about 10^6, and an axis whose guard is not small (and
+/// every linear axis, whose exact index needs no transcendental) always takes
+/// the exact path. The result is bitwise the composition's.
+class SnapTable {
+ public:
+  /// Tabulates `space`, unless the table already holds a space with the same
+  /// parameters.
+  void build(const DesignSpace& space);
+
+  /// toUnit(fromUnitSnapped(u)) of one point of the built space's dim()
+  /// coordinates, written into `out` (which may alias `u`).
+  void snap(const double* u, double* out) const;
+
+  /// Half-width, in grid steps, of the band around each rounding tie of
+  /// variable `dim` where snap() takes the exact path; +inf for an axis that
+  /// always does.
+  double guard(std::size_t dim) const { return axes_[dim].guard; }
+
+ private:
+  struct Axis {
+    std::size_t offset = 0;  ///< first table entry of the axis
+    std::size_t last = 0;    ///< steps − 1
+    double logLo = 0.0;      ///< log10(lo)
+    double logSpan = 0.0;    ///< log10(hi) − log10(lo)
+    double scale = 0.0;      ///< (steps − 1) / logSpan
+    double guard = 0.0;
+  };
+
+  DesignSpace space_;
+  std::vector<Axis> axes_;
+  std::vector<double> unit_;  ///< valueToUnit(gridValue(i, k)), axis by axis
+};
+
 /// Algorithm 1 line 10, PvtSearch's planner: Monte Carlo candidates in the
 /// trust region, scored on one or more surrogates, keeping the candidate
 /// whose lowest planner score across them is highest (the paper's "lowest
@@ -27,6 +71,8 @@ namespace trdse::core {
 /// start at multiples of linalg::kGemmRowTile and each has its own scratch,
 /// per-candidate scores reduce by min in surrogate order, and the pick is a
 /// serial first-best scan, so the result is bitwise the same for any pool.
+/// The first plan on a space builds its SnapTable, on the calling thread
+/// before the chunks fan out.
 class CandidatePlanner {
  public:
   /// Draw `count` candidates uniformly in the infinity-norm ball of `radius`
@@ -58,6 +104,7 @@ class CandidatePlanner {
     SpiceSurrogate::PredictWorkspace ws;
   };
 
+  SnapTable snap_;
   linalg::Matrix cand_;
   std::vector<double> scores_;
   std::vector<Chunk> chunks_;

@@ -100,17 +100,6 @@ linalg::Vector DesignSpace::fromUnitSnapped(const linalg::Vector& u) const {
   return snap(fromUnit(u));
 }
 
-void DesignSpace::snapUnit(const double* u, double* out) const {
-  for (std::size_t i = 0; i < dim(); ++i) {
-    // toUnit sends a degenerate range to 0 whatever the snapped value.
-    if (params_[i].hi == params_[i].lo) {
-      out[i] = 0.0;
-      continue;
-    }
-    out[i] = valueToUnit(i, gridValue(i, nearestIndex(i, unitToValue(i, u[i]))));
-  }
-}
-
 double DesignSpace::sizeLog10() const {
   double s = 0.0;
   for (const auto& p : params_) s += std::log10(static_cast<double>(p.steps));

@@ -28,6 +28,8 @@ struct ParamDef {
   double hi = 1.0;         ///< upper bound of the grid
   std::size_t steps = 64;  ///< number of grid points across [lo, hi]
   bool logScale = false;   ///< geometric (log-spaced) grid when true
+
+  friend bool operator==(const ParamDef&, const ParamDef&) = default;
 };
 
 /// The CSP domain D: a grid per variable (Eq. 2's D_i).
@@ -62,10 +64,10 @@ class DesignSpace {
   linalg::Vector fromUnit(const linalg::Vector& u) const;
   /// fromUnit + snap, with unit coordinates clamped into [0,1].
   linalg::Vector fromUnitSnapped(const linalg::Vector& u) const;
-  /// toUnit(fromUnitSnapped(u)) for one point of dim() coordinates, written
-  /// straight into `out` (which may alias `u`) without temporaries — the
-  /// planner's per-candidate snap. Bitwise identical to the composition.
-  void snapUnit(const double* u, double* out) const;
+  /// fromUnit of one coordinate of variable `dim` (clamped into [0,1]).
+  double unitToValue(std::size_t dim, double u) const;
+  /// toUnit of one coordinate of variable `dim`.
+  double valueToUnit(std::size_t dim, double x) const;
 
   /// log10 of the number of grid combinations ("design space size 10^14").
   double sizeLog10() const;
@@ -82,11 +84,6 @@ class DesignSpace {
     double lo = 0.0;
     double hi = 0.0;
   };
-
-  /// fromUnit of one coordinate (clamped into [0,1]).
-  double unitToValue(std::size_t dim, double u) const;
-  /// toUnit of one coordinate.
-  double valueToUnit(std::size_t dim, double x) const;
 
   std::vector<ParamDef> params_;
   std::vector<LogBounds> logBounds_;

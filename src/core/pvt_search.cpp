@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/thread_pool.hpp"
 #include "io/checkpoint.hpp"
@@ -39,6 +40,13 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
       engine_(problem_, eval::EvalEngineConfig{config_.cacheEvals}),
       rng_(config_.seed),
       tr_(config_.explorer.trustRegion) {
+  // An episode with no init sample returns to its start without evaluating
+  // anything, so the search never spends its budget; a plan with no
+  // candidate never takes a TRM step.
+  if (config_.explorer.initSamples == 0)
+    throw std::invalid_argument("PvtSearch: initSamples must be >= 1");
+  if (config_.explorer.mcSamples == 0)
+    throw std::invalid_argument("PvtSearch: mcSamples must be >= 1");
   value_.setMarginBonus(config_.explorer.marginBonus);
 }
 

@@ -51,8 +51,8 @@ std::string_view toString(PvtStrategy s);
 
 /// Hyper-parameters of Algorithm 1, shared by every corner of the pool.
 struct ExplorerConfig {
-  std::size_t initSamples = 12;   ///< N of Algorithm 1 line 2
-  std::size_t mcSamples = 800;    ///< m of line 10
+  std::size_t initSamples = 12;   ///< N of Algorithm 1 line 2 (>= 1)
+  std::size_t mcSamples = 800;    ///< m of line 10 (>= 1)
   std::size_t restartAfter = 70;  ///< Criterion of line 15 (steps since restart)
   /// Early escape: restart when the center has not improved for this many
   /// consecutive TRM steps (a cheaper-to-trigger version of the Criterion —
@@ -135,6 +135,8 @@ struct PvtSearchOutcome {
 class PvtSearch {
  public:
   /// The problem is copied (callbacks + metadata), so temporaries are safe.
+  /// Throws std::invalid_argument when config.explorer.initSamples or
+  /// mcSamples is 0.
   PvtSearch(SizingProblem problem, PvtSearchConfig config);
 
   /// Advance until all corners sign off or `maxSims` cumulative logical EDA

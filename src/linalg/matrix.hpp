@@ -14,8 +14,9 @@
 #include <new>
 #include <vector>
 
-// The GEMM micro-kernels promise the compiler non-overlapping panels so the
-// unit-stride inner loops vectorize without runtime alias checks.
+// The hot element-wise kernels (Adam, tanh) promise the compiler
+// non-overlapping spans so their unit-stride loops vectorize without runtime
+// alias checks.
 #if defined(_MSC_VER)
 #define TRDSE_RESTRICT __restrict
 #else
@@ -154,113 +155,33 @@ std::vector<T> matTVec(const MatrixT<T>& a, const std::vector<T>& x) {
 // ---- Batched GEMM kernels ----
 //
 // The hot path of the trust-region planner scores ~800 candidates per step on
-// the NN surrogate; these kernels let every layer run as one matrix-matrix
-// product instead of 800 matrix-vector products. The loops are cache-blocked
-// (row/depth tiles sized so the B-panel stays resident in L1/L2) with an
-// i-k-j micro-kernel whose inner j loop is unit-stride in both B and C, so
-// the compiler vectorizes it. Accumulation over k is ascending, one product
-// at a time — the exact association order of matVec — which keeps batched
-// inference bitwise identical to the per-sample path.
+// the NN surrogate, and every surrogate fit runs its forward and backward
+// passes as products of small batches; these kernels let every layer run as
+// one matrix-matrix product instead of one matrix-vector product per sample.
+//
+// The kernels (matrix.cpp) walk C in register tiles of 4 rows by three, two
+// or one of the build's native double vectors (8 lanes on AVX-512, 4
+// otherwise), then a 4-wide tile, then scalar columns; leftover rows take
+// 2-row and 1-row tiles. Each tile keeps its accumulators in registers across
+// the whole shared dimension and stores C once. Whatever tile computes an
+// element, its floating-point sequence is the same: the accumulator starts
+// at +0 (at C for gemmAtBAccum), products are added one at a time in
+// ascending k (or row) order, and a bias is added once after the sum — the
+// association order of matVec, which keeps batched inference bitwise
+// identical to the per-sample path.
+
+/// Rows of C are computed four at a time, and leftover rows take narrower
+/// tiles. Every tile computes an element the same way, and a row block that
+/// starts at a multiple of kGemmRowTile also meets the same tiles as inside
+/// the whole matrix — the rule row-chunked callers split by.
+inline constexpr std::size_t kGemmRowTile = 4;
 
 /// C = A * B with C resized by the callee. Buffers keep their capacity across
 /// calls, so steady-state invocations do not allocate.
-///
-/// Micro-kernel: a 2 × 8 register tile of C is accumulated across the whole
-/// shared dimension before being stored once, so the inner loop runs from
-/// registers (two independent 8-wide FMA chains per tile) instead of
-/// read-modify-writing C rows through the cache. Per element, products are
-/// still added in ascending-k order one at a time — the association order of
-/// matVec — keeping batched inference bitwise identical to the per-sample
-/// path. Remainder rows/columns fall back to plain ascending-k dots.
-///
-/// Rows of C are computed in pairs and the odd last row takes the remainder
-/// path, so which code computes a row depends on its position. In a row
-/// block that starts at a multiple of kGemmRowTile every row takes the same
-/// path as inside the whole matrix — the rule row-chunked callers split by.
-inline constexpr std::size_t kGemmRowTile = 2;
-
-namespace detail {
-
-/// Shared micro-kernel body: C = A·B (+ optional row-broadcast bias when
-/// `bias` is non-null, added once after the full k-sum — the same order as
-/// matVec followed by a bias add).
-template <typename T, std::size_t kJT>
-inline void gemmTileColumns(const MatrixT<T>& a, const MatrixT<T>& b,
-                            MatrixT<T>& c, const T* bias, std::size_t i0,
-                            std::size_t& j0, std::size_t jEnd) {
-  constexpr std::size_t kIT = kGemmRowTile;
-  const std::size_t depth = a.cols();
-  for (; j0 + kJT <= jEnd; j0 += kJT) {
-    T acc[kIT][kJT] = {};
-    for (std::size_t k = 0; k < depth; ++k) {
-      const T* TRDSE_RESTRICT br = b.row(k) + j0;
-      for (std::size_t ii = 0; ii < kIT; ++ii) {
-        const T aik = a(i0 + ii, k);
-        for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] += aik * br[jj];
-      }
-    }
-    for (std::size_t ii = 0; ii < kIT; ++ii) {
-      T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
-      if (bias != nullptr) {
-        for (std::size_t jj = 0; jj < kJT; ++jj)
-          cr[jj] = acc[ii][jj] + bias[j0 + jj];
-      } else {
-        for (std::size_t jj = 0; jj < kJT; ++jj) cr[jj] = acc[ii][jj];
-      }
-    }
-  }
-}
-
-/// C = A·B with optional fused row-broadcast bias. The 2-row register tile
-/// walks column tiles of 8, then 4, then scalar remainder.
-template <typename T>
-void matMulBiasInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
-                    const T* bias) {
-  assert(a.cols() == b.rows());
-  assert(&c != &a && &c != &b);
-  const std::size_t m = a.rows();
-  const std::size_t depth = a.cols();
-  const std::size_t n = b.cols();
-  c.resize(m, n);
-  constexpr std::size_t kIT = kGemmRowTile;
-  std::size_t i0 = 0;
-  for (; i0 + kIT <= m; i0 += kIT) {
-    std::size_t j0 = 0;
-    gemmTileColumns<T, 8>(a, b, c, bias, i0, j0, n);
-    gemmTileColumns<T, 4>(a, b, c, bias, i0, j0, n);
-    for (; j0 < n; ++j0) {
-      for (std::size_t ii = 0; ii < kIT; ++ii) {
-        const T* TRDSE_RESTRICT ar = a.row(i0 + ii);
-        T s{};
-        for (std::size_t k = 0; k < depth; ++k) s += ar[k] * b(k, j0);
-        c(i0 + ii, j0) = bias != nullptr ? s + bias[j0] : s;
-      }
-    }
-  }
-  for (; i0 < m; ++i0) {
-    const T* TRDSE_RESTRICT ar = a.row(i0);
-    for (std::size_t j = 0; j < n; ++j) {
-      T s{};
-      for (std::size_t k = 0; k < depth; ++k) s += ar[k] * b(k, j);
-      c(i0, j) = bias != nullptr ? s + bias[j] : s;
-    }
-  }
-}
-
-}  // namespace detail
-
-template <typename T>
-void matMulInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
-  detail::matMulBiasInto(a, b, c, static_cast<const T*>(nullptr));
-}
+void matMulInto(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// C = A * B.
-template <typename T>
-MatrixT<T> matMul(const MatrixT<T>& a, const MatrixT<T>& b) {
-  MatrixT<T> c;
-  matMulInto(a, b, c);
-  return c;
-}
+Matrix matMul(const Matrix& a, const Matrix& b);
 
 /// dst = src^T (dst resized; reuses capacity).
 template <typename T>
@@ -284,92 +205,26 @@ MatrixT<T> transpose(const MatrixT<T>& src) {
 /// stored row-major as outDim × inDim. Internally packs B^T once (O(B.size())
 /// against O(A.rows() · B.size()) of math) and runs the blocked kernel, so
 /// accumulation order still matches matVec exactly.
-template <typename T>
-void matMulTransBInto(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
-                      MatrixT<T>& packBuf) {
-  assert(a.cols() == b.cols());
-  transposeInto(b, packBuf);
-  matMulInto(a, packBuf, c);
-}
+void matMulTransBInto(const Matrix& a, const Matrix& b, Matrix& c,
+                      Matrix& packBuf);
 
-template <typename T>
-MatrixT<T> matMulTransB(const MatrixT<T>& a, const MatrixT<T>& b) {
-  MatrixT<T> c;
-  MatrixT<T> pack;
-  matMulTransBInto(a, b, c, pack);
-  return c;
-}
+Matrix matMulTransB(const Matrix& a, const Matrix& b);
 
 /// C = A · B^T with `bias` broadcast-added to every row, fused into the
 /// micro-kernel's store so C is touched once — the dense-layer pre-activation
 /// in one call. Bias is added after the full k-sum, matching a matVec
 /// followed by a bias add exactly.
-template <typename T>
-void matMulTransBBiasInto(const MatrixT<T>& a, const MatrixT<T>& b,
-                          const std::vector<T>& bias, MatrixT<T>& c,
-                          MatrixT<T>& packBuf) {
-  assert(a.cols() == b.cols());
-  assert(bias.size() == b.rows());
-  transposeInto(b, packBuf);
-  detail::matMulBiasInto(a, packBuf, c, bias.data());
-}
-
-namespace detail {
-
-/// One kIT × kJT register tile of C += A^T · B at (i0, j0): loaded once,
-/// accumulated over every row of A and B, stored once.
-template <typename T, std::size_t kIT, std::size_t kJT>
-inline void gemmAtBTile(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
-                        std::size_t i0, std::size_t j0) {
-  T acc[kIT][kJT];
-  for (std::size_t ii = 0; ii < kIT; ++ii) {
-    const T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
-    for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] = cr[jj];
-  }
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    const T* TRDSE_RESTRICT ar = a.row(r) + i0;
-    const T* TRDSE_RESTRICT br = b.row(r) + j0;
-    for (std::size_t ii = 0; ii < kIT; ++ii) {
-      const T coeff = ar[ii];
-      if (coeff == T{}) continue;
-      for (std::size_t jj = 0; jj < kJT; ++jj) acc[ii][jj] += coeff * br[jj];
-    }
-  }
-  for (std::size_t ii = 0; ii < kIT; ++ii) {
-    T* TRDSE_RESTRICT cr = c.row(i0 + ii) + j0;
-    for (std::size_t jj = 0; jj < kJT; ++jj) cr[jj] = acc[ii][jj];
-  }
-}
-
-/// Rows [i0, i0 + kIT) of C += A^T · B: column tiles of 8, then 4, then 1.
-template <typename T, std::size_t kIT>
-inline void gemmAtBRows(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c,
-                        std::size_t i0) {
-  const std::size_t n = b.cols();
-  std::size_t j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) gemmAtBTile<T, kIT, 8>(a, b, c, i0, j0);
-  for (; j0 + 4 <= n; j0 += 4) gemmAtBTile<T, kIT, 4>(a, b, c, i0, j0);
-  for (; j0 < n; ++j0) gemmAtBTile<T, kIT, 1>(a, b, c, i0, j0);
-}
-
-}  // namespace detail
+void matMulTransBBiasInto(const Matrix& a, const Matrix& b, const Vector& bias,
+                          Matrix& c, Matrix& packBuf);
 
 /// C += A^T * B — the weight-gradient shape: gradW += gradOut^T · inputs.
 ///
-/// Register-tiled over C: a 2-row × 8-column tile (then narrower remainders)
-/// is accumulated across all rows of A and B before being stored once,
-/// instead of read-modify-writing C once per row. Per element, products are
-/// still added one at a time in ascending row order, and a zero A(r, i) still
-/// skips row r for row i of C, so the result matches a sequence of
-/// per-sample rank-1 updates bit for bit.
-template <typename T>
-void gemmAtBAccum(const MatrixT<T>& a, const MatrixT<T>& b, MatrixT<T>& c) {
-  assert(a.rows() == b.rows());
-  assert(c.rows() == a.cols() && c.cols() == b.cols());
-  std::size_t i0 = 0;
-  for (; i0 + 2 <= a.cols(); i0 += 2) detail::gemmAtBRows<T, 2>(a, b, c, i0);
-  for (; i0 < a.cols(); ++i0) detail::gemmAtBRows<T, 1>(a, b, c, i0);
-}
+/// Register-tiled over C like matMulInto: a tile is loaded from C once,
+/// accumulated across all rows of A and B, and stored once. Per element,
+/// products are still added one at a time in ascending row order, and a zero
+/// A(r, i) still skips row r for row i of C, so the result matches a
+/// sequence of per-sample rank-1 updates bit for bit.
+void gemmAtBAccum(const Matrix& a, const Matrix& b, Matrix& c);
 
 /// Every row of `m` += v (the batched bias add).
 template <typename T>

@@ -162,8 +162,10 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
         [&cfg](const std::string& k, const std::string& v) {
           if (k == "pool") cfg.strategy = parsePoolPolicy(k, v);
           else if (k == "cache") cfg.cacheEvals = parseBool(k, v);
-          else if (k == "init_samples") cfg.explorer.initSamples = parseU64(k, v);
-          else if (k == "mc_samples") cfg.explorer.mcSamples = parseU64(k, v);
+          // With no init sample an episode never evaluates anything, and
+          // with no candidate no TRM step is ever planned.
+          else if (k == "init_samples") cfg.explorer.initSamples = parseCount(k, v);
+          else if (k == "mc_samples") cfg.explorer.mcSamples = parseCount(k, v);
           else return false;
           return true;
         },
@@ -185,9 +187,10 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
     applyOptions(
         name, options,
         [&cfg](const std::string& k, const std::string& v) {
-          // The forest fits on the init samples: it needs at least one.
+          // The forest fits on the init samples, and an acquisition picks
+          // from the candidate pool: each needs at least one.
           if (k == "init_samples") cfg.initSamples = parseCount(k, v);
-          else if (k == "candidate_pool") cfg.candidatePool = parseU64(k, v);
+          else if (k == "candidate_pool") cfg.candidatePool = parseCount(k, v);
           else if (k == "local_fraction")
             cfg.localFraction =
                 parseF64In(k, v, 0.0, 1.0, "a number in [0, 1]");

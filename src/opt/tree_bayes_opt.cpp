@@ -25,9 +25,12 @@ TreeBayesOpt::TreeBayesOpt(core::SizingProblem problem,
       budget_(budget),
       gauss_(0.0, config.localSigma) {
   // The forest needs a sample to fit: without one every prediction is 0/0
-  // and the search would stop before its first acquisition.
+  // and the search would stop before its first acquisition. An empty
+  // candidate pool stops it at its first acquisition.
   if (config_.initSamples == 0)
     throw std::invalid_argument("TreeBayesOpt: initSamples must be >= 1");
+  if (config_.candidatePool == 0)
+    throw std::invalid_argument("TreeBayesOpt: candidatePool must be >= 1");
 }
 
 bool TreeBayesOpt::finished() const {

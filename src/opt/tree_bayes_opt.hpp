@@ -29,7 +29,7 @@ namespace trdse::opt {
 
 struct TreeBayesOptConfig {
   std::size_t initSamples = 12;  ///< >= 1: the forest fits on them
-  std::size_t candidatePool = 600;
+  std::size_t candidatePool = 600;  ///< >= 1: an acquisition picks from them
   double localFraction = 0.35;    ///< candidates perturbed around incumbent
   double localSigma = 0.08;       ///< unit-space perturbation width
   double kappaStart = 2.0;        ///< UCB exploration weight at t = 0
@@ -49,7 +49,8 @@ class TreeBayesOpt final : public Strategy {
  public:
   /// The problem is copied (callbacks + metadata), so temporaries are safe.
   /// `budget` fixes the total simulation allowance (and the kappa-decay
-  /// denominator).
+  /// denominator). Throws std::invalid_argument when config.initSamples or
+  /// candidatePool is 0.
   TreeBayesOpt(core::SizingProblem problem, TreeBayesOptConfig config,
                std::size_t budget);
 

@@ -14,6 +14,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <mutex>
@@ -30,6 +31,7 @@
 #include "core/sizing_api.hpp"
 #include "core/surrogate.hpp"
 #include "eval_stats_eq.hpp"
+#include "gemm_reference.hpp"
 #include "io/checkpoint.hpp"
 #include "io/state_io.hpp"
 #include "nn/loss.hpp"
@@ -117,8 +119,8 @@ TEST(Gemm, MatMulIntoReusesBuffersAcrossShapes) {
 }
 
 /// The weight-gradient kernel against per-sample rank-1 updates (skipping
-/// zero coefficients, as DenseLayer::backward does). Shapes hit the 2-row
-/// and 8/4/1-column tiles and their remainders; a row whose coefficients are
+/// zero coefficients, as DenseLayer::backward does). Shapes hit the row and
+/// column tiles and their remainders; a row whose coefficients are
 /// all zero carries infinities that only the skip keeps out of C (a NaN is
 /// never near). The tolerance is because this test-local loop may contract
 /// multiply-adds differently from the kernel under some build flags; the
@@ -147,6 +149,66 @@ TEST(Gemm, GemmAtBAccumMatchesRankOneUpdates) {
       EXPECT_NEAR(acc.data()[i], ref.data()[i], 1e-12)
           << "shape " << s[0] << "x" << s[1] << "x" << s[2] << " at " << i;
   }
+}
+
+bool sameBits(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+}
+
+/// The register-tiled kernels against the 2×8 tiles they replaced
+/// (tests/gemm_reference.hpp), bit for bit: every row count meets the 4-, 2-
+/// and 1-row tiles, and every column count the 3-, 2- and 1-vector tiles, the
+/// 4-wide tile and the scalar columns, at either native width. This TU
+/// compiles with the library's flags, so the reference contracts `acc += a *
+/// b` wherever the library may (linalg_test.cpp is contract-off and could
+/// not judge a fused kernel).
+TEST(Gemm, BitwiseMatchesReference) {
+  const std::size_t ms[] = {1, 2, 3, 4, 5, 7, 13, 14, 16, 17, 800};
+  const std::size_t depths[] = {1, 4, 9, 48, 70};
+  const std::size_t ns[] = {1, 3, 4, 5, 8, 9, 12, 16, 17, 23, 24, 25, 48, 70};
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng(5);
+  Matrix c, ref, pack;
+  for (const std::size_t m : ms)
+    for (const std::size_t depth : depths)
+      for (const std::size_t n : ns) {
+        const Matrix a = randomMatrix(m, depth, rng);
+        const Matrix b = randomMatrix(depth, n, rng);
+        const Matrix bT = linalg::transpose(b);
+        Vector bias(n);
+        std::uniform_real_distribution<double> biasDist(-16.0, 16.0);
+        for (double& v : bias) v = biasDist(rng);
+        const auto shape = [&] {
+          return std::to_string(m) + "x" + std::to_string(depth) + "x" +
+                 std::to_string(n);
+        };
+
+        linalg::matMulInto(a, b, c);
+        linalg::reference::matMulBiasInto(a, b, ref,
+                                          static_cast<const double*>(nullptr));
+        ASSERT_TRUE(sameBits(c, ref)) << "A·B " << shape();
+        linalg::matMulTransBBiasInto(a, bT, bias, c, pack);
+        linalg::reference::matMulBiasInto(a, b, ref, bias.data());
+        ASSERT_TRUE(sameBits(c, ref)) << "A·B + bias " << shape();
+
+        // C += A^T·B with A depth × m: zero coefficients scattered through
+        // A, and a row of A that is all zero while its row of B carries
+        // infinities — only the skip keeps 0·inf = NaN out of C.
+        Matrix g = randomMatrix(depth, m, rng);
+        for (std::size_t i = 0; i < g.size(); i += 3) g.data()[i] = 0.0;
+        Matrix x = b;
+        if (depth > 1) {
+          const std::size_t dead = depth / 2;
+          for (std::size_t r = 0; r < m; ++r) g(dead, r) = 0.0;
+          for (std::size_t j = 0; j < n; j += 2) x(dead, j) = j % 4 == 0 ? inf : -inf;
+        }
+        Matrix acc = randomMatrix(m, n, rng);  // nonzero start: += semantics
+        Matrix accRef = acc;
+        linalg::gemmAtBAccum(g, x, acc);
+        linalg::reference::gemmAtBAccum(g, x, accRef);
+        ASSERT_TRUE(sameBits(acc, accRef)) << "C += A^T·B " << shape();
+      }
 }
 
 TEST(Gemm, RowwiseHelpers) {

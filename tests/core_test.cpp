@@ -7,6 +7,7 @@
 
 #include "circuits/registry.hpp"
 #include "core/local_dataset.hpp"
+#include "core/planner.hpp"
 #include "core/problem.hpp"
 #include "core/pvt_search.hpp"
 #include "core/sizing_api.hpp"
@@ -75,10 +76,13 @@ TEST(DesignSpace, IndicesRoundTrip) {
   }
 }
 
-/// snapUnit is the planner's fused form of toUnit(fromUnitSnapped(u)): the
-/// two must agree bit for bit on every registry circuit (mostly log-scale
-/// grids) and on degenerate grids, including inputs outside the unit cube.
-TEST(DesignSpace, SnapUnitMatchesCompositionBitwise) {
+/// The planner's SnapTable is toUnit(fromUnitSnapped(u)), bit for bit. Every
+/// log-scale axis of every registry circuit is probed on both sides of each
+/// rounding tie: inside its guard (the exact path), just outside it and far
+/// from it (the direct index), and at the tie's neighbouring doubles, with the
+/// other coordinates drawn in and outside the unit cube. A synthetic space
+/// adds one-step, degenerate and linear axes, which random points cover.
+TEST(SnapTable, MatchesCompositionAtEveryRoundingTie) {
   std::vector<DesignSpace> spaces;
   const auto& registry = circuits::Registry::global();
   for (const std::string& name : registry.names())
@@ -88,23 +92,78 @@ TEST(DesignSpace, SnapUnitMatchesCompositionBitwise) {
                                 {"flat_lin", 3.0, 3.0, 17, false},
                                 {"flat_log", 2e-6, 2e-6, 17, true},
                                 {"flat_one_log", 5e-9, 5e-9, 1, true},
+                                {"unit_log", 1.0, 1.0, 9, true},
                                 {"lin", -1.0, 4.0, 33, false},
                                 {"log", 1e-9, 1e-6, 65, true}}));
   std::mt19937_64 rng(2024);
   std::uniform_real_distribution<double> d(-0.5, 1.5);
+  std::size_t tieAxes = 0;
   for (const DesignSpace& space : spaces) {
+    core::SnapTable table;
+    table.build(space);
     linalg::Vector u(space.dim());
-    linalg::Vector fused(space.dim());
-    for (int k = 0; k < 10000; ++k) {
-      for (double& x : u) x = d(rng);
-      space.snapUnit(u.data(), fused.data());
+    linalg::Vector out(space.dim());
+    const auto matches = [&] {
+      table.snap(u.data(), out.data());
       const linalg::Vector ref = space.toUnit(space.fromUnitSnapped(u));
-      ASSERT_EQ(std::memcmp(fused.data(), ref.data(), sizeof(double) * ref.size()), 0)
-          << "draw " << k << " of a " << space.dim() << "-d space";
+      return std::memcmp(out.data(), ref.data(), sizeof(double) * ref.size()) == 0;
+    };
+    for (int k = 0; k < 5000; ++k) {
+      for (double& x : u) x = d(rng);
+      ASSERT_TRUE(matches()) << "draw " << k << " of a " << space.dim() << "-d space";
+    }
+    for (std::size_t i = 0; i < space.dim(); ++i) {
+      const ParamDef& p = space.param(i);
+      if (!p.logScale || p.steps < 2 || p.hi == p.lo) continue;
+      const double g = table.guard(i);
+      // Every log axis with a range reads its index directly away from ties.
+      ASSERT_LT(g, 1e-3) << p.name;
+      ++tieAxes;
+      // Offsets from a tie, in grid steps.
+      std::vector<double> offsets = {0.0, 0.5 * g, 0.99 * g, 1.01 * g, 2.0 * g, 0.25};
+      for (double o = 1e-16; o < 1e-2; o *= 10.0) offsets.push_back(o);
+      const double last = static_cast<double>(p.steps - 1);
+      for (std::size_t k = 0; k + 1 < p.steps; ++k) {
+        const double tie = (static_cast<double>(k) + 0.5) / last;
+        for (const double o : offsets)
+          for (const double sign : {-1.0, 1.0}) {
+            for (double& x : u) x = d(rng);
+            u[i] = tie + sign * o / last;
+            ASSERT_TRUE(matches()) << p.name << " tie " << k << " offset " << sign * o;
+          }
+        double below = tie;
+        double above = tie;
+        for (int n = 0; n < 4; ++n) {
+          below = std::nextafter(below, 0.0);
+          above = std::nextafter(above, 1.0);
+          for (const double x : {below, above}) {
+            u[i] = x;
+            ASSERT_TRUE(matches()) << p.name << " tie " << k << " at " << x;
+          }
+        }
+      }
     }
     // In place, as the planner calls it.
-    space.snapUnit(u.data(), u.data());
-    EXPECT_EQ(std::memcmp(u.data(), fused.data(), sizeof(double) * u.size()), 0);
+    for (double& x : u) x = d(rng);
+    const linalg::Vector ref = space.toUnit(space.fromUnitSnapped(u));
+    table.snap(u.data(), u.data());
+    EXPECT_EQ(std::memcmp(u.data(), ref.data(), sizeof(double) * u.size()), 0);
+  }
+  EXPECT_GT(tieAxes, 20u);
+}
+
+/// A table rebuilds for a space with other parameters and keeps its entries
+/// for an equal one.
+TEST(SnapTable, RebuildsForAnotherSpace) {
+  const DesignSpace a({{"w", 1e-7, 1e-4, 64, true}});
+  const DesignSpace b({{"w", 1e-7, 1e-4, 8, true}});
+  core::SnapTable table;
+  const double u = 0.3;
+  double out = 0.0;
+  for (const DesignSpace* space : {&a, &b, &a}) {
+    table.build(*space);
+    table.snap(&u, &out);
+    EXPECT_EQ(out, space->toUnit(space->fromUnitSnapped({u}))[0]);
   }
 }
 

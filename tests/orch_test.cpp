@@ -428,12 +428,19 @@ TEST(Strategy, FactoryRejectsUnknownNamesAndOptions) {
       {"local_fraction", "nan"}, {"local_fraction", "-0.1"},
       {"local_fraction", "1.5"}, {"local_sigma", "nan"},
       {"local_sigma", "inf"},    {"local_sigma", "0"},
-      {"local_sigma", "-0.1"},   {"init_samples", "0"}};
+      {"local_sigma", "-0.1"},   {"init_samples", "0"},
+      {"candidate_pool", "0"}};
   for (const auto& [key, value] : badBo)
     EXPECT_THROW(opt::makeStrategy("tree_bayes_opt", prob, 1, 10,
                                    {{key, value}}),
                  std::invalid_argument)
         << key << " = " << value;
+  // With no init sample a pvt_search episode never evaluates anything (the
+  // search never ends), and with no MC candidate it never takes a TRM step.
+  for (const char* key : {"init_samples", "mc_samples"})
+    EXPECT_THROW(opt::makeStrategy("pvt_search", prob, 1, 10, {{key, "0"}}),
+                 std::invalid_argument)
+        << key << " = 0";
   for (const char* key : {"learning_rate", "entropy_coeff"})
     for (const char* value : {"nan", "inf", "-inf"})
       EXPECT_THROW(opt::makeStrategy("rl_policy", prob, 1, 10, {{key, value}}),
@@ -718,6 +725,51 @@ TEST(Scheduler, RejectsTreeBayesOptWithoutInitSamples) {
   }
   opt::TreeBayesOptConfig cfg;
   cfg.initSamples = 0;
+  EXPECT_THROW(opt::TreeBayesOpt(tinyGridProblem(), cfg, 20),
+               std::invalid_argument);
+}
+
+/// A job whose strategy option is a zero count is refused when the scenario
+/// is built, naming the job's line, and the strategy's constructor refuses
+/// the same config on its own. At `opt.init_samples = 0` a pvt_search would
+/// never end (no episode spends budget), at `opt.mc_samples = 0` it would
+/// never take a TRM step, and at `opt.candidate_pool = 0` a tree_bayes_opt
+/// stops at its first acquisition.
+void expectZeroCountRejected(const std::string& strategy, const std::string& key) {
+  ensureTinyGridRegistered();
+  Scenario sc = parseScenarioText(
+      "name = zero\n[job]\nname = ok\ncircuit = tiny_grid\nstrategy = " +
+          strategy + "\nbudget = 20\n[job]\nname = empty\ncircuit = tiny_grid\n"
+          "strategy = " + strategy + "\nbudget = 20\nopt." + key + " = 0\n",
+      "zero.scenario");
+  try {
+    Scheduler scheduler(std::move(sc));
+    ADD_FAILURE() << "opt." << key << " = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario zero.scenario:7: job \"empty\": strategy option \"" +
+                  key + "\": expected a count >= 1, got \"0\"");
+  }
+}
+
+TEST(Scheduler, RejectsPvtSearchWithoutInitSamples) {
+  expectZeroCountRejected("pvt_search", "init_samples");
+  core::PvtSearchConfig cfg;
+  cfg.explorer.initSamples = 0;
+  EXPECT_THROW(core::PvtSearch(tinyGridProblem(), cfg), std::invalid_argument);
+}
+
+TEST(Scheduler, RejectsPvtSearchWithoutMcSamples) {
+  expectZeroCountRejected("pvt_search", "mc_samples");
+  core::PvtSearchConfig cfg;
+  cfg.explorer.mcSamples = 0;
+  EXPECT_THROW(core::PvtSearch(tinyGridProblem(), cfg), std::invalid_argument);
+}
+
+TEST(Scheduler, RejectsTreeBayesOptWithoutCandidatePool) {
+  expectZeroCountRejected("tree_bayes_opt", "candidate_pool");
+  opt::TreeBayesOptConfig cfg;
+  cfg.candidatePool = 0;
   EXPECT_THROW(opt::TreeBayesOpt(tinyGridProblem(), cfg, 20),
                std::invalid_argument);
 }
