@@ -7,8 +7,9 @@
 #
 # --compare diffs the freshly written output against a baseline
 # BENCH_micro.json via scripts/bench_compare.py and fails the run on a
-# hot-path regression (the CI bench-smoke job points it at the committed
-# baseline).
+# hot-path regression (the CI bench-smoke job, a TRDSE_NATIVE=OFF build,
+# points it at the committed TRDSE_NATIVE=OFF baseline,
+# BENCH_micro.generic.json).
 #
 # MICRO_BENCH_ARGS (env) is forwarded to the micro_bench binary — the CI
 # bench-smoke job passes a reduced --benchmark_min_time so the sweep finishes

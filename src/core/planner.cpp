@@ -29,9 +29,7 @@ void drawCandidates(const linalg::Vector& centerUnit, double radius,
 
 }  // namespace
 
-void SnapTable::build(const DesignSpace& space) {
-  // An unbuilt table holds the empty space, whose table is empty too.
-  if (space.params() == space_.params()) return;
+SnapTable::SnapTable(const DesignSpace& space) {
   // A direct index within `guard` steps of a tie may round the other way
   // from the exact one. The two differ by a few ulps of y (pow, log10, the
   // subtraction) scaled into grid steps, plus a few ulps of the index itself:
@@ -40,9 +38,7 @@ void SnapTable::build(const DesignSpace& space) {
   constexpr double kGuardUlps = 0x1p20;
   constexpr double kMaxGuard = 1e-3;
   constexpr double kEps = std::numeric_limits<double>::epsilon();
-  space_ = space;
   axes_.assign(space.dim(), Axis{});
-  unit_.clear();
   for (std::size_t i = 0; i < space.dim(); ++i) {
     const ParamDef& p = space.param(i);
     Axis& ax = axes_[i];
@@ -65,7 +61,9 @@ void SnapTable::build(const DesignSpace& space) {
   }
 }
 
-void SnapTable::snap(const double* u, double* out) const {
+void SnapTable::snap(const DesignSpace& space, const double* u,
+                     double* out) const {
+  assert(space.dim() == dim());
   for (std::size_t i = 0; i < axes_.size(); ++i) {
     const Axis& ax = axes_[i];
     std::size_t k = 0;
@@ -79,7 +77,7 @@ void SnapTable::snap(const double* u, double* out) const {
       const double f = z - static_cast<double>(k);
       exact = !(f >= ax.guard && f <= 1.0 - ax.guard);
     }
-    if (exact) k = space_.nearestIndex(i, space_.unitToValue(i, u[i]));
+    if (exact) k = space.nearestIndex(i, space.unitToValue(i, u[i]));
     // Only a NaN coordinate, outside the contract, can land past the axis.
     out[i] = unit_[ax.offset + std::min(k, ax.last)];
   }
@@ -106,7 +104,8 @@ std::size_t CandidatePlanner::plan(
   if (chunks_.size() < nChunks) chunks_.resize(nChunks);
 
   const std::size_t dim = space.dim();
-  snap_.build(space);
+  if (!snap_) snap_.emplace(space);
+  assert(snap_->dim() == dim);
   common::parallelForOn(pool, nChunks, [&](std::size_t c) {
     const std::size_t begin = c * rowsPerChunk;
     const std::size_t end = std::min(count, begin + rowsPerChunk);
@@ -114,7 +113,7 @@ std::size_t CandidatePlanner::plan(
     ch.x.resize(end - begin, dim);
     for (std::size_t s = begin; s < end; ++s) {
       double* row = cand_.row(s);
-      snap_.snap(row, row);
+      snap_->snap(space, row, row);
       std::copy(row, row + dim, ch.x.row(s - begin));
     }
     for (const SpiceSurrogate* sur : surrogates) {

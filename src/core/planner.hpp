@@ -2,6 +2,7 @@
 // per-corner surrogates (paper IV-B, Eq. 5).
 #pragma once
 
+#include <optional>
 #include <random>
 #include <span>
 #include <vector>
@@ -20,8 +21,8 @@ namespace trdse::core {
 /// toUnit(fromUnitSnapped(u)) by table, the planner's per-candidate snap.
 ///
 /// The snapped unit value of a coordinate depends only on its variable and
-/// grid index, so build() tabulates valueToUnit(gridValue(i, k)) once per
-/// space and snap() only finds the index. On a log-scale axis the exact
+/// grid index, so the constructor tabulates valueToUnit(gridValue(i, k)) and
+/// snap() only finds the index. On a log-scale axis the exact
 /// index, nearestIndex(i, unitToValue(i, u)), goes through pow and log10; the
 /// table reads it straight from y = log10(lo) + t·(log10(hi) − log10(lo)) as
 /// round((y − log10(lo))·(steps − 1)/(log10(hi) − log10(lo))). That value
@@ -33,13 +34,15 @@ namespace trdse::core {
 /// the exact path. The result is bitwise the composition's.
 class SnapTable {
  public:
-  /// Tabulates `space`, unless the table already holds a space with the same
-  /// parameters.
-  void build(const DesignSpace& space);
+  /// Tabulates `space`.
+  explicit SnapTable(const DesignSpace& space);
 
-  /// toUnit(fromUnitSnapped(u)) of one point of the built space's dim()
-  /// coordinates, written into `out` (which may alias `u`).
-  void snap(const double* u, double* out) const;
+  /// Number of variables of the tabulated space.
+  std::size_t dim() const { return axes_.size(); }
+
+  /// toUnit(fromUnitSnapped(u)) of one point of `space`, the tabulated space,
+  /// written into `out` (which may alias `u`).
+  void snap(const DesignSpace& space, const double* u, double* out) const;
 
   /// Half-width, in grid steps, of the band around each rounding tie of
   /// variable `dim` where snap() takes the exact path; +inf for an axis that
@@ -56,7 +59,6 @@ class SnapTable {
     double guard = 0.0;
   };
 
-  DesignSpace space_;
   std::vector<Axis> axes_;
   std::vector<double> unit_;  ///< valueToUnit(gridValue(i, k)), axis by axis
 };
@@ -71,8 +73,8 @@ class SnapTable {
 /// start at multiples of linalg::kGemmRowTile and each has its own scratch,
 /// per-candidate scores reduce by min in surrogate order, and the pick is a
 /// serial first-best scan, so the result is bitwise the same for any pool.
-/// The first plan on a space builds its SnapTable, on the calling thread
-/// before the chunks fan out.
+/// A planner plans on one space: the first plan tabulates its SnapTable, on
+/// the calling thread before the chunks fan out.
 class CandidatePlanner {
  public:
   /// Draw `count` candidates uniformly in the infinity-norm ball of `radius`
@@ -104,7 +106,7 @@ class CandidatePlanner {
     SpiceSurrogate::PredictWorkspace ws;
   };
 
-  SnapTable snap_;
+  std::optional<SnapTable> snap_;
   linalg::Matrix cand_;
   std::vector<double> scores_;
   std::vector<Chunk> chunks_;

@@ -28,8 +28,6 @@ struct ParamDef {
   double hi = 1.0;         ///< upper bound of the grid
   std::size_t steps = 64;  ///< number of grid points across [lo, hi]
   bool logScale = false;   ///< geometric (log-spaced) grid when true
-
-  friend bool operator==(const ParamDef&, const ParamDef&) = default;
 };
 
 /// The CSP domain D: a grid per variable (Eq. 2's D_i).

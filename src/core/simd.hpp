@@ -1,5 +1,6 @@
 #pragma once
-// Explicit 4-lane double vectors for the batched simulator kernels.
+// Explicit 4-lane double vectors for the batched simulator kernels, and the
+// native-width register tiles of the GEMM (linalg/matrix.cpp).
 //
 // The hot loops in src/sim carry a bitwise contract: lane l of a batched
 // kernel must reproduce the scalar kernel's result bit for bit. GNU vector
@@ -16,6 +17,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 // Without AVX the 32-byte vectors are passed in two SSE halves; every helper
 // here is header-inline so no ABI boundary survives, and the psABI note would
@@ -27,16 +29,40 @@ namespace trdse::simd {
 typedef double V4d __attribute__((vector_size(32)));
 typedef std::int64_t V4i __attribute__((vector_size(32)));
 typedef std::uint64_t V4u __attribute__((vector_size(32)));
+typedef double V8d __attribute__((vector_size(64)));
 
-inline V4d load4(const double* p) {
-  V4d v;
+/// Unaligned load of a V (V4d, V8d, or plain double for a kernel templated
+/// on its width).
+template <typename V>
+inline V load(const double* p) {
+  V v;
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void store4(double* p, V4d v) { std::memcpy(p, &v, sizeof(v)); }
+template <typename V>
+inline void store(double* p, V v) {
+  std::memcpy(p, &v, sizeof(v));
+}
 
-inline V4d splat4(double x) { return V4d{x, x, x, x}; }
+/// A V with every lane x.
+template <typename V>
+inline V splat(double x) {
+  if constexpr (std::is_same_v<V, double>) {
+    return x;
+  } else if constexpr (sizeof(V) == sizeof(V4d)) {
+    return V{x, x, x, x};
+  } else {
+    static_assert(sizeof(V) == sizeof(V8d));
+    return V{x, x, x, x, x, x, x, x};
+  }
+}
+
+inline V4d load4(const double* p) { return load<V4d>(p); }
+
+inline void store4(double* p, V4d v) { store(p, v); }
+
+inline V4d splat4(double x) { return splat<V4d>(x); }
 
 /// Reinterpret lane bits (the vector analogue of fastmath::bitsOf/fromBits).
 inline V4u bits4(V4d x) {
@@ -92,15 +118,9 @@ inline V4d sqrt4(V4d x) {
 // helpers only repackage lanes; every arithmetic op stays elementwise IEEE
 // double, so the bitwise contract is exactly V4d's.
 
-typedef double V8d __attribute__((vector_size(64)));
+inline V8d load8(const double* p) { return load<V8d>(p); }
 
-inline V8d load8(const double* p) {
-  V8d v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void store8(double* p, V8d v) { std::memcpy(p, &v, sizeof(v)); }
+inline void store8(double* p, V8d v) { store(p, v); }
 
 /// [lo0..lo3, hi0..hi3] — pack two plane vectors into one cell vector.
 inline V8d concat8(V4d lo, V4d hi) {

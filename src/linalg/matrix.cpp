@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <type_traits>
 
 #include "core/simd.hpp"
 
@@ -41,29 +39,6 @@ template <typename V>
 constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
 
 constexpr std::size_t kW = kLanes<NativeVec>;
-
-template <typename V>
-inline V loadV(const double* p) {
-  V v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-template <typename V>
-inline void storeV(double* p, V v) {
-  std::memcpy(p, &v, sizeof(v));
-}
-
-template <typename V>
-inline V splat(double x) {
-  if constexpr (std::is_same_v<V, double>) {
-    return x;
-  } else if constexpr (kLanes<V> == 4) {
-    return V{x, x, x, x};
-  } else {
-    return V{x, x, x, x, x, x, x, x};
-  }
-}
 
 /// Calls tile<NV, V>(j) for every column tile of a row block of C with n
 /// columns: native vectors three at a time, then two or one, then a 4-wide
@@ -118,10 +93,10 @@ inline void mulTile(const Matrix& a, const Matrix& b, const double* bias,
     const double* br = b.row(k) + j0;
     V bv[NV];
 #pragma GCC unroll 3
-    for (std::size_t v = 0; v < NV; ++v) bv[v] = loadV<V>(br + v * L);
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = simd::load<V>(br + v * L);
 #pragma GCC unroll 4
     for (std::size_t r = 0; r < R; ++r) {
-      const V ar = splat<V>(a0[r * lda + k]);
+      const V ar = simd::splat<V>(a0[r * lda + k]);
 #pragma GCC unroll 3
       for (std::size_t v = 0; v < NV; ++v) acc[r][v] += ar * bv[v];
     }
@@ -132,8 +107,8 @@ inline void mulTile(const Matrix& a, const Matrix& b, const double* bias,
 #pragma GCC unroll 3
     for (std::size_t v = 0; v < NV; ++v) {
       V out = acc[r][v];
-      if (bias != nullptr) out += loadV<V>(bias + j0 + v * L);
-      storeV(cr + v * L, out);
+      if (bias != nullptr) out += simd::load<V>(bias + j0 + v * L);
+      simd::store(cr + v * L, out);
     }
   }
 }
@@ -148,17 +123,17 @@ inline void atbTile(const Matrix& a, const Matrix& b, Matrix& c,
   for (std::size_t r = 0; r < R; ++r)
 #pragma GCC unroll 3
     for (std::size_t v = 0; v < NV; ++v)
-      acc[r][v] = loadV<V>(c.row(i0 + r) + j0 + v * L);
+      acc[r][v] = simd::load<V>(c.row(i0 + r) + j0 + v * L);
   for (std::size_t s = 0; s < a.rows(); ++s) {
     const double* as = a.row(s) + i0;
     const double* bs = b.row(s) + j0;
     V bv[NV];
 #pragma GCC unroll 3
-    for (std::size_t v = 0; v < NV; ++v) bv[v] = loadV<V>(bs + v * L);
+    for (std::size_t v = 0; v < NV; ++v) bv[v] = simd::load<V>(bs + v * L);
 #pragma GCC unroll 4
     for (std::size_t r = 0; r < R; ++r) {
       if (as[r] == 0.0) continue;
-      const V coeff = splat<V>(as[r]);
+      const V coeff = simd::splat<V>(as[r]);
 #pragma GCC unroll 3
       for (std::size_t v = 0; v < NV; ++v) acc[r][v] += coeff * bv[v];
     }
@@ -167,7 +142,7 @@ inline void atbTile(const Matrix& a, const Matrix& b, Matrix& c,
   for (std::size_t r = 0; r < R; ++r)
 #pragma GCC unroll 3
     for (std::size_t v = 0; v < NV; ++v)
-      storeV(c.row(i0 + r) + j0 + v * L, acc[r][v]);
+      simd::store(c.row(i0 + r) + j0 + v * L, acc[r][v]);
 }
 
 /// C = A·B, plus `bias` on every row when it is non-null.

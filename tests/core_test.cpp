@@ -99,12 +99,11 @@ TEST(SnapTable, MatchesCompositionAtEveryRoundingTie) {
   std::uniform_real_distribution<double> d(-0.5, 1.5);
   std::size_t tieAxes = 0;
   for (const DesignSpace& space : spaces) {
-    core::SnapTable table;
-    table.build(space);
+    const core::SnapTable table(space);
     linalg::Vector u(space.dim());
     linalg::Vector out(space.dim());
     const auto matches = [&] {
-      table.snap(u.data(), out.data());
+      table.snap(space, u.data(), out.data());
       const linalg::Vector ref = space.toUnit(space.fromUnitSnapped(u));
       return std::memcmp(out.data(), ref.data(), sizeof(double) * ref.size()) == 0;
     };
@@ -146,25 +145,10 @@ TEST(SnapTable, MatchesCompositionAtEveryRoundingTie) {
     // In place, as the planner calls it.
     for (double& x : u) x = d(rng);
     const linalg::Vector ref = space.toUnit(space.fromUnitSnapped(u));
-    table.snap(u.data(), u.data());
+    table.snap(space, u.data(), u.data());
     EXPECT_EQ(std::memcmp(u.data(), ref.data(), sizeof(double) * u.size()), 0);
   }
   EXPECT_GT(tieAxes, 20u);
-}
-
-/// A table rebuilds for a space with other parameters and keeps its entries
-/// for an equal one.
-TEST(SnapTable, RebuildsForAnotherSpace) {
-  const DesignSpace a({{"w", 1e-7, 1e-4, 64, true}});
-  const DesignSpace b({{"w", 1e-7, 1e-4, 8, true}});
-  core::SnapTable table;
-  const double u = 0.3;
-  double out = 0.0;
-  for (const DesignSpace* space : {&a, &b, &a}) {
-    table.build(*space);
-    table.snap(&u, &out);
-    EXPECT_EQ(out, space->toUnit(space->fromUnitSnapped({u}))[0]);
-  }
 }
 
 // ---------- SizingProblem ----------
