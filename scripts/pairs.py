@@ -3,6 +3,7 @@
 
 Usage:
     pairs.py --parent DIR --change DIR --workload W [--pairs N] [--seconds S]
+             [--first-seed F]
     pairs.py --parent DIR --change DIR --scenario FILE [--pairs N] [-- ARGS...]
 
 DIR is a checkout of the repository (a `git archive` or `git clone` of each
@@ -10,13 +11,14 @@ commit; not a worktree of this one). Pair k runs both sides back to back,
 the parent first in odd pairs and the change first in even ones, so drift of
 a shared host lands on both sides alike.
 
---workload W   runs `python3 e2ebench/run.py --workload W --seed k
+--workload W   runs `python3 e2ebench/run.py --workload W --seed F+k-1
                --seconds S` with each checkout as the working directory
-               (seeds 1..N; the first run of a checkout builds its
+               (seeds F..F+N-1, F = --first-seed, default 1: pass a seed
+               range not used while writing the change to check a claim on
+               held-out seeds; the first run of a checkout builds its
                .bench_build/) and reads the JSON object on the last stdout
                line. Each metric's unit and direction come from the parent's
-               BENCHMARK.json; an end-to-end metric whose change median is
-               worse than the parent's by more than its bound is flagged.
+               BENCHMARK.json.
 --scenario F   times `<DIR>/build/trdse run F ARGS...` (F relative to each
                checkout): `wall_s`, and `cpu_s`, the user plus system time
                of the process and its workers. Both sides must print
@@ -26,9 +28,22 @@ a shared host lands on both sides alike.
 
 Prints, per metric, the parent's median and interquartile range, the
 change's median and its change, and the change's wins/ties/losses over the
-pairs. Exits 1 when a run fails, an e2ebench run reports `correct` false,
-or the two sides' `trdse run` stdout or exit code differ. Reads e2ebench/
-and BENCHMARK.json; writes nothing in either checkout beyond what the runs
+pairs. Each end-to-end metric (one with a bound in BENCHMARK.json) also gets
+a verdict, the first of these that holds:
+
+  gain          the change won at least 9/10 of the pairs (ties count for
+                neither), and its median beats the parent's by more than
+                the parent's interquartile range;
+  worse         the change's median is worse than the parent's by more than
+                the metric's bound;
+  unresolved    the parent's interquartile range, as a share of its median,
+                exceeds the bound, and not every change run beats every
+                parent run: the runs spread too widely to call it unchanged;
+  within bound  none of the above.
+
+Exits 1 when a run fails, an e2ebench run reports `correct` false, or the
+two sides' `trdse run` stdout or exit code differ. Reads e2ebench/ and
+BENCHMARK.json; writes nothing in either checkout beyond what the runs
 themselves leave (.bench_build/, .bench_out/).
 """
 
@@ -98,12 +113,28 @@ def metric_specs(parent):
     return specs
 
 
+def verdict(par, chg, wins, lower, bound):
+    """The verdict on one end-to-end metric (see the module docstring)."""
+    q1, pmed, q3 = quartiles(par)
+    gap = statistics.median(chg) - pmed
+    if lower:
+        gap = -gap  # > 0: the change is better
+    if wins >= 0.9 * len(par) and gap > q3 - q1:
+        return "gain"
+    if pmed and -gap / abs(pmed) > bound:
+        return f"worse (bound {bound:g})"
+    beats_all = max(chg) < min(par) if lower else min(chg) > max(par)
+    if pmed and (q3 - q1) / abs(pmed) > bound and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def report(title, runs, specs):
     """runs: one (parent metrics, change metrics) pair per pair index."""
     names = [n for n in runs[0][0] if all(n in p and n in c for p, c in runs)]
     print(f"# {title}: {len(runs)} interleaved pairs")
     print(f"{'metric':<30} {'parent med':>11} {'parent IQR':>11} "
-          f"{'change med':>11} {'change':>8}  W/T/L")
+          f"{'change med':>11} {'change':>8}  W/T/L  verdict")
     for name in names:
         spec = specs.get(name, {"unit": "", "better": "lower"})
         lower = spec["better"] == "lower"
@@ -114,13 +145,11 @@ def report(title, runs, specs):
         wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
         ties = sum(c == p for p, c in zip(par, chg))
         rel = (cmed - pmed) / abs(pmed) if pmed else 0.0
-        worse = rel if lower else -rel
-        flag = ""
-        if spec.get("end_to_end") and worse > spec["bound"]:
-            flag = f"  worse than bound {spec['bound']:g}"
-        print(f"{name:<30} {pmed:>11.4g} {q3 - q1:>11.3g} {cmed:>11.4g} "
-              f"{100 * rel:>+7.1f}%  {wins}/{ties}/{len(runs) - wins - ties}"
-              f"{flag}")
+        line = (f"{name:<30} {pmed:>11.4g} {q3 - q1:>11.3g} {cmed:>11.4g} "
+                f"{100 * rel:>+7.1f}%  {wins}/{ties}/{len(runs) - wins - ties}")
+        if spec.get("end_to_end"):
+            line += "  " + verdict(par, chg, wins, lower, spec["bound"])
+        print(line)
 
 
 def main(argv=None):
@@ -133,6 +162,8 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10, help="pairs (default 10)")
     ap.add_argument("--seconds", type=float, default=20.0,
                     help="e2ebench --seconds per run (default 20)")
+    ap.add_argument("--first-seed", type=int, default=1,
+                    help="e2ebench seed of the first pair (default 1)")
     ap.add_argument("trdse_args", nargs=argparse.REMAINDER,
                     help="after --: extra `trdse run` arguments")
     args = ap.parse_args(argv)
@@ -143,6 +174,8 @@ def main(argv=None):
         ap.error("extra arguments only apply to --scenario")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    if args.first_seed != 1 and not args.workload:
+        ap.error("--first-seed only applies to --workload")
     sides = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     specs = metric_specs(sides["parent"])
@@ -153,8 +186,8 @@ def main(argv=None):
         got, out = {}, {}
         for side in order:
             if args.workload:
-                got[side] = run_e2e(sides[side], args.workload, k,
-                                    args.seconds)
+                got[side] = run_e2e(sides[side], args.workload,
+                                    args.first_seed + k - 1, args.seconds)
             else:
                 got[side], out[side] = run_scenario(
                     sides[side], args.scenario, trdse_args)
@@ -166,7 +199,9 @@ def main(argv=None):
         print(f"pair {k}/{args.pairs} done ({order[0]} first)",
               file=sys.stderr)
 
-    title = (f"e2ebench {args.workload}, --seconds {args.seconds:g}"
+    last_seed = args.first_seed + args.pairs - 1
+    title = (f"e2ebench {args.workload}, --seconds {args.seconds:g}, "
+             f"seeds {args.first_seed}..{last_seed}"
              if args.workload else
              " ".join(["trdse run", args.scenario] + trdse_args))
     report(title, runs, specs)

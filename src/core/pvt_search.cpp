@@ -52,12 +52,13 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
 
 std::vector<EvalResult> PvtSearch::evalCorners(
     const std::vector<std::size_t>& corners, const linalg::Vector& sizes,
-    pvt::BlockKind kind) {
+    pvt::BlockKind kind, const eval::Lookahead& next) {
   // The engine memoizes, fans real simulations out on the step's pool,
   // merges in request order, and records the ledger blocks; the search
   // budget is charged per logical request so trajectories are
   // cache-invariant.
-  std::vector<EvalResult> results = engine_.evalBatch(corners, sizes, kind);
+  std::vector<EvalResult> results =
+      engine_.evalBatch(corners, sizes, kind, next);
   result_.totalSims = engine_.stats().requests;
   return results;
 }
@@ -146,7 +147,8 @@ void PvtSearch::initialize() {
   initialized_ = true;
 }
 
-PvtSearch::Point PvtSearch::evaluatePoint(const linalg::Vector& rawSizes) {
+PvtSearch::Point PvtSearch::evaluatePoint(const linalg::Vector& rawSizes,
+                                          const eval::Lookahead& next) {
   // Evaluate a point on every active corner (bailing early once a corner
   // fails hard is *not* done: every active corner's model needs data). The
   // corner simulations fan out across the pool; trajectory bookkeeping runs
@@ -156,7 +158,8 @@ PvtSearch::Point PvtSearch::evaluatePoint(const linalg::Vector& rawSizes) {
   p.unit = problem_.space.toUnit(p.sizes);
   cornerIdxScratch_.clear();
   for (const auto& cs : active_) cornerIdxScratch_.push_back(cs.index);
-  p.evals = evalCorners(cornerIdxScratch_, p.sizes, pvt::BlockKind::kSearch);
+  p.evals =
+      evalCorners(cornerIdxScratch_, p.sizes, pvt::BlockKind::kSearch, next);
   for (std::size_t i = 0; i < active_.size(); ++i) {
     const EvalResult& r = p.evals[i];
     if (r.ok) {
@@ -221,6 +224,10 @@ bool PvtSearch::signOff(const Point& p) {
 
 PvtSearchOutcome PvtSearch::run(std::size_t maxSims) {
   if (!initialized_) initialize();
+  // Init samples look ahead only as far as this budget, and nothing looked
+  // ahead outlives the call, so no snapshot ever holds any of it.
+  const eval::LookaheadScope lookahead(engine_);
+  runLimit_ = maxSims;
   while (phase_ != Phase::kDone && result_.totalSims < maxSims) stepOnce();
   // Harvest the engine accounting at every exit; the loop state stays live
   // so a later run()/restore can continue the search.
@@ -265,9 +272,29 @@ void PvtSearch::stepInitSample() {
   }
   // Porting: the very first sample is the donor's optimum (no rng draw).
   const std::optional<linalg::Vector>& start = config_.explorer.startingPoint;
-  Point p = evaluatePoint(initK_ == 0 && result_.totalSims == 0 && start
-                              ? *start
-                              : problem_.space.randomPoint(rng_));
+  const linalg::Vector x = initK_ == 0 && result_.totalSims == 0 && start
+                               ? *start
+                               : problem_.space.randomPoint(rng_);
+  // Lookahead: the episode's later samples, each on the active corners in
+  // pool order, drawn on a copy of rng_ only when the engine asks (no other
+  // draw falls between two init samples). The j-th later sample starts no
+  // earlier than j pool sweeps from now, so the offer ends at the episode's
+  // last sample and at the last one this run()'s budget can start.
+  const std::size_t nActive = active_.size();
+  const std::size_t later =
+      std::min(config_.explorer.initSamples - initK_ - 1,
+               (runLimit_ - result_.totalSims - 1) / nActive);
+  std::optional<std::mt19937_64> aheadRng;
+  linalg::Vector ahead;
+  Point p = evaluatePoint(x, [&](std::size_t k, linalg::Vector& sizes,
+                                 std::size_t& corner) {
+    if (k >= later * nActive) return false;
+    if (k == 0) aheadRng.emplace(rng_);
+    if (k % nActive == 0) ahead = problem_.space.randomPoint(*aheadRng);
+    sizes = ahead;
+    corner = active_[k % nActive].index;
+    return true;
+  });
   ++initK_;
   if (signOff(p)) {
     phase_ = Phase::kDone;

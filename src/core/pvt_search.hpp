@@ -192,11 +192,12 @@ class PvtSearch {
   };
 
   /// Evaluate `sizes` on several corners through the engine (batched,
-  /// memoized, thread-parallel with request-order merge) and charge the
-  /// logical budget.
+  /// memoized, thread-parallel with request-order merge, `next` as its
+  /// lookahead) and charge the logical budget.
   std::vector<EvalResult> evalCorners(const std::vector<std::size_t>& corners,
                                       const linalg::Vector& sizes,
-                                      pvt::BlockKind kind);
+                                      pvt::BlockKind kind,
+                                      const eval::Lookahead& next = {});
 
   /// min over active corners of Value(eval) for an already-evaluated point.
   double poolValue(const std::vector<EvalResult>& evals) const;
@@ -215,7 +216,8 @@ class PvtSearch {
   /// warm-started from `explorer.warmStartWeights` when set.
   void ensureSurrogates(std::size_t measDim);
   /// SPICE a raw point on the whole active pool + bookkeeping.
-  Point evaluatePoint(const linalg::Vector& rawSizes);
+  Point evaluatePoint(const linalg::Vector& rawSizes,
+                      const eval::Lookahead& next = {});
   /// Every active-corner eval converged and satisfied the specs.
   bool poolSatisfied(const Point& p) const;
   /// Verify inactive corners; true when all pass (search solved), otherwise
@@ -256,6 +258,11 @@ class PvtSearch {
   std::vector<char> isActive_;     ///< per-corner active flag
   std::optional<std::size_t> measDim_;
   PvtSearchOutcome result_;        ///< outcome accumulated so far
+
+  /// The budget of the run() in progress, which bounds the init samples'
+  /// lookahead. Not checkpointed: run() empties the lookahead buffer before
+  /// it returns.
+  std::size_t runLimit_ = 0;
 
   // Training/planning/evaluation scratch, reused across TRM steps.
   std::vector<SpiceSurrogate*> fitting_;        ///< surrogates this step fits

@@ -415,7 +415,7 @@ void EvalEngine::queueLookahead(const Lookahead& next, std::size_t room) {
 void EvalEngine::evalRequests(const linalg::Vector& point,
                               const std::size_t* cornerIdx, std::size_t nc,
                               pvt::BlockKind kind, core::EvalResult* results,
-                              const Lookahead* next) {
+                              const Lookahead& next) {
   if (nc == 0) return;
 
   // Snap once up front, so the simulated point always matches the cache key
@@ -480,8 +480,8 @@ void EvalEngine::evalRequests(const linalg::Vector& point,
   if (!pending_.empty()) {
     const std::size_t width = std::max<std::size_t>(1, backend_->batchWidth());
     const std::size_t room = (width - pending_.size() % width) % width;
-    if (next != nullptr && *next && room != 0) {
-      queueLookahead(*next, room);
+    if (next && room != 0) {
+      queueLookahead(next, room);
       missTrace_.resize(missRefs_.size());
     }
     dispatchMisses();
@@ -521,10 +521,10 @@ void EvalEngine::evalRequests(const linalg::Vector& point,
 
 std::vector<core::EvalResult> EvalEngine::evalBatch(
     const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
-    pvt::BlockKind kind) {
+    pvt::BlockKind kind, const Lookahead& next) {
   std::vector<core::EvalResult> results(cornerIdx.size());
   evalRequests(sizes, cornerIdx.data(), cornerIdx.size(), kind,
-               results.data(), nullptr);
+               results.data(), next);
   return results;
 }
 
@@ -533,7 +533,7 @@ core::EvalResult EvalEngine::evalOne(std::size_t cornerIdx,
                                      pvt::BlockKind kind,
                                      const Lookahead& next) {
   core::EvalResult result;
-  evalRequests(sizes, &cornerIdx, 1, kind, &result, &next);
+  evalRequests(sizes, &cornerIdx, 1, kind, &result, next);
   return result;
 }
 

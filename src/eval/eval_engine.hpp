@@ -20,17 +20,19 @@
 // Timing (EvalStats::backendSeconds) is measurement-only: it never feeds back
 // into scheduling, so it is excluded from the determinism guarantees.
 //
-// Lookahead: a caller that knows its next one-point requests (RandomSearch's
-// next sizings, TreeBayesOpt's remaining corners, the rollout collector's
-// other environments in the tick) offers them with evalOne.
-// When the request must simulate, the engine fills the rest of its
-// batchWidth() lane chunk with those of them that miss its own memo (the
-// shared cache is never probed for them), and keeps their results in a side
-// buffer. A later request that misses both memos takes its buffered result
-// and is accounted exactly as if it had simulated then; nothing else about a
-// buffered lane is recorded until it is consumed. The caller empties the
-// buffer at the end of each step (LookaheadScope), so nothing speculative is
-// ever checkpointed, journaled, published or sent over the wire.
+// Lookahead: a caller that knows its next one-point requests offers them
+// with evalOne or evalBatch: RandomSearch its next sizings, TreeBayesOpt
+// its remaining corners, the rollout collector its other environments in
+// the tick (evalOne), and PvtSearch its episode's later init samples on the
+// active corners (evalBatch). When the request must simulate, the engine
+// fills the rest of its last batchWidth() lane chunk with those of them that
+// miss its own memo (the shared cache is never probed for them), and keeps
+// their results in a side buffer. A later request that misses both memos
+// takes its buffered result and is accounted exactly as if it had simulated
+// then; nothing else about a buffered lane is recorded until it is consumed.
+// The caller empties the buffer at the end of each step (LookaheadScope), so
+// nothing speculative is ever checkpointed, journaled, published or sent
+// over the wire.
 //
 // Fault tolerance: the engine classifies every backend attempt (the result's
 // FaultClass, a wall-clock deadline when RetryPolicy::timeoutSeconds is set,
@@ -163,7 +165,8 @@ struct PublishEntry {
 /// Whether an EvalResult meets every spec — used for ledger bookkeeping.
 using MeetsSpecFn = std::function<bool(const core::EvalResult&)>;
 
-/// A caller's upcoming one-point requests (EvalEngine::evalOne's lookahead).
+/// A caller's upcoming one-point requests (the lookahead of
+/// EvalEngine::evalOne and evalBatch).
 /// Called with k = 0, 1, 2, ... in turn on the calling thread, it writes the
 /// k-th next request the caller expects to make — a sizing (raw or snapped)
 /// and a corner index — and returns true, or returns false once it expects
@@ -211,9 +214,15 @@ class EvalEngine {
   /// when caching is on. A request that exhausts its retries yields a failed
   /// EvalResult (ok == false, failure != kNone) in its slot — faults never
   /// throw through the batch and never enter any cache.
+  ///
+  /// `next` offers the caller's upcoming one-point requests, as for evalOne:
+  /// consulted only when some corner of this batch must simulate and its
+  /// last lane chunk has room, it fills that room. A corner whose result
+  /// was simulated ahead takes it from the buffer and accounts exactly as
+  /// if it simulated now.
   std::vector<core::EvalResult> evalBatch(
       const std::vector<std::size_t>& cornerIdx, const linalg::Vector& sizes,
-      pvt::BlockKind kind);
+      pvt::BlockKind kind, const Lookahead& next = {});
 
   /// Single request (the RandomSearch / TreeBayesOpt / SizingEnv per-step
   /// hot path; a rollout collector's environments share one engine): a
@@ -360,7 +369,7 @@ class EvalEngine {
   /// cornerIdx[c].
   void evalRequests(const linalg::Vector& point, const std::size_t* cornerIdx,
                     std::size_t nc, pvt::BlockKind kind,
-                    core::EvalResult* results, const Lookahead* next);
+                    core::EvalResult* results, const Lookahead& next);
 
   /// Queue up to `room` of `next`'s offered requests as lookahead lanes
   /// behind the request misses: those that miss the memo, the buffer and
@@ -419,8 +428,9 @@ class EvalEngine {
 };
 
 /// Empties an engine's lookahead buffer when it goes out of scope. A
-/// strategy holds one for the length of each step(), so nothing speculative
-/// outlives the step, even when the step throws.
+/// strategy holds one for the length of each step() (PvtSearch for each
+/// run()), so nothing speculative outlives the step, even when the step
+/// throws.
 class LookaheadScope {
  public:
   explicit LookaheadScope(EvalEngine& engine) : engine_(engine) {}

@@ -214,12 +214,14 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
     applyOptions(
         name, options,
         [&cfg](const std::string& k, const std::string& v) {
-          if (k == "hidden") cfg.a2c.hidden = parseU64(k, v);
+          // A network with no hidden unit ignores its observation, and every
+          // move divides by the stride divisor.
+          if (k == "hidden") cfg.a2c.hidden = parseCount(k, v);
           else if (k == "n_steps") cfg.a2c.nSteps = parseU64(k, v);
           else if (k == "episode_length")
             cfg.a2c.env.episodeLength = parseU64(k, v);
           else if (k == "stride_divisor")
-            cfg.a2c.env.strideDivisor = parseU64(k, v);
+            cfg.a2c.env.strideDivisor = parseCount(k, v);
           else if (k == "learning_rate")
             cfg.a2c.learningRate = parseFinite(k, v);
           else if (k == "entropy_coeff")

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <sstream>
+#include <stdexcept>
 #include <type_traits>
 
 #include "io/checkpoint.hpp"
@@ -103,6 +104,17 @@ void readSection(const io::CheckpointReader& r, const char* name, Read read) {
   s.expectEnd();
 }
 
+/// The algorithm's hidden width. With none the networks would be
+/// {obs, 0, 0, out}, whose outputs are their last bias alone, whatever the
+/// observation.
+std::size_t hiddenWidth(const RlAlgorithm& algorithm) {
+  const std::size_t hidden =
+      std::visit([](const auto& c) { return c.hidden; }, algorithm);
+  if (hidden == 0)
+    throw std::invalid_argument("RlLearner: hidden must be >= 1");
+  return hidden;
+}
+
 void readNetInto(const io::CheckpointReader& r, const char* name,
                  nn::Mlp& net) {
   readSection(r, name, [&](io::SectionReader& s) {
@@ -132,14 +144,11 @@ RlLearner::RlLearner(const core::SizingProblem& problem,
       collector_(problem,
                  std::visit([](const auto& c) { return c.env; }, algorithm),
                  seeds.envs, seeds.sampling),
-      policy_(makePolicyNet(
-          collector_.observationDim(), collector_.actionHeads(), kApH,
-          std::visit([](const auto& c) { return c.hidden; }, algorithm),
-          seeds.policy)),
-      critic_(makeValueNet(
-          collector_.observationDim(),
-          std::visit([](const auto& c) { return c.hidden; }, algorithm),
-          seeds.critic)),
+      policy_(makePolicyNet(collector_.observationDim(),
+                            collector_.actionHeads(), kApH,
+                            hiddenWidth(algorithm), seeds.policy)),
+      critic_(makeValueNet(collector_.observationDim(),
+                           hiddenWidth(algorithm), seeds.critic)),
       criticOpt_(std::visit([](const auto& c) { return c.valueLearningRate; },
                             algorithm)) {
   if (const auto* a2c = std::get_if<A2cConfig>(&algorithm_))

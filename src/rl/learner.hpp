@@ -61,7 +61,8 @@ class RlLearner {
   /// streams seeded at the config's seed plus that algorithm's offsets.
   RlLearner(const core::SizingProblem& problem, const RlAlgorithm& algorithm);
   /// A learner tagged `tag` on `seeds`; with `train` false it collects
-  /// without ever updating.
+  /// without ever updating. Throws std::invalid_argument when the
+  /// algorithm's hidden width or its environments' strideDivisor is 0.
   RlLearner(const core::SizingProblem& problem, const RlAlgorithm& algorithm,
             std::string tag, const Seeds& seeds, bool train = true);
 

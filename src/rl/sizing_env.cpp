@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "io/state_io.hpp"
 
@@ -28,7 +29,11 @@ SizingEnv::SizingEnv(const core::SizingProblem& problem, EnvConfig config,
       config_(config),
       value_(problem.measurementNames, problem.specs),
       engine_(engine),
-      rng_(seed) {}
+      rng_(seed) {
+  // Every move divides a parameter's step count by it.
+  if (config_.strideDivisor == 0)
+    throw std::invalid_argument("SizingEnv: strideDivisor must be >= 1");
+}
 
 std::size_t SizingEnv::observationDim() const {
   return problem_.space.dim() + 2 * problem_.specs.size();

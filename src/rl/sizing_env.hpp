@@ -69,6 +69,7 @@ std::unique_ptr<eval::EvalEngine> makeEnvEngine(
 class SizingEnv {
  public:
   /// Requests corner 0 of `engine`, which must outlive the environment.
+  /// Throws std::invalid_argument when config.strideDivisor is 0.
   SizingEnv(const core::SizingProblem& problem, EnvConfig config,
             std::uint64_t seed, eval::EvalEngine& engine);
 

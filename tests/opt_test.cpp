@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/pvt_search.hpp"
 #include "eval/shared_cache.hpp"
 #include "eval_stats_eq.hpp"
 #include "extra_trees_reference.hpp"
@@ -545,10 +547,11 @@ TEST(TreeBayesOpt, LedgerAgreesWithIterationCount) {
 
 // ---- Lookahead lane packing -----------------------------------------------
 //
-// On a backend wider than one lane, RandomSearch and TreeBayesOpt offer
-// their next requests with each one-point request, and the engine simulates
-// them in the same pass. Every consumed request must account exactly as on a
-// width-1 backend, where nothing is looked ahead.
+// On a backend wider than one lane, RandomSearch, TreeBayesOpt and rl_policy
+// offer their next requests with each one-point request, and PvtSearch its
+// episode's later init samples with each init sample's pool batch; the
+// engine simulates them in the same pass. Every consumed request must
+// account exactly as on a width-1 backend, where nothing is looked ahead.
 
 /// Five corners whose feasible discs shift with the corner, and a hot corner
 /// whose simulation fails outright in one region: random sweeps fail at
@@ -626,17 +629,30 @@ struct LookaheadRun {
   std::size_t steps = 0;
 };
 
+/// Each strategy's options in the lookahead harness: small models, and a
+/// pvt_search whose episodes are short enough to restart within the budget.
+std::map<std::string, std::string> lookaheadOptions(const std::string& name) {
+  if (name == "tree_bayes_opt")
+    return {{"init_samples", "6"}, {"candidate_pool", "80"}};
+  if (name == "rl_policy")
+    return {{"hidden", "8"}, {"n_steps", "8"}, {"episode_length", "10"}};
+  if (name == "pvt_search") return {{"init_samples", "6"}, {"mc_samples", "30"}};
+  return {};
+}
+
 struct LookaheadConfig {
-  bool treeBo = false;
-  bool rlPolicy = false;
+  /// random_search, tree_bayes_opt, rl_policy or pvt_search (the last grows
+  /// its progressive-hardest pool from one of the five corners).
+  std::string strategy = "random_search";
   double radius = 0.2;
   std::uint64_t seed = 3;
   std::size_t width = 1;  ///< 1: scalar callback, 4: fused, 8: WideBackend
   std::size_t slice = 0;  ///< 0: one step to the budget
   bool faulty = false;    ///< ci_smoke_faulty's fault plan and retries
-  /// RandomSearch and rl_policy: after this many steps, checkpoint, rebuild
-  /// and restore into a fresh strategy, and go on (0: never).
+  /// After this many steps, checkpoint, rebuild and restore into a fresh
+  /// strategy, and go on (0: never; not for tree_bayes_opt).
   std::size_t resumeAfter = 0;
+  std::size_t budget = kLookaheadBudget;
 };
 
 LookaheadRun runLookahead(const LookaheadConfig& c) {
@@ -649,29 +665,14 @@ LookaheadRun runLookahead(const LookaheadConfig& c) {
   };
   // rl_policy runs as many environments as the problem's own evaluator is
   // wide, so it needs the fused one to fill a wide backend too.
-  if (c.width == 4 || (c.width == 8 && c.rlPolicy))
+  if (c.width == 4 || (c.width == 8 && c.strategy == "rl_policy"))
     prob = fused(std::move(prob));
   std::shared_ptr<WideBackend> wide;
   if (c.width == 8) wide = std::make_shared<WideBackend>(prob.evaluate, 8);
 
   const auto build = [&]() -> std::unique_ptr<Strategy> {
-    std::unique_ptr<Strategy> s;
-    if (c.treeBo) {
-      TreeBayesOptConfig cfg;
-      cfg.seed = c.seed;
-      cfg.initSamples = 6;
-      cfg.candidatePool = 80;
-      s = std::make_unique<TreeBayesOpt>(prob, cfg, kLookaheadBudget);
-    } else if (c.rlPolicy) {
-      rl::RlPolicyConfig cfg;
-      cfg.a2c.hidden = 8;
-      cfg.a2c.nSteps = 8;
-      cfg.a2c.env.episodeLength = 10;
-      s = std::make_unique<rl::RlPolicyStrategy>(prob, cfg, c.seed,
-                                                 kLookaheadBudget);
-    } else {
-      s = std::make_unique<RandomSearch>(prob, c.seed, kLookaheadBudget);
-    }
+    std::unique_ptr<Strategy> s = makeStrategy(
+        c.strategy, prob, c.seed, c.budget, lookaheadOptions(c.strategy));
     eval::EvalEngine& engine = s->engine();
     if (wide) engine.setBackend(wide);
     engine.attachSharedCache(std::make_shared<eval::SharedEvalCache>(4),
@@ -690,15 +691,15 @@ LookaheadRun runLookahead(const LookaheadConfig& c) {
 
   LookaheadRun run;
   std::unique_ptr<Strategy> s = build();
-  const std::size_t slice = c.slice == 0 ? kLookaheadBudget : c.slice;
+  const std::size_t slice = c.slice == 0 ? c.budget : c.slice;
   for (std::size_t target = slice;; target += slice) {
-    s->step(std::min(target, kLookaheadBudget));
+    s->step(std::min(target, c.budget));
     ++run.steps;
     // Nothing speculative outlives a step.
     EXPECT_EQ(s->engine().lookaheadSize(), 0u);
     for (const eval::PublishEntry& e : s->engine().drainPublishJournal())
       run.publishes.push_back(e.key);
-    if (s->finished() || target >= kLookaheadBudget) break;
+    if (s->finished() || target >= c.budget) break;
     if (run.steps == c.resumeAfter) {
       const std::string blob = s->saveCheckpointBlob();
       s = build();
@@ -749,10 +750,7 @@ void expectSameConsumed(const LookaheadRun& a, const LookaheadRun& b,
 }
 
 std::string describe(const LookaheadConfig& c) {
-  return std::string(c.treeBo     ? "tree_bayes_opt"
-                     : c.rlPolicy ? "rl_policy"
-                                  : "random_search") +
-         " radius " + std::to_string(c.radius) + " width " +
+  return c.strategy + " radius " + std::to_string(c.radius) + " width " +
          std::to_string(c.width) + " slice " + std::to_string(c.slice) +
          (c.faulty ? " faulty" : " clean") +
          (c.resumeAfter != 0
@@ -762,12 +760,25 @@ std::string describe(const LookaheadConfig& c) {
 
 TEST(Lookahead, StrategiesAccountExactlyAsOneRequestAtATime) {
   std::size_t wastedTotal = 0;
-  for (const bool treeBo : {false, true}) {
-    // A disc wide enough to solve within the budget, and one too narrow.
-    for (const double radius : {0.2, 0.03}) {
+  // At radius 0.1 pvt_search's pool grows during its first episode's init
+  // samples (one verify fails), so samples looked ahead on one corner are
+  // asked for on two; it solves later, on the grown pool.
+  {
+    core::PvtSearchConfig cfg;
+    cfg.seed = LookaheadConfig{}.seed;
+    cfg.explorer.initSamples = 6;
+    cfg.explorer.mcSamples = 30;
+    core::PvtSearch search(lookaheadProblem(0.1), cfg);
+    EXPECT_EQ(search.run(cfg.explorer.initSamples).cornersActivated, 2u);
+    EXPECT_TRUE(search.run(kLookaheadBudget).solved);
+  }
+  for (const char* strategy :
+       {"random_search", "tree_bayes_opt", "pvt_search"}) {
+    // Discs wide enough to solve within the budget, and one too narrow.
+    for (const double radius : {0.2, 0.1, 0.03}) {
       for (const bool faulty : {false, true}) {
         LookaheadConfig base;
-        base.treeBo = treeBo;
+        base.strategy = strategy;
         base.radius = radius;
         base.faulty = faulty;
         const LookaheadRun whole = runLookahead(base);
@@ -871,6 +882,28 @@ TEST(Lookahead, ClampsToWhatTheStepCanStillAsk) {
     EXPECT_EQ(out.evalStats.attempts, out.evalStats.simulated)
         << "tree_bayes_opt width " << width;
 
+    // pvt_search offers its episode's later init samples up to the last one,
+    // and only those the run's budget can start. Its pool never grows here
+    // (nothing meets spec, so nothing is verified), so every lane simulated
+    // ahead is asked for: at slices of 4 every first episode straddles a
+    // step end.
+    for (const std::size_t slice : {std::size_t{4}, std::size_t{100}}) {
+      std::unique_ptr<Strategy> pvt = makeStrategy(
+          "pvt_search", multi, 4, 100, lookaheadOptions("pvt_search"));
+      if (width == 8)
+        pvt->engine().setBackend(
+            std::make_shared<WideBackend>(multi.evaluate, 8));
+      for (std::size_t target = slice; !pvt->finished(); target += slice) {
+        pvt->step(target);
+        EXPECT_EQ(pvt->engine().lookaheadSize(), 0u);
+      }
+      const StrategyOutcome& po = pvt->outcome();
+      const std::string where = "pvt_search slice " + std::to_string(slice) +
+                                " width " + std::to_string(width);
+      EXPECT_EQ(po.iterations, 100u) << where;
+      EXPECT_EQ(po.evalStats.attempts, po.evalStats.simulated) << where;
+    }
+
     // rl_policy offers only the tick's later environments, as far as the
     // step target reaches: a run that never solves simulates no lane it
     // does not use, and one that solves wastes at most the solving tick's
@@ -934,6 +967,63 @@ TEST(Lookahead, RandomSearchResumesFromAnyStepBoundary) {
   }
 }
 
+TEST(Lookahead, PvtSearchResumesFromAnyStepBoundary) {
+  // run() empties the buffer before it returns and the budget it looks
+  // ahead to is not part of the blob, so a search checkpointed at any step
+  // boundary (mid-episode included) and restored into a fresh strategy ends
+  // exactly where the uninterrupted run does, lanes simulated ahead included.
+  for (const std::size_t width : {4u, 8u}) {
+    for (const bool faulty : {false, true}) {
+      LookaheadConfig c;
+      c.strategy = "pvt_search";
+      // Never solves: the whole budget, over 7 step boundaries or more (a
+      // step on a grown pool can end past its target). The pool grows near
+      // request 18, and a second episode samples on it.
+      c.radius = 0.03;
+      c.budget = 60;
+      c.width = width;
+      c.slice = 7;
+      c.faulty = faulty;
+      const LookaheadRun whole = runLookahead(c);
+      ASSERT_FALSE(whole.outcome.solved) << describe(c);
+      ASSERT_GE(whole.steps, 8u) << describe(c);
+      for (std::size_t k = 1; k < whole.steps; ++k) {
+        c.resumeAfter = k;
+        const LookaheadRun resumed = runLookahead(c);
+        expectSameConsumed(resumed, whole, describe(c));
+        EXPECT_EQ(resumed.stats.attempts, whole.stats.attempts) << describe(c);
+        EXPECT_EQ(resumed.lanes, whole.lanes) << describe(c);
+      }
+    }
+  }
+}
+
+TEST(Lookahead, PvtSearchPacksInitSamplesIntoFullPasses) {
+  // An episode's twelve init samples on a one-corner pool, none of which
+  // meets spec: the first sample's four-lane pass also simulates the next
+  // three, whose requests then take those results, so the twelve samples
+  // take three passes instead of twelve.
+  core::SizingProblem prob = syntheticProblem(0.001);
+  auto passes = std::make_shared<std::size_t>(0);
+  prob.evaluateBatch = [fn = prob.evaluate, passes](
+                           const linalg::Vector* const* sizes,
+                           const sim::PvtCorner* corners,
+                           core::EvalResult* results, std::size_t count) {
+    ++*passes;
+    for (std::size_t i = 0; i < count; ++i)
+      results[i] = fn(*sizes[i], corners[i]);
+  };
+  core::PvtSearchConfig cfg;
+  cfg.explorer.initSamples = 12;
+  core::PvtSearch search(prob, cfg);
+  ASSERT_EQ(search.engine().backend().batchWidth(), 4u);
+  const core::PvtSearchOutcome out = search.run(12);
+  EXPECT_EQ(out.totalSims, 12u);
+  EXPECT_EQ(out.evalStats.simulated, 12u);
+  EXPECT_EQ(out.evalStats.attempts, 12u);
+  EXPECT_EQ(*passes, 3u);
+}
+
 TEST(Lookahead, RlPolicyResumesFromAnyStepBoundary) {
   // rl_policy's blob is its learner's snapshot: networks, Adam moments,
   // every environment slot and the half-collected rollout, so a run
@@ -944,7 +1034,7 @@ TEST(Lookahead, RlPolicyResumesFromAnyStepBoundary) {
     for (const bool faulty : {false, true}) {
       for (const std::size_t slice : {1u, 7u}) {
         LookaheadConfig c;
-        c.rlPolicy = true;
+        c.strategy = "rl_policy";
         c.radius = 0.03;  // never solves: the run takes every slice
         c.width = width;
         c.slice = slice;

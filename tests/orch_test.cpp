@@ -441,6 +441,12 @@ TEST(Strategy, FactoryRejectsUnknownNamesAndOptions) {
     EXPECT_THROW(opt::makeStrategy("pvt_search", prob, 1, 10, {{key, "0"}}),
                  std::invalid_argument)
         << key << " = 0";
+  // A zero stride divisor divides by zero on an rl_policy's first move, and
+  // with no hidden unit its networks ignore their observation.
+  for (const char* key : {"hidden", "stride_divisor"})
+    EXPECT_THROW(opt::makeStrategy("rl_policy", prob, 1, 10, {{key, "0"}}),
+                 std::invalid_argument)
+        << key << " = 0";
   for (const char* key : {"learning_rate", "entropy_coeff"})
     for (const char* value : {"nan", "inf", "-inf"})
       EXPECT_THROW(opt::makeStrategy("rl_policy", prob, 1, 10, {{key, value}}),
@@ -733,8 +739,10 @@ TEST(Scheduler, RejectsTreeBayesOptWithoutInitSamples) {
 /// is built, naming the job's line, and the strategy's constructor refuses
 /// the same config on its own. At `opt.init_samples = 0` a pvt_search would
 /// never end (no episode spends budget), at `opt.mc_samples = 0` it would
-/// never take a TRM step, and at `opt.candidate_pool = 0` a tree_bayes_opt
-/// stops at its first acquisition.
+/// never take a TRM step, at `opt.candidate_pool = 0` a tree_bayes_opt
+/// stops at its first acquisition, at `opt.stride_divisor = 0` an rl_policy
+/// dies dividing by zero, and at `opt.hidden = 0` its policy ignores its
+/// observation. Nothing runs: the scheduler refuses at construction.
 void expectZeroCountRejected(const std::string& strategy, const std::string& key) {
   ensureTinyGridRegistered();
   Scenario sc = parseScenarioText(
@@ -772,6 +780,22 @@ TEST(Scheduler, RejectsTreeBayesOptWithoutCandidatePool) {
   cfg.candidatePool = 0;
   EXPECT_THROW(opt::TreeBayesOpt(tinyGridProblem(), cfg, 20),
                std::invalid_argument);
+}
+
+TEST(Scheduler, RejectsRlPolicyWithoutStrideDivisor) {
+  expectZeroCountRejected("rl_policy", "stride_divisor");
+  const core::SizingProblem prob = tinyGridProblem();
+  auto engine = rl::makeEnvEngine(prob, {});
+  rl::EnvConfig env;
+  env.strideDivisor = 0;
+  EXPECT_THROW(rl::SizingEnv(prob, env, 1, *engine), std::invalid_argument);
+}
+
+TEST(Scheduler, RejectsRlPolicyWithoutHiddenUnits) {
+  expectZeroCountRejected("rl_policy", "hidden");
+  rl::A2cConfig cfg;
+  cfg.hidden = 0;
+  EXPECT_THROW(rl::RlLearner(tinyGridProblem(), cfg), std::invalid_argument);
 }
 
 TEST(Scheduler, DerivesDistinctSeedsAndRunsOnce) {

@@ -572,6 +572,47 @@ TEST(ServeTest, FuzzedSubmitBodiesAreAnsweredNeverFatal) {
   EXPECT_TRUE(send(body));
 }
 
+TEST(ServeTest, ZeroCountRlPolicyIsRefusedAndTheDaemonServesOn) {
+  // An rl_policy with stride_divisor = 0 would divide by zero on its first
+  // move, killing a daemon that admitted it (and, journaled, every restart
+  // that recovered it); with hidden = 0 its policy would ignore its
+  // observation. Admission refuses both, naming the job's line, and the
+  // daemon goes on answering and running valid submissions.
+  ensureTinyGridRegistered();
+  const std::string dir = freshDir("zero_count_rl");
+  DaemonHarness harness(makeConfig(dir));
+  harness.start();
+  Client client = Client::connect(dir + "/daemon.sock");
+
+  for (const std::string key : {"stride_divisor", "hidden"}) {
+    SubmitRequest bad;
+    bad.source = "rl.scenario";
+    bad.scenarioText =
+        "name = rl\nthreads = 1\n[job]\nname = rl\ncircuit = tiny_grid\n"
+        "strategy = rl_policy\nbudget = 40\nopt." +
+        key + " = 0\n";
+    try {
+      client.submit(bad);
+      ADD_FAILURE() << "opt." << key << " = 0 was admitted";
+    } catch (const ServeError& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "rl.scenario:3: job \"rl\": strategy option \"" + key +
+                    "\": expected a count >= 1, got \"0\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(client.status().empty());
+
+  SubmitRequest ok;
+  ok.scenarioText = checkpointableScenario("after_refusal", 911, 16);
+  const std::uint64_t id = client.submit(ok);
+  const FinalResult res = client.stream(id);
+  EXPECT_FALSE(res.report.empty());
+  ASSERT_EQ(client.status().size(), 1u);
+  EXPECT_EQ(client.status()[0].state, "completed");
+}
+
 TEST(ServeTest, CancelAndShutdown) {
   ensureTinyGridRegistered();
   const std::string dir = freshDir("cancel");
