@@ -421,16 +421,17 @@ void runCornerSweep(benchmark::State& state, bool pooled, bool fused) {
   const auto x = prob.space.randomPoint(rng);
   std::vector<std::size_t> cornerIdx(prob.corners.size());
   for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
-  // Cache off so every iteration pays for all 9 simulations; ledger off so
-  // the timed loop does not grow a block list across iterations.
   eval::EvalEngine engine(
       std::make_shared<eval::CallbackBackend>(
           prob.evaluate, "sweep",
           fused ? prob.evaluateBatch : core::CornerBatchEvalFn{}),
-      prob.space, prob.corners, eval::MeetsSpecFn{},
-      {/*cacheEvals=*/false, /*recordLedger=*/false});
+      prob.space, prob.corners, eval::MeetsSpecFn{});
   const auto sweep = [&] {
     for (auto _ : state) {
+      // An empty memo makes every iteration pay for all 9 simulations, and a
+      // reset ledger keeps the timed loop from growing a block list.
+      engine.clearCache();
+      engine.resetAccounting();
       auto r = engine.evalBatch(cornerIdx, x, pvt::BlockKind::kSearch);
       benchmark::DoNotOptimize(r.data());
     }
@@ -460,10 +461,11 @@ BENCHMARK(BM_PvtCornerSweepPooled);
 // Progressive PVT search, strategy comparisons, and RL episodes re-evaluate
 // the same snapped sizings on the same corners over and over. The engine's
 // EvalCache serves those repeats for free: this pair sweeps 4 candidate
-// sizings over the 9-corner sign-off set for 8 rounds — uncached pays
-// 4*9*8 = 288 simulations per iteration, cached pays the first round's 36
-// and serves the remaining 252 from the memo. The ratio is the measured
-// blocks-saved speedup recorded in BENCH_micro.json.
+// sizings over the 9-corner sign-off set for 8 rounds — uncached empties the
+// memo before each sweep and pays 4*9*8 = 288 simulations per iteration,
+// cached pays the first round's 36 and serves the remaining 252 from the
+// memo. The ratio is the measured blocks-saved speedup recorded in
+// BENCH_micro.json.
 
 void runRepeatedSweep(benchmark::State& state, bool cached) {
   static const core::SizingProblem prob = [] {
@@ -479,9 +481,10 @@ void runRepeatedSweep(benchmark::State& state, bool cached) {
   std::vector<std::size_t> cornerIdx(prob.corners.size());
   for (std::size_t i = 0; i < cornerIdx.size(); ++i) cornerIdx[i] = i;
   for (auto _ : state) {
-    eval::EvalEngine engine(prob, {/*cacheEvals=*/cached});
+    eval::EvalEngine engine(prob);
     for (int round = 0; round < 8; ++round) {
       for (const auto& p : points) {
+        if (!cached) engine.clearCache();
         auto r = engine.evalBatch(cornerIdx, p, pvt::BlockKind::kSearch);
         benchmark::DoNotOptimize(r.data());
       }

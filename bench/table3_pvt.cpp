@@ -49,10 +49,9 @@ int main() {
       core::PvtSearchConfig cfg;
       cfg.strategy = strategy;
       cfg.seed = 3000 + 17 * r;
-      // Paper accounting: every EDA block is a real simulation. The seeded
-      // trajectory (and the totalSims reported below) is bitwise identical
-      // with the cache on; turning it off only pins blocks == simulations.
-      cfg.cacheEvals = false;
+      // Paper accounting: totalSims counts every logical request, memo hits
+      // included, so the seeded trajectory and the row do not depend on
+      // what the memo held.
       cfg.explorer = core::autoSchedule(problem);
       core::PvtSearch search(problem, cfg);
       const auto out = search.run(cap);

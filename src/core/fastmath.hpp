@@ -6,15 +6,17 @@
 // data-dependent branches so a scalar call and a lane of a vectorized block
 // execute the same instruction sequence, and (c) vectorize well when evaluated
 // over AoSoA lane blocks. libm satisfies none of these, so the device cards
-// use the pair below. Accuracy is ~3 ulp over the domains the EKV model
+// use the routines below. Accuracy is ~3 ulp over the domains the EKV model
 // exercises (exp on [-708, 708], log1p on [0, 1e308]); both are monotone.
 //
 // fastExp follows the classic table-driven reduction: x = k*ln2/128 + r with
 // |r| <= ln2/256, exp(x) = 2^(k/128) * exp(r), where 2^(i/128) comes from a
 // 128-entry table and the integer part of k folds into the exponent bits.
-// fastLog1p splits u = 1+y into 2^k * m with m in [sqrt(1/2), sqrt(2)) and
-// evaluates 2*atanh((m-1)/(m+1)) as a Taylor tail; the rounding error of 1+y
-// is restored exactly via c = (y - (u-1))/u.
+// log1p(y) splits u = 1+y into 2^k * m with m in [sqrt(1/2), sqrt(2)) and
+// evaluates 2*atanh((m-1)/(m+1)) as a Taylor tail (log1pTail); the rounding
+// error of 1+y is restored exactly via c = (y - (u-1))/u. The EKV kernel
+// (sim/mosfet.cpp) inlines that log1p into its fused exp/log path, scalar
+// and 4-lane, from kLogAdj, logReduce4 and the log1pTail pair below.
 
 #include <cstdint>
 #include <cstring>
@@ -153,8 +155,8 @@ inline simd::V4d log1pTail4(simd::V4d z) {
 }
 
 /// 4-lane log-style reduction of u = 1 + y: splits each lane into
-/// 2^k * m with m in [sqrt(1/2), sqrt(2)). Shared by fastLog1p4 and the
-/// EKV kernel's fused exp/log path (sim/mosfet.cpp).
+/// 2^k * m with m in [sqrt(1/2), sqrt(2)), as the EKV kernel's scalar log1p
+/// does from kLogAdj (sim/mosfet.cpp).
 inline void logReduce4(simd::V4d u, simd::V4d* kOut, simd::V4d* mOut) {
   using simd::V4i;
   using simd::V4u;
@@ -162,32 +164,6 @@ inline void logReduce4(simd::V4d u, simd::V4d* kOut, simd::V4d* mOut) {
   const V4i kRaw = (V4i)((uu + simd::splatU4(kLogAdj)) >> 52) - 1023;
   *kOut = __builtin_convertvector(kRaw, simd::V4d);
   *mOut = simd::fromBits4(uu - ((V4u)kRaw << 52));
-}
-
-/// 4-lane fastLog1p. Bit-identical per lane to fastLog1p().
-inline simd::V4d fastLog1p4(simd::V4d y) {
-  using simd::V4d;
-  const V4d u = 1.0 + y;
-  V4d k, m;
-  logReduce4(u, &k, &m);
-  const V4d c = (y - (u - 1.0)) / u;
-  const V4d s = (m - 1.0) / (m + 1.0);
-  const V4d poly = 2.0 + log1pTail4(s * s);
-  return k * kLn2Hi + (s * poly + (c + k * kLn2Lo));
-}
-
-// log(1+y) for y >= 0. Branchless, ~3 ulp.
-inline double fastLog1p(double y) {
-  const double u = 1.0 + y;
-  const std::uint64_t uu = bitsOf(u);
-  const std::int64_t kRaw =
-      static_cast<std::int64_t>((uu + kLogAdj) >> 52) - 1023;
-  const double k = static_cast<double>(kRaw);
-  const double m = fromBits(uu - (static_cast<std::uint64_t>(kRaw) << 52));
-  const double c = (y - (u - 1.0)) / u;
-  const double s = (m - 1.0) / (m + 1.0);
-  const double poly = 2.0 + log1pTail(s * s);
-  return k * kLn2Hi + (s * poly + (c + k * kLn2Lo));
 }
 
 }  // namespace trdse::fastmath

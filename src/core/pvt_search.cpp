@@ -37,7 +37,7 @@ PvtSearch::PvtSearch(SizingProblem problem, PvtSearchConfig config)
       config_(std::move(config)),
       // note: value_ must be built from the member, not the moved-from param
       value_(problem_.measurementNames, problem_.specs),
-      engine_(problem_, eval::EvalEngineConfig{config_.cacheEvals}),
+      engine_(problem_),
       rng_(config_.seed),
       tr_(config_.explorer.trustRegion) {
   // An episode with no init sample returns to its start without evaluating
@@ -431,10 +431,6 @@ std::vector<std::pair<std::string, std::string>> fingerprintOf(
   fp.emplace_back("stagnationPatience", std::to_string(e.stagnationPatience));
   fp.emplace_back("localityFactor", num(e.localityFactor));
   fp.emplace_back("minLocalSamples", std::to_string(e.minLocalSamples));
-  // A constant entry: checkpoints and journals written when planning was
-  // still configurable carry it, and must keep matching so they resume.
-  fp.emplace_back("batchedPlanning", "1");
-  fp.emplace_back("cacheEvals", config.cacheEvals ? "1" : "0");
   const TrustRegionConfig& t = e.trustRegion;
   fp.emplace_back("trustRegion", num(t.initRadius) + ":" + num(t.minRadius) +
                                      ":" + num(t.maxRadius) + ":" +
@@ -466,14 +462,16 @@ std::vector<std::pair<std::string, std::string>> fingerprintOf(
   return fp;
 }
 
-void writePoint(io::SectionWriter& w, const linalg::Vector& sizes,
-                const linalg::Vector& unit,
-                const std::vector<EvalResult>& evals, double value) {
-  w.vec(sizes);
-  w.vec(unit);
+void writeEvals(io::SectionWriter& w, const std::vector<EvalResult>& evals) {
   w.u64(evals.size());
   for (const auto& e : evals) io::writeEvalResult(w, e);
-  w.f64(value);
+}
+
+std::vector<EvalResult> readEvals(io::SectionReader& r) {
+  std::vector<EvalResult> evals;
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n; ++i) evals.push_back(io::readEvalResult(r));
+  return evals;
 }
 
 }  // namespace
@@ -495,7 +493,10 @@ std::string PvtSearch::save() const {
   sw.u8(static_cast<std::uint8_t>(phase_));
   sw.u64(initK_);
   sw.boolean(haveCenter_);
-  writePoint(sw, center_.sizes, center_.unit, center_.evals, center_.value);
+  sw.vec(center_.sizes);
+  sw.vec(center_.unit);
+  writeEvals(sw, center_.evals);
+  sw.f64(center_.value);
   sw.f64(tr_.radius());
   sw.u64(sinceRestart_);
   sw.u64(sinceImprovement_);
@@ -506,7 +507,8 @@ std::string PvtSearch::save() const {
   sw.u64(measDim_.value_or(0));
   sw.boolean(result_.solved);
   sw.u64(result_.totalSims);
-  writePoint(sw, result_.sizes, {}, result_.cornerEvals, 0.0);
+  sw.vec(result_.sizes);
+  writeEvals(sw, result_.cornerEvals);
   sw.u64(result_.cornersActivated);
   // ValueFunction's one piece of mutable state (the planner margin bonus).
   sw.f64(value_.marginBonus());
@@ -593,10 +595,7 @@ void PvtSearch::restoreSections(const io::CheckpointReader& r) {
   haveCenter_ = sr.boolean();
   center_.sizes = sr.vec();
   center_.unit = sr.vec();
-  center_.evals.clear();
-  const std::uint64_t nCenterEvals = sr.u64();
-  for (std::uint64_t i = 0; i < nCenterEvals; ++i)
-    center_.evals.push_back(io::readEvalResult(sr));
+  center_.evals = readEvals(sr);
   center_.value = sr.f64();
   tr_ = TrustRegion(config_.explorer.trustRegion);
   tr_.setRadius(sr.f64());
@@ -619,12 +618,7 @@ void PvtSearch::restoreSections(const io::CheckpointReader& r) {
   result_.solved = sr.boolean();
   result_.totalSims = sr.u64();
   result_.sizes = sr.vec();
-  (void)sr.vec();  // writePoint's unused unit slot
-  result_.cornerEvals.clear();
-  const std::uint64_t nFinals = sr.u64();
-  for (std::uint64_t i = 0; i < nFinals; ++i)
-    result_.cornerEvals.push_back(io::readEvalResult(sr));
-  (void)sr.f64();  // writePoint's unused value slot
+  result_.cornerEvals = readEvals(sr);
   result_.cornersActivated = sr.u64();
   value_.setMarginBonus(sr.f64());
   sr.expectEnd();
@@ -657,16 +651,10 @@ void PvtSearch::restoreSections(const io::CheckpointReader& r) {
   engine_.restoreState(er);
   er.expectEnd();
 
-  // Checkpoints written before the best point was tracked lack the section;
-  // their solved outcome still names its best point.
-  if (r.hasSection("best")) {
-    io::SectionReader br = r.section("best");
-    result_.bestValue = br.f64();
-    result_.bestEval = io::readEvalResult(br);
-    br.expectEnd();
-  } else if (result_.solved) {
-    considerBest(result_.sizes, result_.cornerEvals);
-  }
+  io::SectionReader br = r.section("best");
+  result_.bestValue = br.f64();
+  result_.bestEval = io::readEvalResult(br);
+  br.expectEnd();
 }
 
 }  // namespace trdse::core

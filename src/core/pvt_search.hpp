@@ -91,23 +91,14 @@ struct PvtSearchConfig {
   PvtStrategy strategy = PvtStrategy::kProgressiveHardest;  ///< pool policy
   ExplorerConfig explorer;       ///< per-corner surrogate/TRM settings
   std::uint64_t seed = 1;        ///< seed for corner choice and exploration
-  /// Memoize evaluations on (snapped grid indices, corner id) in the eval
-  /// engine. Cache hits cost zero EDA blocks (tallied separately in the
-  /// ledger/stats); the seeded search trajectory — solved flag, sizes,
-  /// totalSims, corner evals, ledger block sequence — is bitwise identical
-  /// with the cache on or off, provided the evaluation callback is a pure
-  /// function of the snapped sizes (every circuits:: evaluator is). Turn it
-  /// off for impure or stateful callbacks (e.g. per-call noise injection),
-  /// which must see every request.
-  bool cacheEvals = true;
 };
 
 /// Result of one progressive PVT search run.
 struct PvtSearchOutcome {
   bool solved = false;        ///< every corner met spec at sign-off
-  /// Logical evaluations consumed (search + verify). With caching on, hits
-  /// count here (the budget is charged identically) but consume no EDA time
-  /// — see evalStats.simulated for the real block count.
+  /// Logical evaluations consumed (search + verify). Memo hits count here
+  /// (the budget is charged identically) but consume no EDA time — see
+  /// evalStats.simulated for the real block count.
   std::size_t totalSims = 0;
   /// The solving sizing — or, while unsolved, the best point so far: the one
   /// with the highest worst-corner Value over the corners it was simulated

@@ -114,9 +114,9 @@ inline V4d sqrt4(V4d x) {
 // The AC engine stores one matrix cell as 8 adjacent doubles — four real
 // lanes then four imaginary lanes — so a V8d is exactly one cell (one zmm on
 // AVX-512; without it GCC splits into ymm/xmm halves with identical per-lane
-// results, keeping the TRDSE_NATIVE=OFF build bit-compatible). The shuffle
-// helpers only repackage lanes; every arithmetic op stays elementwise IEEE
-// double, so the bitwise contract is exactly V4d's.
+// results, keeping the TRDSE_NATIVE=OFF build bit-compatible). concat8
+// only repackages lanes; every arithmetic op stays elementwise IEEE double,
+// so the bitwise contract is exactly V4d's.
 
 inline V8d load8(const double* p) { return load<V8d>(p); }
 
@@ -125,22 +125,6 @@ inline void store8(double* p, V8d v) { store(p, v); }
 /// [lo0..lo3, hi0..hi3] — pack two plane vectors into one cell vector.
 inline V8d concat8(V4d lo, V4d hi) {
   return __builtin_shufflevector(lo, hi, 0, 1, 2, 3, 4, 5, 6, 7);
-}
-
-/// Swap the real/imaginary halves: [v4..v7, v0..v3].
-inline V8d swapHalves8(V8d v) {
-  return __builtin_shufflevector(v, v, 4, 5, 6, 7, 0, 1, 2, 3);
-}
-
-/// Low half of `a`, high half of `b`: [a0..a3, b4..b7].
-inline V8d mergeHalves8(V8d a, V8d b) {
-  return __builtin_shufflevector(a, b, 0, 1, 2, 3, 12, 13, 14, 15);
-}
-
-inline V4d lowHalf8(V8d v) { return __builtin_shufflevector(v, v, 0, 1, 2, 3); }
-
-inline V4d highHalf8(V8d v) {
-  return __builtin_shufflevector(v, v, 4, 5, 6, 7);
 }
 
 }  // namespace trdse::simd

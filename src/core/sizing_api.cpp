@@ -31,7 +31,6 @@ PvtSearch& SizingSession::ensureSearch() {
     PvtSearchConfig cfg;
     cfg.strategy = options_.strategy;
     cfg.seed = options_.seed;
-    cfg.cacheEvals = options_.cacheEvals;
     cfg.explorer = options_.explorerOverride.has_value()
                        ? *options_.explorerOverride
                        : autoSchedule(problem_);
@@ -69,14 +68,12 @@ SessionReport SizingSession::run() {
      << "solved: " << (report.solved ? "yes" : "no")
      << "  simulations: " << report.simulations << "\n";
   // EDA-block economics: the logical budget above vs what actually hit the
-  // simulator. With caching off, hits are 0 and the two counts coincide
-  // (the paper's Table III accounting).
-  const bool cacheOn = search.config().cacheEvals;
+  // simulator.
   os << "eda blocks: " << report.evalStats.simulated << " simulated, "
      << report.evalStats.cacheHits << " cache hits ("
      << static_cast<int>(report.evalStats.hitRate() * 100.0 + 0.5)
      << "% hit rate, " << report.evalStats.blocksSaved()
-     << " blocks saved; cache " << (cacheOn ? "on" : "off") << ")\n";
+     << " blocks saved)\n";
   if (report.solved) {
     os << "sizes:";
     for (std::size_t i = 0; i < report.sizes.size(); ++i)

@@ -19,10 +19,6 @@ struct SessionOptions {
   PvtStrategy strategy = PvtStrategy::kProgressiveHardest;  ///< corner policy
   std::size_t maxSimulations = 10000;  ///< EDA-block budget
   std::uint64_t seed = 1;              ///< seed for the whole session
-  /// Memoize evaluations in the eval engine (PvtSearchConfig::cacheEvals).
-  /// Outcomes are bitwise identical on/off; turn off to reproduce the
-  /// paper's EDA-block tables with every block a real simulation.
-  bool cacheEvals = true;
   /// Override the auto-scheduled hyper-parameters when set.
   std::optional<ExplorerConfig> explorerOverride;
 };

@@ -61,9 +61,6 @@ class ValueFunction {
   /// Current margin-bonus weight.
   double marginBonus() const { return marginBonus_; }
 
-  /// Number of bound spec constraints.
-  std::size_t specCount() const { return bound_.size(); }
-
  private:
   struct BoundSpec {
     std::size_t measIndex;

@@ -72,7 +72,6 @@ EvalStats readEvalStats(io::SectionReader& r) {
   s.cacheHits = r.u64();
   s.sharedHits = r.u64();
   s.backendSeconds = r.f64();
-  if (r.version() < 2) return s;
   s.attempts = r.u64();
   s.faults = r.u64();
   s.failures = r.u64();
@@ -93,7 +92,6 @@ void writeFailureRecord(io::SectionWriter& w, const FailureRecord& f) {
 
 FailureRecord readFailureRecord(io::SectionReader& r) {
   FailureRecord f;
-  if (r.version() < 2) return f;
   f.valid = r.boolean();
   f.request = r.u64();
   f.cornerIndex = r.u64();
@@ -117,26 +115,22 @@ MeetsSpecFn makeMeetsSpec(core::ValueFunction value) {
 EvalEngine::EvalEngine(std::shared_ptr<const EvalBackend> backend,
                        core::DesignSpace space,
                        std::vector<sim::PvtCorner> corners,
-                       MeetsSpecFn meetsSpec, EvalEngineConfig config)
+                       MeetsSpecFn meetsSpec)
     : backend_(std::move(backend)),
       space_(std::move(space)),
       corners_(std::move(corners)),
-      meetsSpec_(std::move(meetsSpec)),
-      config_(config) {
+      meetsSpec_(std::move(meetsSpec)) {
   assert(backend_ != nullptr);
   assert(!corners_.empty());
 }
 
-EvalEngine::EvalEngine(const core::SizingProblem& problem,
-                       EvalEngineConfig config)
+EvalEngine::EvalEngine(const core::SizingProblem& problem)
     : EvalEngine(std::make_shared<CallbackBackend>(
                      problem.evaluate, "problem:" + problem.name,
                      problem.evaluateBatch),
                  problem.space, problem.corners,
-                 makeMeetsSpec(
-                     core::ValueFunction(problem.measurementNames,
-                                         problem.specs)),
-                 config) {}
+                 makeMeetsSpec(core::ValueFunction(problem.measurementNames,
+                                                   problem.specs))) {}
 
 void EvalEngine::resetAccounting() {
   ledger_ = pvt::EdaLedger{};
@@ -170,10 +164,6 @@ void EvalEngine::setBackend(std::shared_ptr<const EvalBackend> backend) {
 
 void EvalEngine::attachSharedCache(std::shared_ptr<SharedEvalCache> shared,
                                    std::string_view scope) {
-  if (!config_.cacheEvals)
-    throw std::logic_error(
-        "EvalEngine::attachSharedCache: requires cacheEvals (the local memo "
-        "backs the publish journal)");
   if (stats_.requests != 0)
     throw std::logic_error(
         "EvalEngine::attachSharedCache: must be attached before the first "
@@ -254,7 +244,7 @@ void EvalEngine::restoreState(io::SectionReader& r) {
 }
 
 void EvalEngine::runBatchWithRetry(std::size_t begin, std::size_t count) {
-  const RetryPolicy& retry = config_.retry;
+  const RetryPolicy& retry = retry_;
   const std::size_t maxAttempts = std::max<std::size_t>(1, retry.maxAttempts);
   // Lanes still awaiting a clean result, as offsets into the chunk.
   std::vector<std::size_t> active(count);
@@ -369,11 +359,9 @@ void EvalEngine::accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,
   } else {
     ++stats_.simulated;
   }
-  if (config_.recordLedger) {
-    const bool meets = !failed && (meetsSpec_ ? meetsSpec_(result) : false);
-    ledger_.record(cornerIndex, kind, meets, cached, failed, trace.retries,
-                   trace.backoff);
-  }
+  const bool meets = !failed && (meetsSpec_ ? meetsSpec_(result) : false);
+  ledger_.record(cornerIndex, kind, meets, cached, failed, trace.retries,
+                 trace.backoff);
 }
 
 bool EvalEngine::ledgerMatchesStats() const {
@@ -430,32 +418,30 @@ void EvalEngine::evalRequests(const linalg::Vector& point,
   sharedFlags_.assign(nc, 0);
   dupOf_.assign(nc, kNone);
   for (std::size_t c = 0; c < nc; ++c) {
-    if (config_.cacheEvals) {
-      key_.cornerIndex = cornerIdx[c];
-      if (const core::EvalResult* hit = cache_.find(key_)) {
-        results[c] = *hit;
-        hitFlags_[c] = 1;
-        continue;
-      }
-      // Local miss: the cross-job cache may already hold the result. Copy
-      // a shared hit into the local memo, so a repeat of the key inside
-      // this call (or later) becomes a plain local hit.
-      if (shared_ != nullptr && shared_->find(sharedScope_, key_, results[c])) {
-        cache_.insert(key_, results[c]);
-        hitFlags_[c] = 1;
-        sharedFlags_[c] = 1;
-        continue;
-      }
-      // A repeated corner can only repeat an earlier *miss* (had the key
-      // been cached, both requests would have hit).
-      for (const MissRef& m : missRefs_) {
-        if (m.cornerIndex == cornerIdx[c]) {
-          dupOf_[c] = m.slot;
-          break;
-        }
-      }
-      if (dupOf_[c] != kNone) continue;
+    key_.cornerIndex = cornerIdx[c];
+    if (const core::EvalResult* hit = cache_.find(key_)) {
+      results[c] = *hit;
+      hitFlags_[c] = 1;
+      continue;
     }
+    // Local miss: the cross-job cache may already hold the result. Copy a
+    // shared hit into the local memo, so a repeat of the key inside this
+    // call (or later) becomes a plain local hit.
+    if (shared_ != nullptr && shared_->find(sharedScope_, key_, results[c])) {
+      cache_.insert(key_, results[c]);
+      hitFlags_[c] = 1;
+      sharedFlags_[c] = 1;
+      continue;
+    }
+    // A repeated corner can only repeat an earlier *miss* (had the key been
+    // cached, both requests would have hit).
+    for (const MissRef& m : missRefs_) {
+      if (m.cornerIndex == cornerIdx[c]) {
+        dupOf_[c] = m.slot;
+        break;
+      }
+    }
+    if (dupOf_[c] != kNone) continue;
     missRefs_.push_back({c, &results[c], &snap_, &key_.indices, cornerIdx[c]});
   }
 
@@ -507,7 +493,7 @@ void EvalEngine::evalRequests(const linalg::Vector& point,
     // duplicate of a failed miss shares its failure, not a cache hit.
     const bool cached =
         !failed && (hitFlags_[slot] != 0 || dupOf_[slot] != kNone);
-    if (config_.cacheEvals && isMiss && !failed) {
+    if (isMiss && !failed) {
       cache_.insert({key_.indices, corner}, results[slot]);
       if (shared_ != nullptr) unpublished_.push_back({key_.indices, corner});
     }
@@ -516,7 +502,7 @@ void EvalEngine::evalRequests(const linalg::Vector& point,
   }
   assert(stats_.requests == stats_.simulated + stats_.cacheHits +
                                 stats_.sharedHits + stats_.failures);
-  assert(!config_.recordLedger || ledgerMatchesStats());
+  assert(ledgerMatchesStats());
 }
 
 std::vector<core::EvalResult> EvalEngine::evalBatch(

@@ -15,7 +15,8 @@
 //   - owns the EdaLedger: each logical request records one block, with cache
 //     hits flagged `cached` (zero EDA time, tallied separately), so the
 //     (corner, kind, meetsSpec) block sequence — and therefore any seeded
-//     search trajectory — is bitwise identical with caching on or off.
+//     search trajectory — is the same whether a request simulates or hits a
+//     memo another run filled.
 //
 // Timing (EvalStats::backendSeconds) is measurement-only: it never feeds back
 // into scheduling, so it is excluded from the determinism guarantees.
@@ -87,20 +88,6 @@ struct RetryPolicy {
   double timeoutSeconds = 0.0;
 };
 
-/// Engine knobs.
-struct EvalEngineConfig {
-  /// Memoize results on (snapped grid indices, corner id). Cache hits cost
-  /// zero EDA blocks; seeded search outcomes are bitwise identical on/off.
-  bool cacheEvals = true;
-  /// Record one EdaBlock per logical request (and evaluate meetsSpec for
-  /// it). Long-running consumers that never render a timeline — the RL
-  /// trainers' rollout collectors — turn this off so the ledger does not
-  /// grow unbounded; EvalStats counters are kept either way.
-  bool recordLedger = true;
-  /// Retry/timeout handling for faulted attempts.
-  RetryPolicy retry{};
-};
-
 /// Aggregate engine counters. `requests` is the logical evaluation count the
 /// search budget is charged against; `simulated` is what actually hit the
 /// backend (EDA blocks consumed); `cacheHits` is the blocks saved.
@@ -146,11 +133,7 @@ struct FailureRecord {
 /// checkpoints (saveState) and orchestration wire frames: every field, in
 /// declaration order.
 /// Readers fail loudly (io::CheckpointError) on a broken stats partition, an
-/// unknown fault class, or a first-failure record with no fault class. The
-/// fault fields arrived with container format version 2: from a version-1
-/// section the stats reader takes the first five fields and the record
-/// reader nothing, leaving the zeroed defaults, which describe the clean
-/// runs version 1 could record.
+/// unknown fault class, or a first-failure record with no fault class.
 void writeEvalStats(io::SectionWriter& w, const EvalStats& s);
 EvalStats readEvalStats(io::SectionReader& r);
 void writeFailureRecord(io::SectionWriter& w, const FailureRecord& f);
@@ -183,7 +166,9 @@ MeetsSpecFn makeMeetsSpec(core::ValueFunction value);
 /// Batched, memoizing, thread-parallel evaluation front-end over an
 /// EvalBackend. Not thread-safe itself: one engine per search/session, called
 /// from the coordinating thread. The engine owns no threads; its backend
-/// chunks run on the caller's pool (see dispatchMisses).
+/// chunks run on the caller's pool (see dispatchMisses). Every engine
+/// memoizes on (snapped grid indices, corner id) and records one EdaBlock per
+/// logical request; resetAccounting() and clearCache() start either afresh.
 class EvalEngine {
  public:
   /// @param backend    the simulator service (shared so sessions can reuse it)
@@ -192,14 +177,12 @@ class EvalEngine {
   /// @param meetsSpec  ledger predicate (ok + all specs); may be empty, then
   ///                   every block is recorded as not meeting spec
   EvalEngine(std::shared_ptr<const EvalBackend> backend, core::DesignSpace space,
-             std::vector<sim::PvtCorner> corners, MeetsSpecFn meetsSpec,
-             EvalEngineConfig config = {});
+             std::vector<sim::PvtCorner> corners, MeetsSpecFn meetsSpec);
 
   /// Convenience: engine over a SizingProblem — CallbackBackend around
   /// problem.evaluate, the problem's space/corners, and an all-specs
   /// meetsSpec predicate.
-  explicit EvalEngine(const core::SizingProblem& problem,
-                      EvalEngineConfig config = {});
+  explicit EvalEngine(const core::SizingProblem& problem);
 
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
@@ -210,10 +193,10 @@ class EvalEngine {
   /// Results come back in request order; cache probes and inserts, ledger
   /// records, and stats updates all happen on the calling thread in request
   /// order, so the outcome and the accounting are identical for any pool
-  /// size. Duplicate (point, corner) requests inside a batch simulate once
-  /// when caching is on. A request that exhausts its retries yields a failed
-  /// EvalResult (ok == false, failure != kNone) in its slot — faults never
-  /// throw through the batch and never enter any cache.
+  /// size. Duplicate (point, corner) requests inside a batch simulate once.
+  /// A request that exhausts its retries yields a failed EvalResult
+  /// (ok == false, failure != kNone) in its slot — faults never throw
+  /// through the batch and never enter any cache.
   ///
   /// `next` offers the caller's upcoming one-point requests, as for evalOne:
   /// consulted only when some corner of this batch must simulate and its
@@ -260,15 +243,16 @@ class EvalEngine {
   /// std::invalid_argument on a null backend.
   void setBackend(std::shared_ptr<const EvalBackend> backend);
 
-  /// Replace the retry policy. Like injectFaults, only before the first
-  /// request (throws std::logic_error otherwise) — mid-run policy changes
-  /// would break the bitwise-reproducibility contract.
+  /// Replace the retry policy (the default is RetryPolicy{}). Like
+  /// injectFaults, only before the first request (throws std::logic_error
+  /// otherwise) — mid-run policy changes would break the
+  /// bitwise-reproducibility contract.
   void setRetryPolicy(const RetryPolicy& retry) {
     if (stats_.requests != 0)
       throw std::logic_error(
           "EvalEngine::setRetryPolicy: must be configured before the first "
           "request");
-    config_.retry = retry;
+    retry_ = retry;
   }
 
   /// Accounting owned by the engine.
@@ -280,7 +264,6 @@ class EvalEngine {
   std::size_t cacheSize() const { return cache_.size(); }
   const EvalBackend& backend() const { return *backend_; }
   const std::vector<sim::PvtCorner>& corners() const { return corners_; }
-  const EvalEngineConfig& config() const { return config_; }
 
   /// Zero the ledger and stats for a fresh run; the memo is kept (results
   /// are run-independent — backends are pure).
@@ -297,13 +280,10 @@ class EvalEngine {
   /// (drainPublishJournal) and inserts the entries — the orch::Scheduler
   /// does so at round barriers, in job order, which is what makes per-job
   /// shared hit/miss accounting independent of thread and worker counts.
-  /// Must be called before the first request, on an engine with cacheEvals
-  /// on (the local memo backs the journal); throws std::logic_error
+  /// Must be called before the first request; throws std::logic_error
   /// otherwise.
   void attachSharedCache(std::shared_ptr<SharedEvalCache> shared,
                          std::string_view scope);
-  /// Whether a shared cache is attached.
-  bool hasSharedCache() const { return shared_ != nullptr; }
   /// Return the results simulated since the last drain, in journal order,
   /// and clear the journal; the attached cache is not touched. Only keys
   /// still in the local memo ship, and failed results never enter the memo,
@@ -325,7 +305,7 @@ class EvalEngine {
   core::DesignSpace space_;
   std::vector<sim::PvtCorner> corners_;
   MeetsSpecFn meetsSpec_;
-  EvalEngineConfig config_;
+  RetryPolicy retry_;
   EvalCache cache_;
   pvt::EdaLedger ledger_;
   EvalStats stats_;
@@ -399,11 +379,11 @@ class EvalEngine {
   void dispatchMisses();
 
   /// The ledger partition: the ledger and the stats describe the same
-  /// consumed requests (checked in debug builds when the ledger records).
+  /// consumed requests (checked in debug builds).
   bool ledgerMatchesStats() const;
 
   /// One request's accounting in evalRequests' merge loop: updates stats,
-  /// firstFailure_, and (when enabled) the ledger.
+  /// firstFailure_ and the ledger.
   void accountRequest(std::size_t cornerIndex, pvt::BlockKind kind,
                       const core::EvalResult& result, bool cached, bool shared,
                       bool isMiss, const MissTrace& trace);

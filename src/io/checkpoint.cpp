@@ -260,11 +260,11 @@ CheckpointReader::CheckpointReader(std::string source, const std::string& blob)
                              std::to_string(blob.size()) + " bytes)");
   if (parseU32(blob.data()) != kMagic)
     fail("bad magic — not a TDCK checkpoint file");
-  version_ = parseU32(blob.data() + 4);
-  if (version_ == 0 || version_ > kCheckpointFormatVersion)
-    fail("unsupported format version " + std::to_string(version_) +
-         " (this build reads versions 1.." +
-         std::to_string(kCheckpointFormatVersion) + ")");
+  const std::uint32_t version = parseU32(blob.data() + 4);
+  if (version != kCheckpointFormatVersion)
+    fail("unsupported format version " + std::to_string(version) +
+         " (this build reads version " +
+         std::to_string(kCheckpointFormatVersion) + " only)");
   const std::uint64_t checksum = parseU64(blob.data() + 8);
   const char* body = blob.data() + 16;
   const std::size_t bodySize = blob.size() - 16;
@@ -314,7 +314,7 @@ SectionReader CheckpointReader::section(const std::string& name) const {
   if (it == sections_.end())
     throw CheckpointError("checkpoint '" + source_ + "': missing section '" +
                           name + "'");
-  return SectionReader(name, it->second, version_);
+  return SectionReader(name, it->second);
 }
 
 }  // namespace trdse::io

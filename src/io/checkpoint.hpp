@@ -17,9 +17,9 @@
 // consumer fails with a descriptive error instead of garbage state.
 //
 // Error handling is exception-based: every malformed input — bad magic,
-// unsupported future version, truncation, checksum mismatch, missing or
-// undersized section — throws CheckpointError with a message naming the file
-// and the violated invariant.
+// unsupported version, truncation, checksum mismatch, missing or undersized
+// section — throws CheckpointError with a message naming the file and the
+// violated invariant.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,7 @@
 
 namespace trdse::io {
 
-/// Thrown on any malformed checkpoint: bad magic, version from the future,
+/// Thrown on any malformed checkpoint: bad magic, unsupported version,
 /// truncated payload, checksum mismatch, missing section, or a section field
 /// that fails validation on read.
 class CheckpointError : public std::runtime_error {
@@ -41,15 +41,11 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Newest container format this build writes (and the newest it can read;
-/// older versions remain readable per the compat rules in
-/// docs/CHECKPOINTS.md). Version history:
-///   1 — PR 4 original layout.
-///   2 — fault-tolerance fields: EvalResult carries a FaultClass byte,
-///       EdaBlock carries failed/retries/backoff, EvalStats carries the
-///       attempt/failure/backoff counters. Version-1 files load with those
-///       fields defaulted to "no faults", which is exactly what pre-fault
-///       builds could have recorded.
+/// The one container format version this build writes and reads
+/// (docs/CHECKPOINTS.md). Version 2 added the fault-tolerance fields —
+/// EvalResult's FaultClass byte, EdaBlock's failed/retries/backoff and
+/// EvalStats' attempt/failure/backoff counters — and version-1 files are
+/// refused.
 inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// Append-only encoder for one section's payload. All write methods encode
@@ -87,15 +83,9 @@ class SectionWriter {
 /// — a truncated file can never be silently misread as valid state.
 class SectionReader {
  public:
-  /// Wrap a payload; `name` labels error messages. `version` is the container
-  /// format version the payload was written under (CheckpointReader passes it
-  /// through), letting section decoders branch on layout changes.
-  SectionReader(std::string name, const std::string& bytes,
-                std::uint32_t version = kCheckpointFormatVersion)
-      : name_(std::move(name)), bytes_(bytes), version_(version) {}
-
-  /// Container format version of the file this section came from.
-  std::uint32_t version() const { return version_; }
+  /// Wrap a payload; `name` labels error messages.
+  SectionReader(std::string name, const std::string& bytes)
+      : name_(std::move(name)), bytes_(bytes) {}
 
   /// One unsigned byte.
   std::uint8_t u8();
@@ -130,7 +120,6 @@ class SectionReader {
 
   std::string name_;
   const std::string& bytes_;
-  std::uint32_t version_ = kCheckpointFormatVersion;
   std::size_t pos_ = 0;
 };
 
@@ -173,8 +162,6 @@ class CheckpointReader {
 
   /// Producer tag recorded at save time.
   const std::string& kind() const { return kind_; }
-  /// Format version recorded in the header.
-  std::uint32_t version() const { return version_; }
   /// Throw unless kind() matches (error names both kinds and the source).
   void expectKind(const std::string& kind) const;
 
@@ -186,7 +173,6 @@ class CheckpointReader {
  private:
   std::string source_;
   std::string kind_;
-  std::uint32_t version_ = 0;
   std::map<std::string, std::string> sections_;
 };
 

@@ -1,6 +1,7 @@
 #include "io/state_io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <locale>
 #include <sstream>
@@ -87,20 +88,41 @@ void readStandardizer(SectionReader& r, nn::Standardizer& s) {
 }
 
 void writeRng(SectionWriter& w, const std::mt19937_64& rng) {
+  // The standard exposes the engine's state only through its stream
+  // operators, as space-separated decimal words. Classic locale, always: a
+  // grouping global locale (common in GUI/EDA embeddings) would render the
+  // words with thousands separators.
   std::ostringstream os;
-  // Classic locale, always: a grouping global locale (common in GUI/EDA
-  // embeddings) would render the state words with thousands separators and
-  // break the format's locale-independent byte contract.
   os.imbue(std::locale::classic());
   os << rng;
-  w.str(os.str());
+  const std::string text = os.str();
+  std::vector<std::size_t> words;
+  for (const char* p = text.data(); p != text.data() + text.size();) {
+    if (*p == ' ') {
+      ++p;
+      continue;
+    }
+    std::uint64_t word = 0;
+    p = std::from_chars(p, text.data() + text.size(), word).ptr;
+    words.push_back(word);
+  }
+  w.indexVec(words);
 }
 
 void readRng(SectionReader& r, std::mt19937_64& rng) {
-  std::istringstream is(r.str());
+  std::string text;
+  char digits[24];
+  for (const std::size_t word : r.indexVec()) {
+    text.append(digits, std::to_chars(digits, digits + sizeof digits,
+                                      static_cast<std::uint64_t>(word))
+                            .ptr);
+    text.push_back(' ');
+  }
+  std::istringstream is(text);
   is.imbue(std::locale::classic());
   is >> rng;
-  if (!is) r.fail("unparsable mt19937_64 state");
+  // The engine must take every word: a short or long list is not its state.
+  if (!is || !(is >> std::ws).eof()) r.fail("unparsable mt19937_64 state");
 }
 
 void writeEvalResult(SectionWriter& w, const core::EvalResult& e) {
@@ -113,14 +135,10 @@ core::EvalResult readEvalResult(SectionReader& r) {
   core::EvalResult e;
   e.ok = r.boolean();
   e.measurements = r.vec();
-  // The fault taxonomy arrived with format version 2; version-1 files could
-  // only hold clean results, which kNone states exactly.
-  if (r.version() >= 2) {
-    const std::uint8_t failure = r.u8();
-    if (failure > static_cast<std::uint8_t>(sim::FaultClass::kNonFinite))
-      r.fail("unknown fault class " + std::to_string(failure));
-    e.failure = static_cast<sim::FaultClass>(failure);
-  }
+  const std::uint8_t failure = r.u8();
+  if (failure > static_cast<std::uint8_t>(sim::FaultClass::kNonFinite))
+    r.fail("unknown fault class " + std::to_string(failure));
+  e.failure = static_cast<sim::FaultClass>(failure);
   return e;
 }
 
@@ -204,14 +222,10 @@ void readLedger(SectionReader& r, pvt::EdaLedger& ledger) {
     b.kind = static_cast<pvt::BlockKind>(kind);
     b.meetsSpec = r.boolean();
     b.cached = r.boolean();
-    // Fault accounting arrived with format version 2; older timelines can
-    // only have recorded fault-free blocks.
-    if (r.version() >= 2) {
-      b.failed = r.boolean();
-      b.retries = r.u32();
-      b.backoff = r.u32();
-      if (b.failed && b.cached) r.fail("EDA block is both cached and failed");
-    }
+    b.failed = r.boolean();
+    b.retries = r.u32();
+    b.backoff = r.u32();
+    if (b.failed && b.cached) r.fail("EDA block is both cached and failed");
     blocks.push_back(b);
   }
   ledger.restoreBlocks(std::move(blocks));

@@ -6,9 +6,9 @@
 // network parameters, out-of-range enums — so a restore either reproduces the
 // saved state bit-exactly or fails with a descriptive message.
 //
-// RNG streams travel as the textual state std::mt19937_64 defines for its
-// stream operators: portable across platforms and bit-exact, which is what
-// makes resumed searches reproduce uninterrupted ones bitwise.
+// RNG streams travel as the state words std::mt19937_64's stream operators
+// define, each stored as a u64: bit-exact, which is what makes resumed
+// searches reproduce uninterrupted ones bitwise.
 #pragma once
 
 #include <random>
@@ -44,9 +44,11 @@ void writeStandardizer(SectionWriter& w, const nn::Standardizer& s);
 /// Decode statistics written by writeStandardizer into `s`.
 void readStandardizer(SectionReader& r, nn::Standardizer& s);
 
-/// Encode an RNG stream's exact position (textual engine state).
+/// Encode an RNG stream's exact position: the words of its textual state,
+/// as a length-prefixed u64 vector (about 2.5 KB).
 void writeRng(SectionWriter& w, const std::mt19937_64& rng);
-/// Decode a stream written by writeRng into `rng`.
+/// Decode a stream written by writeRng into `rng`; throws unless the engine
+/// takes exactly the stored words.
 void readRng(SectionReader& r, std::mt19937_64& rng);
 
 /// Encode one evaluation result (ok flag + measurement vector).

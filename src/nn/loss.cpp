@@ -55,7 +55,8 @@ void drawEpochOrder(std::mt19937_64& rng, std::span<std::size_t> order) {
   std::shuffle(order.begin(), order.end(), rng);
 }
 
-TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
+TrainStats trainEpochMse(Mlp& net, AdamOptimizer& opt,
+                         const linalg::Matrix& inputs,
                          const linalg::Matrix& targets, std::size_t batchSize,
                          std::span<const std::size_t> order,
                          TrainWorkspace& ws) {

@@ -52,7 +52,8 @@ void drawEpochOrder(std::mt19937_64& rng, std::span<std::size_t> order);
 /// gradients the caller left in `net` are cleared once on entry, after which
 /// each optimizer step zeroes the gradients it consumes. Draws no random
 /// numbers. Returns mean per-sample loss.
-TrainStats trainEpochMse(Mlp& net, Optimizer& opt, const linalg::Matrix& inputs,
+TrainStats trainEpochMse(Mlp& net, AdamOptimizer& opt,
+                         const linalg::Matrix& inputs,
                          const linalg::Matrix& targets, std::size_t batchSize,
                          std::span<const std::size_t> order,
                          TrainWorkspace& ws);

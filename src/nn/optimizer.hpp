@@ -1,40 +1,24 @@
-// First-order optimizers over an Mlp's flat parameter space.
+// The first-order optimizer over an Mlp's flat parameter space.
 #pragma once
-
-#include <memory>
 
 #include "nn/mlp.hpp"
 
 namespace trdse::nn {
 
-/// Interface of a first-order optimizer over an Mlp's flat parameters.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Apply one update using the gradients currently accumulated in `net`,
-  /// then zero them.
-  virtual void step(Mlp& net) = 0;
-  /// Drop all optimizer state (moments, step counters).
-  virtual void reset() = 0;
-  /// Current step size.
-  virtual double learningRate() const = 0;
-  /// Change the step size (schedules, warm restarts).
-  virtual void setLearningRate(double lr) = 0;
-};
-
-/// Adam (Kingma & Ba) — the default for both the surrogate f_NN and the RL
+/// Adam (Kingma & Ba) — the optimizer of both the surrogate f_NN and the RL
 /// baselines' actor/critic networks. A step updates each layer's weights and
 /// bias straight from that layer's gradient storage and zeroes it in the
 /// same pass; nothing is copied or allocated after the first step.
-class AdamOptimizer final : public Optimizer {
+class AdamOptimizer {
  public:
   /// Configure step size and moment decay rates.
   explicit AdamOptimizer(double lr, double beta1 = 0.9, double beta2 = 0.999,
                          double eps = 1e-8);
-  void step(Mlp& net) override;
-  void reset() override;
-  double learningRate() const override { return lr_; }
-  void setLearningRate(double lr) override { lr_ = lr; }
+  /// Apply one update using the gradients currently accumulated in `net`,
+  /// then zero them.
+  void step(Mlp& net);
+  /// Drop all optimizer state (moments, step counter).
+  void reset();
 
   // Checkpoint access: Adam's state is (step count, first/second moments);
   // restoring it mid-training resumes the exact bias-corrected update stream.

@@ -46,10 +46,6 @@ std::uint64_t parseCount(const std::string& key, const std::string& value) {
   return v;
 }
 
-bool parseBool(const std::string& key, const std::string& value) {
-  return common::parseBool("strategy option \"" + key + "\"", value);
-}
-
 /// parseF64 restricted to [lo, hi] (NaN is outside every range): a NaN
 /// kappa makes every acquisition compare false, and a NaN fraction reaches
 /// a float-to-size_t cast.
@@ -161,7 +157,6 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
         name, options,
         [&cfg](const std::string& k, const std::string& v) {
           if (k == "pool") cfg.strategy = parsePoolPolicy(k, v);
-          else if (k == "cache") cfg.cacheEvals = parseBool(k, v);
           // With no init sample an episode never evaluates anything, and
           // with no candidate no TRM step is ever planned.
           else if (k == "init_samples") cfg.explorer.initSamples = parseCount(k, v);
@@ -169,7 +164,7 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
           else return false;
           return true;
         },
-        "pool, cache, init_samples, mc_samples");
+        "pool, init_samples, mc_samples");
     return std::make_unique<PvtSearchStrategy>(std::move(problem), cfg, budget);
   }
 
@@ -226,12 +221,11 @@ std::unique_ptr<Strategy> makeStrategy(std::string_view name,
             cfg.a2c.learningRate = parseFinite(k, v);
           else if (k == "entropy_coeff")
             cfg.a2c.entropyCoeff = parseFinite(k, v);
-          else if (k == "train") cfg.train = parseBool(k, v);
           else return false;
           return true;
         },
         "hidden, n_steps, episode_length, stride_divisor, learning_rate, "
-        "entropy_coeff, train");
+        "entropy_coeff");
     return std::make_unique<rl::RlPolicyStrategy>(std::move(problem), cfg,
                                                   seed, budget);
   }

@@ -70,11 +70,7 @@ JobSet buildJobs(Scenario scenario,
       eval::EvalEngine& engine = job.strategy->engine();
       engine.setRetryPolicy(sc.retry);
       if (faultPlan != nullptr) engine.injectFaults(faultPlan, job.scope);
-      // A job that turned its local memo off (e.g. pvt_search
-      // opt.cache=false, the paper-accounting mode) cannot journal
-      // publishes; it simply opts out of cross-job sharing rather than
-      // failing the whole scenario.
-      if (set.shared != nullptr && engine.config().cacheEvals)
+      if (set.shared != nullptr)
         engine.attachSharedCache(set.shared, job.scope);
 
       job.result.circuit = !spec.circuit.empty() ? spec.circuit : job.scope;

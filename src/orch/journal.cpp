@@ -15,11 +15,7 @@ namespace {
 /// per-job outcomes are invariant to all of them, so resuming under a
 /// different thread/process count is legal (and a useful determinism test —
 /// the crash-recovery CI smoke resumes a --workers run from a single-process
-/// journal and vice versa). Three entries are constants — `journal_every`
-/// (1), and each job's `checkpoint_every` (0) and `checkpoint_path` ("") —
-/// the defaults of scenario keys that no longer exist, so journals keep
-/// their layout and bytes, and journals of scenarios that never set those
-/// keys keep resuming.
+/// journal and vice versa).
 void writeFingerprint(io::SectionWriter& w, const Scenario& sc) {
   w.str(sc.name);
   w.u64(sc.slice);
@@ -35,7 +31,6 @@ void writeFingerprint(io::SectionWriter& w, const Scenario& sc) {
   w.u64(sc.retry.backoffBase);
   w.u64(sc.retry.backoffCap);
   w.f64(sc.retry.timeoutSeconds);
-  w.u64(1);  // journal_every
   w.u64(sc.jobs.size());
   for (const JobSpec& j : sc.jobs) {
     w.str(j.name);
@@ -45,8 +40,6 @@ void writeFingerprint(io::SectionWriter& w, const Scenario& sc) {
     w.u64(j.seed);
     w.u64(j.budget);
     w.u64(j.maxFailures);
-    w.u64(0);   // checkpoint_every
-    w.str("");  // checkpoint_path
     w.u64(j.options.size());
     for (const auto& [k, v] : j.options) {  // std::map: sorted, stable
       w.str(k);
@@ -90,8 +83,6 @@ void checkFingerprint(io::SectionReader& r, const Scenario& sc) {
   match(r, "retry_backoff_cap", sc.retry.backoffCap,
         static_cast<std::size_t>(r.u64()));
   match(r, "retry_timeout", sc.retry.timeoutSeconds, r.f64());
-  match(r, "journal_every", std::size_t{1},
-        static_cast<std::size_t>(r.u64()));
   match(r, "job count", sc.jobs.size(), static_cast<std::size_t>(r.u64()));
   for (std::size_t i = 0; i < sc.jobs.size(); ++i) {
     const JobSpec& j = sc.jobs[i];
@@ -104,9 +95,6 @@ void checkFingerprint(io::SectionReader& r, const Scenario& sc) {
     match(r, p + "budget", j.budget, static_cast<std::size_t>(r.u64()));
     match(r, p + "max_failures", j.maxFailures,
           static_cast<std::size_t>(r.u64()));
-    match(r, p + "checkpoint_every", std::size_t{0},
-          static_cast<std::size_t>(r.u64()));
-    match(r, p + "checkpoint_path", std::string(), r.str());
     match(r, p + "option count", j.options.size(),
           static_cast<std::size_t>(r.u64()));
     for (const auto& [k, v] : j.options) {
@@ -132,7 +120,6 @@ void writeJournal(const std::string& path, const Scenario& scenario,
     p.u64(j.granted);
     p.u64(j.rounds);
     p.u64(j.published);
-    p.u64(0);  // the retired per-job snapshot tally
     p.boolean(j.quarantined);
     p.str(j.quarantineReason);
   }
@@ -171,7 +158,6 @@ JournalState readJournal(const std::string& path, const Scenario& scenario,
     j.granted = p.u64();
     j.rounds = p.u64();
     j.published = p.u64();
-    (void)p.u64();  // the retired per-job snapshot tally
     j.quarantined = p.boolean();
     j.quarantineReason = p.str();
     if (j.quarantined && j.quarantineReason.empty())

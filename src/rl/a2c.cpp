@@ -3,7 +3,8 @@
 namespace trdse::rl {
 
 void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
-                      nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                      nn::AdamOptimizer& policyOpt,
+                      nn::AdamOptimizer& criticOpt,
                       const FlatRollout& data, const A2cConfig& cfg) {
   const std::size_t n = data.size();
   if (n == 0) return;

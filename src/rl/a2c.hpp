@@ -33,7 +33,8 @@ struct A2cConfig {
 /// per-sample forward/backward loop (tests/rl_batch_test.cpp keeps it as
 /// the reference).
 void a2cUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
-                      nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                      nn::AdamOptimizer& policyOpt,
+                      nn::AdamOptimizer& criticOpt,
                       const FlatRollout& data, const A2cConfig& cfg);
 
 }  // namespace trdse::rl

@@ -15,14 +15,12 @@ namespace {
 constexpr const char* kCheckpointKind = "rl-trainer";
 constexpr std::size_t kApH = SizingEnv::kActionsPerHead;
 
-// The hyper-parameters each algorithm's trajectory depends on. " batched=1"
-// is a constant: checkpoints written when the update path was configurable
-// carry it, and their fingerprints must keep matching.
+// The hyper-parameters each algorithm's trajectory depends on.
 void writeHyper(std::ostream& os, const A2cConfig& c) {
   os << "a2c nSteps=" << c.nSteps << " gamma=" << c.gamma
      << " gae=" << c.gaeLambda << " lr=" << c.learningRate
      << " vlr=" << c.valueLearningRate << " ent=" << c.entropyCoeff
-     << " clip=" << c.maxGradNorm << " hidden=" << c.hidden << " batched=1";
+     << " clip=" << c.maxGradNorm << " hidden=" << c.hidden;
 }
 
 void writeHyper(std::ostream& os, const PpoConfig& c) {
@@ -31,7 +29,7 @@ void writeHyper(std::ostream& os, const PpoConfig& c) {
      << " gae=" << c.gaeLambda << " clipRatio=" << c.clipRatio
      << " lr=" << c.learningRate << " vlr=" << c.valueLearningRate
      << " ent=" << c.entropyCoeff << " clip=" << c.maxGradNorm
-     << " hidden=" << c.hidden << " batched=1";
+     << " hidden=" << c.hidden;
 }
 
 void writeHyper(std::ostream& os, const TrpoConfig& c) {
@@ -39,8 +37,7 @@ void writeHyper(std::ostream& os, const TrpoConfig& c) {
      << " gae=" << c.gaeLambda << " maxKl=" << c.maxKl
      << " damping=" << c.cgDamping << " cgIters=" << c.cgIterations
      << " lineSearch=" << c.lineSearchSteps << " vlr=" << c.valueLearningRate
-     << " valueEpochs=" << c.valueEpochs << " hidden=" << c.hidden
-     << " batched=1";
+     << " valueEpochs=" << c.valueEpochs << " hidden=" << c.hidden;
 }
 
 /// Single-line fingerprint of everything a trajectory depends on: the
@@ -48,7 +45,7 @@ void writeHyper(std::ostream& os, const TrpoConfig& c) {
 /// environment shaping, the base seed and the algorithm's hyper-parameters.
 /// Built when a snapshot is saved or restored, and compared verbatim.
 std::string fingerprint(const core::SizingProblem& problem,
-                        const RlAlgorithm& algorithm, bool train) {
+                        const RlAlgorithm& algorithm) {
   std::ostringstream os;
   os.precision(17);
   os << "problem=" << problem.name << " space=";
@@ -68,13 +65,11 @@ std::string fingerprint(const core::SizingProblem& problem,
       [&os](const auto& cfg) {
         const EnvConfig& env = cfg.env;
         os << " env=" << env.episodeLength << ":" << env.strideDivisor << ":"
-           << env.solveBonus << ":" << env.failedSimScore << ":"
-           << env.cacheEvals;
+           << env.solveBonus << ":" << env.failedSimScore;
         os << " seed=" << cfg.seed << " ";
         writeHyper(os, cfg);
       },
       algorithm);
-  if (!train) os << " train=0";
   return os.str();
 }
 
@@ -136,11 +131,10 @@ RlLearner::RlLearner(const core::SizingProblem& problem,
 
 RlLearner::RlLearner(const core::SizingProblem& problem,
                      const RlAlgorithm& algorithm, std::string tag,
-                     const Seeds& seeds, bool train)
+                     const Seeds& seeds)
     : problem_(problem),
       algorithm_(algorithm),
       tag_(std::move(tag)),
-      train_(train),
       collector_(problem,
                  std::visit([](const auto& c) { return c.env; }, algorithm),
                  seeds.envs, seeds.sampling),
@@ -166,16 +160,14 @@ void RlLearner::run(std::size_t target) {
         collector_.run(
             policy_, critic_, transitionsOf(cfg), cfg.gamma, cfg.gaeLambda,
             target, [&](const FlatRollout& data) {
-              if (train_) {
-                if constexpr (std::is_same_v<Cfg, A2cConfig>)
-                  a2cUpdateBatched(policy_, critic_, *policyOpt_, criticOpt_,
-                                   data, cfg);
-                else if constexpr (std::is_same_v<Cfg, PpoConfig>)
-                  ppoUpdateBatched(policy_, critic_, *policyOpt_, criticOpt_,
-                                   data, cfg, *shuffleRng_);
-                else
-                  trpoUpdate(policy_, critic_, criticOpt_, data, cfg);
-              }
+              if constexpr (std::is_same_v<Cfg, A2cConfig>)
+                a2cUpdateBatched(policy_, critic_, *policyOpt_, criticOpt_,
+                                 data, cfg);
+              else if constexpr (std::is_same_v<Cfg, PpoConfig>)
+                ppoUpdateBatched(policy_, critic_, *policyOpt_, criticOpt_,
+                                 data, cfg, *shuffleRng_);
+              else
+                trpoUpdate(policy_, critic_, criticOpt_, data, cfg);
               ++updates_;
             });
       },
@@ -196,7 +188,7 @@ std::string RlLearner::save() const {
   io::CheckpointWriter w(kCheckpointKind);
   io::SectionWriter& mw = w.section("meta");
   mw.str(tag_);
-  mw.str(fingerprint(problem_, algorithm_, train_));
+  mw.str(fingerprint(problem_, algorithm_));
   mw.u64(collector_.numEnvs());
   mw.u64(updates_);
 
@@ -219,7 +211,7 @@ void RlLearner::restore(const std::string& blob, const std::string& source) {
     mr.fail("checkpoint was written by the '" + tag +
             "' learner, cannot resume it with '" + tag_ + "'");
   const std::string print = mr.str();
-  const std::string expected = fingerprint(problem_, algorithm_, train_);
+  const std::string expected = fingerprint(problem_, algorithm_);
   if (print != expected)
     mr.fail("learner fingerprint mismatch — the checkpoint was saved from a "
             "different problem/configuration\n  checkpoint: " + print +

@@ -60,11 +60,10 @@ class RlLearner {
   /// A Table I trainer's learner, tagged "a2c", "ppo" or "trpo", its
   /// streams seeded at the config's seed plus that algorithm's offsets.
   RlLearner(const core::SizingProblem& problem, const RlAlgorithm& algorithm);
-  /// A learner tagged `tag` on `seeds`; with `train` false it collects
-  /// without ever updating. Throws std::invalid_argument when the
-  /// algorithm's hidden width or its environments' strideDivisor is 0.
+  /// A learner tagged `tag` on `seeds`. Throws std::invalid_argument when
+  /// the algorithm's hidden width or its environments' strideDivisor is 0.
   RlLearner(const core::SizingProblem& problem, const RlAlgorithm& algorithm,
-            std::string tag, const Seeds& seeds, bool train = true);
+            std::string tag, const Seeds& seeds);
 
   RlLearner(const RlLearner&) = delete;
   RlLearner& operator=(const RlLearner&) = delete;
@@ -92,7 +91,6 @@ class RlLearner {
   const core::SizingProblem& problem_;
   RlAlgorithm algorithm_;
   std::string tag_;
-  bool train_ = true;
   ParallelRolloutCollector collector_;
   nn::Mlp policy_;
   nn::Mlp critic_;

@@ -9,7 +9,8 @@
 namespace trdse::rl {
 
 void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
-                      nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                      nn::AdamOptimizer& policyOpt,
+                      nn::AdamOptimizer& criticOpt,
                       const FlatRollout& data, const PpoConfig& cfg,
                       std::mt19937_64& rng) {
   const std::size_t n = data.size();

@@ -38,7 +38,8 @@ struct PpoConfig {
 /// per-sample forward/backward loop (tests/rl_batch_test.cpp keeps it as
 /// the reference).
 void ppoUpdateBatched(nn::Mlp& policy, nn::Mlp& critic,
-                      nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                      nn::AdamOptimizer& policyOpt,
+                      nn::AdamOptimizer& criticOpt,
                       const FlatRollout& data, const PpoConfig& cfg,
                       std::mt19937_64& rng);
 

@@ -11,7 +11,6 @@ namespace {
 A2cConfig strategyAlgorithm(const RlPolicyConfig& config, std::uint64_t seed) {
   A2cConfig a2c = config.a2c;
   a2c.seed = seed;
-  a2c.env.recordLedger = true;  // common block-level accounting
   return a2c;
 }
 
@@ -23,8 +22,7 @@ RlPolicyStrategy::RlPolicyStrategy(core::SizingProblem problem,
     : problem_(std::move(problem)),
       learner_(problem_, strategyAlgorithm(config, seed), "rl_policy",
                {common::perTaskSeed(seed, 3), common::perTaskSeed(seed, 2),
-                common::perTaskSeed(seed, 0), common::perTaskSeed(seed, 1)},
-               config.train),
+                common::perTaskSeed(seed, 0), common::perTaskSeed(seed, 1)}),
       budget_(budget) {}
 
 bool RlPolicyStrategy::finished() const {

@@ -26,17 +26,13 @@ namespace trdse::rl {
 struct RlPolicyConfig {
   /// The A2C update and environment shaping. nSteps counts transitions over
   /// all environments (an update waits for the end of the tick that reaches
-  /// it). The strategy's seed replaces a2c.seed, and env.recordLedger is
-  /// forced on.
+  /// it). The strategy's seed replaces a2c.seed.
   A2cConfig a2c = [] {
     A2cConfig c;
     c.nSteps = 32;
     c.hidden = 32;
     return c;
   }();
-  /// Learn while searching. Off = pure inference rollouts of the seeded
-  /// random-init policy (the untrained-policy ablation).
-  bool train = true;
 };
 
 /// Policy-gradient search over an RlLearner behind the Strategy contract.

@@ -9,18 +9,14 @@
 namespace trdse::rl {
 
 std::unique_ptr<eval::EvalEngine> makeEnvEngine(
-    const core::SizingProblem& problem, const EnvConfig& config) {
+    const core::SizingProblem& problem) {
   assert(!problem.corners.empty());
-  eval::EvalEngineConfig engineCfg;
-  engineCfg.cacheEvals = config.cacheEvals;
-  engineCfg.recordLedger = config.recordLedger;
   return std::make_unique<eval::EvalEngine>(
       std::make_shared<eval::CallbackBackend>(
           problem.evaluate, "env:" + problem.name, problem.evaluateBatch),
       problem.space, std::vector<sim::PvtCorner>{problem.corners.front()},
       eval::makeMeetsSpec(
-          core::ValueFunction(problem.measurementNames, problem.specs)),
-      engineCfg);
+          core::ValueFunction(problem.measurementNames, problem.specs)));
 }
 
 SizingEnv::SizingEnv(const core::SizingProblem& problem, EnvConfig config,

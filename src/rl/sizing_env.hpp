@@ -35,17 +35,6 @@ struct EnvConfig {
   std::size_t strideDivisor = 16;  ///< per-move stride = max(1, steps/divisor)
   double solveBonus = 10.0;        ///< reward bonus at a satisfying design
   double failedSimScore = -1.0;  ///< per-spec score when simulation fails
-  /// Memoize evaluations on grid indices through the eval engine. RL
-  /// episodes revisit stride-lattice states constantly, so hits are frequent;
-  /// rewards/observations (and simulationsUsed, which counts logical
-  /// requests) are bitwise identical with the cache on or off.
-  bool cacheEvals = true;
-  /// Record an EdaBlock per step in the engine ledger. Off by default: a
-  /// training run takes tens of thousands of steps and the trainers consume
-  /// only the stats counters. The orchestrator's rl_policy strategy turns it
-  /// on so RL jobs produce the same block-level accounting as every other
-  /// strategy.
-  bool recordLedger = false;
 };
 
 /// What one environment step returns.
@@ -58,10 +47,10 @@ struct StepResult {
 
 /// The engine environments of `problem` share: one over its first corner
 /// (Table I is single-PVT), backed by its fused evaluateBatch when it has
-/// one, so the engine is sim::kSimLanes wide (1 without), with the cache and
-/// ledger switches of `config`.
+/// one, so the engine is sim::kSimLanes wide (1 without). RL episodes
+/// revisit stride-lattice states constantly, so its memo hits often.
 std::unique_ptr<eval::EvalEngine> makeEnvEngine(
-    const core::SizingProblem& problem, const EnvConfig& config);
+    const core::SizingProblem& problem);
 
 /// The AutoCkt-style multi-discrete sizing environment. Every simulation is
 /// one evalOne request on a borrowed engine (see makeEnvEngine), which

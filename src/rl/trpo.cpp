@@ -72,7 +72,7 @@ std::pair<double, double> klAndSurrogateBatched(const nn::Mlp& policy,
   return {kl, surr};
 }
 
-void criticEpochBatched(nn::Mlp& critic, nn::Optimizer& criticOpt,
+void criticEpochBatched(nn::Mlp& critic, nn::AdamOptimizer& criticOpt,
                         const FlatRollout& data) {
   critic.zeroGrad();
   const double invN = 1.0 / static_cast<double>(data.size());
@@ -86,7 +86,7 @@ void criticEpochBatched(nn::Mlp& critic, nn::Optimizer& criticOpt,
 
 }  // namespace
 
-bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
+bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::AdamOptimizer& criticOpt,
                 const FlatRollout& data, const TrpoConfig& cfg) {
   if (data.size() == 0) return false;
 

@@ -41,7 +41,7 @@ struct TrpoConfig {
 /// gradient or the CG curvature degenerates, matching the serial trainer).
 /// Bitwise identical to the per-sample passes (tests/rl_batch_test.cpp
 /// keeps them as the reference). Exposed for parity tests and benchmarks.
-bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::Optimizer& criticOpt,
+bool trpoUpdate(nn::Mlp& policy, nn::Mlp& critic, nn::AdamOptimizer& criticOpt,
                 const FlatRollout& data, const TrpoConfig& cfg);
 
 }  // namespace trdse::rl

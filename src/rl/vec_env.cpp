@@ -16,7 +16,7 @@ constexpr std::size_t kApH = SizingEnv::kActionsPerHead;
 ParallelRolloutCollector::ParallelRolloutCollector(
     const core::SizingProblem& problem, const EnvConfig& envConfig,
     std::uint64_t envSeed, std::uint64_t rngSeed)
-    : engine_(makeEnvEngine(problem, envConfig)) {
+    : engine_(makeEnvEngine(problem)) {
   const std::size_t n =
       std::max<std::size_t>(1, engine_->backend().batchWidth());
   slots_.reserve(n);

@@ -134,11 +134,9 @@ std::optional<io::CheckpointReader> parseRecord(const std::string& log,
   } catch (const io::CheckpointError&) {
     return std::nullopt;
   }
-  // Checksummed but written under another format version or as another kind
-  // — only header corruption gets here; it ends the log like a bad checksum.
-  if (rec->version() != io::kCheckpointFormatVersion ||
-      rec->kind() != kRecordKind)
-    return std::nullopt;
+  // Checksummed but written as another kind — only header corruption gets
+  // here; it ends the log like a bad checksum.
+  if (rec->kind() != kRecordKind) return std::nullopt;
   end = pos + 8 + len;
   return rec;
 }

@@ -11,10 +11,6 @@ NodeId Netlist::node(const std::string& name) {
   return id;
 }
 
-NodeId Netlist::internalNode() {
-  return static_cast<NodeId>(nodeCount_++);
-}
-
 NodeId Netlist::findNode(const std::string& name) const {
   if (name == "0" || name == "gnd" || name == "GND") return kGround;
   auto it = names_.find(name);

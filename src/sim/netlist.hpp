@@ -96,8 +96,6 @@ class Netlist {
  public:
   /// Get-or-create a named node. "0" and "gnd" map to ground.
   NodeId node(const std::string& name);
-  /// Anonymous internal node.
-  NodeId internalNode();
 
   void addResistor(NodeId a, NodeId b, double ohms);
   void addCapacitor(NodeId a, NodeId b, double farads);

@@ -333,7 +333,7 @@ TEST(MlpBatch, BackwardBatchMatchesPerSampleOnSurrogateShape) {
 
 /// The per-sample trainer the batched trainEpochMse replaced, kept here as
 /// the reference implementation.
-nn::TrainStats refTrainEpochMse(nn::Mlp& net, nn::Optimizer& opt,
+nn::TrainStats refTrainEpochMse(nn::Mlp& net, nn::AdamOptimizer& opt,
                                 const std::vector<Vector>& inputs,
                                 const std::vector<Vector>& targets,
                                 std::size_t batchSize, std::mt19937_64& rng) {

@@ -1,9 +1,9 @@
 // Tests for the src/io checkpoint subsystem (ISSUE 4 determinism contract):
 // a run checkpointed at step k and resumed must be bitwise identical to the
 // uninterrupted run — same outcome, same ledger — for PvtSearch,
-// SizingSession and the RL trainers, for any pool size and with the eval
-// cache on or off. Plus the container's error paths (corrupt / truncated /
-// version-mismatch / wrong-kind files) and the edge cases of the network,
+// SizingSession and the RL trainers, for any pool size. Plus the
+// container's error paths (corrupt / truncated / version-mismatch /
+// wrong-kind files) and the edge cases of the network,
 // optimizer and scaler encodings the format builds on.
 #include <gtest/gtest.h>
 
@@ -125,9 +125,11 @@ TEST(CheckpointFormat, SectionRoundTrip) {
   s.vec({1.5, -2.5, 1e-300});
   s.indexVec({0, 3, 1u << 20});
 
-  const io::CheckpointReader r("mem", w.finish());
+  const std::string blob = w.finish();
+  // The header's second u32 (little-endian) is the format version.
+  EXPECT_EQ(static_cast<unsigned char>(blob[4]), io::kCheckpointFormatVersion);
+  const io::CheckpointReader r("mem", blob);
   EXPECT_EQ(r.kind(), "unit-test");
-  EXPECT_EQ(r.version(), io::kCheckpointFormatVersion);
   io::SectionReader p = r.section("payload");
   EXPECT_EQ(p.u8(), 7);
   EXPECT_TRUE(p.boolean());
@@ -401,6 +403,28 @@ TEST(StateIo, RngStreamRoundTripContinuesExactly) {
   for (int i = 0; i < 64; ++i) EXPECT_EQ(rng(), restored());
 }
 
+/// A stream is exactly the words its engine writes: one word short or one
+/// too many is not a state, and a restore refuses it.
+TEST(StateIo, RngStreamOfTheWrongLengthIsRefused) {
+  io::SectionWriter w;
+  io::writeRng(w, std::mt19937_64(1234));
+  io::SectionReader r("rng", w.bytes());
+  std::vector<std::size_t> words = r.indexVec();
+  ASSERT_GT(words.size(), 1u);
+  for (const int delta : {-1, 1}) {
+    std::vector<std::size_t> wrong = words;
+    if (delta < 0)
+      wrong.pop_back();
+    else
+      wrong.push_back(7);
+    io::SectionWriter bad;
+    bad.indexVec(wrong);
+    io::SectionReader br("rng", bad.bytes());
+    std::mt19937_64 rng;
+    EXPECT_THROW(io::readRng(br, rng), io::CheckpointError) << delta;
+  }
+}
+
 // ---------- PvtSearch: resume-at-step-k == uninterrupted ----------
 
 /// The Table II porting hooks for hillProblem(): a starting point away from
@@ -412,11 +436,10 @@ void setPortingHooks(core::ExplorerConfig& e, const nn::Mlp& donor) {
 
 /// A PvtSearch paused mid-run, saved, and resumed in a brand-new search
 /// (and, in memory, continued) ends bitwise equal to the uninterrupted run.
-void expectResumeBitwise(bool cacheOn, bool hooks) {
+void expectResumeBitwise(bool hooks) {
   const auto prob = hillProblem();
   core::PvtSearchConfig cfg;
   cfg.seed = 3;
-  cfg.cacheEvals = cacheOn;
   const core::SpiceSurrogate donor(4, 1, cfg.explorer.surrogate, 5);
   if (hooks) setPortingHooks(cfg.explorer, donor.network());
   const std::size_t kBudget = 2000;
@@ -444,30 +467,27 @@ void expectResumeBitwise(bool cacheOn, bool hooks) {
   expectOutcomeEq(full, continuedInMemory);
 }
 
-/// Param: cache on, the pool size every run steps in (0: no pool; see
+/// Param: the pool size every run steps in (0: no pool; see
 /// testing_pool::inPoolTask), porting hooks.
 class PvtResume
-    : public ::testing::TestWithParam<std::tuple<bool, std::size_t, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
 
 TEST_P(PvtResume, BitwiseEqualToUninterruptedRun) {
-  const auto [cacheOn, pool, hooks] = GetParam();
-  testing_pool::inPoolTask(pool, [cacheOn = cacheOn, hooks = hooks] {
-    expectResumeBitwise(cacheOn, hooks);
-  });
+  const auto [pool, hooks] = GetParam();
+  testing_pool::inPoolTask(pool,
+                           [hooks = hooks] { expectResumeBitwise(hooks); });
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    CacheAndPools, PvtResume,
-    ::testing::Values(std::make_tuple(true, std::size_t{0}, false),
-                      std::make_tuple(false, std::size_t{0}, false),
-                      std::make_tuple(true, std::size_t{1}, false),
-                      std::make_tuple(true, std::size_t{2}, false),
-                      std::make_tuple(false, std::size_t{4}, false),
-                      std::make_tuple(true, std::size_t{2}, true)),
+    Pools, PvtResume,
+    ::testing::Values(std::make_tuple(std::size_t{0}, false),
+                      std::make_tuple(std::size_t{1}, false),
+                      std::make_tuple(std::size_t{2}, false),
+                      std::make_tuple(std::size_t{4}, false),
+                      std::make_tuple(std::size_t{2}, true)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) ? "cache" : "nocache") +
-             "_pool" + std::to_string(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_porting" : "");
+      return "pool" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_porting" : "");
     });
 
 TEST(PvtCheckpoint, RestoreRejectsMismatchedConfiguration) {

@@ -471,7 +471,6 @@ TEST(PvtSearchOneCorner, FirstSimulatedPointIsSnappedStartingPoint) {
   };
   const linalg::Vector start = {0.123, 0.456, 0.789};  // off the 0.01 grid
   PvtSearchConfig warm = seeded(5);
-  warm.cacheEvals = false;  // record every request
   warm.explorer.startingPoint = start;
   (void)PvtSearch(prob, warm).run(3);
   ASSERT_EQ(seen->size(), 3u);
@@ -480,7 +479,6 @@ TEST(PvtSearchOneCorner, FirstSimulatedPointIsSnappedStartingPoint) {
   const std::vector<linalg::Vector> warmSeen = *seen;
   seen->clear();
   PvtSearchConfig cold = seeded(5);
-  cold.cacheEvals = false;
   (void)PvtSearch(prob, cold).run(2);
   ASSERT_EQ(seen->size(), 2u);
   EXPECT_EQ(warmSeen[1], (*seen)[0]);
@@ -612,24 +610,6 @@ TEST(SizingSession, RunsEndToEnd) {
   EXPECT_TRUE(report.solved);
   EXPECT_GT(report.simulations, 0u);
   EXPECT_NE(report.summary.find("solved: yes"), std::string::npos);
-}
-
-/// SessionOptions::cacheEvals is the search's one caching flag: the summary
-/// states it, and with it off every logical block is a real simulation.
-TEST(SizingSession, SummaryStatesTheCacheFlag) {
-  for (const bool cache : {true, false}) {
-    SessionOptions options;
-    options.maxSimulations = 300;
-    options.seed = 3;
-    options.cacheEvals = cache;
-    const auto report = SizingSession(multiCornerCsp(), options).run();
-    EXPECT_NE(report.summary.find(cache ? "cache on" : "cache off"),
-              std::string::npos);
-    if (!cache) {
-      EXPECT_EQ(report.evalStats.cacheHits, 0u);
-      EXPECT_EQ(report.evalStats.simulated, report.simulations);
-    }
-  }
 }
 
 TEST(SizingSession, AutoScheduleScalesWithDimension) {

@@ -20,6 +20,7 @@
 #include "eval/eval_cache.hpp"
 #include "eval/eval_engine.hpp"
 #include "eval_stats_eq.hpp"
+#include "io/checkpoint.hpp"
 #include "pool_task.hpp"
 #include "pvt/corners.hpp"
 #include "rl/sizing_env.hpp"
@@ -77,7 +78,7 @@ TEST(EvalCache, KeyedOnIndicesAndCorner) {
 TEST(EvalEngine, MemoizesAcrossBatchesAndCountsBlocks) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
-  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
+  eval::EvalEngine engine(prob);
 
   const Vector point = prob.space.snap({0.41, 0.59});
   const std::vector<std::size_t> corners{0, 1, 2};
@@ -116,23 +117,14 @@ TEST(EvalEngine, DedupsDuplicateRequestsWithinABatch) {
   const auto prob = countingProblem(calls);
   const Vector point = prob.space.snap({0.5, 0.5});
 
-  {  // cache on: the duplicate corner simulates once.
-    eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
-    const auto r = engine.evalBatch({1, 1, 2}, point, pvt::BlockKind::kSearch);
-    EXPECT_EQ(calls->load(), 2);
-    EXPECT_EQ(r[0].measurements, r[1].measurements);
-    EXPECT_EQ(engine.stats().requests, 3u);
-    EXPECT_EQ(engine.stats().simulated, 2u);
-    EXPECT_EQ(engine.stats().cacheHits, 1u);
-  }
-  {  // cache off: every request is a real block.
-    calls->store(0);
-    eval::EvalEngine engine(prob, {/*cacheEvals=*/false});
-    engine.evalBatch({1, 1, 2}, point, pvt::BlockKind::kSearch);
-    EXPECT_EQ(calls->load(), 3);
-    EXPECT_EQ(engine.stats().cacheHits, 0u);
-    EXPECT_EQ(engine.stats().simulated, 3u);
-  }
+  // The duplicate corner simulates once.
+  eval::EvalEngine engine(prob);
+  const auto r = engine.evalBatch({1, 1, 2}, point, pvt::BlockKind::kSearch);
+  EXPECT_EQ(calls->load(), 2);
+  EXPECT_EQ(r[0].measurements, r[1].measurements);
+  EXPECT_EQ(engine.stats().requests, 3u);
+  EXPECT_EQ(engine.stats().simulated, 2u);
+  EXPECT_EQ(engine.stats().cacheHits, 1u);
 }
 
 TEST(EvalEngine, SnapsRawSizesSoSimulatedPointMatchesTheKey) {
@@ -144,7 +136,7 @@ TEST(EvalEngine, SnapsRawSizesSoSimulatedPointMatchesTheKey) {
     lastSeen = v;
     return inner(v, c);
   };
-  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
+  eval::EvalEngine engine(prob);
   // Raw, off-grid request: the backend must see the snapped point...
   const Vector raw{0.412, 0.588};
   const Vector snapped = prob.space.snap(raw);
@@ -161,7 +153,7 @@ TEST(EvalEngine, SnapsRawSizesSoSimulatedPointMatchesTheKey) {
 TEST(EvalEngine, ResetAccountingKeepsTheMemo) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
-  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
+  eval::EvalEngine engine(prob);
   const Vector point = prob.space.snap({0.3, 0.3});
   engine.evalBatch({0, 1, 2}, point, pvt::BlockKind::kSearch);
   engine.resetAccounting();
@@ -263,7 +255,7 @@ TEST(EvalEngine, ChunksFanOutOnTheCallersPool) {
   prob.corners = pvt::nineCornerSet(1.0);
   const auto backend = std::make_shared<HoldingBackend>();
   eval::EvalEngine engine(backend, prob.space, prob.corners,
-                          eval::MeetsSpecFn{}, {/*cacheEvals=*/false});
+                          eval::MeetsSpecFn{});
   std::vector<std::size_t> all(prob.corners.size());
   for (std::size_t c = 0; c < all.size(); ++c) all[c] = c;
   testing_pool::inPoolTask(4, [&] {
@@ -276,7 +268,18 @@ TEST(EvalEngine, ChunksFanOutOnTheCallersPool) {
   EXPECT_EQ(engine.stats().simulated, 9u);
 }
 
-// ---------- cache-on/off bitwise invariance of seeded searches ----------
+// ---------- warm-memo bitwise invariance of seeded searches ----------
+
+/// The cache-blind ledger: the logical (corner, kind, meetsSpec) block
+/// sequence is part of the trajectory; only the cached flags may differ.
+void expectSameBlocks(const pvt::EdaLedger& a, const pvt::EdaLedger& b) {
+  ASSERT_EQ(a.totalBlocks(), b.totalBlocks());
+  for (std::size_t i = 0; i < a.blocks().size(); ++i) {
+    EXPECT_EQ(a.blocks()[i].cornerIndex, b.blocks()[i].cornerIndex);
+    EXPECT_EQ(a.blocks()[i].kind, b.blocks()[i].kind);
+    EXPECT_EQ(a.blocks()[i].meetsSpec, b.blocks()[i].meetsSpec);
+  }
+}
 
 void expectSamePvtOutcome(const core::PvtSearchOutcome& a,
                           const core::PvtSearchOutcome& b) {
@@ -289,38 +292,46 @@ void expectSamePvtOutcome(const core::PvtSearchOutcome& a,
     EXPECT_EQ(a.cornerEvals[i].ok, b.cornerEvals[i].ok);
     EXPECT_EQ(a.cornerEvals[i].measurements, b.cornerEvals[i].measurements);
   }
-  // The logical (corner, kind, meetsSpec) block sequence is part of the
-  // trajectory; only the cached flags may differ.
-  ASSERT_EQ(a.ledger.totalBlocks(), b.ledger.totalBlocks());
-  for (std::size_t i = 0; i < a.ledger.blocks().size(); ++i) {
-    EXPECT_EQ(a.ledger.blocks()[i].cornerIndex, b.ledger.blocks()[i].cornerIndex);
-    EXPECT_EQ(a.ledger.blocks()[i].kind, b.ledger.blocks()[i].kind);
-    EXPECT_EQ(a.ledger.blocks()[i].meetsSpec, b.ledger.blocks()[i].meetsSpec);
-  }
+  expectSameBlocks(a.ledger, b.ledger);
 }
 
-TEST(EvalEngineSearch, PvtSearchBitwiseIdenticalWithCacheOnOrOff) {
+/// Copy `from`'s memo into `to` and zero `to`'s accounting: `to` then
+/// answers every request `from` simulated without simulating it.
+void warmFrom(const eval::EvalEngine& from, eval::EvalEngine& to) {
+  io::SectionWriter w;
+  from.saveState(w);
+  io::SectionReader r("engine", w.bytes());
+  to.restoreState(r);
+  to.resetAccounting();
+}
+
+/// A search over a memo that an identical cold run filled replays the cold
+/// run — outcome, cache-blind ledger — and simulates nothing.
+TEST(EvalEngineSearch, PvtSearchOnAWarmMemoReplaysTheColdRun) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
-  core::PvtSearchOutcome outcomes[2];
-  for (int cached = 0; cached < 2; ++cached) {
-    core::PvtSearchConfig cfg;
-    cfg.seed = 21;
-    cfg.cacheEvals = cached == 1;
-    cfg.explorer = core::autoSchedule(prob);
-    core::PvtSearch search(prob, cfg);
-    outcomes[cached] = search.run(6000);
-  }
-  expectSamePvtOutcome(outcomes[1], outcomes[0]);
-  // Uncached: every logical block simulated; no hits.
-  EXPECT_EQ(outcomes[0].evalStats.cacheHits, 0u);
-  EXPECT_EQ(outcomes[0].evalStats.simulated, outcomes[0].totalSims);
-  // Cached accounting is self-consistent either way.
-  EXPECT_EQ(outcomes[1].evalStats.simulated + outcomes[1].evalStats.cacheHits,
-            outcomes[1].totalSims);
+  core::PvtSearchConfig cfg;
+  cfg.seed = 21;
+  cfg.explorer = core::autoSchedule(prob);
+  core::PvtSearch cold(prob, cfg);
+  const core::PvtSearchOutcome coldOut = cold.run(6000);
+  const int coldCalls = calls->load();
+
+  core::PvtSearch warm(prob, cfg);
+  warmFrom(cold.engine(), warm.engine());
+  const core::PvtSearchOutcome warmOut = warm.run(6000);
+  expectSamePvtOutcome(warmOut, coldOut);
+  EXPECT_EQ(calls->load(), coldCalls);
+  EXPECT_EQ(warmOut.evalStats.simulated, 0u);
+  EXPECT_EQ(warmOut.evalStats.cacheHits, warmOut.totalSims);
+  EXPECT_EQ(warmOut.ledger.cachedBlocks(), warmOut.totalSims);
+  // The cold run's accounting is self-consistent.
+  EXPECT_GT(coldOut.evalStats.simulated, 0u);
+  EXPECT_EQ(coldOut.evalStats.simulated + coldOut.evalStats.cacheHits,
+            coldOut.totalSims);
 }
 
-TEST(EvalEngineSearch, PvtSearchThreadCountInvariantWithCacheOn) {
+TEST(EvalEngineSearch, PvtSearchThreadCountInvariant) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
   std::vector<core::PvtSearchOutcome> outcomes;
@@ -328,7 +339,6 @@ TEST(EvalEngineSearch, PvtSearchThreadCountInvariantWithCacheOn) {
     core::PvtSearchConfig cfg;
     cfg.strategy = core::PvtStrategy::kBruteForce;  // 3 active: real fan-out
     cfg.seed = 33;
-    cfg.cacheEvals = true;
     cfg.explorer = core::autoSchedule(prob);
     core::PvtSearch search(prob, cfg);
     testing_pool::inPoolTask(pool,
@@ -344,7 +354,9 @@ TEST(EvalEngineSearch, PvtSearchThreadCountInvariantWithCacheOn) {
   }
 }
 
-TEST(EvalEngineSearch, SizingEnvBitwiseIdenticalWithCacheOnOrOff) {
+/// An environment replayed over the engine an identical cold run filled
+/// sees the same rewards and observations and simulates nothing.
+TEST(EvalEngineSearch, SizingEnvOnAWarmMemoReplaysTheColdRun) {
   auto calls = std::make_shared<std::atomic<int>>(0);
   const auto prob = countingProblem(calls);
   // Drive both envs through the same random action sequence.
@@ -358,30 +370,35 @@ TEST(EvalEngineSearch, SizingEnvBitwiseIdenticalWithCacheOnOrOff) {
       actionLog.push_back(std::move(a));
     }
   }
+  const auto engine = rl::makeEnvEngine(prob);
   std::vector<double> rewards[2];
   std::vector<Vector> observations[2];
-  std::size_t realSims[2] = {0, 0};
-  for (int cached = 0; cached < 2; ++cached) {
-    rl::EnvConfig cfg;
-    cfg.cacheEvals = cached == 1;
-    const auto engine = rl::makeEnvEngine(prob, cfg);
-    rl::SizingEnv env(prob, cfg, 11, *engine);
-    observations[cached].push_back(env.reset());
+  pvt::EdaLedger ledgers[2];
+  eval::EvalStats stats[2];
+  for (int warm = 0; warm < 2; ++warm) {
+    engine->resetAccounting();  // the memo stays: the warm pass reuses it
+    rl::SizingEnv env(prob, rl::EnvConfig{}, 11, *engine);
+    observations[warm].push_back(env.reset());
     for (const auto& a : actionLog) {
       auto sr = env.step(a);
-      rewards[cached].push_back(sr.reward);
-      observations[cached].push_back(std::move(sr.observation));
-      if (sr.done) observations[cached].push_back(env.reset());
+      rewards[warm].push_back(sr.reward);
+      observations[warm].push_back(std::move(sr.observation));
+      if (sr.done) observations[warm].push_back(env.reset());
     }
     EXPECT_EQ(env.simulationsUsed(), engine->stats().requests);
-    realSims[cached] = engine->stats().simulated;
+    ledgers[warm] = engine->ledger();
+    stats[warm] = engine->stats();
   }
   EXPECT_EQ(rewards[1], rewards[0]);
   ASSERT_EQ(observations[1].size(), observations[0].size());
   for (std::size_t i = 0; i < observations[0].size(); ++i)
     EXPECT_EQ(observations[1][i], observations[0][i]);
-  // The stride lattice forces revisits: caching must actually save work.
-  EXPECT_LT(realSims[1], realSims[0]);
+  expectSameBlocks(ledgers[1], ledgers[0]);
+  EXPECT_EQ(stats[1].simulated, 0u);
+  EXPECT_EQ(stats[1].cacheHits, stats[1].requests);
+  // The stride lattice forces revisits: the cold run's memo saves work too.
+  EXPECT_GT(stats[0].cacheHits, 0u);
+  EXPECT_LT(stats[0].simulated, stats[0].requests);
 }
 
 // ---------- registry ----------
@@ -412,7 +429,7 @@ TEST(Registry, RoundTripInstantiatesAndEvaluatesEveryCircuit) {
     // Evaluate a handful of grid points through an engine; at least one must
     // converge, and a repeated request must hit the memo with a bitwise-
     // identical result.
-    eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
+    eval::EvalEngine engine(prob);
     std::mt19937_64 rng(3);
     int okCount = 0;
     for (int k = 0; k < 40 && okCount == 0; ++k) {
@@ -446,7 +463,7 @@ TEST(Registry, RejectsDuplicateEntries) {
 TEST(Registry, CircuitEvaluatesThroughTheEngine) {
   const core::SizingProblem prob =
       circuits::Registry::global().makeProblem("ico");
-  eval::EvalEngine engine(prob, {/*cacheEvals=*/true});
+  eval::EvalEngine engine(prob);
   EXPECT_EQ(engine.backend().name(), "problem:ico_n5");
   // Registry problems ship the fused corner-batch evaluator.
   EXPECT_EQ(engine.backend().batchWidth(),

@@ -250,9 +250,10 @@ TEST(EvalEngineFaults, RetriesTransientFaultAndChargesBackoff) {
 
 TEST(EvalEngineFaults, ExhaustionYieldsTypedFailureNeverCached) {
   const core::SizingProblem problem = faultGridProblem();
-  EvalEngineConfig cfg;
-  cfg.retry.maxAttempts = 2;
-  EvalEngine engine(problem, cfg);
+  RetryPolicy retry;
+  retry.maxAttempts = 2;
+  EvalEngine engine(problem);
+  engine.setRetryPolicy(retry);
   // Rate 1.0: every attempt faults, so every request is a deterministic
   // permanent failure.
   engine.injectFaults(std::make_shared<const sim::FaultPlan>(
@@ -304,11 +305,12 @@ TEST(EvalEngineFaults, BackoffSaturatesPastTheShiftWidth) {
   // Every attempt faults. 80 attempts charge before each of 79 retries:
   // 1 + 2 + 4, then the cap of 8 for retries 3..78, including those past
   // the 64-bit shift width.
-  EvalEngineConfig cfg;
-  cfg.retry.maxAttempts = 80;
-  cfg.retry.backoffBase = 1;
-  cfg.retry.backoffCap = 8;
-  EvalEngine engine(problem, cfg);
+  RetryPolicy retry;
+  retry.maxAttempts = 80;
+  retry.backoffBase = 1;
+  retry.backoffCap = 8;
+  EvalEngine engine(problem);
+  engine.setRetryPolicy(retry);
   engine.injectFaults(std::make_shared<const sim::FaultPlan>(
                           planConfig(3, 0.0, 1.0, 0.0)),
                       problem.name);
@@ -321,11 +323,12 @@ TEST(EvalEngineFaults, BackoffSaturatesPastTheShiftWidth) {
 
   // A base too large to shift charges the cap, and a request's sum stops at
   // the largest 32-bit count instead of wrapping.
-  EvalEngineConfig big;
-  big.retry.maxAttempts = 4;
-  big.retry.backoffBase = std::numeric_limits<std::size_t>::max() / 2;
-  big.retry.backoffCap = std::numeric_limits<std::size_t>::max();
-  EvalEngine wide(problem, big);
+  RetryPolicy big;
+  big.maxAttempts = 4;
+  big.backoffBase = std::numeric_limits<std::size_t>::max() / 2;
+  big.backoffCap = std::numeric_limits<std::size_t>::max();
+  EvalEngine wide(problem);
+  wide.setRetryPolicy(big);
   wide.injectFaults(std::make_shared<const sim::FaultPlan>(
                         planConfig(3, 0.0, 1.0, 0.0)),
                     problem.name);
@@ -338,9 +341,10 @@ TEST(EvalEngineFaults, BackoffSaturatesPastTheShiftWidth) {
 
 TEST(EvalEngineFaults, BatchSurfacesFailuresInTheirSlots) {
   const core::SizingProblem problem = faultGridProblem();
-  EvalEngineConfig cfg;
-  cfg.retry.maxAttempts = 1;  // every fault immediately terminal
-  EvalEngine engine(problem, cfg);
+  RetryPolicy retry;
+  retry.maxAttempts = 1;  // every fault immediately terminal
+  EvalEngine engine(problem);
+  engine.setRetryPolicy(retry);
   engine.injectFaults(std::make_shared<const sim::FaultPlan>(
                           planConfig(19, 0.0, 0.5, 0.0)),
                       problem.name);
@@ -394,10 +398,12 @@ TEST(EvalEngineFaults, BatchedDispatchDrawsIdenticalFaultSlots) {
   const std::vector<std::size_t> allCorners = {0, 1, 2};
   for (const std::size_t pool : testing_pool::kPoolSizes) {
     SCOPED_TRACE("pool " + std::to_string(pool));
-    EvalEngineConfig cfg{/*cacheEvals=*/false};
-    cfg.retry.maxAttempts = 3;
-    EvalEngine scalarEngine(scalarProblem, cfg);
-    EvalEngine batchEngine(problem, cfg);
+    RetryPolicy retry;
+    retry.maxAttempts = 3;
+    EvalEngine scalarEngine(scalarProblem);
+    EvalEngine batchEngine(problem);
+    scalarEngine.setRetryPolicy(retry);
+    batchEngine.setRetryPolicy(retry);
     ASSERT_EQ(scalarEngine.backend().batchWidth(), 1u);
     ASSERT_EQ(batchEngine.backend().batchWidth(), 4u);
     const auto plan = std::make_shared<const sim::FaultPlan>(
@@ -529,46 +535,64 @@ TEST(SharedCachePoison, EngineNeverPublishesPoisonedResults) {
 // ---- Ledger partition invariant across configurations --------------------
 
 /// Drive a fixed, collision-rich request stream through `engine` (same
-/// stream for every configuration under test).
-void driveStream(EvalEngine& engine) {
+/// stream for every configuration under test); the results in request
+/// order.
+std::vector<core::EvalResult> driveStream(EvalEngine& engine) {
   const core::DesignSpace space = faultGridProblem().space;
   const std::vector<std::size_t> allCorners = {0, 1, 2};
+  std::vector<core::EvalResult> results;
   for (std::size_t t = 0; t < 40; ++t) {
     const std::size_t cell = (t * t + 3 * t) % 27;  // revisits guaranteed
     const linalg::Vector sizes = {space.gridValue(0, cell % 9),
                                   space.gridValue(1, cell / 9)};
-    if (t % 3 == 0)
-      engine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch);
-    else
-      engine.evalOne(t % 3, sizes, pvt::BlockKind::kSearch);
+    if (t % 3 == 0) {
+      for (core::EvalResult& r :
+           engine.evalBatch(allCorners, sizes, pvt::BlockKind::kSearch))
+        results.push_back(std::move(r));
+    } else {
+      results.push_back(
+          engine.evalOne(t % 3, sizes, pvt::BlockKind::kSearch));
+    }
   }
+  return results;
 }
 
+/// Cold runs at every pool size, then two warm replays of each: over the
+/// memo the cold run filled (accounting reset), and on a fresh engine over
+/// the shared cache the cold run published into. Every run keeps the
+/// ledger partition, and all of them give the same results and the same
+/// cache-blind block stream; a warm replay simulates nothing.
 TEST(LedgerInvariant, HoldsAcrossCacheThreadsAndFaultConfigs) {
   const core::SizingProblem problem = faultGridProblem();
-  // Reference block streams (cornerIndex, kind, meetsSpec, failed), one per
-  // fault setting, captured from the first configuration that runs it.
+  // Reference results and block streams (cornerIndex, kind, meetsSpec,
+  // failed), one per fault setting, captured from the first run of it.
+  std::vector<core::EvalResult> referenceResults[2];
   std::vector<pvt::EdaBlock> reference[2];
   std::size_t referenceFailures[2] = {0, 0};
 
   for (const bool faults : {false, true}) {
-    for (const bool cacheOn : {true, false}) {
-      for (const std::size_t pool : testing_pool::kPoolSizes) {
-        EvalEngineConfig cfg;
-        cfg.cacheEvals = cacheOn;
-        cfg.retry.maxAttempts = 2;
-        EvalEngine engine(problem, cfg);
+    for (const std::size_t pool : testing_pool::kPoolSizes) {
+      const auto shared = std::make_shared<SharedEvalCache>(4);
+      const auto makeEngine = [&] {
+        auto engine = std::make_unique<EvalEngine>(problem);
+        RetryPolicy retry;
+        retry.maxAttempts = 2;
+        engine->setRetryPolicy(retry);
         if (faults)
-          engine.injectFaults(std::make_shared<const sim::FaultPlan>(
-                                  planConfig(77, 0.1, 0.35, 0.1)),
-                              problem.name);
-        testing_pool::inPoolTask(pool, [&] { driveStream(engine); });
-
+          engine->injectFaults(std::make_shared<const sim::FaultPlan>(
+                                   planConfig(77, 0.1, 0.35, 0.1)),
+                               problem.name);
+        engine->attachSharedCache(shared, problem.name);
+        return engine;
+      };
+      const auto check = [&](const EvalEngine& engine,
+                             const std::vector<core::EvalResult>& results,
+                             const std::string& run) {
         const EvalStats& s = engine.stats();
         const pvt::EdaLedger& ledger = engine.ledger();
-        SCOPED_TRACE("faults=" + std::to_string(faults) +
-                     " cache=" + std::to_string(cacheOn) +
+        SCOPED_TRACE("faults=" + std::to_string(faults) + " run=" + run +
                      " pool=" + std::to_string(pool));
+        const bool cold = run == "cold";
         // The two partition invariants of the fault-tolerant pipeline.
         EXPECT_EQ(s.requests,
                   s.simulated + s.cacheHits + s.sharedHits + s.failures);
@@ -582,34 +606,81 @@ TEST(LedgerInvariant, HoldsAcrossCacheThreadsAndFaultConfigs) {
         EXPECT_EQ(ledger.simulatedBlocks(), s.simulated);
         for (const pvt::EdaBlock& b : ledger.blocks())
           EXPECT_FALSE(b.cached && b.failed);
+        if (cold) {
+          EXPECT_GT(s.simulated, 0u);
+          EXPECT_EQ(s.sharedHits, 0u);  // nothing published yet
+        } else {
+          // Every clean result was memoized or published: only the requests
+          // that fail, deterministically, reach the backend again.
+          EXPECT_EQ(s.simulated, 0u);
+          EXPECT_EQ(s.faults, 2 * s.failures);
+          EXPECT_EQ(s.attempts, s.faults);
+        }
+        // The memo pass is served by the engine's own memo, the shared pass
+        // by the shared cache first.
+        if (run == "warm memo") {
+          EXPECT_EQ(s.sharedHits, 0u);
+        }
+        if (run == "warm shared") {
+          EXPECT_GT(s.sharedHits, 0u);
+        }
         if (faults) {
           EXPECT_GT(s.failures, 0u);
-          EXPECT_GT(s.faults, s.failures);  // some faults were retried away
           EXPECT_GT(s.backoffUnits, 0u);
+          if (cold) {
+            EXPECT_GT(s.faults, s.failures);  // some were retried away
+          }
         } else {
           EXPECT_EQ(s.failures, 0u);
           EXPECT_EQ(s.attempts, s.simulated);
         }
 
-        // The logical (corner, kind, meetsSpec, failed) block stream is a
-        // function of the request stream and the fault plan alone — not of
-        // caching or the pool the requests came from.
+        // The results and the logical (corner, kind, meetsSpec, failed)
+        // block stream are a function of the request stream and the fault
+        // plan alone — not of what a memo held or of the pool the requests
+        // came from.
         if (reference[faults].empty()) {
+          referenceResults[faults] = results;
           reference[faults] = ledger.blocks();
           referenceFailures[faults] = s.failures;
-        } else {
-          ASSERT_EQ(ledger.totalBlocks(), reference[faults].size());
-          for (std::size_t i = 0; i < reference[faults].size(); ++i) {
-            EXPECT_EQ(ledger.blocks()[i].cornerIndex,
-                      reference[faults][i].cornerIndex);
-            EXPECT_EQ(ledger.blocks()[i].kind, reference[faults][i].kind);
-            EXPECT_EQ(ledger.blocks()[i].meetsSpec,
-                      reference[faults][i].meetsSpec);
-            EXPECT_EQ(ledger.blocks()[i].failed, reference[faults][i].failed);
-          }
-          EXPECT_EQ(s.failures, referenceFailures[faults]);
+          return;
         }
-      }
+        ASSERT_EQ(results.size(), referenceResults[faults].size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          EXPECT_EQ(results[i].ok, referenceResults[faults][i].ok);
+          EXPECT_EQ(results[i].failure, referenceResults[faults][i].failure);
+          EXPECT_EQ(results[i].measurements,
+                    referenceResults[faults][i].measurements);
+        }
+        ASSERT_EQ(ledger.totalBlocks(), reference[faults].size());
+        for (std::size_t i = 0; i < reference[faults].size(); ++i) {
+          EXPECT_EQ(ledger.blocks()[i].cornerIndex,
+                    reference[faults][i].cornerIndex);
+          EXPECT_EQ(ledger.blocks()[i].kind, reference[faults][i].kind);
+          EXPECT_EQ(ledger.blocks()[i].meetsSpec,
+                    reference[faults][i].meetsSpec);
+          EXPECT_EQ(ledger.blocks()[i].failed, reference[faults][i].failed);
+        }
+        EXPECT_EQ(s.failures, referenceFailures[faults]);
+      };
+
+      const auto engine = makeEngine();
+      std::vector<core::EvalResult> results;
+      testing_pool::inPoolTask(pool, [&] { results = driveStream(*engine); });
+      check(*engine, results, "cold");
+      // Publish the cold run's results, as a scheduler barrier does.
+      const std::size_t scope = shared->scopeId(problem.name);
+      for (const PublishEntry& e : engine->drainPublishJournal())
+        shared->insert(scope, e.key, e.result);
+
+      engine->resetAccounting();  // the memo stays
+      testing_pool::inPoolTask(pool, [&] { results = driveStream(*engine); });
+      check(*engine, results, "warm memo");
+
+      const auto viaShared = makeEngine();
+      testing_pool::inPoolTask(pool,
+                               [&] { results = driveStream(*viaShared); });
+      check(*viaShared, results, "warm shared");
     }
   }
 }
@@ -618,9 +689,10 @@ TEST(LedgerInvariant, HoldsAcrossCacheThreadsAndFaultConfigs) {
 
 TEST(FaultCheckpoint, EngineStateRoundTripsBitwise) {
   const core::SizingProblem problem = faultGridProblem();
-  EvalEngineConfig cfg;
-  cfg.retry.maxAttempts = 2;
-  EvalEngine a(problem, cfg);
+  RetryPolicy retry;
+  retry.maxAttempts = 2;
+  EvalEngine a(problem);
+  a.setRetryPolicy(retry);
   a.injectFaults(std::make_shared<const sim::FaultPlan>(
                      planConfig(77, 0.1, 0.35, 0.1)),
                  problem.name);
@@ -630,7 +702,8 @@ TEST(FaultCheckpoint, EngineStateRoundTripsBitwise) {
   io::SectionWriter wa;
   a.saveState(wa);
 
-  EvalEngine b(problem, cfg);
+  EvalEngine b(problem);
+  b.setRetryPolicy(retry);
   io::SectionReader r("engine", wa.bytes());
   b.restoreState(r);
   r.expectEnd();
@@ -651,39 +724,30 @@ TEST(FaultCheckpoint, EngineStateRoundTripsBitwise) {
   EXPECT_EQ(wa.bytes(), wb.bytes());
 }
 
-TEST(FaultCheckpoint, RestoreReadsVersion1Snapshots) {
+/// Version 2 is the one readable container version: a version-1 container
+/// — the layout before the fault fields — is refused, naming its version,
+/// before any section is read.
+TEST(FaultCheckpoint, RefusesVersion1Containers) {
   const core::SizingProblem problem = faultGridProblem();
-  // Hand-craft a version-1 payload: one memoized clean result, a two-block
-  // ledger, stats without the fault counters — exactly what a pre-fault
-  // build wrote.
-  io::SectionWriter w;
-  w.u64(1);                      // one cache entry
-  w.indexVec({2, 3});
-  w.u64(1);                      // corner index
-  w.boolean(true);               // ok
-  w.vec(linalg::Vector{0.9, 1.1});
-  w.u64(2);                      // two ledger blocks
-  w.u64(1); w.u8(0); w.boolean(true); w.boolean(false);
-  w.u64(1); w.u8(0); w.boolean(true); w.boolean(true);
-  w.u64(2);    // requests
-  w.u64(1);    // simulated
-  w.u64(1);    // cacheHits
-  w.u64(0);    // sharedHits
-  w.f64(0.0);  // backendSeconds
-
   EvalEngine engine(problem);
-  io::SectionReader r("engine", w.bytes(), 1);
-  engine.restoreState(r);
-  r.expectEnd();
+  driveStream(engine);
+  io::CheckpointWriter w("engine-state");
+  engine.saveState(w.section("engine"));
+  std::string blob = w.finish();
+  // The version is the header's second u32 (little-endian), outside the
+  // body checksum.
+  ASSERT_EQ(static_cast<unsigned char>(blob[4]), io::kCheckpointFormatVersion);
+  EXPECT_NO_THROW(io::CheckpointReader("v2", blob));
 
-  EXPECT_EQ(engine.stats().requests, 2u);
-  EXPECT_EQ(engine.stats().failures, 0u);
-  EXPECT_EQ(engine.stats().attempts, 0u);
-  EXPECT_FALSE(engine.firstFailure().valid);
-  EXPECT_EQ(engine.cacheSize(), 1u);
-  EXPECT_EQ(engine.ledger().totalBlocks(), 2u);
-  EXPECT_EQ(engine.ledger().failedBlocks(), 0u);
-  EXPECT_EQ(engine.ledger().cachedBlocks(), 1u);
+  blob[4] = 1;
+  try {
+    io::CheckpointReader("v1", blob);
+    FAIL() << "a version-1 container was accepted";
+  } catch (const io::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FaultCheckpoint, RestoreRejectsPoisonedOrInconsistentSnapshots) {

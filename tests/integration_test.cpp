@@ -115,7 +115,7 @@ TEST(Integration, RlEnvDrivesRealSimulator) {
   const sim::PvtCorner tt{sim::ProcessCorner::kTT, sim::bsim45Card().nominalVdd,
                           27.0};
   const auto prob = amp.makeProblem({tt}, amp.defaultSpecs());
-  const auto engine = rl::makeEnvEngine(prob, {});
+  const auto engine = rl::makeEnvEngine(prob);
   rl::SizingEnv env(prob, {}, 8, *engine);
   auto obs = env.reset();
   EXPECT_EQ(obs.size(), env.observationDim());

@@ -589,7 +589,7 @@ TEST(DistributedScheduler, ContractErrorsAreLoud) {
       const std::string what = e.what();
       EXPECT_NE(what.find("no option \"eval_threads\""), std::string::npos)
           << what;
-      EXPECT_NE(what.find("(known: pool, cache, init_samples, mc_samples)"),
+      EXPECT_NE(what.find("(known: pool, init_samples, mc_samples)"),
                 std::string::npos)
           << what;
     }

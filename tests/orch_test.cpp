@@ -305,11 +305,6 @@ TEST(EngineSharedCache, AttachRulesAreEnforced) {
   const core::SizingProblem problem = tinyGridProblem();
   auto shared = std::make_shared<eval::SharedEvalCache>(2);
 
-  eval::EvalEngineConfig noCache;
-  noCache.cacheEvals = false;
-  eval::EvalEngine uncached(problem, noCache);
-  EXPECT_THROW(uncached.attachSharedCache(shared, "s"), std::logic_error);
-
   eval::EvalEngine late(problem);
   late.evalOne(0, problem.space.snap({0.5, 0.5}), pvt::BlockKind::kSearch);
   EXPECT_THROW(late.attachSharedCache(shared, "s"), std::logic_error);
@@ -452,6 +447,18 @@ TEST(Strategy, FactoryRejectsUnknownNamesAndOptions) {
       EXPECT_THROW(opt::makeStrategy("rl_policy", prob, 1, 10, {{key, value}}),
                    std::invalid_argument)
           << key << " = " << value;
+  // Every engine memoizes and every rl_policy learns: there is no switch
+  // for either.
+  for (const char* value : {"true", "false"}) {
+    EXPECT_THROW(
+        opt::makeStrategy("pvt_search", prob, 1, 10, {{"cache", value}}),
+        std::invalid_argument)
+        << "cache = " << value;
+    EXPECT_THROW(
+        opt::makeStrategy("rl_policy", prob, 1, 10, {{"train", value}}),
+        std::invalid_argument)
+        << "train = " << value;
+  }
   // The range ends and ordinary values still parse.
   EXPECT_NO_THROW(opt::makeStrategy("tree_bayes_opt", prob, 1, 10,
                                     {{"local_fraction", "0"},
@@ -735,6 +742,26 @@ TEST(Scheduler, RejectsTreeBayesOptWithoutInitSamples) {
                std::invalid_argument);
 }
 
+/// A scenario whose second job sets `opt.<key> = <value>` is refused when it
+/// is built, with `why` after the job's file:line. Nothing runs.
+void expectOptionRejected(const std::string& strategy, const std::string& key,
+                          const std::string& value, const std::string& why) {
+  ensureTinyGridRegistered();
+  Scenario sc = parseScenarioText(
+      "name = zero\n[job]\nname = ok\ncircuit = tiny_grid\nstrategy = " +
+          strategy + "\nbudget = 20\n[job]\nname = empty\ncircuit = tiny_grid\n"
+          "strategy = " + strategy + "\nbudget = 20\nopt." + key + " = " +
+          value + "\n",
+      "zero.scenario");
+  try {
+    Scheduler scheduler(std::move(sc));
+    ADD_FAILURE() << "opt." << key << " = " << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "scenario zero.scenario:7: job \"empty\": " + why);
+  }
+}
+
 /// A job whose strategy option is a zero count is refused when the scenario
 /// is built, naming the job's line, and the strategy's constructor refuses
 /// the same config on its own. At `opt.init_samples = 0` a pvt_search would
@@ -742,22 +769,12 @@ TEST(Scheduler, RejectsTreeBayesOptWithoutInitSamples) {
 /// never take a TRM step, at `opt.candidate_pool = 0` a tree_bayes_opt
 /// stops at its first acquisition, at `opt.stride_divisor = 0` an rl_policy
 /// dies dividing by zero, and at `opt.hidden = 0` its policy ignores its
-/// observation. Nothing runs: the scheduler refuses at construction.
-void expectZeroCountRejected(const std::string& strategy, const std::string& key) {
-  ensureTinyGridRegistered();
-  Scenario sc = parseScenarioText(
-      "name = zero\n[job]\nname = ok\ncircuit = tiny_grid\nstrategy = " +
-          strategy + "\nbudget = 20\n[job]\nname = empty\ncircuit = tiny_grid\n"
-          "strategy = " + strategy + "\nbudget = 20\nopt." + key + " = 0\n",
-      "zero.scenario");
-  try {
-    Scheduler scheduler(std::move(sc));
-    ADD_FAILURE() << "opt." << key << " = 0 was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "scenario zero.scenario:7: job \"empty\": strategy option \"" +
-                  key + "\": expected a count >= 1, got \"0\"");
-  }
+/// observation.
+void expectZeroCountRejected(const std::string& strategy,
+                             const std::string& key) {
+  expectOptionRejected(strategy, key, "0",
+                       "strategy option \"" + key +
+                           "\": expected a count >= 1, got \"0\"");
 }
 
 TEST(Scheduler, RejectsPvtSearchWithoutInitSamples) {
@@ -785,7 +802,7 @@ TEST(Scheduler, RejectsTreeBayesOptWithoutCandidatePool) {
 TEST(Scheduler, RejectsRlPolicyWithoutStrideDivisor) {
   expectZeroCountRejected("rl_policy", "stride_divisor");
   const core::SizingProblem prob = tinyGridProblem();
-  auto engine = rl::makeEnvEngine(prob, {});
+  auto engine = rl::makeEnvEngine(prob);
   rl::EnvConfig env;
   env.strideDivisor = 0;
   EXPECT_THROW(rl::SizingEnv(prob, env, 1, *engine), std::invalid_argument);
@@ -796,6 +813,18 @@ TEST(Scheduler, RejectsRlPolicyWithoutHiddenUnits) {
   rl::A2cConfig cfg;
   cfg.hidden = 0;
   EXPECT_THROW(rl::RlLearner(tinyGridProblem(), cfg), std::invalid_argument);
+}
+
+/// The memo and the policy update have no switch: opt.cache and opt.train
+/// fail the scenario with the job's file:line, like any unknown option.
+TEST(Scheduler, RejectsCacheAndTrainOptions) {
+  expectOptionRejected("pvt_search", "cache", "false",
+                       "strategy \"pvt_search\" has no option \"cache\" "
+                       "(known: pool, init_samples, mc_samples)");
+  expectOptionRejected("rl_policy", "train", "false",
+                       "strategy \"rl_policy\" has no option \"train\" "
+                       "(known: hidden, n_steps, episode_length, "
+                       "stride_divisor, learning_rate, entropy_coeff)");
 }
 
 TEST(Scheduler, DerivesDistinctSeedsAndRunsOnce) {

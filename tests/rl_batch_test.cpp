@@ -117,7 +117,8 @@ TEST(ActorCriticBatch, JointRowOpsMatchScalarBitwise) {
 
 /// One synchronous A2C gradient step, sample by sample.
 void a2cUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
-                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                        nn::AdamOptimizer& policyOpt,
+                      nn::AdamOptimizer& criticOpt,
                         const FlatRollout& data, const A2cConfig& cfg) {
   const std::size_t n = data.size();
   if (n == 0) return;
@@ -149,7 +150,8 @@ void a2cUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
 /// All PPO epochs/mini-batches for one rollout, sample by sample; `rng`
 /// drives the mini-batch shuffles.
 void ppoUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
-                        nn::Optimizer& policyOpt, nn::Optimizer& criticOpt,
+                        nn::AdamOptimizer& policyOpt,
+                      nn::AdamOptimizer& criticOpt,
                         const FlatRollout& data, const PpoConfig& cfg,
                         std::mt19937_64& rng) {
   const std::size_t n = data.size();
@@ -254,7 +256,7 @@ double trpoSurrogateReference(const nn::Mlp& policy, const FlatRollout& data) {
 /// One full TRPO update with every rollout-wide pass run sample by sample:
 /// the same CG solve, line search and critic regression as trpoUpdate.
 bool trpoUpdateReference(nn::Mlp& policy, nn::Mlp& critic,
-                         nn::Optimizer& criticOpt, const FlatRollout& data,
+                         nn::AdamOptimizer& criticOpt, const FlatRollout& data,
                          const TrpoConfig& cfg) {
   if (data.size() == 0) return false;
   std::vector<Vector> oldLogits;
@@ -536,7 +538,6 @@ struct CollectSetup {
 EnvConfig rolloutEnv() {
   EnvConfig env;
   env.episodeLength = 12;
-  env.recordLedger = true;
   return env;
 }
 
@@ -599,7 +600,7 @@ CollectRun runCollector(const core::SizingProblem& prob,
 CollectRun runReference(const core::SizingProblem& scalar, std::size_t n,
                         const CollectSetup& c) {
   const EnvConfig envCfg = rolloutEnv();
-  const auto engine = makeEnvEngine(scalar, envCfg);
+  const auto engine = makeEnvEngine(scalar);
   configure(*engine, c);
   std::vector<SizingEnv> envs;
   std::vector<std::mt19937_64> rngs;
@@ -776,7 +777,7 @@ TEST(ParallelRollout, ResetOntoSpecMeetingPointSolves) {
   const core::SizingProblem scalar = bowlProblem(-1.0);
   const EnvConfig envCfg = rolloutEnv();
   {
-    const auto engine = makeEnvEngine(scalar, envCfg);
+    const auto engine = makeEnvEngine(scalar);
     SizingEnv env(scalar, envCfg, 17, *engine);
     env.reset();
     ASSERT_GE(env.currentValue(), 0.0) << "seed 17 resets onto a failure";

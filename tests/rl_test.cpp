@@ -32,7 +32,7 @@ core::SizingProblem bandProblem() {
 
 TEST(SizingEnv, ObservationShape) {
   const auto prob = bandProblem();
-  const auto engine = makeEnvEngine(prob, {});
+  const auto engine = makeEnvEngine(prob);
   SizingEnv env(prob, {}, 1, *engine);
   const auto obs = env.reset();
   EXPECT_EQ(obs.size(), env.observationDim());
@@ -44,7 +44,7 @@ TEST(SizingEnv, ActionsMoveParameters) {
   const auto prob = bandProblem();
   EnvConfig cfg;
   cfg.episodeLength = 1000;
-  const auto engine = makeEnvEngine(prob, cfg);
+  const auto engine = makeEnvEngine(prob);
   SizingEnv env(prob, cfg, 2, *engine);
   env.reset();
   const double x0 = env.currentSizes()[0];
@@ -59,7 +59,7 @@ TEST(SizingEnv, ActionsMoveParameters) {
 
 TEST(SizingEnv, ClampsAtGridEdges) {
   const auto prob = bandProblem();
-  const auto engine = makeEnvEngine(prob, {});
+  const auto engine = makeEnvEngine(prob);
   SizingEnv env(prob, {}, 3, *engine);
   env.reset();
   for (int i = 0; i < 100; ++i) env.step({0});
@@ -70,7 +70,7 @@ TEST(SizingEnv, SolveGivesBonusAndTerminates) {
   const auto prob = bandProblem();
   EnvConfig cfg;
   cfg.episodeLength = 500;
-  const auto engine = makeEnvEngine(prob, cfg);
+  const auto engine = makeEnvEngine(prob);
   SizingEnv env(prob, cfg, 4, *engine);
   env.reset();
   StepResult last;
@@ -87,7 +87,7 @@ TEST(SizingEnv, SolveGivesBonusAndTerminates) {
 
 TEST(SizingEnv, CountsSimulations) {
   const auto prob = bandProblem();
-  const auto engine = makeEnvEngine(prob, {});
+  const auto engine = makeEnvEngine(prob);
   SizingEnv env(prob, {}, 5, *engine);
   env.reset();
   env.step({1});

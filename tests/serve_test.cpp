@@ -45,6 +45,7 @@
 
 #include "circuits/registry.hpp"
 #include "io/checkpoint.hpp"
+#include "orch/journal.hpp"
 #include "orch/scenario.hpp"
 #include "orch/scheduler.hpp"
 #include "orch/wire.hpp"
@@ -424,6 +425,86 @@ TEST(ServeTest, SigkillMidRunResumesBitwise) {
   const FinalResult res = client.stream(id);
   EXPECT_EQ(res.report, expected)
       << "journal resume must replay to the uninterrupted run bitwise";
+}
+
+/// `journal` re-encoded with the first letter of its scenario name changed:
+/// to a resume, the journal of another scenario fingerprint.
+std::string withForeignFingerprint(const std::string& journal) {
+  const io::CheckpointReader r("journal", journal);
+  io::CheckpointWriter w(orch::kJournalKind);
+  for (const std::string name :
+       {"scenario", "progress", "shared_cache", "jobs", "events"}) {
+    if (!r.hasSection(name)) continue;
+    io::SectionReader s = r.section(name);
+    std::string payload = s.raw(s.remaining());
+    if (name == "scenario") payload[8] ^= 1;  // after the name's u64 length
+    io::SectionWriter& out = w.section(name);
+    for (const char c : payload) out.u8(static_cast<std::uint8_t>(c));
+  }
+  return w.finish();
+}
+
+TEST(ServeTest, UnrestorableJournalFailsItsSubmissionAndTheDaemonServesOn) {
+  // A journal the restarted daemon cannot resume — an older container
+  // version, or another scenario fingerprint, as a journal written by an
+  // earlier build carries — fails its submission with "journal resume
+  // failed", and the daemon goes on answering and running submissions.
+  ensureTinyGridRegistered();
+  const std::pair<std::string, std::string> cases[] = {
+      {"old_version", "unsupported format version 1"},
+      {"other_fingerprint", "scenario fingerprint mismatch on name"}};
+  for (const auto& [tag, why] : cases) {
+    SCOPED_TRACE(tag);
+    const DaemonConfig cfg = makeConfig(freshDir("stale_journal_" + tag));
+    std::uint64_t id = 0;
+    {
+      DaemonHarness harness(cfg);
+      harness.start();
+      {
+        Client client = Client::connect(cfg.socketPath);
+        SubmitRequest req;
+        req.scenarioText = checkpointableScenario("stale", 1201, 320);
+        bool journaled = false;
+        id = client.submit(req, &journaled);
+        ASSERT_TRUE(journaled);
+        waitForRounds(client, id, 2);
+      }
+      harness.kill();
+    }
+    const std::string journal =
+        cfg.stateDir + "/job-" + std::to_string(id) + ".journal";
+    ASSERT_TRUE(std::filesystem::exists(journal));
+    std::string bytes = readFile(journal);
+    if (tag == "old_version")
+      bytes[4] = 1;  // the header's format version, outside the checksum
+    else
+      bytes = withForeignFingerprint(bytes);
+    writeFile(journal, bytes);
+
+    DaemonHarness harness(cfg);
+    harness.start();
+    Client client = Client::connect(cfg.socketPath);
+    JobStatus row;
+    for (int i = 0; i < 5000; ++i) {
+      const std::vector<JobStatus> rows = client.status(id);
+      ASSERT_EQ(rows.size(), 1u);
+      row = rows[0];
+      if (row.state != "queued" && row.state != "running") break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(row.state, "failed");
+    EXPECT_NE(row.error.find("journal resume failed"), std::string::npos)
+        << row.error;
+    EXPECT_NE(row.error.find(why), std::string::npos) << row.error;
+
+    SubmitRequest next;
+    next.scenarioText = checkpointableScenario("after_stale", 1301, 16);
+    const std::uint64_t nextId = client.submit(next);
+    EXPECT_FALSE(client.stream(nextId).report.empty());
+    const std::vector<JobStatus> rows = client.status(nextId);
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0].state, "completed");
+  }
 }
 
 TEST(ServeTest, AdmissionRejectsAndDowngrades) {

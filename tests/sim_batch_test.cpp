@@ -894,8 +894,9 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
   // the engines fan their lane chunks out), the engine over the lane-batched
   // backend returns byte-identical
   // results, ledger, and stats (minus wall-clock) to the engine over the
-  // width-1 backend of one-slot passes. Caching is off so every request
-  // actually exercises the backend dispatch under test.
+  // width-1 backend of one-slot passes. Every (sizing, corner) request is
+  // distinct, so each one misses the fresh memos and exercises the backend
+  // dispatch under test.
   const auto& reg = circuits::Registry::global();
   for (const auto& name : reg.names()) {
     const auto nominal = reg.makeProblem(name);
@@ -908,9 +909,8 @@ TEST(EvalEngineBatch, RegistryCircuitsBitwiseIdenticalAcrossModesAndThreads) {
     const auto sizings = probeSizings(problem.space, 2);
 
     for (const std::size_t pool : testing_pool::kPoolSizes) {
-      const EvalEngineConfig cfg{/*cacheEvals=*/false};
-      EvalEngine oneSlotEngine(oneSlotOnly(problem), cfg);
-      EvalEngine batchEngine(problem, cfg);
+      EvalEngine oneSlotEngine(oneSlotOnly(problem));
+      EvalEngine batchEngine(problem);
       testing_pool::inPoolTask(pool, [&] {
         for (const auto& v : sizings) {
           const auto ro = oneSlotEngine.evalBatch(cornerIdx, v,
@@ -1296,12 +1296,11 @@ TEST(EvalEngineBatch, EveryChunkReachesTheFusedCallback) {
         });
     ASSERT_EQ(backend->batchWidth(), 4u);
     // Off a pool the chunks run inline, in submission order, so the recorded
-    // shape is deterministic; cache off so every request is a miss.
-    EvalEngine engine(backend, problem.space, problem.corners, {},
-                      EvalEngineConfig{/*cacheEvals=*/false});
+    // shape is deterministic; the requests fall on distinct corners, so each
+    // one misses the fresh memo.
+    EvalEngine engine(backend, problem.space, problem.corners, {});
     EvalEngine scalarEngine(std::make_shared<CallbackBackend>(chunkModel),
-                            problem.space, problem.corners, {},
-                            EvalEngineConfig{/*cacheEvals=*/false});
+                            problem.space, problem.corners, {});
     std::vector<std::size_t> cornerIdx(c.requests);
     for (std::size_t i = 0; i < c.requests; ++i) cornerIdx[i] = i % 9;
     const auto sizing = probeSizings(problem.space, 1)[0];
